@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
-	"github.com/reo-cache/reo/internal/stripe"
 	"github.com/reo-cache/reo/internal/target"
 )
 
@@ -45,69 +43,22 @@ func (s *Store) GetBatchCtx(rc *reqctx.Ctx, ids []osd.ObjectID) []target.BatchGe
 	defer s.trackOnDemand(rc)()
 
 	// Objects whose stripes proved unrecoverable mid-read; they are freed
-	// after the reader lock drops (freeing needs the writer lock).
+	// after the reader lock drops.
 	var corpses []*object
 
 	s.mu.RLock()
 	for i, id := range ids {
-		if err := rc.Err(); err != nil {
-			out[i].Err = err
-			continue
+		r := &out[i]
+		var corpse *object
+		r.Buf, r.Cost, r.Degraded, corpse, r.Err = s.getOneRLocked(rc, id)
+		if corpse != nil {
+			corpses = append(corpses, corpse)
 		}
-		obj, ok := s.objects[id]
-		if !ok {
-			out[i].Err = fmt.Errorf("%w: %v", ErrNotFound, id)
-			continue
-		}
-		degraded := false
-		statusErr := error(nil)
-		for _, sid := range obj.stripes {
-			st, serr := s.stripes.Status(sid)
-			if serr != nil {
-				statusErr = serr
-				break
-			}
-			if st != stripe.StatusHealthy {
-				degraded = true
-				break
-			}
-		}
-		if statusErr != nil {
-			out[i].Err = statusErr
-			continue
-		}
-		class := policy.OpReadHit
-		if degraded {
-			class = policy.OpReadDegraded
-		}
-		prevClass := s.enterOpClass(rc, class)
-		buf := bufpool.Get(obj.size)
-		_, cost, err := s.stripes.ReadInto(rc, obj.stripes, obj.size, buf.Bytes())
-		rc.WithOpClass(prevClass)
-		if err != nil {
-			buf.Release()
-			if errors.Is(err, stripe.ErrUnrecoverable) {
-				corpses = append(corpses, obj)
-				out[i].Err = fmt.Errorf("%w: %v", ErrCorrupted, id)
-			} else {
-				out[i].Err = err
-			}
-			continue
-		}
-		out[i] = target.BatchGetResult{Buf: buf, Cost: cost, Degraded: degraded}
 	}
 	s.mu.RUnlock()
 
-	if len(corpses) > 0 {
-		s.mu.Lock()
-		for _, obj := range corpses {
-			// Re-check under the writer lock: a concurrent Put may have
-			// replaced the entry while the reader lock was down.
-			if cur, ok := s.objects[obj.id]; ok && cur == obj {
-				s.freeObjectLocked(obj)
-			}
-		}
-		s.mu.Unlock()
+	for _, obj := range corpses {
+		s.dropCorpse(obj)
 	}
 	return out
 }
@@ -166,15 +117,11 @@ func (s *Store) putOneLocked(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class
 	ids, cost, err := s.stripes.WriteCtx(rc, data, scheme)
 	rc.WithOpClass(prevClass)
 	if err != nil {
-		if writeFirst {
-			// The previous version was never touched; the object survives
-			// the aborted overwrite unchanged.
-			if errors.Is(err, flash.ErrDeviceFull) {
-				return 0, fmt.Errorf("%w: object %v (%d bytes)", ErrCacheFull, id, len(data))
-			}
-			return 0, err
+		if !writeFirst {
+			// The previous version (if any) was freed first; under
+			// write-first it was never touched and survives unchanged.
+			delete(s.objects, id)
 		}
-		delete(s.objects, id)
 		if errors.Is(err, flash.ErrDeviceFull) {
 			return 0, fmt.Errorf("%w: object %v (%d bytes)", ErrCacheFull, id, len(data))
 		}

@@ -251,7 +251,7 @@ func (s *Store) rebuildObjectLocked(rc *reqctx.Ctx, obj *object) (time.Duration,
 // the shrunken array) leave the object degraded-but-readable and are not
 // errors; cancellation and unrecoverable reads propagate.
 func (s *Store) reencodeObjectLocked(rc *reqctx.Ctx, obj *object) (time.Duration, error) {
-	data, readCost, err := s.stripes.Read(obj.stripes, obj.size)
+	data, readCost, err := s.readObjectLocked(rc, obj)
 	if err != nil {
 		return readCost, fmt.Errorf("object %v: %w", obj.id, err)
 	}

@@ -65,7 +65,7 @@ func TestInsertSpareStartsRecovery(t *testing.T) {
 		if st := s.Status(id); st != StatusAlive {
 			t.Fatalf("object %v status = %v after recovery", id, st)
 		}
-		got, _, degraded, err := s.Get(id)
+		got, _, degraded, err := getObject(s, id)
 		if err != nil {
 			t.Fatal(err)
 		}

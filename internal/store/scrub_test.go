@@ -159,7 +159,7 @@ func TestScrubRepairFixesSilentCorruption(t *testing.T) {
 		id   osd.ObjectID
 		want []byte
 	}{{oid(1), hot}, {oid(2), dirty}} {
-		got, _, _, err := s.Get(tc.id)
+		got, _, _, err := getObject(s, tc.id)
 		if err != nil {
 			t.Fatalf("Get %v after repair: %v", tc.id, err)
 		}
@@ -192,7 +192,7 @@ func TestScrubRepairInvalidatesUnrepairableClean(t *testing.T) {
 	if report.StripesRepaired != 0 {
 		t.Fatalf("1-parity corruption cannot be located, yet StripesRepaired = %d", report.StripesRepaired)
 	}
-	if _, _, _, err := s.Get(oid(1)); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := getObject(s, oid(1)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after invalidation = %v, want ErrNotFound", err)
 	}
 }
@@ -212,7 +212,7 @@ func TestScrubRepairReportsUnrepairableDirty(t *testing.T) {
 		t.Fatalf("UnrepairableDirty = %v, want [%v]", report.UnrepairableDirty, oid(1))
 	}
 	// Dirty data is the only copy: it must never be deleted.
-	if _, _, _, err := s.Get(oid(1)); err != nil {
+	if _, _, _, err := getObject(s, oid(1)); err != nil {
 		t.Fatalf("dirty object deleted by scrub-repair: %v", err)
 	}
 }

@@ -6,7 +6,7 @@
 //
 //   - Put applies the policy's per-class encoding (§IV.C.4), enforcing the
 //     reserved redundancy budget (sense 0x67 when exceeded).
-//   - Get serves on-demand access with the three-way outcome of §IV.D —
+//   - GetCtx serves on-demand access with the three-way outcome of §IV.D —
 //     immediately accessible, corrupted-but-recoverable (degraded read), or
 //     irrecoverable (sense 0x63).
 //   - Control decodes #SETID#/#QUERY# messages written to the
@@ -153,7 +153,7 @@ type Store struct {
 	res *policy.Resilience
 
 	// mu guards the object map and recovery bookkeeping. Read-mostly
-	// paths (Get, Status, Has, counters) take the read side, so
+	// paths (GetCtx, Status, Has, counters) take the read side, so
 	// independent object reads reach the stripe layer concurrently;
 	// mutations and recovery hold the write side.
 	mu      sync.RWMutex
@@ -383,51 +383,13 @@ func (s *Store) hotOverheadLocked(exclude osd.ObjectID) int64 {
 	return total
 }
 
-// Get reads an object. degraded reports whether any stripe needed on-the-fly
-// reconstruction. An irrecoverable object is freed and reported as
-// ErrCorrupted; a missing object as ErrNotFound.
-func (s *Store) Get(id osd.ObjectID) (data []byte, cost time.Duration, degraded bool, err error) {
-	defer s.autoRecoverCheck()
-	s.mu.RLock()
-	obj, ok := s.objects[id]
-	if !ok {
-		s.mu.RUnlock()
-		return nil, 0, false, fmt.Errorf("%w: %v", ErrNotFound, id)
-	}
-	for _, sid := range obj.stripes {
-		st, serr := s.stripes.Status(sid)
-		if serr != nil {
-			s.mu.RUnlock()
-			return nil, 0, false, serr
-		}
-		if st != stripe.StatusHealthy {
-			degraded = true
-			break
-		}
-	}
-	data, cost, err = s.stripes.Read(obj.stripes, obj.size)
-	s.mu.RUnlock()
-	if err != nil {
-		if errors.Is(err, stripe.ErrUnrecoverable) {
-			// Upgrade to the write lock to drop the corpse; re-check the
-			// entry in case a concurrent Put replaced it meanwhile.
-			s.mu.Lock()
-			if cur, ok := s.objects[id]; ok && cur == obj {
-				s.freeObjectLocked(obj)
-			}
-			s.mu.Unlock()
-			return nil, 0, false, fmt.Errorf("%w: %v", ErrCorrupted, id)
-		}
-		return nil, 0, false, err
-	}
-	return data, cost, degraded, nil
-}
-
 // GetCtx reads an object into a leased pooled buffer. The caller owns the
 // returned buffer and must Release it exactly once when done with the bytes.
-// A request whose deadline has already expired (or whose context is already
-// cancelled) returns before any device is touched. Semantics otherwise match
-// Get; the healthy path performs no per-request heap allocation.
+// degraded reports whether any stripe needed on-the-fly reconstruction. An
+// irrecoverable object is freed and reported as ErrCorrupted; a missing
+// object as ErrNotFound. A request whose deadline has already expired (or
+// whose context is already cancelled) returns before any device is touched.
+// The healthy path performs no per-request heap allocation.
 func (s *Store) GetCtx(rc *reqctx.Ctx, id osd.ObjectID) (buf *bufpool.Buf, cost time.Duration, degraded bool, err error) {
 	if err := rc.Err(); err != nil {
 		return nil, 0, false, err
@@ -435,22 +397,28 @@ func (s *Store) GetCtx(rc *reqctx.Ctx, id osd.ObjectID) (buf *bufpool.Buf, cost 
 	defer s.autoRecoverCheck()
 	defer s.trackOnDemand(rc)()
 	s.mu.RLock()
+	buf, cost, degraded, corpse, err := s.getOneRLocked(rc, id)
+	s.mu.RUnlock()
+	if corpse != nil {
+		s.dropCorpse(corpse)
+	}
+	return buf, cost, degraded, err
+}
+
+// getOneRLocked is GetCtx's body under an already-held reader lock — the
+// single-op method and the batch share it so the two paths cannot drift. A
+// non-nil corpse is an object whose stripes proved unrecoverable: the caller
+// must hand it to dropCorpse once the reader lock is down (freeing needs the
+// writer lock).
+func (s *Store) getOneRLocked(rc *reqctx.Ctx, id osd.ObjectID) (buf *bufpool.Buf, cost time.Duration, degraded bool, corpse *object, err error) {
+	if err := rc.Err(); err != nil {
+		return nil, 0, false, nil, err
+	}
 	obj, ok := s.objects[id]
 	if !ok {
-		s.mu.RUnlock()
-		return nil, 0, false, fmt.Errorf("%w: %v", ErrNotFound, id)
+		return nil, 0, false, nil, fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
-	for _, sid := range obj.stripes {
-		st, serr := s.stripes.Status(sid)
-		if serr != nil {
-			s.mu.RUnlock()
-			return nil, 0, false, serr
-		}
-		if st != stripe.StatusHealthy {
-			degraded = true
-			break
-		}
-	}
+	degraded = s.statusLocked(obj) != StatusAlive
 	class := policy.OpReadHit
 	if degraded {
 		class = policy.OpReadDegraded
@@ -459,20 +427,34 @@ func (s *Store) GetCtx(rc *reqctx.Ctx, id osd.ObjectID) (buf *bufpool.Buf, cost 
 	buf = bufpool.Get(obj.size)
 	_, cost, err = s.stripes.ReadInto(rc, obj.stripes, obj.size, buf.Bytes())
 	rc.WithOpClass(prevClass)
-	s.mu.RUnlock()
 	if err != nil {
 		buf.Release()
 		if errors.Is(err, stripe.ErrUnrecoverable) {
-			s.mu.Lock()
-			if cur, ok := s.objects[id]; ok && cur == obj {
-				s.freeObjectLocked(obj)
-			}
-			s.mu.Unlock()
-			return nil, 0, false, fmt.Errorf("%w: %v", ErrCorrupted, id)
+			return nil, 0, false, obj, fmt.Errorf("%w: %v", ErrCorrupted, id)
 		}
-		return nil, 0, false, err
+		return nil, 0, false, nil, err
 	}
-	return buf, cost, degraded, nil
+	return buf, cost, degraded, nil, nil
+}
+
+// readObjectLocked reads the whole object into a fresh buffer for the
+// read-and-rewrite paths (reclassify, re-encode, scheme-changing partial
+// write).
+func (s *Store) readObjectLocked(rc *reqctx.Ctx, obj *object) ([]byte, time.Duration, error) {
+	data := make([]byte, obj.size)
+	_, cost, err := s.stripes.ReadInto(rc, obj.stripes, obj.size, data)
+	return data, cost, err
+}
+
+// dropCorpse frees an object a read found unrecoverable. It re-checks the
+// entry under the writer lock: a concurrent Put may have replaced it while
+// the reader lock was down.
+func (s *Store) dropCorpse(obj *object) {
+	s.mu.Lock()
+	if cur, ok := s.objects[obj.id]; ok && cur == obj {
+		s.freeObjectLocked(obj)
+	}
+	s.mu.Unlock()
 }
 
 // Delete removes the object and frees its stripes. Under the log layout
@@ -579,7 +561,7 @@ func (s *Store) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) 
 	if err := s.checkBudgetLocked(id, class, newScheme, obj.size); err != nil {
 		return 0, err
 	}
-	data, readCost, err := s.stripes.Read(obj.stripes, obj.size)
+	data, readCost, err := s.readObjectLocked(rc, obj)
 	if err != nil {
 		if errors.Is(err, stripe.ErrUnrecoverable) {
 			s.freeObjectLocked(obj)
@@ -593,16 +575,12 @@ func (s *Store) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) 
 	}
 	ids, writeCost, err := s.stripes.WriteCtx(rc, data, newScheme)
 	if err != nil {
-		if writeFirst {
-			// Old encoding untouched; the reclassification simply did not
-			// happen.
-			if errors.Is(err, flash.ErrDeviceFull) {
-				return 0, fmt.Errorf("%w: reclassify %v", ErrCacheFull, id)
-			}
-			return 0, err
+		if !writeFirst {
+			// The old encoding was freed first; under write-first it is
+			// untouched and the reclassification simply did not happen.
+			delete(s.objects, id)
+			_ = s.dir.Remove(id)
 		}
-		delete(s.objects, id)
-		_ = s.dir.Remove(id)
 		if errors.Is(err, flash.ErrDeviceFull) {
 			return 0, fmt.Errorf("%w: reclassify %v", ErrCacheFull, id)
 		}

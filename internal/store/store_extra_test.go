@@ -113,7 +113,7 @@ func TestReclassifyBudgetRejection(t *testing.T) {
 	if err != nil || info.Class != osd.ClassColdClean {
 		t.Fatalf("object damaged by rejected reclassify: %+v, %v", info, err)
 	}
-	got, _, _, err := s.Get(oid(1))
+	got, _, _, err := getObject(s, oid(1))
 	if err != nil || len(got) != len(data) {
 		t.Fatalf("object unreadable after rejected reclassify: %v", err)
 	}

@@ -41,6 +41,17 @@ func oid(n uint64) osd.ObjectID {
 	return osd.ObjectID{PID: osd.FirstPID, OID: osd.FirstUserOID + n}
 }
 
+// getObject reads an object through GetCtx under no request context,
+// copying the bytes out of the leased buffer before releasing it.
+func getObject(s *Store, id osd.ObjectID) ([]byte, time.Duration, bool, error) {
+	buf, cost, degraded, err := s.GetCtx(nil, id)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	defer buf.Release()
+	return append([]byte(nil), buf.Bytes()...), cost, degraded, nil
+}
+
 func randBytes(seed int64, n int) []byte {
 	out := make([]byte, n)
 	rand.New(rand.NewSource(seed)).Read(out)
@@ -77,7 +88,7 @@ func TestMetadataObjectsMaterialised(t *testing.T) {
 		}
 	}
 	id := osd.ObjectID{PID: osd.FirstPID, OID: osd.SuperBlockOID}
-	if _, _, _, err := s.Get(id); err != nil {
+	if _, _, _, err := getObject(s, id); err != nil {
 		t.Fatalf("metadata unreadable with one survivor: %v", err)
 	}
 }
@@ -92,7 +103,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if cost <= 0 {
 		t.Fatal("put cost should be positive")
 	}
-	got, rcost, degraded, err := s.Get(oid(1))
+	got, rcost, degraded, err := getObject(s, oid(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +120,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestGetNotFound(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 1}, 0)
-	if _, _, _, err := s.Get(oid(404)); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := getObject(s, oid(404)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 	if s.Status(oid(404)) != StatusNotFound {
@@ -145,7 +156,7 @@ func TestOverwriteFreesOldSpace(t *testing.T) {
 	if s.UsedBytes() >= used {
 		t.Fatalf("overwrite did not free space: %d -> %d", used, s.UsedBytes())
 	}
-	got, _, _, err := s.Get(oid(1))
+	got, _, _, err := getObject(s, oid(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +211,7 @@ func TestDegradedGet(t *testing.T) {
 	if err := s.FailDevice(2); err != nil {
 		t.Fatal(err)
 	}
-	got, _, degraded, err := s.Get(oid(1))
+	got, _, degraded, err := getObject(s, oid(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +237,14 @@ func TestCorruptedGetFreesObject(t *testing.T) {
 	if s.Status(oid(1)) != StatusLost {
 		t.Fatalf("status = %v, want lost", s.Status(oid(1)))
 	}
-	if _, _, _, err := s.Get(oid(1)); !errors.Is(err, ErrCorrupted) {
+	if _, _, _, err := getObject(s, oid(1)); !errors.Is(err, ErrCorrupted) {
 		t.Fatalf("err = %v, want ErrCorrupted", err)
 	}
 	if s.Has(oid(1)) {
 		t.Fatal("corrupted object not freed")
 	}
 	// Second get: plain not-found.
-	if _, _, _, err := s.Get(oid(1)); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := getObject(s, oid(1)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
@@ -285,7 +296,7 @@ func TestReclassifyReencodes(t *testing.T) {
 	// Promoted object now survives two failures.
 	_ = s.FailDevice(0)
 	_ = s.FailDevice(1)
-	got, _, _, err := s.Get(oid(1))
+	got, _, _, err := getObject(s, oid(1))
 	if err != nil {
 		t.Fatal(err)
 	}

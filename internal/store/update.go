@@ -76,7 +76,7 @@ func (s *Store) WriteRangeCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, dat
 	}
 
 	// Scheme change: read-merge-rewrite under the dirty scheme.
-	full, readCost, err := s.stripes.Read(obj.stripes, obj.size)
+	full, readCost, err := s.readObjectLocked(rc, obj)
 	if err != nil {
 		return 0, fmt.Errorf("read for partial update of %v: %w", id, err)
 	}

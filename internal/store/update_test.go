@@ -31,7 +31,7 @@ func TestWriteRangeInPlaceUniform(t *testing.T) {
 	}
 	want := append([]byte(nil), orig...)
 	copy(want[3_000:], update)
-	got, _, _, err := s.Get(oid(1))
+	got, _, _, err := getObject(s, oid(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestWriteRangeInPlaceUniform(t *testing.T) {
 	}
 	// Parity stayed consistent: survives a failure.
 	_ = s.FailDevice(0)
-	got, _, _, err = s.Get(oid(1))
+	got, _, _, err = getObject(s, oid(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestWriteRangeReencodesUnderReo(t *testing.T) {
 	}
 	want := append([]byte(nil), orig...)
 	copy(want[2_000:], update)
-	got, _, _, err := s.Get(oid(1))
+	got, _, _, err := getObject(s, oid(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestWriteRangeDirtyObjectStaysInPlace(t *testing.T) {
 	}
 	want := append([]byte(nil), orig...)
 	copy(want[100:], update)
-	got, _, _, err := s.Get(oid(1))
+	got, _, _, err := getObject(s, oid(1))
 	if err != nil {
 		t.Fatal(err)
 	}

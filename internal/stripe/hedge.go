@@ -20,13 +20,11 @@ package stripe
 // untouched.
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
-	"github.com/reo-cache/reo/internal/simclock"
 )
 
 // SetResilience points the manager's hedged-read gate at a resilience
@@ -42,7 +40,8 @@ type hedgePlan struct {
 	// replicaDev is the healthy replica the hedge reads (replicate kind);
 	// -1 selects the parity-reconstruction hedge.
 	replicaDev int
-	// avoid marks suspect device slots the reconstruction must not touch.
+	// avoid marks device slots the reconstruction must not touch: suspect
+	// ones, and parity slots that do not hold the chunk.
 	avoid map[int]bool
 }
 
@@ -111,13 +110,11 @@ func (m *Manager) hedgePlan(id ID, meta *stripeMeta) (hedgePlan, bool) {
 	trusted := len(meta.dataDevs) - suspects
 	for _, dev := range meta.parityDevs {
 		d := m.array.Device(dev)
-		if d.Suspect() {
+		if d.Suspect() || !d.Serving() || !m.chunkPresent(id, dev) {
 			avoid[dev] = true
 			continue
 		}
-		if d.Serving() && m.chunkPresent(id, dev) {
-			trusted++
-		}
+		trusted++
 	}
 	if trusted < len(meta.dataDevs) {
 		return hedgePlan{}, false
@@ -191,58 +188,16 @@ func (m *Manager) readHedge(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte,
 		_, cost, err := m.array.Device(plan.replicaDev).ReadInto(rc, flash.ChunkAddr(id), dst)
 		return cost, err
 	}
-	return m.reconstructAvoiding(rc, id, meta, dst, plan.avoid)
-}
-
-// reconstructAvoiding rebuilds the stripe's data from fragments on devices
-// outside avoid, decoding the avoided chunks from parity.
-func (m *Manager) reconstructAvoiding(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte, avoid map[int]bool) (time.Duration, error) {
-	dataChunks := len(meta.dataDevs)
-	k := len(meta.parityDevs)
-	fragments := make([][]byte, dataChunks+k)
-	costs := make([]time.Duration, dataChunks+k)
-	read := func(idx, dev int) {
-		if avoid[dev] || !m.chunkPresent(id, dev) {
-			return
-		}
-		data, cost, err := m.array.Device(dev).ReadCtx(rc, flash.ChunkAddr(id))
-		if err != nil {
-			return
-		}
-		fragments[idx] = data
-		costs[idx] = cost
-	}
-	_ = fanChunks(dataChunks+k, meta.chunkLen, func(i int) error {
-		if i < dataChunks {
-			read(i, meta.dataDevs[i])
-		} else {
-			read(i, meta.parityDevs[i-dataChunks])
-		}
-		return nil
-	})
-	if err := rc.Err(); err != nil {
-		return 0, err
-	}
-	available := 0
-	for _, f := range fragments {
-		if f != nil {
-			available++
-		}
-	}
-	if available < dataChunks {
-		return 0, fmt.Errorf("%w: stripe %d hedge (%d of %d fragments)", ErrUnrecoverable, id, available, dataChunks)
-	}
-	codec, err := m.codec(dataChunks, k)
+	// Parity hedge: rebuild the data from fragments on devices outside
+	// plan.avoid, decoding the avoided chunks from parity.
+	frags := make([][]byte, len(meta.dataDevs)+len(meta.parityDevs))
+	cost, _, err := m.gather(rc, id, meta, 0, len(frags), dst, frags, plan.avoid)
 	if err != nil {
 		return 0, err
 	}
-	if err := codec.Reconstruct(fragments); err != nil {
-		return 0, fmt.Errorf("stripe %d hedge: %w", id, err)
+	decodeCost, err := m.reconstruct(id, meta, frags, dst)
+	if err != nil {
+		return 0, err
 	}
-	decodeCost := simclock.TransferTime(int64(dataChunks*meta.chunkLen), encodeBandwidth)
-	written := 0
-	for i := 0; i < dataChunks && written < len(dst); i++ {
-		written += copy(dst[written:], fragments[i])
-	}
-	return simclock.Parallel(costs...) + decodeCost, nil
+	return cost + decodeCost, nil
 }

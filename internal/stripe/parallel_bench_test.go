@@ -45,7 +45,7 @@ func BenchmarkStripeReadParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := m.Read(ids, objSize); err != nil {
+			if _, _, err := readStripes(m, ids, objSize); err != nil {
 				b.Error(err)
 				return
 			}

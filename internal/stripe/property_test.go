@@ -42,7 +42,7 @@ func TestPropertyWriteFailureRead(t *testing.T) {
 				return false
 			}
 		}
-		got, _, err := m.Read(ids, len(data))
+		got, _, err := readStripes(m, ids, len(data))
 		if err != nil {
 			return false
 		}
@@ -84,7 +84,7 @@ func TestPropertyRandomPartialUpdates(t *testing.T) {
 				return false
 			}
 		}
-		got, _, err := m.Read(ids, size)
+		got, _, err := readStripes(m, ids, size)
 		if err != nil {
 			return false
 		}
@@ -120,7 +120,7 @@ func TestPropertyFailSpareRebuild(t *testing.T) {
 				return false
 			}
 		}
-		got, _, err := m.Read(ids, len(data))
+		got, _, err := readStripes(m, ids, len(data))
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package stripe
 
 import (
+	"bytes"
 	"time"
 
 	"github.com/reo-cache/reo/internal/flash"
@@ -52,10 +53,8 @@ func (m *Manager) ScrubCtx(rc *reqctx.Ctx) (ScrubResult, time.Duration, error) {
 		if err := rc.Err(); err != nil {
 			return res, total, err
 		}
-		m.mu.RLock()
-		meta, ok := m.stripes[id]
-		m.mu.RUnlock()
-		if !ok {
+		meta, err := m.lookup(id)
+		if err != nil {
 			continue // freed since the snapshot
 		}
 		res.Scanned++
@@ -96,16 +95,11 @@ func (m *Manager) verifyStripe(rc *reqctx.Ctx, id ID, meta *stripeMeta) (bool, t
 
 func (m *Manager) verifyReplicated(rc *reqctx.Ctx, id ID, meta *stripeMeta) (bool, time.Duration, error) {
 	copies := make([][]byte, len(meta.replicaDevs))
-	costs := make([]time.Duration, len(meta.replicaDevs))
-	_ = fanChunks(len(meta.replicaDevs), meta.chunkLen, func(i int) error {
-		data, cost, err := m.array.Device(meta.replicaDevs[i]).ReadCtx(rc, flash.ChunkAddr(id))
-		if err != nil {
-			return nil // missing replicas are Degraded, handled by caller
-		}
-		copies[i] = data
-		costs[i] = cost
-		return nil
-	})
+	// Missing replicas are Degraded, handled by the caller.
+	cost, _, err := m.gather(rc, id, meta, 0, len(copies), nil, copies, nil)
+	if err != nil {
+		return true, cost, err
+	}
 	var first []byte
 	for _, data := range copies {
 		if data == nil {
@@ -115,11 +109,11 @@ func (m *Manager) verifyReplicated(rc *reqctx.Ctx, id ID, meta *stripeMeta) (boo
 			first = data
 			continue
 		}
-		if !bytesEqual(first, data) {
-			return false, simclock.Parallel(costs...), nil
+		if !bytes.Equal(first, data) {
+			return false, cost, nil
 		}
 	}
-	return true, simclock.Parallel(costs...), nil
+	return true, cost, nil
 }
 
 func (m *Manager) verifyParity(rc *reqctx.Ctx, id ID, meta *stripeMeta) (bool, time.Duration, error) {
@@ -129,34 +123,20 @@ func (m *Manager) verifyParity(rc *reqctx.Ctx, id ID, meta *stripeMeta) (bool, t
 		return true, 0, nil
 	}
 	dataChunks := len(meta.dataDevs)
-	allDevs := append(append([]int(nil), meta.dataDevs...), meta.parityDevs...)
-	fragments := make([][]byte, dataChunks+k)
-	costs := make([]time.Duration, dataChunks+k)
-	_ = fanChunks(len(allDevs), meta.chunkLen, func(i int) error {
-		data, cost, err := m.array.Device(allDevs[i]).ReadCtx(rc, flash.ChunkAddr(id))
-		if err != nil {
-			return nil
-		}
-		fragments[i] = data
-		costs[i] = cost
-		return nil
-	})
-	for _, f := range fragments {
-		if f == nil {
-			return true, simclock.Parallel(costs...), nil // degraded; not a mismatch
-		}
+	frags := make([][]byte, dataChunks+k)
+	cost, got, err := m.gather(rc, id, meta, 0, len(frags), nil, frags, nil)
+	if err != nil || got < len(frags) {
+		return true, cost, err // degraded; not a mismatch
 	}
 	codec, err := m.codec(dataChunks, k)
 	if err != nil {
 		return false, 0, err
 	}
-	ok, err := codec.Verify(fragments)
+	ok, err := codec.Verify(frags)
 	if err != nil {
 		return false, 0, err
 	}
-	cost := simclock.Parallel(costs...) +
-		simclock.TransferTime(int64(dataChunks*meta.chunkLen), encodeBandwidth)
-	return ok, cost, nil
+	return ok, cost + simclock.TransferTime(int64(dataChunks*meta.chunkLen), encodeBandwidth), nil
 }
 
 // RepairStripe attempts in-place repair of a stripe Scrub flagged as
@@ -172,11 +152,9 @@ func (m *Manager) verifyParity(rc *reqctx.Ctx, id ID, meta *stripeMeta) (bool, t
 // vote) the corruption is detectable but not locatable, so the stripe is
 // left for the caller to invalidate.
 func (m *Manager) RepairStripe(id ID) (bool, time.Duration, error) {
-	m.mu.RLock()
-	meta, ok := m.stripes[id]
-	m.mu.RUnlock()
-	if !ok {
-		return false, 0, ErrUnknownStripe
+	meta, err := m.lookup(id)
+	if err != nil {
+		return false, 0, err
 	}
 	meta.mu.Lock()
 	defer meta.mu.Unlock()
@@ -188,17 +166,7 @@ func (m *Manager) RepairStripe(id ID) (bool, time.Duration, error) {
 
 func (m *Manager) repairReplicated(id ID, meta *stripeMeta) (bool, time.Duration, error) {
 	copies := make([][]byte, len(meta.replicaDevs))
-	costs := make([]time.Duration, len(meta.replicaDevs))
-	_ = fanChunks(len(meta.replicaDevs), meta.chunkLen, func(i int) error {
-		data, cost, err := m.array.Device(meta.replicaDevs[i]).Read(flash.ChunkAddr(id))
-		if err != nil {
-			return nil
-		}
-		copies[i] = data
-		costs[i] = cost
-		return nil
-	})
-	total := simclock.Parallel(costs...)
+	total, _, _ := m.gather(nil, id, meta, 0, len(copies), nil, copies, nil)
 	readable := 0
 	var winner []byte
 	best := 0
@@ -209,7 +177,7 @@ func (m *Manager) repairReplicated(id ID, meta *stripeMeta) (bool, time.Duration
 		readable++
 		votes := 0
 		for _, other := range copies {
-			if other != nil && bytesEqual(c, other) {
+			if other != nil && bytes.Equal(c, other) {
 				votes++
 			}
 		}
@@ -224,7 +192,7 @@ func (m *Manager) repairReplicated(id ID, meta *stripeMeta) (bool, time.Duration
 	writeCosts := make([]time.Duration, len(meta.replicaDevs))
 	repaired := false
 	for i, c := range copies {
-		if c == nil || bytesEqual(c, winner) {
+		if c == nil || bytes.Equal(c, winner) {
 			continue
 		}
 		cost, err := m.array.Device(meta.replicaDevs[i]).Write(flash.ChunkAddr(id), winner)
@@ -239,48 +207,34 @@ func (m *Manager) repairReplicated(id ID, meta *stripeMeta) (bool, time.Duration
 }
 
 func (m *Manager) repairParity(id ID, meta *stripeMeta) (bool, time.Duration, error) {
-	k := len(meta.parityDevs)
-	if k < 2 {
+	if len(meta.parityDevs) < 2 {
 		return false, 0, nil // single corruption not locatable with k < 2
 	}
-	dataChunks := len(meta.dataDevs)
-	allDevs := append(append([]int(nil), meta.dataDevs...), meta.parityDevs...)
-	fragments := make([][]byte, len(allDevs))
-	costs := make([]time.Duration, len(allDevs))
-	_ = fanChunks(len(allDevs), meta.chunkLen, func(i int) error {
-		data, cost, err := m.array.Device(allDevs[i]).Read(flash.ChunkAddr(id))
-		if err != nil {
-			return nil
-		}
-		fragments[i] = data
-		costs[i] = cost
-		return nil
-	})
-	total := simclock.Parallel(costs...)
-	for _, f := range fragments {
-		if f == nil {
-			// Missing chunks make this a degraded stripe; the normal
-			// reconstruction machinery owns that case.
-			return false, total, nil
-		}
+	frags := make([][]byte, len(meta.dataDevs)+len(meta.parityDevs))
+	total, got, _ := m.gather(nil, id, meta, 0, len(frags), nil, frags, nil)
+	if got < len(frags) {
+		// Missing chunks make this a degraded stripe; the normal
+		// reconstruction machinery owns that case.
+		return false, total, nil
 	}
-	codec, err := m.codec(dataChunks, k)
+	codec, err := m.codec(len(meta.dataDevs), len(meta.parityDevs))
 	if err != nil {
 		return false, total, err
 	}
-	scratch := make([][]byte, len(fragments))
-	for cand := range fragments {
-		copy(scratch, fragments)
+	scratch := make([][]byte, len(frags))
+	for cand := range frags {
+		copy(scratch, frags)
 		scratch[cand] = nil
-		if err := codec.Reconstruct(scratch); err != nil {
+		decodeCost, err := m.reconstruct(id, meta, scratch, nil)
+		if err != nil {
 			continue
 		}
-		total += simclock.TransferTime(int64(dataChunks*meta.chunkLen), encodeBandwidth)
+		total += decodeCost
 		ok, err := codec.Verify(scratch)
-		if err != nil || !ok || bytesEqual(scratch[cand], fragments[cand]) {
+		if err != nil || !ok || bytes.Equal(scratch[cand], frags[cand]) {
 			continue
 		}
-		cost, werr := m.array.Device(allDevs[cand]).Write(flash.ChunkAddr(id), scratch[cand])
+		cost, werr := m.array.Device(meta.fragmentDev(cand)).Write(flash.ChunkAddr(id), scratch[cand])
 		if werr != nil {
 			return false, total, nil
 		}
@@ -288,16 +242,4 @@ func (m *Manager) repairParity(id ID, meta *stripeMeta) (bool, time.Duration, er
 		return true, total + cost, nil
 	}
 	return false, total, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

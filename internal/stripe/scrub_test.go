@@ -1,6 +1,7 @@
 package stripe
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/reo-cache/reo/internal/flash"
@@ -105,11 +106,11 @@ func TestRepairOnRead(t *testing.T) {
 	// A degraded read reconstructs the missing chunks and, because the
 	// home device is healthy again, persists them (§IV.D on-demand
 	// restore).
-	got, _, err := m.Read(ids, len(data))
+	got, _, err := readStripes(m, ids, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytesEqual(got, data) {
+	if !bytes.Equal(got, data) {
 		t.Fatal("data mismatch")
 	}
 	if m.RepairedChunks() == 0 {
@@ -134,7 +135,7 @@ func TestRepairOnRead(t *testing.T) {
 		t.Fatal("no stripe healed by repair-on-read")
 	}
 	before := m.RepairedChunks()
-	if _, _, err := m.Read(ids, len(data)); err != nil {
+	if _, _, err := readStripes(m, ids, len(data)); err != nil {
 		t.Fatal(err)
 	}
 	if m.RepairedChunks() != before {
@@ -149,7 +150,7 @@ func TestRepairOnReadSkipsFailedDevices(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = m.Array().FailDevice(1) // no spare: nothing to repair onto
-	if _, _, err := m.Read(ids, 4_000); err != nil {
+	if _, _, err := readStripes(m, ids, 4_000); err != nil {
 		t.Fatal(err)
 	}
 	if m.RepairedChunks() != 0 {

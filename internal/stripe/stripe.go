@@ -20,9 +20,9 @@
 package stripe
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -490,43 +490,17 @@ func (m *Manager) rollback(id ID, meta *stripeMeta) {
 	}
 }
 
-// Read returns the concatenated data of the given stripes trimmed to size
-// bytes, plus the virtual-time cost. Unavailable chunks are reconstructed
-// from survivors when the redundancy level allows (the degraded-read path);
-// otherwise Read returns ErrUnrecoverable. Chunk reads within each stripe
-// fan out to per-device goroutines; no manager-wide lock is held during IO.
-func (m *Manager) Read(ids []ID, size int) ([]byte, time.Duration, error) {
-	out := make([]byte, 0, size)
-	var total time.Duration
-	for _, id := range ids {
-		meta, err := m.lookup(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		meta.mu.RLock()
-		data, cost, err := m.readStripe(nil, id, meta)
-		meta.mu.RUnlock()
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, data...)
-		total += cost
-	}
-	if size > len(out) {
-		return nil, 0, fmt.Errorf("stripe: read size %d exceeds stored %d bytes", size, len(out))
-	}
-	return out[:size], total, nil
-}
-
 // ReadInto reads the stripes' data into dst (which must hold at least size
-// bytes) and returns the bytes written plus the virtual-time cost. On the
-// healthy small-chunk path it performs no heap allocation: chunks are copied
-// straight from the devices into dst. Degraded stripes fall back to the
-// reconstructing path, which allocates scratch fragments as before.
+// bytes) and returns the bytes written plus the virtual-time cost. Chunks are
+// copied straight from the devices into dst; on the healthy small-chunk path
+// that takes no heap allocation. Unavailable chunks are reconstructed from
+// survivors when the redundancy level allows (the degraded-read path);
+// otherwise ReadInto returns ErrUnrecoverable. No manager-wide lock is held
+// during IO.
 //
-// Cancellation checkpoints sit at stripe and chunk boundaries and — on the
-// degraded path — before the parity fan-out and before reconstruction, so a
-// cancelled read stops issuing device IO at the next boundary.
+// Cancellation checkpoints sit at stripe and chunk boundaries, so a cancelled
+// read stops issuing device IO at the next boundary and returns the context's
+// error — never ErrUnrecoverable for fragments it merely stopped fetching.
 func (m *Manager) ReadInto(rc *reqctx.Ctx, ids []ID, size int, dst []byte) (int, time.Duration, error) {
 	if size > len(dst) {
 		return 0, 0, fmt.Errorf("stripe: dst %d bytes cannot hold %d", len(dst), size)
@@ -543,9 +517,9 @@ func (m *Manager) ReadInto(rc *reqctx.Ctx, ids []ID, size int, dst []byte) (int,
 			return 0, 0, err
 		}
 		meta.mu.RLock()
-		// Old Read reads every stripe in full and trims once at the end,
-		// so the tail stripe is still read entirely even when size cuts it
-		// short — give it an empty dst segment rather than skipping it.
+		// Every stripe is read in full even when size cuts the tail short:
+		// the device transfers whole chunks, so the trimmed stripe gets a
+		// short (possibly empty) dst segment rather than being skipped.
 		seg := dst[written:size]
 		if len(seg) > meta.dataLen {
 			seg = seg[:meta.dataLen]
@@ -577,47 +551,30 @@ func (m *Manager) readStripeInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []
 	return m.readStripePrimary(rc, id, meta, dst)
 }
 
-// readStripePrimary is the un-hedged stripe read: the zero-alloc healthy
-// path with the allocating reconstruct fallback for degraded stripes.
+// readStripePrimary is the un-hedged stripe read.
 func (m *Manager) readStripePrimary(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte) (time.Duration, error) {
 	if meta.scheme.Kind == policy.KindReplicate {
-		cost, ok, err := m.readReplicatedInto(rc, id, meta, dst)
-		if ok || err != nil {
-			return cost, err
-		}
-	} else {
-		cost, ok, err := m.readParityInto(rc, id, meta, dst)
-		if ok || err != nil {
-			return cost, err
-		}
+		return m.readReplicatedInto(rc, id, meta, dst)
 	}
-	// Degraded (or racing-failure) stripe: reconstruct via the allocating
-	// path and copy out.
-	data, cost, err := m.readStripe(rc, id, meta)
-	if err != nil {
-		return 0, err
-	}
-	copy(dst, data)
-	return cost, nil
+	return m.readParityInto(rc, id, meta, dst)
 }
 
-// readReplicatedInto copies a replica into dst without allocating. ok=false
-// requests the allocating fallback (never needed for replication — a false
-// return here always carries an error).
-func (m *Manager) readReplicatedInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte) (time.Duration, bool, error) {
+// readReplicatedInto copies a replica into dst without allocating: the
+// rotation-selected primary first, then any other copy.
+func (m *Manager) readReplicatedInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte) (time.Duration, error) {
 	n := len(meta.replicaDevs)
 	start := int(uint64(id) % uint64(n))
 	for i := 0; i < n; i++ {
 		dev := meta.replicaDevs[(start+i)%n]
 		_, cost, err := m.array.Device(dev).ReadInto(rc, flash.ChunkAddr(id), dst)
 		if err == nil {
-			return cost, true, nil
+			return cost, nil
 		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return 0, true, err
+		if cerr := rc.Err(); cerr != nil {
+			return 0, cerr
 		}
 	}
-	return 0, true, fmt.Errorf("%w: stripe %d (all replicas gone)", ErrUnrecoverable, id)
+	return 0, fmt.Errorf("%w: stripe %d (all replicas gone)", ErrUnrecoverable, id)
 }
 
 // chunkSeg returns data chunk i's segment of dst, clamped to the (possibly
@@ -635,176 +592,187 @@ func chunkSeg(dst []byte, chunkLen, i int) []byte {
 	return dst[lo:hi]
 }
 
-// readParityInto is the allocation-free healthy-path read: when every data
-// chunk is present it copies them device-by-device into dst and reports the
-// parallel cost without any scratch slices. It declines (ok=false) when a
-// data chunk is missing — or vanishes mid-read — leaving reconstruction to
-// the allocating path.
-func (m *Manager) readParityInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte) (time.Duration, bool, error) {
+// fragmentDev maps fragment index i (data chunks 0..m-1, then parity; for a
+// replicated stripe, replica i) to the device slot holding it.
+func (sm *stripeMeta) fragmentDev(i int) int {
+	if sm.scheme.Kind == policy.KindReplicate {
+		return sm.replicaDevs[i]
+	}
+	if i < len(sm.dataDevs) {
+		return sm.dataDevs[i]
+	}
+	return sm.parityDevs[i-len(sm.dataDevs)]
+}
+
+// gather is the one place a stripe's fragments are fetched. It reads
+// fragments lo..hi-1 from their devices — skipping devices in avoid — under
+// the request context, so the request's retry rule, budget, attempt observer
+// and cancellation apply to every fetch, and returns the parallel (critical
+// path) device cost plus how many fragments arrived. A fetch that fails just
+// leaves its fragment missing; only a dead request is an error.
+//
+// A data chunk whose dst segment spans the whole chunk is read straight into
+// it; anything else (the tail chunk a short dst clips, parity, dst == nil)
+// lands in a fresh buffer. Either way frags[i] records fragment i for
+// decoding. frags == nil is the healthy read: every chunk goes into its dst
+// segment however short, nothing is allocated on the small-chunk path, and —
+// with no fragments kept to decode from — the first miss ends the gather.
+func (m *Manager) gather(rc *reqctx.Ctx, id ID, meta *stripeMeta, lo, hi int, dst []byte, frags [][]byte, avoid map[int]bool) (cost time.Duration, got int, err error) {
+	if meta.chunkLen < fanOutMinBytes {
+		// Serial and closure-free, tracking the max cost by hand, so the
+		// healthy hit path stays allocation-free.
+		for i := lo; i < hi; i++ {
+			c, ok := m.fetch(rc, id, meta, i, dst, frags, avoid)
+			if ok {
+				got++
+				cost = max(cost, c)
+			} else if frags == nil {
+				break
+			}
+		}
+	} else {
+		// Large chunks: fan out per device. The small bookkeeping
+		// allocates, but large-chunk transfers dwarf it.
+		costs := make([]time.Duration, hi-lo)
+		var arrived atomic.Int32
+		_ = fanOut(hi-lo, func(j int) error {
+			if c, ok := m.fetch(rc, id, meta, lo+j, dst, frags, avoid); ok {
+				costs[j] = c
+				arrived.Add(1)
+			}
+			return nil
+		})
+		cost, got = simclock.Parallel(costs...), int(arrived.Load())
+	}
+	if got < hi-lo {
+		// Fell short: tell a request that died mid-gather from fragments
+		// that are really gone.
+		err = rc.Err()
+	}
+	return cost, got, err
+}
+
+// fetch reads fragment i for gather, reporting its device cost and whether it
+// arrived.
+func (m *Manager) fetch(rc *reqctx.Ctx, id ID, meta *stripeMeta, i int, dst []byte, frags [][]byte, avoid map[int]bool) (time.Duration, bool) {
+	dev := meta.fragmentDev(i)
+	if avoid[dev] {
+		return 0, false
+	}
+	var seg []byte
+	if i < len(meta.dataDevs) {
+		seg = chunkSeg(dst, meta.chunkLen, i)
+	}
+	if frags == nil || len(seg) == meta.chunkLen {
+		_, cost, err := m.array.Device(dev).ReadInto(rc, flash.ChunkAddr(id), seg)
+		if err != nil {
+			return 0, false
+		}
+		if frags != nil {
+			frags[i] = seg
+		}
+		return cost, true
+	}
+	data, cost, err := m.array.Device(dev).ReadCtx(rc, flash.ChunkAddr(id))
+	if err != nil {
+		return 0, false
+	}
+	frags[i] = data
+	return cost, true
+}
+
+// reconstruct is the one place missing fragments are decoded: it restores
+// the nil entries of frags in place from the survivors, copies every data
+// chunk not already sitting in dst into its segment (dst may be nil), and
+// returns the decode CPU cost, which callers charge serially after the
+// gather's fan-out. Fewer than m survivors is ErrUnrecoverable.
+func (m *Manager) reconstruct(id ID, meta *stripeMeta, frags [][]byte, dst []byte) (time.Duration, error) {
 	dataChunks := len(meta.dataDevs)
+	have := 0
+	for _, f := range frags {
+		if f != nil {
+			have++
+		}
+	}
+	if have < dataChunks {
+		return 0, fmt.Errorf("%w: stripe %d (%d of %d fragments)", ErrUnrecoverable, id, have, dataChunks)
+	}
+	codec, err := m.codec(dataChunks, len(meta.parityDevs))
+	if err != nil {
+		return 0, err
+	}
+	if err := codec.Reconstruct(frags); err != nil {
+		return 0, fmt.Errorf("stripe %d: %w", id, err)
+	}
+	for i := 0; i < dataChunks; i++ {
+		if seg := chunkSeg(dst, meta.chunkLen, i); len(seg) > 0 && &seg[0] != &frags[i][0] {
+			copy(seg, frags[i])
+		}
+	}
+	return simclock.TransferTime(int64(dataChunks*meta.chunkLen), encodeBandwidth), nil
+}
+
+// readParityInto reads a parity stripe's data into dst. Healthy stripes —
+// every data chunk present — take the allocation-free gather; when a chunk is
+// missing, or vanishes mid-read, the degraded read takes over.
+func (m *Manager) readParityInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte) (time.Duration, error) {
+	healthy := true
 	for _, dev := range meta.dataDevs {
 		if !m.chunkPresent(id, dev) {
-			return 0, false, nil
+			healthy = false
+			break
 		}
 	}
-	if meta.chunkLen < fanOutMinBytes {
-		// Serial zero-alloc path; track the max cost by hand so no costs
-		// slice is needed.
-		var maxCost time.Duration
-		for i := 0; i < dataChunks; i++ {
-			_, cost, err := m.array.Device(meta.dataDevs[i]).ReadInto(rc, flash.ChunkAddr(id), chunkSeg(dst, meta.chunkLen, i))
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return 0, true, err
-				}
-				return 0, false, nil // device failed between Has and read
-			}
-			if cost > maxCost {
-				maxCost = cost
-			}
+	if healthy {
+		cost, got, err := m.gather(rc, id, meta, 0, len(meta.dataDevs), dst, nil, nil)
+		if err != nil || got == len(meta.dataDevs) {
+			return cost, err
 		}
-		return maxCost, true, nil
 	}
-	// Large chunks: fan out per device. The small bookkeeping slices
-	// allocate, but large-chunk transfers dwarf them and dst still absorbs
-	// the data without a copy.
-	costs := make([]time.Duration, dataChunks)
-	err := fanOut(dataChunks, func(i int) error {
-		_, cost, rerr := m.array.Device(meta.dataDevs[i]).ReadInto(rc, flash.ChunkAddr(id), chunkSeg(dst, meta.chunkLen, i))
-		costs[i] = cost
-		return rerr
-	})
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return 0, true, err
-		}
-		return 0, false, nil
-	}
-	return simclock.Parallel(costs...), true, nil
+	return m.readDegradedInto(rc, id, meta, dst)
 }
 
-// readStripe reads one stripe. The caller holds the stripe's lock (read or
-// write).
-func (m *Manager) readStripe(rc *reqctx.Ctx, id ID, meta *stripeMeta) ([]byte, time.Duration, error) {
-	if meta.scheme.Kind == policy.KindReplicate {
-		return m.readReplicated(rc, id, meta)
-	}
-	return m.readParity(rc, id, meta)
-}
-
-func (m *Manager) readReplicated(rc *reqctx.Ctx, id ID, meta *stripeMeta) ([]byte, time.Duration, error) {
-	// Prefer the rotation-selected primary, then fall back to any copy.
-	n := len(meta.replicaDevs)
-	start := int(uint64(id) % uint64(n))
-	for i := 0; i < n; i++ {
-		dev := meta.replicaDevs[(start+i)%n]
-		data, cost, err := m.array.Device(dev).ReadCtx(rc, flash.ChunkAddr(id))
-		if err == nil {
-			return data, cost, nil
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, 0, err
-		}
-	}
-	return nil, 0, fmt.Errorf("%w: stripe %d (all replicas gone)", ErrUnrecoverable, id)
-}
-
-func (m *Manager) readParity(rc *reqctx.Ctx, id ID, meta *stripeMeta) ([]byte, time.Duration, error) {
+// readDegradedInto reads a parity stripe's data into dst tolerating missing
+// chunks (§IV.D: corrupted but recoverable): it gathers the data chunks and,
+// when some are gone, widens the gather to parity, reconstructs, and repairs
+// on read. The caller holds the stripe's lock (read or write).
+func (m *Manager) readDegradedInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte) (time.Duration, error) {
 	dataChunks := len(meta.dataDevs)
-	k := len(meta.parityDevs)
-	fragments := make([][]byte, dataChunks+k)
-	// Per-index cost slots let the fan-out goroutines record without a
-	// lock; unread slots stay zero, which simclock.Parallel (a max)
-	// ignores.
-	costs := make([]time.Duration, dataChunks+k)
-	var decodeCost time.Duration
-	read := func(idx, dev int) bool {
-		data, cost, err := m.array.Device(dev).Read(flash.ChunkAddr(id))
-		if err != nil {
-			return false
-		}
-		rc.CountDeviceRead(int64(len(data)))
-		fragments[idx] = data
-		costs[idx] = cost
-		return true
+	n := dataChunks + len(meta.parityDevs)
+	frags := make([][]byte, n)
+	dataCost, got, err := m.gather(rc, id, meta, 0, dataChunks, dst, frags, nil)
+	if err != nil || got == dataChunks {
+		return dataCost, err
 	}
-	_ = fanChunks(dataChunks, meta.chunkLen, func(i int) error {
-		read(i, meta.dataDevs[i])
+	// All parity reads fan out at once — the degraded path is rare, and a
+	// parallel sweep beats serial retries even when one would do.
+	parityCost, _, err := m.gather(rc, id, meta, dataChunks, n, nil, frags, nil)
+	if err != nil {
+		return 0, err
+	}
+	decodeCost, err := m.reconstruct(id, meta, frags, dst)
+	if err != nil {
+		return 0, err
+	}
+	// Repair-on-read (§IV.D: on-demand data is "restored first"): the
+	// reconstruction already produced the missing chunks, so if their home
+	// devices are healthy again (a spare was inserted), persist them now
+	// rather than leaving the work to background recovery. The write-back
+	// fans out per device and is charged after the decode.
+	repairCosts := make([]time.Duration, n)
+	_ = fanChunks(n, meta.chunkLen, func(i int) error {
+		dev := meta.fragmentDev(i)
+		d := m.array.Device(dev)
+		if m.chunkPresent(id, dev) || !d.Serving() {
+			return nil
+		}
+		if cost, err := d.Write(flash.ChunkAddr(id), frags[i]); err == nil {
+			repairCosts[i] = cost
+			m.repairedChunks.Add(1)
+		}
 		return nil
 	})
-	missingData := 0
-	for i := 0; i < dataChunks; i++ {
-		if fragments[i] == nil {
-			missingData++
-		}
-	}
-	if missingData > 0 {
-		// Cancellation checkpoint before widening the fan to parity
-		// devices: a cancelled degraded read aborts here with no parity IO
-		// issued and no reconstruction attempted.
-		if err := rc.Err(); err != nil {
-			return nil, 0, err
-		}
-		// Degraded read: pull in parity chunks to reach m fragments. All
-		// parity reads fan out at once — the degraded path is rare, and a
-		// parallel sweep beats serial retries even when one would do.
-		_ = fanChunks(k, meta.chunkLen, func(j int) error {
-			read(dataChunks+j, meta.parityDevs[j])
-			return nil
-		})
-		available := dataChunks - missingData
-		for j := 0; j < k; j++ {
-			if fragments[dataChunks+j] != nil {
-				available++
-			}
-		}
-		if available < dataChunks {
-			return nil, 0, fmt.Errorf("%w: stripe %d (%d of %d fragments)", ErrUnrecoverable, id, available, dataChunks)
-		}
-		// Last checkpoint before burning decode CPU on a dead request.
-		if err := rc.Err(); err != nil {
-			return nil, 0, err
-		}
-		codec, err := m.codec(dataChunks, k)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := codec.Reconstruct(fragments); err != nil {
-			return nil, 0, fmt.Errorf("stripe %d: %w", id, err)
-		}
-		// Decoding happens after the parallel fan-out completes, so it
-		// is charged serially on top of the critical path.
-		decodeCost = simclock.TransferTime(int64(dataChunks*meta.chunkLen), encodeBandwidth)
-		// Repair-on-read (§IV.D: on-demand data is "restored first"):
-		// the reconstruction already produced the missing chunks, so if
-		// their home devices are healthy again (a spare was inserted),
-		// persist them now rather than leaving the work to background
-		// recovery. The write-back is off the response's critical path
-		// and fans out per device.
-		allDevs := append(append([]int(nil), meta.dataDevs...), meta.parityDevs...)
-		repairCosts := make([]time.Duration, len(allDevs))
-		_ = fanChunks(len(allDevs), meta.chunkLen, func(idx int) error {
-			dev := allDevs[idx]
-			if fragments[idx] == nil || m.chunkPresent(id, dev) {
-				return nil
-			}
-			d := m.array.Device(dev)
-			if !d.Serving() {
-				return nil
-			}
-			if cost, err := d.Write(flash.ChunkAddr(id), fragments[idx]); err == nil {
-				repairCosts[idx] = cost
-				m.repairedChunks.Add(1)
-			}
-			return nil
-		})
-		decodeCost += simclock.Parallel(repairCosts...)
-	}
-	out := make([]byte, 0, meta.dataLen)
-	for i := 0; i < dataChunks; i++ {
-		out = append(out, fragments[i]...)
-	}
-	return out[:meta.dataLen], simclock.Parallel(costs...) + decodeCost, nil
+	return simclock.Parallel(dataCost, parityCost) + decodeCost + simclock.Parallel(repairCosts...), nil
 }
 
 // Status reports the stripe's health without charging IO cost.
@@ -883,8 +851,9 @@ func (m *Manager) Rebuild(id ID) (time.Duration, Status, error) {
 
 // RebuildCtx is Rebuild under a request context: background recovery passes
 // its context so a cancelled or superseded rebuild stops before touching the
-// stripe. Once chunk writes begin the rebuild runs to completion — rebuild
-// only adds redundancy, so there is no torn state to unwind.
+// stripe or while it gathers the survivors. Once chunk writes begin the
+// rebuild runs to completion — rebuild only adds redundancy, so there is no
+// torn state to unwind.
 func (m *Manager) RebuildCtx(rc *reqctx.Ctx, id ID) (time.Duration, Status, error) {
 	if err := rc.Err(); err != nil {
 		return 0, 0, err
@@ -898,7 +867,7 @@ func (m *Manager) RebuildCtx(rc *reqctx.Ctx, id ID) (time.Duration, Status, erro
 	if meta.scheme.Kind == policy.KindReplicate {
 		return m.rebuildReplicated(id, meta)
 	}
-	return m.rebuildParity(id, meta)
+	return m.rebuildParity(rc, id, meta)
 }
 
 func (m *Manager) rebuildReplicated(id ID, meta *stripeMeta) (time.Duration, Status, error) {
@@ -936,7 +905,7 @@ func (m *Manager) rebuildReplicated(id ID, meta *stripeMeta) (time.Duration, Sta
 		return nil
 	})
 	for i, dev := range targets {
-		if written[i] && !containsInt(meta.replicaDevs, dev) {
+		if written[i] && !slices.Contains(meta.replicaDevs, dev) {
 			meta.replicaDevs = append(meta.replicaDevs, dev)
 		}
 	}
@@ -947,62 +916,36 @@ func (m *Manager) rebuildReplicated(id ID, meta *stripeMeta) (time.Duration, Sta
 	return total, m.status(id, meta), nil
 }
 
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func (m *Manager) rebuildParity(id ID, meta *stripeMeta) (time.Duration, Status, error) {
-	dataChunks := len(meta.dataDevs)
-	k := len(meta.parityDevs)
-	allDevs := append(append([]int(nil), meta.dataDevs...), meta.parityDevs...)
-	fragments := make([][]byte, dataChunks+k)
-	costs := make([]time.Duration, dataChunks+k)
-	_ = fanChunks(len(allDevs), meta.chunkLen, func(idx int) error {
-		data, cost, err := m.array.Device(allDevs[idx]).Read(flash.ChunkAddr(id))
-		if err != nil {
-			return nil // missing chunk; reconstructed below if possible
-		}
-		fragments[idx] = data
-		costs[idx] = cost
-		return nil
-	})
-	present := 0
-	var missingIdx []int
-	for idx := range fragments {
-		if fragments[idx] != nil {
-			present++
-		} else {
-			missingIdx = append(missingIdx, idx)
-		}
-	}
-	if len(missingIdx) == 0 {
-		return simclock.Parallel(costs...), StatusHealthy, nil
-	}
-	if present < dataChunks {
-		return 0, StatusLost, fmt.Errorf("%w: stripe %d", ErrUnrecoverable, id)
-	}
-	codec, err := m.codec(dataChunks, k)
+func (m *Manager) rebuildParity(rc *reqctx.Ctx, id ID, meta *stripeMeta) (time.Duration, Status, error) {
+	n := len(meta.dataDevs) + len(meta.parityDevs)
+	frags := make([][]byte, n)
+	total, got, err := m.gather(rc, id, meta, 0, n, nil, frags, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := codec.Reconstruct(fragments); err != nil {
-		return 0, 0, fmt.Errorf("stripe %d: %w", id, err)
+	if got == n {
+		return total, StatusHealthy, nil
 	}
-	total := simclock.Parallel(costs...) + simclock.TransferTime(int64(dataChunks*meta.chunkLen), encodeBandwidth)
+	var missingIdx []int
+	for i, f := range frags {
+		if f == nil {
+			missingIdx = append(missingIdx, i)
+		}
+	}
+	decodeCost, err := m.reconstruct(id, meta, frags, nil)
+	if err != nil {
+		return 0, StatusLost, err
+	}
+	total += decodeCost
 	writeCosts := make([]time.Duration, len(missingIdx))
 	err = fanChunks(len(missingIdx), meta.chunkLen, func(i int) error {
 		idx := missingIdx[i]
-		dev := allDevs[idx]
+		dev := meta.fragmentDev(idx)
 		d := m.array.Device(dev)
 		if !d.Serving() {
 			return nil // home device still failed; chunk stays missing
 		}
-		cost, werr := d.Write(flash.ChunkAddr(id), fragments[idx])
+		cost, werr := d.Write(flash.ChunkAddr(id), frags[idx])
 		if werr != nil {
 			return fmt.Errorf("stripe %d device %d: %w", id, dev, werr)
 		}

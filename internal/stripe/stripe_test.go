@@ -41,6 +41,14 @@ func randBytes(seed int64, n int) []byte {
 	return out
 }
 
+// readStripes reads the stripes' data whole through ReadInto, the only read
+// path, under no request context.
+func readStripes(m *Manager, ids []ID, size int) ([]byte, time.Duration, error) {
+	dst := make([]byte, size)
+	n, cost, err := m.ReadInto(nil, ids, size, dst)
+	return dst[:n], cost, err
+}
+
 func TestNewManagerValidation(t *testing.T) {
 	if _, err := NewManager(nil, 64); err == nil {
 		t.Fatal("nil array accepted")
@@ -61,7 +69,7 @@ func TestWriteReadRoundTripParity(t *testing.T) {
 		if cost <= 0 {
 			t.Fatalf("k=%d write cost = %v", k, cost)
 		}
-		got, rcost, err := m.Read(ids, len(data))
+		got, rcost, err := readStripes(m, ids, len(data))
 		if err != nil {
 			t.Fatalf("k=%d Read: %v", k, err)
 		}
@@ -85,7 +93,7 @@ func TestWriteReadRoundTripReplicated(t *testing.T) {
 	if len(ids) != 5 {
 		t.Fatalf("got %d stripes, want 5", len(ids))
 	}
-	got, _, err := m.Read(ids, len(data))
+	got, _, err := readStripes(m, ids, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +119,7 @@ func TestZeroLengthObject(t *testing.T) {
 	if len(ids) != 1 {
 		t.Fatalf("got %d stripes for empty object, want 1", len(ids))
 	}
-	got, _, err := m.Read(ids, 0)
+	got, _, err := readStripes(m, ids, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +139,7 @@ func TestDegradedReadSingleFailure(t *testing.T) {
 	if err := m.Array().FailDevice(2); err != nil {
 		t.Fatal(err)
 	}
-	got, degradedCost, err := m.Read(ids, len(data))
+	got, degradedCost, err := readStripes(m, ids, len(data))
 	if err != nil {
 		t.Fatalf("degraded read: %v", err)
 	}
@@ -145,7 +153,7 @@ func TestDegradedReadSingleFailure(t *testing.T) {
 
 func readCost(t *testing.T, m *Manager, ids []ID, size int) time.Duration {
 	t.Helper()
-	_, cost, err := m.Read(ids, size)
+	_, cost, err := readStripes(m, ids, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +173,7 @@ func TestDegradedReadDoubleFailureWith2Parity(t *testing.T) {
 	if err := m.Array().FailDevice(3); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := m.Read(ids, len(data))
+	got, _, err := readStripes(m, ids, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +195,7 @@ func TestReadUnrecoverable(t *testing.T) {
 	if err := m.Array().FailDevice(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Read(ids, len(data)); !errors.Is(err, ErrUnrecoverable) {
+	if _, _, err := readStripes(m, ids, len(data)); !errors.Is(err, ErrUnrecoverable) {
 		t.Fatalf("err = %v, want ErrUnrecoverable", err)
 	}
 }
@@ -204,7 +212,7 @@ func TestReplicatedSurvivesToLastDevice(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, _, err := m.Read(ids, len(data))
+	got, _, err := readStripes(m, ids, len(data))
 	if err != nil {
 		t.Fatalf("read with one survivor: %v", err)
 	}
@@ -214,7 +222,7 @@ func TestReplicatedSurvivesToLastDevice(t *testing.T) {
 	if err := m.Array().FailDevice(4); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Read(ids, len(data)); !errors.Is(err, ErrUnrecoverable) {
+	if _, _, err := readStripes(m, ids, len(data)); !errors.Is(err, ErrUnrecoverable) {
 		t.Fatalf("err = %v, want ErrUnrecoverable", err)
 	}
 }
@@ -268,7 +276,7 @@ func TestRebuildOntoSpare(t *testing.T) {
 		}
 	}
 	// All data intact and fully healthy afterwards.
-	got, _, err := m.Read(ids, len(data))
+	got, _, err := readStripes(m, ids, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +378,7 @@ func TestFreeReleasesSpace(t *testing.T) {
 	if m.StripeCount() != 0 {
 		t.Fatal("stripe metadata not freed")
 	}
-	if _, _, err := m.Read(ids, 1); !errors.Is(err, ErrUnknownStripe) {
+	if _, _, err := readStripes(m, ids, 1); !errors.Is(err, ErrUnknownStripe) {
 		t.Fatalf("read freed stripe err = %v", err)
 	}
 	m.Free(ids) // double free is a no-op
@@ -448,7 +456,7 @@ func TestWriteAfterFailureUsesAliveDevices(t *testing.T) {
 	if err != nil {
 		t.Fatalf("write on 3 alive devices: %v", err)
 	}
-	got, _, err := m.Read(ids, len(data))
+	got, _, err := readStripes(m, ids, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +544,7 @@ func TestReadSizeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Read(ids, 101); err == nil {
+	if _, _, err := readStripes(m, ids, 101); err == nil {
 		t.Fatal("oversized read accepted")
 	}
 }

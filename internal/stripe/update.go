@@ -89,7 +89,8 @@ func (m *Manager) updateStripe(id ID, meta *stripeMeta, local int, data []byte) 
 
 func (m *Manager) updateReplicated(id ID, meta *stripeMeta, local int, data []byte) (time.Duration, error) {
 	// Read any live copy, splice, rewrite every live copy concurrently.
-	chunk, readCost, err := m.readReplicated(nil, id, meta)
+	chunk := make([]byte, meta.chunkLen)
+	readCost, err := m.readReplicatedInto(nil, id, meta, chunk)
 	if err != nil {
 		return 0, err
 	}
@@ -240,13 +241,13 @@ func (m *Manager) updateDelta(id ID, meta *stripeMeta, codec *erasure.Codec, loc
 // (reconstructing if degraded), splice the new bytes, re-encode, and write
 // back the changed chunks and all parity (fanned out).
 func (m *Manager) updateDirect(id ID, meta *stripeMeta, codec *erasure.Codec, local int, data []byte) (time.Duration, error) {
-	stripeData, readCost, err := m.readParity(nil, id, meta)
+	// Read whole chunks (padding included) into one buffer, splice, and
+	// re-chunk.
+	buf := make([]byte, len(meta.dataDevs)*meta.chunkLen)
+	readCost, err := m.readDegradedInto(nil, id, meta, buf)
 	if err != nil {
 		return 0, err
 	}
-	// Splice and re-chunk.
-	buf := make([]byte, len(meta.dataDevs)*meta.chunkLen)
-	copy(buf, stripeData)
 	copy(buf[local:], data)
 	chunks := make([][]byte, len(meta.dataDevs))
 	for i := range chunks {

@@ -37,7 +37,7 @@ func TestUpdateRangeSingleChunkDelta(t *testing.T) {
 		t.Fatal("update should cost IO")
 	}
 	want := applyUpdate(orig, 600, update)
-	got, _, err := m.Read(ids, len(orig))
+	got, _, err := readStripes(m, ids, len(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestUpdateRangeSingleChunkDelta(t *testing.T) {
 	}
 	// Parity must be consistent: survive a device failure.
 	_ = m.Array().FailDevice(1)
-	got, _, err = m.Read(ids, len(orig))
+	got, _, err = readStripes(m, ids, len(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestUpdateRangeMultiChunkDirect(t *testing.T) {
 	// Verify across two failures (2-parity must still hold).
 	_ = m.Array().FailDevice(0)
 	_ = m.Array().FailDevice(2)
-	got, _, err := m.Read(ids, len(orig))
+	got, _, err := readStripes(m, ids, len(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestUpdateRangeAcrossStripes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := applyUpdate(orig, 900, update)
-	got, _, err := m.Read(ids, len(orig))
+	got, _, err := readStripes(m, ids, len(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestUpdateRangeZeroParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := applyUpdate(orig, 250, update)
-	got, _, err := m.Read(ids, len(orig))
+	got, _, err := readStripes(m, ids, len(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestUpdateRangeReplicated(t *testing.T) {
 	// Every replica must carry the update: read after failing others.
 	_ = m.Array().FailDevice(0)
 	_ = m.Array().FailDevice(1)
-	got, _, err := m.Read(ids, len(orig))
+	got, _, err := readStripes(m, ids, len(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestUpdateRangeDegradedFallsBackToDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := applyUpdate(orig, 10, update)
-	got, _, err := m.Read(ids, len(orig))
+	got, _, err := readStripes(m, ids, len(orig))
 	if err != nil {
 		t.Fatal(err)
 	}

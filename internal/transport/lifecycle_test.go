@@ -143,7 +143,7 @@ func TestClientCtxMethodsOverWire(t *testing.T) {
 	if _, err := client.PutCtx(dead, oid(4), make([]byte, 4096), osd.ClassColdClean, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled PutCtx err = %v, want context.Canceled", err)
 	}
-	if _, _, _, err := st.Get(oid(4)); !errors.Is(err, store.ErrNotFound) {
+	if _, _, _, err := st.GetCtx(nil, oid(4)); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("cancelled put reached the store: err = %v", err)
 	}
 }
