@@ -71,7 +71,7 @@ func run(args []string) error {
 		segBytes   = fs.Int64("segment-bytes", 0, "log-structured segment size in bytes (0 = capacity/64, clamped)")
 		admitStr   = fs.String("admission", "all", "clean-miss admission gate: all (admit every miss) or reuse (Flashield-style ghost filter)")
 		admitHits  = fs.Int("admit-min-hits", 0, "prior misses required before -admission=reuse admits an object (0 = 1)")
-		batchN     = fs.Int("batch", 0, "group up to N consecutive same-kind requests into one ReadBatch/WriteBatch call during -remote/-cluster replays (0 or 1 = per-op path)")
+		batchN     = fs.Int("batch", 0, "group up to N consecutive same-kind requests into one ReadBatch/WriteBatch call during -remote/-cluster replays (0 or 1 = one request per call)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

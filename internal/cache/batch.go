@@ -1,24 +1,31 @@
 package cache
 
 import (
-	"context"
 	"errors"
+	"fmt"
+	"time"
 
+	"github.com/reo-cache/reo/internal/backend"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/store"
 	"github.com/reo-cache/reo/internal/target"
 )
 
-// Batched cache operations. The win over looping the single-op methods is
-// the fixed-cost amortisation on the hot paths: one manager-lock pass
-// partitions the whole batch into hits and misses, the hits ride one
-// vectored store read (one wire frame against a remote target, one fan-out
-// against a cluster), and fresh writes ride one vectored store write.
-// Everything that needs per-object care — entries mid-flush, duplicate IDs,
-// miss fills, eviction pressure — falls back to the single-op code paths,
-// so batched and unbatched requests are indistinguishable in semantics and
-// in the stats and virtual-time accounting they produce.
+// The request bodies. A client request is N ≥ 1 objects in one direction:
+// Read/Write are N = 1 and ReadBatch/WriteBatch any N of readN/writeN, so a
+// batched and an unbatched request cannot differ in semantics, statistics or
+// virtual-time accounting. One pass under the manager lock classifies every
+// sub-op: a read is a hit or a miss; a write is fresh, an overwrite of a
+// settled entry, or needs care (its entry is latched by a flush or
+// reclassification, is dirty under a cancellable request, or its ID already
+// appeared in this request). The hits, and the fresh and overwriting writes,
+// go to the target in one call — the plain GetCtx/PutCtx when there is one,
+// one vectored call (one wire frame, one cluster fan-out) when there are
+// more. The outcomes are then booked in caller order: a store result becomes
+// statistics and a Result, or the sub-op goes on to the slow path (the miss
+// fill; the admission loop that evicts and retries), where the sub-writes
+// that needed care start.
 
 // BatchWrite is one object write in a batch.
 type BatchWrite struct {
@@ -34,111 +41,12 @@ func (m *Manager) ReadBatch(ids []osd.ObjectID) ([]Result, []error) {
 // ReadBatchCtx serves len(ids) reads, returning parallel result and error
 // slices in caller order. Each sub-read succeeds or fails independently
 // with exactly ReadCtx's semantics; successful results must be Released.
-// Cached objects are found in a single lock pass and read from the store as
-// one vectored batch; misses (and hits that die mid-read) take the ordinary
-// miss path one at a time, coalescing duplicate IDs through the fill map
-// and the admission they trigger. Cancellation drains cleanly: once rc
-// expires, the remaining sub-reads fail with the context error.
+// Cancellation drains cleanly: once rc expires, the remaining sub-reads fail
+// with the context error.
 func (m *Manager) ReadBatchCtx(rc *reqctx.Ctx, ids []osd.ObjectID) ([]Result, []error) {
 	results := make([]Result, len(ids))
 	errs := make([]error, len(ids))
-	if len(ids) == 0 {
-		return results, errs
-	}
-	if err := rc.Err(); err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return results, errs
-	}
-
-	// Partition pass: one lock acquisition splits the batch into cached
-	// entries (read from the store below) and everything else (single-op
-	// miss path). Hit entries are touched here — frequency and LRU position
-	// update exactly as ReadCtx does before its store read.
-	var (
-		hitIdx     []int
-		hitIDs     []osd.ObjectID
-		hitEntries []*entry
-		missIdx    []int
-	)
-	m.mu.Lock()
-	if m.disabledLocked() {
-		missIdx = make([]int, len(ids))
-		for i := range ids {
-			missIdx[i] = i
-		}
-	} else {
-		for i, id := range ids {
-			if e, ok := m.entries[id]; ok {
-				e.freq++
-				m.touchLocked(e)
-				hitIdx = append(hitIdx, i)
-				hitIDs = append(hitIDs, id)
-				hitEntries = append(hitEntries, e)
-			} else {
-				missIdx = append(missIdx, i)
-			}
-		}
-	}
-	m.mu.Unlock()
-
-	// Vectored store read for the hits: one lock pass in an in-process
-	// store, one OpGetBatch frame against a remote target, one per-shard
-	// fan-out against a cluster.
-	if len(hitIDs) > 0 {
-		batch := target.GetBatch(m.cfg.Store, rc, hitIDs)
-		var fallback []int // positions whose cached copy died mid-read
-		m.mu.Lock()
-		for j := range batch {
-			i, r := hitIdx[j], &batch[j]
-			switch {
-			case r.Err == nil:
-				data := r.Buf.Bytes()
-				m.stats.Reads++
-				m.readsSince++
-				m.stats.Hits++
-				res := Result{
-					Hit:      true,
-					Degraded: r.Degraded,
-					Bytes:    int64(len(data)),
-					Data:     data,
-					Latency:  r.Cost + m.netCost(int64(len(data))),
-					buf:      r.Buf,
-				}
-				res.Background += m.maybeRefreshLocked()
-				results[i] = res
-			case errors.Is(r.Err, context.Canceled), errors.Is(r.Err, context.DeadlineExceeded):
-				m.stats.Reads++
-				m.readsSince++
-				errs[i] = r.Err
-			case errors.Is(r.Err, store.ErrCorrupted), errors.Is(r.Err, store.ErrNotFound):
-				// The object died with a device; fall through to a miss (the
-				// single-op path counts the read). An entry mid-flush or
-				// mid-reclassification is left for its latch holder.
-				if cur, ok := m.entries[hitIDs[j]]; ok && cur == hitEntries[j] &&
-					!cur.flushing && !cur.reclassing {
-					m.dropEntryLocked(cur)
-					m.stats.LostObjects++
-				}
-				fallback = append(fallback, i)
-			default:
-				m.stats.Reads++
-				m.readsSince++
-				errs[i] = r.Err
-			}
-		}
-		m.mu.Unlock()
-		missIdx = append(missIdx, fallback...)
-	}
-
-	// Miss path, one object at a time in caller order: sequential fetches
-	// keep the virtual-time replay deterministic, and a duplicate ID later
-	// in the batch finds either its predecessor's fill (still in flight
-	// from a concurrent request) or the entry its admission installed.
-	for _, i := range missIdx {
-		results[i], errs[i] = m.ReadCtx(rc, ids[i])
-	}
+	m.readN(rc, ids, make([]*entry, len(ids)), results, errs)
 	return results, errs
 }
 
@@ -152,150 +60,326 @@ func (m *Manager) WriteBatch(ops []BatchWrite) ([]Result, []error) {
 // independently with exactly WriteCtx's semantics: acknowledged writes are
 // durably placed (dirty in flash, or written through to the backend when
 // the cache cannot absorb them); cancelled sub-writes are not acknowledged.
-// Writes to objects the cache has never seen ride one vectored store write;
-// overwrites, duplicate IDs in the batch, and sub-writes that hit cache
-// pressure fall back to the single-op path. The dirty-fraction flush check
-// runs once per batch rather than once per write, so dirty bytes may
+// A repeated ID is applied in caller order, last writer wins. The
+// dirty-fraction flush check runs once per request, so dirty bytes may
 // overshoot the threshold by at most one batch before the flush kicks in.
 func (m *Manager) WriteBatchCtx(rc *reqctx.Ctx, ops []BatchWrite) ([]Result, []error) {
 	results := make([]Result, len(ops))
 	errs := make([]error, len(ops))
-	if len(ops) == 0 {
-		return results, errs
+	m.writeN(rc, ops, make([]writeSub, len(ops)), results, errs)
+	return results, errs
+}
+
+// failAll fails every sub-op of a request that died before it started.
+func failAll(errs []error, err error) {
+	for i := range errs {
+		errs[i] = err
 	}
+}
+
+// readN serves one read request. hit is caller-provided scratch, one per
+// id, so the N = 1 hit stays free of heap allocation.
+func (m *Manager) readN(rc *reqctx.Ctx, ids []osd.ObjectID, hit []*entry, results []Result, errs []error) {
 	if err := rc.Err(); err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return results, errs
+		failAll(errs, err)
+		return
 	}
 
-	// Partition pass under one lock hold: fresh IDs (no existing entry, not
-	// repeated in the batch) are vectored; everything else keeps the
-	// single-op path, which settles previous entries, flush latches, and
-	// ordering between duplicate IDs.
-	var (
-		fresh    []int
-		single   []int
-		batchPut []target.BatchPut
-	)
+	// Classify.
+	hits, first := 0, 0
 	m.mu.Lock()
-	if m.disabledLocked() {
-		m.mu.Unlock()
-		for i := range ops {
-			results[i], errs[i] = m.WriteCtx(rc, ops[i].ID, ops[i].Data)
-		}
-		return results, errs
-	}
-	seen := make(map[osd.ObjectID]struct{}, len(ops))
-	for i := range ops {
-		op := &ops[i]
-		_, dup := seen[op.ID]
-		seen[op.ID] = struct{}{}
-		if _, exists := m.entries[op.ID]; exists || dup {
-			single = append(single, i)
-			continue
-		}
-		fresh = append(fresh, i)
-		batchPut = append(batchPut, target.BatchPut{
-			ID: op.ID, Data: op.Data, Class: osd.ClassDirty, Dirty: true,
-		})
-		m.stats.Writes++
-		m.stats.OfferedBytes += int64(len(op.Data))
-	}
-
-	// Vectored store write for the fresh IDs, under the manager lock like
-	// admitLocked's Put. Sub-writes the store refuses re-run through
-	// admitLocked (evicting as needed); hard failures fall back to a
-	// synchronous backend write-through after the lock drops.
-	var writeThrough, pressured []int
-	if len(batchPut) > 0 {
-		batch := target.PutBatch(m.cfg.Store, rc, batchPut)
-		// Install every success first, under the continuous lock hold that
-		// started before the vectored Put — inserting over a concurrent
-		// entry would orphan its LRU element, and the pressure fallbacks
-		// below drop the lock.
-		for j := range batch {
-			i, r := fresh[j], &batch[j]
-			op := &ops[i]
-			switch {
-			case r.Err == nil:
-				e := &entry{id: op.ID, size: int64(len(op.Data)), freq: 1, dirty: true, class: osd.ClassDirty}
-				e.elem = m.lru.PushFront(e)
-				m.entries[op.ID] = e
-				m.stats.AdmittedBytes += e.size
-				m.dirtyBytes += e.size
-				e.dirtyElem = m.dirtyList.PushFront(e)
-				results[i] = Result{
-					Hit:     true,
-					Bytes:   int64(len(op.Data)),
-					Latency: r.Cost + m.netCost(int64(len(op.Data))),
+	if !m.disabledLocked() {
+		for i, id := range ids {
+			if e, ok := m.entries[id]; ok {
+				hit[i] = e
+				if hits == 0 {
+					first = i
 				}
-			case errors.Is(r.Err, context.Canceled), errors.Is(r.Err, context.DeadlineExceeded):
-				errs[i] = r.Err
-			case errors.Is(r.Err, store.ErrCacheFull):
-				pressured = append(pressured, i)
-			default:
-				m.stats.AdmissionSkips++
-				writeThrough = append(writeThrough, i)
-			}
-		}
-		// Under pressure the batch degenerates to the single-op admission
-		// loop, which evicts until the write fits (and may drop the lock
-		// while waiting on flush latches). The failed vectored attempt
-		// charged no cost and left no state.
-		for _, i := range pressured {
-			op := &ops[i]
-			cost, admitErr := m.admitLocked(rc, op.ID, op.Data, true)
-			if admitErr != nil {
-				errs[i] = admitErr
-				continue
-			}
-			if _, admitted := m.entries[op.ID]; !admitted {
-				results[i].Background += cost
-				writeThrough = append(writeThrough, i)
-				continue
-			}
-			results[i] = Result{
-				Hit:     true,
-				Bytes:   int64(len(op.Data)),
-				Latency: cost + m.netCost(int64(len(op.Data))),
+				hits++
 			}
 		}
 	}
-	background := m.maybeFlushLocked()
 	m.mu.Unlock()
 
-	// Attach the batch's one flush pass to the first acknowledged write —
-	// the same virtual time a single-op sequence would have charged across
-	// its calls, accounted in one place.
-	if background > 0 {
-		for i := range results {
-			if errs[i] == nil && results[i].Hit {
-				results[i].Background += background
-				break
+	// Read the hits from the store, unlocked: got is their results, in order.
+	var one [1]target.BatchGetResult
+	got := one[:]
+	switch {
+	case hits == 1:
+		g := &got[0]
+		g.Buf, g.Cost, g.Degraded, g.Err = m.cfg.Store.GetCtx(rc, ids[first])
+	case hits > 1:
+		hitIDs := make([]osd.ObjectID, 0, hits)
+		for i, e := range hit {
+			if e != nil {
+				hitIDs = append(hitIDs, ids[i])
 			}
 		}
+		got = target.GetBatch(m.cfg.Store, rc, hitIDs)
 	}
 
-	// Write-throughs: the cache could not absorb these; never acknowledge a
-	// write stored nowhere.
-	for _, i := range writeThrough {
-		op := &ops[i]
-		bcost, err := m.cfg.Backend.PutCtx(rc, op.ID, op.Data)
-		if err != nil {
-			errs[i] = err
-			results[i] = Result{}
+	// Book in caller order, counting each sub-read as it is booked, so
+	// statistics and refresh ticks fall where single reads would put them.
+	m.mu.Lock()
+	for i, id := range ids {
+		var g *target.BatchGetResult
+		if hit[i] != nil {
+			g = &got[0]
+			got = got[1:]
+		}
+		results[i], errs[i] = m.readOneLocked(rc, id, hit[i], g)
+	}
+	m.mu.Unlock()
+}
+
+// readOneLocked books one sub-read: the store's answer g for the entry e
+// classification found (both nil for a miss). Called and returns with the
+// manager lock held.
+func (m *Manager) readOneLocked(rc *reqctx.Ctx, id osd.ObjectID, e *entry, g *target.BatchGetResult) (Result, error) {
+	m.stats.Reads++
+	m.readsSince++
+	var late target.BatchGetResult
+	if e == nil && !m.disabledLocked() {
+		if e = m.entries[id]; e != nil {
+			// Admitted since classification, by an earlier sub-read of the
+			// same ID or a concurrent request: a hit after all.
+			m.mu.Unlock()
+			g = &late
+			g.Buf, g.Cost, g.Degraded, g.Err = m.cfg.Store.GetCtx(rc, id)
+			m.mu.Lock()
+		}
+	}
+	if e != nil {
+		// Frequency and LRU position record the request, not its outcome.
+		e.freq++
+		m.touchLocked(e)
+	}
+	switch {
+	case e == nil:
+	case g.Err == nil:
+		data := g.Buf.Bytes()
+		m.stats.Hits++
+		return Result{
+			Hit:        true,
+			Degraded:   g.Degraded,
+			Bytes:      int64(len(data)),
+			Data:       data,
+			Latency:    g.Cost + m.netCost(int64(len(data))),
+			Background: m.maybeRefreshLocked(),
+			buf:        g.Buf,
+		}, nil
+	case errors.Is(g.Err, store.ErrCorrupted), errors.Is(g.Err, store.ErrNotFound):
+		// The object died with a device; fall through to a miss. An entry
+		// mid-flush or mid-reclassification is left for its latch holder.
+		if m.entries[id] == e && !e.flushing && !e.reclassing {
+			m.dropEntryLocked(e)
+			m.stats.LostObjects++
+		}
+	default:
+		// Cancellation, deadline, or a hard store error.
+		return Result{}, g.Err
+	}
+	return m.missLocked(rc, id)
+}
+
+// missLocked serves one read from the backend and admits the object as
+// background work. Called and returns with the manager lock held; drops it
+// around the fetch.
+func (m *Manager) missLocked(rc *reqctx.Ctx, id osd.ObjectID) (Result, error) {
+	if err := rc.Err(); err != nil {
+		return Result{}, err
+	}
+	// Coalesce concurrent misses: if another request is already fetching
+	// this object, wait for its result instead of hitting the backend
+	// again. A cancelled waiter abandons the wait; the fill itself
+	// continues for the others.
+	f, waiter := m.fills[id]
+	if !waiter {
+		f = &fill{done: make(chan struct{})}
+		m.fills[id] = f
+	}
+	m.mu.Unlock()
+	if waiter {
+		select {
+		case <-f.done:
+		case <-rc.Done():
+			m.mu.Lock()
+			return Result{}, rc.Err()
+		}
+		m.mu.Lock()
+	} else {
+		// Leader: fetch the authoritative copy. The fetch deliberately
+		// ignores the leader's context — waiters have coalesced onto it, so
+		// it must complete and publish even if the leader's own request
+		// dies meanwhile. The read is attributed once, to the leader.
+		f.data, f.cost, f.err = m.cfg.Backend.Get(id)
+		if errors.Is(f.err, backend.ErrNotFound) {
+			f.err = fmt.Errorf("%w: %v", ErrNoBackend, id)
+		} else if f.err == nil {
+			rc.CountBackendRead()
+		}
+		m.mu.Lock()
+		delete(m.fills, id)
+		close(f.done)
+	}
+	if f.err != nil {
+		return Result{}, f.err
+	}
+	m.stats.Misses++
+	res := Result{
+		Bytes:   int64(len(f.data)),
+		Data:    f.data,
+		Latency: f.cost + m.netCost(int64(len(f.data))),
+	}
+	if !waiter && !m.disabledLocked() {
+		m.stats.OfferedBytes += res.Bytes
+		if m.ghost == nil || m.ghost.Admit(id) {
+			// Admission is best-effort background work: the client already
+			// has its data, so a cancellation inside admission is
+			// swallowed — the object simply is not cached this time.
+			res.Background, _ = m.admitLocked(rc, id, f.data, false)
+		} else {
+			// Write-aware bypass: the object has not demonstrated reuse,
+			// so it is not worth a flash write. The client was served from
+			// the backend; the miss is remembered in the ghost so a repeat
+			// miss admits it.
+			m.stats.AdmissionBypasses++
+		}
+	}
+	res.Background += m.maybeRefreshLocked()
+	return res, nil
+}
+
+// writeSub is one sub-write's admission state: err is where it stands (see
+// admitFromLocked; nil once the object landed), cost what it has cost so
+// far, through that the cache cannot absorb it and the backend must.
+type writeSub struct {
+	cost    time.Duration
+	err     error
+	through bool
+}
+
+// writeN absorbs one write request. subs is caller-provided scratch.
+func (m *Manager) writeN(rc *reqctx.Ctx, ops []BatchWrite, subs []writeSub, results []Result, errs []error) {
+	if err := rc.Err(); err != nil {
+		failAll(errs, err)
+		return
+	}
+	for i := range ops {
+		size := int64(len(ops[i].Data))
+		results[i] = Result{Bytes: size, Latency: m.netCost(size)}
+	}
+
+	m.mu.Lock()
+	m.stats.Writes += int64(len(ops))
+	if m.disabledLocked() {
+		for i := range subs {
+			subs[i].through = true
+		}
+	} else {
+		m.absorbLocked(rc, ops, subs, results, errs)
+	}
+	m.mu.Unlock()
+
+	for i := range ops {
+		if subs[i].through {
+			errs[i] = m.writeThrough(rc, ops[i].ID, ops[i].Data, &results[i])
+		}
+	}
+}
+
+// absorbLocked is writeN with the cache in service: write-back. The lock is
+// held from classification through the store put (as for any admission), so
+// every entry found settled still is when its put is booked.
+func (m *Manager) absorbLocked(rc *reqctx.Ctx, ops []BatchWrite, subs []writeSub, results []Result, errs []error) {
+	// Classify: a sub-write rides the first put (err nil) unless it needs
+	// care. Only a request of several objects can repeat an ID.
+	var seen map[osd.ObjectID]struct{}
+	if len(ops) > 1 {
+		seen = make(map[osd.ObjectID]struct{}, len(ops))
+	}
+	puts, first := 0, 0
+	for i := range ops {
+		id := ops[i].ID
+		m.stats.OfferedBytes += results[i].Bytes
+		_, repeated := seen[id]
+		if seen != nil {
+			seen[id] = struct{}{}
+		}
+		if prev, ok := m.entries[id]; repeated || ok && !settledLocked(prev, rc, true) {
+			subs[i].err = errNotPut
 			continue
 		}
-		results[i].Bytes = int64(len(op.Data))
-		results[i].Latency = bcost + m.netCost(int64(len(op.Data)))
+		if puts == 0 {
+			first = i
+		}
+		puts++
 	}
 
-	// Everything with an existing entry or a duplicate ID: single-op path,
-	// in caller order.
-	for _, i := range single {
-		results[i], errs[i] = m.WriteCtx(rc, ops[i].ID, ops[i].Data)
+	// Put, then book every result before anything below can drop the lock:
+	// a put that landed must have its entry before a concurrent miss could
+	// refill the object from a stale backend copy.
+	var one [1]target.BatchPutResult
+	out := one[:]
+	switch {
+	case puts == 1:
+		out[0].Cost, out[0].Err = m.cfg.Store.PutCtx(rc, ops[first].ID, ops[first].Data, osd.ClassDirty, true)
+	case puts > 1:
+		batch := make([]target.BatchPut, 0, puts)
+		for i := range ops {
+			if subs[i].err == nil {
+				batch = append(batch, target.BatchPut{ID: ops[i].ID, Data: ops[i].Data, Class: osd.ClassDirty, Dirty: true})
+			}
+		}
+		out = target.PutBatch(m.cfg.Store, rc, batch)
 	}
-	return results, errs
+	for i := range ops {
+		if s := &subs[i]; s.err == nil {
+			s.cost = out[0].Cost
+			s.err = m.putOutcomeLocked(ops[i].ID, results[i].Bytes, osd.ClassDirty, true, out[0].Err)
+			out = out[1:]
+		}
+	}
+
+	// Slow path, in caller order: whatever has not landed goes through the
+	// admission loop from where it stands.
+	acked := -1
+	for i := range ops {
+		if s := &subs[i]; s.err != nil {
+			errs[i] = m.admitWriteLocked(rc, ops[i].ID, ops[i].Data, s, &results[i])
+		} else {
+			results[i].Hit = true
+			results[i].Latency += s.cost
+		}
+		if acked < 0 && results[i].Hit {
+			acked = i
+		}
+	}
+	if acked >= 0 {
+		results[acked].Background += m.maybeFlushLocked()
+	}
+}
+
+// admitWriteLocked carries one whole-object write through the admission loop
+// from s.err and books it into res: acknowledged dirty in the cache (Hit),
+// to be written through (s.through), or failed.
+func (m *Manager) admitWriteLocked(rc *reqctx.Ctx, id osd.ObjectID, data []byte, s *writeSub, res *Result) error {
+	more, err := m.admitFromLocked(rc, id, data, osd.ClassDirty, true, s.err)
+	s.cost += more
+	if err != nil {
+		// Cancelled mid-admission: not acknowledged, so surface the
+		// cancellation rather than falling back to the backend on the
+		// client's behalf.
+		*res = Result{}
+		return err
+	}
+	if _, admitted := m.entries[id]; admitted {
+		res.Hit = true
+		res.Latency += s.cost
+	} else {
+		// Not absorbed (e.g. object larger than the array).
+		res.Background += s.cost
+		s.through = true
+	}
+	return nil
 }

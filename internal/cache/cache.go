@@ -20,7 +20,6 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -385,138 +384,20 @@ func (m *Manager) Read(id osd.ObjectID) (Result, error) {
 	return m.ReadCtx(nil, id)
 }
 
-// ReadCtx is Read under a request context. A request whose deadline has
-// already expired returns context.DeadlineExceeded without touching any
-// device. Cancellation is honoured at chunk boundaries on the hit path and
-// while waiting on a coalesced fill; a fill leader always runs its backend
-// fetch to completion so waiters coalesced behind a cancelled leader still
-// get their data.
+// ReadCtx is Read under a request context: readN of one object. A request
+// whose deadline has already expired returns
+// context.DeadlineExceeded without touching any device. Cancellation is
+// honoured at chunk boundaries on the hit path and while waiting on a
+// coalesced fill; a fill leader always runs its backend fetch to completion
+// so waiters coalesced behind a cancelled leader still get their data.
 func (m *Manager) ReadCtx(rc *reqctx.Ctx, id osd.ObjectID) (Result, error) {
-	if err := rc.Err(); err != nil {
-		return Result{}, err
-	}
-	m.mu.Lock()
-	m.stats.Reads++
-	m.readsSince++
-
-	if !m.disabledLocked() {
-		if e, ok := m.entries[id]; ok {
-			e.freq++
-			m.touchLocked(e)
-			m.mu.Unlock()
-			buf, cost, degraded, err := m.cfg.Store.GetCtx(rc, id)
-			switch {
-			case err == nil:
-				data := buf.Bytes()
-				res := Result{
-					Hit:      true,
-					Degraded: degraded,
-					Bytes:    int64(len(data)),
-					Data:     data,
-					Latency:  cost + m.netCost(int64(len(data))),
-					buf:      buf,
-				}
-				m.mu.Lock()
-				m.stats.Hits++
-				res.Background += m.maybeRefreshLocked()
-				m.mu.Unlock()
-				return res, nil
-			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-				return Result{}, err
-			case errors.Is(err, store.ErrCorrupted), errors.Is(err, store.ErrNotFound):
-				// The object died with a device; fall through to a miss.
-				// An entry mid-flush or mid-reclassification is left for
-				// its latch holder to settle.
-				m.mu.Lock()
-				if cur, ok := m.entries[id]; ok && cur == e && !e.flushing && !e.reclassing {
-					m.dropEntryLocked(e)
-					m.stats.LostObjects++
-				}
-			default:
-				return Result{}, err
-			}
-		}
-	}
-	// Still (or again) holding m.mu here: miss path.
-
-	// Coalesce concurrent misses: if another request is already fetching
-	// this object, wait for its result instead of hitting the backend
-	// again. A cancelled waiter abandons the wait; the fill itself
-	// continues for the others.
-	if f, ok := m.fills[id]; ok {
-		m.mu.Unlock()
-		select {
-		case <-f.done:
-		case <-rc.Done():
-			return Result{}, rc.Err()
-		}
-		if f.err != nil {
-			return Result{}, f.err
-		}
-		// No backend attribution here: the leader's fetch served this
-		// waiter, and the read is counted once, on the leader.
-		res := Result{
-			Bytes:   int64(len(f.data)),
-			Data:    f.data,
-			Latency: f.cost + m.netCost(int64(len(f.data))),
-		}
-		m.mu.Lock()
-		m.stats.Misses++
-		res.Background += m.maybeRefreshLocked()
-		m.mu.Unlock()
-		return res, nil
-	}
-
-	// Leader: register the fill, fetch the authoritative copy unlocked.
-	// The fetch deliberately ignores the leader's context — waiters have
-	// coalesced onto it, so it must complete and publish even if the
-	// leader's own request dies meanwhile.
-	f := &fill{done: make(chan struct{})}
-	m.fills[id] = f
-	m.mu.Unlock()
-
-	data, backendCost, err := m.cfg.Backend.Get(id)
-	if err != nil {
-		if errors.Is(err, backend.ErrNotFound) {
-			err = fmt.Errorf("%w: %v", ErrNoBackend, id)
-		}
-	} else {
-		rc.CountBackendRead()
-	}
-	f.data, f.cost, f.err = data, backendCost, err
-
-	m.mu.Lock()
-	delete(m.fills, id)
-	close(f.done)
-	if err != nil {
-		m.mu.Unlock()
-		return Result{}, err
-	}
-	m.stats.Misses++
-	res := Result{
-		Bytes:   int64(len(data)),
-		Data:    data,
-		Latency: backendCost + m.netCost(int64(len(data))),
-	}
-	if !m.disabledLocked() {
-		m.stats.OfferedBytes += int64(len(data))
-		if m.ghost == nil || m.ghost.Admit(id) {
-			// Admission is best-effort background work: the client already
-			// has its data, so a cancellation inside admission is
-			// swallowed — the object simply is not cached this time.
-			cost, _ := m.admitLocked(rc, id, data, false)
-			res.Background += cost
-		} else {
-			// Write-aware bypass: the object has not demonstrated reuse,
-			// so it is not worth a flash write. The client was served from
-			// the backend; the miss is remembered in the ghost so a repeat
-			// miss admits it.
-			m.stats.AdmissionBypasses++
-		}
-	}
-	res.Background += m.maybeRefreshLocked()
-	m.mu.Unlock()
-	return res, nil
+	var (
+		res [1]Result
+		err [1]error
+		hit [1]*entry
+	)
+	m.readN(rc, []osd.ObjectID{id}, hit[:], res[:], err[:])
+	return res[0], err[0]
 }
 
 // Write absorbs a client write. With the cache in service this is
@@ -527,61 +408,130 @@ func (m *Manager) Write(id osd.ObjectID, data []byte) (Result, error) {
 	return m.WriteCtx(nil, id, data)
 }
 
-// WriteCtx is Write under a request context. A write cancelled before its
-// data is durably placed returns the context error and is NOT acknowledged:
-// it neither falls back to the backend nor leaves a half-written object (the
-// store's cancellable Put keeps the previous version intact until the new
-// one is fully committed).
+// WriteCtx is Write under a request context: writeN of one object. A write
+// cancelled before its data is durably placed returns the context error and
+// is NOT acknowledged: it neither falls back to the backend nor leaves a
+// half-written object (the store's cancellable Put keeps the previous
+// version intact until the new one is fully committed).
 func (m *Manager) WriteCtx(rc *reqctx.Ctx, id osd.ObjectID, data []byte) (Result, error) {
-	if err := rc.Err(); err != nil {
-		return Result{}, err
+	var (
+		res [1]Result
+		err [1]error
+		sub [1]writeSub
+	)
+	m.writeN(rc, []BatchWrite{{ID: id, Data: data}}, sub[:], res[:], err[:])
+	return res[0], err[0]
+}
+
+// writeThrough sends a write the cache could not absorb (out of service,
+// object larger than the array) synchronously to the backend, unlocked: a
+// write is never acknowledged while stored nowhere.
+func (m *Manager) writeThrough(rc *reqctx.Ctx, id osd.ObjectID, full []byte, res *Result) error {
+	cost, err := m.cfg.Backend.PutCtx(rc, id, full)
+	if err != nil {
+		*res = Result{}
+		return err
 	}
-	m.mu.Lock()
-	m.stats.Writes++
-	if m.disabledLocked() {
-		m.mu.Unlock()
-		cost, err := m.cfg.Backend.PutCtx(rc, id, data)
-		if err != nil {
-			return Result{}, err
+	res.Latency += cost
+	return nil
+}
+
+// cleanClassLocked is the class of a clean object of hotness h under the
+// current threshold.
+func (m *Manager) cleanClassLocked(h float64) osd.Class {
+	if h >= m.hhot {
+		return osd.ClassHotClean
+	}
+	return osd.ClassColdClean
+}
+
+// admitClass picks the class an admission of size bytes starts under: dirty
+// data is Class 1; a first clean access counts as frequency 1.
+func (m *Manager) admitClass(size int, dirty bool) osd.Class {
+	if dirty {
+		return osd.ClassDirty
+	}
+	return m.cleanClassLocked(m.hotness(&entry{size: int64(size), freq: 1}))
+}
+
+// settledLocked reports whether a store put may replace prev right now: no
+// write-back or background reclassification is in flight for it, and
+// replacing it cannot lose an acknowledged update. A dirty entry is never
+// overwritten clean without a flush, nor under a cancellable request: if
+// that put is cancelled the entry is forgotten (putOutcomeLocked), so the
+// old update must already be safe in the backend.
+func settledLocked(prev *entry, rc *reqctx.Ctx, dirty bool) bool {
+	return !prev.flushing && !prev.reclassing && !(prev.dirty && (!dirty || rc.CanCancel()))
+}
+
+// settleLocked waits out latches on, and flushes where settledLocked
+// requires, any entry for id, returning the flush cost. The lock may be
+// dropped meanwhile; on return it has been held since the last check.
+func (m *Manager) settleLocked(rc *reqctx.Ctx, id osd.ObjectID, dirty bool) time.Duration {
+	var total time.Duration
+	for {
+		prev, ok := m.entries[id]
+		switch {
+		case !ok || settledLocked(prev, rc, dirty):
+			return total
+		case prev.flushing || prev.reclassing:
+			m.latchWaitLocked(prev)
+		default:
+			total += m.flushEntryLocked(prev)
 		}
-		return Result{
-			Bytes:   int64(len(data)),
-			Latency: cost + m.netCost(int64(len(data))),
-		}, nil
 	}
-	m.stats.OfferedBytes += int64(len(data))
-	cost, admitErr := m.admitLocked(rc, id, data, true)
-	if admitErr != nil {
-		// Cancelled mid-admission. The store left either the previous
-		// version or nothing; in neither case was this write acknowledged,
-		// so surface the cancellation rather than falling back to the
-		// backend on the client's behalf.
-		m.mu.Unlock()
-		return Result{}, admitErr
+}
+
+// installLocked is the one place an entry is created and linked. A previous
+// entry for id is replaced without a store delete: the put that just landed
+// freed the previous version.
+func (m *Manager) installLocked(id osd.ObjectID, size int64, class osd.Class, dirty bool) {
+	if prev, ok := m.entries[id]; ok {
+		m.dropEntryLocked(prev)
 	}
-	if _, admitted := m.entries[id]; !admitted {
-		// The cache could not absorb the update (e.g. object larger than
-		// the array). Never acknowledge a write that is stored nowhere:
-		// fall back to a synchronous write-through to the backend.
-		m.mu.Unlock()
-		bcost, err := m.cfg.Backend.PutCtx(rc, id, data)
-		if err != nil {
-			return Result{}, err
+	e := &entry{id: id, size: size, freq: 1, class: class}
+	e.elem = m.lru.PushFront(e)
+	m.entries[id] = e
+	m.setDirtyLocked(e, dirty)
+}
+
+// forgetLocked leaves the manager without an entry for id and the store
+// without a copy, and reports whether the store still held one. The delete
+// carries no request context: it must happen even when the request that led
+// here is dead.
+func (m *Manager) forgetLocked(id osd.ObjectID) bool {
+	if e, ok := m.entries[id]; ok {
+		m.dropEntryLocked(e)
+	}
+	return m.cfg.Store.Delete(id) == nil
+}
+
+// errNotPut is the admission state "put next, before evicting anyone": no
+// put has been issued yet, or cleaning up after a refused one made room.
+var errNotPut = errors.New("cache: object not put yet")
+
+// putOutcomeLocked books the result of one store put for id, issued with the
+// lock held since any entry for id was found settled; it never drops the
+// lock. A put over an existing entry that did not land — cancelled, refused,
+// or failed after a free-first overwrite released the old stripes — leaves
+// the store with the old version or nothing, and the manager cannot tell
+// which: only then is the object deleted, so a cancelled write-first put can
+// never leave a store copy the cache has no entry for. The returned error is
+// the state admitFromLocked continues from.
+func (m *Manager) putOutcomeLocked(id osd.ObjectID, size int64, class osd.Class, dirty bool, err error) error {
+	if err == nil {
+		m.installLocked(id, size, class, dirty)
+		m.stats.AdmittedBytes += size
+		return nil
+	}
+	if _, replacing := m.entries[id]; replacing {
+		if freed := m.forgetLocked(id); freed && errors.Is(err, store.ErrCacheFull) {
+			// A cancellable put writes the new version before freeing the
+			// old and was refused with the old one still holding its space.
+			return errNotPut
 		}
-		return Result{
-			Bytes:      int64(len(data)),
-			Latency:    bcost + m.netCost(int64(len(data))),
-			Background: cost,
-		}, nil
 	}
-	res := Result{
-		Hit:     true,
-		Bytes:   int64(len(data)),
-		Latency: cost + m.netCost(int64(len(data))),
-	}
-	res.Background += m.maybeFlushLocked()
-	m.mu.Unlock()
-	return res, nil
+	return err
 }
 
 // admitLocked inserts (or overwrites) an object in the cache, evicting as
@@ -592,65 +542,19 @@ func (m *Manager) WriteCtx(rc *reqctx.Ctx, id osd.ObjectID, data []byte) (Result
 // (best-effort, swallowed on reads) from "the request died" (writes must
 // not acknowledge).
 func (m *Manager) admitLocked(rc *reqctx.Ctx, id osd.ObjectID, data []byte, dirty bool) (time.Duration, error) {
+	return m.admitFromLocked(rc, id, data, m.admitClass(len(data), dirty), dirty, errNotPut)
+}
+
+// admitFromLocked is the admission loop, entered in state err: errNotPut, or
+// the booked outcome of a put writeN issued as part of a vectored one. It
+// makes room as the error asks and puts again until the object lands or
+// cannot. Every put re-settles first: eviction can drop the lock, letting a
+// concurrent request re-admit the same id.
+func (m *Manager) admitFromLocked(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class osd.Class, dirty bool, err error) (time.Duration, error) {
 	var total time.Duration
-
-	class := osd.ClassDirty
-	if !dirty {
-		h := m.hotness(&entry{size: int64(len(data)), freq: 1})
-		if h >= m.hhot {
-			class = osd.ClassHotClean
-		} else {
-			class = osd.ClassColdClean
-		}
-	}
-
-	for {
-		// Settle any existing entry for id. Eviction below can drop the
-		// manager lock (flush waits), letting a concurrent request re-admit
-		// the same id; this loop therefore re-runs before every Put attempt,
-		// so insertion always happens under a continuously-held lock with
-		// the map slot provably empty — inserting over a concurrent entry
-		// would orphan its LRU element and wedge future evictions on it.
-		for {
-			prev, ok := m.entries[id]
-			if !ok {
-				break
-			}
-			if prev.flushing || prev.reclassing {
-				// A write-back or background reclassification is in flight
-				// for the old copy; wait for it to settle before replacing
-				// the entry. The lock is dropped while waiting, so re-check
-				// from scratch afterwards.
-				m.latchWaitLocked(prev)
-				continue
-			}
-			if prev.dirty && (!dirty || rc.CanCancel()) {
-				// Never downgrade a dirty object by overwriting it clean
-				// without a flush. A cancellable dirty overwrite flushes too:
-				// the old entry is dropped from the cache before the new Put,
-				// so if that Put is then cancelled the acknowledged old
-				// update must already be safe in the backend.
-				total += m.flushEntryLocked(prev)
-				continue // the lock was dropped; re-check the entry
-			}
-			m.dropEntryLocked(prev)
-			_ = m.cfg.Store.DeleteCtx(rc, id) // ignore not-found
-			break
-		}
-
-		cost, err := m.cfg.Store.PutCtx(rc, id, data, class, dirty)
-		total += cost
+	for err != nil {
 		switch {
-		case err == nil:
-			e := &entry{id: id, size: int64(len(data)), freq: 1, dirty: dirty, class: class}
-			e.elem = m.lru.PushFront(e)
-			m.entries[id] = e
-			m.stats.AdmittedBytes += e.size
-			if dirty {
-				m.dirtyBytes += e.size
-				e.dirtyElem = m.dirtyList.PushFront(e)
-			}
-			return total, nil
+		case err == errNotPut:
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			return total, err
 		case errors.Is(err, store.ErrRedundancyFull) && class == osd.ClassHotClean:
@@ -670,7 +574,12 @@ func (m *Manager) admitLocked(rc *reqctx.Ctx, id osd.ObjectID, data []byte, dirt
 			m.stats.AdmissionSkips++
 			return total, nil
 		}
+		total += m.settleLocked(rc, id, dirty)
+		cost, perr := m.cfg.Store.PutCtx(rc, id, data, class, dirty)
+		total += cost
+		err = m.putOutcomeLocked(id, int64(len(data)), class, dirty, perr)
 	}
+	return total, nil
 }
 
 // evictOneLocked removes the least recently used object, flushing it first
@@ -683,10 +592,7 @@ func (m *Manager) evictOneLocked() (time.Duration, bool) {
 		if back == nil {
 			return total, false
 		}
-		e, ok := back.Value.(*entry)
-		if !ok {
-			return total, false
-		}
+		e := back.Value.(*entry)
 		if e.flushing || e.reclassing {
 			// The victim is mid-flush or mid-reclassification; wait for
 			// the latch and rescan (the LRU tail may have changed while
@@ -700,8 +606,7 @@ func (m *Manager) evictOneLocked() (time.Duration, bool) {
 				continue // dropped while the flush ran; rescan
 			}
 		}
-		m.dropEntryLocked(e)
-		_ = m.cfg.Store.Delete(e.id)
+		m.forgetLocked(e.id)
 		m.stats.Evictions++
 		if m.ghost != nil {
 			// The victim demonstrated reuse once to get admitted; remember
@@ -730,7 +635,7 @@ func (m *Manager) flushEntryLocked(e *entry) time.Duration {
 	}
 	e.flushing = true
 	e.flushDone = make(chan struct{})
-	wantHot := m.hotness(e) >= m.hhot
+	class := m.cleanClassLocked(m.hotness(e))
 	m.mu.Unlock()
 
 	// Flushes are background work: they run under a non-cancellable
@@ -766,11 +671,7 @@ func (m *Manager) flushEntryLocked(e *entry) time.Duration {
 	// Re-label (and re-encode) the now-clean object per its hotness.
 	var reclassCost time.Duration
 	reclassOK := false
-	class := osd.ClassColdClean
 	if flushed {
-		if wantHot {
-			class = osd.ClassHotClean
-		}
 		if cost, rerr := m.cfg.Store.ReclassifyCtx(frc, e.id, class); rerr == nil {
 			reclassCost = cost
 			reclassOK = true
@@ -781,10 +682,8 @@ func (m *Manager) flushEntryLocked(e *entry) time.Duration {
 	e.flushing = false
 	close(e.flushDone)
 	if m.entries[e.id] == e {
-		if clearDirty && e.dirty {
-			e.dirty = false
-			m.dirtyBytes -= e.size
-			m.clearDirtyLocked(e)
+		if clearDirty {
+			m.setDirtyLocked(e, false)
 		}
 		if reclassOK {
 			e.class = class
@@ -797,6 +696,20 @@ func (m *Manager) flushEntryLocked(e *entry) time.Duration {
 	return total
 }
 
+// flushVictimLocked returns the oldest dirty entry not already mid-flush
+// (scanning only the dirty list, not the whole LRU), or failing that one
+// that is.
+func (m *Manager) flushVictimLocked() (victim, inflight *entry) {
+	for elem := m.dirtyList.Back(); elem != nil; elem = elem.Prev() {
+		e := elem.Value.(*entry)
+		if !e.flushing {
+			return e, nil
+		}
+		inflight = e
+	}
+	return nil, inflight
+}
+
 // maybeFlushLocked flushes oldest-first dirty objects whenever dirty bytes
 // exceed the configured fraction of cache capacity, stopping at half the
 // threshold (hysteresis).
@@ -806,20 +719,11 @@ func (m *Manager) maybeFlushLocked() time.Duration {
 	if limit <= 0 || m.dirtyBytes <= limit {
 		return 0
 	}
-	target := limit / 2
 	var total time.Duration
-	for m.dirtyBytes > target {
-		// Each flush drops the lock, so rescan from the dirty list's tail
-		// rather than walking a possibly-stale element chain. The scan
-		// touches only dirty entries (and skips just the mid-flush ones),
-		// not the whole LRU.
-		var victim *entry
-		for elem := m.dirtyList.Back(); elem != nil; elem = elem.Prev() {
-			if e := elem.Value.(*entry); !e.flushing {
-				victim = e
-				break
-			}
-		}
+	for m.dirtyBytes > limit/2 {
+		// Each flush drops the lock, so pick one victim per scan rather
+		// than walking a possibly-stale element chain.
+		victim, _ := m.flushVictimLocked()
 		if victim == nil {
 			break // remaining dirty bytes are all mid-flush elsewhere
 		}
@@ -835,28 +739,14 @@ func (m *Manager) FlushAll() time.Duration {
 	defer m.mu.Unlock()
 	var total time.Duration
 	for {
-		// Flushing drops the lock, so pick one victim per scan of the
-		// dirty list (clean entries never appear in it). When the only
-		// dirty entries left are mid-flush elsewhere, wait on one of
-		// their latches and rescan until everything has settled.
-		var victim, inflight *entry
-		for elem := m.dirtyList.Back(); elem != nil; elem = elem.Prev() {
-			e := elem.Value.(*entry)
-			if e.flushing {
-				inflight = e
-				continue
-			}
-			victim = e
-			break
-		}
+		// When the only dirty entries left are mid-flush elsewhere, wait on
+		// one of their latches and rescan until everything has settled.
+		victim, inflight := m.flushVictimLocked()
 		switch {
 		case victim != nil:
 			total += m.flushEntryLocked(victim)
 		case inflight != nil:
-			ch := inflight.flushDone
-			m.mu.Unlock()
-			<-ch
-			m.mu.Lock()
+			m.latchWaitLocked(inflight)
 		default:
 			return total
 		}
@@ -864,18 +754,23 @@ func (m *Manager) FlushAll() time.Duration {
 }
 
 func (m *Manager) dropEntryLocked(e *entry) {
-	if e.dirty {
-		m.dirtyBytes -= e.size
-	}
-	m.clearDirtyLocked(e)
+	m.setDirtyLocked(e, false)
 	m.lru.Remove(e.elem)
 	delete(m.entries, e.id)
 }
 
-// clearDirtyLocked unlinks the entry from the dirty list (no-op if it is
-// not linked).
-func (m *Manager) clearDirtyLocked(e *entry) {
-	if e.dirtyElem != nil {
+// setDirtyLocked moves the entry into or out of the dirty set: the flag, the
+// dirty byte count and the dirty list change together.
+func (m *Manager) setDirtyLocked(e *entry, dirty bool) {
+	switch {
+	case e.dirty == dirty:
+	case dirty:
+		e.dirty = true
+		m.dirtyBytes += e.size
+		e.dirtyElem = m.dirtyList.PushFront(e)
+	default:
+		e.dirty = false
+		m.dirtyBytes -= e.size
 		m.dirtyList.Remove(e.dirtyElem)
 		e.dirtyElem = nil
 	}

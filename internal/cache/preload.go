@@ -89,10 +89,7 @@ func (m *Manager) PreloadCtx(rc *reqctx.Ctx, ids []osd.ObjectID) (admitted int, 
 		// Re-check and admit under one lock hold, writing the chunk to the
 		// store as one vectored batch (admission classes chosen per object,
 		// exactly as the single-op path would).
-		var (
-			puts    []target.BatchPut
-			putObjs []fetched
-		)
+		var puts []target.BatchPut
 		m.mu.Lock()
 		for _, o := range objs {
 			if _, ok := m.entries[o.id]; ok {
@@ -100,12 +97,7 @@ func (m *Manager) PreloadCtx(rc *reqctx.Ctx, ids []osd.ObjectID) (admitted int, 
 				continue
 			}
 			cost += o.cost
-			class := osd.ClassColdClean
-			if m.hotness(&entry{size: int64(len(o.data)), freq: 1}) >= m.hhot {
-				class = osd.ClassHotClean
-			}
-			puts = append(puts, target.BatchPut{ID: o.id, Data: o.data, Class: class})
-			putObjs = append(putObjs, o)
+			puts = append(puts, target.BatchPut{ID: o.id, Data: o.data, Class: m.admitClass(len(o.data), false)})
 		}
 		if len(puts) == 0 {
 			m.mu.Unlock()
@@ -114,33 +106,28 @@ func (m *Manager) PreloadCtx(rc *reqctx.Ctx, ids []osd.ObjectID) (admitted int, 
 		batch := target.PutBatch(m.cfg.Store, nil, puts)
 		full := false
 		for j := range batch {
-			o, r := &putObjs[j], &batch[j]
+			o, r := &puts[j], &batch[j]
 			cost += r.Cost
-			ok := r.Err == nil
-			if full && ok {
-				// The warm-up already stopped at an earlier object; undo
-				// this placement so admissions remain a prefix of ids.
-				_ = m.cfg.Store.Delete(o.id)
-				continue
-			}
-			class := puts[j].Class
-			if !ok && !full && class == osd.ClassHotClean {
+			if r.Err != nil && !full && o.Class == osd.ClassHotClean {
 				// Redundancy space or capacity exhausted: retry cold once.
-				class = osd.ClassColdClean
-				retryCost, rerr := m.cfg.Store.PutCtx(nil, o.id, o.data, class, false)
+				o.Class = osd.ClassColdClean
+				var retryCost time.Duration
+				retryCost, r.Err = m.cfg.Store.PutCtx(nil, o.ID, o.Data, o.Class, false)
 				cost += retryCost
-				ok = rerr == nil
 			}
-			if !ok {
+			switch {
+			case r.Err != nil:
 				// The cache is full; preload never evicts (that would churn
 				// the objects just loaded). Stop here.
 				full = true
-				continue
+			case full:
+				// The warm-up already stopped at an earlier object; undo
+				// this placement so admissions remain a prefix of ids.
+				m.forgetLocked(o.ID)
+			default:
+				m.installLocked(o.ID, int64(len(o.Data)), o.Class, false)
+				admitted++
 			}
-			e := &entry{id: o.id, size: int64(len(o.data)), freq: 1, class: class}
-			e.elem = m.lru.PushFront(e)
-			m.entries[o.id] = e
-			admitted++
 		}
 		m.mu.Unlock()
 		if full {

@@ -292,10 +292,7 @@ func (m *Manager) refreshLocked() time.Duration {
 			// the next refresh.
 			continue
 		}
-		want := osd.ClassColdClean
-		if snaps[i].hot >= m.hhot {
-			want = osd.ClassHotClean
-		}
+		want := m.cleanClassLocked(snaps[i].hot)
 		if want == e.class {
 			continue
 		}
@@ -355,11 +352,7 @@ func (m *Manager) runRefresh(sp *[]snap, params refreshParams) {
 		if !ok || e.dirty || e.flushing || e.reclassing {
 			continue
 		}
-		want := osd.ClassColdClean
-		if snaps[i].hot >= hhot {
-			want = osd.ClassHotClean
-		}
-		if want != e.class {
+		if m.cleanClassLocked(snaps[i].hot) != e.class {
 			work = append(work, snaps[i].id)
 		}
 	}
@@ -442,10 +435,7 @@ func (m *Manager) reclassOne(rc *reqctx.Ctx, id osd.ObjectID) {
 		m.mu.Unlock()
 		return
 	}
-	want := osd.ClassColdClean
-	if m.hotness(e) >= m.hhot {
-		want = osd.ClassHotClean
-	}
+	want := m.cleanClassLocked(m.hotness(e))
 	if want == e.class {
 		m.mu.Unlock()
 		return
@@ -482,13 +472,19 @@ func (m *Manager) reclassOne(rc *reqctx.Ctx, id osd.ObjectID) {
 }
 
 // maybeRefreshLocked recomputes the adaptive hot threshold every
-// RefreshInterval reads: inline (returning the reclassification cost) in
-// synchronous mode, or by starting the background pipeline in async mode.
+// RefreshInterval reads.
 func (m *Manager) maybeRefreshLocked() time.Duration {
 	if m.readsSince < m.cfg.RefreshInterval {
 		return 0
 	}
 	m.readsSince = 0
+	return m.refreshNowLocked()
+}
+
+// refreshNowLocked runs the refresh in the configured mode: inline
+// (returning the reclassification cost) in synchronous mode, or by starting
+// the background pipeline in async mode.
+func (m *Manager) refreshNowLocked() time.Duration {
 	if m.cfg.AsyncRefresh {
 		m.startAsyncRefreshLocked()
 		return 0
@@ -512,11 +508,7 @@ func (m *Manager) RefreshClassification() time.Duration {
 func (m *Manager) KickRefresh() time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.cfg.AsyncRefresh {
-		m.startAsyncRefreshLocked()
-		return 0
-	}
-	return m.refreshLocked()
+	return m.refreshNowLocked()
 }
 
 // RefreshActive reports whether an asynchronous refresh is in flight.

@@ -1,0 +1,285 @@
+package cache
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+	"time"
+
+	"github.com/reo-cache/reo/internal/bufpool"
+	"github.com/reo-cache/reo/internal/osd"
+	"github.com/reo-cache/reo/internal/policy"
+	"github.com/reo-cache/reo/internal/reqctx"
+	"github.com/reo-cache/reo/internal/store"
+	"github.com/reo-cache/reo/internal/target"
+)
+
+// spyTarget is the in-process store with every data-path call the manager
+// makes logged, and puts interceptable.
+type spyTarget struct {
+	*store.Store
+	calls []string
+	// onPut, when set, runs before a put reaches the store; a non-nil error
+	// is returned in the store's place.
+	onPut func(id osd.ObjectID) error
+}
+
+func (s *spyTarget) PutCtx(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class osd.Class, dirty bool) (time.Duration, error) {
+	s.calls = append(s.calls, "PutCtx")
+	if s.onPut != nil {
+		if err := s.onPut(id); err != nil {
+			return 0, err
+		}
+	}
+	return s.Store.PutCtx(rc, id, data, class, dirty)
+}
+
+func (s *spyTarget) GetCtx(rc *reqctx.Ctx, id osd.ObjectID) (*bufpool.Buf, time.Duration, bool, error) {
+	s.calls = append(s.calls, "GetCtx")
+	return s.Store.GetCtx(rc, id)
+}
+
+func (s *spyTarget) Delete(id osd.ObjectID) error {
+	s.calls = append(s.calls, "Delete")
+	return s.Store.Delete(id)
+}
+
+// DeleteCtx refuses a dead request, as the wire client does.
+func (s *spyTarget) DeleteCtx(rc *reqctx.Ctx, id osd.ObjectID) error {
+	s.calls = append(s.calls, "DeleteCtx")
+	if err := rc.Err(); err != nil {
+		return err
+	}
+	return s.Store.DeleteCtx(rc, id)
+}
+
+func (s *spyTarget) GetBatchCtx(rc *reqctx.Ctx, ids []osd.ObjectID) []target.BatchGetResult {
+	s.calls = append(s.calls, "GetBatchCtx")
+	return s.Store.GetBatchCtx(rc, ids)
+}
+
+func (s *spyTarget) PutBatchCtx(rc *reqctx.Ctx, ops []target.BatchPut) []target.BatchPutResult {
+	s.calls = append(s.calls, "PutBatchCtx")
+	return s.Store.PutBatchCtx(rc, ops)
+}
+
+// spy rebuilds the fixture's manager over a spying wrapper of its store.
+func (f *fixture) spy(t *testing.T) *spyTarget {
+	t.Helper()
+	s := &spyTarget{Store: f.store}
+	cfg := f.cache.cfg
+	cfg.Store = s
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.cache = m
+	return s
+}
+
+// took returns the calls logged since the last took.
+func (s *spyTarget) took() []string {
+	calls := s.calls
+	s.calls = nil
+	return calls
+}
+
+// TestRequestStoreCalls pins the store round trips of a request: a request
+// of one object makes the plain single-object call, a request of many makes
+// one vectored call, and an overwrite of a cached object costs one put — no
+// delete before it, for one object or sixty-four.
+func TestRequestStoreCalls(t *testing.T) {
+	f := newFixture(t, policy.Reo{ParityBudget: 0.4}, 0.4, 4<<20)
+	s := f.spy(t)
+	expect := func(what string, want ...string) {
+		t.Helper()
+		if got := s.took(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: store calls %v, want %v", what, got, want)
+		}
+	}
+
+	var ids []osd.ObjectID
+	var ops []BatchWrite
+	for n := uint64(0); n < 64; n++ {
+		f.seed(t, n, 1024)
+		ids = append(ids, oid(n))
+		ops = append(ops, BatchWrite{ID: oid(n), Data: randBytes(int64(100+n), 1024)})
+	}
+	if _, err := f.cache.Read(oid(0)); err != nil {
+		t.Fatal(err)
+	}
+	expect("read miss", "PutCtx")
+	res, err := f.cache.Read(oid(0))
+	if err != nil || !res.Hit {
+		t.Fatalf("read hit: hit=%v err=%v", res.Hit, err)
+	}
+	res.Release()
+	expect("read hit", "GetCtx")
+	if _, err := f.cache.Write(oid(0), ops[0].Data); err != nil {
+		t.Fatal(err)
+	}
+	expect("overwrite of a clean object", "PutCtx")
+	if _, err := f.cache.Write(oid(0), ops[0].Data); err != nil {
+		t.Fatal(err)
+	}
+	expect("overwrite of a dirty object", "PutCtx")
+	f.cache.FlushAll()
+	s.took()
+
+	results, errs := f.cache.ReadBatch(ids) // 1 hit, 63 misses admitted clean
+	for i := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		results[i].Release()
+	}
+	s.took()
+	results, errs = f.cache.ReadBatch(ids)
+	for i := range results {
+		if errs[i] != nil || !results[i].Hit {
+			t.Fatalf("sub-read %d: hit=%v err=%v", i, results[i].Hit, errs[i])
+		}
+		results[i].Release()
+	}
+	expect("read batch of 64 cached objects", "GetBatchCtx")
+	_, errs = f.cache.WriteBatch(ops)
+	for i := range errs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+	}
+	expect("write batch over 64 cached clean objects", "PutBatchCtx")
+	if st := f.cache.Stats(); f.cache.Len() != 64 || f.cache.DirtyBytes() != 64*1024 || st.Evictions != 0 {
+		t.Fatalf("after the batch: %d entries, %d dirty bytes, %d evictions", f.cache.Len(), f.cache.DirtyBytes(), st.Evictions)
+	}
+}
+
+// TestWriteUnderPressureStoreCalls: a single write that does not fit makes
+// exactly the refused put, the eviction's delete, and the put that lands —
+// then, 30 KB being over a quarter of the array, the threshold flush reads
+// it back.
+func TestWriteUnderPressureStoreCalls(t *testing.T) {
+	// 5 x 16 KiB raw, no redundancy: two 30 KB objects fill it.
+	f := newFixture(t, policy.Uniform{ParityChunks: 0}, 0, 16<<10)
+	s := f.spy(t)
+	for n := uint64(1); n <= 2; n++ {
+		f.seed(t, n, 30_000)
+		if _, err := f.cache.Read(oid(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.cache.Len() != 2 {
+		t.Fatalf("setup: %d entries cached, want 2", f.cache.Len())
+	}
+	s.took()
+	res, err := f.cache.Write(oid(3), randBytes(3, 30_000))
+	if err != nil || !res.Hit {
+		t.Fatalf("write: hit=%v err=%v", res.Hit, err)
+	}
+	if got, want := s.took(), []string{"PutCtx", "Delete", "PutCtx", "GetCtx"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("store calls %v, want %v", got, want)
+	}
+}
+
+// TestCancellableOverwriteUnderPressureEvictsNobody: a cancellable put writes
+// the new version before freeing the old, so on a full array it is refused
+// with the old version still holding its space. Deleting the old version
+// makes the room; no other object pays for it.
+func TestCancellableOverwriteUnderPressureEvictsNobody(t *testing.T) {
+	f := newFixture(t, policy.Uniform{ParityChunks: 0}, 0, 16<<10)
+	s := f.spy(t)
+	for n := uint64(1); n <= 2; n++ {
+		f.seed(t, n, 30_000)
+		if _, err := f.cache.Read(oid(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.took()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := f.cache.WriteCtx(reqctx.New(ctx), oid(1), randBytes(3, 30_000))
+	if err != nil || !res.Hit {
+		t.Fatalf("write: hit=%v err=%v", res.Hit, err)
+	}
+	if got, want := s.took(), []string{"PutCtx", "Delete", "PutCtx", "GetCtx"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("store calls %v, want %v", got, want)
+	}
+	if ev := f.cache.Stats().Evictions; ev != 0 || !f.cache.Contains(oid(2)) {
+		t.Fatalf("%d evictions, bystander cached = %v: want it left alone", ev, f.cache.Contains(oid(2)))
+	}
+}
+
+// TestOverwritePutDidNotLand covers the one case an overwrite still deletes:
+// its put did not land. Whatever the put left in the store, afterwards the
+// manager and the store agree that the object is not cached, a cancelled
+// write is not acknowledged, and a dirty predecessor reached the backend
+// before it was put at risk.
+func TestOverwritePutDidNotLand(t *testing.T) {
+	old, update := randBytes(1, 4096), randBytes(2, 4096)
+	cases := []struct {
+		name       string
+		dirty      bool // the cached predecessor is dirty
+		cancelable bool // the write runs under a cancellable request
+		fail       func(cancel context.CancelFunc) error
+		wantErr    error
+		// wantBackend is what the backend must hold afterwards.
+		wantBackend []byte
+	}{
+		{"clean, cancelled mid-put", false, true,
+			func(cancel context.CancelFunc) error { cancel(); return nil }, context.Canceled, old},
+		{"dirty, cancelled mid-put", true, true,
+			func(cancel context.CancelFunc) error { cancel(); return nil }, context.Canceled, old},
+		{"clean, put fails hard", false, false,
+			func(context.CancelFunc) error { return errors.New("target: put failed") }, nil, update},
+		{"dirty, put fails hard", true, false,
+			func(context.CancelFunc) error { return errors.New("target: put failed") }, nil, update},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, policy.Reo{ParityBudget: 0.4}, 0.4, 4<<20)
+			s := f.spy(t)
+			if tc.dirty {
+				if _, err := f.cache.Write(oid(1), old); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if _, err := f.backend.Put(oid(1), old); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.cache.Read(oid(1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var rc *reqctx.Ctx
+			if tc.cancelable {
+				rc = reqctx.New(ctx)
+			}
+			s.onPut = func(osd.ObjectID) error { return tc.fail(cancel) }
+			res, err := f.cache.WriteCtx(rc, oid(1), update)
+			s.onPut = nil
+			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && err != nil) {
+				t.Fatalf("write: err = %v, want %v", err, tc.wantErr)
+			}
+			if res.Hit {
+				t.Fatal("a write whose put did not land was acknowledged from the cache")
+			}
+			if f.cache.Contains(oid(1)) || f.store.Has(oid(1)) {
+				t.Fatalf("cache entry %v, store copy %v: want neither", f.cache.Contains(oid(1)), f.store.Has(oid(1)))
+			}
+			if got, _, err := f.backend.Get(oid(1)); err != nil || !bytes.Equal(got, tc.wantBackend) {
+				t.Fatalf("backend copy wrong after the failed overwrite (err %v)", err)
+			}
+			if flushes := f.cache.Stats().Flushes; tc.dirty && tc.cancelable && flushes != 1 {
+				t.Fatalf("dirty predecessor under a cancellable write: %d flushes, want 1 before the put", flushes)
+			}
+			got, err := f.cache.Read(oid(1))
+			if err != nil || got.Hit || !bytes.Equal(got.Data, tc.wantBackend) {
+				t.Fatalf("read back: hit=%v err=%v", got.Hit, err)
+			}
+		})
+	}
+}

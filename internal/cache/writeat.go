@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -30,19 +29,22 @@ func (m *Manager) WriteAtCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, data
 	if err := rc.Err(); err != nil {
 		return Result{}, err
 	}
+	size := int64(len(data))
 	m.mu.Lock()
 	m.stats.Writes++
-
-	if m.disabledLocked() {
-		m.mu.Unlock()
-		return m.writeAtBackend(id, offset, data)
-	}
+	disabled := m.disabledLocked()
 
 	// bg accumulates flush work triggered while renegotiating placement;
 	// it is charged as background time on whichever outcome we return.
 	var bg time.Duration
 	for {
-		if e, ok := m.entries[id]; ok {
+		// full is the whole updated object once in-place update is off the
+		// table, pre the virtual time spent producing it.
+		var (
+			full []byte
+			pre  time.Duration
+		)
+		if e, ok := m.entries[id]; ok && !disabled {
 			if e.flushing || e.reclassing {
 				// An in-flight flush would clear the dirty bit this update
 				// is about to set, and an in-flight background reclass
@@ -54,118 +56,78 @@ func (m *Manager) WriteAtCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, data
 			cost, err := m.cfg.Store.WriteRangeCtx(rc, id, offset, data)
 			switch {
 			case err == nil:
-				m.stats.OfferedBytes += int64(len(data))
-				m.stats.AdmittedBytes += int64(len(data))
-				if !e.dirty {
-					e.dirty = true
-					m.dirtyBytes += e.size
-					e.dirtyElem = m.dirtyList.PushFront(e)
-				}
+				m.stats.OfferedBytes += size
+				m.stats.AdmittedBytes += size
+				m.setDirtyLocked(e, true)
 				e.class = osd.ClassDirty
 				m.touchLocked(e)
 				res := Result{
 					Hit:        true,
-					Bytes:      int64(len(data)),
-					Latency:    cost + m.netCost(int64(len(data))),
-					Background: bg,
+					Bytes:      size,
+					Latency:    cost + m.netCost(size),
+					Background: bg + m.maybeFlushLocked(),
 				}
-				res.Background += m.maybeFlushLocked()
 				m.mu.Unlock()
 				return res, nil
-			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-				m.mu.Unlock()
-				return Result{}, err
-			case errors.Is(err, store.ErrOutOfRange):
-				m.mu.Unlock()
-				return Result{}, err
 			case errors.Is(err, store.ErrCorrupted), errors.Is(err, store.ErrNotFound):
 				m.dropEntryLocked(e)
 				m.stats.LostObjects++
 				// Fall through to the uncached path.
 			case errors.Is(err, store.ErrCacheFull):
 				if e.dirty && rc.CanCancel() {
-					// The merge path below drops the entry before
-					// re-admitting; flush first so a cancellation during
-					// the re-admit cannot strand the acknowledged dirty
-					// update (mirrors admitLocked's dirty-overwrite rule).
+					// The admission below replaces the entry; flush first so
+					// a cancellation inside it cannot strand the acknowledged
+					// dirty update (settledLocked's rule).
 					bg += m.flushEntryLocked(e)
 					continue
 				}
-				// In-place growth impossible: merge and go through the full
-				// write path (evictions, fallback).
-				merged, mcost, err := m.mergeLocked(id, offset, data)
-				if err != nil {
+				// In-place growth impossible: merge with the cached copy and
+				// go through the full write path (evictions, fallback).
+				if full, pre, err = m.mergeLocked(id, offset, data); err != nil {
 					m.mu.Unlock()
 					return Result{}, err
 				}
-				m.dropEntryLocked(e)
-				_ = m.cfg.Store.DeleteCtx(rc, id)
-				m.stats.OfferedBytes += int64(len(merged))
-				cost, admitErr := m.admitLocked(rc, id, merged, true)
-				m.mu.Unlock()
-				if admitErr != nil {
-					return Result{}, admitErr
-				}
-				return Result{
-					Hit:        true,
-					Bytes:      int64(len(data)),
-					Latency:    mcost + cost + m.netCost(int64(len(data))),
-					Background: bg,
-				}, nil
 			default:
+				// Cancellation, deadline, out of range, or a hard error.
 				m.mu.Unlock()
 				return Result{}, err
 			}
+		}
+		if full == nil {
+			// Uncached: fetch the authoritative copy and merge. The fetch
+			// runs unlocked; if the object was admitted meanwhile, retry the
+			// cached path so the update lands on the freshest copy.
+			m.mu.Unlock()
+			var err error
+			if full, pre, err = m.fetchMerged(id, offset, data); err != nil {
+				return Result{}, err
+			}
+			if disabled {
+				// Out of service: read-modify-write against the backend.
+				res := Result{Bytes: size, Latency: pre + m.netCost(size)}
+				err = m.writeThrough(rc, id, full, &res)
+				return res, err
+			}
+			m.mu.Lock()
+			if _, ok := m.entries[id]; ok {
+				continue
+			}
+			m.stats.Misses++
 		}
 
-		// Uncached: fetch, merge, admit dirty. The fetch runs unlocked; if
-		// the object was admitted meanwhile, retry the cached path so the
-		// update lands on the freshest copy.
-		m.mu.Unlock()
-		full, fetchCost, err := m.cfg.Backend.Get(id)
-		if err != nil {
-			if errors.Is(err, backend.ErrNotFound) {
-				return Result{}, fmt.Errorf("%w: %v", ErrNoBackend, id)
-			}
-			return Result{}, err
-		}
-		if offset < 0 || offset+int64(len(data)) > int64(len(full)) {
-			return Result{}, fmt.Errorf("%w: [%d,%d) of %d-byte object %v",
-				store.ErrOutOfRange, offset, offset+int64(len(data)), len(full), id)
-		}
-		copy(full[offset:], data)
-		m.mu.Lock()
-		if _, ok := m.entries[id]; ok {
-			continue
-		}
-		m.stats.Misses++
+		// Admit the merged object dirty, exactly as a whole-object write.
 		m.stats.OfferedBytes += int64(len(full))
-		cost, admitErr := m.admitLocked(rc, id, full, true)
-		if admitErr != nil {
-			m.mu.Unlock()
-			return Result{}, admitErr
+		res := Result{Bytes: size, Latency: pre + m.netCost(size), Background: bg}
+		s := writeSub{err: errNotPut}
+		err := m.admitWriteLocked(rc, id, full, &s, &res)
+		if res.Hit {
+			res.Background += m.maybeFlushLocked()
 		}
-		if _, admitted := m.entries[id]; !admitted {
-			m.mu.Unlock()
-			bcost, err := m.cfg.Backend.PutCtx(rc, id, full)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{
-				Bytes:      int64(len(data)),
-				Latency:    fetchCost + bcost + m.netCost(int64(len(data))),
-				Background: bg + cost,
-			}, nil
-		}
-		res := Result{
-			Hit:        true,
-			Bytes:      int64(len(data)),
-			Latency:    fetchCost + cost + m.netCost(int64(len(data))),
-			Background: bg,
-		}
-		res.Background += m.maybeFlushLocked()
 		m.mu.Unlock()
-		return res, nil
+		if s.through {
+			err = m.writeThrough(rc, id, full, &res)
+		}
+		return res, err
 	}
 }
 
@@ -180,34 +142,30 @@ func (m *Manager) mergeLocked(id osd.ObjectID, offset int64, data []byte) ([]byt
 	full := make([]byte, buf.Len())
 	copy(full, buf.Bytes())
 	buf.Release()
-	if offset < 0 || offset+int64(len(data)) > int64(len(full)) {
-		return nil, 0, store.ErrOutOfRange
-	}
-	copy(full[offset:], data)
-	return full, cost, nil
+	return full, cost, applyAt(full, id, offset, data)
 }
 
-// writeAtBackend handles partial writes while caching is out of service:
-// read-modify-write directly against the backend. It runs without the
-// manager lock — the backend serialises its own state.
-func (m *Manager) writeAtBackend(id osd.ObjectID, offset int64, data []byte) (Result, error) {
-	full, fetchCost, err := m.cfg.Backend.Get(id)
+// fetchMerged fetches the authoritative copy from the backend and applies
+// the partial update in memory. It runs without the manager lock — the
+// backend serialises its own state.
+func (m *Manager) fetchMerged(id osd.ObjectID, offset int64, data []byte) ([]byte, time.Duration, error) {
+	full, cost, err := m.cfg.Backend.Get(id)
 	if err != nil {
 		if errors.Is(err, backend.ErrNotFound) {
-			return Result{}, fmt.Errorf("%w: %v", ErrNoBackend, id)
+			err = fmt.Errorf("%w: %v", ErrNoBackend, id)
 		}
-		return Result{}, err
+		return nil, 0, err
 	}
+	return full, cost, applyAt(full, id, offset, data)
+}
+
+// applyAt overwrites full[offset:] with data, rejecting an update that does
+// not lie inside the object.
+func applyAt(full []byte, id osd.ObjectID, offset int64, data []byte) error {
 	if offset < 0 || offset+int64(len(data)) > int64(len(full)) {
-		return Result{}, store.ErrOutOfRange
+		return fmt.Errorf("%w: [%d,%d) of %d-byte object %v",
+			store.ErrOutOfRange, offset, offset+int64(len(data)), len(full), id)
 	}
 	copy(full[offset:], data)
-	putCost, err := m.cfg.Backend.Put(id, full)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Bytes:   int64(len(data)),
-		Latency: fetchCost + putCost + m.netCost(int64(len(data))),
-	}, nil
+	return nil
 }

@@ -14,7 +14,6 @@ import (
 	"github.com/reo-cache/reo/internal/cluster"
 	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/hdd"
-	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/store"
 	"github.com/reo-cache/reo/internal/target"
@@ -272,31 +271,15 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 				r.Release()
 				progress.Add(1)
 			}
-			// flush issues the worker's pending same-kind requests as one
-			// batched call; sub-ops refused under admission pressure rerun
-			// through the single-op retry loop.
+			// flush issues the worker's pending same-kind requests (one, unless
+			// -batch groups more) as one batched call; sub-ops refused under
+			// admission pressure rerun through the single-op retry loop.
 			var pend []workload.Request
 			flush := func() error {
 				if len(pend) == 0 {
 					return nil
 				}
-				var (
-					results []cache.Result
-					errsB   []error
-				)
-				if pend[0].Write {
-					ops := make([]cache.BatchWrite, len(pend))
-					for k, rq := range pend {
-						ops[k] = cache.BatchWrite{ID: objectID(rq.Object), Data: Payload(tr, rq.Object, rq.Version)}
-					}
-					results, errsB = cm.WriteBatch(ops)
-				} else {
-					ids := make([]osd.ObjectID, len(pend))
-					for k, rq := range pend {
-						ids[k] = objectID(rq.Object)
-					}
-					results, errsB = cm.ReadBatch(ids)
-				}
+				results, errsB := issueBatch(cm, tr, pend)
 				for k := range results {
 					req := pend[k]
 					r, err := results[k], errsB[k]
@@ -305,33 +288,24 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 						r, err = issueOne(req)
 					}
 					if err != nil {
-						return fmt.Errorf("cluster batch request (object %d): %w", req.Object, err)
+						return fmt.Errorf("cluster request (object %d): %w", req.Object, err)
 					}
 					settle(req, r)
 				}
 				pend = pend[:0]
 				return nil
 			}
-			for i, req := range tr.Requests {
+			for _, req := range tr.Requests {
 				if req.Object%spec.Workers != w {
 					continue
 				}
-				if batchN > 1 {
-					if len(pend) > 0 && (pend[0].Write != req.Write || len(pend) == batchN) {
-						if err := flush(); err != nil {
-							errCh <- err
-							return
-						}
+				if len(pend) > 0 && (pend[0].Write != req.Write || len(pend) == batchN) {
+					if err := flush(); err != nil {
+						errCh <- err
+						return
 					}
-					pend = append(pend, req)
-					continue
 				}
-				r, err := issueOne(req)
-				if err != nil {
-					errCh <- fmt.Errorf("cluster request %d (object %d): %w", i, req.Object, err)
-					return
-				}
-				settle(req, r)
+				pend = append(pend, req)
 			}
 			if err := flush(); err != nil {
 				errCh <- err

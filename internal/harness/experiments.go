@@ -59,8 +59,8 @@ type Options struct {
 	AdmitMinHits int
 	// Batch groups up to N consecutive same-kind trace requests into one
 	// ReadBatch/WriteBatch call during the -remote and -cluster replays
-	// (reobench -batch). 0 or 1 keeps the per-op replay path, whose wire
-	// traffic and output are byte-identical to earlier versions.
+	// (reobench -batch). 0 or 1 is a batch of one — the same calls, wire
+	// traffic and output as a plain Read or Write.
 	Batch int
 }
 

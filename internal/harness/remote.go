@@ -135,60 +135,27 @@ func RemoteThroughput(loc workload.Locality, opts Options, workers, conns int) (
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if batchN > 1 {
-				// Batched replay: claim a contiguous span of the trace, then
-				// issue it as ReadBatch/WriteBatch calls over runs of
-				// consecutive same-kind requests.
-				for {
-					base := next.Add(int64(batchN)) - int64(batchN)
-					if base >= int64(len(tr.Requests)) {
+			// Claim a contiguous span of the trace, then issue it as
+			// ReadBatch/WriteBatch calls over runs of consecutive same-kind
+			// requests (a span of one is a single read or write).
+			for {
+				base := next.Add(int64(batchN)) - int64(batchN)
+				if base >= int64(len(tr.Requests)) {
+					return
+				}
+				end := base + int64(batchN)
+				if end > int64(len(tr.Requests)) {
+					end = int64(len(tr.Requests))
+				}
+				span := tr.Requests[base:end]
+				for s := 0; s < len(span); {
+					e := workload.BatchEnd(span, s, batchN)
+					if err := replayBatch(cm, tr, span[s:e], &hits, &bytes); err != nil {
+						errCh <- fmt.Errorf("remote request %d: %w", base+int64(s), err)
 						return
 					}
-					end := base + int64(batchN)
-					if end > int64(len(tr.Requests)) {
-						end = int64(len(tr.Requests))
-					}
-					span := tr.Requests[base:end]
-					for s := 0; s < len(span); {
-						e := workload.BatchEnd(span, s, batchN)
-						if err := replayBatch(cm, tr, span[s:e], &hits, &bytes); err != nil {
-							errCh <- fmt.Errorf("remote batch at %d: %w", base+int64(s), err)
-							return
-						}
-						s = e
-					}
+					s = e
 				}
-			}
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(len(tr.Requests)) {
-					return
-				}
-				req := tr.Requests[i]
-				id := objectID(req.Object)
-				var (
-					res cache.Result
-					err error
-				)
-				if req.Write {
-					res, err = cm.Write(id, Payload(tr, req.Object, req.Version))
-				} else {
-					res, err = cm.Read(id)
-				}
-				if err != nil {
-					// Concurrent workers race on admissions; a full cache is
-					// back-pressure, not a replay failure.
-					if errors.Is(err, store.ErrCacheFull) {
-						continue
-					}
-					errCh <- fmt.Errorf("remote request %d (object %d): %w", i, req.Object, err)
-					return
-				}
-				if res.Hit {
-					hits.Add(1)
-				}
-				bytes.Add(res.Bytes)
-				res.Release()
 			}
 		}()
 	}
@@ -227,28 +194,29 @@ func RemoteThroughput(loc workload.Locality, opts Options, workers, conns int) (
 	}, nil
 }
 
-// replayBatch issues one run of same-kind trace requests as a single
-// batched cache call, folding the per-sub-op outcomes into the shared
-// replay counters. A sub-op refused with ErrCacheFull is admission
-// back-pressure between racing workers, exactly as in the per-op loop.
-func replayBatch(cm *cache.Manager, tr *workload.Trace, run []workload.Request, hits, bytes *atomic.Int64) error {
-	var (
-		results []cache.Result
-		errs    []error
-	)
+// issueBatch issues one run of same-kind trace requests as a single batched
+// cache call.
+func issueBatch(cm *cache.Manager, tr *workload.Trace, run []workload.Request) ([]cache.Result, []error) {
 	if run[0].Write {
 		ops := make([]cache.BatchWrite, len(run))
 		for k, rq := range run {
 			ops[k] = cache.BatchWrite{ID: objectID(rq.Object), Data: Payload(tr, rq.Object, rq.Version)}
 		}
-		results, errs = cm.WriteBatch(ops)
-	} else {
-		ids := make([]osd.ObjectID, len(run))
-		for k, rq := range run {
-			ids[k] = objectID(rq.Object)
-		}
-		results, errs = cm.ReadBatch(ids)
+		return cm.WriteBatch(ops)
 	}
+	ids := make([]osd.ObjectID, len(run))
+	for k, rq := range run {
+		ids[k] = objectID(rq.Object)
+	}
+	return cm.ReadBatch(ids)
+}
+
+// replayBatch issues one run through issueBatch, folding the per-sub-op
+// outcomes into the shared replay counters. Concurrent workers race on
+// admissions; a sub-op refused with ErrCacheFull is back-pressure, not a
+// replay failure.
+func replayBatch(cm *cache.Manager, tr *workload.Trace, run []workload.Request, hits, bytes *atomic.Int64) error {
+	results, errs := issueBatch(cm, tr, run)
 	for k := range results {
 		if errs[k] != nil {
 			if errors.Is(errs[k], store.ErrCacheFull) {

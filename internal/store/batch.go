@@ -117,10 +117,10 @@ func (s *Store) putOneLocked(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class
 	ids, cost, err := s.stripes.WriteCtx(rc, data, scheme)
 	rc.WithOpClass(prevClass)
 	if err != nil {
-		if !writeFirst {
-			// The previous version (if any) was freed first; under
-			// write-first it was never touched and survives unchanged.
-			delete(s.objects, id)
+		if hadPrev && !writeFirst {
+			// The previous version was freed first; under write-first it
+			// was never touched and survives unchanged.
+			s.unlistLocked(id)
 		}
 		if errors.Is(err, flash.ErrDeviceFull) {
 			return 0, fmt.Errorf("%w: object %v (%d bytes)", ErrCacheFull, id, len(data))

@@ -483,8 +483,14 @@ func (s *Store) DeleteCtx(rc *reqctx.Ctx, id osd.ObjectID) error {
 
 func (s *Store) freeObjectLocked(obj *object) {
 	s.stripes.Free(obj.stripes)
-	delete(s.objects, obj.id)
-	_ = s.dir.Remove(obj.id)
+	s.unlistLocked(obj.id)
+}
+
+// unlistLocked drops the object from the object map and the OSD directory,
+// which must never disagree about what exists.
+func (s *Store) unlistLocked(id osd.ObjectID) {
+	delete(s.objects, id)
+	_ = s.dir.Remove(id)
 }
 
 // SetClass updates the object's class label without re-encoding (the raw
@@ -578,8 +584,7 @@ func (s *Store) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) 
 		if !writeFirst {
 			// The old encoding was freed first; under write-first it is
 			// untouched and the reclassification simply did not happen.
-			delete(s.objects, id)
-			_ = s.dir.Remove(id)
+			s.unlistLocked(id)
 		}
 		if errors.Is(err, flash.ErrDeviceFull) {
 			return 0, fmt.Errorf("%w: reclassify %v", ErrCacheFull, id)

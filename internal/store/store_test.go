@@ -177,6 +177,36 @@ func TestCacheFull(t *testing.T) {
 	}
 }
 
+// A free-first overwrite that does not fit has already released the old
+// version, so the object is gone — from the directory as well as the object
+// map, which must agree on what exists.
+func TestFailedOverwriteLeavesNoDirectoryEntry(t *testing.T) {
+	s := newStore(t, policy.Uniform{ParityChunks: 0}, 0)
+	for n := uint64(1); n <= 2; n++ {
+		if _, err := s.Put(oid(n), randBytes(int64(n), 1_000), osd.ClassColdClean, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 5 devices × 4MiB = 20MiB raw: the overwrite cannot fit.
+	_, err := s.Put(oid(1), make([]byte, 30<<20), osd.ClassColdClean, false)
+	if !errors.Is(err, ErrCacheFull) {
+		t.Fatalf("err = %v, want ErrCacheFull", err)
+	}
+	if s.Has(oid(1)) {
+		t.Fatal("failed overwrite left the object behind")
+	}
+	if _, err := s.Info(oid(1)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Info of the lost object: err = %v, want ErrNotFound", err)
+	}
+	listed, err := s.Directory().List(osd.FirstPID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(listed) != s.ObjectCount() {
+		t.Fatalf("directory lists %d objects, store holds %d", len(listed), s.ObjectCount())
+	}
+}
+
 func TestRedundancyBudgetEnforced(t *testing.T) {
 	// Budget 1% of 20MiB = ~210KB of redundancy. A hot-clean object of
 	// 1MiB needs ~2/3 MiB of parity under 2-parity-of-5: rejected.
