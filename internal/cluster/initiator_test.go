@@ -149,7 +149,7 @@ func TestInitiatorAdoptsInventory(t *testing.T) {
 	// evens on shard 0, odds on shard 1.
 	const objects = 50
 	for i := 0; i < objects; i++ {
-		if _, err := stores[i%2].Put(testID(i), testPayload(i, 0), osd.ClassColdClean, false); err != nil {
+		if _, err := stores[i%2].PutCtx(nil, testID(i), testPayload(i, 0), osd.ClassColdClean, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,5 +329,61 @@ func TestClusterStatsFanOut(t *testing.T) {
 	}
 	if userTotal != objects {
 		t.Errorf("stores hold %d user objects, want %d", userTotal, objects)
+	}
+}
+
+// An in-process shard is matched structurally by RecoverStep; a store whose
+// recovery method was renamed would fall to "nothing to do, done".
+func TestRecoverStepRebuildsLocalShards(t *testing.T) {
+	ini, stores := newTestCluster(t, 2)
+	const objects = 40
+	for i := 0; i < objects; i++ {
+		if _, err := ini.PutCtx(nil, testID(i), testPayload(i, 0), osd.ClassDirty, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queued := 0
+	for _, st := range stores {
+		if err := st.FailDevice(1); err != nil {
+			t.Fatal(err)
+		}
+		n, err := st.InsertSpare(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued += n
+	}
+	if queued == 0 {
+		t.Fatal("no object queued for rebuild")
+	}
+	if n, done, err := ini.RecoverStep(1); err != nil || n == 0 || done {
+		t.Fatalf("first step: rebuilt %d done %v err %v, want progress and more to do", n, done, err)
+	}
+	rebuilt := 0
+	for step := 0; ; step++ {
+		n, done, err := ini.RecoverStep(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebuilt += n
+		if done {
+			break
+		}
+		if step > queued {
+			t.Fatal("recovery never completes")
+		}
+	}
+	if rebuilt == 0 {
+		t.Fatal("RecoverStep rebuilt nothing on in-process shards")
+	}
+	for _, st := range stores {
+		if st.RecoveryActive() || st.RecoveryQueueLen() != 0 {
+			t.Errorf("shard still recovering: queue %d", st.RecoveryQueueLen())
+		}
+	}
+	for i := 0; i < objects; i++ {
+		if got := mustGet(t, ini, testID(i)); !bytes.Equal(got, testPayload(i, 0)) {
+			t.Fatalf("object %d differs after recovery", i)
+		}
 	}
 }

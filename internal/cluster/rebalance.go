@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/reo-cache/reo/internal/osd"
+	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/store"
 	"github.com/reo-cache/reo/internal/target"
 	"github.com/reo-cache/reo/internal/transport"
@@ -349,6 +350,15 @@ func (ini *Initiator) ScrubRepair() (store.ScrubRepairReport, time.Duration, int
 	return merged, cost, skipped, nil
 }
 
+// localRecoverer is how RecoverStep recognises an in-process shard. The match
+// is structural, so the assertion below is what stops a renamed store method
+// from silently turning local recovery into a no-op.
+type localRecoverer interface {
+	RecoverStepCtx(rc *reqctx.Ctx, maxObjects int) (time.Duration, int, bool, error)
+}
+
+var _ localRecoverer = (*store.Store)(nil)
+
 // RecoverStep fans one bounded recovery step out to every shard
 // concurrently. It returns the total objects rebuilt and whether every
 // shard reports recovery complete.
@@ -379,10 +389,8 @@ func (ini *Initiator) RecoverStep(maxPerShard int) (rebuilt int, done bool, err 
 			case *transport.RemoteTarget:
 				n, d, e := v.RecoverStep(maxPerShard)
 				results[i] = result{n, d, e}
-			case interface {
-				RecoverStep(int) (time.Duration, int, bool, error)
-			}:
-				_, n, d, e := v.RecoverStep(maxPerShard)
+			case localRecoverer:
+				_, n, d, e := v.RecoverStepCtx(nil, maxPerShard)
 				results[i] = result{n, d, e}
 			default:
 				results[i] = result{0, true, nil}

@@ -181,7 +181,7 @@ func TestAttachDetachAndManualCorrupt(t *testing.T) {
 	}
 	inj.Attach(arr)
 	// Device 0 is scheduled to fail-stop at op 0: the very next IO kills it.
-	if _, _, err := d.Read(1); err == nil {
+	if _, _, err := d.ReadCtx(nil, 1); err == nil {
 		t.Fatal("read on fail-stopped device succeeded")
 	}
 	if d.State() != flash.StateFailed {
@@ -195,7 +195,7 @@ func TestAttachDetachAndManualCorrupt(t *testing.T) {
 	if !inj.Corrupt(d1, 2, 0, true) {
 		t.Fatal("manual corruption found no chunk")
 	}
-	if got, _, err := d1.Read(2); err != nil || string(got) == "manual" {
+	if got, _, err := d1.ReadCtx(nil, 2); err != nil || string(got) == "manual" {
 		t.Fatalf("silent corruption: err=%v data=%q", err, got)
 	}
 	if c := inj.Counters(); c.ManualCorr != 1 {

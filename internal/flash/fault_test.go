@@ -40,7 +40,7 @@ func TestTransientReadRetriesThenSucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetFaultHook(transientN(2))
-	got, _, err := d.Read(1)
+	got, _, err := d.ReadCtx(nil, 1)
 	if err != nil {
 		t.Fatalf("Read after transients = %v, want success", err)
 	}
@@ -78,7 +78,7 @@ func TestTransientRetriesExhausted(t *testing.T) {
 	d.SetFaultHook(&funcHook{fn: func(FaultOp, ChunkAddr) FaultDecision {
 		return FaultDecision{Err: fmt.Errorf("%w: storm", ErrTransientIO)}
 	}})
-	_, _, err := d.Read(1)
+	_, _, err := d.ReadCtx(nil, 1)
 	if !IsTransient(err) {
 		t.Fatalf("err = %v, want transient", err)
 	}
@@ -100,12 +100,12 @@ func TestBitFlipDetectedAndDropped(t *testing.T) {
 	if !d.InjectCorruption(1, 3, false) {
 		t.Fatal("InjectCorruption found no chunk")
 	}
-	if _, _, err := d.Read(1); !errors.Is(err, ErrChunkCorrupt) {
+	if _, _, err := d.ReadCtx(nil, 1); !errors.Is(err, ErrChunkCorrupt) {
 		t.Fatalf("err = %v, want ErrChunkCorrupt", err)
 	}
 	// The corrupt chunk was discarded: it now reads as missing, never as
 	// wrong bytes.
-	if _, _, err := d.Read(1); !errors.Is(err, ErrChunkNotFound) {
+	if _, _, err := d.ReadCtx(nil, 1); !errors.Is(err, ErrChunkNotFound) {
 		t.Fatalf("second read err = %v, want ErrChunkNotFound", err)
 	}
 	if d.Has(1) {
@@ -127,7 +127,7 @@ func TestCorruptStaysSilent(t *testing.T) {
 	if !d.Corrupt(1, 0) {
 		t.Fatal("Corrupt found no chunk")
 	}
-	got, _, err := d.Read(1)
+	got, _, err := d.ReadCtx(nil, 1)
 	if err != nil {
 		t.Fatalf("silent corruption must not fail reads: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestHookBitFlipDetected(t *testing.T) {
 		}
 		return FaultDecision{}
 	}})
-	if _, _, err := d.Read(7); !errors.Is(err, ErrChunkCorrupt) {
+	if _, _, err := d.ReadCtx(nil, 7); !errors.Is(err, ErrChunkCorrupt) {
 		t.Fatalf("err = %v, want ErrChunkCorrupt", err)
 	}
 }
@@ -167,7 +167,7 @@ func TestLatentSectorErrorDropsChunk(t *testing.T) {
 		}
 		return FaultDecision{}
 	}})
-	if _, _, err := d.Read(9); !errors.Is(err, ErrChunkCorrupt) {
+	if _, _, err := d.ReadCtx(nil, 9); !errors.Is(err, ErrChunkCorrupt) {
 		t.Fatalf("err = %v, want ErrChunkCorrupt", err)
 	}
 	if d.Has(9) {
@@ -186,7 +186,7 @@ func TestHookFailStop(t *testing.T) {
 	d.SetFaultHook(&funcHook{fn: func(FaultOp, ChunkAddr) FaultDecision {
 		return FaultDecision{FailStop: true}
 	}})
-	if _, _, err := d.Read(1); !errors.Is(err, ErrDeviceFailed) {
+	if _, _, err := d.ReadCtx(nil, 1); !errors.Is(err, ErrDeviceFailed) {
 		t.Fatalf("err = %v, want ErrDeviceFailed", err)
 	}
 	if d.State() != StateFailed {
@@ -210,7 +210,7 @@ func TestErrorStormSuspectThenFailed(t *testing.T) {
 	}})
 	// Each exhausted read records maxIOAttempts errors in the window.
 	for d.Health().WindowErrors < suspectErrorThreshold {
-		if _, _, err := d.Read(1); err == nil {
+		if _, _, err := d.ReadCtx(nil, 1); err == nil {
 			t.Fatal("read unexpectedly succeeded under permanent storm")
 		}
 	}
@@ -222,7 +222,7 @@ func TestErrorStormSuspectThenFailed(t *testing.T) {
 		t.Fatal("suspect device must keep serving")
 	}
 	for d.State() != StateFailed {
-		if _, _, err := d.Read(1); errors.Is(err, ErrDeviceFailed) {
+		if _, _, err := d.ReadCtx(nil, 1); errors.Is(err, ErrDeviceFailed) {
 			break
 		}
 	}
@@ -241,14 +241,14 @@ func TestSuspectRecoversAfterCleanWindow(t *testing.T) {
 	}
 	d.SetFaultHook(transientN(suspectErrorThreshold))
 	for d.Health().WindowErrors < suspectErrorThreshold {
-		_, _, _ = d.Read(1)
+		_, _, _ = d.ReadCtx(nil, 1)
 	}
 	if d.State() != StateSuspect {
 		t.Fatalf("state = %v, want suspect", d.State())
 	}
 	// A full window of clean IO drains the error count and clears suspicion.
 	for i := 0; i < healthWindowSize; i++ {
-		if _, _, err := d.Read(1); err != nil {
+		if _, _, err := d.ReadCtx(nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +268,7 @@ func TestFailSlowFailsDevice(t *testing.T) {
 	// The EWMA needs slowdownMinSamples before it is trusted; at 8x the
 	// estimate crosses the fail threshold within a few more ops.
 	for i := 0; i < 2*slowdownMinSamples; i++ {
-		if _, _, err := d.Read(1); errors.Is(err, ErrDeviceFailed) {
+		if _, _, err := d.ReadCtx(nil, 1); errors.Is(err, ErrDeviceFailed) {
 			break
 		}
 	}
@@ -286,14 +286,14 @@ func TestFailSlowScalesCost(t *testing.T) {
 	if _, err := d.Write(1, []byte("cost")); err != nil {
 		t.Fatal(err)
 	}
-	_, nominal, err := d.Read(1)
+	_, nominal, err := d.ReadCtx(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.SetFaultHook(&funcHook{fn: func(FaultOp, ChunkAddr) FaultDecision {
 		return FaultDecision{LatencyScale: 4}
 	}})
-	_, slowed, err := d.Read(1)
+	_, slowed, err := d.ReadCtx(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestReplaceResetsHealth(t *testing.T) {
 	d.SetFaultHook(&funcHook{fn: func(FaultOp, ChunkAddr) FaultDecision {
 		return FaultDecision{FailStop: true}
 	}})
-	_, _, _ = d.Read(1)
+	_, _, _ = d.ReadCtx(nil, 1)
 	if d.State() != StateFailed {
 		t.Fatal("setup: device should have fail-stopped")
 	}

@@ -317,20 +317,18 @@ func scaleCost(cost time.Duration, scale float64) time.Duration {
 	return time.Duration(float64(cost) * scale)
 }
 
-// Write stores a copy of data at addr and returns the virtual-time cost.
-// Overwriting an existing chunk releases its old space first. Transient
-// injected faults are retried with bounded backoff.
-func (d *Device) Write(addr ChunkAddr, data []byte) (time.Duration, error) {
-	return d.write(nil, addr, data)
-}
-
-func (d *Device) write(rc *reqctx.Ctx, addr ChunkAddr, data []byte) (time.Duration, error) {
+// attempts runs one device operation under the retry rule of the request's op
+// class: op is retried on transient errors, with bounded backoff, until it
+// succeeds, fails hard, runs out of attempts or retry budget, or the request
+// dies during a backoff. Every attempt feeds the class's attempt observer. It
+// returns the summed cost of all attempts.
+func (d *Device) attempts(rc *reqctx.Ctx, addr ChunkAddr, op func() (time.Duration, error)) (time.Duration, error) {
 	res := d.resilience()
 	class := rc.OpClass()
 	retry := res.Rule(class).Retry
 	var total time.Duration
 	for attempt := 0; ; attempt++ {
-		cost, err := d.writeOnce(addr, data)
+		cost, err := op()
 		total += cost
 		res.ObserveAttempt(class, attempt, attemptOutcome(err), cost)
 		if err == nil || !IsTransient(err) {
@@ -350,6 +348,27 @@ func (d *Device) write(rc *reqctx.Ctx, addr ChunkAddr, data []byte) (time.Durati
 			return total, serr
 		}
 	}
+}
+
+// Write is WriteCtx under no request.
+func (d *Device) Write(addr ChunkAddr, data []byte) (time.Duration, error) {
+	return d.WriteCtx(nil, addr, data)
+}
+
+// WriteCtx stores a copy of data at addr and returns the virtual-time cost.
+// Overwriting an existing chunk releases its old space first. Device IO is
+// interruptible at chunk granularity: the request context is consulted once
+// before the chunk lands — a cancelled request never leaves a partial chunk —
+// and the write is attributed to the request.
+func (d *Device) WriteCtx(rc *reqctx.Ctx, addr ChunkAddr, data []byte) (time.Duration, error) {
+	if err := rc.Err(); err != nil {
+		return 0, err
+	}
+	cost, err := d.attempts(rc, addr, func() (time.Duration, error) { return d.writeOnce(addr, data) })
+	if err == nil {
+		rc.CountDeviceWrite(int64(len(data)))
+	}
+	return cost, err
 }
 
 func (d *Device) writeOnce(addr ChunkAddr, data []byte) (time.Duration, error) {
@@ -415,45 +434,25 @@ func (d *Device) writeOnce(addr ChunkAddr, data []byte) (time.Duration, error) {
 	return scaleCost(cost, dec.LatencyScale), nil
 }
 
-// Read returns a copy of the chunk at addr and the virtual-time cost. The
-// stored CRC32C is verified; a mismatch (or injected latent sector error)
-// drops the chunk and reports ErrChunkCorrupt, so degraded-read machinery
-// treats it exactly like a missing chunk. Transient faults are retried.
-func (d *Device) Read(addr ChunkAddr) ([]byte, time.Duration, error) {
-	data, _, _, cost, err := d.read(nil, addr, nil)
-	return data, cost, err
-}
-
-// read runs the bounded-retry loop around readOnce. When dst is non-nil the
-// chunk is copied into it (zero-alloc path) and the returned slice is nil;
-// n is the byte count copied out and stored is the full stored chunk length
-// (the transfer the device charged and attributes to the request).
-func (d *Device) read(rc *reqctx.Ctx, addr ChunkAddr, dst []byte) ([]byte, int, int64, time.Duration, error) {
-	res := d.resilience()
-	class := rc.OpClass()
-	retry := res.Rule(class).Retry
-	var total time.Duration
-	for attempt := 0; ; attempt++ {
-		out, n, stored, cost, err := d.readOnce(addr, dst)
-		total += cost
-		res.ObserveAttempt(class, attempt, attemptOutcome(err), cost)
-		if err == nil || !IsTransient(err) {
-			return out, n, stored, total, err
-		}
-		if retry.MaxAttempts > 0 && attempt+1 >= retry.MaxAttempts {
-			d.noteRetriesExhausted()
-			return out, n, stored, total, err
-		}
-		if !res.AllowRetry(class) {
-			res.ObserveAttempt(class, attempt+1, policy.OutcomeDenied, 0)
-			d.noteRetriesExhausted()
-			return out, n, stored, total, err
-		}
-		if serr := d.backoff(rc, retry, attempt, addr); serr != nil {
-			res.ObserveAttempt(class, attempt+1, policy.OutcomeCancelled, 0)
-			return nil, 0, 0, total, serr
-		}
+// read is the body of ReadCtx (dst == nil: out is a fresh copy) and ReadInto
+// (the chunk is copied into dst, out is nil and n is the byte count copied).
+// The request context is checked before the IO starts, and a successful read
+// is attributed to it at the full stored chunk length — the transfer the
+// device charged.
+func (d *Device) read(rc *reqctx.Ctx, addr ChunkAddr, dst []byte) (out []byte, n int, cost time.Duration, err error) {
+	if err := rc.Err(); err != nil {
+		return nil, 0, 0, err
 	}
+	var stored int64
+	cost, err = d.attempts(rc, addr, func() (c time.Duration, err error) {
+		out, n, stored, c, err = d.readOnce(addr, dst)
+		return c, err
+	})
+	if err != nil {
+		return nil, 0, cost, err
+	}
+	rc.CountDeviceRead(stored)
+	return out, n, cost, nil
 }
 
 func (d *Device) readOnce(addr ChunkAddr, dst []byte) ([]byte, int, int64, time.Duration, error) {
@@ -568,48 +567,23 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// WriteCtx is Write with a cancellation checkpoint: device IO is
-// interruptible at chunk granularity, so the request context is consulted
-// once before the chunk lands and the write is attributed to the request.
-// A cancelled request never leaves a partial chunk.
-func (d *Device) WriteCtx(rc *reqctx.Ctx, addr ChunkAddr, data []byte) (time.Duration, error) {
-	if err := rc.Err(); err != nil {
-		return 0, err
-	}
-	cost, err := d.write(rc, addr, data)
-	if err == nil {
-		rc.CountDeviceWrite(int64(len(data)))
-	}
-	return cost, err
-}
-
-// ReadCtx is Read with a cancellation checkpoint and per-request
-// attribution.
+// ReadCtx returns a copy of the chunk at addr and the virtual-time cost. The
+// stored CRC32C is verified; a mismatch (or injected latent sector error)
+// drops the chunk and reports ErrChunkCorrupt, so degraded-read machinery
+// treats it exactly like a missing chunk. Transient faults are retried.
 func (d *Device) ReadCtx(rc *reqctx.Ctx, addr ChunkAddr) ([]byte, time.Duration, error) {
-	if err := rc.Err(); err != nil {
-		return nil, 0, err
-	}
-	data, _, stored, cost, err := d.read(rc, addr, nil)
-	if err == nil {
-		rc.CountDeviceRead(stored)
-	}
-	return data, cost, err
+	out, _, cost, err := d.read(rc, addr, nil)
+	return out, cost, err
 }
 
 // ReadInto copies the chunk at addr into dst without allocating, returning
 // the bytes copied (min of dst length and the stored chunk length) and the
 // virtual-time cost. Cost and IO counters are charged on the full stored
 // chunk — the device always transfers whole chunks; dst only bounds how much
-// of it the caller keeps — so ReadInto and Read are indistinguishable to the
-// clock. The request context is checked before the IO starts.
+// of it the caller keeps — so ReadInto and ReadCtx are indistinguishable to
+// the clock.
 func (d *Device) ReadInto(rc *reqctx.Ctx, addr ChunkAddr, dst []byte) (int, time.Duration, error) {
-	if err := rc.Err(); err != nil {
-		return 0, 0, err
-	}
-	_, n, stored, cost, err := d.read(rc, addr, dst)
-	if err == nil {
-		rc.CountDeviceRead(stored)
-	}
+	_, n, cost, err := d.read(rc, addr, dst)
 	return n, cost, err
 }
 

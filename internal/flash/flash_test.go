@@ -27,7 +27,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if wcost <= 20*time.Microsecond {
 		t.Fatalf("write cost %v should exceed fixed latency", wcost)
 	}
-	got, rcost, err := d.Read(1)
+	got, rcost, err := d.ReadCtx(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +44,12 @@ func TestReadReturnsCopy(t *testing.T) {
 	if _, err := d.Write(1, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := d.Read(1)
+	got, _, err := d.ReadCtx(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got[0] = 99
-	again, _, err := d.Read(1)
+	again, _, err := d.ReadCtx(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestWriteStoresCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[0] = 99
-	got, _, err := d.Read(1)
+	got, _, err := d.ReadCtx(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestWriteStoresCopy(t *testing.T) {
 
 func TestReadMissingChunk(t *testing.T) {
 	d := NewDevice(testSpec())
-	if _, _, err := d.Read(42); !errors.Is(err, ErrChunkNotFound) {
+	if _, _, err := d.ReadCtx(nil, 42); !errors.Is(err, ErrChunkNotFound) {
 		t.Fatalf("err = %v, want ErrChunkNotFound", err)
 	}
 }
@@ -120,7 +120,7 @@ func TestDeleteFreesSpace(t *testing.T) {
 	if err := d.Delete(7); err != nil {
 		t.Fatal("deleting a missing chunk should be a no-op")
 	}
-	if _, _, err := d.Read(7); !errors.Is(err, ErrChunkNotFound) {
+	if _, _, err := d.ReadCtx(nil, 7); !errors.Is(err, ErrChunkNotFound) {
 		t.Fatal("chunk still readable after delete")
 	}
 }
@@ -134,7 +134,7 @@ func TestFailureSemantics(t *testing.T) {
 	if d.State() != StateFailed {
 		t.Fatalf("State = %v, want failed", d.State())
 	}
-	if _, _, err := d.Read(1); !errors.Is(err, ErrDeviceFailed) {
+	if _, _, err := d.ReadCtx(nil, 1); !errors.Is(err, ErrDeviceFailed) {
 		t.Fatalf("Read err = %v, want ErrDeviceFailed", err)
 	}
 	if _, err := d.Write(2, []byte("y")); !errors.Is(err, ErrDeviceFailed) {
@@ -166,7 +166,7 @@ func TestReplaceInstallsBlankSpare(t *testing.T) {
 	if d.Used() != 0 {
 		t.Fatal("spare should be empty")
 	}
-	if _, _, err := d.Read(1); !errors.Is(err, ErrChunkNotFound) {
+	if _, _, err := d.ReadCtx(nil, 1); !errors.Is(err, ErrChunkNotFound) {
 		t.Fatal("spare retained old data")
 	}
 	if d.Stats() != (Stats{}) {
@@ -184,7 +184,7 @@ func TestStatsAndWear(t *testing.T) {
 	if _, err := d.Write(1, make([]byte, 500)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Read(1); err != nil {
+	if _, _, err := d.ReadCtx(nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	s := d.Stats()
@@ -291,7 +291,7 @@ func TestCorruptFlipsOneBit(t *testing.T) {
 	if !d.Corrupt(1, 1) {
 		t.Fatal("Corrupt failed on present chunk")
 	}
-	got, _, err := d.Read(1)
+	got, _, err := d.ReadCtx(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

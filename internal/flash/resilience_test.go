@@ -109,7 +109,7 @@ func TestRetryLoopConsultsRegistry(t *testing.T) {
 
 	// Untagged ops (default class) still get the default 4 attempts.
 	attempts = 0
-	if _, _, err := d.Read(1); !IsTransient(err) {
+	if _, _, err := d.ReadCtx(nil, 1); !IsTransient(err) {
 		t.Fatalf("err = %v, want transient", err)
 	}
 	if attempts != maxIOAttempts {

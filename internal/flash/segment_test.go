@@ -100,7 +100,7 @@ func TestLogGCRelocatesLiveChunksByteIdentical(t *testing.T) {
 	}
 	// Every surviving chunk reads back byte-identical after relocation.
 	for a, p := range want {
-		got, _, err := d.Read(a)
+		got, _, err := d.ReadCtx(nil, a)
 		if err != nil {
 			t.Fatalf("read %d after GC: %v", a, err)
 		}
@@ -164,7 +164,7 @@ func TestLogInlineGCReclaimsWhenPhysicallyFull(t *testing.T) {
 		t.Fatalf("physical occupancy %d exceeds capacity", st.LiveBytes+st.GarbageBytes)
 	}
 	for a := ChunkAddr(1); a <= 10; a++ {
-		got, _, err := d.Read(a)
+		got, _, err := d.ReadCtx(nil, a)
 		if err != nil {
 			t.Fatalf("read %d: %v", a, err)
 		}
@@ -262,7 +262,7 @@ func TestLogGCDropsCorruptChunkInsteadOfRelocating(t *testing.T) {
 		t.Fatal("corrupt chunk survived GC relocation")
 	}
 	for _, a := range []ChunkAddr{3, 4} {
-		got, _, err := d.Read(a)
+		got, _, err := d.ReadCtx(nil, a)
 		if err != nil || !bytes.Equal(got, payload(a, 1024)) {
 			t.Fatalf("chunk %d damaged: %v", a, err)
 		}
@@ -333,7 +333,7 @@ func TestLogOversizedChunkGetsDedicatedSegment(t *testing.T) {
 	if _, err := d.Write(1, big); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := d.Read(1)
+	got, _, err := d.ReadCtx(nil, 1)
 	if err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("oversized chunk: %v", err)
 	}

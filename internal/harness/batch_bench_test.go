@@ -49,7 +49,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 		}
 		for n := uint64(0); n < objects; n++ {
 			id := osd.ObjectID{PID: osd.FirstPID, OID: osd.FirstUserOID + n}
-			if _, err := st.Put(id, payload, osd.ClassColdClean, false); err != nil {
+			if _, err := st.PutCtx(nil, id, payload, osd.ClassColdClean, false); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -440,7 +440,7 @@ func replay(sys *System, tr *workload.Trace, cfg RunConfig, res *RunResult) erro
 			}
 
 			if cfg.RecoveryObjectsPerRequest > 0 && sys.Store.RecoveryActive() {
-				cost, rebuilt, done, err := sys.Store.RecoverStep(cfg.RecoveryObjectsPerRequest)
+				cost, rebuilt, done, err := sys.Store.RecoverStepCtx(nil, cfg.RecoveryObjectsPerRequest)
 				if err != nil {
 					return fmt.Errorf("recovery step at request %d: %w", i, err)
 				}

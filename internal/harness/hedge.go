@@ -127,7 +127,7 @@ func HedgeRun(cfg HedgeConfig) (*HedgeResult, error) {
 		rng.Read(payloads[obj])
 	}
 	for obj, data := range payloads {
-		if _, err := st.Put(objectID(obj), data, osd.ClassColdClean, false); err != nil {
+		if _, err := st.PutCtx(nil, objectID(obj), data, osd.ClassColdClean, false); err != nil {
 			return nil, fmt.Errorf("populate object %d: %w", obj, err)
 		}
 	}

@@ -100,7 +100,7 @@ func TestHedgeLoserCancellationSoak(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(obj) + 99))
 		payloads[obj] = make([]byte, objectLen)
 		rng.Read(payloads[obj])
-		if _, err := st.Put(objectID(obj), payloads[obj], osd.ClassColdClean, false); err != nil {
+		if _, err := st.PutCtx(nil, objectID(obj), payloads[obj], osd.ClassColdClean, false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,14 +1,13 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
+	"github.com/reo-cache/reo/internal/stripe"
 	"github.com/reo-cache/reo/internal/target"
 )
 
@@ -104,47 +103,32 @@ func (s *Store) putOneLocked(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class
 	if err := s.checkBudgetLocked(id, class, scheme, len(data)); err != nil {
 		return 0, err
 	}
-	prev, hadPrev := s.objects[id]
-	writeFirst := hadPrev && rc.CanCancel()
-	if hadPrev && !writeFirst {
-		// Free the previous version first so its space is reusable.
-		s.stripes.Free(prev.stripes)
+	var old []stripe.ID
+	if prev, ok := s.objects[id]; ok {
+		old = prev.stripes
 	}
+	writeFirst := rc.CanCancel() // before the class timeout below can add a deadline
 	prevClass := rc.OpClass()
 	if dirty {
 		s.enterOpClass(rc, policy.OpWriteDirty)
 	}
-	ids, cost, err := s.stripes.WriteCtx(rc, data, scheme)
+	ids, cost, err := s.replaceStripesLocked(rc, id, old, data, scheme, writeFirst)
 	rc.WithOpClass(prevClass)
 	if err != nil {
-		if hadPrev && !writeFirst {
-			// The previous version was freed first; under write-first it
-			// was never touched and survives unchanged.
-			s.unlistLocked(id)
-		}
-		if errors.Is(err, flash.ErrDeviceFull) {
-			return 0, fmt.Errorf("%w: object %v (%d bytes)", ErrCacheFull, id, len(data))
-		}
 		return 0, err
-	}
-	if writeFirst {
-		s.stripes.Free(prev.stripes)
 	}
 	s.objects[id] = &object{id: id, class: class, size: len(data), dirty: dirty, stripes: ids}
 	if s.dir.Exists(id) {
-		if err := s.dir.Update(id, func(info *osd.Info) {
+		err = s.dir.Update(id, func(info *osd.Info) {
 			info.Size = int64(len(data))
 			info.Class = class
 			info.Dirty = dirty
-		}); err != nil {
-			return 0, err
-		}
+		})
 	} else {
-		if err := s.dir.CreateObject(osd.Info{
-			ID: id, Type: osd.TypeUser, Class: class, Size: int64(len(data)), Dirty: dirty,
-		}); err != nil {
-			return 0, err
-		}
+		err = s.dir.CreateObject(osd.Info{ID: id, Type: osd.TypeUser, Class: class, Size: int64(len(data)), Dirty: dirty})
+	}
+	if err != nil {
+		return 0, err
 	}
 	return cost, nil
 }

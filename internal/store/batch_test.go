@@ -22,7 +22,7 @@ func TestGetBatchVectored(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ids[i] = oid(uint64(i))
 		want[i] = randBytes(int64(i), 600+40*i)
-		if _, err := s.Put(ids[i], want[i], osd.ClassHotClean, false); err != nil {
+		if _, err := s.PutCtx(nil, ids[i], want[i], osd.ClassHotClean, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,10 +46,10 @@ func TestGetBatchVectored(t *testing.T) {
 
 func TestGetBatchPerOpErrors(t *testing.T) {
 	s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
-	if _, err := s.Put(oid(0), randBytes(1, 512), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(0), randBytes(1, 512), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put(oid(2), randBytes(2, 512), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(2), randBytes(2, 512), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	results := s.GetBatchCtx(nil, []osd.ObjectID{oid(0), oid(99), oid(2)})
@@ -97,7 +97,7 @@ func TestPutBatchPerOpErrors(t *testing.T) {
 
 func TestBatchCancellationDrains(t *testing.T) {
 	s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
-	if _, err := s.Put(oid(0), randBytes(1, 512), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(0), randBytes(1, 512), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -132,7 +132,7 @@ func TestBatchCancellationDrains(t *testing.T) {
 	// the dying request skips leave the gather short, which must surface as
 	// the context error — never as ErrCorrupted, which frees the object.
 	payload := randBytes(4, 4096)
-	if _, err := s.Put(oid(20), payload, osd.ClassHotClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(20), payload, osd.ClassHotClean, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, dev := range []int{0, 1} {
@@ -207,7 +207,7 @@ func TestBatchCostParity(t *testing.T) {
 	data := randBytes(7, 4096)
 	other := randBytes(8, 700)
 	single := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
-	costPut, err := single.Put(oid(0), data, osd.ClassHotClean, false)
+	costPut, err := single.PutCtx(nil, oid(0), data, osd.ClassHotClean, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +239,11 @@ func TestBatchCostParity(t *testing.T) {
 			// point gets its own identically prepared store.
 			prepare := func() (*Store, *reqctx.Ctx) {
 				s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
-				if _, err := s.Put(oid(0), data, osd.ClassHotClean, false); err != nil {
+				if _, err := s.PutCtx(nil, oid(0), data, osd.ClassHotClean, false); err != nil {
 					t.Fatal(err)
 				}
 				// A replicated bystander survives every failure below.
-				if _, err := s.Put(oid(1), other, osd.ClassDirty, true); err != nil {
+				if _, err := s.PutCtx(nil, oid(1), other, osd.ClassDirty, true); err != nil {
 					t.Fatal(err)
 				}
 				for dev := 0; dev < tc.failed; dev++ {

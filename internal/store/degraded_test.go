@@ -34,7 +34,7 @@ func stripeLayout(id stripe.ID, n, k int) (parity, data []int) {
 func putHot(t *testing.T, s *Store) (payload []byte, sid stripe.ID, k int) {
 	t.Helper()
 	payload = randBytes(11, 20_000)
-	if _, err := s.Put(oid(1), payload, osd.ClassHotClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), payload, osd.ClassHotClean, false); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.RLock()

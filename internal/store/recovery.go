@@ -137,22 +137,19 @@ func (s *Store) RecoveryPending() []osd.ObjectID {
 	return append([]osd.ObjectID(nil), s.queue...)
 }
 
-// RecoverStep rebuilds up to maxObjects objects from the head of the queue
+// RecoverStepCtx rebuilds up to maxObjects objects from the head of the queue
 // and returns the IO cost, the number of objects actually rebuilt, and
 // whether recovery has completed. Objects found irrecoverable mid-queue are
 // freed and skipped; objects already healthy (e.g. re-put by the cache since
-// queueing) are skipped at no cost.
-func (s *Store) RecoverStep(maxObjects int) (cost time.Duration, rebuilt int, done bool, err error) {
-	return s.RecoverStepCtx(nil, maxObjects)
-}
-
-// RecoverStepCtx is RecoverStep driven by a request context. A Background-
-// priority context turns the step into a good citizen: between objects it
-// checks for cancellation and — when on-demand requests are registered
-// in-flight (see trackOnDemand) — drops the store lock so they can run,
-// reacquiring it afterwards. The rebuild queue is consistent at every object
-// boundary, so yielding mid-step is safe. Legacy callers (nil context) keep
-// the original hold-the-lock-for-the-whole-step behaviour.
+// queueing) are skipped at no cost. All of a step's device IO, rebuilt-chunk
+// writes included, runs under the recover.bg op class.
+//
+// A Background-priority context turns the step into a good citizen: between
+// objects it checks for cancellation and — when on-demand requests are
+// registered in-flight (see trackOnDemand) — drops the store lock so they can
+// run, reacquiring it afterwards. The rebuild queue is consistent at every
+// object boundary, so yielding mid-step is safe. A nil context keeps the
+// original hold-the-lock-for-the-whole-step behaviour.
 func (s *Store) RecoverStepCtx(rc *reqctx.Ctx, maxObjects int) (cost time.Duration, rebuilt int, done bool, err error) {
 	if maxObjects <= 0 {
 		return 0, 0, !s.RecoveryActive(), nil
@@ -222,9 +219,6 @@ func (s *Store) rebuildObjectLocked(rc *reqctx.Ctx, obj *object) (time.Duration,
 		c, status, err := s.stripes.RebuildCtx(rc, sid)
 		total += c
 		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return total, err
-			}
 			return total, fmt.Errorf("object %v: %w", obj.id, err)
 		}
 		if status == stripe.StatusLost {
@@ -255,15 +249,13 @@ func (s *Store) reencodeObjectLocked(rc *reqctx.Ctx, obj *object) (time.Duration
 	if err != nil {
 		return readCost, fmt.Errorf("object %v: %w", obj.id, err)
 	}
-	scheme := s.cfg.Policy.SchemeFor(obj.class)
-	ids, writeCost, err := s.stripes.WriteCtx(rc, data, scheme)
+	ids, writeCost, err := s.replaceStripesLocked(rc, obj.id, obj.stripes, data, s.cfg.Policy.SchemeFor(obj.class), true)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return readCost, err
 		}
 		return readCost, nil // stays degraded; served via reconstruction
 	}
-	s.stripes.Free(obj.stripes)
 	obj.stripes = ids
 	s.reencoded++
 	return readCost + writeCost, nil
@@ -271,14 +263,14 @@ func (s *Store) reencodeObjectLocked(rc *reqctx.Ctx, obj *object) (time.Duration
 
 // RecoverAll drives recovery to completion and returns the total IO cost and
 // number of objects rebuilt. Intended for tests and offline rebuilds; live
-// systems interleave RecoverStep with request service.
+// systems interleave RecoverStepCtx with request service.
 func (s *Store) RecoverAll() (time.Duration, int, error) {
 	var (
 		total   time.Duration
 		rebuilt int
 	)
 	for {
-		cost, n, done, err := s.RecoverStep(64)
+		cost, n, done, err := s.RecoverStepCtx(nil, 64)
 		total += cost
 		rebuilt += n
 		if err != nil {

@@ -24,7 +24,7 @@ func populate(t *testing.T, s *Store) map[osd.ObjectID][]byte {
 	}
 	for i, c := range classes {
 		data := randBytes(int64(i+100), 10_000)
-		if _, err := s.Put(c.id, data, c.class, c.dirty); err != nil {
+		if _, err := s.PutCtx(nil, c.id, data, c.class, c.dirty); err != nil {
 			t.Fatalf("put %v: %v", c.id, err)
 		}
 		out[c.id] = data
@@ -131,10 +131,10 @@ func TestRecoveryStripeOrderBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Write objects in an order that puts a cold object first on disk.
-	if _, err := s.Put(oid(1), randBytes(1, 5_000), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), randBytes(1, 5_000), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put(oid(2), randBytes(2, 5_000), osd.ClassDirty, true); err != nil {
+	if _, err := s.PutCtx(nil, oid(2), randBytes(2, 5_000), osd.ClassDirty, true); err != nil {
 		t.Fatal(err)
 	}
 	_ = s.FailDevice(0)
@@ -167,7 +167,7 @@ func TestRecoverStepBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rebuilt, done, err := s.RecoverStep(1)
+	_, rebuilt, done, err := s.RecoverStepCtx(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,14 +207,14 @@ func TestRecoveryFreesLostObjects(t *testing.T) {
 
 func TestRecoverStepNoWork(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 1}, 0)
-	cost, rebuilt, done, err := s.RecoverStep(10)
+	cost, rebuilt, done, err := s.RecoverStepCtx(nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cost != 0 || rebuilt != 0 || !done {
 		t.Fatalf("idle RecoverStep = %v/%d/%v", cost, rebuilt, done)
 	}
-	if _, _, done, _ := s.RecoverStep(0); !done {
+	if _, _, done, _ := s.RecoverStepCtx(nil, 0); !done {
 		t.Fatal("zero-budget step on idle store should report done")
 	}
 }

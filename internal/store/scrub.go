@@ -103,16 +103,24 @@ func (s *Store) buildScrubReport(res stripe.ScrubResult) ScrubReport {
 // corruption can be located (stripe.RepairStripe), otherwise invalidate the
 // owning clean object so the next access refetches it from the backend.
 // Dirty objects are never invalidated — their flash copy is the only copy —
-// and are reported instead.
+// and are reported instead. Scan and repairs share one scrub.bg context: when
+// its timeout ends the pass, the report so far comes back with its error.
 func (s *Store) ScrubRepair() (ScrubRepairReport, time.Duration, error) {
-	res, cost, err := s.stripes.ScrubCtx(s.scrubCtx())
+	rc := s.scrubCtx()
+	res, cost, err := s.stripes.ScrubCtx(rc)
 	if err != nil {
 		return ScrubRepairReport{}, cost, err
 	}
 	report := ScrubRepairReport{ScrubReport: s.buildScrubReport(res)}
 	for _, sid := range res.Mismatched {
-		repaired, c, rerr := s.stripes.RepairStripe(sid)
+		repaired, c, rerr := s.stripes.RepairStripe(rc, sid)
 		cost += c
+		if cerr := rc.Err(); cerr != nil && !repaired {
+			// A repair the deadline cut short says nothing about its stripe:
+			// neither "freed" nor "cannot be arbitrated".
+			err = cerr
+			break
+		}
 		if rerr != nil {
 			continue // e.g. the stripe was freed since the scan
 		}
@@ -140,7 +148,7 @@ func (s *Store) ScrubRepair() (ScrubRepairReport, time.Duration, error) {
 	}
 	sortObjectIDs(report.Invalidated)
 	sortObjectIDs(report.UnrepairableDirty)
-	return report, cost, nil
+	return report, cost, err
 }
 
 // ownerOfLocked finds the live object holding the given stripe.

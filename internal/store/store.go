@@ -268,7 +268,7 @@ func New(cfg Config) (*Store, error) {
 			for i := range payload {
 				payload[i] = byte(oid + uint64(i))
 			}
-			if _, err := s.Put(id, payload, osd.ClassMetadata, false); err != nil {
+			if _, err := s.PutCtx(nil, id, payload, osd.ClassMetadata, false); err != nil {
 				return nil, fmt.Errorf("store: materialise metadata %v: %w", id, err)
 			}
 		}
@@ -305,22 +305,14 @@ func (s *Store) Directory() *osd.Directory { return s.dir }
 // Policy returns the configured redundancy policy.
 func (s *Store) Policy() policy.Policy { return s.cfg.Policy }
 
-// Put writes (or overwrites) an object with the given class, applying the
-// policy's redundancy scheme. It returns the virtual-time IO cost.
-func (s *Store) Put(id osd.ObjectID, data []byte, class osd.Class, dirty bool) (time.Duration, error) {
-	return s.PutCtx(nil, id, data, class, dirty)
-}
-
-// PutCtx is Put under a request context. When the request is cancellable the
-// new version is written *before* the previous one is freed, so a
-// cancellation (or any mid-write failure) leaves the previous version fully
-// intact — at the price of transiently holding both copies. Non-cancellable
-// requests keep the legacy free-first order, whose space reuse the
-// steady-state experiments depend on.
+// PutCtx writes (or overwrites) an object with the given class, applying the
+// policy's redundancy scheme. It returns the virtual-time IO cost. When the
+// request is cancellable the new version is written *before* the previous one
+// is freed, so a cancellation (or any mid-write failure) leaves the previous
+// version fully intact — at the price of transiently holding both copies.
+// Non-cancellable requests keep the legacy free-first order, whose space reuse
+// the steady-state experiments depend on.
 func (s *Store) PutCtx(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class osd.Class, dirty bool) (time.Duration, error) {
-	if !class.Valid() {
-		return 0, fmt.Errorf("store: invalid class %d", class)
-	}
 	if err := rc.Err(); err != nil {
 		return 0, err
 	}
@@ -446,6 +438,34 @@ func (s *Store) readObjectLocked(rc *reqctx.Ctx, obj *object) ([]byte, time.Dura
 	return data, cost, err
 }
 
+// replaceStripesLocked is the one place an object's stripes are written: it
+// encodes data under scheme, swaps the result for old (nil for a new object)
+// and returns the new stripe IDs. Write-first keeps old intact until the new
+// stripes are durable, so a failure or cancellation leaves the previous
+// version untouched. Free-first releases old up front so its space is
+// reusable; a failure then leaves no version at all, and the object is
+// unlisted. A full device surfaces as ErrCacheFull.
+func (s *Store) replaceStripesLocked(rc *reqctx.Ctx, id osd.ObjectID, old []stripe.ID, data []byte, scheme policy.Scheme, writeFirst bool) ([]stripe.ID, time.Duration, error) {
+	freeFirst := len(old) > 0 && !writeFirst
+	if freeFirst {
+		s.stripes.Free(old)
+	}
+	ids, cost, err := s.stripes.WriteCtx(rc, data, scheme)
+	if err != nil {
+		if freeFirst {
+			s.unlistLocked(id)
+		}
+		if errors.Is(err, flash.ErrDeviceFull) {
+			err = fmt.Errorf("%w: object %v (%d bytes)", ErrCacheFull, id, len(data))
+		}
+		return nil, 0, err
+	}
+	if !freeFirst {
+		s.stripes.Free(old)
+	}
+	return ids, cost, nil
+}
+
 // dropCorpse frees an object a read found unrecoverable. It re-checks the
 // entry under the writer lock: a concurrent Put may have replaced it while
 // the reader lock was down.
@@ -509,13 +529,6 @@ func (s *Store) SetClass(id osd.ObjectID, class osd.Class) error {
 	return s.dir.SetClass(id, class)
 }
 
-// Reclassify changes the object's class and, when the policy maps the new
-// class to a different redundancy scheme, re-encodes the object in place
-// (read + rewrite). It returns the IO cost.
-func (s *Store) Reclassify(id osd.ObjectID, class osd.Class) (time.Duration, error) {
-	return s.ReclassifyCtx(nil, id, class)
-}
-
 // reclassYieldBudget caps how long a background reclassification defers to
 // on-demand traffic before taking the store lock anyway — deference, not
 // starvation.
@@ -538,11 +551,13 @@ func (s *Store) yieldToOnDemand(rc *reqctx.Ctx) {
 	}
 }
 
-// ReclassifyCtx is Reclassify under a request context. As with PutCtx, a
-// cancellable request re-encodes write-first so an abort mid-rewrite leaves
-// the object readable under its old scheme. Background-priority requests
-// (the cache's async reclassifier pool) defer to in-flight on-demand
-// traffic before contending for the store lock.
+// ReclassifyCtx changes the object's class and, when the policy maps the new
+// class to a different redundancy scheme, re-encodes the object (read +
+// rewrite). It returns the IO cost. As with PutCtx, a cancellable request
+// re-encodes write-first so an abort mid-rewrite leaves the object readable
+// under its old scheme. Background-priority requests (the cache's async
+// reclassifier pool) defer to in-flight on-demand traffic before contending
+// for the store lock.
 func (s *Store) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) (time.Duration, error) {
 	if !class.Valid() {
 		return 0, fmt.Errorf("store: invalid class %d", class)
@@ -575,24 +590,9 @@ func (s *Store) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) 
 		}
 		return 0, err
 	}
-	writeFirst := rc.CanCancel()
-	if !writeFirst {
-		s.stripes.Free(obj.stripes)
-	}
-	ids, writeCost, err := s.stripes.WriteCtx(rc, data, newScheme)
+	ids, writeCost, err := s.replaceStripesLocked(rc, id, obj.stripes, data, newScheme, rc.CanCancel())
 	if err != nil {
-		if !writeFirst {
-			// The old encoding was freed first; under write-first it is
-			// untouched and the reclassification simply did not happen.
-			s.unlistLocked(id)
-		}
-		if errors.Is(err, flash.ErrDeviceFull) {
-			return 0, fmt.Errorf("%w: reclassify %v", ErrCacheFull, id)
-		}
 		return 0, err
-	}
-	if writeFirst {
-		s.stripes.Free(obj.stripes)
 	}
 	obj.stripes = ids
 	obj.class = class

@@ -79,11 +79,11 @@ func TestInsertSpareBounds(t *testing.T) {
 
 func TestReclassifyCorruptedObject(t *testing.T) {
 	s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
-	if _, err := s.Put(oid(1), randBytes(1, 5_000), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), randBytes(1, 5_000), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	_ = s.FailDevice(0) // cold (0-parity) object is lost
-	if _, err := s.Reclassify(oid(1), osd.ClassHotClean); !errors.Is(err, ErrCorrupted) {
+	if _, err := s.ReclassifyCtx(nil, oid(1), osd.ClassHotClean); !errors.Is(err, ErrCorrupted) {
 		t.Fatalf("err = %v, want ErrCorrupted", err)
 	}
 	if s.Has(oid(1)) {
@@ -93,7 +93,7 @@ func TestReclassifyCorruptedObject(t *testing.T) {
 
 func TestReclassifyMissingObject(t *testing.T) {
 	s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
-	if _, err := s.Reclassify(oid(404), osd.ClassHotClean); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ReclassifyCtx(nil, oid(404), osd.ClassHotClean); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -103,10 +103,10 @@ func TestReclassifyBudgetRejection(t *testing.T) {
 	// sense-0x67 semantics, leaving the object intact and cold.
 	s := newStore(t, policy.Reo{ParityBudget: 0.001}, 0.001)
 	data := randBytes(2, 200_000)
-	if _, err := s.Put(oid(1), data, osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), data, osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Reclassify(oid(1), osd.ClassHotClean); !errors.Is(err, ErrRedundancyFull) {
+	if _, err := s.ReclassifyCtx(nil, oid(1), osd.ClassHotClean); !errors.Is(err, ErrRedundancyFull) {
 		t.Fatalf("err = %v, want ErrRedundancyFull", err)
 	}
 	info, err := s.Info(oid(1))
@@ -123,10 +123,10 @@ func TestHotOverheadExcludesOtherClasses(t *testing.T) {
 	s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
 	// Dirty (replicated) and cold (no parity) objects contribute nothing
 	// to the hot-overhead account.
-	if _, err := s.Put(oid(1), randBytes(3, 50_000), osd.ClassDirty, true); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), randBytes(3, 50_000), osd.ClassDirty, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put(oid(2), randBytes(4, 50_000), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(2), randBytes(4, 50_000), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
@@ -135,7 +135,7 @@ func TestHotOverheadExcludesOtherClasses(t *testing.T) {
 	if overhead != 0 {
 		t.Fatalf("hot overhead = %d with no hot objects", overhead)
 	}
-	if _, err := s.Put(oid(3), randBytes(5, 30_000), osd.ClassHotClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(3), randBytes(5, 30_000), osd.ClassHotClean, false); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()

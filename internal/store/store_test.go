@@ -96,7 +96,7 @@ func TestMetadataObjectsMaterialised(t *testing.T) {
 func TestPutGetRoundTrip(t *testing.T) {
 	s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
 	data := randBytes(1, 50_000)
-	cost, err := s.Put(oid(1), data, osd.ClassColdClean, false)
+	cost, err := s.PutCtx(nil, oid(1), data, osd.ClassColdClean, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,27 +130,27 @@ func TestGetNotFound(t *testing.T) {
 
 func TestInvalidClassRejected(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 1}, 0)
-	if _, err := s.Put(oid(1), []byte("x"), osd.Class(9), false); err == nil {
+	if _, err := s.PutCtx(nil, oid(1), []byte("x"), osd.Class(9), false); err == nil {
 		t.Fatal("invalid class accepted on Put")
 	}
-	if _, err := s.Put(oid(1), []byte("x"), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), []byte("x"), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SetClass(oid(1), osd.Class(9)); err == nil {
 		t.Fatal("invalid class accepted on SetClass")
 	}
-	if _, err := s.Reclassify(oid(1), osd.Class(-1)); err == nil {
+	if _, err := s.ReclassifyCtx(nil, oid(1), osd.Class(-1)); err == nil {
 		t.Fatal("invalid class accepted on Reclassify")
 	}
 }
 
 func TestOverwriteFreesOldSpace(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 0}, 0)
-	if _, err := s.Put(oid(1), randBytes(2, 100_000), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), randBytes(2, 100_000), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	used := s.UsedBytes()
-	if _, err := s.Put(oid(1), randBytes(3, 1_000), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), randBytes(3, 1_000), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	if s.UsedBytes() >= used {
@@ -168,7 +168,7 @@ func TestOverwriteFreesOldSpace(t *testing.T) {
 func TestCacheFull(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 0}, 0)
 	// 5 devices × 4MiB = 20MiB raw. A 30MiB object cannot fit.
-	_, err := s.Put(oid(1), make([]byte, 30<<20), osd.ClassColdClean, false)
+	_, err := s.PutCtx(nil, oid(1), make([]byte, 30<<20), osd.ClassColdClean, false)
 	if !errors.Is(err, ErrCacheFull) {
 		t.Fatalf("err = %v, want ErrCacheFull", err)
 	}
@@ -183,12 +183,12 @@ func TestCacheFull(t *testing.T) {
 func TestFailedOverwriteLeavesNoDirectoryEntry(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 0}, 0)
 	for n := uint64(1); n <= 2; n++ {
-		if _, err := s.Put(oid(n), randBytes(int64(n), 1_000), osd.ClassColdClean, false); err != nil {
+		if _, err := s.PutCtx(nil, oid(n), randBytes(int64(n), 1_000), osd.ClassColdClean, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// 5 devices × 4MiB = 20MiB raw: the overwrite cannot fit.
-	_, err := s.Put(oid(1), make([]byte, 30<<20), osd.ClassColdClean, false)
+	_, err := s.PutCtx(nil, oid(1), make([]byte, 30<<20), osd.ClassColdClean, false)
 	if !errors.Is(err, ErrCacheFull) {
 		t.Fatalf("err = %v, want ErrCacheFull", err)
 	}
@@ -211,23 +211,23 @@ func TestRedundancyBudgetEnforced(t *testing.T) {
 	// Budget 1% of 20MiB = ~210KB of redundancy. A hot-clean object of
 	// 1MiB needs ~2/3 MiB of parity under 2-parity-of-5: rejected.
 	s := newStore(t, policy.Reo{ParityBudget: 0.01}, 0.01)
-	_, err := s.Put(oid(1), make([]byte, 1<<20), osd.ClassHotClean, false)
+	_, err := s.PutCtx(nil, oid(1), make([]byte, 1<<20), osd.ClassHotClean, false)
 	if !errors.Is(err, ErrRedundancyFull) {
 		t.Fatalf("err = %v, want ErrRedundancyFull", err)
 	}
 	// The same bytes as cold-clean (no redundancy) are fine.
-	if _, err := s.Put(oid(1), make([]byte, 1<<20), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), make([]byte, 1<<20), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	// Dirty data bypasses the budget: always protected.
-	if _, err := s.Put(oid(2), make([]byte, 100_000), osd.ClassDirty, true); err != nil {
+	if _, err := s.PutCtx(nil, oid(2), make([]byte, 100_000), osd.ClassDirty, true); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestBudgetNotEnforcedForUniformPolicies(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 2}, 0.01)
-	if _, err := s.Put(oid(1), make([]byte, 1<<20), osd.ClassHotClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), make([]byte, 1<<20), osd.ClassHotClean, false); err != nil {
 		t.Fatalf("uniform policy should ignore budget: %v", err)
 	}
 }
@@ -235,7 +235,7 @@ func TestBudgetNotEnforcedForUniformPolicies(t *testing.T) {
 func TestDegradedGet(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 1}, 0)
 	data := randBytes(4, 20_000)
-	if _, err := s.Put(oid(1), data, osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), data, osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.FailDevice(2); err != nil {
@@ -258,7 +258,7 @@ func TestDegradedGet(t *testing.T) {
 
 func TestCorruptedGetFreesObject(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 0}, 0)
-	if _, err := s.Put(oid(1), randBytes(5, 20_000), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), randBytes(5, 20_000), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.FailDevice(0); err != nil {
@@ -281,7 +281,7 @@ func TestCorruptedGetFreesObject(t *testing.T) {
 
 func TestDeleteAndMarkClean(t *testing.T) {
 	s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
-	if _, err := s.Put(oid(1), randBytes(6, 1_000), osd.ClassDirty, true); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), randBytes(6, 1_000), osd.ClassDirty, true); err != nil {
 		t.Fatal(err)
 	}
 	info, err := s.Info(oid(1))
@@ -309,11 +309,11 @@ func TestDeleteAndMarkClean(t *testing.T) {
 func TestReclassifyReencodes(t *testing.T) {
 	s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
 	data := randBytes(7, 30_000)
-	if _, err := s.Put(oid(1), data, osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), data, osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	before := s.OverheadBytes()
-	cost, err := s.Reclassify(oid(1), osd.ClassHotClean)
+	cost, err := s.ReclassifyCtx(nil, oid(1), osd.ClassHotClean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,10 +337,10 @@ func TestReclassifyReencodes(t *testing.T) {
 
 func TestReclassifySameSchemeIsFree(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 1}, 0)
-	if _, err := s.Put(oid(1), randBytes(8, 1_000), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), randBytes(8, 1_000), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
-	cost, err := s.Reclassify(oid(1), osd.ClassHotClean)
+	cost, err := s.ReclassifyCtx(nil, oid(1), osd.ClassHotClean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestSpaceEfficiencyUniform(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 1}, 0)
 	// Write data that exactly fills stripes: 4 × 1024 bytes each.
 	for i := 0; i < 10; i++ {
-		if _, err := s.Put(oid(uint64(i)), randBytes(int64(i), 4*1024), osd.ClassColdClean, false); err != nil {
+		if _, err := s.PutCtx(nil, oid(uint64(i)), randBytes(int64(i), 4*1024), osd.ClassColdClean, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -374,7 +374,7 @@ func TestSpaceEfficiencyUniform(t *testing.T) {
 
 func TestControlSetIDAndQuery(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 1}, 0)
-	if _, err := s.Put(oid(1), randBytes(9, 2_000), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), randBytes(9, 2_000), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	sense, err := s.Control(osd.SetIDCommand{Object: oid(1), Class: osd.ClassHotClean}.Encode())
@@ -406,7 +406,7 @@ func TestControlSetIDAndQuery(t *testing.T) {
 
 func TestControlQueryCorrupted(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 0}, 0)
-	if _, err := s.Put(oid(1), randBytes(10, 5_000), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), randBytes(10, 5_000), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	_ = s.FailDevice(0)

@@ -5,37 +5,33 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/osd"
+	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
 )
 
 // ErrOutOfRange is returned when a partial write falls outside the object.
 var ErrOutOfRange = errors.New("store: write range outside object bounds")
 
-// WriteRange overwrites [offset, offset+len(data)) of an existing object
-// and marks it dirty. Two paths, depending on whether the dirty class
-// changes the redundancy scheme:
+// WriteRangeCtx overwrites [offset, offset+len(data)) of an existing object
+// and marks it dirty, returning the virtual-time IO cost. It is a dirty write
+// and runs under the write.dirty op class like a dirty PutCtx. Two paths,
+// depending on whether the dirty class changes the redundancy scheme:
 //
 //   - Same scheme (uniform policies, or an already-dirty object): the
 //     update happens *in place*, maintaining parity with the
-//     least-disk-reads strategy (§II.B delta vs direct parity-updating).
+//     least-disk-reads strategy (§II.B delta vs direct parity-updating). It
+//     is cancellable until its first chunk write is due; from then on it runs
+//     to completion whatever the request says, because a half-updated stripe
+//     would have parity that no longer matches its data (stripe/update.go).
+//     The request still supplies the op class, ID and IO attribution of every
+//     chunk read and write.
 //   - Scheme change (a clean object under a differentiated policy becomes
 //     Class 1): the object is read, merged, and rewritten under the dirty
 //     scheme — partial updates cannot stay on parity stripes when the
-//     paper's policy demands replication for dirty data.
-//
-// It returns the virtual-time IO cost.
-func (s *Store) WriteRange(id osd.ObjectID, offset int64, data []byte) (time.Duration, error) {
-	return s.WriteRangeCtx(nil, id, offset, data)
-}
-
-// WriteRangeCtx is WriteRange under a request context. The scheme-change
-// path already writes the new copy before freeing the old, so cancellation
-// at any chunk boundary leaves either the old object or the fully written
-// new one — never a torn middle state. In-place same-scheme updates are not
-// cancellable mid-stripe (a half-updated stripe would corrupt parity); the
-// context is only consulted before the update begins.
+//     paper's policy demands replication for dirty data. The new copy is
+//     written before the old is freed, so cancellation at any chunk boundary
+//     leaves either the old object or the fully written new one.
 func (s *Store) WriteRangeCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, data []byte) (time.Duration, error) {
 	if err := rc.Err(); err != nil {
 		return 0, err
@@ -54,51 +50,36 @@ func (s *Store) WriteRangeCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, dat
 	if len(data) == 0 {
 		return 0, nil
 	}
+	defer rc.WithOpClass(s.enterOpClass(rc, policy.OpWriteDirty))
 
-	oldScheme := s.cfg.Policy.SchemeFor(obj.class)
+	var cost time.Duration
 	dirtyScheme := s.cfg.Policy.SchemeFor(osd.ClassDirty)
-	if oldScheme == dirtyScheme {
-		cost, err := s.stripes.UpdateRange(obj.stripes, int(offset), data)
-		if err != nil {
+	if s.cfg.Policy.SchemeFor(obj.class) == dirtyScheme {
+		var err error
+		if cost, err = s.stripes.UpdateRange(rc, obj.stripes, int(offset), data); err != nil {
 			return 0, err
 		}
-		obj.dirty = true
 		if s.cfg.Policy.Differentiated() {
 			obj.class = osd.ClassDirty
 		}
-		if err := s.dir.Update(id, func(info *osd.Info) {
-			info.Dirty = true
-			info.Class = obj.class
-		}); err != nil {
-			return cost, err
+	} else {
+		// Scheme change: read-merge-rewrite under the dirty scheme.
+		full, readCost, err := s.readObjectLocked(rc, obj)
+		if err != nil {
+			return 0, fmt.Errorf("read for partial update of %v: %w", id, err)
 		}
-		return cost, nil
-	}
-
-	// Scheme change: read-merge-rewrite under the dirty scheme.
-	full, readCost, err := s.readObjectLocked(rc, obj)
-	if err != nil {
-		return 0, fmt.Errorf("read for partial update of %v: %w", id, err)
-	}
-	copy(full[offset:], data)
-	oldStripes := obj.stripes
-	newStripes, writeCost, err := s.stripes.WriteCtx(rc, full, dirtyScheme)
-	if err != nil {
-		if errors.Is(err, flash.ErrDeviceFull) {
-			// The old copy is untouched; surface cache pressure.
-			return 0, fmt.Errorf("%w: partial update of %v", ErrCacheFull, id)
+		copy(full[offset:], data)
+		ids, writeCost, err := s.replaceStripesLocked(rc, id, obj.stripes, full, dirtyScheme, true)
+		if err != nil {
+			return 0, err
 		}
-		return 0, err
+		obj.stripes = ids
+		obj.class = osd.ClassDirty
+		cost = readCost + writeCost
 	}
-	s.stripes.Free(oldStripes)
-	obj.stripes = newStripes
 	obj.dirty = true
-	obj.class = osd.ClassDirty
-	if err := s.dir.Update(id, func(info *osd.Info) {
+	return cost, s.dir.Update(id, func(info *osd.Info) {
 		info.Dirty = true
-		info.Class = osd.ClassDirty
-	}); err != nil {
-		return readCost + writeCost, err
-	}
-	return readCost + writeCost, nil
+		info.Class = obj.class
+	})
 }

@@ -14,12 +14,12 @@ func TestWriteRangeInPlaceUniform(t *testing.T) {
 	// happens in place (delta/direct parity maintenance).
 	s := newStore(t, policy.Uniform{ParityChunks: 1}, 0)
 	orig := randBytes(1, 10_000)
-	if _, err := s.Put(oid(1), orig, osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), orig, osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	used := s.UsedBytes()
 	update := randBytes(2, 500)
-	cost, err := s.WriteRange(oid(1), 3_000, update)
+	cost, err := s.WriteRangeCtx(nil, oid(1), 3_000, update)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestWriteRangeReencodesUnderReo(t *testing.T) {
 	// update: scheme changes, so the object is re-encoded.
 	s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
 	orig := randBytes(3, 8_000)
-	if _, err := s.Put(oid(1), orig, osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), orig, osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	update := randBytes(4, 1_000)
-	if _, err := s.WriteRange(oid(1), 2_000, update); err != nil {
+	if _, err := s.WriteRangeCtx(nil, oid(1), 2_000, update); err != nil {
 		t.Fatal(err)
 	}
 	info, err := s.Info(oid(1))
@@ -89,12 +89,12 @@ func TestWriteRangeDirtyObjectStaysInPlace(t *testing.T) {
 	// partial update is applied in place (no re-encode churn).
 	s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
 	orig := randBytes(5, 4_000)
-	if _, err := s.Put(oid(1), orig, osd.ClassDirty, true); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), orig, osd.ClassDirty, true); err != nil {
 		t.Fatal(err)
 	}
 	used := s.UsedBytes()
 	update := randBytes(6, 200)
-	if _, err := s.WriteRange(oid(1), 100, update); err != nil {
+	if _, err := s.WriteRangeCtx(nil, oid(1), 100, update); err != nil {
 		t.Fatal(err)
 	}
 	if s.UsedBytes() != used {
@@ -113,19 +113,19 @@ func TestWriteRangeDirtyObjectStaysInPlace(t *testing.T) {
 
 func TestWriteRangeValidation(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 1}, 0)
-	if _, err := s.WriteRange(oid(9), 0, []byte("x")); !errors.Is(err, ErrNotFound) {
+	if _, err := s.WriteRangeCtx(nil, oid(9), 0, []byte("x")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing object err = %v", err)
 	}
-	if _, err := s.Put(oid(1), randBytes(7, 1_000), osd.ClassColdClean, false); err != nil {
+	if _, err := s.PutCtx(nil, oid(1), randBytes(7, 1_000), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WriteRange(oid(1), -1, []byte("x")); !errors.Is(err, ErrOutOfRange) {
+	if _, err := s.WriteRangeCtx(nil, oid(1), -1, []byte("x")); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("negative offset err = %v", err)
 	}
-	if _, err := s.WriteRange(oid(1), 990, make([]byte, 100)); !errors.Is(err, ErrOutOfRange) {
+	if _, err := s.WriteRangeCtx(nil, oid(1), 990, make([]byte, 100)); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("overflow err = %v", err)
 	}
-	cost, err := s.WriteRange(oid(1), 0, nil)
+	cost, err := s.WriteRangeCtx(nil, oid(1), 0, nil)
 	if err != nil || cost != 0 {
 		t.Fatalf("empty update: %v, %v", cost, err)
 	}

@@ -63,7 +63,7 @@ func (m *Manager) hedgePlan(id ID, meta *stripeMeta) (hedgePlan, bool) {
 		if n < 2 {
 			return hedgePlan{}, false
 		}
-		start := int(uint64(id) % uint64(n))
+		start := meta.primary(id)
 		primary := meta.replicaDevs[start]
 		if !m.array.Device(primary).Suspect() || !m.chunkPresent(id, primary) {
 			return hedgePlan{}, false

@@ -9,20 +9,13 @@ import (
 	"github.com/reo-cache/reo/internal/policy"
 )
 
-// slowHook scales every op's virtual-time cost — a fail-slow device.
-type slowHook struct{ scale float64 }
-
-func (h slowHook) Decide(flash.FaultOp, flash.ChunkAddr) flash.FaultDecision {
-	return flash.FaultDecision{LatencyScale: h.scale}
-}
-
 // makeSuspect drives dev's latency EWMA over the 2× suspect threshold with a
 // sustained 3× fail-slow hook, which stays installed so subsequent reads on
 // the device remain slow. Scratch writes land far above any stripe ID.
 func makeSuspect(t *testing.T, m *Manager, dev int) {
 	t.Helper()
 	d := m.Array().Device(dev)
-	d.SetFaultHook(slowHook{scale: 3})
+	d.SetFaultHook(opSlowHook{read: 3, write: 3})
 	for i := 0; i < 64; i++ {
 		if _, err := d.Write(flash.ChunkAddr(1<<40+i), []byte("warm")); err != nil {
 			t.Fatal(err)
@@ -49,7 +42,7 @@ func hedgingRegistry(delay time.Duration) *policy.Resilience {
 func TestHedgedReadReplicatedWins(t *testing.T) {
 	m := testManager(t, 3, 1024)
 	data := randBytes(7, 6*1024) // 6 stripes: rotation covers every primary
-	ids, _, err := m.Write(data, policy.ReplicateAll())
+	ids, _, err := m.WriteCtx(nil, data, policy.ReplicateAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +74,7 @@ func TestHedgedReadReplicatedWins(t *testing.T) {
 func TestHedgedReadParityReconstructionWins(t *testing.T) {
 	m := testManager(t, 5, 1024)
 	data := randBytes(9, 12*1024) // 3 stripes of 4 data chunks each
-	ids, _, err := m.Write(data, policy.Parity(1))
+	ids, _, err := m.WriteCtx(nil, data, policy.Parity(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +109,7 @@ func TestHedgedReadParityReconstructionWins(t *testing.T) {
 func TestHedgeCancelledWhenPrimaryBeatsDelay(t *testing.T) {
 	m := testManager(t, 3, 1024)
 	data := randBytes(11, 6*1024)
-	ids, _, err := m.Write(data, policy.ReplicateAll())
+	ids, _, err := m.WriteCtx(nil, data, policy.ReplicateAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +132,7 @@ func TestHedgeCancelledWhenPrimaryBeatsDelay(t *testing.T) {
 func TestHedgeIdleWhenHealthy(t *testing.T) {
 	m := testManager(t, 3, 1024)
 	data := randBytes(13, 4*1024)
-	ids, _, err := m.Write(data, policy.ReplicateAll())
+	ids, _, err := m.WriteCtx(nil, data, policy.ReplicateAll())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func BenchmarkStripeWriteParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			ids, _, err := m.Write(data, policy.Parity(2))
+			ids, _, err := m.WriteCtx(nil, data, policy.Parity(2))
 			if err != nil {
 				b.Error(err)
 				return
@@ -36,7 +36,7 @@ func BenchmarkStripeReadParallel(b *testing.B) {
 	const objSize = 64 << 10
 	m := testManager(b, 5, 16<<10)
 	data := randBytes(2, objSize)
-	ids, _, err := m.Write(data, policy.Parity(2))
+	ids, _, err := m.WriteCtx(nil, data, policy.Parity(2))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestPropertyWriteFailureRead(t *testing.T) {
 		}
 		data := make([]byte, 1+rng.Intn(20_000))
 		rng.Read(data)
-		ids, _, err := m.Write(data, scheme)
+		ids, _, err := m.WriteCtx(nil, data, scheme)
 		if err != nil {
 			return false
 		}
@@ -64,7 +64,7 @@ func TestPropertyRandomPartialUpdates(t *testing.T) {
 		size := 1_000 + rng.Intn(8_000)
 		model := make([]byte, size)
 		rng.Read(model)
-		ids, _, err := m.Write(model, policy.Parity(k))
+		ids, _, err := m.WriteCtx(nil, model, policy.Parity(k))
 		if err != nil {
 			return false
 		}
@@ -73,7 +73,7 @@ func TestPropertyRandomPartialUpdates(t *testing.T) {
 			n := 1 + rng.Intn(size-off)
 			update := make([]byte, n)
 			rng.Read(update)
-			if _, err := m.UpdateRange(ids, off, update); err != nil {
+			if _, err := m.UpdateRange(nil, ids, off, update); err != nil {
 				return false
 			}
 			copy(model[off:], update)
@@ -104,7 +104,7 @@ func TestPropertyFailSpareRebuild(t *testing.T) {
 		data := make([]byte, 1_000+rng.Intn(10_000))
 		rng.Read(data)
 		k := 1 + rng.Intn(2)
-		ids, _, err := m.Write(data, policy.Parity(k))
+		ids, _, err := m.WriteCtx(nil, data, policy.Parity(k))
 		if err != nil {
 			return false
 		}
@@ -116,7 +116,7 @@ func TestPropertyFailSpareRebuild(t *testing.T) {
 			return false
 		}
 		for _, id := range ids {
-			if _, status, err := m.Rebuild(id); err != nil || status != StatusHealthy {
+			if _, status, err := m.RebuildCtx(nil, id); err != nil || status != StatusHealthy {
 				return false
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"time"
 
-	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/simclock"
@@ -26,24 +25,18 @@ type ScrubResult struct {
 	Mismatched []ID
 }
 
-// Scrub verifies every stripe's redundancy consistency: for parity stripes
+// ScrubCtx verifies every stripe's redundancy consistency: for parity stripes
 // it re-encodes the data chunks and compares against the stored parity; for
 // replicated stripes it compares all copies. Flash cells do fail silently
 // (the paper's §I motivates Reo with exactly such partial data loss), so a
-// periodic scrub is how a production cache would detect it. Scrub returns
+// periodic scrub is how a production cache would detect it. ScrubCtx returns
 // the virtual-time IO cost of the pass.
 //
 // The pass walks a snapshot of the stripe IDs and locks each stripe only
 // while verifying it, so foreground reads and writes to other stripes are
-// never blocked behind the scrub.
-func (m *Manager) Scrub() (ScrubResult, time.Duration, error) {
-	return m.ScrubCtx(nil)
-}
-
-// ScrubCtx is Scrub driven by a request context: device reads carry the
-// context's op class (scrub.bg when the store drives it), so scrub IO
-// resolves its own retry policy, and cancellation stops the pass at the
-// next stripe boundary.
+// never blocked behind the scrub. Device reads carry the context's op class
+// (scrub.bg when the store drives it), so scrub IO resolves its own retry
+// policy, and cancellation stops the pass at the next stripe boundary.
 func (m *Manager) ScrubCtx(rc *reqctx.Ctx) (ScrubResult, time.Duration, error) {
 	var (
 		res   ScrubResult
@@ -151,22 +144,27 @@ func (m *Manager) verifyParity(rc *reqctx.Ctx, id ID, meta *stripeMeta) (bool, t
 // single corrupted chunk this locates it uniquely. With k == 1 (or a tied
 // vote) the corruption is detectable but not locatable, so the stripe is
 // left for the caller to invalidate.
-func (m *Manager) RepairStripe(id ID) (bool, time.Duration, error) {
+func (m *Manager) RepairStripe(rc *reqctx.Ctx, id ID) (bool, time.Duration, error) {
 	meta, err := m.lookup(id)
 	if err != nil {
 		return false, 0, err
 	}
 	meta.mu.Lock()
 	defer meta.mu.Unlock()
+	w := writeOp{rc: rc, published: true}
+	defer w.end()
 	if meta.scheme.Kind == policy.KindReplicate {
-		return m.repairReplicated(id, meta)
+		return m.repairReplicated(&w, id, meta)
 	}
-	return m.repairParity(id, meta)
+	return m.repairParity(&w, id, meta)
 }
 
-func (m *Manager) repairReplicated(id ID, meta *stripeMeta) (bool, time.Duration, error) {
+func (m *Manager) repairReplicated(w *writeOp, id ID, meta *stripeMeta) (bool, time.Duration, error) {
 	copies := make([][]byte, len(meta.replicaDevs))
-	total, _, _ := m.gather(nil, id, meta, 0, len(copies), nil, copies, nil)
+	total, _, err := m.gather(w.rc, id, meta, 0, len(copies), nil, copies, nil)
+	if err != nil {
+		return false, total, err
+	}
 	readable := 0
 	var winner []byte
 	best := 0
@@ -189,33 +187,29 @@ func (m *Manager) repairReplicated(id ID, meta *stripeMeta) (bool, time.Duration
 	if winner == nil || best*2 <= readable {
 		return false, total, nil // no strict majority: cannot arbitrate
 	}
-	writeCosts := make([]time.Duration, len(meta.replicaDevs))
-	repaired := false
+	// Rewrite the dissenting replicas from the winner.
 	for i, c := range copies {
-		if c == nil || bytes.Equal(c, winner) {
-			continue
+		if c != nil && !bytes.Equal(c, winner) {
+			copies[i] = winner
+		} else {
+			copies[i] = nil
 		}
-		cost, err := m.array.Device(meta.replicaDevs[i]).Write(flash.ChunkAddr(id), winner)
-		if err != nil {
-			continue
-		}
-		writeCosts[i] = cost
-		repaired = true
-		m.repairedChunks.Add(1)
 	}
-	return repaired, total + simclock.Parallel(writeCosts...), nil
+	writeCost, repaired, _ := m.scatter(w, id, meta, copies)
+	m.repairedChunks.Add(int64(repaired))
+	return repaired > 0, total + writeCost, nil
 }
 
-func (m *Manager) repairParity(id ID, meta *stripeMeta) (bool, time.Duration, error) {
+func (m *Manager) repairParity(w *writeOp, id ID, meta *stripeMeta) (bool, time.Duration, error) {
 	if len(meta.parityDevs) < 2 {
 		return false, 0, nil // single corruption not locatable with k < 2
 	}
 	frags := make([][]byte, len(meta.dataDevs)+len(meta.parityDevs))
-	total, got, _ := m.gather(nil, id, meta, 0, len(frags), nil, frags, nil)
-	if got < len(frags) {
+	total, got, err := m.gather(w.rc, id, meta, 0, len(frags), nil, frags, nil)
+	if err != nil || got < len(frags) {
 		// Missing chunks make this a degraded stripe; the normal
 		// reconstruction machinery owns that case.
-		return false, total, nil
+		return false, total, err
 	}
 	codec, err := m.codec(len(meta.dataDevs), len(meta.parityDevs))
 	if err != nil {
@@ -234,12 +228,11 @@ func (m *Manager) repairParity(id ID, meta *stripeMeta) (bool, time.Duration, er
 		if err != nil || !ok || bytes.Equal(scratch[cand], frags[cand]) {
 			continue
 		}
-		cost, werr := m.array.Device(meta.fragmentDev(cand)).Write(flash.ChunkAddr(id), scratch[cand])
-		if werr != nil {
-			return false, total, nil
-		}
-		m.repairedChunks.Add(1)
-		return true, total + cost, nil
+		clear(frags)
+		frags[cand] = scratch[cand]
+		writeCost, repaired, _ := m.scatter(w, id, meta, frags)
+		m.repairedChunks.Add(int64(repaired))
+		return repaired > 0, total + writeCost, nil
 	}
 	return false, total, nil
 }

@@ -10,13 +10,13 @@ import (
 
 func TestScrubCleanStripes(t *testing.T) {
 	m := testManager(t, 5, 512)
-	if _, _, err := m.Write(randBytes(1, 5_000), policy.Parity(2)); err != nil {
+	if _, _, err := m.WriteCtx(nil, randBytes(1, 5_000), policy.Parity(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Write(randBytes(2, 2_000), policy.ReplicateAll()); err != nil {
+	if _, _, err := m.WriteCtx(nil, randBytes(2, 2_000), policy.ReplicateAll()); err != nil {
 		t.Fatal(err)
 	}
-	res, cost, err := m.Scrub()
+	res, cost, err := m.ScrubCtx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestScrubCleanStripes(t *testing.T) {
 
 func TestScrubDetectsParityMismatch(t *testing.T) {
 	m := testManager(t, 5, 512)
-	ids, _, err := m.Write(randBytes(3, 2_000), policy.Parity(1))
+	ids, _, err := m.WriteCtx(nil, randBytes(3, 2_000), policy.Parity(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestScrubDetectsParityMismatch(t *testing.T) {
 	if !corrupted {
 		t.Fatal("no chunk found to corrupt")
 	}
-	res, _, err := m.Scrub()
+	res, _, err := m.ScrubCtx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +56,14 @@ func TestScrubDetectsParityMismatch(t *testing.T) {
 
 func TestScrubDetectsReplicaDivergence(t *testing.T) {
 	m := testManager(t, 3, 512)
-	ids, _, err := m.Write(randBytes(4, 400), policy.ReplicateAll())
+	ids, _, err := m.WriteCtx(nil, randBytes(4, 400), policy.ReplicateAll())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !m.Array().Device(1).Corrupt(flash.ChunkAddr(ids[0]), 5) {
 		t.Fatal("corrupt failed")
 	}
-	res, _, err := m.Scrub()
+	res, _, err := m.ScrubCtx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestScrubDetectsReplicaDivergence(t *testing.T) {
 
 func TestScrubZeroParityHasNothingToCheck(t *testing.T) {
 	m := testManager(t, 5, 512)
-	ids, _, err := m.Write(randBytes(5, 2_000), policy.Parity(0))
+	ids, _, err := m.WriteCtx(nil, randBytes(5, 2_000), policy.Parity(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestScrubZeroParityHasNothingToCheck(t *testing.T) {
 			break
 		}
 	}
-	res, _, err := m.Scrub()
+	res, _, err := m.ScrubCtx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestScrubZeroParityHasNothingToCheck(t *testing.T) {
 func TestRepairOnRead(t *testing.T) {
 	m := testManager(t, 5, 512)
 	data := randBytes(8, 4_000)
-	ids, _, err := m.Write(data, policy.Parity(2))
+	ids, _, err := m.WriteCtx(nil, data, policy.Parity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestRepairOnRead(t *testing.T) {
 
 func TestRepairOnReadSkipsFailedDevices(t *testing.T) {
 	m := testManager(t, 5, 512)
-	ids, _, err := m.Write(randBytes(9, 4_000), policy.Parity(2))
+	ids, _, err := m.WriteCtx(nil, randBytes(9, 4_000), policy.Parity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +160,14 @@ func TestRepairOnReadSkipsFailedDevices(t *testing.T) {
 
 func TestScrubCountsDegradedAndLost(t *testing.T) {
 	m := testManager(t, 5, 512)
-	if _, _, err := m.Write(randBytes(6, 2_000), policy.Parity(1)); err != nil {
+	if _, _, err := m.WriteCtx(nil, randBytes(6, 2_000), policy.Parity(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Write(randBytes(7, 2_000), policy.Parity(0)); err != nil {
+	if _, _, err := m.WriteCtx(nil, randBytes(7, 2_000), policy.Parity(0)); err != nil {
 		t.Fatal(err)
 	}
 	_ = m.Array().FailDevice(0)
-	res, _, err := m.Scrub()
+	res, _, err := m.ScrubCtx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

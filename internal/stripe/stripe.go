@@ -205,22 +205,6 @@ func (m *Manager) codec(dataChunks, parityChunks int) (*erasure.Codec, error) {
 // would overlap, so small-chunk stripes run their device IO serially.
 const fanOutMinBytes = 32 << 10
 
-// fanChunks runs fn(0..n-1), one call per chunk of chunkLen bytes — on
-// per-device goroutines when the chunks are large enough to amortise the
-// handoff, serially otherwise. It returns the first (by index) non-nil
-// error.
-func fanChunks(n, chunkLen int, fn func(i int) error) error {
-	if chunkLen < fanOutMinBytes {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return fanOut(n, fn)
-}
-
 // fanOut runs fn(0..n-1) on per-index goroutines and returns the first (by
 // index) non-nil error. All indices run to completion even when some fail,
 // so callers see a consistent post-state for rollback.
@@ -261,20 +245,16 @@ func (m *Manager) lookup(id ID) (*stripeMeta, error) {
 	return meta, nil
 }
 
-// Write stores data under the given redundancy scheme and returns the IDs of
+// WriteCtx stores data under the given redundancy scheme and returns the IDs of
 // the stripes created (in data order) plus the virtual-time IO cost. Stripes
 // span the devices alive at write time; chunk writes within a stripe fan out
 // to per-device goroutines, and stripes are written back to back.
-func (m *Manager) Write(data []byte, scheme policy.Scheme) ([]ID, time.Duration, error) {
-	return m.WriteCtx(nil, data, scheme)
-}
-
-// WriteCtx is Write under a request context. Cancellation is exact: the
-// context is consulted only at chunk boundaries before a chunk commits and
-// between stripes before the next stripe starts, so a cancelled write never
-// leaves a stripe half-committed — any chunks already landed for the current
-// stripe are rolled back and any fully written stripes of the same call are
-// freed, exactly as on a device error.
+//
+// Cancellation is exact: the request context is consulted only at chunk
+// boundaries before a chunk commits and between stripes before the next stripe
+// starts, so a cancelled write never leaves a stripe half-committed — any
+// chunks already landed for the current stripe are rolled back and any fully
+// written stripes of the same call are freed, exactly as on a device error.
 func (m *Manager) WriteCtx(rc *reqctx.Ctx, data []byte, scheme policy.Scheme) ([]ID, time.Duration, error) {
 	if err := rc.Err(); err != nil {
 		return nil, 0, err
@@ -286,67 +266,65 @@ func (m *Manager) WriteCtx(rc *reqctx.Ctx, data []byte, scheme policy.Scheme) ([
 	if !scheme.Valid(len(alive)) {
 		return nil, 0, fmt.Errorf("%w: %v on %d alive devices", ErrBadScheme, scheme, len(alive))
 	}
-	if scheme.Kind == policy.KindReplicate {
-		return m.writeReplicated(rc, data, alive)
+	// A stripe holds one chunk of user data when replicated, one per
+	// non-parity device otherwise.
+	perStripe := m.chunkSize
+	if scheme.Kind != policy.KindReplicate {
+		perStripe *= len(alive) - scheme.ParityChunks
 	}
-	return m.writeParity(rc, data, scheme.ParityChunks, alive)
+	var (
+		ids   []ID
+		total time.Duration
+		w     = writeOp{rc: rc}
+	)
+	// Zero-length objects still get one (empty) stripe so they remain
+	// addressable.
+	for off := 0; off == 0 || off < len(data); off += perStripe {
+		id, cost, err := m.writeStripe(&w, scheme, data[off:min(off+perStripe, len(data))], alive)
+		if err != nil {
+			m.Free(ids)
+			return nil, 0, err
+		}
+		ids = append(ids, id)
+		total += cost
+	}
+	return ids, total, nil
 }
 
-// allocID reserves the next stripe ID. The stripe is not published until
-// its chunks are durably written, so concurrent readers cannot observe a
-// half-written stripe.
-func (m *Manager) allocID() ID {
+// writeStripe lays data out as one fresh stripe — a copy per alive device, or
+// data chunks plus encoded parity — scatters the fragments and publishes the
+// stripe. The stripe is not published until its chunks are durably written, so
+// concurrent readers cannot observe a half-written one. It returns the new ID
+// and the encode plus device cost.
+func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, alive []int) (ID, time.Duration, error) {
+	if err := w.rc.Err(); err != nil {
+		return 0, 0, err
+	}
 	m.mu.Lock()
 	id := m.nextID
 	m.nextID++
 	m.mu.Unlock()
-	return id
-}
 
-func (m *Manager) publish(id ID, meta *stripeMeta) {
-	m.mu.Lock()
-	m.stripes[id] = meta
-	m.mu.Unlock()
-}
-
-func (m *Manager) writeParity(rc *reqctx.Ctx, data []byte, k int, alive []int) ([]ID, time.Duration, error) {
-	dataChunks := len(alive) - k
-	perStripe := dataChunks * m.chunkSize
-	var (
-		ids   []ID
-		total time.Duration
-	)
-	// Zero-length objects still get one (empty) stripe so they remain
-	// addressable.
-	for off := 0; ; off += perStripe {
-		if err := rc.Err(); err != nil {
-			m.Free(ids)
-			return nil, 0, err
+	n := len(alive)
+	meta := &stripeMeta{scheme: scheme, dataLen: len(data)}
+	frags := make([][]byte, n)
+	var encodeCost time.Duration
+	if scheme.Kind == policy.KindReplicate {
+		if data == nil {
+			data = []byte{} // scatter skips nil fragments; an empty chunk is still a chunk
 		}
-		remaining := len(data) - off
-		if remaining <= 0 && off > 0 {
-			break
+		meta.scheme = policy.ReplicateAll()
+		meta.chunkLen = len(data)
+		meta.replicaDevs = slices.Clone(alive)
+		for i := range frags {
+			frags[i] = data
 		}
-		if remaining < 0 {
-			remaining = 0
-		}
-		stripeData := remaining
-		if stripeData > perStripe {
-			stripeData = perStripe
-		}
-		chunkLen := (stripeData + dataChunks - 1) / dataChunks
-		if chunkLen == 0 {
-			chunkLen = 1
-		}
-		id := m.allocID()
-		meta := &stripeMeta{
-			scheme:   policy.Parity(k),
-			chunkLen: chunkLen,
-			dataLen:  stripeData,
-		}
-		// Round-robin parity rotation: parity starts at slot id % n
-		// (or is pinned to slot 0 when rotation is disabled).
-		n := len(alive)
+	} else {
+		k := scheme.ParityChunks
+		dataChunks := n - k
+		meta.chunkLen = max(1, (len(data)+dataChunks-1)/dataChunks)
+		// Round-robin parity rotation: parity starts at slot id % n (or is
+		// pinned to slot 0 when rotation is disabled).
 		start := 0
 		if m.rotate {
 			start = int(uint64(id) % uint64(n))
@@ -357,126 +335,164 @@ func (m *Manager) writeParity(rc *reqctx.Ctx, data []byte, k int, alive []int) (
 		for i := 0; i < dataChunks; i++ {
 			meta.dataDevs = append(meta.dataDevs, alive[(start+k+i)%n])
 		}
-
-		// Stage data chunks in one pooled buffer: the chunks are
-		// consecutive slices, zero-padded past stripeData by GetBuf.
-		buf := gf256.GetBuf(dataChunks * chunkLen)
-		copy(buf, data[off:off+stripeData])
-		chunks := make([][]byte, dataChunks)
-		for i := range chunks {
-			chunks[i] = buf[i*chunkLen : (i+1)*chunkLen]
+		// Stage every fragment in one pooled buffer: the data chunks are
+		// consecutive slices, zero-padded past len(data) by GetBuf, parity
+		// follows. The device copies the payload, so the buffer is recycled
+		// as soon as the scatter returns.
+		buf := gf256.GetBuf(n * meta.chunkLen)
+		defer gf256.PutBuf(buf)
+		copy(buf, data)
+		for i := range frags {
+			frags[i] = buf[i*meta.chunkLen : (i+1)*meta.chunkLen]
 		}
-		var (
-			parity [][]byte
-			pbuf   []byte
-		)
 		if k > 0 {
 			codec, err := m.codec(dataChunks, k)
 			if err != nil {
-				gf256.PutBuf(buf)
-				return nil, 0, err
+				return 0, 0, err
 			}
-			pbuf = gf256.GetBuf(k * chunkLen)
-			parity = make([][]byte, k)
-			for j := range parity {
-				parity[j] = pbuf[j*chunkLen : (j+1)*chunkLen]
+			if err := codec.EncodeInto(frags[:dataChunks], frags[dataChunks:]); err != nil {
+				return 0, 0, err
 			}
-			if err := codec.EncodeInto(chunks, parity); err != nil {
-				gf256.PutBuf(buf)
-				gf256.PutBuf(pbuf)
-				return nil, 0, err
-			}
-			total += simclock.TransferTime(int64(dataChunks*chunkLen), encodeBandwidth)
-		}
-
-		// Fan chunk writes out to per-device goroutines. The device copies
-		// the payload, so the pooled buffers can be recycled right after.
-		costs := make([]time.Duration, dataChunks+k)
-		err := fanChunks(dataChunks+k, chunkLen, func(i int) error {
-			payload, dev := chunks[0], 0
-			if i < dataChunks {
-				payload, dev = chunks[i], meta.dataDevs[i]
-			} else {
-				payload, dev = parity[i-dataChunks], meta.parityDevs[i-dataChunks]
-			}
-			c, werr := m.array.Device(dev).WriteCtx(rc, flash.ChunkAddr(id), payload)
-			if werr != nil {
-				return fmt.Errorf("stripe %d device %d: %w", id, dev, werr)
-			}
-			costs[i] = c
-			return nil
-		})
-		gf256.PutBuf(buf)
-		if pbuf != nil {
-			gf256.PutBuf(pbuf)
-		}
-		if err != nil {
-			m.rollback(id, meta)
-			m.Free(ids)
-			return nil, 0, err
-		}
-		total += simclock.Parallel(costs...)
-		m.publish(id, meta)
-		ids = append(ids, id)
-		if remaining <= perStripe {
-			break
+			encodeCost = simclock.TransferTime(int64(dataChunks*meta.chunkLen), encodeBandwidth)
 		}
 	}
-	return ids, total, nil
+	cost, _, err := m.scatter(w, id, meta, frags)
+	if err != nil {
+		return 0, 0, err
+	}
+	m.mu.Lock()
+	m.stripes[id] = meta
+	m.mu.Unlock()
+	return id, encodeCost + cost, nil
 }
 
-func (m *Manager) writeReplicated(rc *reqctx.Ctx, data []byte, alive []int) ([]ID, time.Duration, error) {
-	var (
-		ids   []ID
-		total time.Duration
-	)
-	for off := 0; ; off += m.chunkSize {
-		if err := rc.Err(); err != nil {
-			m.Free(ids)
-			return nil, 0, err
+// writeOp is the request context of a chunk-writing operation. What the
+// caller is doing picks scatter's mode (DESIGN.md §7 "One write path"):
+//
+//   - A fresh stripe (WriteCtx) is invisible to readers until published: every
+//     chunk write stays cancellable and the first failure rolls it back.
+//   - A published stripe (update, rebuild, repair) must keep its parity
+//     matching its data. The operation is cancellable while it only reads; a
+//     request dead when the first chunk write is due writes no new data. From
+//     that write on, every read and write of the operation — across stripes —
+//     is issued under a child of the request that keeps its ID, priority,
+//     class hint and op class (so retry rule, budget and observer apply) but
+//     neither its cancellation nor its deadline: it runs to completion.
+type writeOp struct {
+	rc        *reqctx.Ctx // what IO is issued under right now
+	published bool
+	req       *reqctx.Ctx // the caller's request, once rc is its child
+}
+
+// begin is called before each chunk write is issued; only the first call of a
+// cancellable operation on a published stripe does anything.
+func (w *writeOp) begin() error {
+	if !w.published || w.req != nil || !w.rc.CanCancel() {
+		return nil // fresh, already running to completion, or nothing to outlive
+	}
+	if err := w.rc.Err(); err != nil {
+		return err
+	}
+	w.req = w.rc
+	w.rc = reqctx.Acquire(nil).WithID(w.req.ID()).WithPriority(w.req.Priority()).
+		WithClassHint(w.req.ClassHint()).WithOpClass(w.req.OpClass())
+	return nil
+}
+
+// end folds the child's IO attribution back into the request.
+func (w *writeOp) end() {
+	if w.req != nil {
+		w.req.AbsorbStats(w.rc)
+		reqctx.Release(w.rc)
+		w.rc, w.req = w.req, nil
+	}
+}
+
+// scatter is the one place a stripe's fragments are written — gather's mirror.
+// Every non-nil frags[i] goes to meta.fragmentDev(i) through the rc-carrying
+// Device.WriteCtx, so the request's op class, ID and IO attribution reach
+// every chunk write. It returns the parallel (critical path) device cost, how
+// many fragments landed, and the first error by fragment index.
+//
+// On a fresh stripe the first failure stops the scatter (fanned-out writes all
+// finish) and what landed is rolled back. On a published stripe a fragment
+// whose device is not serving is skipped — redundancy covers the missing
+// chunk — and a failed write does not stop the rest: once readers can see the
+// stripe, fewer stale chunks is the better outcome.
+func (m *Manager) scatter(w *writeOp, id ID, meta *stripeMeta, frags [][]byte) (cost time.Duration, landed int, err error) {
+	if meta.chunkLen >= fanOutMinBytes {
+		return m.scatterFanOut(w, id, meta, frags)
+	}
+	// Serial, closure- and allocation-free, like gather's small-chunk path.
+	for i := range frags {
+		if !m.writable(w.published, meta, frags, i) {
+			continue
 		}
-		remaining := len(data) - off
-		if remaining <= 0 && off > 0 {
-			break
+		if err := w.begin(); err != nil { // only the first write due can be refused
+			return 0, 0, err
 		}
-		if remaining < 0 {
-			remaining = 0
+		c, werr := m.put(w.rc, id, meta, i, frags[i])
+		if werr == nil {
+			landed++
+			cost = max(cost, c)
+			continue
 		}
-		chunkLen := remaining
-		if chunkLen > m.chunkSize {
-			chunkLen = m.chunkSize
+		if err == nil {
+			err = werr
 		}
-		payload := data[off : off+chunkLen]
-		id := m.allocID()
-		meta := &stripeMeta{
-			scheme:      policy.ReplicateAll(),
-			chunkLen:    chunkLen,
-			dataLen:     chunkLen,
-			replicaDevs: append([]int(nil), alive...),
-		}
-		costs := make([]time.Duration, len(alive))
-		err := fanChunks(len(alive), chunkLen, func(i int) error {
-			dev := alive[i]
-			c, werr := m.array.Device(dev).WriteCtx(rc, flash.ChunkAddr(id), payload)
-			if werr != nil {
-				return fmt.Errorf("stripe %d device %d: %w", id, dev, werr)
-			}
-			costs[i] = c
-			return nil
-		})
-		if err != nil {
+		if !w.published {
 			m.rollback(id, meta)
-			m.Free(ids)
-			return nil, 0, err
-		}
-		total += simclock.Parallel(costs...)
-		m.publish(id, meta)
-		ids = append(ids, id)
-		if remaining <= m.chunkSize {
 			break
 		}
 	}
-	return ids, total, nil
+	return cost, landed, err
+}
+
+// scatterFanOut is scatter for large chunks: a goroutine per fragment due (one
+// due is written inline, none due allocates nothing).
+func (m *Manager) scatterFanOut(w *writeOp, id ID, meta *stripeMeta, frags [][]byte) (time.Duration, int, error) {
+	var due []int
+	for i := range frags {
+		if m.writable(w.published, meta, frags, i) {
+			due = append(due, i)
+		}
+	}
+	if len(due) == 0 {
+		return 0, 0, nil
+	}
+	if err := w.begin(); err != nil {
+		return 0, 0, err
+	}
+	rc := w.rc // the closure must not capture w, or every caller's writeOp moves to the heap
+	costs := make([]time.Duration, len(due))
+	var landed atomic.Int32
+	err := fanOut(len(due), func(j int) error {
+		c, werr := m.put(rc, id, meta, due[j], frags[due[j]])
+		if werr == nil {
+			costs[j] = c
+			landed.Add(1)
+		}
+		return werr
+	})
+	if err != nil && !w.published {
+		m.rollback(id, meta)
+	}
+	return simclock.Parallel(costs...), int(landed.Load()), err
+}
+
+// writable reports whether scatter owes fragment i a write.
+func (m *Manager) writable(published bool, meta *stripeMeta, frags [][]byte, i int) bool {
+	return frags[i] != nil && (!published || m.array.Device(meta.fragmentDev(i)).Serving())
+}
+
+// put writes fragment i for scatter.
+func (m *Manager) put(rc *reqctx.Ctx, id ID, meta *stripeMeta, i int, data []byte) (time.Duration, error) {
+	dev := meta.fragmentDev(i)
+	cost, err := m.array.Device(dev).WriteCtx(rc, flash.ChunkAddr(id), data)
+	if err != nil {
+		return 0, fmt.Errorf("stripe %d device %d: %w", id, dev, err)
+	}
+	return cost, nil
 }
 
 // rollback removes any chunks written for a stripe whose write failed part
@@ -554,16 +570,21 @@ func (m *Manager) readStripeInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []
 // readStripePrimary is the un-hedged stripe read.
 func (m *Manager) readStripePrimary(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte) (time.Duration, error) {
 	if meta.scheme.Kind == policy.KindReplicate {
-		return m.readReplicatedInto(rc, id, meta, dst)
+		return m.readReplicatedInto(rc, id, meta, dst, meta.primary(id))
 	}
 	return m.readParityInto(rc, id, meta, dst)
 }
 
-// readReplicatedInto copies a replica into dst without allocating: the
-// rotation-selected primary first, then any other copy.
-func (m *Manager) readReplicatedInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte) (time.Duration, error) {
+// primary is the replica slot foreground reads of stripe id try first: reads
+// rotate across the copies by stripe ID.
+func (sm *stripeMeta) primary(id ID) int {
+	return int(uint64(id) % uint64(len(sm.replicaDevs)))
+}
+
+// readReplicatedInto copies a replica into dst without allocating, trying the
+// copies in slot order from start.
+func (m *Manager) readReplicatedInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte, start int) (time.Duration, error) {
 	n := len(meta.replicaDevs)
-	start := int(uint64(id) % uint64(n))
 	for i := 0; i < n; i++ {
 		dev := meta.replicaDevs[(start+i)%n]
 		_, cost, err := m.array.Device(dev).ReadInto(rc, flash.ChunkAddr(id), dst)
@@ -757,22 +778,19 @@ func (m *Manager) readDegradedInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst 
 	// Repair-on-read (§IV.D: on-demand data is "restored first"): the
 	// reconstruction already produced the missing chunks, so if their home
 	// devices are healthy again (a spare was inserted), persist them now
-	// rather than leaving the work to background recovery. The write-back
-	// fans out per device and is charged after the decode.
-	repairCosts := make([]time.Duration, n)
-	_ = fanChunks(n, meta.chunkLen, func(i int) error {
-		dev := meta.fragmentDev(i)
-		d := m.array.Device(dev)
-		if m.chunkPresent(id, dev) || !d.Serving() {
-			return nil
+	// rather than leaving the work to background recovery. Only the chunks
+	// that are gone are scattered — it skips home devices still down — and
+	// the write-back is charged after the decode.
+	for i := range frags {
+		if m.chunkPresent(id, meta.fragmentDev(i)) {
+			frags[i] = nil
 		}
-		if cost, err := d.Write(flash.ChunkAddr(id), frags[i]); err == nil {
-			repairCosts[i] = cost
-			m.repairedChunks.Add(1)
-		}
-		return nil
-	})
-	return simclock.Parallel(dataCost, parityCost) + decodeCost + simclock.Parallel(repairCosts...), nil
+	}
+	w := writeOp{rc: rc, published: true}
+	repairCost, repaired, _ := m.scatter(&w, id, meta, frags)
+	w.end()
+	m.repairedChunks.Add(int64(repaired))
+	return simclock.Parallel(dataCost, parityCost) + decodeCost + repairCost, nil
 }
 
 // Status reports the stripe's health without charging IO cost.
@@ -841,19 +859,14 @@ func (m *Manager) chunkPresent(id ID, dev int) bool {
 	return m.array.Device(dev).Has(flash.ChunkAddr(id))
 }
 
-// Rebuild restores the stripe's missing chunks onto their home devices
+// RebuildCtx restores the stripe's missing chunks onto their home devices
 // (e.g. a freshly inserted spare). It returns the IO cost and the stripe's
 // status afterwards. Rebuilding a lost stripe returns ErrUnrecoverable;
 // rebuilding a healthy stripe is a cheap no-op.
-func (m *Manager) Rebuild(id ID) (time.Duration, Status, error) {
-	return m.RebuildCtx(nil, id)
-}
-
-// RebuildCtx is Rebuild under a request context: background recovery passes
-// its context so a cancelled or superseded rebuild stops before touching the
-// stripe or while it gathers the survivors. Once chunk writes begin the
-// rebuild runs to completion — rebuild only adds redundancy, so there is no
-// torn state to unwind.
+//
+// Background recovery passes its context so a cancelled or superseded rebuild
+// stops before touching the stripe or while it gathers the survivors. Once
+// chunk writes begin the rebuild runs to completion (see writeOp).
 func (m *Manager) RebuildCtx(rc *reqctx.Ctx, id ID) (time.Duration, Status, error) {
 	if err := rc.Err(); err != nil {
 		return 0, 0, err
@@ -864,99 +877,77 @@ func (m *Manager) RebuildCtx(rc *reqctx.Ctx, id ID) (time.Duration, Status, erro
 	}
 	meta.mu.Lock()
 	defer meta.mu.Unlock()
+	w := writeOp{rc: rc, published: true}
+	defer w.end()
 	if meta.scheme.Kind == policy.KindReplicate {
-		return m.rebuildReplicated(id, meta)
+		return m.rebuildReplicated(&w, id, meta)
 	}
-	return m.rebuildParity(rc, id, meta)
+	return m.rebuildParity(&w, id, meta)
 }
 
-func (m *Manager) rebuildReplicated(id ID, meta *stripeMeta) (time.Duration, Status, error) {
-	var source []byte
-	var total time.Duration
-	for _, dev := range meta.replicaDevs {
-		if data, cost, err := m.array.Device(dev).Read(flash.ChunkAddr(id)); err == nil {
-			source, total = data, cost
-			break
-		}
-	}
-	if source == nil {
-		return 0, StatusLost, fmt.Errorf("%w: stripe %d", ErrUnrecoverable, id)
-	}
-	// Re-replicate onto every alive device that lacks a copy — including
-	// replacement spares that were not members at write time — and fold
-	// them into the replica set. Writes fan out per device; the replica
-	// set is extended afterwards under the held stripe write lock.
-	var targets []int
-	for _, dev := range m.array.Alive() {
-		if !m.chunkPresent(id, dev) {
-			targets = append(targets, dev)
-		}
-	}
-	writeCosts := make([]time.Duration, len(targets))
-	written := make([]bool, len(targets))
-	err := fanChunks(len(targets), meta.chunkLen, func(i int) error {
-		dev := targets[i]
-		cost, werr := m.array.Device(dev).Write(flash.ChunkAddr(id), source)
-		if werr != nil {
-			return fmt.Errorf("stripe %d device %d: %w", id, dev, werr)
-		}
-		writeCosts[i] = cost
-		written[i] = true
-		return nil
-	})
-	for i, dev := range targets {
-		if written[i] && !slices.Contains(meta.replicaDevs, dev) {
-			meta.replicaDevs = append(meta.replicaDevs, dev)
-		}
-	}
+func (m *Manager) rebuildReplicated(w *writeOp, id ID, meta *stripeMeta) (time.Duration, Status, error) {
+	// The source is the first readable copy in slot order, not the rotation
+	// primary a foreground read starts at: which device a rebuild reads is
+	// part of the replay contract.
+	chunk := make([]byte, meta.chunkLen)
+	readCost, err := m.readReplicatedInto(w.rc, id, meta, chunk, 0)
 	if err != nil {
+		return 0, m.status(id, meta), err
+	}
+	// Re-replicate onto every alive device that lacks a copy. Replacement
+	// spares that were not members at write time join the replica set, under
+	// the held stripe write lock, so that scatter can address them.
+	members := len(meta.replicaDevs)
+	frags := make([][]byte, members, m.array.N())
+	for _, dev := range m.array.Alive() {
+		if m.chunkPresent(id, dev) {
+			continue
+		}
+		i := slices.Index(meta.replicaDevs, dev)
+		if i < 0 {
+			i = len(frags)
+			meta.replicaDevs = append(meta.replicaDevs, dev)
+			frags = append(frags, nil)
+		}
+		frags[i] = chunk
+	}
+	writeCost, _, err := m.scatter(w, id, meta, frags)
+	if err != nil {
+		// A spare whose write failed does not become a member.
+		joined := slices.DeleteFunc(meta.replicaDevs[members:], func(dev int) bool { return !m.chunkPresent(id, dev) })
+		meta.replicaDevs = meta.replicaDevs[:members+len(joined)]
 		return 0, StatusDegraded, err
 	}
-	total += simclock.Parallel(writeCosts...)
-	return total, m.status(id, meta), nil
+	return readCost + writeCost, m.status(id, meta), nil
 }
 
-func (m *Manager) rebuildParity(rc *reqctx.Ctx, id ID, meta *stripeMeta) (time.Duration, Status, error) {
+func (m *Manager) rebuildParity(w *writeOp, id ID, meta *stripeMeta) (time.Duration, Status, error) {
 	n := len(meta.dataDevs) + len(meta.parityDevs)
 	frags := make([][]byte, n)
-	total, got, err := m.gather(rc, id, meta, 0, n, nil, frags, nil)
+	readCost, got, err := m.gather(w.rc, id, meta, 0, n, nil, frags, nil)
 	if err != nil {
 		return 0, 0, err
 	}
 	if got == n {
-		return total, StatusHealthy, nil
+		return readCost, StatusHealthy, nil
 	}
-	var missingIdx []int
-	for i, f := range frags {
-		if f == nil {
-			missingIdx = append(missingIdx, i)
-		}
-	}
+	survivors := slices.Clone(frags)
 	decodeCost, err := m.reconstruct(id, meta, frags, nil)
 	if err != nil {
 		return 0, StatusLost, err
 	}
-	total += decodeCost
-	writeCosts := make([]time.Duration, len(missingIdx))
-	err = fanChunks(len(missingIdx), meta.chunkLen, func(i int) error {
-		idx := missingIdx[i]
-		dev := meta.fragmentDev(idx)
-		d := m.array.Device(dev)
-		if !d.Serving() {
-			return nil // home device still failed; chunk stays missing
+	// Write back what the gather missed; a chunk whose home device is still
+	// failed stays missing.
+	for i, f := range survivors {
+		if f != nil {
+			frags[i] = nil
 		}
-		cost, werr := d.Write(flash.ChunkAddr(id), frags[idx])
-		if werr != nil {
-			return fmt.Errorf("stripe %d device %d: %w", id, dev, werr)
-		}
-		writeCosts[i] = cost
-		return nil
-	})
+	}
+	writeCost, _, err := m.scatter(w, id, meta, frags)
 	if err != nil {
 		return 0, StatusDegraded, err
 	}
-	total += simclock.Parallel(writeCosts...)
-	return total, m.status(id, meta), nil
+	return readCost + decodeCost + writeCost, m.status(id, meta), nil
 }
 
 // Free releases the stripes' chunks and forgets their metadata. Chunks on

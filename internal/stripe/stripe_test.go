@@ -62,7 +62,7 @@ func TestWriteReadRoundTripParity(t *testing.T) {
 	for _, k := range []int{0, 1, 2} {
 		m := testManager(t, 5, 1024)
 		data := randBytes(int64(k)+1, 10_000)
-		ids, cost, err := m.Write(data, policy.Parity(k))
+		ids, cost, err := m.WriteCtx(nil, data, policy.Parity(k))
 		if err != nil {
 			t.Fatalf("k=%d Write: %v", k, err)
 		}
@@ -85,7 +85,7 @@ func TestWriteReadRoundTripParity(t *testing.T) {
 func TestWriteReadRoundTripReplicated(t *testing.T) {
 	m := testManager(t, 5, 1024)
 	data := randBytes(42, 5000)
-	ids, _, err := m.Write(data, policy.ReplicateAll())
+	ids, _, err := m.WriteCtx(nil, data, policy.ReplicateAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestWriteReadRoundTripReplicated(t *testing.T) {
 
 func TestZeroLengthObject(t *testing.T) {
 	m := testManager(t, 5, 1024)
-	ids, _, err := m.Write(nil, policy.Parity(1))
+	ids, _, err := m.WriteCtx(nil, nil, policy.Parity(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestZeroLengthObject(t *testing.T) {
 func TestDegradedReadSingleFailure(t *testing.T) {
 	m := testManager(t, 5, 512)
 	data := randBytes(7, 8_192)
-	ids, _, err := m.Write(data, policy.Parity(1))
+	ids, _, err := m.WriteCtx(nil, data, policy.Parity(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func readCost(t *testing.T, m *Manager, ids []ID, size int) time.Duration {
 func TestDegradedReadDoubleFailureWith2Parity(t *testing.T) {
 	m := testManager(t, 5, 512)
 	data := randBytes(8, 4_096)
-	ids, _, err := m.Write(data, policy.Parity(2))
+	ids, _, err := m.WriteCtx(nil, data, policy.Parity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestDegradedReadDoubleFailureWith2Parity(t *testing.T) {
 func TestReadUnrecoverable(t *testing.T) {
 	m := testManager(t, 5, 512)
 	data := randBytes(9, 4_096)
-	ids, _, err := m.Write(data, policy.Parity(1))
+	ids, _, err := m.WriteCtx(nil, data, policy.Parity(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestReadUnrecoverable(t *testing.T) {
 func TestReplicatedSurvivesToLastDevice(t *testing.T) {
 	m := testManager(t, 5, 1024)
 	data := randBytes(10, 2_000)
-	ids, _, err := m.Write(data, policy.ReplicateAll())
+	ids, _, err := m.WriteCtx(nil, data, policy.ReplicateAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestReplicatedSurvivesToLastDevice(t *testing.T) {
 
 func TestStatusTransitions(t *testing.T) {
 	m := testManager(t, 5, 512)
-	ids, _, err := m.Write(randBytes(11, 3_000), policy.Parity(2))
+	ids, _, err := m.WriteCtx(nil, randBytes(11, 3_000), policy.Parity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,14 +257,14 @@ func TestStatusTransitions(t *testing.T) {
 func TestRebuildOntoSpare(t *testing.T) {
 	m := testManager(t, 5, 512)
 	data := randBytes(12, 6_000)
-	ids, _, err := m.Write(data, policy.Parity(2))
+	ids, _, err := m.WriteCtx(nil, data, policy.Parity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = m.Array().FailDevice(1)
 	_ = m.Array().InsertSpare(1)
 	for _, id := range ids {
-		cost, status, err := m.Rebuild(id)
+		cost, status, err := m.RebuildCtx(nil, id)
 		if err != nil {
 			t.Fatalf("Rebuild(%d): %v", id, err)
 		}
@@ -288,14 +288,14 @@ func TestRebuildOntoSpare(t *testing.T) {
 func TestRebuildReplicatedOntoSpare(t *testing.T) {
 	m := testManager(t, 3, 512)
 	data := randBytes(13, 1_000)
-	ids, _, err := m.Write(data, policy.ReplicateAll())
+	ids, _, err := m.WriteCtx(nil, data, policy.ReplicateAll())
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = m.Array().FailDevice(0)
 	_ = m.Array().InsertSpare(0)
 	for _, id := range ids {
-		_, status, err := m.Rebuild(id)
+		_, status, err := m.RebuildCtx(nil, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestRebuildReplicatedOntoSpare(t *testing.T) {
 
 func TestRebuildWhileDeviceStillFailed(t *testing.T) {
 	m := testManager(t, 5, 512)
-	ids, _, err := m.Write(randBytes(14, 2_000), policy.Parity(2))
+	ids, _, err := m.WriteCtx(nil, randBytes(14, 2_000), policy.Parity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestRebuildWhileDeviceStillFailed(t *testing.T) {
 	// No spare inserted: rebuild cannot restore the chunk, stripe stays
 	// degraded but the call succeeds.
 	for _, id := range ids {
-		_, status, err := m.Rebuild(id)
+		_, status, err := m.RebuildCtx(nil, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestRebuildWhileDeviceStillFailed(t *testing.T) {
 
 func TestRebuildLost(t *testing.T) {
 	m := testManager(t, 5, 512)
-	ids, _, err := m.Write(randBytes(15, 2_000), policy.Parity(0))
+	ids, _, err := m.WriteCtx(nil, randBytes(15, 2_000), policy.Parity(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestRebuildLost(t *testing.T) {
 	_ = m.Array().InsertSpare(0)
 	lost := 0
 	for _, id := range ids {
-		if _, _, err := m.Rebuild(id); errors.Is(err, ErrUnrecoverable) {
+		if _, _, err := m.RebuildCtx(nil, id); errors.Is(err, ErrUnrecoverable) {
 			lost++
 		}
 	}
@@ -349,11 +349,11 @@ func TestRebuildLost(t *testing.T) {
 
 func TestRebuildHealthyIsNoop(t *testing.T) {
 	m := testManager(t, 5, 512)
-	ids, _, err := m.Write(randBytes(16, 1_000), policy.Parity(1))
+	ids, _, err := m.WriteCtx(nil, randBytes(16, 1_000), policy.Parity(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, status, err := m.Rebuild(ids[0])
+	_, status, err := m.RebuildCtx(nil, ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestRebuildHealthyIsNoop(t *testing.T) {
 
 func TestFreeReleasesSpace(t *testing.T) {
 	m := testManager(t, 5, 512)
-	ids, _, err := m.Write(randBytes(17, 10_000), policy.Parity(1))
+	ids, _, err := m.WriteCtx(nil, randBytes(17, 10_000), policy.Parity(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestSpaceAccounting(t *testing.T) {
 	// 4 data + 1 parity on 5 devices with 1000-byte chunks: writing 4000
 	// bytes makes one full stripe: 4000 user bytes, 1000 parity bytes.
 	m := testManager(t, 5, 1000)
-	ids, _, err := m.Write(randBytes(18, 4_000), policy.Parity(1))
+	ids, _, err := m.WriteCtx(nil, randBytes(18, 4_000), policy.Parity(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestSpaceAccounting(t *testing.T) {
 
 func TestSpaceAccountingReplication(t *testing.T) {
 	m := testManager(t, 5, 1000)
-	ids, _, err := m.Write(randBytes(19, 1_000), policy.ReplicateAll())
+	ids, _, err := m.WriteCtx(nil, randBytes(19, 1_000), policy.ReplicateAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestSpaceAccountingIncludesPadding(t *testing.T) {
 	// 4 data chunks, 100-byte chunk size, 150 bytes of data: tail stripe
 	// uses ceil(150/4)=38-byte chunks. Padding = 4*38-150 = 2 bytes.
 	m := testManager(t, 5, 100)
-	ids, _, err := m.Write(randBytes(20, 150), policy.Parity(1))
+	ids, _, err := m.WriteCtx(nil, randBytes(20, 150), policy.Parity(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestWriteAfterFailureUsesAliveDevices(t *testing.T) {
 	_ = m.Array().FailDevice(0)
 	_ = m.Array().FailDevice(1)
 	data := randBytes(21, 3_000)
-	ids, _, err := m.Write(data, policy.Parity(1))
+	ids, _, err := m.WriteCtx(nil, data, policy.Parity(1))
 	if err != nil {
 		t.Fatalf("write on 3 alive devices: %v", err)
 	}
@@ -478,11 +478,11 @@ func TestWriteSchemeInvalidForAliveSet(t *testing.T) {
 	_ = m.Array().FailDevice(0)
 	_ = m.Array().FailDevice(1)
 	// Only one device alive: 1-parity needs at least 2.
-	if _, _, err := m.Write([]byte("x"), policy.Parity(1)); !errors.Is(err, ErrBadScheme) {
+	if _, _, err := m.WriteCtx(nil, []byte("x"), policy.Parity(1)); !errors.Is(err, ErrBadScheme) {
 		t.Fatalf("err = %v, want ErrBadScheme", err)
 	}
 	_ = m.Array().FailDevice(2)
-	if _, _, err := m.Write([]byte("x"), policy.Parity(0)); !errors.Is(err, ErrNoAliveDevices) {
+	if _, _, err := m.WriteCtx(nil, []byte("x"), policy.Parity(0)); !errors.Is(err, ErrNoAliveDevices) {
 		t.Fatalf("err = %v, want ErrNoAliveDevices", err)
 	}
 }
@@ -492,7 +492,7 @@ func TestParityRotation(t *testing.T) {
 	m := testManager(t, 5, 512)
 	seen := make(map[int]bool)
 	for i := 0; i < 10; i++ {
-		ids, _, err := m.Write(randBytes(int64(i), 512*4), policy.Parity(1))
+		ids, _, err := m.WriteCtx(nil, randBytes(int64(i), 512*4), policy.Parity(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,7 +515,7 @@ func TestUnknownStripeErrors(t *testing.T) {
 	if _, err := m.Status(999); !errors.Is(err, ErrUnknownStripe) {
 		t.Fatal("Status on unknown stripe")
 	}
-	if _, _, err := m.Rebuild(999); !errors.Is(err, ErrUnknownStripe) {
+	if _, _, err := m.RebuildCtx(nil, 999); !errors.Is(err, ErrUnknownStripe) {
 		t.Fatal("Rebuild on unknown stripe")
 	}
 	if _, err := m.Describe(999); !errors.Is(err, ErrUnknownStripe) {
@@ -526,7 +526,7 @@ func TestUnknownStripeErrors(t *testing.T) {
 func TestIDsSorted(t *testing.T) {
 	m := testManager(t, 5, 512)
 	for i := 0; i < 5; i++ {
-		if _, _, err := m.Write(randBytes(int64(i), 2048), policy.Parity(0)); err != nil {
+		if _, _, err := m.WriteCtx(nil, randBytes(int64(i), 2048), policy.Parity(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -540,7 +540,7 @@ func TestIDsSorted(t *testing.T) {
 
 func TestReadSizeValidation(t *testing.T) {
 	m := testManager(t, 5, 512)
-	ids, _, err := m.Write(randBytes(22, 100), policy.Parity(0))
+	ids, _, err := m.WriteCtx(nil, randBytes(22, 100), policy.Parity(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,12 @@ package stripe
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/reo-cache/reo/internal/erasure"
-	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/policy"
+	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/simclock"
 )
 
@@ -26,50 +27,60 @@ import (
 //
 // Each stripe is updated under its own write lock, so updates to one
 // stripe serialise against reads of that stripe but updates to different
-// stripes run concurrently. Chunk IO within a stripe fans out per device.
+// stripes run concurrently. Every strategy reads through gather /
+// readReplicatedInto / readDegradedInto and writes through scatter, under the
+// caller's request context.
+//
+// Cancellation: an update is cancellable until its first chunk write is due —
+// a request that is dead by then returns its context error with no new data
+// written (a degraded direct update may already have repaired-on-read, which
+// persists old content only). From that write on the whole UpdateRange runs to
+// completion (writeOp): a stripe left half-updated would have parity that no
+// longer matches its data, and a range left half-applied across stripes would
+// be neither the old object nor the new one.
 
 // UpdateRange overwrites [offset, offset+len(data)) of the object stored in
 // the given stripes (in data order), updating parity in place. It returns
 // the virtual-time IO cost. The range must lie within the stored data.
-func (m *Manager) UpdateRange(ids []ID, offset int, data []byte) (time.Duration, error) {
+func (m *Manager) UpdateRange(rc *reqctx.Ctx, ids []ID, offset int, data []byte) (time.Duration, error) {
 	if offset < 0 {
 		return 0, fmt.Errorf("stripe: negative offset %d", offset)
 	}
 	if len(data) == 0 {
 		return 0, nil
 	}
+	if err := rc.Err(); err != nil {
+		return 0, err
+	}
+	w := writeOp{rc: rc, published: true}
+	defer w.end()
 
 	var total time.Duration
-	pos := 0 // cumulative data offset across stripes
+	pos := 0 // data offset of the current stripe
 	remaining := data
 	writeOff := offset
 	for _, id := range ids {
+		if len(remaining) == 0 {
+			break
+		}
 		meta, err := m.lookup(id)
 		if err != nil {
 			return 0, err
 		}
-		meta.mu.Lock()
-		stripeEnd := pos + meta.dataLen
-		if writeOff < stripeEnd && len(remaining) > 0 {
-			local := writeOff - pos
-			n := meta.dataLen - local
-			if n > len(remaining) {
-				n = len(remaining)
-			}
-			cost, err := m.updateStripe(id, meta, local, remaining[:n])
+		// dataLen is fixed at write time, so it is read without the lock.
+		if local := writeOff - pos; local < meta.dataLen {
+			n := min(meta.dataLen-local, len(remaining))
+			meta.mu.Lock()
+			cost, err := m.updateStripe(&w, id, meta, local, remaining[:n])
+			meta.mu.Unlock()
 			if err != nil {
-				meta.mu.Unlock()
 				return 0, err
 			}
 			total += cost
 			remaining = remaining[n:]
 			writeOff += n
 		}
-		pos = stripeEnd
-		meta.mu.Unlock()
-		if len(remaining) == 0 {
-			break
-		}
+		pos += meta.dataLen
 	}
 	if len(remaining) > 0 {
 		return 0, fmt.Errorf("stripe: update range [%d,%d) exceeds stored data (%d bytes)",
@@ -78,215 +89,143 @@ func (m *Manager) UpdateRange(ids []ID, offset int, data []byte) (time.Duration,
 	return total, nil
 }
 
-// updateStripe dispatches one stripe's update. The caller holds the
-// stripe's write lock.
-func (m *Manager) updateStripe(id ID, meta *stripeMeta, local int, data []byte) (time.Duration, error) {
+// updateStripe picks one stripe's update strategy. The caller holds the
+// stripe's write lock and discards the cost when the update fails.
+func (m *Manager) updateStripe(w *writeOp, id ID, meta *stripeMeta, local int, data []byte) (time.Duration, error) {
 	if meta.scheme.Kind == policy.KindReplicate {
-		return m.updateReplicated(id, meta, local, data)
+		return m.updateReplicated(w, id, meta, local, data)
 	}
-	return m.updateParityStripe(id, meta, local, data)
-}
-
-func (m *Manager) updateReplicated(id ID, meta *stripeMeta, local int, data []byte) (time.Duration, error) {
-	// Read any live copy, splice, rewrite every live copy concurrently.
-	chunk := make([]byte, meta.chunkLen)
-	readCost, err := m.readReplicatedInto(nil, id, meta, chunk)
-	if err != nil {
-		return 0, err
+	dataChunks, k := len(meta.dataDevs), len(meta.parityDevs)
+	first := local / meta.chunkLen
+	last := (local + len(data) - 1) / meta.chunkLen
+	if k == 0 {
+		return m.updateNoParity(w, id, meta, local, data, first, last)
 	}
-	copy(chunk[local:], data)
-	writeCosts := make([]time.Duration, len(meta.replicaDevs))
-	err = fanChunks(len(meta.replicaDevs), meta.chunkLen, func(i int) error {
-		dev := meta.replicaDevs[i]
-		d := m.array.Device(dev)
-		if !d.Serving() {
-			return nil
-		}
-		cost, werr := d.Write(flash.ChunkAddr(id), chunk)
-		if werr != nil {
-			return fmt.Errorf("stripe %d device %d: %w", id, dev, werr)
-		}
-		writeCosts[i] = cost
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return readCost + simclock.Parallel(writeCosts...), nil
-}
-
-func (m *Manager) updateParityStripe(id ID, meta *stripeMeta, local int, data []byte) (time.Duration, error) {
-	dataChunks := len(meta.dataDevs)
-	k := len(meta.parityDevs)
-	firstChunk := local / meta.chunkLen
-	lastChunk := (local + len(data) - 1) / meta.chunkLen
-	changed := lastChunk - firstChunk + 1
-
 	codec, err := m.codec(dataChunks, k)
 	if err != nil {
 		return 0, err
 	}
-
-	if k == 0 {
-		// No parity to maintain: read-modify-write the touched chunks.
-		return m.updateChunksNoParity(id, meta, local, data, firstChunk, lastChunk)
+	if first == last && codec.ChooseUpdateStrategy() == erasure.DeltaParityUpdate {
+		return m.updateDelta(w, id, meta, codec, local, data, first)
 	}
-	if changed == 1 && codec.ChooseUpdateStrategy() == erasure.DeltaParityUpdate {
-		return m.updateDelta(id, meta, codec, local, data, firstChunk)
-	}
-	return m.updateDirect(id, meta, codec, local, data)
+	return m.updateDirect(w, id, meta, codec, local, data, first, last)
 }
 
-func (m *Manager) updateChunksNoParity(id ID, meta *stripeMeta, local int, data []byte, firstChunk, lastChunk int) (time.Duration, error) {
-	// Pre-compute each touched chunk's splice range so the read-modify-
-	// write cycles can fan out independently.
-	type span struct {
-		chunk int
-		lo    int // offset within the chunk
-		data  []byte
-	}
-	var spans []span
-	off := local
-	remaining := data
-	for ci := firstChunk; ci <= lastChunk; ci++ {
-		lo := off - ci*meta.chunkLen
-		n := meta.chunkLen - lo
-		if n > len(remaining) {
-			n = len(remaining)
-		}
-		spans = append(spans, span{chunk: ci, lo: lo, data: remaining[:n]})
-		off += n
-		remaining = remaining[n:]
-	}
-	costs := make([]time.Duration, len(spans))
-	err := fanChunks(len(spans), meta.chunkLen, func(i int) error {
-		sp := spans[i]
-		dev := meta.dataDevs[sp.chunk]
-		old, rcost, rerr := m.array.Device(dev).Read(flash.ChunkAddr(id))
-		if rerr != nil {
-			return fmt.Errorf("%w: stripe %d chunk %d", ErrUnrecoverable, id, sp.chunk)
-		}
-		copy(old[sp.lo:], sp.data)
-		wcost, werr := m.array.Device(dev).Write(flash.ChunkAddr(id), old)
-		if werr != nil {
-			return fmt.Errorf("stripe %d device %d: %w", id, dev, werr)
-		}
-		costs[i] = rcost + wcost
-		return nil
-	})
+// updateReplicated reads any live copy, splices, and rewrites every live copy.
+func (m *Manager) updateReplicated(w *writeOp, id ID, meta *stripeMeta, local int, data []byte) (time.Duration, error) {
+	chunk := make([]byte, meta.chunkLen)
+	readCost, err := m.readReplicatedInto(w.rc, id, meta, chunk, meta.primary(id))
 	if err != nil {
 		return 0, err
 	}
-	return simclock.Parallel(costs...), nil
+	copy(chunk[local:], data)
+	frags := make([][]byte, len(meta.replicaDevs))
+	for i := range frags {
+		frags[i] = chunk
+	}
+	writeCost, _, err := m.scatter(w, id, meta, frags)
+	return readCost + writeCost, err
+}
+
+// updateNoParity read-modify-writes the touched chunks of a 0-parity stripe.
+// Each chunk's cycle runs on its own device, independent of the others, so
+// the stripe is charged max(rᵢ+wᵢ) — which is why the chunks are not fetched
+// in one gather and written in one scatter: that would charge max r + max w,
+// more as soon as the devices differ in speed.
+func (m *Manager) updateNoParity(w *writeOp, id ID, meta *stripeMeta, local int, data []byte, first, last int) (time.Duration, error) {
+	frags := make([][]byte, len(meta.dataDevs))
+	var total time.Duration
+	for ci := first; ci <= last; ci++ {
+		readCost, got, err := m.gather(w.rc, id, meta, ci, ci+1, nil, frags, nil)
+		if err != nil {
+			return 0, err
+		}
+		if got == 0 {
+			return 0, fmt.Errorf("%w: stripe %d chunk %d", ErrUnrecoverable, id, ci)
+		}
+		base := ci * meta.chunkLen
+		lo, hi := max(local, base), min(local+len(data), base+meta.chunkLen)
+		copy(frags[ci][lo-base:], data[lo-local:hi-local])
+		writeCost, landed, err := m.scatter(w, id, meta, frags)
+		if err != nil {
+			return 0, err
+		}
+		if landed == 0 {
+			// Its device stopped serving after the read; nothing covers the chunk.
+			return 0, fmt.Errorf("%w: stripe %d chunk %d", ErrUnrecoverable, id, ci)
+		}
+		frags[ci] = nil
+		total = max(total, readCost+writeCost)
+	}
+	return total, nil
 }
 
 // updateDelta applies delta parity-updating for a single changed chunk:
-// read the old chunk and the old parity (fanned out), compute the new
-// parity from the delta, write the new chunk and parity (fanned out).
-func (m *Manager) updateDelta(id ID, meta *stripeMeta, codec *erasure.Codec, local int, data []byte, chunkIdx int) (time.Duration, error) {
-	dev := meta.dataDevs[chunkIdx]
-	k := len(meta.parityDevs)
-	// Slot 0 is the data chunk; slots 1..k are parity.
-	chunks := make([][]byte, 1+k)
-	readCosts := make([]time.Duration, 1+k)
-	readErr := fanChunks(1+k, meta.chunkLen, func(i int) error {
-		d := dev
-		if i > 0 {
-			d = meta.parityDevs[i-1]
-		}
-		p, cost, err := m.array.Device(d).Read(flash.ChunkAddr(id))
-		if err != nil {
-			return err
-		}
-		chunks[i] = p
-		readCosts[i] = cost
-		return nil
-	})
-	if readErr != nil {
-		// A needed chunk is unavailable: fall back to the direct path,
-		// which reconstructs from survivors.
-		return m.updateDirect(id, meta, codec, local, data)
-	}
-	oldChunk := chunks[0]
-	oldParity := chunks[1:]
-
-	newChunk := append([]byte(nil), oldChunk...)
-	copy(newChunk[local-chunkIdx*meta.chunkLen:], data)
-	newParity, err := codec.UpdateParityDelta(chunkIdx, oldChunk, newChunk, oldParity)
-	if err != nil {
-		return 0, fmt.Errorf("stripe %d: %w", id, err)
-	}
-	encodeCost := simclock.TransferTime(int64(meta.chunkLen), encodeBandwidth)
-
-	writeCosts := make([]time.Duration, 1+k)
-	err = fanChunks(1+k, meta.chunkLen, func(i int) error {
-		d, payload := dev, newChunk
-		if i > 0 {
-			d, payload = meta.parityDevs[i-1], newParity[i-1]
-		}
-		cost, werr := m.array.Device(d).Write(flash.ChunkAddr(id), payload)
-		if werr != nil {
-			return fmt.Errorf("stripe %d device %d: %w", id, d, werr)
-		}
-		writeCosts[i] = cost
-		return nil
-	})
+// read the old chunk and the old parity, compute the new parity from the
+// delta, write the new chunk and parity.
+func (m *Manager) updateDelta(w *writeOp, id ID, meta *stripeMeta, codec *erasure.Codec, local int, data []byte, chunkIdx int) (time.Duration, error) {
+	dataChunks, k := len(meta.dataDevs), len(meta.parityDevs)
+	frags := make([][]byte, dataChunks+k)
+	// The old chunk first: when it is unreadable the parity is not fetched.
+	// Whenever a needed chunk is unavailable the direct path takes over — it
+	// reconstructs from survivors.
+	chunkCost, got, err := m.gather(w.rc, id, meta, chunkIdx, chunkIdx+1, nil, frags, nil)
 	if err != nil {
 		return 0, err
 	}
-	return simclock.Parallel(readCosts...) + encodeCost + simclock.Parallel(writeCosts...), nil
+	if got == 0 {
+		return m.updateDirect(w, id, meta, codec, local, data, chunkIdx, chunkIdx)
+	}
+	parityCost, got, err := m.gather(w.rc, id, meta, dataChunks, dataChunks+k, nil, frags, nil)
+	if err != nil {
+		return 0, err
+	}
+	if got < k {
+		return m.updateDirect(w, id, meta, codec, local, data, chunkIdx, chunkIdx)
+	}
+	newChunk := slices.Clone(frags[chunkIdx])
+	copy(newChunk[local-chunkIdx*meta.chunkLen:], data)
+	newParity, err := codec.UpdateParityDelta(chunkIdx, frags[chunkIdx], newChunk, frags[dataChunks:])
+	if err != nil {
+		return 0, fmt.Errorf("stripe %d: %w", id, err)
+	}
+	frags[chunkIdx] = newChunk
+	copy(frags[dataChunks:], newParity)
+	writeCost, _, err := m.scatter(w, id, meta, frags)
+	encodeCost := simclock.TransferTime(int64(meta.chunkLen), encodeBandwidth)
+	return simclock.Parallel(chunkCost, parityCost) + encodeCost + writeCost, err
 }
 
 // updateDirect applies direct parity-updating: read the full stripe
 // (reconstructing if degraded), splice the new bytes, re-encode, and write
-// back the changed chunks and all parity (fanned out).
-func (m *Manager) updateDirect(id ID, meta *stripeMeta, codec *erasure.Codec, local int, data []byte) (time.Duration, error) {
+// back the changed chunks first..last and all parity.
+func (m *Manager) updateDirect(w *writeOp, id ID, meta *stripeMeta, codec *erasure.Codec, local int, data []byte, first, last int) (time.Duration, error) {
+	dataChunks, k := len(meta.dataDevs), len(meta.parityDevs)
 	// Read whole chunks (padding included) into one buffer, splice, and
 	// re-chunk.
-	buf := make([]byte, len(meta.dataDevs)*meta.chunkLen)
-	readCost, err := m.readDegradedInto(nil, id, meta, buf)
+	buf := make([]byte, dataChunks*meta.chunkLen)
+	readCost, err := m.readDegradedInto(w.rc, id, meta, buf)
 	if err != nil {
 		return 0, err
 	}
 	copy(buf[local:], data)
-	chunks := make([][]byte, len(meta.dataDevs))
-	for i := range chunks {
-		chunks[i] = buf[i*meta.chunkLen : (i+1)*meta.chunkLen]
+	frags := make([][]byte, dataChunks+k)
+	for i := 0; i < dataChunks; i++ {
+		frags[i] = buf[i*meta.chunkLen : (i+1)*meta.chunkLen]
 	}
-	parity, err := codec.Encode(chunks)
+	parity, err := codec.Encode(frags[:dataChunks])
 	if err != nil {
 		return 0, fmt.Errorf("stripe %d: %w", id, err)
 	}
-	encodeCost := simclock.TransferTime(int64(len(buf)), encodeBandwidth)
-
-	firstChunk := local / meta.chunkLen
-	lastChunk := (local + len(data) - 1) / meta.chunkLen
-	changed := lastChunk - firstChunk + 1
-	k := len(meta.parityDevs)
-	writeCosts := make([]time.Duration, changed+k)
-	err = fanChunks(changed+k, meta.chunkLen, func(i int) error {
-		var dev int
-		var payload []byte
-		if i < changed {
-			ci := firstChunk + i
-			dev, payload = meta.dataDevs[ci], chunks[ci]
-		} else {
-			j := i - changed
-			dev, payload = meta.parityDevs[j], parity[j]
+	copy(frags[dataChunks:], parity)
+	for i := 0; i < dataChunks; i++ {
+		if i < first || i > last {
+			frags[i] = nil // untouched data chunks stay as they are
 		}
-		d := m.array.Device(dev)
-		if !d.Serving() {
-			return nil // chunk stays missing; parity covers it
-		}
-		cost, werr := d.Write(flash.ChunkAddr(id), payload)
-		if werr != nil {
-			return fmt.Errorf("stripe %d device %d: %w", id, dev, werr)
-		}
-		writeCosts[i] = cost
-		return nil
-	})
-	if err != nil {
-		return 0, err
 	}
-	return readCost + encodeCost + simclock.Parallel(writeCosts...), nil
+	// A changed chunk whose device is down stays missing; the new parity
+	// covers it.
+	writeCost, _, err := m.scatter(w, id, meta, frags)
+	encodeCost := simclock.TransferTime(int64(len(buf)), encodeBandwidth)
+	return readCost + encodeCost + writeCost, err
 }

@@ -2,6 +2,7 @@ package stripe
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"github.com/reo-cache/reo/internal/policy"
@@ -21,7 +22,7 @@ func TestUpdateRangeSingleChunkDelta(t *testing.T) {
 	// → m=4: direct 3 reads, delta 2 reads → delta.
 	m := testManager(t, 5, 512)
 	orig := randBytes(1, 4*512) // exactly one full stripe
-	ids, _, err := m.Write(orig, policy.Parity(1))
+	ids, _, err := m.WriteCtx(nil, orig, policy.Parity(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestUpdateRangeSingleChunkDelta(t *testing.T) {
 		t.Fatalf("stripes = %d", len(ids))
 	}
 	update := randBytes(2, 100)
-	cost, err := m.UpdateRange(ids, 600, update) // inside chunk 1
+	cost, err := m.UpdateRange(nil, ids, 600, update) // inside chunk 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +59,12 @@ func TestUpdateRangeSingleChunkDelta(t *testing.T) {
 func TestUpdateRangeMultiChunkDirect(t *testing.T) {
 	m := testManager(t, 5, 512)
 	orig := randBytes(3, 3*512) // one full 3-data-chunk stripe (k=2)
-	ids, _, err := m.Write(orig, policy.Parity(2))
+	ids, _, err := m.WriteCtx(nil, orig, policy.Parity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	update := randBytes(4, 700) // spans chunks 0 and 1
-	if _, err := m.UpdateRange(ids, 100, update); err != nil {
+	if _, err := m.UpdateRange(nil, ids, 100, update); err != nil {
 		t.Fatal(err)
 	}
 	want := applyUpdate(orig, 100, update)
@@ -82,12 +83,12 @@ func TestUpdateRangeMultiChunkDirect(t *testing.T) {
 func TestUpdateRangeAcrossStripes(t *testing.T) {
 	m := testManager(t, 5, 256)
 	orig := randBytes(5, 5_000) // several stripes
-	ids, _, err := m.Write(orig, policy.Parity(1))
+	ids, _, err := m.WriteCtx(nil, orig, policy.Parity(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	update := randBytes(6, 2_000)
-	if _, err := m.UpdateRange(ids, 900, update); err != nil {
+	if _, err := m.UpdateRange(nil, ids, 900, update); err != nil {
 		t.Fatal(err)
 	}
 	want := applyUpdate(orig, 900, update)
@@ -98,7 +99,7 @@ func TestUpdateRangeAcrossStripes(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("cross-stripe update wrong")
 	}
-	ok, _, err := m.Scrub()
+	ok, _, err := m.ScrubCtx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +111,12 @@ func TestUpdateRangeAcrossStripes(t *testing.T) {
 func TestUpdateRangeZeroParity(t *testing.T) {
 	m := testManager(t, 5, 256)
 	orig := randBytes(7, 2_000)
-	ids, _, err := m.Write(orig, policy.Parity(0))
+	ids, _, err := m.WriteCtx(nil, orig, policy.Parity(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	update := randBytes(8, 500)
-	if _, err := m.UpdateRange(ids, 250, update); err != nil {
+	if _, err := m.UpdateRange(nil, ids, 250, update); err != nil {
 		t.Fatal(err)
 	}
 	want := applyUpdate(orig, 250, update)
@@ -128,15 +129,39 @@ func TestUpdateRangeZeroParity(t *testing.T) {
 	}
 }
 
+// A 0-parity chunk whose device fails between the update's read and its write
+// has nothing covering it: the update must not report success having skipped
+// the only write it owed.
+func TestUpdateRangeZeroParityDeviceFailsBeforeWrite(t *testing.T) {
+	m := testManager(t, 5, 256)
+	ids, _, err := m.WriteCtx(nil, randBytes(7, 1_280), policy.Parity(0)) // one stripe, a chunk per device
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := m.lookup(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := policy.NewResilience()
+	m.array.SetResilience(res)
+	res.SetObserver(func(policy.Attempt) { // runs after the chunk's read attempt
+		res.SetObserver(nil)
+		_ = m.array.FailDevice(meta.dataDevs[1])
+	})
+	if _, err := m.UpdateRange(nil, ids, 300, randBytes(8, 100)); !errors.Is(err, ErrUnrecoverable) {
+		t.Fatalf("UpdateRange = %v, want ErrUnrecoverable", err)
+	}
+}
+
 func TestUpdateRangeReplicated(t *testing.T) {
 	m := testManager(t, 3, 512)
 	orig := randBytes(9, 1_200)
-	ids, _, err := m.Write(orig, policy.ReplicateAll())
+	ids, _, err := m.WriteCtx(nil, orig, policy.ReplicateAll())
 	if err != nil {
 		t.Fatal(err)
 	}
 	update := randBytes(10, 600)
-	if _, err := m.UpdateRange(ids, 300, update); err != nil {
+	if _, err := m.UpdateRange(nil, ids, 300, update); err != nil {
 		t.Fatal(err)
 	}
 	want := applyUpdate(orig, 300, update)
@@ -155,7 +180,7 @@ func TestUpdateRangeReplicated(t *testing.T) {
 func TestUpdateRangeDegradedFallsBackToDirect(t *testing.T) {
 	m := testManager(t, 5, 512)
 	orig := randBytes(11, 4*512)
-	ids, _, err := m.Write(orig, policy.Parity(1))
+	ids, _, err := m.WriteCtx(nil, orig, policy.Parity(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +188,7 @@ func TestUpdateRangeDegradedFallsBackToDirect(t *testing.T) {
 	// old chunk, so the direct (reconstructing) path takes over.
 	_ = m.Array().FailDevice(0)
 	update := randBytes(12, 50)
-	if _, err := m.UpdateRange(ids, 10, update); err != nil {
+	if _, err := m.UpdateRange(nil, ids, 10, update); err != nil {
 		t.Fatal(err)
 	}
 	want := applyUpdate(orig, 10, update)
@@ -178,20 +203,20 @@ func TestUpdateRangeDegradedFallsBackToDirect(t *testing.T) {
 
 func TestUpdateRangeValidation(t *testing.T) {
 	m := testManager(t, 5, 256)
-	ids, _, err := m.Write(randBytes(13, 1_000), policy.Parity(1))
+	ids, _, err := m.WriteCtx(nil, randBytes(13, 1_000), policy.Parity(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.UpdateRange(ids, -1, []byte("x")); err == nil {
+	if _, err := m.UpdateRange(nil, ids, -1, []byte("x")); err == nil {
 		t.Fatal("negative offset accepted")
 	}
-	if _, err := m.UpdateRange(ids, 990, make([]byte, 100)); err == nil {
+	if _, err := m.UpdateRange(nil, ids, 990, make([]byte, 100)); err == nil {
 		t.Fatal("out-of-range update accepted")
 	}
-	if _, err := m.UpdateRange([]ID{9999}, 0, []byte("x")); err == nil {
+	if _, err := m.UpdateRange(nil, []ID{9999}, 0, []byte("x")); err == nil {
 		t.Fatal("unknown stripe accepted")
 	}
-	cost, err := m.UpdateRange(ids, 0, nil)
+	cost, err := m.UpdateRange(nil, ids, 0, nil)
 	if err != nil || cost != 0 {
 		t.Fatal("empty update should be free")
 	}

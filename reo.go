@@ -542,7 +542,7 @@ func (c *Cache) InsertSpare(i int) (int, error) { return c.store.InsertSpare(i) 
 // RecoverStep rebuilds up to n queued objects, returning how many were
 // rebuilt and whether recovery has completed.
 func (c *Cache) RecoverStep(n int) (rebuilt int, done bool, err error) {
-	cost, rebuilt, done, err := c.store.RecoverStep(n)
+	cost, rebuilt, done, err := c.store.RecoverStepCtx(nil, n)
 	c.clock.Advance(cost)
 	return rebuilt, done, err
 }

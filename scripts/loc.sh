@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# Size report for the simplicity PRs (ROADMAP item 1): informational, never
+# fails on a number.
+#
+#   scripts/loc.sh [base-ref]
+#
+# Prints, for every package outside bench/, its non-test .go lines — raw
+# (`wc -l`) and code-only (blank and comment-only lines dropped) — then the
+# number of exported *Ctx methods under internal/ that still have a non-Ctx
+# sibling on the same receiver in the same file (reo.Cache keeps its
+# convenience wrappers and is not counted), and, given a base ref, the non-test
+# .go diffstat of the working tree against it.
+set -euo pipefail
+
+cd "$(git rev-parse --show-toplevel)"
+mapfile -t files < <(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '^bench/' -e '_test\.go$' | sort)
+
+awk '
+	FNR == 1 {
+		inblock = 0; pkg = FILENAME
+		if (!sub(/\/[^\/]*$/, "", pkg)) pkg = "."
+		if (!(pkg in raw)) pkgs[++n] = pkg # files arrive sorted, so packages do too
+	}
+	{
+		raw[pkg]++
+		line = $0
+		if (inblock) {
+			if (!sub(/^.*\*\//, "", line)) next
+			inblock = 0
+		}
+		while (match(line, /\/\*/)) {
+			rest = substr(line, RSTART + 2)
+			if (match(rest, /\*\//)) {
+				line = substr(line, 1, index(line, "/*") - 1) substr(rest, RSTART + 2)
+			} else {
+				line = substr(line, 1, index(line, "/*") - 1)
+				inblock = 1
+				break
+			}
+		}
+		if (line ~ /^[ \t]*(\/\/.*)?$/) next
+		code[pkg]++
+	}
+	END {
+		printf "%-28s %8s %10s\n", "package (non-test .go)", "raw", "code-only"
+		for (i = 1; i <= n; i++) {
+			p = pkgs[i]
+			printf "%-28s %8d %10d\n", p, raw[p], code[p]
+			traw += raw[p]; tcode += code[p]
+			if (p ~ /^internal\/(store|stripe|flash)$/) { sraw += raw[p]; scode += code[p] }
+		}
+		printf "%-28s %8d %10d\n", "store+stripe+flash", sraw, scode
+		printf "%-28s %8d %10d\n", "total", traw, tcode
+	}
+' "${files[@]}"
+
+# An exported method FooCtx counts when `func (<recv>) Foo(` exists in the same
+# file on the same receiver type.
+awk '
+	FILENAME ~ /^internal\// && match($0, /^func \([A-Za-z_]+ \*?[A-Za-z_]+\) [A-Z][A-Za-z0-9_]*\(/) {
+		sig = substr($0, RSTART, RLENGTH - 1)
+		split(sig, parts, /[ ()]+/) # "func" recv type name
+		typ = parts[3]; sub(/^\*/, "", typ)
+		seen[FILENAME SUBSEP typ SUBSEP parts[4]] = 1
+	}
+	END {
+		for (k in seen) {
+			split(k, f, SUBSEP)
+			if (f[3] ~ /.Ctx$/ && ((f[1] SUBSEP f[2] SUBSEP substr(f[3], 1, length(f[3]) - 3)) in seen)) twins++
+		}
+		printf "\nexported *Ctx methods under internal/ with a non-Ctx sibling in the same file: %d\n", twins
+	}
+' "${files[@]}"
+
+if [ $# -ge 1 ]; then
+	printf '\nnon-test .go diffstat against %s:\n' "$1"
+	git diff --stat=100 "$1" -- '*.go' ':!bench' ':!*_test.go' | tail -n 1
+fi
