@@ -91,7 +91,7 @@ func dispatch(client *transport.Client, args []string, stdin io.Reader, stdout i
 		if err != nil {
 			return err
 		}
-		cost, err := client.Put(id, data, class, dirty)
+		cost, err := client.PutCtx(nil, id, data, class, dirty)
 		if err != nil {
 			return err
 		}
@@ -102,7 +102,7 @@ func dispatch(client *transport.Client, args []string, stdin io.Reader, stdout i
 		if err != nil {
 			return err
 		}
-		data, cost, degraded, err := client.Get(id)
+		data, cost, degraded, err := client.GetCtx(nil, id)
 		if err != nil {
 			return err
 		}
@@ -127,7 +127,7 @@ func dispatch(client *transport.Client, args []string, stdin io.Reader, stdout i
 		if err != nil {
 			return err
 		}
-		cost, err := client.WriteRange(id, offset, data)
+		cost, err := client.WriteRangeCtx(nil, id, offset, data)
 		if err != nil {
 			return err
 		}
@@ -138,7 +138,7 @@ func dispatch(client *transport.Client, args []string, stdin io.Reader, stdout i
 		if err != nil {
 			return err
 		}
-		if err := client.Delete(id); err != nil {
+		if err := client.DeleteCtx(nil, id); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "deleted %v\n", id)
@@ -155,7 +155,7 @@ func dispatch(client *transport.Client, args []string, stdin io.Reader, stdout i
 		if err != nil {
 			return err
 		}
-		sense, err := client.Control(osd.SetIDCommand{Object: id, Class: class})
+		sense, err := client.ControlCtx(nil, osd.SetIDCommand{Object: id, Class: class})
 		if err != nil {
 			return err
 		}
@@ -166,7 +166,7 @@ func dispatch(client *transport.Client, args []string, stdin io.Reader, stdout i
 		if err != nil {
 			return err
 		}
-		sense, err := client.Control(osd.QueryCommand{Object: id, Op: osd.OpRead, Size: 1})
+		sense, err := client.ControlCtx(nil, osd.QueryCommand{Object: id, Op: osd.OpRead, Size: 1})
 		if err != nil {
 			return err
 		}
@@ -177,21 +177,21 @@ func dispatch(client *transport.Client, args []string, stdin io.Reader, stdout i
 		if err != nil {
 			return err
 		}
-		status, err := client.Status(id)
+		status, err := client.StatusCtx(nil, id)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "status %v: %v\n", id, status)
 		return nil
 	case "stats":
-		stats, err := client.Stats()
+		stats, err := client.TargetStats()
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "objects:          %d\n", stats.Objects)
 		fmt.Fprintf(stdout, "used:             %d / %d bytes\n", stats.UsedBytes, stats.RawCapacity)
 		fmt.Fprintf(stdout, "space efficiency: %.1f%%\n", stats.SpaceEfficiency*100)
-		fmt.Fprintf(stdout, "devices:          %d/%d alive\n", stats.AliveDevices, stats.TotalDevices)
+		fmt.Fprintf(stdout, "devices:          %d/%d alive\n", stats.AliveDevices, stats.Devices)
 		fmt.Fprintf(stdout, "recovery:         active=%v queue=%d\n", stats.RecoveryActive, stats.RecoveryQueue)
 		return nil
 	case "segments":
@@ -250,7 +250,7 @@ func dispatch(client *transport.Client, args []string, stdin io.Reader, stdout i
 	case "recover":
 		total := 0
 		for {
-			n, done, err := client.RecoverStep(32)
+			_, n, done, err := client.RecoverStepCtx(nil, 32)
 			if err != nil {
 				return err
 			}

@@ -93,12 +93,12 @@ func run() error {
 
 	// Talk to the communication object directly: deliver a (label-only)
 	// classification and a query.
-	sense, err := client.Control(osd.SetIDCommand{Object: id, Class: osd.ClassColdClean})
+	sense, err := client.ControlCtx(nil, osd.SetIDCommand{Object: id, Class: osd.ClassColdClean})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("#SETID# -> sense %#x (%v)\n", int(sense), sense)
-	sense, err = client.Control(osd.QueryCommand{Object: id, Op: osd.OpRead, Size: 1})
+	sense, err = client.ControlCtx(nil, osd.QueryCommand{Object: id, Op: osd.OpRead, Size: 1})
 	if err != nil {
 		return err
 	}
@@ -107,7 +107,7 @@ func run() error {
 	// #SETID# updates the label; Reclassify also re-encodes the object
 	// under the new class's scheme (here: two parity chunks), so it can
 	// survive the failure we are about to inject.
-	if _, err := client.Reclassify(id, osd.ClassHotClean); err != nil {
+	if _, err := client.ReclassifyCtx(nil, id, osd.ClassHotClean); err != nil {
 		return err
 	}
 	fmt.Println("reclassified hot: re-encoded with 2 parity chunks")
@@ -126,7 +126,7 @@ func run() error {
 		return err
 	}
 	for {
-		_, done, err := client.RecoverStep(16)
+		_, _, done, err := client.RecoverStepCtx(nil, 16)
 		if err != nil {
 			return err
 		}
@@ -134,12 +134,12 @@ func run() error {
 			break
 		}
 	}
-	stats, err := client.Stats()
+	stats, err := client.TargetStats()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("recovered %d queued objects; target: %d objects, %.1f%% space efficiency, %d/%d devices\n",
-		queued, stats.Objects, stats.SpaceEfficiency*100, stats.AliveDevices, stats.TotalDevices)
+		queued, stats.Objects, stats.SpaceEfficiency*100, stats.AliveDevices, stats.Devices)
 
 	// --- Multiplexing: the connection is not lock-step. Many goroutines can
 	// issue requests concurrently over the one TCP connection; the client
@@ -150,7 +150,7 @@ func run() error {
 	errs := make(chan error, concurrent)
 	for i := 0; i < concurrent; i++ {
 		go func() {
-			_, _, _, err := client.Get(id)
+			_, _, _, err := client.GetCtx(nil, id)
 			errs <- err
 		}()
 	}

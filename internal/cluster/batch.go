@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -58,41 +57,35 @@ func (ini *Initiator) BatchCounters() BatchStats {
 	}
 }
 
+// stripeSet marks the route-lock stripes a batch touches.
+type stripeSet [routeStripes]bool
+
 // lockStripes acquires the route-lock stripes covering ids in ascending
-// stripe index (each stripe once) and returns an unlock function. rlock
-// selects read locks (batch gets) over write locks (batch puts).
-func (ini *Initiator) lockStripes(ids []osd.ObjectID, rlock bool) (unlock func()) {
-	seen := make(map[int]struct{}, len(ids))
-	idxs := make([]int, 0, len(ids))
+// stripe index, each once (shared for batch gets, exclusive for batch puts),
+// and returns the set for unlockStripes.
+func (ini *Initiator) lockStripes(ids []osd.ObjectID, shared bool) stripeSet {
+	var set stripeSet
 	for _, id := range ids {
-		idx := int(HashID(id) & routeStripeMask)
-		if _, dup := seen[idx]; dup {
-			continue
-		}
-		seen[idx] = struct{}{}
-		idxs = append(idxs, idx)
+		set[HashID(id)&routeStripeMask] = true
 	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
-		if rlock {
-			ini.stripes[idx].mu.RLock()
-		} else {
-			ini.stripes[idx].mu.Lock()
+	for idx, touched := range set {
+		if touched {
+			ini.stripes[idx].lock(shared)
 		}
 	}
-	return func() {
-		for _, idx := range idxs {
-			if rlock {
-				ini.stripes[idx].mu.RUnlock()
-			} else {
-				ini.stripes[idx].mu.Unlock()
-			}
+	return set
+}
+
+func (ini *Initiator) unlockStripes(set *stripeSet, shared bool) {
+	for idx, touched := range set {
+		if touched {
+			ini.stripes[idx].unlock(shared)
 		}
 	}
 }
 
-// shardBatch is one shard's slice of a batch: the sub-ops routed to it and
-// their positions in the caller's order.
+// shardBatch is one shard's slice of a batch: where its sub-ops go and their
+// positions in the caller's order.
 type shardBatch struct {
 	name    string
 	target  target.Target
@@ -101,21 +94,21 @@ type shardBatch struct {
 
 // planBatch resolves every id to its owning shard under the already-held
 // stripe locks, returning per-shard sub-batches in first-touched order.
-// Resolution errors (unknown shard) are recorded directly into errs.
-func (ini *Initiator) planBatch(ids []osd.ObjectID, errs []error) []*shardBatch {
+// A sub-op that does not resolve (unknown shard) is reported through fail
+// and belongs to no sub-batch.
+func (ini *Initiator) planBatch(ids []osd.ObjectID, fail func(i int, err error)) []*shardBatch {
 	var plan []*shardBatch
 	byName := make(map[string]*shardBatch)
 	for i, id := range ids {
-		st := ini.stripeFor(id)
-		name, t, _, err := ini.resolve(st, id)
+		r, err := ini.resolve(ini.stripeFor(id), id)
 		if err != nil {
-			errs[i] = err
+			fail(i, err)
 			continue
 		}
-		sb := byName[name]
+		sb := byName[r.name]
 		if sb == nil {
-			sb = &shardBatch{name: name, target: t}
-			byName[name] = sb
+			sb = &shardBatch{name: r.name, target: r.t}
+			byName[r.name] = sb
 			plan = append(plan, sb)
 		}
 		sb.indices = append(sb.indices, i)
@@ -123,83 +116,73 @@ func (ini *Initiator) planBatch(ids []osd.ObjectID, errs []error) []*shardBatch 
 	return plan
 }
 
+// fanOut runs each shard's sub-batch — concurrently when the batch spans
+// shards, inline when it does not — handing run the sub-batch's elements of
+// in and putting what it returns back at their positions in out.
+func fanOut[In, Out any](plan []*shardBatch, in []In, out []Out, run func(t target.Target, sub []In) []Out) {
+	do := func(sb *shardBatch) {
+		sub := make([]In, len(sb.indices))
+		for j, i := range sb.indices {
+			sub[j] = in[i]
+		}
+		results := run(sb.target, sub)
+		for j, i := range sb.indices {
+			if j < len(results) {
+				out[i] = results[j]
+			}
+		}
+	}
+	if len(plan) == 1 {
+		do(plan[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for _, sb := range plan {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			do(sb)
+		}()
+	}
+	wg.Wait()
+}
+
 // GetBatchCtx implements target.BatchTarget: one directory resolution pass,
 // concurrent per-shard fan-out, caller-order reassembly. Per-object
-// semantics match GetCtx, including stale-directory cleanup on not-found.
+// semantics and bookkeeping are GetCtx's, including stale-directory cleanup
+// on not-found.
 func (ini *Initiator) GetBatchCtx(rc *reqctx.Ctx, ids []osd.ObjectID) []target.BatchGetResult {
 	out := make([]target.BatchGetResult, len(ids))
 	if len(ids) == 0 {
 		return out
 	}
-	start := time.Now()
-	errs := make([]error, len(ids))
-	unlock := ini.lockStripes(ids, true)
-	plan := ini.planBatch(ids, errs)
-	var wg sync.WaitGroup
-	for _, sb := range plan {
-		sub := make([]osd.ObjectID, len(sb.indices))
-		for j, i := range sb.indices {
-			sub[j] = ids[i]
-		}
-		sb := sb
-		run := func() {
-			results := target.GetBatch(sb.target, rc, sub)
-			for j, i := range sb.indices {
-				if j < len(results) {
-					out[i] = results[j]
-				}
-			}
-		}
-		if len(plan) == 1 {
-			run()
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	wg.Wait()
-	unlock()
-	for i := range errs {
-		if errs[i] != nil {
-			out[i].Err = errs[i]
-		}
-	}
+	defer ini.observe("cluster.get_batch", time.Now())
+	locked := ini.lockStripes(ids, true)
+	plan := ini.planBatch(ids, func(i int, err error) { out[i].Err = err })
+	fanOut(plan, ids, out, func(t target.Target, sub []osd.ObjectID) []target.BatchGetResult {
+		return target.GetBatch(t, rc, sub)
+	})
+	ini.unlockStripes(&locked, true)
 
-	// Post-pass bookkeeping outside the read locks: stale directory entries
-	// for objects their shard no longer holds, per-shard counters.
-	failed := 0
+	// Bookkeeping outside the read locks, as GetCtx does it.
+	failed := len(ids)
 	for _, sb := range plan {
 		c := ini.countersFor(sb.name)
 		for _, i := range sb.indices {
-			res := &out[i]
-			if res.Err == nil {
-				c.ops.Add(1)
+			switch res := &out[i]; {
+			case res.Err == nil:
+				failed--
+				var n int64
 				if res.Buf != nil {
-					c.bytesOut.Add(int64(res.Buf.Len()))
+					n = int64(res.Buf.Len())
 				}
-				continue
+				c.book(0, n)
+			case errors.Is(res.Err, store.ErrNotFound):
+				ini.stripeFor(ids[i]).dropStale(ids[i], sb.name)
 			}
-			failed++
-			if errors.Is(res.Err, store.ErrNotFound) {
-				st := ini.stripeFor(ids[i])
-				st.mu.Lock()
-				if p := st.objs[ids[i]]; p != nil && p.shard == sb.name {
-					delete(st.objs, ids[i])
-				}
-				st.mu.Unlock()
-			}
-		}
-	}
-	for i := range errs {
-		if errs[i] != nil {
-			failed++
 		}
 	}
 	ini.noteBatch(len(ids), len(plan), failed)
-	ini.observe("cluster.get_batch", start)
 	return out
 }
 
@@ -212,76 +195,34 @@ func (ini *Initiator) PutBatchCtx(rc *reqctx.Ctx, ops []target.BatchPut) []targe
 	if len(ops) == 0 {
 		return out
 	}
-	start := time.Now()
+	defer ini.observe("cluster.put_batch", time.Now())
 	ids := make([]osd.ObjectID, len(ops))
 	for i := range ops {
 		ids[i] = ops[i].ID
 	}
-	errs := make([]error, len(ops))
-	unlock := ini.lockStripes(ids, false)
-	plan := ini.planBatch(ids, errs)
-	var wg sync.WaitGroup
-	for _, sb := range plan {
-		sub := make([]target.BatchPut, len(sb.indices))
-		for j, i := range sb.indices {
-			sub[j] = ops[i]
-		}
-		sb := sb
-		run := func() {
-			results := target.PutBatch(sb.target, rc, sub)
-			for j, i := range sb.indices {
-				if j < len(results) {
-					out[i] = results[j]
-				}
-			}
-		}
-		if len(plan) == 1 {
-			run()
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	wg.Wait()
+	locked := ini.lockStripes(ids, false)
+	plan := ini.planBatch(ids, func(i int, err error) { out[i].Err = err })
+	fanOut(plan, ops, out, func(t target.Target, sub []target.BatchPut) []target.BatchPutResult {
+		return target.PutBatch(t, rc, sub)
+	})
 
 	// Commit placements for the successes while the write locks are still
 	// held, so a concurrent rebalance never observes a half-committed batch.
+	failed := len(ops)
 	for _, sb := range plan {
 		c := ini.countersFor(sb.name)
 		for _, i := range sb.indices {
 			if out[i].Err != nil {
 				continue
 			}
+			failed--
 			op := &ops[i]
-			st := ini.stripeFor(op.ID)
-			if p := st.objs[op.ID]; p != nil {
-				p.class, p.dirty, p.size = op.Class, op.Dirty, int64(len(op.Data))
-			} else {
-				st.objs[op.ID] = &placement{
-					shard: sb.name, class: op.Class, dirty: op.Dirty, size: int64(len(op.Data)),
-				}
-			}
-			c.ops.Add(1)
-			c.bytesIn.Add(int64(len(op.Data)))
+			ini.stripeFor(op.ID).commitPut(op.ID, sb.name, op.Class, op.Dirty, int64(len(op.Data)))
+			c.book(int64(len(op.Data)), 0)
 		}
 	}
-	unlock()
-	failed := 0
-	for i := range errs {
-		if errs[i] != nil {
-			out[i].Err = errs[i]
-		}
-	}
-	for i := range out {
-		if out[i].Err != nil {
-			failed++
-		}
-	}
+	ini.unlockStripes(&locked, false)
 	ini.noteBatch(len(ops), len(plan), failed)
-	ini.observe("cluster.put_batch", start)
 	return out
 }
 

@@ -48,6 +48,22 @@ type dirStripe struct {
 	objs map[osd.ObjectID]*placement
 }
 
+func (st *dirStripe) lock(shared bool) {
+	if shared {
+		st.mu.RLock()
+	} else {
+		st.mu.Lock()
+	}
+}
+
+func (st *dirStripe) unlock(shared bool) {
+	if shared {
+		st.mu.RUnlock()
+	} else {
+		st.mu.Unlock()
+	}
+}
+
 // Shard names one cluster member and the target behind it.
 type Shard struct {
 	Name   string
@@ -187,11 +203,24 @@ func samePolicy(a, b policy.Policy) error {
 	return nil
 }
 
+// shardTarget is the package's one capability check: everything a member can
+// do beyond target.Target — list its inventory, snapshot its stats, step its
+// recovery — it does as a target.ShardTarget. Nil means the member is only a
+// Target (a test double, a tracing decorator).
+func shardTarget(t target.Target) target.ShardTarget {
+	st, _ := t.(target.ShardTarget)
+	return st
+}
+
 // adopt lists a shard's inventory and records each object in the
-// directory. Shards that expose no listing (e.g. test doubles) are assumed
-// empty. A duplicate across shards keeps whichever copy the ring owns.
+// directory. Shards that are only a Target are assumed empty. A duplicate
+// across shards keeps whichever copy the ring owns.
 func (ini *Initiator) adopt(name string, t target.Target) error {
-	infos, err := listInventory(t)
+	member := shardTarget(t)
+	if member == nil {
+		return nil
+	}
+	infos, err := member.Inventory()
 	if err != nil {
 		return err
 	}
@@ -218,39 +247,56 @@ func (ini *Initiator) adopt(name string, t target.Target) error {
 	return nil
 }
 
-// listInventory bridges the two inventory shapes: the in-process store's
-// infallible ListObjects and the remote target's wire call.
-func listInventory(t target.Target) ([]osd.Info, error) {
-	switch v := t.(type) {
-	case interface{ ListObjects() []osd.Info }:
-		return v.ListObjects(), nil
-	case interface{ ListObjects() ([]osd.Info, error) }:
-		return v.ListObjects()
-	}
-	return nil, nil
-}
-
 func (ini *Initiator) stripeFor(id osd.ObjectID) *dirStripe {
 	return &ini.stripes[HashID(id)&routeStripeMask]
 }
 
+// route is where one object's operation goes: the owning shard and, when the
+// cluster already holds the object, its directory entry.
+type route struct {
+	st   *dirStripe
+	name string
+	t    target.Target
+	p    *placement // nil when the ring, not the directory, chose the shard
+}
+
 // resolve returns the shard owning id — the directory entry when one
 // exists, the ring otherwise. Callers hold the object's stripe lock.
-func (ini *Initiator) resolve(st *dirStripe, id osd.ObjectID) (string, target.Target, *placement, error) {
-	p := st.objs[id]
+func (ini *Initiator) resolve(st *dirStripe, id osd.ObjectID) (route, error) {
+	r := route{st: st, p: st.objs[id]}
 	ini.mu.RLock()
-	name := ""
-	if p != nil {
-		name = p.shard
+	if r.p != nil {
+		r.name = r.p.shard
 	} else {
-		name = ini.ring.Owner(id)
+		r.name = ini.ring.Owner(id)
 	}
-	t := ini.shards[name]
+	r.t = ini.shards[r.name]
 	ini.mu.RUnlock()
-	if t == nil {
-		return "", nil, nil, fmt.Errorf("cluster: object %v routed to unknown shard %q", id, name)
+	if r.t == nil {
+		return route{}, fmt.Errorf("cluster: object %v routed to unknown shard %q", id, r.name)
 	}
-	return name, t, p, nil
+	return r, nil
+}
+
+// commitPut records a successful full-object write to shard in the
+// directory. The caller holds the stripe's write lock.
+func (st *dirStripe) commitPut(id osd.ObjectID, shard string, class osd.Class, dirty bool, size int64) {
+	if p := st.objs[id]; p != nil {
+		p.class, p.dirty, p.size = class, dirty, size
+	} else {
+		st.objs[id] = &placement{shard: shard, class: class, dirty: dirty, size: size}
+	}
+}
+
+// dropStale removes id's directory entry after shard reported the object
+// gone: the shard is authoritative, and the next write routes by ring. The
+// caller holds no stripe lock.
+func (st *dirStripe) dropStale(id osd.ObjectID, shard string) {
+	st.mu.Lock()
+	if p := st.objs[id]; p != nil && p.shard == shard {
+		delete(st.objs, id)
+	}
+	st.mu.Unlock()
 }
 
 func (ini *Initiator) countersFor(name string) *shardCounters {
@@ -261,96 +307,94 @@ func (ini *Initiator) countersFor(name string) *shardCounters {
 	return c.(*shardCounters)
 }
 
+// book counts one successful operation and its payload bytes.
+func (c *shardCounters) book(in, out int64) {
+	c.ops.Add(1)
+	c.bytesIn.Add(in)
+	c.bytesOut.Add(out)
+}
+
+// observe records one routed call — single or batch, successful or not — in
+// the latency histogram.
 func (ini *Initiator) observe(op string, start time.Time) {
 	if ini.opStats != nil {
 		ini.opStats.Record(op, time.Since(start))
 	}
 }
 
+// routed is the skeleton of every single-object operation: take the object's
+// route lock (shared for a read, so concurrent reads of a stripe overlap;
+// exclusive otherwise, so a migration sees no operation in flight), resolve
+// the owning shard, run call against it under the lock, then keep the books.
+// call returns the payload bytes written and read; it updates the placement
+// itself, because what a success means for the entry is the operation's own.
+func (ini *Initiator) routed(op string, id osd.ObjectID, shared bool, call func(r route) (in, out int64, err error)) error {
+	defer ini.observe(op, time.Now())
+	st := ini.stripeFor(id)
+	st.lock(shared)
+	r, err := ini.resolve(st, id)
+	if err != nil {
+		st.unlock(shared)
+		return err
+	}
+	in, out, err := call(r)
+	st.unlock(shared)
+	switch {
+	case err == nil:
+		ini.countersFor(r.name).book(in, out)
+	case errors.Is(err, store.ErrNotFound):
+		st.dropStale(id, r.name)
+	}
+	return err
+}
+
 // PutCtx routes a full-object write to the owning shard and commits the
 // placement on success.
 func (ini *Initiator) PutCtx(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class osd.Class, dirty bool) (time.Duration, error) {
-	start := time.Now()
-	st := ini.stripeFor(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	name, t, p, err := ini.resolve(st, id)
-	if err != nil {
-		return 0, err
-	}
-	cost, err := t.PutCtx(rc, id, data, class, dirty)
-	if err != nil {
-		return cost, err
-	}
-	if p == nil {
-		st.objs[id] = &placement{shard: name, class: class, dirty: dirty, size: int64(len(data))}
-	} else {
-		p.class, p.dirty, p.size = class, dirty, int64(len(data))
-	}
-	c := ini.countersFor(name)
-	c.ops.Add(1)
-	c.bytesIn.Add(int64(len(data)))
-	ini.observe("cluster.put", start)
-	return cost, nil
+	var cost time.Duration
+	err := ini.routed("cluster.put", id, false, func(r route) (in, out int64, err error) {
+		cost, err = r.t.PutCtx(rc, id, data, class, dirty)
+		if err == nil {
+			r.st.commitPut(id, r.name, class, dirty, int64(len(data)))
+		}
+		return int64(len(data)), 0, err
+	})
+	return cost, err
 }
 
 // WriteRangeCtx routes a partial in-place update.
 func (ini *Initiator) WriteRangeCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, data []byte) (time.Duration, error) {
-	start := time.Now()
-	st := ini.stripeFor(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	name, t, p, err := ini.resolve(st, id)
-	if err != nil {
-		return 0, err
-	}
-	cost, err := t.WriteRangeCtx(rc, id, offset, data)
-	if err != nil {
-		return cost, err
-	}
-	if p != nil {
-		p.dirty = true
-		p.class = osd.ClassDirty
-		if end := offset + int64(len(data)); end > p.size {
-			p.size = end
+	var cost time.Duration
+	err := ini.routed("cluster.write_range", id, false, func(r route) (in, out int64, err error) {
+		cost, err = r.t.WriteRangeCtx(rc, id, offset, data)
+		if err == nil && r.p != nil {
+			r.p.dirty = true
+			r.p.class = osd.ClassDirty
+			if end := offset + int64(len(data)); end > r.p.size {
+				r.p.size = end
+			}
 		}
-	}
-	c := ini.countersFor(name)
-	c.ops.Add(1)
-	c.bytesIn.Add(int64(len(data)))
-	ini.observe("cluster.write_range", start)
-	return cost, nil
+		return int64(len(data)), 0, err
+	})
+	return cost, err
 }
 
 // GetCtx routes a read to the owning shard. The stripe is read-locked for
 // the round-trip, so a concurrent migration cannot move the object out from
 // under the read.
 func (ini *Initiator) GetCtx(rc *reqctx.Ctx, id osd.ObjectID) (*bufpool.Buf, time.Duration, bool, error) {
-	start := time.Now()
-	st := ini.stripeFor(id)
-	st.mu.RLock()
-	name, t, _, rerr := ini.resolve(st, id)
-	if rerr != nil {
-		st.mu.RUnlock()
-		return nil, 0, false, rerr
-	}
-	buf, cost, degraded, err := t.GetCtx(rc, id)
-	st.mu.RUnlock()
-	if errors.Is(err, store.ErrNotFound) {
-		// The shard is authoritative; drop a stale directory entry so the
-		// next write routes by ring.
-		st.mu.Lock()
-		if p := st.objs[id]; p != nil && p.shard == name {
-			delete(st.objs, id)
+	var (
+		buf      *bufpool.Buf
+		cost     time.Duration
+		degraded bool
+	)
+	err := ini.routed("cluster.get", id, true, func(r route) (in, out int64, err error) {
+		buf, cost, degraded, err = r.t.GetCtx(rc, id)
+		if err != nil {
+			return 0, 0, err
 		}
-		st.mu.Unlock()
-	}
-	if err == nil {
-		c := ini.countersFor(name)
-		c.ops.Add(1)
-		c.bytesOut.Add(int64(buf.Len()))
-	}
-	ini.observe("cluster.get", start)
+		return 0, int64(buf.Len()), nil
+	})
 	return buf, cost, degraded, err
 }
 
@@ -359,23 +403,13 @@ func (ini *Initiator) Delete(id osd.ObjectID) error { return ini.DeleteCtx(nil, 
 
 // DeleteCtx is Delete with request attribution.
 func (ini *Initiator) DeleteCtx(rc *reqctx.Ctx, id osd.ObjectID) error {
-	start := time.Now()
-	st := ini.stripeFor(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	name, t, _, rerr := ini.resolve(st, id)
-	if rerr != nil {
-		return rerr
-	}
-	err := t.DeleteCtx(rc, id)
-	if err == nil || errors.Is(err, store.ErrNotFound) {
-		delete(st.objs, id)
-	}
-	if err == nil {
-		ini.countersFor(name).ops.Add(1)
-	}
-	ini.observe("cluster.delete", start)
-	return err
+	return ini.routed("cluster.delete", id, false, func(r route) (in, out int64, err error) {
+		err = r.t.DeleteCtx(rc, id)
+		if err == nil {
+			delete(r.st.objs, id)
+		}
+		return 0, 0, err
+	})
 }
 
 // MarkClean clears an object's dirty flag on its shard.
@@ -383,46 +417,28 @@ func (ini *Initiator) MarkClean(id osd.ObjectID) error { return ini.MarkCleanCtx
 
 // MarkCleanCtx is MarkClean with request attribution.
 func (ini *Initiator) MarkCleanCtx(rc *reqctx.Ctx, id osd.ObjectID) error {
-	start := time.Now()
-	st := ini.stripeFor(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	name, t, p, rerr := ini.resolve(st, id)
-	if rerr != nil {
-		return rerr
-	}
-	err := t.MarkCleanCtx(rc, id)
-	if err == nil {
-		if p != nil {
-			p.dirty = false
+	return ini.routed("cluster.mark_clean", id, false, func(r route) (in, out int64, err error) {
+		err = r.t.MarkCleanCtx(rc, id)
+		if err == nil && r.p != nil {
+			r.p.dirty = false
 		}
-		ini.countersFor(name).ops.Add(1)
-	}
-	ini.observe("cluster.mark_clean", start)
-	return err
+		return 0, 0, err
+	})
 }
 
 // ReclassifyCtx re-labels (and possibly re-encodes) an object on its shard.
 func (ini *Initiator) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) (time.Duration, error) {
-	start := time.Now()
-	st := ini.stripeFor(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	name, t, p, rerr := ini.resolve(st, id)
-	if rerr != nil {
-		return 0, rerr
-	}
-	cost, err := t.ReclassifyCtx(rc, id, class)
-	if err == nil {
-		if p != nil {
-			p.class = class
+	var cost time.Duration
+	err := ini.routed("cluster.reclassify", id, false, func(r route) (in, out int64, err error) {
+		cost, err = r.t.ReclassifyCtx(rc, id, class)
+		if err == nil && r.p != nil {
+			r.p.class = class
 			if class != osd.ClassDirty {
-				p.dirty = false
+				r.p.dirty = false
 			}
 		}
-		ini.countersFor(name).ops.Add(1)
-	}
-	ini.observe("cluster.reclassify", start)
+		return 0, 0, err
+	})
 	return cost, err
 }
 

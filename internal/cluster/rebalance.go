@@ -3,14 +3,12 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
-	"time"
 
 	"github.com/reo-cache/reo/internal/osd"
-	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/store"
 	"github.com/reo-cache/reo/internal/target"
-	"github.com/reo-cache/reo/internal/transport"
 )
 
 // AddTarget joins a new shard to the ring and migrates onto it the ~1/N of
@@ -201,208 +199,86 @@ func (ini *Initiator) objectsOn(name string) int {
 
 // ShardStats is one shard's health and occupancy, gathered by Stats.
 type ShardStats struct {
-	Name            string
-	Objects         int64
-	UsedBytes       int64
-	RawCapacity     int64
-	SpaceEfficiency float64
-	AliveDevices    int
-	Devices         int
-	RecoveryActive  bool
-	RecoveryQueue   int
+	Name string
+	target.Stats
 	// Err carries a per-shard collection failure; the other shards still
 	// report.
 	Err error
 }
 
-// Stats fans out to every shard concurrently and returns per-shard health,
-// sorted by shard name.
-func (ini *Initiator) Stats() []ShardStats {
-	type member struct {
-		name string
-		t    target.Target
-	}
+// shardList snapshots the membership, sorted by shard name.
+func (ini *Initiator) shardList() []Shard {
 	ini.mu.RLock()
-	members := make([]member, 0, len(ini.shards))
+	out := make([]Shard, 0, len(ini.shards))
 	for name, t := range ini.shards {
-		members = append(members, member{name, t})
+		out = append(out, Shard{Name: name, Target: t})
 	}
 	ini.mu.RUnlock()
-
-	out := make([]ShardStats, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m member) {
-			defer wg.Done()
-			out[i] = shardStats(m.name, m.t)
-		}(i, m)
-	}
-	wg.Wait()
-	sortShardStats(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-func sortShardStats(s []ShardStats) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].Name < s[j-1].Name; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// shardStats collects one shard's stats via whichever surface it has: the
-// in-process store's accessors or the remote target's stats round-trip.
-func shardStats(name string, t target.Target) ShardStats {
-	s := ShardStats{
-		Name:         name,
-		RawCapacity:  t.RawCapacity(),
-		AliveDevices: t.AliveDevices(),
-		Devices:      t.Devices(),
-	}
-	switch v := t.(type) {
-	case *transport.RemoteTarget:
-		body, err := v.TargetStats()
-		if err != nil {
-			s.Err = err
-			return s
-		}
-		s.Objects = body.Objects
-		s.UsedBytes = body.UsedBytes
-		s.SpaceEfficiency = body.SpaceEfficiency
-		s.RecoveryActive = body.RecoveryActive
-		s.RecoveryQueue = int(body.RecoveryQueue)
-	default:
-		if c, ok := t.(interface{ ObjectCount() int }); ok {
-			s.Objects = int64(c.ObjectCount())
-		}
-		if u, ok := t.(interface{ UsedBytes() int64 }); ok {
-			s.UsedBytes = u.UsedBytes()
-		}
-		if e, ok := t.(interface{ SpaceEfficiency() float64 }); ok {
-			s.SpaceEfficiency = e.SpaceEfficiency()
-		}
-		if r, ok := t.(interface{ RecoveryActive() bool }); ok {
-			s.RecoveryActive = r.RecoveryActive()
-		}
-		if q, ok := t.(interface{ RecoveryQueueLen() int }); ok {
-			s.RecoveryQueue = q.RecoveryQueueLen()
-		}
-	}
-	return s
-}
-
-// ScrubRepair fans a scrub-and-repair pass out to every in-process shard
-// concurrently and merges the reports. Remote shards have no scrub wire op
-// and are skipped; the skipped count tells the caller to scrub those
-// targets locally (reoctl against each reotarget).
-func (ini *Initiator) ScrubRepair() (store.ScrubRepairReport, time.Duration, int, error) {
-	ini.mu.RLock()
-	type scrubber interface {
-		ScrubRepair() (store.ScrubRepairReport, time.Duration, error)
-	}
-	var able []scrubber
-	skipped := 0
-	for _, t := range ini.shards {
-		if s, ok := t.(scrubber); ok {
-			able = append(able, s)
-		} else {
-			skipped++
-		}
-	}
-	ini.mu.RUnlock()
-
-	reports := make([]store.ScrubRepairReport, len(able))
-	costs := make([]time.Duration, len(able))
-	errs := make([]error, len(able))
+// eachShard runs do once per member, all concurrently, and waits for them.
+func eachShard(members []Shard, do func(i int, sh Shard)) {
 	var wg sync.WaitGroup
-	for i, s := range able {
+	for i, sh := range members {
 		wg.Add(1)
-		go func(i int, s scrubber) {
+		go func() {
 			defer wg.Done()
-			reports[i], costs[i], errs[i] = s.ScrubRepair()
-		}(i, s)
+			do(i, sh)
+		}()
 	}
 	wg.Wait()
-
-	var merged store.ScrubRepairReport
-	var cost time.Duration
-	for i := range reports {
-		if errs[i] != nil {
-			return merged, cost, skipped, errs[i]
-		}
-		r := reports[i]
-		merged.ObjectsScanned += r.ObjectsScanned
-		merged.StripesScanned += r.StripesScanned
-		merged.StripesHealthy += r.StripesHealthy
-		merged.StripesDegraded += r.StripesDegraded
-		merged.StripesLost += r.StripesLost
-		merged.SilentlyCorrupted = append(merged.SilentlyCorrupted, r.SilentlyCorrupted...)
-		merged.StripesRepaired += r.StripesRepaired
-		merged.Invalidated = append(merged.Invalidated, r.Invalidated...)
-		merged.UnrepairableDirty = append(merged.UnrepairableDirty, r.UnrepairableDirty...)
-		// Shards scrub in parallel wall-clock; the pass costs as much as
-		// the slowest shard.
-		if costs[i] > cost {
-			cost = costs[i]
-		}
-	}
-	return merged, cost, skipped, nil
 }
 
-// localRecoverer is how RecoverStep recognises an in-process shard. The match
-// is structural, so the assertion below is what stops a renamed store method
-// from silently turning local recovery into a no-op.
-type localRecoverer interface {
-	RecoverStepCtx(rc *reqctx.Ctx, maxObjects int) (time.Duration, int, bool, error)
+// Stats fans out to every shard concurrently and returns per-shard health,
+// sorted by shard name. A shard that is only a Target, or whose snapshot
+// fails, reports the health target.Target itself exposes.
+func (ini *Initiator) Stats() []ShardStats {
+	members := ini.shardList()
+	out := make([]ShardStats, len(members))
+	eachShard(members, func(i int, sh Shard) {
+		s := ShardStats{Name: sh.Name}
+		st := shardTarget(sh.Target)
+		if st != nil {
+			s.Stats, s.Err = st.TargetStats()
+		}
+		if st == nil || s.Err != nil {
+			s.Stats = target.Stats{
+				RawCapacity:  sh.Target.RawCapacity(),
+				AliveDevices: sh.Target.AliveDevices(),
+				Devices:      sh.Target.Devices(),
+			}
+		}
+		out[i] = s
+	})
+	return out
 }
-
-var _ localRecoverer = (*store.Store)(nil)
 
 // RecoverStep fans one bounded recovery step out to every shard
 // concurrently. It returns the total objects rebuilt and whether every
-// shard reports recovery complete.
+// shard reports recovery complete; a shard that is only a Target has nothing
+// to rebuild.
 func (ini *Initiator) RecoverStep(maxPerShard int) (rebuilt int, done bool, err error) {
-	type member struct {
-		name string
-		t    target.Target
-	}
-	ini.mu.RLock()
-	members := make([]member, 0, len(ini.shards))
-	for name, t := range ini.shards {
-		members = append(members, member{name, t})
-	}
-	ini.mu.RUnlock()
-
 	type result struct {
 		rebuilt int
 		done    bool
 		err     error
 	}
+	members := ini.shardList()
 	results := make([]result, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m member) {
-			defer wg.Done()
-			switch v := m.t.(type) {
-			case *transport.RemoteTarget:
-				n, d, e := v.RecoverStep(maxPerShard)
-				results[i] = result{n, d, e}
-			case localRecoverer:
-				_, n, d, e := v.RecoverStepCtx(nil, maxPerShard)
-				results[i] = result{n, d, e}
-			default:
-				results[i] = result{0, true, nil}
-			}
-		}(i, m)
-	}
-	wg.Wait()
+	eachShard(members, func(i int, sh Shard) {
+		r := result{done: true}
+		if st := shardTarget(sh.Target); st != nil {
+			_, r.rebuilt, r.done, r.err = st.RecoverStepCtx(nil, maxPerShard)
+		}
+		results[i] = r
+	})
 
 	done = true
 	for i, r := range results {
 		if r.err != nil && err == nil {
-			err = fmt.Errorf("cluster: shard %q: %w", members[i].name, r.err)
+			err = fmt.Errorf("cluster: shard %q: %w", members[i].Name, r.err)
 		}
 		rebuilt += r.rebuilt
 		if !r.done {

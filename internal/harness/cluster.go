@@ -9,11 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/reo-cache/reo/internal/backend"
 	"github.com/reo-cache/reo/internal/cache"
 	"github.com/reo-cache/reo/internal/cluster"
 	"github.com/reo-cache/reo/internal/flash"
-	"github.com/reo-cache/reo/internal/hdd"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/store"
 	"github.com/reo-cache/reo/internal/target"
@@ -45,12 +43,9 @@ type ClusterSpec struct {
 
 // ClusterResult summarises one sharded replay.
 type ClusterResult struct {
-	Shards   int
-	Workers  int
-	Requests int
-	Hits     int64
-	Bytes    int64
-	Elapsed  time.Duration
+	Shards  int
+	Workers int
+	replayTotals
 	// Digest fingerprints the final byte content of every object (in
 	// object order). Two replays of the same trace — whatever the shard
 	// count, worker count, or transport — must print the same digest;
@@ -68,22 +63,6 @@ type ClusterResult struct {
 	MigratedBytes   int64
 	// PerShard is the per-shard routing accounting at quiesce.
 	PerShard []cluster.ShardCounters
-}
-
-// OpsPerSec is the measured wall-clock request throughput.
-func (r *ClusterResult) OpsPerSec() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Requests) / r.Elapsed.Seconds()
-}
-
-// HitRatioPct is the fraction of requests served from cluster flash.
-func (r *ClusterResult) HitRatioPct() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return 100 * float64(r.Hits) / float64(r.Requests)
 }
 
 // clusterShardStore builds one shard-sized store: the cluster divides the
@@ -190,26 +169,12 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 		return nil, err
 	}
 
-	be := backend.New(hdd.WD1TB(4 * tr.DatasetBytes))
-	for obj := range tr.Sizes {
-		if _, err := be.Put(objectID(obj), Payload(tr, obj, 0)); err != nil {
-			return nil, err
-		}
-	}
-	cm, err := cache.New(cache.Config{
-		Store:            ini,
-		Backend:          be,
-		NetworkBandwidth: 1.25e9,
-		NetworkRTT:       100 * time.Microsecond,
-		RefreshInterval:  500,
-		AsyncRefresh:     opts.AsyncReclass,
-		OpStats:          opts.OpStats,
-	})
+	_, cm, err := newCacheOver(ini, tr, cache.Config{AsyncRefresh: opts.AsyncReclass, OpStats: opts.OpStats})
 	if err != nil {
 		return nil, err
 	}
 
-	res := &ClusterResult{Shards: shards, Workers: spec.Workers, Requests: len(tr.Requests)}
+	res := &ClusterResult{Shards: shards, Workers: spec.Workers, replayTotals: replayTotals{Requests: len(tr.Requests)}}
 	// lastAcked[obj] is the highest acknowledged write version; slot obj is
 	// owned by worker obj%Workers, read by the verify sweep after quiesce.
 	lastAcked := make([]int, len(tr.Sizes))
@@ -401,15 +366,7 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 			opts.OpStats.SetGauge("batch.partialFailures", float64(bs.PartialFailures))
 		}
 		if spec.Remote || len(spec.Addrs) > 0 {
-			ws := transport.SnapshotWireStats()
-			opts.OpStats.SetGauge("wire.flushes", float64(ws.Flushes))
-			opts.OpStats.SetGauge("wire.frames", float64(ws.Frames))
-			opts.OpStats.SetGauge("bufpool.wireLeases", float64(ws.Leases))
-			opts.OpStats.SetGauge("bufpool.wireReleases", float64(ws.Releases))
-			if batchN > 1 {
-				opts.OpStats.SetGauge("batch.frames", float64(ws.BatchFrames))
-				opts.OpStats.SetGauge("batch.subOpsPerFrame", ws.SubOpsPerBatch())
-			}
+			setWireGauges(opts.OpStats, batchN > 1)
 		}
 	}
 	return res, nil

@@ -22,6 +22,7 @@ import (
 	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/simclock"
 	"github.com/reo-cache/reo/internal/store"
+	"github.com/reo-cache/reo/internal/target"
 	"github.com/reo-cache/reo/internal/workload"
 )
 
@@ -117,25 +118,14 @@ func BuildSystem(cfg SystemConfig, tr *workload.Trace) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	be := backend.New(hdd.WD1TB(4 * tr.DatasetBytes))
-	for obj := range tr.Sizes {
-		if _, err := be.Put(objectID(obj), Payload(tr, obj, 0)); err != nil {
-			return nil, err
-		}
-	}
-	cm, err := cache.New(cache.Config{
-		Store:            st,
-		Backend:          be,
-		NetworkBandwidth: 1.25e9, // 10GbE
-		NetworkRTT:       100 * time.Microsecond,
-		RefreshInterval:  500,
-		HotnessMetric:    cfg.HotnessMetric,
-		AsyncRefresh:     cfg.AsyncReclass,
-		ReclassWorkers:   cfg.ReclassWorkers,
-		OpStats:          cfg.OpStats,
-		Admission:        cfg.Admission,
-		AdmitMinHits:     cfg.AdmitMinHits,
-		GhostCapacity:    cfg.GhostCapacity,
+	be, cm, err := newCacheOver(st, tr, cache.Config{
+		HotnessMetric:  cfg.HotnessMetric,
+		AsyncRefresh:   cfg.AsyncReclass,
+		ReclassWorkers: cfg.ReclassWorkers,
+		OpStats:        cfg.OpStats,
+		Admission:      cfg.Admission,
+		AdmitMinHits:   cfg.AdmitMinHits,
+		GhostCapacity:  cfg.GhostCapacity,
 	})
 	if err != nil {
 		return nil, err
@@ -148,29 +138,55 @@ func BuildSystem(cfg SystemConfig, tr *workload.Trace) (*System, error) {
 	}, nil
 }
 
-// serveWithLifecycle issues one request under a per-request context built
-// from the schedule's Timeout/CancelRate knobs: a pooled reqctx carrying a
-// real-time deadline, pre-cancelled for the deterministic CancelRate share of
-// requests.
-func serveWithLifecycle(sys *System, cfg RunConfig, cancelRng *rand.Rand, write bool,
-	id osd.ObjectID, tr *workload.Trace, obj, version int) (cache.Result, error) {
-	ctx := context.Background()
-	var cancel context.CancelFunc
-	if cfg.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
+// newCacheOver is the initiator half every harness system shares, whatever
+// target sits under it: a backend preloaded with the trace's object
+// population, and a cache manager over tgt with the harness's fixed network
+// model (10GbE, 100µs round trip) and refresh interval. cfg carries the
+// caller's remaining knobs.
+func newCacheOver(tgt target.Target, tr *workload.Trace, cfg cache.Config) (*backend.Store, *cache.Manager, error) {
+	be := backend.New(hdd.WD1TB(4 * tr.DatasetBytes))
+	for obj := range tr.Sizes {
+		if _, err := be.Put(objectID(obj), Payload(tr, obj, 0)); err != nil {
+			return nil, nil, err
+		}
 	}
-	defer cancel()
-	if cancelRng != nil && cancelRng.Float64() < cfg.CancelRate {
-		cancel() // the client abandoned this request before service
+	cfg.Store = tgt
+	cfg.Backend = be
+	cfg.NetworkBandwidth = 1.25e9
+	cfg.NetworkRTT = 100 * time.Microsecond
+	cfg.RefreshInterval = 500
+	cm, err := cache.New(cfg)
+	return be, cm, err
+}
+
+// serve issues one trace request. When the schedule sets Timeout or
+// CancelRate the request runs under a per-request context built from them —
+// a pooled reqctx carrying a real-time deadline, pre-cancelled for the
+// deterministic CancelRate share of requests; otherwise it runs under a nil
+// context, which is what Cache.Read and Cache.Write pass.
+func serve(sys *System, cfg RunConfig, cancelRng *rand.Rand, tr *workload.Trace, req workload.Request) (cache.Result, error) {
+	var rc *reqctx.Ctx
+	if cfg.Timeout > 0 || cfg.CancelRate > 0 {
+		var (
+			ctx    context.Context
+			cancel context.CancelFunc
+		)
+		if cfg.Timeout > 0 {
+			ctx, cancel = context.WithTimeout(context.Background(), cfg.Timeout)
+		} else {
+			ctx, cancel = context.WithCancel(context.Background())
+		}
+		defer cancel()
+		if cancelRng != nil && cancelRng.Float64() < cfg.CancelRate {
+			cancel() // the client abandoned this request before service
+		}
+		rc = reqctx.Acquire(ctx)
+		defer reqctx.Release(rc)
 	}
-	rc := reqctx.Acquire(ctx)
-	defer reqctx.Release(rc)
-	if write {
-		return sys.Cache.WriteCtx(rc, id, Payload(tr, obj, version))
+	if req.Write {
+		return sys.Cache.WriteCtx(rc, objectID(req.Object), Payload(tr, req.Object, req.Version))
 	}
-	return sys.Cache.ReadCtx(rc, id)
+	return sys.Cache.ReadCtx(rc, objectID(req.Object))
 }
 
 // objectID maps a trace object index to its OSD identity.
@@ -230,8 +246,8 @@ type RunConfig struct {
 	// CancelRate, when positive, issues that fraction of requests with an
 	// already-cancelled context — the client abandoned the request before
 	// service. Selection is deterministic per trace seed. When both Timeout
-	// and CancelRate are zero, the replay uses the legacy non-context calls
-	// and is byte-identical to the pre-lifecycle harness.
+	// and CancelRate are zero every request runs under a nil context and
+	// the replay is byte-identical to the pre-lifecycle harness.
 	CancelRate float64
 	// OnRequest, when set, runs before each measured request with its
 	// index; the returned cost is charged to the virtual clock. Chaos runs
@@ -374,18 +390,7 @@ func replay(sys *System, tr *workload.Trace, cfg RunConfig, res *RunResult) erro
 			}
 		}
 
-		id := objectID(req.Object)
-		var (
-			result cache.Result
-			err    error
-		)
-		if lifecycle {
-			result, err = serveWithLifecycle(sys, cfg, cancelRng, req.Write, id, tr, req.Object, req.Version)
-		} else if req.Write {
-			result, err = sys.Cache.Write(id, Payload(tr, req.Object, req.Version))
-		} else {
-			result, err = sys.Cache.Read(id)
-		}
+		result, err := serve(sys, cfg, cancelRng, tr, req)
 		if err == nil && !req.Write && cfg.VerifyPayloads {
 			want := Payload(tr, req.Object, req.Version)
 			if !bytes.Equal(result.Data, want) {

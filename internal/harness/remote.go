@@ -8,10 +8,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/reo-cache/reo/internal/backend"
 	"github.com/reo-cache/reo/internal/cache"
 	"github.com/reo-cache/reo/internal/flash"
-	"github.com/reo-cache/reo/internal/hdd"
+	"github.com/reo-cache/reo/internal/metrics"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/store"
@@ -24,8 +23,13 @@ import (
 // transport (loopback TCP, multiplexed client) with real wall-clock
 // concurrency — so Elapsed and OpsPerSec are measured, not simulated.
 type RemoteResult struct {
-	Workers  int
-	Conns    int
+	Workers int
+	Conns   int
+	replayTotals
+}
+
+// replayTotals is what every wall-clock replay (-remote, -cluster) counts.
+type replayTotals struct {
 	Requests int
 	Hits     int64
 	Bytes    int64
@@ -33,19 +37,36 @@ type RemoteResult struct {
 }
 
 // OpsPerSec is the measured wall-clock request throughput.
-func (r *RemoteResult) OpsPerSec() float64 {
-	if r.Elapsed <= 0 {
+func (t *replayTotals) OpsPerSec() float64 {
+	if t.Elapsed <= 0 {
 		return 0
 	}
-	return float64(r.Requests) / r.Elapsed.Seconds()
+	return float64(t.Requests) / t.Elapsed.Seconds()
 }
 
-// HitRatioPct is the fraction of requests served from the remote flash cache.
-func (r *RemoteResult) HitRatioPct() float64 {
-	if r.Requests == 0 {
+// HitRatioPct is the fraction of requests served from flash.
+func (t *replayTotals) HitRatioPct() float64 {
+	if t.Requests == 0 {
 		return 0
 	}
-	return 100 * float64(r.Hits) / float64(r.Requests)
+	return 100 * float64(t.Hits) / float64(t.Requests)
+}
+
+// setWireGauges surfaces the zero-copy/batching wire counters next to the op
+// latencies so -opstats shows how the transport moved the bytes: frames per
+// flush and the frame-lease books (leases != releases at quiesce means a
+// leaked pooled buffer), plus the batch PDUs when the replay batches.
+func setWireGauges(h *metrics.OpHistogram, batched bool) transport.WireStats {
+	ws := transport.SnapshotWireStats()
+	h.SetGauge("wire.flushes", float64(ws.Flushes))
+	h.SetGauge("wire.frames", float64(ws.Frames))
+	h.SetGauge("bufpool.wireLeases", float64(ws.Leases))
+	h.SetGauge("bufpool.wireReleases", float64(ws.Releases))
+	if batched {
+		h.SetGauge("batch.frames", float64(ws.BatchFrames))
+		h.SetGauge("batch.subOpsPerFrame", ws.SubOpsPerBatch())
+	}
+	return ws
 }
 
 // remoteWriteRatio mixes writes into the remote replay so the multiplexed
@@ -100,21 +121,7 @@ func RemoteThroughput(loc workload.Locality, opts Options, workers, conns int) (
 	}
 	defer rt.Close()
 
-	be := backend.New(hdd.WD1TB(4 * tr.DatasetBytes))
-	for obj := range tr.Sizes {
-		if _, err := be.Put(objectID(obj), Payload(tr, obj, 0)); err != nil {
-			return nil, err
-		}
-	}
-	cm, err := cache.New(cache.Config{
-		Store:            rt,
-		Backend:          be,
-		NetworkBandwidth: 1.25e9,
-		NetworkRTT:       100 * time.Microsecond,
-		RefreshInterval:  500,
-		AsyncRefresh:     opts.AsyncReclass,
-		OpStats:          opts.OpStats,
-	})
+	_, cm, err := newCacheOver(rt, tr, cache.Config{AsyncRefresh: opts.AsyncReclass, OpStats: opts.OpStats})
 	if err != nil {
 		return nil, err
 	}
@@ -168,29 +175,20 @@ func RemoteThroughput(loc workload.Locality, opts Options, workers, conns int) (
 	default:
 	}
 	if opts.OpStats != nil {
-		// Surface the zero-copy/batching wire counters next to the op
-		// latencies so -opstats shows how the transport moved the bytes:
-		// frames per syscall, coalescing rate, and the frame-lease books
-		// (leases != releases at quiesce means a leaked pooled buffer).
-		ws := transport.SnapshotWireStats()
-		opts.OpStats.SetGauge("wire.flushes", float64(ws.Flushes))
-		opts.OpStats.SetGauge("wire.frames", float64(ws.Frames))
+		// The single-target replay also shows the coalescing rate.
+		ws := setWireGauges(opts.OpStats, batchN > 1)
 		opts.OpStats.SetGauge("wire.batchedFrames", float64(ws.BatchedFrames))
 		opts.OpStats.SetGauge("wire.bytesPerSyscall", ws.BytesPerFlush())
-		opts.OpStats.SetGauge("bufpool.wireLeases", float64(ws.Leases))
-		opts.OpStats.SetGauge("bufpool.wireReleases", float64(ws.Releases))
-		if batchN > 1 {
-			opts.OpStats.SetGauge("batch.frames", float64(ws.BatchFrames))
-			opts.OpStats.SetGauge("batch.subOpsPerFrame", ws.SubOpsPerBatch())
-		}
 	}
 	return &RemoteResult{
-		Workers:  workers,
-		Conns:    conns,
-		Requests: len(tr.Requests),
-		Hits:     hits.Load(),
-		Bytes:    bytes.Load(),
-		Elapsed:  elapsed,
+		Workers: workers,
+		Conns:   conns,
+		replayTotals: replayTotals{
+			Requests: len(tr.Requests),
+			Hits:     hits.Load(),
+			Bytes:    bytes.Load(),
+			Elapsed:  elapsed,
+		},
 	}, nil
 }
 

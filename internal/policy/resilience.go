@@ -179,8 +179,8 @@ var defaultIORetry = RetryRule{
 	Jitter:      0.25,
 }
 
-// Redial defaults: identical to internal/transport's redialBaseDelay /
-// redialMaxDelay with unbounded attempts.
+// Redial defaults, read directly by internal/transport's redial loop:
+// unbounded attempts.
 var defaultDialRetry = RetryRule{
 	MaxAttempts: 0,
 	BaseBackoff: 5 * time.Millisecond,

@@ -31,6 +31,7 @@ import (
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/stripe"
+	"github.com/reo-cache/reo/internal/target"
 )
 
 // Errors surfaced to the cache manager; each maps onto a Table III sense
@@ -733,6 +734,28 @@ func (s *Store) ListObjects() []osd.Info {
 		return out[i].ID.OID < out[j].ID.OID
 	})
 	return out
+}
+
+// Inventory and TargetStats, beside RecoverStepCtx, make the store a
+// target.ShardTarget. In-process neither can fail; the error returns are the
+// wire's, so a remote target satisfies the same interface.
+var _ target.ShardTarget = (*Store)(nil)
+
+// Inventory implements target.ShardTarget: ListObjects.
+func (s *Store) Inventory() ([]osd.Info, error) { return s.ListObjects(), nil }
+
+// TargetStats implements target.ShardTarget.
+func (s *Store) TargetStats() (target.Stats, error) {
+	return target.Stats{
+		Objects:         int64(s.ObjectCount()),
+		UsedBytes:       s.UsedBytes(),
+		RawCapacity:     s.RawCapacity(),
+		SpaceEfficiency: s.SpaceEfficiency(),
+		AliveDevices:    s.AliveDevices(),
+		Devices:         s.Devices(),
+		RecoveryActive:  s.RecoveryActive(),
+		RecoveryQueue:   s.RecoveryQueueLen(),
+	}, nil
 }
 
 // CountByClass returns live object counts per class.

@@ -204,22 +204,27 @@ func decodePutBatchResults(payload []byte) ([]wirePutResult, error) {
 	return out, nil
 }
 
-// batchGetFrameError spreads a frame-level failure (transport error,
-// protocol mismatch) across every sub-op of a batch read.
-func batchGetFrameError(n int, err error) []target.BatchGetResult {
-	out := make([]target.BatchGetResult, n)
-	for i := range out {
-		out[i].Err = err
+// batchCall carries one batch PDU of n sub-ops through the client call and
+// decodes the per-sub-op results in place. On success the caller owns the
+// frame the results alias; any frame-level failure — dead request, transport
+// error, non-OK frame sense, results that do not match the sub-ops — comes
+// back as one error for the caller to spread across the batch.
+func batchCall[R any](o ops, rc *reqctx.Ctx, req Request, n int, decode func([]byte) ([]R, error)) ([]R, *bufpool.Buf, error) {
+	wireBatchFrames.Add(1)
+	wireBatchSubOps.Add(int64(n))
+	resp, frame, err := o.callFrame(rc, req)
+	if err != nil {
+		return nil, nil, err
 	}
-	return out
-}
-
-func batchPutFrameError(n int, err error) []target.BatchPutResult {
-	out := make([]target.BatchPutResult, n)
-	for i := range out {
-		out[i].Err = err
+	results, err := decode(resp.Payload)
+	if err == nil && len(results) != n {
+		err = fmt.Errorf("%w: %v: %d results for %d sub-ops", ErrShortFrame, req.Op, len(results), n)
 	}
-	return out
+	if err != nil {
+		releaseFrame(frame)
+		return nil, nil, err
+	}
+	return results, frame, nil
 }
 
 // GetBatchCtx reads len(ids) objects in one OpGetBatch frame through one
@@ -228,36 +233,23 @@ func batchPutFrameError(n int, err error) []target.BatchPutResult {
 // returns; successful entries carry a leased pooled buffer the caller must
 // Release. A batch of one degenerates to the plain OpGet PDU, so the wire
 // stays byte-identical to the unbatched protocol.
-func (c *Client) GetBatchCtx(rc *reqctx.Ctx, ids []osd.ObjectID) []target.BatchGetResult {
+func (o ops) GetBatchCtx(rc *reqctx.Ctx, ids []osd.ObjectID) []target.BatchGetResult {
 	if len(ids) == 0 {
 		return nil
 	}
 	if len(ids) == 1 {
-		buf, cost, degraded, err := c.GetLeasedCtx(rc, ids[0])
+		buf, cost, degraded, err := o.GetLeasedCtx(rc, ids[0])
 		return []target.BatchGetResult{{Buf: buf, Cost: cost, Degraded: degraded, Err: err}}
 	}
-	if err := rc.Err(); err != nil {
-		return batchGetFrameError(len(ids), err)
-	}
-	wireBatchFrames.Add(1)
-	wireBatchSubOps.Add(int64(len(ids)))
-	resp, frame, err := c.roundTripFrame(rc, Request{Op: OpGetBatch, Payload: encodeBatchIDs(ids)})
+	out := make([]target.BatchGetResult, len(ids))
+	results, frame, err := batchCall(o, rc, Request{Op: OpGetBatch, Payload: encodeBatchIDs(ids)}, len(ids), decodeGetBatchResults)
 	if err != nil {
-		return batchGetFrameError(len(ids), err)
+		for i := range out {
+			out[i].Err = err
+		}
+		return out
 	}
 	defer releaseFrame(frame)
-	if err := senseError(resp); err != nil {
-		return batchGetFrameError(len(ids), err)
-	}
-	results, err := decodeGetBatchResults(resp.Payload)
-	if err == nil && len(results) != len(ids) {
-		err = fmt.Errorf("%w: get-batch: %d results for %d sub-ops",
-			ErrShortFrame, len(results), len(ids))
-	}
-	if err != nil {
-		return batchGetFrameError(len(ids), err)
-	}
-	out := make([]target.BatchGetResult, len(ids))
 	for i := range results {
 		r := &results[i]
 		if err := senseError(Response{Sense: r.Sense, Message: r.Message}); err != nil {
@@ -275,42 +267,29 @@ func (c *Client) GetBatchCtx(rc *reqctx.Ctx, ids []osd.ObjectID) []target.BatchG
 	return out
 }
 
-// PutBatchCtx writes len(ops) objects in one OpPutBatch frame through one
+// PutBatchCtx writes len(batch) objects in one OpPutBatch frame through one
 // in-flight window slot, returning one result per op in order. Each sub-op
 // succeeds or fails independently with the same errors PutCtx returns. A
 // batch of one degenerates to the plain OpPut PDU.
-func (c *Client) PutBatchCtx(rc *reqctx.Ctx, ops []target.BatchPut) []target.BatchPutResult {
-	if len(ops) == 0 {
+func (o ops) PutBatchCtx(rc *reqctx.Ctx, batch []target.BatchPut) []target.BatchPutResult {
+	if len(batch) == 0 {
 		return nil
 	}
-	if len(ops) == 1 {
-		cost, err := c.PutCtx(rc, ops[0].ID, ops[0].Data, ops[0].Class, ops[0].Dirty)
+	if len(batch) == 1 {
+		cost, err := o.PutCtx(rc, batch[0].ID, batch[0].Data, batch[0].Class, batch[0].Dirty)
 		return []target.BatchPutResult{{Cost: cost, Err: err}}
 	}
-	if err := rc.Err(); err != nil {
-		return batchPutFrameError(len(ops), err)
-	}
-	wireBatchFrames.Add(1)
-	wireBatchSubOps.Add(int64(len(ops)))
-	resp, frame, err := c.roundTripFrame(rc, Request{Op: OpPutBatch, Payload: encodePutBatch(ops)})
-	if err != nil {
-		return batchPutFrameError(len(ops), err)
-	}
+	out := make([]target.BatchPutResult, len(batch))
+	results, frame, err := batchCall(o, rc, Request{Op: OpPutBatch, Payload: encodePutBatch(batch)}, len(batch), decodePutBatchResults)
 	// decodePutBatchResults copies messages into strings, so the frame can
-	// be returned to the pool as soon as decoding finishes.
-	defer releaseFrame(frame)
-	if err := senseError(resp); err != nil {
-		return batchPutFrameError(len(ops), err)
-	}
-	results, err := decodePutBatchResults(resp.Payload)
-	if err == nil && len(results) != len(ops) {
-		err = fmt.Errorf("%w: put-batch: %d results for %d sub-ops",
-			ErrShortFrame, len(results), len(ops))
-	}
+	// go back to the pool as soon as decoding finishes.
+	releaseFrame(frame)
 	if err != nil {
-		return batchPutFrameError(len(ops), err)
+		for i := range out {
+			out[i].Err = err
+		}
+		return out
 	}
-	out := make([]target.BatchPutResult, len(ops))
 	for i := range results {
 		out[i] = target.BatchPutResult{
 			Cost: results[i].Cost,

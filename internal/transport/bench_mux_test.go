@@ -75,7 +75,7 @@ func benchTargetConn(b *testing.B, objects uint64, size int) net.Conn {
 	}
 	loader := NewClient(a)
 	for i := uint64(0); i < objects; i++ {
-		if _, err := loader.Put(oid(i), payload, osd.ClassColdClean, false); err != nil {
+		if _, err := loader.PutCtx(nil, oid(i), payload, osd.ClassColdClean, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func BenchmarkRemoteThroughput(b *testing.B) {
 			client := NewClient(benchTargetConn(b, objects, objSize))
 			b.Cleanup(func() { _ = client.Close() })
 			run(b, workers, func(id osd.ObjectID) error {
-				_, _, _, err := client.Get(id)
+				_, _, _, err := client.GetCtx(nil, id)
 				return err
 			})
 			// Every frame lease the wire path took during the run must have

@@ -10,11 +10,8 @@ import (
 	"time"
 
 	"github.com/reo-cache/reo/internal/bufpool"
-	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/osd"
-	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
-	"github.com/reo-cache/reo/internal/store"
 )
 
 // DefaultWindow is the default bound on in-flight requests per connection.
@@ -89,6 +86,8 @@ func (cl *call) resolve() { cl.done <- struct{}{} }
 // call fails promptly with an error wrapping ErrConnectionLost or
 // ErrClientClosed.
 type Client struct {
+	ops // the typed operations, carried by this client's own send
+
 	conn net.Conn
 
 	sendq  chan *call    // writer goroutine input; cap == window
@@ -116,6 +115,7 @@ func NewClientWindow(conn net.Conn, window int) *Client {
 		dead:    make(chan struct{}),
 		pending: make(map[uint64]*call),
 	}
+	c.ops.via = c
 	go c.writeLoop()
 	go c.readLoop()
 	return c
@@ -280,7 +280,7 @@ func (c *Client) readLoop() {
 }
 
 // send issues one request and waits for its response. The request must
-// carry a nonzero RequestID (withLifecycle guarantees this); a zero ID gets
+// carry a nonzero RequestID (exchange guarantees this); a zero ID gets
 // one minted here as a safety net. rc, when non-nil, lets the caller
 // abandon the wait: the slot is handed back to the window and the eventual
 // response is dropped by the reader.
@@ -384,93 +384,8 @@ func ctxErr(rc *reqctx.Ctx) error {
 	return context.DeadlineExceeded
 }
 
-// roundTrip stamps the lifecycle fields and sends one request through the
-// multiplexer. Any payload frame is released before returning (resp.Payload
-// must not be used); ops that consume a payload go through roundTripFrame.
-func (c *Client) roundTrip(rc *reqctx.Ctx, req Request) (Response, error) {
-	resp, frame, err := c.roundTripFrame(rc, req)
-	releaseFrame(frame)
-	resp.Payload = nil
-	return resp, err
-}
-
-// roundTripFrame is roundTrip for ops whose response carries a payload: the
-// returned frame (nil when there is no payload) is the pooled lease the
-// payload aliases, owned by the caller.
-func (c *Client) roundTripFrame(rc *reqctx.Ctx, req Request) (Response, *bufpool.Buf, error) {
-	resp, frame, err := c.send(rc, withLifecycle(rc, req))
-	if err != nil {
-		return Response{}, nil, fmt.Errorf("transport: %v: %w", req.Op, err)
-	}
-	return resp, frame, nil
-}
-
-// senseError converts a non-OK sense code back into the store's error
-// vocabulary so initiator-side code can errors.Is on it. Sense codes
-// without a mapped error keep the code in the error text.
-func senseError(resp Response) error {
-	switch resp.Sense {
-	case osd.SenseOK:
-		return nil
-	case osd.SenseCorrupted:
-		return fmt.Errorf("%w: %s", store.ErrCorrupted, resp.Message)
-	case osd.SenseCacheFull:
-		return fmt.Errorf("%w: %s", store.ErrCacheFull, resp.Message)
-	case osd.SenseRedundancyFull:
-		return fmt.Errorf("%w: %s", store.ErrRedundancyFull, resp.Message)
-	case osd.SenseNotFound:
-		return fmt.Errorf("%w: %s", store.ErrNotFound, resp.Message)
-	case osd.SenseCancelled:
-		return fmt.Errorf("%w: %s", context.Canceled, resp.Message)
-	case osd.SenseDeadline:
-		return fmt.Errorf("%w: %s", context.DeadlineExceeded, resp.Message)
-	default:
-		if resp.Message == "" {
-			return fmt.Errorf("transport: target sense %#x", int(resp.Sense))
-		}
-		return fmt.Errorf("transport: target sense %#x: %s", int(resp.Sense), resp.Message)
-	}
-}
-
-// withLifecycle stamps the request-lifecycle wire fields from rc. Every
-// wire request carries a nonzero RequestID — the multiplexer matches
-// responses by it — so legacy nil-ctx calls mint a fresh trace ID here.
-func withLifecycle(rc *reqctx.Ctx, req Request) Request {
-	if req.RequestID = rc.ID(); req.RequestID == 0 {
-		req.RequestID = reqctx.NextID()
-	}
-	if d, ok := rc.Deadline(); ok {
-		req.Deadline = d.UnixNano()
-	}
-	return req
-}
-
-// Put writes an object with the given class.
-func (c *Client) Put(id osd.ObjectID, data []byte, class osd.Class, dirty bool) (time.Duration, error) {
-	return c.PutCtx(nil, id, data, class, dirty)
-}
-
-// PutCtx is Put carrying the request's ID and deadline on the wire. The
-// local context is checked before sending; once the request is in flight the
-// target enforces the deadline on its side.
-func (c *Client) PutCtx(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class osd.Class, dirty bool) (time.Duration, error) {
-	if err := rc.Err(); err != nil {
-		return 0, err
-	}
-	resp, err := c.roundTrip(rc, Request{Op: OpPut, Object: id, Class: class, Dirty: dirty, Payload: data})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Cost, senseError(resp)
-}
-
-// Get reads an object into a fresh GC-owned slice.
-func (c *Client) Get(id osd.ObjectID) (data []byte, cost time.Duration, degraded bool, err error) {
-	return c.GetCtx(nil, id)
-}
-
-// GetCtx is Get carrying the request's ID and deadline on the wire. Callers
-// on the hot path should prefer GetLeasedCtx, which avoids the payload copy.
+// GetCtx reads an object into a fresh GC-owned slice. Callers on the hot
+// path should prefer GetLeasedCtx, which avoids the payload copy.
 func (c *Client) GetCtx(rc *reqctx.Ctx, id osd.ObjectID) (data []byte, cost time.Duration, degraded bool, err error) {
 	buf, cost, degraded, err := c.GetLeasedCtx(rc, id)
 	if err != nil {
@@ -480,262 +395,4 @@ func (c *Client) GetCtx(rc *reqctx.Ctx, id osd.ObjectID) (data []byte, cost time
 	copy(data, buf.Bytes())
 	buf.Release()
 	return data, cost, degraded, nil
-}
-
-// GetLeasedCtx reads an object into a pooled leased buffer delivered
-// straight off the wire: the buffer is the response frame itself, narrowed
-// to the payload, so the read path never copies payload bytes. The caller
-// owns the lease and must Release it (directly or through the cache's
-// Result lease protocol) when done with the bytes.
-func (c *Client) GetLeasedCtx(rc *reqctx.Ctx, id osd.ObjectID) (buf *bufpool.Buf, cost time.Duration, degraded bool, err error) {
-	if err := rc.Err(); err != nil {
-		return nil, 0, false, err
-	}
-	resp, frame, err := c.roundTripFrame(rc, Request{Op: OpGet, Object: id})
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if err := senseError(resp); err != nil {
-		releaseFrame(frame)
-		return nil, 0, false, err
-	}
-	if frame == nil {
-		// Zero-length object: hand back an (empty) lease all the same so
-		// the caller's release discipline is uniform.
-		return bufpool.Get(0), resp.Cost, resp.Degraded, nil
-	}
-	// Narrow the frame lease to the payload and hand it off; from the
-	// wire's perspective the frame is released (the caller now owns it
-	// under the ordinary bufpool lease protocol).
-	frame.View(frame.Len()-len(resp.Payload), len(resp.Payload))
-	wireReleases.Add(1)
-	return frame, resp.Cost, resp.Degraded, nil
-}
-
-// Delete removes an object.
-func (c *Client) Delete(id osd.ObjectID) error { return c.DeleteCtx(nil, id) }
-
-// DeleteCtx is Delete carrying the request's ID and deadline on the wire.
-func (c *Client) DeleteCtx(rc *reqctx.Ctx, id osd.ObjectID) error {
-	if err := rc.Err(); err != nil {
-		return err
-	}
-	resp, err := c.roundTrip(rc, Request{Op: OpDelete, Object: id})
-	if err != nil {
-		return err
-	}
-	return senseError(resp)
-}
-
-// Control writes a raw message to the communication object and returns the
-// target's sense code (the sense itself is the answer; no error mapping).
-func (c *Client) Control(msg osd.ControlMessage) (osd.SenseCode, error) {
-	return c.ControlCtx(nil, msg)
-}
-
-// ControlCtx is Control carrying the request's ID and deadline on the wire.
-func (c *Client) ControlCtx(rc *reqctx.Ctx, msg osd.ControlMessage) (osd.SenseCode, error) {
-	if err := rc.Err(); err != nil {
-		return osd.SenseFailure, err
-	}
-	resp, err := c.roundTrip(rc, Request{Op: OpControl, Payload: msg.Encode()})
-	if err != nil {
-		return osd.SenseFailure, err
-	}
-	return resp.Sense, nil
-}
-
-// Status classifies an object per §IV.D.
-func (c *Client) Status(id osd.ObjectID) (store.ObjectStatus, error) {
-	return c.StatusCtx(nil, id)
-}
-
-// StatusCtx is Status carrying the request's ID and deadline on the wire.
-func (c *Client) StatusCtx(rc *reqctx.Ctx, id osd.ObjectID) (store.ObjectStatus, error) {
-	if err := rc.Err(); err != nil {
-		return 0, err
-	}
-	resp, err := c.roundTrip(rc, Request{Op: OpStatus, Object: id})
-	if err != nil {
-		return 0, err
-	}
-	if err := senseError(resp); err != nil {
-		return 0, err
-	}
-	return store.ObjectStatus(resp.Status), nil
-}
-
-// Stats snapshots the target.
-func (c *Client) Stats() (StatsBody, error) {
-	resp, err := c.roundTrip(nil, Request{Op: OpStats})
-	if err != nil {
-		return StatsBody{}, err
-	}
-	if err := senseError(resp); err != nil {
-		return StatsBody{}, err
-	}
-	return resp.Stats, nil
-}
-
-// List fetches the target's user-object inventory: identity, size, class,
-// and dirty flag for every live object. A cluster initiator uses it to
-// adopt an already-populated target into its placement directory.
-func (c *Client) List() ([]osd.Info, error) {
-	return c.ListCtx(nil)
-}
-
-// ListCtx is List carrying the request's ID and deadline on the wire.
-func (c *Client) ListCtx(rc *reqctx.Ctx) ([]osd.Info, error) {
-	if err := rc.Err(); err != nil {
-		return nil, err
-	}
-	resp, frame, err := c.roundTripFrame(rc, Request{Op: OpList})
-	if err != nil {
-		return nil, err
-	}
-	defer releaseFrame(frame)
-	if err := senseError(resp); err != nil {
-		return nil, err
-	}
-	return decodeInventory(resp.Payload)
-}
-
-// SegStats fetches the target's per-device segment-layout snapshot: layout,
-// segment occupancy, garbage, and write-amplification counters in slot
-// order. Meaningful fields are a subset under the in-place layout (host
-// write counters and wear only).
-func (c *Client) SegStats() ([]flash.SegmentStats, error) {
-	resp, frame, err := c.roundTripFrame(nil, Request{Op: OpSegStats})
-	if err != nil {
-		return nil, err
-	}
-	defer releaseFrame(frame)
-	if err := senseError(resp); err != nil {
-		return nil, err
-	}
-	return decodeSegStats(resp.Payload)
-}
-
-// ResilienceRules fetches the target's per-op-class resilience policy
-// snapshot (retry, timeout, hedging, budget) in registry order.
-func (c *Client) ResilienceRules() ([]policy.ClassRule, error) {
-	resp, frame, err := c.roundTripFrame(nil, Request{Op: OpResilience})
-	if err != nil {
-		return nil, err
-	}
-	defer releaseFrame(frame)
-	if err := senseError(resp); err != nil {
-		return nil, err
-	}
-	return decodeResilience(resp.Payload)
-}
-
-// Tune sets one named target-side knob (e.g. "gc.trigger", "gc.target", or
-// a "policy.<class>.<knob>" resilience key) via a #TUNE# control message.
-func (c *Client) Tune(key string, value float64) error {
-	msg := osd.TuneCommand{Key: key, Value: value}.Encode()
-	resp, err := c.roundTrip(nil, Request{Op: OpControl, Payload: []byte(msg)})
-	if err != nil {
-		return err
-	}
-	return senseError(resp)
-}
-
-// FailDevice injects a device failure (the shootdown channel of §VI.C).
-func (c *Client) FailDevice(idx int) error {
-	resp, err := c.roundTrip(nil, Request{Op: OpFailDevice, Index: int32(idx)})
-	if err != nil {
-		return err
-	}
-	return senseError(resp)
-}
-
-// InsertSpare installs a blank spare and starts recovery, returning the
-// rebuild queue length.
-func (c *Client) InsertSpare(idx int) (int, error) {
-	resp, err := c.roundTrip(nil, Request{Op: OpInsertSpare, Index: int32(idx)})
-	if err != nil {
-		return 0, err
-	}
-	return int(resp.Value), senseError(resp)
-}
-
-// RecoverStep rebuilds up to n objects, returning (rebuilt, done).
-func (c *Client) RecoverStep(n int) (int, bool, error) {
-	return c.RecoverStepCtx(nil, n)
-}
-
-// RecoverStepCtx is RecoverStep carrying the request's ID and deadline on
-// the wire.
-func (c *Client) RecoverStepCtx(rc *reqctx.Ctx, n int) (int, bool, error) {
-	if err := rc.Err(); err != nil {
-		return 0, false, err
-	}
-	resp, err := c.roundTrip(rc, Request{Op: OpRecoverStep, Index: int32(n)})
-	if err != nil {
-		return 0, false, err
-	}
-	return int(resp.Value), resp.Done, senseError(resp)
-}
-
-// MarkClean clears the dirty flag of an object after a flush.
-func (c *Client) MarkClean(id osd.ObjectID) error { return c.MarkCleanCtx(nil, id) }
-
-// MarkCleanCtx is MarkClean carrying the request's ID and deadline on the
-// wire.
-func (c *Client) MarkCleanCtx(rc *reqctx.Ctx, id osd.ObjectID) error {
-	if err := rc.Err(); err != nil {
-		return err
-	}
-	resp, err := c.roundTrip(rc, Request{Op: OpMarkClean, Object: id})
-	if err != nil {
-		return err
-	}
-	return senseError(resp)
-}
-
-// Reclassify relabels (and possibly re-encodes) an object.
-func (c *Client) Reclassify(id osd.ObjectID, class osd.Class) (time.Duration, error) {
-	return c.ReclassifyCtx(nil, id, class)
-}
-
-// ReclassifyCtx is Reclassify carrying the request's ID and deadline.
-func (c *Client) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) (time.Duration, error) {
-	if err := rc.Err(); err != nil {
-		return 0, err
-	}
-	resp, err := c.roundTrip(rc, Request{Op: OpReclassify, Object: id, Class: class})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Cost, senseError(resp)
-}
-
-// WriteRange applies a partial in-place update, marking the object dirty.
-func (c *Client) WriteRange(id osd.ObjectID, offset int64, data []byte) (time.Duration, error) {
-	return c.WriteRangeCtx(nil, id, offset, data)
-}
-
-// WriteRangeCtx is WriteRange carrying the request's ID and deadline.
-func (c *Client) WriteRangeCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, data []byte) (time.Duration, error) {
-	if err := rc.Err(); err != nil {
-		return 0, err
-	}
-	resp, err := c.roundTrip(rc, Request{Op: OpWriteRange, Object: id, Offset: offset, Payload: data})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Cost, senseError(resp)
-}
-
-// Policy fetches the target's redundancy policy.
-func (c *Client) Policy() (policy.Policy, error) {
-	resp, err := c.roundTrip(nil, Request{Op: OpPolicy})
-	if err != nil {
-		return nil, err
-	}
-	if err := senseError(resp); err != nil {
-		return nil, err
-	}
-	return policyFromWire(resp.Status, resp.Value), nil
 }

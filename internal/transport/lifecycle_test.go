@@ -87,7 +87,7 @@ func TestServerRejectsExpiredDeadline(t *testing.T) {
 	st := newTarget(t)
 	client, _ := pipePair(t, st)
 
-	if _, err := client.Put(oid(1), make([]byte, 4096), osd.ClassColdClean, false); err != nil {
+	if _, err := client.PutCtx(nil, oid(1), make([]byte, 4096), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	reads := st.Array().Device(0).Stats().ReadOps

@@ -54,10 +54,10 @@ func slowGetDelay(d time.Duration) func(Request) {
 // responses.
 func TestMultiplexOutOfOrderResponses(t *testing.T) {
 	client, _ := muxFixture(t, slowGetDelay(300*time.Millisecond))
-	if _, err := client.Put(oid(slowOID), []byte("slow"), osd.ClassColdClean, false); err != nil {
+	if _, err := client.PutCtx(nil, oid(slowOID), []byte("slow"), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Put(oid(1), []byte("fast"), osd.ClassColdClean, false); err != nil {
+	if _, err := client.PutCtx(nil, oid(1), []byte("fast"), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,7 +66,7 @@ func TestMultiplexOutOfOrderResponses(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		if _, _, _, err := client.Get(oid(slowOID)); err != nil {
+		if _, _, _, err := client.GetCtx(nil, oid(slowOID)); err != nil {
 			t.Error(err)
 		}
 		order <- "slow"
@@ -74,7 +74,7 @@ func TestMultiplexOutOfOrderResponses(t *testing.T) {
 	time.Sleep(30 * time.Millisecond) // ensure the slow request is on the wire first
 	go func() {
 		defer wg.Done()
-		if _, _, _, err := client.Get(oid(1)); err != nil {
+		if _, _, _, err := client.GetCtx(nil, oid(1)); err != nil {
 			t.Error(err)
 		}
 		order <- "fast"
@@ -89,14 +89,14 @@ func TestMultiplexOutOfOrderResponses(t *testing.T) {
 // with an error wrapping ErrClientClosed.
 func TestMultiplexCloseFailsPending(t *testing.T) {
 	client, _ := muxFixture(t, slowGetDelay(5*time.Second))
-	if _, err := client.Put(oid(slowOID), []byte("x"), osd.ClassColdClean, false); err != nil {
+	if _, err := client.PutCtx(nil, oid(slowOID), []byte("x"), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	const calls = 4
 	errs := make(chan error, calls)
 	for i := 0; i < calls; i++ {
 		go func() {
-			_, _, _, err := client.Get(oid(slowOID))
+			_, _, _, err := client.GetCtx(nil, oid(slowOID))
 			errs <- err
 		}()
 	}
@@ -113,7 +113,7 @@ func TestMultiplexCloseFailsPending(t *testing.T) {
 		}
 	}
 	// A post-mortem call fails fast with the same terminal error.
-	if _, _, _, err := client.Get(oid(1)); !errors.Is(err, ErrClientClosed) {
+	if _, _, _, err := client.GetCtx(nil, oid(1)); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("post-close call err = %v, want ErrClientClosed", err)
 	}
 }
@@ -122,14 +122,14 @@ func TestMultiplexCloseFailsPending(t *testing.T) {
 // fails every in-flight call promptly with ErrConnectionLost.
 func TestMultiplexConnectionDropFailsPending(t *testing.T) {
 	client, serverConn := muxFixture(t, slowGetDelay(5*time.Second))
-	if _, err := client.Put(oid(slowOID), []byte("x"), osd.ClassColdClean, false); err != nil {
+	if _, err := client.PutCtx(nil, oid(slowOID), []byte("x"), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	const calls = 4
 	errs := make(chan error, calls)
 	for i := 0; i < calls; i++ {
 		go func() {
-			_, _, _, err := client.Get(oid(slowOID))
+			_, _, _, err := client.GetCtx(nil, oid(slowOID))
 			errs <- err
 		}()
 	}
@@ -145,7 +145,7 @@ func TestMultiplexConnectionDropFailsPending(t *testing.T) {
 			t.Fatal("in-flight call did not fail promptly after connection drop")
 		}
 	}
-	if _, _, _, err := client.Get(oid(1)); !errors.Is(err, ErrConnectionLost) {
+	if _, _, _, err := client.GetCtx(nil, oid(1)); !errors.Is(err, ErrConnectionLost) {
 		t.Fatalf("post-drop call err = %v, want ErrConnectionLost", err)
 	}
 }
@@ -156,7 +156,7 @@ func TestMultiplexConnectionDropFailsPending(t *testing.T) {
 func TestMultiplexAbandonedCallDoesNotWedge(t *testing.T) {
 	client, _ := muxFixture(t, slowGetDelay(250*time.Millisecond))
 	data := []byte("still here")
-	if _, err := client.Put(oid(slowOID), data, osd.ClassColdClean, false); err != nil {
+	if _, err := client.PutCtx(nil, oid(slowOID), data, osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -181,7 +181,7 @@ func TestMultiplexAbandonedCallDoesNotWedge(t *testing.T) {
 	// The late response for the abandoned call must not desynchronise the
 	// demultiplexer: fresh calls on the same connection still work.
 	for i := 0; i < 3; i++ {
-		got, _, _, err := client.Get(oid(slowOID))
+		got, _, _, err := client.GetCtx(nil, oid(slowOID))
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("call after abandonment: got %q, err %v", got, err)
 		}
@@ -207,7 +207,7 @@ func TestMultiplexStress(t *testing.T) {
 	// Pre-populate a working set so concurrent gets mostly hit.
 	for i := uint64(0); i < objects; i++ {
 		payload := bytes.Repeat([]byte{byte(i)}, 512+int(i)*7)
-		if _, err := client.Put(oid(i), payload, osd.ClassColdClean, false); err != nil {
+		if _, err := client.PutCtx(nil, oid(i), payload, osd.ClassColdClean, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,19 +243,19 @@ func TestMultiplexStress(t *testing.T) {
 					rc := reqctx.New(context.Background()).WithDeadline(time.Now().Add(time.Millisecond))
 					_, _, _, err = client.GetCtx(rc, id)
 				case 2:
-					_, err = client.Put(id, bytes.Repeat([]byte{byte(i)}, 700), osd.ClassColdClean, false)
+					_, err = client.PutCtx(nil, id, bytes.Repeat([]byte{byte(i)}, 700), osd.ClassColdClean, false)
 				case 3:
-					_, err = client.Status(id)
+					_, err = client.StatusCtx(nil, id)
 				case 4:
-					_, err = client.Stats()
+					_, err = client.TargetStats()
 				case 5:
-					err = client.Delete(id)
+					err = client.DeleteCtx(nil, id)
 					if err == nil {
-						_, err = client.Put(id, bytes.Repeat([]byte{byte(i)}, 600), osd.ClassColdClean, false)
+						_, err = client.PutCtx(nil, id, bytes.Repeat([]byte{byte(i)}, 600), osd.ClassColdClean, false)
 					}
 				default:
 					var data []byte
-					data, _, _, err = client.Get(id)
+					data, _, _, err = client.GetCtx(nil, id)
 					if err == nil && len(data) == 0 {
 						err = errors.New("empty payload")
 					}
@@ -287,7 +287,7 @@ func TestMultiplexStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + w)))
 			for i := 0; ; i++ {
 				id := oid(rng.Uint64() % objects)
-				_, _, _, err := client.Get(id)
+				_, _, _, err := client.GetCtx(nil, id)
 				if errors.Is(err, ErrConnectionLost) || errors.Is(err, ErrClientClosed) {
 					phase2 <- nil
 					return
@@ -329,7 +329,7 @@ func TestMultiplexManyInFlightSmallWindow(t *testing.T) {
 	client := NewClientWindow(a, 2)
 	t.Cleanup(func() { _ = client.Close() })
 
-	if _, err := client.Put(oid(1), []byte("w"), osd.ClassColdClean, false); err != nil {
+	if _, err := client.PutCtx(nil, oid(1), []byte("w"), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	var done atomic.Int64
@@ -339,7 +339,7 @@ func TestMultiplexManyInFlightSmallWindow(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				if _, _, _, err := client.Get(oid(1)); err != nil {
+				if _, _, _, err := client.GetCtx(nil, oid(1)); err != nil {
 					t.Error(err)
 					return
 				}

@@ -20,6 +20,7 @@ import (
 	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
+	"github.com/reo-cache/reo/internal/target"
 )
 
 // Op identifies a request type.
@@ -148,20 +149,9 @@ type Response struct {
 	// Cost is the virtual-time cost the target charged (reported so the
 	// initiator can account it on its own clock).
 	Cost time.Duration
-	// Stats applies to OpStats.
-	Stats StatsBody
-}
-
-// StatsBody is the OpStats response payload.
-type StatsBody struct {
-	Objects         int64
-	UsedBytes       int64
-	RawCapacity     int64
-	SpaceEfficiency float64
-	AliveDevices    int32
-	TotalDevices    int32
-	RecoveryActive  bool
-	RecoveryQueue   int32
+	// Stats applies to OpStats; the device counts and the recovery queue
+	// length travel as 32-bit fields.
+	Stats target.Stats
 }
 
 // writeFrame writes a length-prefixed frame.
@@ -338,7 +328,7 @@ func appendResponseHeader(dst []byte, resp *Response) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(resp.Stats.RawCapacity))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(resp.Stats.SpaceEfficiency))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(resp.Stats.AliveDevices))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(resp.Stats.TotalDevices))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(resp.Stats.Devices))
 	dst = append(dst, boolByte(resp.Stats.RecoveryActive))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(resp.Stats.RecoveryQueue))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(resp.Payload)))
@@ -386,10 +376,10 @@ func decodeResponseInPlace(body []byte) (Response, error) {
 	resp.Stats.UsedBytes = int64(binary.BigEndian.Uint64(rest[30:38]))
 	resp.Stats.RawCapacity = int64(binary.BigEndian.Uint64(rest[38:46]))
 	resp.Stats.SpaceEfficiency = math.Float64frombits(binary.BigEndian.Uint64(rest[46:54]))
-	resp.Stats.AliveDevices = int32(binary.BigEndian.Uint32(rest[54:58]))
-	resp.Stats.TotalDevices = int32(binary.BigEndian.Uint32(rest[58:62]))
+	resp.Stats.AliveDevices = int(int32(binary.BigEndian.Uint32(rest[54:58])))
+	resp.Stats.Devices = int(int32(binary.BigEndian.Uint32(rest[58:62])))
 	resp.Stats.RecoveryActive = rest[62] != 0
-	resp.Stats.RecoveryQueue = int32(binary.BigEndian.Uint32(rest[63:67]))
+	resp.Stats.RecoveryQueue = int(int32(binary.BigEndian.Uint32(rest[63:67])))
 	payloadLen := binary.BigEndian.Uint32(rest[67:71])
 	rest = rest[71:]
 	if int64(payloadLen) != int64(len(rest)) {

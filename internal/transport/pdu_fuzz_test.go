@@ -164,7 +164,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	}))
 	f.Add(EncodeResponse(Response{
 		RequestID: 11, Degraded: true, Payload: bytes.Repeat([]byte{0xab}, 128),
-		Stats: StatsBody{Objects: 5, SpaceEfficiency: 0.75, AliveDevices: 4, TotalDevices: 5},
+		Stats: target.Stats{Objects: 5, SpaceEfficiency: 0.75, AliveDevices: 4, Devices: 5},
 	}))
 	f.Add([]byte{})
 	f.Add(make([]byte, 13)) // one short of the fixed prefix

@@ -11,7 +11,6 @@ import (
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
-	"github.com/reo-cache/reo/internal/store"
 	"github.com/reo-cache/reo/internal/target"
 )
 
@@ -30,6 +29,8 @@ import (
 // lags by a bounded number of requests — the same observability the paper's
 // initiator has through its query commands.
 type RemoteTarget struct {
+	ops // the typed operations, carried by send below
+
 	next atomic.Uint64
 	pol  policy.Policy
 
@@ -44,12 +45,6 @@ type RemoteTarget struct {
 	deadSkips atomic.Int64
 	redials   atomic.Int64
 
-	// res, when set, is the resilience registry the redial loop consults
-	// for the wire.dial class (backoff shape, attempt bound, retry
-	// budget). Nil falls back to the built-in defaults, which reproduce
-	// the historical redial constants exactly.
-	res atomic.Pointer[policy.Resilience]
-
 	mu          sync.Mutex
 	clients     []*Client
 	redialing   []bool
@@ -59,7 +54,10 @@ type RemoteTarget struct {
 	opsSince    int
 }
 
-var _ target.Target = (*RemoteTarget)(nil)
+var (
+	_ target.ShardTarget = (*RemoteTarget)(nil)
+	_ target.BatchTarget = (*RemoteTarget)(nil)
+)
 
 // statsRefreshOps bounds how stale the cached device-health snapshot can
 // get, in operations.
@@ -87,6 +85,7 @@ func NewRemoteTargetPool(clients []*Client) (*RemoteTarget, error) {
 		pol:       pol,
 		closed:    make(chan struct{}),
 	}
+	rt.ops.via = rt
 	if err := rt.refreshStats(); err != nil {
 		return nil, fmt.Errorf("transport: fetch stats: %w", err)
 	}
@@ -117,18 +116,6 @@ func DialRemoteTargetPool(addr string, conns int) (*RemoteTarget, error) {
 	rt.addr = addr
 	return rt, nil
 }
-
-// Historical redial constants, now the wire.dial defaults in
-// internal/policy (kept as reference values; the redial loop reads the
-// registry).
-const (
-	redialBaseDelay = 5 * time.Millisecond
-	redialMaxDelay  = 1 * time.Second
-)
-
-// SetResilience points the redial loop at a resilience registry; nil keeps
-// the built-in wire.dial defaults.
-func (rt *RemoteTarget) SetResilience(r *policy.Resilience) { rt.res.Store(r) }
 
 // client picks the connection for the next operation: round-robin over the
 // pool, skipping connections whose reader has died (their calls would fail
@@ -167,60 +154,47 @@ func (rt *RemoteTarget) maybeRedialLocked(slot int) {
 	go rt.redial(slot)
 }
 
-// redial replaces a dead connection, backing off per the wire.dial retry
-// rule (default: exponential from 5ms capped at 1s with ±25% deterministic
-// jitter, unbounded attempts) until the dial succeeds, the rule's attempt
-// bound or retry budget runs out, or the pool closes.
+// redial replaces a dead connection, backing off per the default wire.dial
+// retry rule (exponential from 5ms capped at 1s with ±25% deterministic
+// jitter, unbounded attempts) until the dial succeeds or the pool closes.
 func (rt *RemoteTarget) redial(slot int) {
-	res := rt.res.Load()
-	retry := res.Rule(policy.OpWireDial).Retry
+	c := rt.dialUntilClosed(slot)
+	rt.mu.Lock()
+	rt.redialing[slot] = false
+	// Close whichever connection the pool does not keep: the one replaced,
+	// or the fresh one when the pool closed while it was being dialled.
+	discard := c
+	select {
+	case <-rt.closed:
+	default:
+		if c != nil {
+			discard = rt.clients[slot]
+			rt.clients[slot] = c
+			rt.redials.Add(1)
+		}
+	}
+	rt.mu.Unlock()
+	if discard != nil {
+		_ = discard.Close()
+	}
+}
+
+// dialUntilClosed retries the pool's address until a dial succeeds; nil means
+// the pool closed first.
+func (rt *RemoteTarget) dialUntilClosed(slot int) *Client {
+	retry := policy.DefaultRule(policy.OpWireDial).Retry
 	for attempt := 0; ; attempt++ {
 		// Deterministic jitter in [0.75, 1.25) of the nominal delay keeps
 		// a burst of redialing slots from thundering in lockstep.
 		h := (uint64(slot)<<32 + uint64(attempt) + 1) * 0x9E3779B97F4A7C15
-		jittered := retry.BackoffDelay(attempt, h)
 		select {
 		case <-rt.closed:
-			rt.mu.Lock()
-			rt.redialing[slot] = false
-			rt.mu.Unlock()
-			return
-		case <-time.After(jittered):
+			return nil
+		case <-time.After(retry.BackoffDelay(attempt, h)):
 		}
-		c, err := Dial(rt.addr)
-		if err != nil {
-			res.ObserveAttempt(policy.OpWireDial, attempt, policy.OutcomeTransient, 0)
-			if retry.MaxAttempts > 0 && attempt+1 >= retry.MaxAttempts {
-				rt.mu.Lock()
-				rt.redialing[slot] = false
-				rt.mu.Unlock()
-				return
-			}
-			if !res.AllowRetry(policy.OpWireDial) {
-				rt.mu.Lock()
-				rt.redialing[slot] = false
-				rt.mu.Unlock()
-				return
-			}
-			continue
+		if c, err := Dial(rt.addr); err == nil {
+			return c
 		}
-		res.ObserveAttempt(policy.OpWireDial, attempt, policy.OutcomeOK, 0)
-		rt.mu.Lock()
-		select {
-		case <-rt.closed:
-			rt.redialing[slot] = false
-			rt.mu.Unlock()
-			_ = c.Close()
-			return
-		default:
-		}
-		old := rt.clients[slot]
-		rt.clients[slot] = c
-		rt.redialing[slot] = false
-		rt.mu.Unlock()
-		_ = old.Close()
-		rt.redials.Add(1)
-		return
 	}
 }
 
@@ -248,15 +222,16 @@ func (rt *RemoteTarget) Close() error {
 }
 
 func (rt *RemoteTarget) refreshStats() error {
-	stats, err := rt.client().Stats()
+	// Asked of a connection directly: a refresh is not itself a counted op.
+	stats, err := rt.client().TargetStats()
 	if err != nil {
 		return err
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.rawCapacity = stats.RawCapacity
-	rt.alive = int(stats.AliveDevices)
-	rt.devices = int(stats.TotalDevices)
+	rt.alive = stats.AliveDevices
+	rt.devices = stats.Devices
 	rt.opsSince = 0
 	return nil
 }
@@ -273,11 +248,12 @@ func (rt *RemoteTarget) tick() {
 	}
 }
 
-// PutCtx implements target.Target, carrying the request's ID and deadline on
-// the wire.
-func (rt *RemoteTarget) PutCtx(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class osd.Class, dirty bool) (time.Duration, error) {
+// send implements carrier and is the pool's one dispatch point: every typed
+// op, single or batch, counts as one operation toward the next health
+// refresh and rides one live pooled connection.
+func (rt *RemoteTarget) send(rc *reqctx.Ctx, req Request) (Response, *bufpool.Buf, error) {
 	rt.tick()
-	return rt.client().PutCtx(rc, id, data, class, dirty)
+	return rt.client().send(rc, req)
 }
 
 // GetCtx implements target.Target. The returned lease is the response frame
@@ -285,64 +261,17 @@ func (rt *RemoteTarget) PutCtx(rc *reqctx.Ctx, id osd.ObjectID, data []byte, cla
 // payload copy happens anywhere between the target's flash array and the
 // caller, who releases the frame through the usual Result lease protocol.
 func (rt *RemoteTarget) GetCtx(rc *reqctx.Ctx, id osd.ObjectID) (*bufpool.Buf, time.Duration, bool, error) {
-	rt.tick()
-	return rt.client().GetLeasedCtx(rc, id)
+	return rt.GetLeasedCtx(rc, id)
 }
-
-// GetBatchCtx implements target.BatchTarget: the whole batch rides one
-// OpGetBatch frame on one pooled connection (one tick, one window slot).
-func (rt *RemoteTarget) GetBatchCtx(rc *reqctx.Ctx, ids []osd.ObjectID) []target.BatchGetResult {
-	rt.tick()
-	return rt.client().GetBatchCtx(rc, ids)
-}
-
-// PutBatchCtx implements target.BatchTarget over one OpPutBatch frame.
-func (rt *RemoteTarget) PutBatchCtx(rc *reqctx.Ctx, ops []target.BatchPut) []target.BatchPutResult {
-	rt.tick()
-	return rt.client().PutBatchCtx(rc, ops)
-}
-
-var _ target.BatchTarget = (*RemoteTarget)(nil)
 
 // Delete implements target.Target.
-func (rt *RemoteTarget) Delete(id osd.ObjectID) error {
-	rt.tick()
-	return rt.client().Delete(id)
-}
-
-// DeleteCtx implements target.Target: the wire already carried request ID
-// and deadline for every other op, this pool-level wrapper gives deletes
-// the same attribution.
-func (rt *RemoteTarget) DeleteCtx(rc *reqctx.Ctx, id osd.ObjectID) error {
-	rt.tick()
-	return rt.client().DeleteCtx(rc, id)
-}
-
-// WriteRangeCtx implements target.Target.
-func (rt *RemoteTarget) WriteRangeCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, data []byte) (time.Duration, error) {
-	rt.tick()
-	return rt.client().WriteRangeCtx(rc, id, offset, data)
-}
+func (rt *RemoteTarget) Delete(id osd.ObjectID) error { return rt.DeleteCtx(nil, id) }
 
 // MarkClean implements target.Target.
-func (rt *RemoteTarget) MarkClean(id osd.ObjectID) error {
-	rt.tick()
-	return rt.client().MarkClean(id)
-}
+func (rt *RemoteTarget) MarkClean(id osd.ObjectID) error { return rt.MarkCleanCtx(nil, id) }
 
-// MarkCleanCtx implements target.Target (request-attributed MarkClean).
-func (rt *RemoteTarget) MarkCleanCtx(rc *reqctx.Ctx, id osd.ObjectID) error {
-	rt.tick()
-	return rt.client().MarkCleanCtx(rc, id)
-}
-
-// ReclassifyCtx implements target.Target.
-func (rt *RemoteTarget) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) (time.Duration, error) {
-	rt.tick()
-	return rt.client().ReclassifyCtx(rc, id, class)
-}
-
-// Policy implements target.Target.
+// Policy implements target.Target with the policy fetched at the handshake
+// (it shadows the embedded fetch, which would cross the wire every call).
 func (rt *RemoteTarget) Policy() policy.Policy { return rt.pol }
 
 // RawCapacity implements target.Target.
@@ -369,31 +298,3 @@ func (rt *RemoteTarget) Devices() int {
 // Refresh forces an immediate device-health refresh (e.g. after the
 // operator injects a failure in a test).
 func (rt *RemoteTarget) Refresh() error { return rt.refreshStats() }
-
-// Status queries the remote object's availability classification (§IV.D).
-func (rt *RemoteTarget) Status(id osd.ObjectID) (store.ObjectStatus, error) {
-	rt.tick()
-	return rt.client().Status(id)
-}
-
-// TargetStats fetches the target's live statistics snapshot — the shard
-// view a cluster initiator aggregates.
-func (rt *RemoteTarget) TargetStats() (StatsBody, error) {
-	rt.tick()
-	return rt.client().Stats()
-}
-
-// RecoverStep drives up to n objects of the remote target's rebuild queue,
-// so cluster-wide recovery sweeps can fan out across shards.
-func (rt *RemoteTarget) RecoverStep(n int) (rebuilt int, done bool, err error) {
-	rt.tick()
-	return rt.client().RecoverStep(n)
-}
-
-// ListObjects fetches the target's user-object inventory (identity, size,
-// class, dirty flag) — what a cluster initiator needs to adopt a live,
-// already-populated target into its placement directory.
-func (rt *RemoteTarget) ListObjects() ([]osd.Info, error) {
-	rt.tick()
-	return rt.client().List()
-}

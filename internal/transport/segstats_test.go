@@ -75,7 +75,7 @@ func TestSegStatsAndTuneOverWire(t *testing.T) {
 
 	payload := bytes.Repeat([]byte{0xab}, 3000)
 	id := osd.ObjectID{PID: osd.FirstPID, OID: osd.FirstUserOID + 1}
-	if _, err := client.Put(id, payload, osd.ClassColdClean, false); err != nil {
+	if _, err := client.PutCtx(nil, id, payload, osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := client.SegStats()

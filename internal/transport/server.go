@@ -346,7 +346,8 @@ func (s *Server) dispatch(req Request) (Response, *bufpool.Buf) {
 		}
 		return senseResponse(err, resp), nil
 	case OpDelete:
-		return senseResponse(s.st.Delete(req.Object), Response{}), nil
+		// Not cancellable in the store; rc attributes the request.
+		return senseResponse(s.st.DeleteCtx(rc, req.Object), Response{}), nil
 	case OpControl:
 		sense, err := s.st.Control(req.Payload)
 		resp := Response{Sense: sense}
@@ -357,7 +358,8 @@ func (s *Server) dispatch(req Request) (Response, *bufpool.Buf) {
 	case OpStatus:
 		return Response{Sense: osd.SenseOK, Status: int32(s.st.Status(req.Object))}, nil
 	case OpStats:
-		return Response{Sense: osd.SenseOK, Stats: s.statsBody()}, nil
+		stats, err := s.st.TargetStats()
+		return senseResponse(err, Response{Stats: stats}), nil
 	case OpFailDevice:
 		return senseResponse(s.st.FailDevice(int(req.Index)), Response{}), nil
 	case OpInsertSpare:
@@ -370,7 +372,7 @@ func (s *Server) dispatch(req Request) (Response, *bufpool.Buf) {
 		cost, rebuilt, done, err := s.st.RecoverStepCtx(rc.WithPriority(reqctx.Background), int(req.Index))
 		return senseResponse(err, Response{Value: int64(rebuilt), Done: done, Cost: cost}), nil
 	case OpMarkClean:
-		return senseResponse(s.st.MarkClean(req.Object), Response{}), nil
+		return senseResponse(s.st.MarkCleanCtx(rc, req.Object), Response{}), nil
 	case OpReclassify:
 		cost, err := s.st.ReclassifyCtx(rc, req.Object, req.Class)
 		return senseResponse(err, Response{Cost: cost}), nil
@@ -392,20 +394,6 @@ func (s *Server) dispatch(req Request) (Response, *bufpool.Buf) {
 		return Response{Sense: osd.SenseOK, Payload: encodeResilience(s.st.Resilience().Snapshot())}, nil
 	default:
 		return Response{Sense: osd.SenseFailure, Message: fmt.Sprintf("unhandled op %v", req.Op)}, nil
-	}
-}
-
-// statsBody snapshots the target for OpStats.
-func (s *Server) statsBody() StatsBody {
-	return StatsBody{
-		Objects:         int64(s.st.ObjectCount()),
-		UsedBytes:       s.st.UsedBytes(),
-		RawCapacity:     s.st.RawCapacity(),
-		SpaceEfficiency: s.st.SpaceEfficiency(),
-		AliveDevices:    int32(s.st.Array().AliveCount()),
-		TotalDevices:    int32(s.st.Array().N()),
-		RecoveryActive:  s.st.RecoveryActive(),
-		RecoveryQueue:   int32(s.st.RecoveryQueueLen()),
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/store"
+	"github.com/reo-cache/reo/internal/target"
 )
 
 func newTarget(t testing.TB) *store.Store {
@@ -91,9 +92,9 @@ func TestResponseRoundTrip(t *testing.T) {
 		Value:    42,
 		Cost:     123 * time.Microsecond,
 		Payload:  []byte{1, 2, 3},
-		Stats: StatsBody{
+		Stats: target.Stats{
 			Objects: 7, UsedBytes: 1000, RawCapacity: 5000,
-			SpaceEfficiency: 0.8125, AliveDevices: 4, TotalDevices: 5,
+			SpaceEfficiency: 0.8125, AliveDevices: 4, Devices: 5,
 			RecoveryActive: true, RecoveryQueue: 3,
 		},
 	}
@@ -153,14 +154,14 @@ func TestClientServerPutGet(t *testing.T) {
 	data := make([]byte, 10_000)
 	rand.New(rand.NewSource(1)).Read(data)
 
-	cost, err := client.Put(oid(1), data, osd.ClassColdClean, false)
+	cost, err := client.PutCtx(nil, oid(1), data, osd.ClassColdClean, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cost <= 0 {
 		t.Fatal("put cost not reported")
 	}
-	got, _, degraded, err := client.Get(oid(1))
+	got, _, degraded, err := client.GetCtx(nil, oid(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +171,14 @@ func TestClientServerPutGet(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("data mismatch over the wire")
 	}
-	status, err := client.Status(oid(1))
+	status, err := client.StatusCtx(nil, oid(1))
 	if err != nil || status != store.StatusAlive {
 		t.Fatalf("status = %v, %v", status, err)
 	}
-	if err := client.Delete(oid(1)); err != nil {
+	if err := client.DeleteCtx(nil, oid(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := client.Get(oid(1)); err == nil {
+	if _, _, _, err := client.GetCtx(nil, oid(1)); err == nil {
 		t.Fatal("get after delete succeeded")
 	}
 }
@@ -185,10 +186,10 @@ func TestClientServerPutGet(t *testing.T) {
 func TestClientControlMessages(t *testing.T) {
 	st := newTarget(t)
 	client, _ := pipePair(t, st)
-	if _, err := client.Put(oid(1), []byte("x"), osd.ClassColdClean, false); err != nil {
+	if _, err := client.PutCtx(nil, oid(1), []byte("x"), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
-	sense, err := client.Control(osd.SetIDCommand{Object: oid(1), Class: osd.ClassHotClean})
+	sense, err := client.ControlCtx(nil, osd.SetIDCommand{Object: oid(1), Class: osd.ClassHotClean})
 	if err != nil || sense != osd.SenseOK {
 		t.Fatalf("SETID sense = %v, err = %v", sense, err)
 	}
@@ -196,7 +197,7 @@ func TestClientControlMessages(t *testing.T) {
 	if err != nil || info.Class != osd.ClassHotClean {
 		t.Fatalf("class = %v, err = %v", info.Class, err)
 	}
-	sense, err = client.Control(osd.QueryCommand{Object: oid(1), Op: osd.OpRead, Size: 1})
+	sense, err = client.ControlCtx(nil, osd.QueryCommand{Object: oid(1), Op: osd.OpRead, Size: 1})
 	if err != nil || sense != osd.SenseOK {
 		t.Fatalf("QUERY sense = %v, err = %v", sense, err)
 	}
@@ -207,13 +208,13 @@ func TestClientFailureAndRecoveryFlow(t *testing.T) {
 	client, _ := pipePair(t, st)
 	data := make([]byte, 20_000)
 	rand.New(rand.NewSource(2)).Read(data)
-	if _, err := client.Put(oid(1), data, osd.ClassHotClean, false); err != nil {
+	if _, err := client.PutCtx(nil, oid(1), data, osd.ClassHotClean, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.FailDevice(0); err != nil {
 		t.Fatal(err)
 	}
-	got, _, degraded, err := client.Get(oid(1))
+	got, _, degraded, err := client.GetCtx(nil, oid(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestClientFailureAndRecoveryFlow(t *testing.T) {
 	if queued == 0 {
 		t.Fatal("nothing queued")
 	}
-	stats, err := client.Stats()
+	stats, err := client.TargetStats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestClientFailureAndRecoveryFlow(t *testing.T) {
 		t.Fatalf("stats = %+v", stats)
 	}
 	for {
-		_, done, err := client.RecoverStep(8)
+		_, _, done, err := client.RecoverStepCtx(nil, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +244,7 @@ func TestClientFailureAndRecoveryFlow(t *testing.T) {
 			break
 		}
 	}
-	if status, _ := client.Status(oid(1)); status != store.StatusAlive {
+	if status, _ := client.StatusCtx(nil, oid(1)); status != store.StatusAlive {
 		t.Fatalf("status after recovery = %v", status)
 	}
 }
@@ -252,17 +253,17 @@ func TestClientSenseErrorMapping(t *testing.T) {
 	st := newTarget(t)
 	client, _ := pipePair(t, st)
 	// Oversized object → ErrCacheFull across the wire.
-	if _, err := client.Put(oid(1), make([]byte, 30<<20), osd.ClassColdClean, false); !errors.Is(err, store.ErrCacheFull) {
+	if _, err := client.PutCtx(nil, oid(1), make([]byte, 30<<20), osd.ClassColdClean, false); !errors.Is(err, store.ErrCacheFull) {
 		t.Fatalf("err = %v, want ErrCacheFull", err)
 	}
 	// Lost object → ErrCorrupted across the wire.
-	if _, err := client.Put(oid(2), make([]byte, 10_000), osd.ClassColdClean, false); err != nil {
+	if _, err := client.PutCtx(nil, oid(2), make([]byte, 10_000), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.FailDevice(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := client.Get(oid(2)); !errors.Is(err, store.ErrCorrupted) {
+	if _, _, _, err := client.GetCtx(nil, oid(2)); !errors.Is(err, store.ErrCorrupted) {
 		t.Fatalf("err = %v, want ErrCorrupted", err)
 	}
 }
@@ -289,11 +290,11 @@ func TestConcurrentClients(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				id := oid(uint64(w*1000 + i))
 				payload := bytes.Repeat([]byte{byte(w)}, 500)
-				if _, err := client.Put(id, payload, osd.ClassColdClean, false); err != nil {
+				if _, err := client.PutCtx(nil, id, payload, osd.ClassColdClean, false); err != nil {
 					errs <- err
 					return
 				}
-				got, _, _, err := client.Get(id)
+				got, _, _, err := client.GetCtx(nil, id)
 				if err != nil {
 					errs <- err
 					return
@@ -358,7 +359,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 		t.Fatalf("sense = %v, want failure", resp.Sense)
 	}
 	client := NewClient(conn)
-	if _, err := client.Put(oid(1), []byte("ok"), osd.ClassColdClean, false); err != nil {
+	if _, err := client.PutCtx(nil, oid(1), []byte("ok"), osd.ClassColdClean, false); err != nil {
 		t.Fatalf("connection unusable after garbage: %v", err)
 	}
 }
@@ -375,10 +376,10 @@ func TestHandleConnWithPipe(t *testing.T) {
 	go srv.HandleConn(b)
 	client := NewClient(a)
 	defer client.Close()
-	if _, err := client.Put(oid(1), []byte("pipe"), osd.ClassColdClean, false); err != nil {
+	if _, err := client.PutCtx(nil, oid(1), []byte("pipe"), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _, err := client.Get(oid(1))
+	got, _, _, err := client.GetCtx(nil, oid(1))
 	if err != nil || string(got) != "pipe" {
 		t.Fatalf("got %q, err %v", got, err)
 	}

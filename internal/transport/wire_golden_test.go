@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/reo-cache/reo/internal/osd"
+	"github.com/reo-cache/reo/internal/target"
 )
 
 // Golden wire bytes for one representative Request and Response with every
@@ -52,9 +53,9 @@ func goldenResponse() Response {
 		Value:     -7,
 		Cost:      123456 * time.Nanosecond,
 		Payload:   []byte{0xDE, 0xAD, 0xBE, 0xEF},
-		Stats: StatsBody{
+		Stats: target.Stats{
 			Objects: 42, UsedBytes: 1 << 20, RawCapacity: 5 << 20,
-			SpaceEfficiency: 0.90625, AliveDevices: 4, TotalDevices: 5,
+			SpaceEfficiency: 0.90625, AliveDevices: 4, Devices: 5,
 			RecoveryActive: true, RecoveryQueue: 9,
 		},
 	}
