@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/hdd"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/reqctx"
@@ -47,13 +48,18 @@ func New(spec hdd.Spec) *Store {
 }
 
 // Put stores a copy of data as the authoritative version of the object and
-// returns the virtual-time cost of the disk write.
+// returns the virtual-time cost of the disk write. A new version of the same
+// length overwrites the stored bytes where they are: they only ever leave the
+// store as copies made under its lock, so nobody can be reading them.
 func (s *Store) Put(id osd.ObjectID, data []byte) (time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	buf := make([]byte, len(data))
+	buf, ok := s.objects[id]
+	if !ok || len(buf) != len(data) {
+		buf = make([]byte, len(data)) // a new object or a new size: first allocation, at exact length
+		s.objects[id] = buf
+	}
 	copy(buf, data)
-	s.objects[id] = buf
 	s.stats.Writes++
 	s.stats.BytesWritten += int64(len(data))
 	return s.spec.AccessCost(int64(len(data))), nil
@@ -87,19 +93,44 @@ func (s *Store) GetCtx(rc *reqctx.Ctx, id osd.ObjectID) ([]byte, time.Duration, 
 }
 
 // Get returns a copy of the object and the virtual-time cost of the disk
-// read.
+// read. The copy is the caller's to keep; the cache's own fetches lease
+// theirs (Fetch).
 func (s *Store) Get(id osd.ObjectID) ([]byte, time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	data, cost, err := s.readLocked(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make([]byte, len(data)) // Get's contract: a copy the caller keeps (tools, tests, the benchmark's probe)
+	copy(out, data)
+	return out, cost, nil
+}
+
+// Fetch is Get into a leased buffer: the caller owns the lease and must
+// Release it exactly once, or hand it on to someone who will.
+func (s *Store) Fetch(id osd.ObjectID) (*bufpool.Buf, time.Duration, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	data, cost, err := s.readLocked(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	buf := bufpool.Get(len(data))
+	copy(buf.Bytes(), data)
+	return buf, cost, nil
+}
+
+// readLocked counts and costs one read of the object and returns the stored
+// bytes, which must be copied before the lock is released.
+func (s *Store) readLocked(id osd.ObjectID) ([]byte, time.Duration, error) {
 	data, ok := s.objects[id]
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
 	s.stats.Reads++
 	s.stats.BytesRead += int64(len(data))
-	return out, s.spec.AccessCost(int64(len(data))), nil
+	return data, s.spec.AccessCost(int64(len(data))), nil
 }
 
 // Has reports whether the object exists, without cost.

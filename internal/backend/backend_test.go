@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/hdd"
 	"github.com/reo-cache/reo/internal/osd"
 )
@@ -68,6 +69,48 @@ func TestCopySemantics(t *testing.T) {
 	again, _, _ := s.Get(oid(1))
 	if again[1] != 2 {
 		t.Fatal("Get exposed internal buffer")
+	}
+}
+
+// TestFetchLeasesAndPutOverwritesInPlace: Fetch is Get into a lease (same
+// bytes, cost and counters, books balanced, a missing object leases nothing),
+// and a same-length Put — which reuses the stored buffer — changes neither a
+// copy nor a lease handed out before it.
+func TestFetchLeasesAndPutOverwritesInPlace(t *testing.T) {
+	base := bufpool.Outstanding()
+	s := testStore()
+	v1, v2, v3 := []byte("version one"), []byte("version two"), []byte("a longer third version")
+	if _, err := s.Put(oid(1), v1); err != nil {
+		t.Fatal(err)
+	}
+	kept, getCost, err := s.Get(oid(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, fetchCost, err := s.Fetch(oid(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fetchCost != getCost || s.Stats().Reads != 2 {
+		t.Fatalf("Fetch cost %v, Get cost %v, %d reads; want equal costs and 2 reads", fetchCost, getCost, s.Stats().Reads)
+	}
+	for _, next := range [][]byte{v2, v3} { // same length, then a new size
+		if _, err := s.Put(oid(1), next); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(kept, v1) || !bytes.Equal(lease.Bytes(), v1) {
+			t.Fatalf("a Put changed bytes handed out before it: copy %q, lease %q", kept, lease.Bytes())
+		}
+		if got, _, _ := s.Get(oid(1)); !bytes.Equal(got, next) {
+			t.Fatalf("Get after Put = %q, want %q", got, next)
+		}
+	}
+	lease.Release()
+	if _, _, err := s.Fetch(oid(9)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Fetch of a missing object: %v, want ErrNotFound", err)
+	}
+	if got := bufpool.Outstanding(); got != base {
+		t.Fatalf("bufpool leases unbalanced: %d outstanding, started at %d", got, base)
 	}
 }
 

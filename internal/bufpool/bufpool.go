@@ -11,6 +11,11 @@
 //     races with the next lease.
 //   - Buffers are NOT zeroed between leases. Callers must treat Bytes()[i]
 //     as garbage until written.
+//
+// Under the race detector (guard_race.go) Release overwrites the slab with a
+// poison byte and a second Release of the same Buf panics, so every -race
+// test that byte-verifies what it read also checks nothing used a buffer
+// after giving it back.
 package bufpool
 
 import (
@@ -37,6 +42,7 @@ type Buf struct {
 	data []byte // current view; aliases slab
 	slab []byte // full allocation (len = requested size, cap = tier size)
 	tier int    // -1 = unpooled (oversize or adopted)
+	releaseGuard
 }
 
 func tierFor(n int) int {
@@ -61,6 +67,7 @@ func Get(n int) *Buf {
 	if v := tiers[t].Get(); v != nil {
 		b := v.(*Buf)
 		b.data = b.slab[:n]
+		b.leased()
 		return b
 	}
 	p := make([]byte, n, 1<<(minTierShift+t))
@@ -92,11 +99,12 @@ func (b *Buf) View(off, n int) {
 }
 
 // Release returns the buffer to its pool. Safe to call on nil; calling it
-// twice on the same Buf corrupts the pool — don't.
+// twice on the same Buf corrupts the pool — don't (a -race build panics).
 func (b *Buf) Release() {
 	if b == nil {
 		return
 	}
+	b.released(b.slab[:cap(b.slab)])
 	leases.Add(-1)
 	if b.tier < 0 {
 		b.data, b.slab = nil, nil

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/reo-cache/reo/internal/backend"
+	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/store"
@@ -194,42 +195,55 @@ func (m *Manager) missLocked(rc *reqctx.Ctx, id osd.ObjectID) (Result, error) {
 	// again. A cancelled waiter abandons the wait; the fill itself
 	// continues for the others.
 	f, waiter := m.fills[id]
-	if !waiter {
+	if waiter {
+		f.waiters++
+	} else {
 		f = &fill{done: make(chan struct{})}
 		m.fills[id] = f
 	}
 	m.mu.Unlock()
+	var buf *bufpool.Buf
 	if waiter {
 		select {
 		case <-f.done:
+			m.mu.Lock()
+			buf = f.takeCopyLocked()
 		case <-rc.Done():
 			m.mu.Lock()
+			select {
+			case <-f.done:
+				f.takeCopyLocked().Release() // published meanwhile: the copy is ours to return
+			default:
+				f.waiters--
+			}
 			return Result{}, rc.Err()
 		}
-		m.mu.Lock()
 	} else {
 		// Leader: fetch the authoritative copy. The fetch deliberately
 		// ignores the leader's context — waiters have coalesced onto it, so
 		// it must complete and publish even if the leader's own request
 		// dies meanwhile. The read is attributed once, to the leader.
-		f.data, f.cost, f.err = m.cfg.Backend.Get(id)
+		f.buf, f.cost, f.err = m.cfg.Backend.Fetch(id)
 		if errors.Is(f.err, backend.ErrNotFound) {
 			f.err = fmt.Errorf("%w: %v", ErrNoBackend, id)
 		} else if f.err == nil {
 			rc.CountBackendRead()
 		}
+		buf = f.buf
 		m.mu.Lock()
 		delete(m.fills, id)
-		close(f.done)
+		f.publishLocked()
 	}
 	if f.err != nil {
 		return Result{}, f.err
 	}
 	m.stats.Misses++
+	data := buf.Bytes()
 	res := Result{
-		Bytes:   int64(len(f.data)),
-		Data:    f.data,
-		Latency: f.cost + m.netCost(int64(len(f.data))),
+		Bytes:   int64(len(data)),
+		Data:    data,
+		Latency: f.cost + m.netCost(int64(len(data))),
+		buf:     buf,
 	}
 	if !waiter && !m.disabledLocked() {
 		m.stats.OfferedBytes += res.Bytes
@@ -237,7 +251,7 @@ func (m *Manager) missLocked(rc *reqctx.Ctx, id osd.ObjectID) (Result, error) {
 			// Admission is best-effort background work: the client already
 			// has its data, so a cancellation inside admission is
 			// swallowed — the object simply is not cached this time.
-			res.Background, _ = m.admitLocked(rc, id, f.data, false)
+			res.Background, _ = m.admitLocked(rc, id, data, false)
 		} else {
 			// Write-aware bypass: the object has not demonstrated reuse,
 			// so it is not worth a flash write. The client was served from

@@ -190,11 +190,43 @@ type entry struct {
 // same object coalesce onto one backend fetch: the first request becomes
 // the leader and performs the fetch, the rest wait on done and share the
 // result.
+//
+// The fetch is a lease (buf) that the leader hands to its caller inside its
+// Result, and the caller may release it before a waiter is even scheduled. So
+// when the fetch lands the leader leases one copy per waiter still counted
+// (copies, made under Manager.mu before done closes); each waiter takes one
+// into its own Result. A waiter that gives up first uncounts itself, one that
+// gives up after done closed releases its copy: no lease is stranded.
 type fill struct {
-	done chan struct{}
-	data []byte
-	cost time.Duration
-	err  error
+	done    chan struct{}
+	buf     *bufpool.Buf
+	cost    time.Duration
+	err     error
+	waiters int            // guarded by Manager.mu
+	copies  []*bufpool.Buf // guarded by Manager.mu
+}
+
+// publishLocked ends the fill: one copy of the fetch per waiter, then done.
+func (f *fill) publishLocked() {
+	if f.err == nil {
+		for i := 0; i < f.waiters; i++ {
+			c := bufpool.Get(f.buf.Len())
+			copy(c.Bytes(), f.buf.Bytes())
+			f.copies = append(f.copies, c)
+		}
+	}
+	close(f.done)
+}
+
+// takeCopyLocked hands a waiter its copy of a published fill (nil when the
+// fetch failed).
+func (f *fill) takeCopyLocked() *bufpool.Buf {
+	if len(f.copies) == 0 {
+		return nil
+	}
+	c := f.copies[len(f.copies)-1]
+	f.copies = f.copies[:len(f.copies)-1]
+	return c
 }
 
 // hotness ranks an entry under the configured metric.
@@ -256,9 +288,8 @@ type Result struct {
 	Degraded bool
 	// Bytes is the payload size moved to/from the client.
 	Bytes int64
-	// Data is the object content returned to the client (reads only).
-	// When buf is set, Data aliases a pooled buffer and is only valid
-	// until Release is called.
+	// Data is the object content returned to the client (reads only). It
+	// aliases a pooled buffer and is only valid until Release is called.
 	Data []byte
 	// Latency is the client-observed virtual time for this request.
 	Latency time.Duration
@@ -266,8 +297,8 @@ type Result struct {
 	// path (admission writes, flushes, reclassification).
 	Background time.Duration
 
-	// buf is the pooled buffer backing Data on cache-hit reads. Misses
-	// share the fill's GC-owned fetch, so buf stays nil there.
+	// buf is the pooled buffer backing Data: the store's read on a hit, the
+	// backend fetch (a coalesced waiter's copy of it) on a miss.
 	buf *bufpool.Buf
 }
 

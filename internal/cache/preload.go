@@ -3,6 +3,7 @@ package cache
 import (
 	"time"
 
+	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/target"
@@ -68,19 +69,27 @@ func (m *Manager) PreloadCtx(rc *reqctx.Ctx, ids []osd.ObjectID) (admitted int, 
 		// hints can be stale.
 		type fetched struct {
 			id   osd.ObjectID
-			data []byte
+			buf  *bufpool.Buf
 			cost time.Duration
 		}
 		var objs []fetched
+		// The fetches are leases, returned once the chunk's store write has
+		// copied them onto the devices (or the warm-up stops).
+		release := func() {
+			for _, o := range objs {
+				o.buf.Release()
+			}
+		}
 		for _, id := range want {
 			if cerr := rc.Err(); cerr != nil {
+				release()
 				return admitted, cost, cerr
 			}
-			data, fetchCost, ferr := m.cfg.Backend.Get(id)
+			buf, fetchCost, ferr := m.cfg.Backend.Fetch(id)
 			if ferr != nil {
 				continue
 			}
-			objs = append(objs, fetched{id: id, data: data, cost: fetchCost})
+			objs = append(objs, fetched{id: id, buf: buf, cost: fetchCost})
 		}
 		if len(objs) == 0 {
 			continue
@@ -97,10 +106,11 @@ func (m *Manager) PreloadCtx(rc *reqctx.Ctx, ids []osd.ObjectID) (admitted int, 
 				continue
 			}
 			cost += o.cost
-			puts = append(puts, target.BatchPut{ID: o.id, Data: o.data, Class: m.admitClass(len(o.data), false)})
+			puts = append(puts, target.BatchPut{ID: o.id, Data: o.buf.Bytes(), Class: m.admitClass(o.buf.Len(), false)})
 		}
 		if len(puts) == 0 {
 			m.mu.Unlock()
+			release()
 			continue
 		}
 		batch := target.PutBatch(m.cfg.Store, nil, puts)
@@ -130,6 +140,7 @@ func (m *Manager) PreloadCtx(rc *reqctx.Ctx, ids []osd.ObjectID) (admitted int, 
 			}
 		}
 		m.mu.Unlock()
+		release()
 		if full {
 			return admitted, cost, nil
 		}

@@ -58,7 +58,7 @@ func TestBudgetSelectMatchesSort(t *testing.T) {
 		snaps := make([]snap, n)
 		for i := range snaps {
 			snaps[i] = snap{
-				size: int64(1 + rng.Intn(1 << 20)),
+				size: int64(1 + rng.Intn(1<<20)),
 				hot:  rng.Float64(),
 			}
 		}

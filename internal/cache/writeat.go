@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/reo-cache/reo/internal/backend"
+	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/store"
@@ -39,9 +40,10 @@ func (m *Manager) WriteAtCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, data
 	var bg time.Duration
 	for {
 		// full is the whole updated object once in-place update is off the
-		// table, pre the virtual time spent producing it.
+		// table — a lease this call releases on every way out — and pre the
+		// virtual time spent producing it.
 		var (
-			full []byte
+			full *bufpool.Buf
 			pre  time.Duration
 		)
 		if e, ok := m.entries[id]; ok && !disabled {
@@ -105,58 +107,67 @@ func (m *Manager) WriteAtCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, data
 			if disabled {
 				// Out of service: read-modify-write against the backend.
 				res := Result{Bytes: size, Latency: pre + m.netCost(size)}
-				err = m.writeThrough(rc, id, full, &res)
+				err = m.writeThrough(rc, id, full.Bytes(), &res)
+				full.Release()
 				return res, err
 			}
 			m.mu.Lock()
 			if _, ok := m.entries[id]; ok {
+				full.Release()
 				continue
 			}
 			m.stats.Misses++
 		}
 
 		// Admit the merged object dirty, exactly as a whole-object write.
-		m.stats.OfferedBytes += int64(len(full))
+		m.stats.OfferedBytes += int64(full.Len())
 		res := Result{Bytes: size, Latency: pre + m.netCost(size), Background: bg}
 		s := writeSub{err: errNotPut}
-		err := m.admitWriteLocked(rc, id, full, &s, &res)
+		err := m.admitWriteLocked(rc, id, full.Bytes(), &s, &res)
 		if res.Hit {
 			res.Background += m.maybeFlushLocked()
 		}
 		m.mu.Unlock()
 		if s.through {
-			err = m.writeThrough(rc, id, full, &res)
+			err = m.writeThrough(rc, id, full.Bytes(), &res)
 		}
+		full.Release()
 		return res, err
 	}
 }
 
 // mergeLocked reads the object's current cached content and applies the
-// partial update in memory. The returned slice is freshly allocated (the
-// merge result outlives any pooled lease).
-func (m *Manager) mergeLocked(id osd.ObjectID, offset int64, data []byte) ([]byte, time.Duration, error) {
-	buf, cost, _, err := m.cfg.Store.GetCtx(nil, id)
+// partial update to it: the store's lease becomes the merged object.
+func (m *Manager) mergeLocked(id osd.ObjectID, offset int64, data []byte) (*bufpool.Buf, time.Duration, error) {
+	full, cost, _, err := m.cfg.Store.GetCtx(nil, id)
 	if err != nil {
 		return nil, 0, err
 	}
-	full := make([]byte, buf.Len())
-	copy(full, buf.Bytes())
-	buf.Release()
-	return full, cost, applyAt(full, id, offset, data)
+	return merged(full, cost, id, offset, data)
 }
 
 // fetchMerged fetches the authoritative copy from the backend and applies
-// the partial update in memory. It runs without the manager lock — the
-// backend serialises its own state.
-func (m *Manager) fetchMerged(id osd.ObjectID, offset int64, data []byte) ([]byte, time.Duration, error) {
-	full, cost, err := m.cfg.Backend.Get(id)
+// the partial update to it. It runs without the manager lock — the backend
+// serialises its own state.
+func (m *Manager) fetchMerged(id osd.ObjectID, offset int64, data []byte) (*bufpool.Buf, time.Duration, error) {
+	full, cost, err := m.cfg.Backend.Fetch(id)
 	if err != nil {
 		if errors.Is(err, backend.ErrNotFound) {
 			err = fmt.Errorf("%w: %v", ErrNoBackend, id)
 		}
 		return nil, 0, err
 	}
-	return full, cost, applyAt(full, id, offset, data)
+	return merged(full, cost, id, offset, data)
+}
+
+// merged applies the partial update to the leased whole object, releasing
+// the lease when the update does not lie inside it.
+func merged(full *bufpool.Buf, cost time.Duration, id osd.ObjectID, offset int64, data []byte) (*bufpool.Buf, time.Duration, error) {
+	if err := applyAt(full.Bytes(), id, offset, data); err != nil {
+		full.Release()
+		return nil, 0, err
+	}
+	return full, cost, nil
 }
 
 // applyAt overwrites full[offset:] with data, rejecting an update that does

@@ -17,9 +17,12 @@
 package erasure
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 
+	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/gf256"
 )
 
@@ -37,14 +40,27 @@ var (
 )
 
 // Codec encodes m data chunks into k parity chunks and reconstructs missing
-// chunks from any m survivors. A Codec is immutable and safe for concurrent
-// use.
+// chunks from any m survivors. A Codec is safe for concurrent use.
 type Codec struct {
 	m, k int
 	// gen is the (m+k)×m systematic generator matrix: rows 0..m-1 are the
 	// identity, rows m..m+k-1 are parity coefficients.
 	gen *gf256.Matrix
+
+	// decode caches the inverted m×m decode matrix per surviving set. While a
+	// device is down every degraded read of a stripe layout decodes from the
+	// same survivors, and on small chunks the Gauss–Jordan inversion costs
+	// more than the GF arithmetic it sets up.
+	decodeMu sync.RWMutex
+	decode   map[survivorSet]*gf256.Matrix
 }
+
+// survivorSet is the bitmask of the m fragments a decode reads (m+k ≤ 255).
+type survivorSet [4]uint64
+
+// maxDecodeCache bounds Codec.decode: an array losing and regaining devices
+// walks through a handful of surviving sets, not all C(m+k, m) of them.
+const maxDecodeCache = 256
 
 // New returns a codec for m data chunks and k parity chunks.
 func New(m, k int) (*Codec, error) {
@@ -61,7 +77,7 @@ func New(m, k int) (*Codec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Codec{m: m, k: k, gen: gen}, nil
+	return &Codec{m: m, k: k, gen: gen, decode: make(map[survivorSet]*gf256.Matrix)}, nil
 }
 
 // systematicVandermonde builds an (m+k)×m generator whose top m rows are the
@@ -134,7 +150,7 @@ func (c *Codec) Split(data []byte) [][]byte {
 	}
 	chunks := make([][]byte, c.m)
 	for i := 0; i < c.m; i++ {
-		chunks[i] = make([]byte, chunkSize)
+		chunks[i] = make([]byte, chunkSize) // the contract: fresh chunks (tests and tools; the data path stages in place)
 		lo := i * chunkSize
 		if lo < len(data) {
 			hi := lo + chunkSize
@@ -153,7 +169,7 @@ func (c *Codec) Join(chunks [][]byte, size int) ([]byte, error) {
 	if len(chunks) != c.m {
 		return nil, ErrShapeMismatch
 	}
-	out := make([]byte, 0, size)
+	out := make([]byte, 0, size) // the contract: a fresh object (tests and tools only)
 	for _, ch := range chunks {
 		out = append(out, ch...)
 	}
@@ -165,7 +181,7 @@ func (c *Codec) Join(chunks [][]byte, size int) ([]byte, error) {
 
 // Encode computes the k parity chunks for the given m data chunks. All data
 // chunks must have equal length. The returned parity chunks have the same
-// length.
+// length and are freshly allocated; the data path uses EncodeInto.
 func (c *Codec) Encode(data [][]byte) ([][]byte, error) {
 	if len(data) != c.m {
 		return nil, ErrShapeMismatch
@@ -176,7 +192,7 @@ func (c *Codec) Encode(data [][]byte) ([][]byte, error) {
 	}
 	parity := make([][]byte, c.k)
 	for p := 0; p < c.k; p++ {
-		parity[p] = make([]byte, size)
+		parity[p] = make([]byte, size) // the contract: fresh parity at exact length
 	}
 	c.encodeInto(data, parity)
 	return parity, nil
@@ -211,7 +227,8 @@ func (c *Codec) encodeInto(data, parity [][]byte) {
 	if c.k == 0 {
 		return
 	}
-	coeffs := make([]byte, c.k)
+	var scratch [MaxParityChunks]byte
+	coeffs := scratch[:c.k]
 	for p := 0; p < c.k; p++ {
 		coeffs[p] = c.gen.At(c.m+p, 0)
 	}
@@ -224,95 +241,161 @@ func (c *Codec) encodeInto(data, parity [][]byte) {
 	}
 }
 
-// Reconstruct restores the missing fragments in place. fragments must have
-// length m+k; present fragments are non-nil and equal-size, missing ones are
-// nil. Indices 0..m-1 are data chunks; m..m+k-1 are parity chunks. It
-// returns ErrTooFewChunks if fewer than m fragments survive.
+// Reconstruct restores the missing fragments in place, into freshly allocated
+// chunks. fragments must have length m+k; present fragments are non-nil and
+// equal-size, missing ones are nil. Indices 0..m-1 are data chunks; m..m+k-1
+// are parity chunks. It returns ErrTooFewChunks if fewer than m fragments
+// survive. The data path decodes with ReconstructInto.
 func (c *Codec) Reconstruct(fragments [][]byte) error {
 	if len(fragments) != c.m+c.k {
 		return ErrShapeMismatch
 	}
-	present := make([]int, 0, c.m)
-	var missing []int
-	for i, f := range fragments {
+	size := -1
+	for _, f := range fragments {
 		if f != nil {
-			present = append(present, i)
-		} else {
-			missing = append(missing, i)
+			size = len(f)
+			break
 		}
 	}
-	if len(missing) == 0 {
-		return nil
-	}
-	if len(present) < c.m {
+	if size < 0 {
 		return ErrTooFewChunks
 	}
-	size, err := uniformSize(nonNil(fragments))
-	if err != nil {
-		return err
+	outs := make([][]byte, len(fragments))
+	for i, f := range fragments {
+		if f == nil {
+			outs[i] = make([]byte, size) // the contract: fresh chunks at exact length
+		}
+	}
+	return c.ReconstructInto(fragments, outs)
+}
+
+// ReconstructInto is Reconstruct decoding into the caller's buffers: every
+// missing fragments[i] is computed into outs[i], which must have the
+// survivors' length (its prior contents are overwritten), and fragments[i] is
+// set to it. Entries of outs under surviving fragments are ignored. It
+// allocates nothing once the surviving set's decode matrix is cached.
+func (c *Codec) ReconstructInto(fragments, outs [][]byte) error {
+	if len(fragments) != c.m+c.k || len(outs) != len(fragments) {
+		return ErrShapeMismatch
+	}
+	var (
+		use  [MaxDataChunks]uint8 // the first m survivors: their generator rows form the decode matrix
+		set  survivorSet
+		have int
+	)
+	for i, f := range fragments {
+		if f == nil {
+			continue
+		}
+		if have < c.m {
+			use[have] = uint8(i)
+			set[i>>6] |= 1 << (i & 63)
+		}
+		have++
+	}
+	if have == len(fragments) {
+		return nil
+	}
+	if have < c.m {
+		return ErrTooFewChunks
+	}
+	size := len(fragments[use[0]])
+	for i, f := range fragments {
+		if f == nil {
+			f = outs[i]
+		}
+		if len(f) != size {
+			return ErrChunkSizeUneven
+		}
 	}
 
-	// Build the m×m decode matrix from the generator rows of the first m
-	// surviving fragments, invert it, and recover the data chunks.
-	use := present[:c.m]
-	sub := gf256.NewMatrix(c.m, c.m)
-	for r, idx := range use {
-		copy(sub.Row(r), c.gen.Row(idx))
-	}
-	inv, err := sub.Invert()
-	if err != nil {
-		return fmt.Errorf("erasure: decode matrix: %w", err)
-	}
-
+	// At most k fragments are missing, so one pass's rows fit fixed scratch.
+	var (
+		rows   [MaxParityChunks]uint8
+		coeffs [MaxParityChunks]byte
+		dsts   [MaxParityChunks][]byte
+	)
 	// Recover missing data chunks: data[d] = sum_j inv[d][j] * frag[use[j]].
 	// Fused across all missing rows: each surviving fragment is swept once,
-	// updating every recovery accumulator.
-	var missData []int
-	for _, miss := range missing {
-		if miss < c.m {
-			missData = append(missData, miss)
+	// updating every recovery accumulator; the first sweep overwrites, so
+	// outs need no zeroing.
+	n := 0
+	for d := 0; d < c.m; d++ {
+		if fragments[d] == nil {
+			rows[n], dsts[n] = uint8(d), outs[d]
+			n++
 		}
 	}
-	if len(missData) > 0 {
-		outs := make([][]byte, len(missData))
-		for i := range outs {
-			outs[i] = make([]byte, size)
+	if n > 0 {
+		inv, err := c.decodeMatrix(set, use[:c.m])
+		if err != nil {
+			return err
 		}
-		coeffs := make([]byte, len(missData))
 		for j := 0; j < c.m; j++ {
-			for i, miss := range missData {
-				coeffs[i] = inv.At(miss, j)
+			for i, d := range rows[:n] {
+				coeffs[i] = inv.At(int(d), j)
 			}
-			gf256.MulAddMatrix(coeffs, fragments[use[j]], outs)
+			sweep(j == 0, coeffs[:n], fragments[use[j]], dsts[:n])
 		}
-		for i, miss := range missData {
-			fragments[miss] = outs[i]
+		for i, d := range rows[:n] {
+			fragments[d] = dsts[i]
 		}
 	}
 	// Recompute missing parity chunks from the (now complete) data chunks.
-	var missParity []int
-	for _, miss := range missing {
-		if miss >= c.m {
-			missParity = append(missParity, miss)
+	n = 0
+	for p := c.m; p < c.m+c.k; p++ {
+		if fragments[p] == nil {
+			rows[n], dsts[n] = uint8(p), outs[p]
+			n++
 		}
 	}
-	if len(missParity) > 0 {
-		outs := make([][]byte, len(missParity))
-		for i := range outs {
-			outs[i] = make([]byte, size)
-		}
-		coeffs := make([]byte, len(missParity))
+	if n > 0 {
 		for d := 0; d < c.m; d++ {
-			for i, miss := range missParity {
-				coeffs[i] = c.gen.At(miss, d)
+			for i, p := range rows[:n] {
+				coeffs[i] = c.gen.At(int(p), d)
 			}
-			gf256.MulAddMatrix(coeffs, fragments[d], outs)
+			sweep(d == 0, coeffs[:n], fragments[d], dsts[:n])
 		}
-		for i, miss := range missParity {
-			fragments[miss] = outs[i]
+		for i, p := range rows[:n] {
+			fragments[p] = dsts[i]
 		}
 	}
 	return nil
+}
+
+// sweep applies one source fragment to every accumulator row: the first
+// sweep of a pass overwrites the rows, the rest add to them.
+func sweep(first bool, coeffs, src []byte, dsts [][]byte) {
+	if first {
+		gf256.MulMatrix(coeffs, src, dsts)
+	} else {
+		gf256.MulAddMatrix(coeffs, src, dsts)
+	}
+}
+
+// decodeMatrix returns the inverse of the generator rows of the surviving
+// set use (ascending; set is its bitmask), cached per set.
+func (c *Codec) decodeMatrix(set survivorSet, use []uint8) (*gf256.Matrix, error) {
+	c.decodeMu.RLock()
+	inv := c.decode[set]
+	c.decodeMu.RUnlock()
+	if inv != nil {
+		return inv, nil
+	}
+	sub := gf256.NewMatrix(c.m, c.m)
+	for r, idx := range use {
+		copy(sub.Row(r), c.gen.Row(int(idx)))
+	}
+	inv, err := sub.Invert()
+	if err != nil {
+		return nil, fmt.Errorf("erasure: decode matrix: %w", err)
+	}
+	c.decodeMu.Lock()
+	if len(c.decode) < maxDecodeCache {
+		c.decode[set] = inv
+	}
+	c.decodeMu.Unlock()
+	return inv, nil
 }
 
 // Verify recomputes parity from the data chunks and reports whether it
@@ -326,19 +409,24 @@ func (c *Codec) Verify(fragments [][]byte) (bool, error) {
 			return false, errors.New("erasure: verify requires all fragments")
 		}
 	}
-	parity, err := c.Encode(fragments[:c.m])
+	size, err := uniformSize(fragments[:c.m])
 	if err != nil {
 		return false, err
 	}
-	for p := 0; p < c.k; p++ {
-		stored := fragments[c.m+p]
-		if len(stored) != len(parity[p]) {
+	if c.k == 0 {
+		return true, nil
+	}
+	scratch := bufpool.Get(c.k * size)
+	defer scratch.Release()
+	var rows [MaxParityChunks][]byte
+	parity := rows[:c.k]
+	for p := range parity {
+		parity[p] = scratch.Bytes()[p*size : (p+1)*size]
+	}
+	c.encodeInto(fragments[:c.m], parity)
+	for p, want := range parity {
+		if !bytes.Equal(fragments[c.m+p], want) {
 			return false, nil
-		}
-		for i := range stored {
-			if stored[i] != parity[p][i] {
-				return false, nil
-			}
 		}
 	}
 	return true, nil
@@ -391,36 +479,40 @@ func (c *Codec) UpdateReadCost(s UpdateStrategy) int {
 	return 1 + c.k
 }
 
-// UpdateParityDelta computes new parity chunks given the old and new content
-// of data chunk dataIdx and the old parity chunks (delta parity-updating):
+// UpdateParityDelta turns the old parity chunks into the new ones, in place,
+// given the old and new content of data chunk dataIdx (delta
+// parity-updating):
 //
-//	newParity[p] = oldParity[p] + gen[m+p][dataIdx] * (oldData + newData)
+//	parity[p] += gen[m+p][dataIdx] * (oldData + newData)
 //
-// It returns freshly allocated parity chunks and does not modify its inputs.
-func (c *Codec) UpdateParityDelta(dataIdx int, oldData, newData []byte, oldParity [][]byte) ([][]byte, error) {
+// oldData and newData are not modified.
+func (c *Codec) UpdateParityDelta(dataIdx int, oldData, newData []byte, parity [][]byte) error {
 	if dataIdx < 0 || dataIdx >= c.m {
-		return nil, fmt.Errorf("erasure: data index %d out of range [0,%d)", dataIdx, c.m)
+		return fmt.Errorf("erasure: data index %d out of range [0,%d)", dataIdx, c.m)
 	}
-	if len(oldParity) != c.k {
-		return nil, ErrShapeMismatch
+	if len(parity) != c.k {
+		return ErrShapeMismatch
 	}
 	if len(oldData) != len(newData) {
-		return nil, ErrChunkSizeUneven
+		return ErrChunkSizeUneven
 	}
-	delta := gf256.GetBuf(len(oldData))
-	defer gf256.PutBuf(delta)
+	for _, p := range parity {
+		if len(p) != len(oldData) {
+			return ErrChunkSizeUneven
+		}
+	}
+	lease := bufpool.Get(len(oldData))
+	defer lease.Release()
+	delta := lease.Bytes()
 	copy(delta, oldData)
 	gf256.XorSlice(newData, delta)
-	out := make([][]byte, c.k)
-	for p := 0; p < c.k; p++ {
-		if len(oldParity[p]) != len(delta) {
-			return nil, ErrChunkSizeUneven
-		}
-		out[p] = make([]byte, len(oldParity[p]))
-		copy(out[p], oldParity[p])
-		gf256.MulAddSlice(c.gen.At(c.m+p, dataIdx), delta, out[p])
+	var scratch [MaxParityChunks]byte
+	coeffs := scratch[:c.k]
+	for p := range coeffs {
+		coeffs[p] = c.gen.At(c.m+p, dataIdx)
 	}
-	return out, nil
+	gf256.MulAddMatrix(coeffs, delta, parity)
+	return nil
 }
 
 func uniformSize(chunks [][]byte) (int, error) {
@@ -434,14 +526,4 @@ func uniformSize(chunks [][]byte) (int, error) {
 		}
 	}
 	return size, nil
-}
-
-func nonNil(chunks [][]byte) [][]byte {
-	out := make([][]byte, 0, len(chunks))
-	for _, ch := range chunks {
-		if ch != nil {
-			out = append(out, ch)
-		}
-	}
-	return out
 }

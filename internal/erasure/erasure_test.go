@@ -2,9 +2,13 @@ package erasure
 
 import (
 	"bytes"
+	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/reo-cache/reo/internal/bufpool"
 )
 
 func mustCodec(t testing.TB, m, k int) *Codec {
@@ -234,16 +238,19 @@ func TestUpdateParityDeltaMatchesReencode(t *testing.T) {
 	c := mustCodec(t, 5, 3)
 	rng := rand.New(rand.NewSource(5))
 	data := randChunks(rng, 5, 128)
-	parity, err := c.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for idx := 0; idx < 5; idx++ {
+		gotParity, err := c.Encode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
 		newChunk := make([]byte, 128)
 		rng.Read(newChunk)
-		gotParity, err := c.UpdateParityDelta(idx, data[idx], newChunk, parity)
-		if err != nil {
+		oldChunk, keepNew := bytes.Clone(data[idx]), bytes.Clone(newChunk)
+		if err := c.UpdateParityDelta(idx, data[idx], newChunk, gotParity); err != nil {
 			t.Fatalf("UpdateParityDelta(%d): %v", idx, err)
+		}
+		if !bytes.Equal(data[idx], oldChunk) || !bytes.Equal(newChunk, keepNew) {
+			t.Fatalf("UpdateParityDelta(%d) modified a data chunk", idx)
 		}
 		updated := make([][]byte, 5)
 		copy(updated, data)
@@ -264,17 +271,20 @@ func TestUpdateParityDeltaValidation(t *testing.T) {
 	c := mustCodec(t, 3, 2)
 	buf := make([]byte, 8)
 	parity := [][]byte{make([]byte, 8), make([]byte, 8)}
-	if _, err := c.UpdateParityDelta(-1, buf, buf, parity); err == nil {
+	if err := c.UpdateParityDelta(-1, buf, buf, parity); err == nil {
 		t.Error("negative index accepted")
 	}
-	if _, err := c.UpdateParityDelta(3, buf, buf, parity); err == nil {
+	if err := c.UpdateParityDelta(3, buf, buf, parity); err == nil {
 		t.Error("out-of-range index accepted")
 	}
-	if _, err := c.UpdateParityDelta(0, buf, make([]byte, 9), parity); err == nil {
+	if err := c.UpdateParityDelta(0, buf, make([]byte, 9), parity); err == nil {
 		t.Error("mismatched data sizes accepted")
 	}
-	if _, err := c.UpdateParityDelta(0, buf, buf, parity[:1]); err == nil {
+	if err := c.UpdateParityDelta(0, buf, buf, parity[:1]); err == nil {
 		t.Error("wrong parity count accepted")
+	}
+	if err := c.UpdateParityDelta(0, buf, buf, [][]byte{parity[0], make([]byte, 9)}); err == nil {
+		t.Error("mismatched parity size accepted")
 	}
 }
 
@@ -372,7 +382,7 @@ func BenchmarkParityUpdateDelta(b *testing.B) {
 	b.SetBytes(64 << 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.UpdateParityDelta(1, data[1], newChunk, parity); err != nil {
+		if err := c.UpdateParityDelta(1, data[1], newChunk, parity); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -391,5 +401,59 @@ func BenchmarkParityUpdateDirect(b *testing.B) {
 		if _, err := c.Encode(data); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestReconstructIntoAllocFree: decoding into the caller's (dirty) buffers
+// gives Reconstruct's bytes for every loss pattern of a 3+2 code, and once a
+// surviving set's decode matrix is cached a decode allocates nothing.
+func TestReconstructIntoAllocFree(t *testing.T) {
+	c := mustCodec(t, 3, 2)
+	rng := rand.New(rand.NewSource(11))
+	full := randChunks(rng, 3, 4096)
+	parity, err := c.Encode(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full = append(full, parity...)
+	outs := randChunks(rng, 5, 4096) // stale contents must not leak into the result
+	work := make([][]byte, 5)
+	for lost := 1; lost < 1<<5; lost++ {
+		if bits.OnesCount(uint(lost)) > 2 {
+			continue
+		}
+		decode := func() {
+			copy(work, full)
+			for i := range work {
+				if lost&(1<<i) != 0 {
+					work[i] = nil
+				}
+			}
+			if err := c.ReconstructInto(work, outs); err != nil {
+				t.Fatalf("lost %05b: %v", lost, err)
+			}
+		}
+		decode()
+		for i := range work {
+			if !bytes.Equal(work[i], full[i]) {
+				t.Fatalf("lost %05b: fragment %d differs", lost, i)
+			}
+			if lost&(1<<i) != 0 && &work[i][0] != &outs[i][0] {
+				t.Fatalf("lost %05b: fragment %d not decoded into the caller's buffer", lost, i)
+			}
+		}
+		if bufpool.RaceEnabled {
+			continue
+		}
+		if n := testing.AllocsPerRun(20, decode); n != 0 {
+			t.Errorf("lost %05b: %v allocations per warm decode, want 0", lost, n)
+		}
+	}
+	if err := c.ReconstructInto(work, outs[:4]); !errors.Is(err, ErrShapeMismatch) {
+		t.Errorf("short outs: %v, want ErrShapeMismatch", err)
+	}
+	work[0], outs[0] = nil, make([]byte, 100)
+	if err := c.ReconstructInto(work, outs); !errors.Is(err, ErrChunkSizeUneven) {
+		t.Errorf("wrong-size out: %v, want ErrChunkSizeUneven", err)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,6 +193,79 @@ type Device struct {
 	// res is the resilience registry retry loops consult; nil serves the
 	// built-in defaults (identical behaviour to the pre-registry constants).
 	res atomic.Pointer[policy.Resilience]
+	// spare holds the buffers of dropped chunks, oldest first, for the next
+	// writes to fill (see chunkBufLocked); spareBytes is the sum of their
+	// capacities.
+	spare      [][]byte
+	spareBytes int64
+}
+
+// Chunk buffers are device-owned: a write copies the caller's bytes in, a read
+// copies them out under the device lock, and nothing else ever sees the stored
+// slice. So the buffer of a chunk that is freed, overwritten, dropped as
+// corrupt or lost with its device can hold the next chunk written, and no
+// caller can be left aliasing it. The spare list is bounded in bytes (the
+// lesser of spareMaxBytes and 1/16 of the device) and in entries (the lookup
+// is a linear best-fit scan); what does not fit is left to the GC.
+const (
+	spareMaxBytes = 1 << 20
+	spareMaxBufs  = 64
+)
+
+// spareBound is the spare list's byte bound.
+func (d *Device) spareBound() int64 {
+	return min(spareMaxBytes, d.spec.CapacityBytes/16)
+}
+
+// fits reports whether buf may hold an n-byte chunk: it must be long enough
+// and at most an eighth longer. A first allocation is always exactly n bytes —
+// resident chunks are never rounded up to a pool tier, which on a cache full
+// of odd-length tail chunks would cost several percent of memory — so the
+// slack recycled buffers carry is bounded by an eighth of their bytes.
+func fits(buf []byte, n int) bool {
+	c := cap(buf)
+	return n <= c && c-n <= c/8
+}
+
+// chunkBufLocked returns the buffer an n-byte chunk is about to be copied
+// into: old — the buffer of the chunk being overwritten, nil for a new chunk —
+// when the new content fits it, else the tightest spare, else a fresh one.
+func (d *Device) chunkBufLocked(old []byte, n int) []byte {
+	if old != nil && fits(old, n) {
+		return old[:n]
+	}
+	d.recycleLocked(old)
+	best := -1
+	for i, b := range d.spare {
+		if fits(b, n) && (best < 0 || cap(b) < cap(d.spare[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]byte, n) // first allocation, at exact length (see fits)
+	}
+	buf := d.spare[best]
+	d.spare = slices.Delete(d.spare, best, best+1)
+	d.spareBytes -= int64(cap(buf))
+	return buf[:n]
+}
+
+// recycleLocked keeps a dropped chunk's buffer, making room by forgetting the
+// spares that have waited longest: what was freed most recently is what the
+// next write most likely replaces.
+func (d *Device) recycleLocked(buf []byte) {
+	c := int64(cap(buf))
+	bound := d.spareBound()
+	if c == 0 || c > bound {
+		return
+	}
+	drop := 0
+	for len(d.spare)-drop >= spareMaxBufs || d.spareBytes+c > bound {
+		d.spareBytes -= int64(cap(d.spare[drop]))
+		drop++
+	}
+	d.spare = append(slices.Delete(d.spare, 0, drop), buf)
+	d.spareBytes += c
 }
 
 // NewDevice returns a healthy, empty device with the given spec.
@@ -422,7 +496,8 @@ func (d *Device) writeOnce(addr ChunkAddr, data []byte) (time.Duration, error) {
 	} else if newUsed > d.spec.CapacityBytes {
 		return 0, ErrDeviceFull
 	}
-	buf := make([]byte, len(data))
+	// Looked up again: inline GC above may have dropped the old copy.
+	buf := d.chunkBufLocked(d.data[addr], len(data))
 	copy(buf, data)
 	d.data[addr] = buf
 	d.crcs[addr] = crc32.Checksum(buf, castagnoli)
@@ -499,7 +574,7 @@ func (d *Device) readOnce(addr ChunkAddr, dst []byte) ([]byte, int, int64, time.
 	if dst != nil {
 		n = copy(dst, data)
 	} else {
-		out = make([]byte, len(data))
+		out = make([]byte, len(data)) // ReadCtx's contract: a copy the caller keeps (tests; the data path reads into its own buffers)
 		copy(out, data)
 	}
 	d.stats.ReadOps++
@@ -621,6 +696,7 @@ func (d *Device) dropChunkLocked(addr ChunkAddr) {
 		d.used -= int64(len(old))
 		delete(d.data, addr)
 		delete(d.crcs, addr)
+		d.recycleLocked(old)
 	}
 }
 
@@ -686,14 +762,23 @@ func (d *Device) failLocked(reason string) {
 		return
 	}
 	d.state = StateFailed
+	d.wipeLocked()
+	if d.health.failReason == "" {
+		d.health.failReason = reason
+	}
+}
+
+// wipeLocked discards every chunk — the device failed, or a blank spare takes
+// its slot — keeping as many of their buffers as the spare list has room for.
+func (d *Device) wipeLocked() {
+	for _, buf := range d.data {
+		d.recycleLocked(buf)
+	}
 	d.data = make(map[ChunkAddr][]byte)
 	d.crcs = make(map[ChunkAddr]uint32)
 	d.used = 0
 	if d.layout == LayoutLog {
 		d.log.reset()
-	}
-	if d.health.failReason == "" {
-		d.health.failReason = reason
 	}
 }
 
@@ -704,13 +789,8 @@ func (d *Device) Replace() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.state = StateHealthy
-	d.data = make(map[ChunkAddr][]byte)
-	d.crcs = make(map[ChunkAddr]uint32)
-	d.used = 0
+	d.wipeLocked()
 	d.stats = Stats{}
-	if d.layout == LayoutLog {
-		d.log.reset()
-	}
 	d.health = newHealthState()
 	d.generation++
 }

@@ -305,6 +305,7 @@ func (d *Device) collectOnceLocked(force bool) (int64, bool) {
 			delete(d.data, addr)
 			delete(d.crcs, addr)
 			d.used -= n
+			d.recycleLocked(data)
 			d.recordOutcomeLocked(false, 0, &d.health.checksumErrors)
 			if d.state == StateFailed {
 				// The health monitor failed the device on this error and

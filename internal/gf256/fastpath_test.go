@@ -190,30 +190,6 @@ func TestMulAddMatrixShapeMismatchPanics(t *testing.T) {
 	MulAddMatrix([]byte{1, 2}, make([]byte, 8), [][]byte{make([]byte, 8)})
 }
 
-func TestBufPoolRoundTrip(t *testing.T) {
-	b := GetBuf(1024)
-	if len(b) != 1024 {
-		t.Fatalf("GetBuf length = %d", len(b))
-	}
-	for i := range b {
-		b[i] = 0xff
-	}
-	PutBuf(b)
-	// A pooled buffer must come back zeroed regardless of what the previous
-	// holder left in it.
-	c := GetBuf(512)
-	if len(c) != 512 {
-		t.Fatalf("GetBuf length = %d", len(c))
-	}
-	for i, v := range c {
-		if v != 0 {
-			t.Fatalf("GetBuf byte %d = %#x, want 0", i, v)
-		}
-	}
-	PutBuf(c)
-	PutBuf(nil) // zero-cap is a no-op
-}
-
 func BenchmarkMulAddSlice(b *testing.B) {
 	const n = 64 << 10
 	src := make([]byte, n)

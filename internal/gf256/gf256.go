@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -342,34 +341,6 @@ func mul2(pt0, pt1 *[1 << 16]uint16, src, dst0, dst1 []byte) {
 		dst0[i] = byte(pt0[w])
 		dst1[i] = byte(pt1[w])
 	}
-}
-
-// bufPool recycles the scratch slices the coding hot paths burn through
-// (parity accumulators, delta buffers, chunk staging). Entries are stored as
-// *[]byte so Put does not allocate a fresh interface box per slice.
-var bufPool sync.Pool
-
-// GetBuf returns a zeroed scratch buffer of length n, reusing a pooled
-// backing array when one is large enough. Return it with PutBuf when done.
-func GetBuf(n int) []byte {
-	if p, _ := bufPool.Get().(*[]byte); p != nil && cap(*p) >= n {
-		b := (*p)[:n]
-		for i := range b {
-			b[i] = 0
-		}
-		return b
-	}
-	return make([]byte, n)
-}
-
-// PutBuf returns a scratch buffer obtained from GetBuf to the pool. The
-// caller must not touch b afterwards.
-func PutBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	bufPool.Put(&b)
 }
 
 // Matrix is a dense row-major matrix over GF(2^8).

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/workload"
 )
@@ -29,9 +30,15 @@ func chaosSchedule(seed int64) ChaosConfig {
 // assertions below check the faults really fired and the defenses really
 // engaged — with no InsertSpare or StartRecovery call anywhere in the path.
 func TestChaosSoak(t *testing.T) {
+	leased := bufpool.Outstanding()
 	res, err := ChaosRun(workload.Medium, miniOpts(), chaosSchedule(7))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every lease the storm took — fetches, flushes, re-encodes, degraded
+	// reads that gathered, decoded or gave up half way — came back.
+	if got := bufpool.Outstanding(); got != leased {
+		t.Errorf("bufpool leases unbalanced: %d outstanding, started at %d", got, leased)
 	}
 	f := res.Faults
 	if f.Transient == 0 || f.BitFlips == 0 || f.Latent == 0 {

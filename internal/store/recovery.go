@@ -249,7 +249,8 @@ func (s *Store) reencodeObjectLocked(rc *reqctx.Ctx, obj *object) (time.Duration
 	if err != nil {
 		return readCost, fmt.Errorf("object %v: %w", obj.id, err)
 	}
-	ids, writeCost, err := s.replaceStripesLocked(rc, obj.id, obj.stripes, data, s.cfg.Policy.SchemeFor(obj.class), true)
+	defer data.Release()
+	ids, writeCost, err := s.replaceStripesLocked(rc, obj.id, obj.stripes, data.Bytes(), s.cfg.Policy.SchemeFor(obj.class), true)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return readCost, err

@@ -265,7 +265,7 @@ func New(cfg Config) (*Store, error) {
 	if !cfg.SkipMetadataObjects {
 		for _, oid := range []uint64{osd.SuperBlockOID, osd.DeviceTableOID, osd.RootDirectoryOID} {
 			id := osd.ObjectID{PID: osd.FirstPID, OID: oid}
-			payload := make([]byte, cfg.MetadataObjectSize)
+			payload := make([]byte, cfg.MetadataObjectSize) // set-up time: three metadata objects per store
 			for i := range payload {
 				payload[i] = byte(oid + uint64(i))
 			}
@@ -430,13 +430,18 @@ func (s *Store) getOneRLocked(rc *reqctx.Ctx, id osd.ObjectID) (buf *bufpool.Buf
 	return buf, cost, degraded, nil, nil
 }
 
-// readObjectLocked reads the whole object into a fresh buffer for the
+// readObjectLocked reads the whole object into a leased buffer for the
 // read-and-rewrite paths (reclassify, re-encode, scheme-changing partial
-// write).
-func (s *Store) readObjectLocked(rc *reqctx.Ctx, obj *object) ([]byte, time.Duration, error) {
-	data := make([]byte, obj.size)
-	_, cost, err := s.stripes.ReadInto(rc, obj.stripes, obj.size, data)
-	return data, cost, err
+// write). The caller releases the lease once the rewrite has copied the bytes
+// onto the devices; a failed read leases nothing.
+func (s *Store) readObjectLocked(rc *reqctx.Ctx, obj *object) (*bufpool.Buf, time.Duration, error) {
+	buf := bufpool.Get(obj.size)
+	_, cost, err := s.stripes.ReadInto(rc, obj.stripes, obj.size, buf.Bytes())
+	if err != nil {
+		buf.Release()
+		return nil, cost, err
+	}
+	return buf, cost, nil
 }
 
 // replaceStripesLocked is the one place an object's stripes are written: it
@@ -591,7 +596,8 @@ func (s *Store) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) 
 		}
 		return 0, err
 	}
-	ids, writeCost, err := s.replaceStripesLocked(rc, id, obj.stripes, data, newScheme, rc.CanCancel())
+	defer data.Release()
+	ids, writeCost, err := s.replaceStripesLocked(rc, id, obj.stripes, data.Bytes(), newScheme, rc.CanCancel())
 	if err != nil {
 		return 0, err
 	}

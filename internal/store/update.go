@@ -68,8 +68,9 @@ func (s *Store) WriteRangeCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, dat
 		if err != nil {
 			return 0, fmt.Errorf("read for partial update of %v: %w", id, err)
 		}
-		copy(full[offset:], data)
-		ids, writeCost, err := s.replaceStripesLocked(rc, id, obj.stripes, full, dirtyScheme, true)
+		defer full.Release()
+		copy(full.Bytes()[offset:], data)
+		ids, writeCost, err := s.replaceStripesLocked(rc, id, obj.stripes, full.Bytes(), dirtyScheme, true)
 		if err != nil {
 			return 0, err
 		}

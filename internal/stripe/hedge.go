@@ -22,6 +22,7 @@ package stripe
 import (
 	"time"
 
+	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
@@ -137,7 +138,11 @@ func (m *Manager) readStripeHedged(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst 
 	defer rc.WithOpClass(prevClass)
 
 	child, cancel := reqctx.Fork(rc)
-	scratch := make([]byte, len(dst))
+	// The hedge fills its own lease; the goroutine is joined on every path
+	// below, so the deferred release cannot race it.
+	lease := bufpool.Get(len(dst))
+	defer lease.Release()
+	scratch := lease.Bytes()
 	type hedgeOutcome struct {
 		cost time.Duration
 		err  error
@@ -190,12 +195,15 @@ func (m *Manager) readHedge(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte,
 	}
 	// Parity hedge: rebuild the data from fragments on devices outside
 	// plan.avoid, decoding the avoided chunks from parity.
-	frags := make([][]byte, len(meta.dataDevs)+len(meta.parityDevs))
-	cost, _, err := m.gather(rc, id, meta, 0, len(frags), dst, frags, plan.avoid)
+	var table [stackFrags][]byte
+	frags := fragTable(&table, len(meta.dataDevs)+len(meta.parityDevs))
+	scratch := leaseArena(len(frags), meta.chunkLen)
+	defer scratch.release()
+	cost, _, err := m.gather(rc, id, meta, 0, len(frags), dst, frags, scratch, plan.avoid)
 	if err != nil {
 		return 0, err
 	}
-	decodeCost, err := m.reconstruct(id, meta, frags, dst)
+	decodeCost, err := m.reconstruct(id, meta, frags, dst, scratch)
 	if err != nil {
 		return 0, err
 	}

@@ -28,9 +28,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/erasure"
 	"github.com/reo-cache/reo/internal/flash"
-	"github.com/reo-cache/reo/internal/gf256"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/simclock"
@@ -233,6 +233,41 @@ func fanOut(n int, fn func(i int) error) error {
 	return nil
 }
 
+// stackFrags is the widest stripe whose fragment table fits in its
+// operation's stack frame. The paper's array and every experiment here are 5
+// wide; a wider array's tables fall back to the heap.
+const stackFrags = 16
+
+// fragTable returns n empty fragment slots, backed by arr when it is wide
+// enough. The table stays on the caller's stack as long as nothing it is
+// passed to retains it — which is why the fan-out paths of gather and scatter
+// copy what they need into their own slices before forking.
+func fragTable(arr *[stackFrags][]byte, n int) [][]byte {
+	if n <= stackFrags {
+		return arr[:n]
+	}
+	return make([][]byte, n) // wider than any configured array: heap
+}
+
+// arena is the leased scratch of one stripe operation: slot i holds fragment
+// i whenever it is not read or decoded straight into the caller's buffer.
+// Whoever leases it releases it, after the last scatter of the operation —
+// devices copy what they are handed, so nothing outlives the call.
+type arena struct {
+	buf      *bufpool.Buf
+	chunkLen int
+}
+
+func leaseArena(slots, chunkLen int) arena {
+	return arena{buf: bufpool.Get(slots * chunkLen), chunkLen: chunkLen}
+}
+
+func (a arena) slot(i int) []byte {
+	return a.buf.Bytes()[i*a.chunkLen : (i+1)*a.chunkLen]
+}
+
+func (a arena) release() { a.buf.Release() }
+
 // lookup fetches a stripe's metadata without holding the manager mutex
 // beyond the map access.
 func (m *Manager) lookup(id ID) (*stripeMeta, error) {
@@ -307,7 +342,8 @@ func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ali
 
 	n := len(alive)
 	meta := &stripeMeta{scheme: scheme, dataLen: len(data)}
-	frags := make([][]byte, n)
+	var table [stackFrags][]byte
+	frags := fragTable(&table, n)
 	var encodeCost time.Duration
 	if scheme.Kind == policy.KindReplicate {
 		if data == nil {
@@ -335,15 +371,16 @@ func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ali
 		for i := 0; i < dataChunks; i++ {
 			meta.dataDevs = append(meta.dataDevs, alive[(start+k+i)%n])
 		}
-		// Stage every fragment in one pooled buffer: the data chunks are
-		// consecutive slices, zero-padded past len(data) by GetBuf, parity
-		// follows. The device copies the payload, so the buffer is recycled
-		// as soon as the scatter returns.
-		buf := gf256.GetBuf(n * meta.chunkLen)
-		defer gf256.PutBuf(buf)
-		copy(buf, data)
+		// Stage every fragment in one leased buffer: the data chunks are
+		// consecutive slots, zero-padded past len(data) (leases come back
+		// dirty; the encode overwrites the parity slots that follow). The
+		// device copies the payload, so the lease ends with the scatter.
+		stage := leaseArena(n, meta.chunkLen)
+		defer stage.release()
+		staged := stage.buf.Bytes()
+		clear(staged[copy(staged, data) : dataChunks*meta.chunkLen])
 		for i := range frags {
-			frags[i] = buf[i*meta.chunkLen : (i+1)*meta.chunkLen]
+			frags[i] = stage.slot(i)
 		}
 		if k > 0 {
 			codec, err := m.codec(dataChunks, k)
@@ -451,10 +488,16 @@ func (m *Manager) scatter(w *writeOp, id ID, meta *stripeMeta, frags [][]byte) (
 // scatterFanOut is scatter for large chunks: a goroutine per fragment due (one
 // due is written inline, none due allocates nothing).
 func (m *Manager) scatterFanOut(w *writeOp, id ID, meta *stripeMeta, frags [][]byte) (time.Duration, int, error) {
-	var due []int
+	// The closure captures due, never frags or w: either would move every
+	// caller's fragment table or writeOp to the heap.
+	type dueFrag struct {
+		i    int
+		data []byte
+	}
+	var due []dueFrag
 	for i := range frags {
 		if m.writable(w.published, meta, frags, i) {
-			due = append(due, i)
+			due = append(due, dueFrag{i, frags[i]})
 		}
 	}
 	if len(due) == 0 {
@@ -463,11 +506,11 @@ func (m *Manager) scatterFanOut(w *writeOp, id ID, meta *stripeMeta, frags [][]b
 	if err := w.begin(); err != nil {
 		return 0, 0, err
 	}
-	rc := w.rc // the closure must not capture w, or every caller's writeOp moves to the heap
+	rc := w.rc
 	costs := make([]time.Duration, len(due))
 	var landed atomic.Int32
 	err := fanOut(len(due), func(j int) error {
-		c, werr := m.put(rc, id, meta, due[j], frags[due[j]])
+		c, werr := m.put(rc, id, meta, due[j].i, due[j].data)
 		if werr == nil {
 			costs[j] = c
 			landed.Add(1)
@@ -634,36 +677,52 @@ func (sm *stripeMeta) fragmentDev(i int) int {
 //
 // A data chunk whose dst segment spans the whole chunk is read straight into
 // it; anything else (the tail chunk a short dst clips, parity, dst == nil)
-// lands in a fresh buffer. Either way frags[i] records fragment i for
-// decoding. frags == nil is the healthy read: every chunk goes into its dst
-// segment however short, nothing is allocated on the small-chunk path, and —
+// lands in its slot of the caller's scratch arena. Either way frags[i]
+// records fragment i for decoding. frags == nil is the healthy read: every
+// chunk goes into its dst segment however short, no scratch is needed, and —
 // with no fragments kept to decode from — the first miss ends the gather.
-func (m *Manager) gather(rc *reqctx.Ctx, id ID, meta *stripeMeta, lo, hi int, dst []byte, frags [][]byte, avoid map[int]bool) (cost time.Duration, got int, err error) {
+// Nothing is allocated on the small-chunk path.
+func (m *Manager) gather(rc *reqctx.Ctx, id ID, meta *stripeMeta, lo, hi int, dst []byte, frags [][]byte, scratch arena, avoid map[int]bool) (cost time.Duration, got int, err error) {
 	if meta.chunkLen < fanOutMinBytes {
-		// Serial and closure-free, tracking the max cost by hand, so the
-		// healthy hit path stays allocation-free.
+		// Serial and closure-free, tracking the max cost by hand.
 		for i := lo; i < hi; i++ {
-			c, ok := m.fetch(rc, id, meta, i, dst, frags, avoid)
+			frag, c, ok := m.fetch(rc, id, meta, i, dst, frags != nil, scratch, avoid)
 			if ok {
 				got++
 				cost = max(cost, c)
+				if frags != nil {
+					frags[i] = frag
+				}
 			} else if frags == nil {
 				break
 			}
 		}
 	} else {
 		// Large chunks: fan out per device. The small bookkeeping
-		// allocates, but large-chunk transfers dwarf it.
+		// allocates, but large-chunk transfers dwarf it. The closure fills
+		// its own table, so the caller's can stay on its stack.
 		costs := make([]time.Duration, hi-lo)
+		var landed [][]byte
+		if frags != nil {
+			landed = make([][]byte, hi-lo)
+		}
 		var arrived atomic.Int32
 		_ = fanOut(hi-lo, func(j int) error {
-			if c, ok := m.fetch(rc, id, meta, lo+j, dst, frags, avoid); ok {
+			if frag, c, ok := m.fetch(rc, id, meta, lo+j, dst, landed != nil, scratch, avoid); ok {
 				costs[j] = c
 				arrived.Add(1)
+				if landed != nil {
+					landed[j] = frag
+				}
 			}
 			return nil
 		})
 		cost, got = simclock.Parallel(costs...), int(arrived.Load())
+		for j, frag := range landed {
+			if frag != nil {
+				frags[lo+j] = frag
+			}
+		}
 	}
 	if got < hi-lo {
 		// Fell short: tell a request that died mid-gather from fragments
@@ -673,41 +732,35 @@ func (m *Manager) gather(rc *reqctx.Ctx, id ID, meta *stripeMeta, lo, hi int, ds
 	return cost, got, err
 }
 
-// fetch reads fragment i for gather, reporting its device cost and whether it
-// arrived.
-func (m *Manager) fetch(rc *reqctx.Ctx, id ID, meta *stripeMeta, i int, dst []byte, frags [][]byte, avoid map[int]bool) (time.Duration, bool) {
+// fetch reads fragment i for gather, reporting where it landed, its device
+// cost and whether it arrived. keep is gather's frags != nil.
+func (m *Manager) fetch(rc *reqctx.Ctx, id ID, meta *stripeMeta, i int, dst []byte, keep bool, scratch arena, avoid map[int]bool) ([]byte, time.Duration, bool) {
 	dev := meta.fragmentDev(i)
 	if avoid[dev] {
-		return 0, false
+		return nil, 0, false
 	}
-	var seg []byte
+	var into []byte
 	if i < len(meta.dataDevs) {
-		seg = chunkSeg(dst, meta.chunkLen, i)
+		into = chunkSeg(dst, meta.chunkLen, i)
 	}
-	if frags == nil || len(seg) == meta.chunkLen {
-		_, cost, err := m.array.Device(dev).ReadInto(rc, flash.ChunkAddr(id), seg)
-		if err != nil {
-			return 0, false
-		}
-		if frags != nil {
-			frags[i] = seg
-		}
-		return cost, true
+	if keep && len(into) != meta.chunkLen {
+		into = scratch.slot(i)
 	}
-	data, cost, err := m.array.Device(dev).ReadCtx(rc, flash.ChunkAddr(id))
+	n, cost, err := m.array.Device(dev).ReadInto(rc, flash.ChunkAddr(id), into)
 	if err != nil {
-		return 0, false
+		return nil, 0, false
 	}
-	frags[i] = data
-	return cost, true
+	return into[:n], cost, true
 }
 
 // reconstruct is the one place missing fragments are decoded: it restores
-// the nil entries of frags in place from the survivors, copies every data
-// chunk not already sitting in dst into its segment (dst may be nil), and
-// returns the decode CPU cost, which callers charge serially after the
-// gather's fan-out. Fewer than m survivors is ErrUnrecoverable.
-func (m *Manager) reconstruct(id ID, meta *stripeMeta, frags [][]byte, dst []byte) (time.Duration, error) {
+// the nil entries of frags from the survivors — a data chunk whose dst
+// segment spans the whole chunk straight into that segment, anything else
+// into its slot of scratch — copies every data chunk not already sitting in
+// dst into its segment (dst may be nil), and returns the decode CPU cost,
+// which callers charge serially after the gather's fan-out. Fewer than m
+// survivors is ErrUnrecoverable.
+func (m *Manager) reconstruct(id ID, meta *stripeMeta, frags [][]byte, dst []byte, scratch arena) (time.Duration, error) {
 	dataChunks := len(meta.dataDevs)
 	have := 0
 	for _, f := range frags {
@@ -722,7 +775,19 @@ func (m *Manager) reconstruct(id ID, meta *stripeMeta, frags [][]byte, dst []byt
 	if err != nil {
 		return 0, err
 	}
-	if err := codec.Reconstruct(frags); err != nil {
+	var table [stackFrags][]byte
+	outs := fragTable(&table, len(frags))
+	for i, f := range frags {
+		if f != nil {
+			continue
+		}
+		if outs[i] = scratch.slot(i); i < dataChunks {
+			if seg := chunkSeg(dst, meta.chunkLen, i); len(seg) == meta.chunkLen {
+				outs[i] = seg
+			}
+		}
+	}
+	if err := codec.ReconstructInto(frags, outs); err != nil {
 		return 0, fmt.Errorf("stripe %d: %w", id, err)
 	}
 	for i := 0; i < dataChunks; i++ {
@@ -745,7 +810,7 @@ func (m *Manager) readParityInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []
 		}
 	}
 	if healthy {
-		cost, got, err := m.gather(rc, id, meta, 0, len(meta.dataDevs), dst, nil, nil)
+		cost, got, err := m.gather(rc, id, meta, 0, len(meta.dataDevs), dst, nil, arena{}, nil)
 		if err != nil || got == len(meta.dataDevs) {
 			return cost, err
 		}
@@ -760,18 +825,21 @@ func (m *Manager) readParityInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []
 func (m *Manager) readDegradedInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte) (time.Duration, error) {
 	dataChunks := len(meta.dataDevs)
 	n := dataChunks + len(meta.parityDevs)
-	frags := make([][]byte, n)
-	dataCost, got, err := m.gather(rc, id, meta, 0, dataChunks, dst, frags, nil)
+	var table [stackFrags][]byte
+	frags := fragTable(&table, n)
+	scratch := leaseArena(n, meta.chunkLen)
+	defer scratch.release()
+	dataCost, got, err := m.gather(rc, id, meta, 0, dataChunks, dst, frags, scratch, nil)
 	if err != nil || got == dataChunks {
 		return dataCost, err
 	}
 	// All parity reads fan out at once — the degraded path is rare, and a
 	// parallel sweep beats serial retries even when one would do.
-	parityCost, _, err := m.gather(rc, id, meta, dataChunks, n, nil, frags, nil)
+	parityCost, _, err := m.gather(rc, id, meta, dataChunks, n, nil, frags, scratch, nil)
 	if err != nil {
 		return 0, err
 	}
-	decodeCost, err := m.reconstruct(id, meta, frags, dst)
+	decodeCost, err := m.reconstruct(id, meta, frags, dst, scratch)
 	if err != nil {
 		return 0, err
 	}
@@ -889,7 +957,9 @@ func (m *Manager) rebuildReplicated(w *writeOp, id ID, meta *stripeMeta) (time.D
 	// The source is the first readable copy in slot order, not the rotation
 	// primary a foreground read starts at: which device a rebuild reads is
 	// part of the replay contract.
-	chunk := make([]byte, meta.chunkLen)
+	scratch := leaseArena(1, meta.chunkLen)
+	defer scratch.release()
+	chunk := scratch.slot(0)
 	readCost, err := m.readReplicatedInto(w.rc, id, meta, chunk, 0)
 	if err != nil {
 		return 0, m.status(id, meta), err
@@ -898,7 +968,8 @@ func (m *Manager) rebuildReplicated(w *writeOp, id ID, meta *stripeMeta) (time.D
 	// spares that were not members at write time join the replica set, under
 	// the held stripe write lock, so that scatter can address them.
 	members := len(meta.replicaDevs)
-	frags := make([][]byte, members, m.array.N())
+	var table [stackFrags][]byte
+	frags := fragTable(&table, members)
 	for _, dev := range m.array.Alive() {
 		if m.chunkPresent(id, dev) {
 			continue
@@ -923,16 +994,20 @@ func (m *Manager) rebuildReplicated(w *writeOp, id ID, meta *stripeMeta) (time.D
 
 func (m *Manager) rebuildParity(w *writeOp, id ID, meta *stripeMeta) (time.Duration, Status, error) {
 	n := len(meta.dataDevs) + len(meta.parityDevs)
-	frags := make([][]byte, n)
-	readCost, got, err := m.gather(w.rc, id, meta, 0, n, nil, frags, nil)
+	var table, present [stackFrags][]byte
+	frags := fragTable(&table, n)
+	scratch := leaseArena(n, meta.chunkLen)
+	defer scratch.release()
+	readCost, got, err := m.gather(w.rc, id, meta, 0, n, nil, frags, scratch, nil)
 	if err != nil {
 		return 0, 0, err
 	}
 	if got == n {
 		return readCost, StatusHealthy, nil
 	}
-	survivors := slices.Clone(frags)
-	decodeCost, err := m.reconstruct(id, meta, frags, nil)
+	survivors := fragTable(&present, n)
+	copy(survivors, frags)
+	decodeCost, err := m.reconstruct(id, meta, frags, nil, scratch)
 	if err != nil {
 		return 0, StatusLost, err
 	}

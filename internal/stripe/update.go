@@ -2,7 +2,6 @@ package stripe
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/reo-cache/reo/internal/erasure"
@@ -113,13 +112,16 @@ func (m *Manager) updateStripe(w *writeOp, id ID, meta *stripeMeta, local int, d
 
 // updateReplicated reads any live copy, splices, and rewrites every live copy.
 func (m *Manager) updateReplicated(w *writeOp, id ID, meta *stripeMeta, local int, data []byte) (time.Duration, error) {
-	chunk := make([]byte, meta.chunkLen)
+	scratch := leaseArena(1, meta.chunkLen)
+	defer scratch.release()
+	chunk := scratch.slot(0)
 	readCost, err := m.readReplicatedInto(w.rc, id, meta, chunk, meta.primary(id))
 	if err != nil {
 		return 0, err
 	}
 	copy(chunk[local:], data)
-	frags := make([][]byte, len(meta.replicaDevs))
+	var table [stackFrags][]byte
+	frags := fragTable(&table, len(meta.replicaDevs))
 	for i := range frags {
 		frags[i] = chunk
 	}
@@ -133,10 +135,13 @@ func (m *Manager) updateReplicated(w *writeOp, id ID, meta *stripeMeta, local in
 // in one gather and written in one scatter: that would charge max r + max w,
 // more as soon as the devices differ in speed.
 func (m *Manager) updateNoParity(w *writeOp, id ID, meta *stripeMeta, local int, data []byte, first, last int) (time.Duration, error) {
-	frags := make([][]byte, len(meta.dataDevs))
+	var table [stackFrags][]byte
+	frags := fragTable(&table, len(meta.dataDevs))
+	scratch := leaseArena(len(frags), meta.chunkLen)
+	defer scratch.release()
 	var total time.Duration
 	for ci := first; ci <= last; ci++ {
-		readCost, got, err := m.gather(w.rc, id, meta, ci, ci+1, nil, frags, nil)
+		readCost, got, err := m.gather(w.rc, id, meta, ci, ci+1, nil, frags, scratch, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -165,32 +170,36 @@ func (m *Manager) updateNoParity(w *writeOp, id ID, meta *stripeMeta, local int,
 // delta, write the new chunk and parity.
 func (m *Manager) updateDelta(w *writeOp, id ID, meta *stripeMeta, codec *erasure.Codec, local int, data []byte, chunkIdx int) (time.Duration, error) {
 	dataChunks, k := len(meta.dataDevs), len(meta.parityDevs)
-	frags := make([][]byte, dataChunks+k)
+	var table [stackFrags][]byte
+	frags := fragTable(&table, dataChunks+k)
+	// One slot per fragment plus one for the new content of the chunk.
+	scratch := leaseArena(dataChunks+k+1, meta.chunkLen)
+	defer scratch.release()
 	// The old chunk first: when it is unreadable the parity is not fetched.
 	// Whenever a needed chunk is unavailable the direct path takes over — it
 	// reconstructs from survivors.
-	chunkCost, got, err := m.gather(w.rc, id, meta, chunkIdx, chunkIdx+1, nil, frags, nil)
+	chunkCost, got, err := m.gather(w.rc, id, meta, chunkIdx, chunkIdx+1, nil, frags, scratch, nil)
 	if err != nil {
 		return 0, err
 	}
 	if got == 0 {
 		return m.updateDirect(w, id, meta, codec, local, data, chunkIdx, chunkIdx)
 	}
-	parityCost, got, err := m.gather(w.rc, id, meta, dataChunks, dataChunks+k, nil, frags, nil)
+	parityCost, got, err := m.gather(w.rc, id, meta, dataChunks, dataChunks+k, nil, frags, scratch, nil)
 	if err != nil {
 		return 0, err
 	}
 	if got < k {
 		return m.updateDirect(w, id, meta, codec, local, data, chunkIdx, chunkIdx)
 	}
-	newChunk := slices.Clone(frags[chunkIdx])
+	newChunk := scratch.slot(dataChunks + k)
+	copy(newChunk, frags[chunkIdx])
 	copy(newChunk[local-chunkIdx*meta.chunkLen:], data)
-	newParity, err := codec.UpdateParityDelta(chunkIdx, frags[chunkIdx], newChunk, frags[dataChunks:])
-	if err != nil {
+	// The old parity becomes the new parity where it sits.
+	if err := codec.UpdateParityDelta(chunkIdx, frags[chunkIdx], newChunk, frags[dataChunks:]); err != nil {
 		return 0, fmt.Errorf("stripe %d: %w", id, err)
 	}
 	frags[chunkIdx] = newChunk
-	copy(frags[dataChunks:], newParity)
 	writeCost, _, err := m.scatter(w, id, meta, frags)
 	encodeCost := simclock.TransferTime(int64(meta.chunkLen), encodeBandwidth)
 	return simclock.Parallel(chunkCost, parityCost) + encodeCost + writeCost, err
@@ -201,23 +210,24 @@ func (m *Manager) updateDelta(w *writeOp, id ID, meta *stripeMeta, codec *erasur
 // back the changed chunks first..last and all parity.
 func (m *Manager) updateDirect(w *writeOp, id ID, meta *stripeMeta, codec *erasure.Codec, local int, data []byte, first, last int) (time.Duration, error) {
 	dataChunks, k := len(meta.dataDevs), len(meta.parityDevs)
-	// Read whole chunks (padding included) into one buffer, splice, and
-	// re-chunk.
-	buf := make([]byte, dataChunks*meta.chunkLen)
+	// Read whole chunks (padding included) into the data slots of one
+	// buffer, splice, and re-encode into the parity slots that follow.
+	stage := leaseArena(dataChunks+k, meta.chunkLen)
+	defer stage.release()
+	buf := stage.buf.Bytes()[:dataChunks*meta.chunkLen]
 	readCost, err := m.readDegradedInto(w.rc, id, meta, buf)
 	if err != nil {
 		return 0, err
 	}
 	copy(buf[local:], data)
-	frags := make([][]byte, dataChunks+k)
-	for i := 0; i < dataChunks; i++ {
-		frags[i] = buf[i*meta.chunkLen : (i+1)*meta.chunkLen]
+	var table [stackFrags][]byte
+	frags := fragTable(&table, dataChunks+k)
+	for i := range frags {
+		frags[i] = stage.slot(i)
 	}
-	parity, err := codec.Encode(frags[:dataChunks])
-	if err != nil {
+	if err := codec.EncodeInto(frags[:dataChunks], frags[dataChunks:]); err != nil {
 		return 0, fmt.Errorf("stripe %d: %w", id, err)
 	}
-	copy(frags[dataChunks:], parity)
 	for i := 0; i < dataChunks; i++ {
 		if i < first || i > last {
 			frags[i] = nil // untouched data chunks stay as they are

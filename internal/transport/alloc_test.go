@@ -56,7 +56,7 @@ const remoteReadAllocCeiling = 2.0
 // delivery. It also verifies the payload bytes survive the zero-copy path
 // intact and that every wire frame lease is matched by a release.
 func TestRemoteReadHitAllocBound(t *testing.T) {
-	if raceEnabled {
+	if bufpool.RaceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
 	const objSize = 8 << 10

@@ -81,13 +81,13 @@ func TestBatchPartialFailure(t *testing.T) {
 
 	getRes := client.GetBatchCtx(nil, []osd.ObjectID{oid(1), oid(99), oid(3)})
 	if getRes[0].Err != nil || string(getRes[0].Buf.Bytes()) != "alpha" {
-		t.Fatalf("sub-op 0 = %q, %v", getRes[0].Buf, getRes[0].Err)
+		t.Fatalf("sub-op 0 = %q, %v", getRes[0].Buf.Bytes(), getRes[0].Err)
 	}
 	if !errors.Is(getRes[1].Err, store.ErrNotFound) {
 		t.Fatalf("missing sub-op err = %v, want ErrNotFound", getRes[1].Err)
 	}
 	if getRes[2].Err != nil || string(getRes[2].Buf.Bytes()) != "gamma" {
-		t.Fatalf("sub-op 2 = %q, %v", getRes[2].Buf, getRes[2].Err)
+		t.Fatalf("sub-op 2 = %q, %v", getRes[2].Buf.Bytes(), getRes[2].Err)
 	}
 	getRes[0].Release()
 	getRes[2].Release()

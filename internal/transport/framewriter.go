@@ -15,8 +15,8 @@ import (
 // scatter-gathered straight from their owner's buffer (large ops, where
 // the copy is the cost that matters).
 const (
-	writerSlabSize    = 68 << 10
-	writerFlushBytes  = 64 << 10
+	writerSlabSize     = 68 << 10
+	writerFlushBytes   = 64 << 10
 	coalescePayloadMax = 4 << 10
 	// maxWireMessage is the largest error message the response header can
 	// carry (its length field is a uint16).
@@ -38,8 +38,8 @@ type frameWriter struct {
 	slab     []byte // fixed-cap staging; never reallocated
 	segStart int    // start of the slab segment not yet in vecs
 	vecs     [][]byte
-	staged   int // bytes staged since the last flush
-	frames   int // frames staged since the last flush
+	staged   int            // bytes staged since the last flush
+	frames   int            // frames staged since the last flush
 	releases []*bufpool.Buf // payload leases to release after the flush
 }
 

@@ -387,7 +387,7 @@ func decodeResponseInPlace(body []byte) (Response, error) {
 			ErrShortFrame, payloadLen, len(rest))
 	}
 	if payloadLen > 0 {
-		resp.Payload = rest[: payloadLen : payloadLen]
+		resp.Payload = rest[:payloadLen:payloadLen]
 	}
 	return resp, nil
 }

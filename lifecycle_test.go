@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/reo-cache/reo/internal/bufpool"
 )
 
 // deviceReadOps sums per-device read counters across the array — the
@@ -150,7 +152,7 @@ func TestCancelStressDuringFailure(t *testing.T) {
 // hit costs zero heap allocations once warm. The race detector instruments
 // allocations, so the check only runs in a normal build.
 func TestReadHitZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if bufpool.RaceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
 	c := newCache(t)
