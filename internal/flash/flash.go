@@ -350,11 +350,14 @@ func (d *Device) Used() int64 {
 	return d.used
 }
 
-// Free returns the remaining capacity in bytes.
+// Free returns the room left for host writes: the capacity host writes see
+// (under the log layout, raw capacity minus the over-provisioning reserve)
+// minus the live bytes. A new chunk longer than Free is refused with
+// ErrDeviceFull; the stripe manager asks before it writes an object.
 func (d *Device) Free() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.spec.CapacityBytes - d.used
+	return d.hostCapLocked() - d.used
 }
 
 // WearCycles reports consumed program/erase cycles. Under LayoutLog it is
@@ -469,14 +472,14 @@ func (d *Device) writeOnce(addr ChunkAddr, data []byte) (time.Duration, error) {
 	if exists {
 		newUsed -= int64(len(old))
 	}
+	// Logical fullness (live bytes) is the same refusal under either layout,
+	// so the store's evict-and-retry loop behaves alike on both. It is what
+	// Free reports: a writer that asked first gets here only when another
+	// took the room since.
+	if newUsed > d.hostCapLocked() {
+		return 0, ErrDeviceFull
+	}
 	if d.layout == LayoutLog {
-		// Host writes see capacity minus the overprovisioning reserve; the
-		// reserve keeps GC able to relocate a victim even when logically
-		// full. Logical fullness (live bytes) surfaces as ErrDeviceFull so
-		// the store's evict-and-retry loop behaves exactly as in-place.
-		if newUsed > d.hostCapLocked() {
-			return 0, ErrDeviceFull
-		}
 		// Physical fullness (live + dead bytes) is reclaimed inline when
 		// the background collector hasn't kept up. Inline GC charges no
 		// virtual time, so replay costs stay independent of collector
@@ -493,8 +496,6 @@ func (d *Device) writeOnce(addr ChunkAddr, data []byte) (time.Duration, error) {
 			d.tombstoneLocked(addr)
 		}
 		d.appendChunkLocked(addr, n)
-	} else if newUsed > d.spec.CapacityBytes {
-		return 0, ErrDeviceFull
 	}
 	// Looked up again: inline GC above may have dropped the old copy.
 	buf := d.chunkBufLocked(d.data[addr], len(data))

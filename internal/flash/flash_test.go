@@ -81,28 +81,40 @@ func TestReadMissingChunk(t *testing.T) {
 	}
 }
 
+// Free is the room a host write has left — under the log layout without the
+// over-provisioning reserve — and a write is refused exactly when it is
+// longer than that.
 func TestCapacityAccounting(t *testing.T) {
 	spec := testSpec()
 	spec.CapacityBytes = 100
-	d := NewDevice(spec)
-	if _, err := d.Write(1, make([]byte, 60)); err != nil {
-		t.Fatal(err)
-	}
-	if d.Used() != 60 || d.Free() != 40 {
-		t.Fatalf("Used/Free = %d/%d, want 60/40", d.Used(), d.Free())
-	}
-	if _, err := d.Write(2, make([]byte, 50)); !errors.Is(err, ErrDeviceFull) {
-		t.Fatalf("err = %v, want ErrDeviceFull", err)
-	}
-	// Overwriting chunk 1 with a smaller payload shrinks usage and fits.
-	if _, err := d.Write(1, make([]byte, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if d.Used() != 10 {
-		t.Fatalf("Used = %d after overwrite, want 10", d.Used())
-	}
-	if _, err := d.Write(2, make([]byte, 90)); err != nil {
-		t.Fatal(err)
+	logSpec := testSpec()
+	logSpec.CapacityBytes = 120 // two 10-byte segments of reserve: 100 host-visible
+	for name, d := range map[string]*Device{
+		"in-place": NewDevice(spec),
+		"log":      NewDeviceLayout(logSpec, LayoutLog, LogConfig{SegmentBytes: 10}),
+	} {
+		if _, err := d.Write(1, make([]byte, 60)); err != nil {
+			t.Fatal(name, err)
+		}
+		if d.Used() != 60 || d.Free() != 40 {
+			t.Fatalf("%s: Used/Free = %d/%d, want 60/40", name, d.Used(), d.Free())
+		}
+		if _, err := d.Write(2, make([]byte, 41)); !errors.Is(err, ErrDeviceFull) {
+			t.Fatalf("%s: a write one byte longer than Free: err = %v, want ErrDeviceFull", name, err)
+		}
+		// Overwriting chunk 1 with a smaller payload shrinks usage and fits.
+		if _, err := d.Write(1, make([]byte, 10)); err != nil {
+			t.Fatal(name, err)
+		}
+		if d.Used() != 10 || d.Free() != 90 {
+			t.Fatalf("%s: Used/Free = %d/%d after overwrite, want 10/90", name, d.Used(), d.Free())
+		}
+		if _, err := d.Write(2, make([]byte, 90)); err != nil {
+			t.Fatalf("%s: a write of exactly Free bytes: %v", name, err)
+		}
+		if d.Free() != 0 {
+			t.Fatalf("%s: Free = %d on a full device", name, d.Free())
+		}
 	}
 }
 

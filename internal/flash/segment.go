@@ -189,10 +189,14 @@ func (d *Device) GCThresholds() (trigger, target float64) {
 	return d.log.cfg.GCTrigger, d.log.cfg.GCTarget
 }
 
-// hostCapLocked is the capacity visible to host writes: raw capacity minus
-// the overprovisioning reserve. The reserve is at least two segments so GC
-// always has room to relocate a full victim.
+// hostCapLocked is the capacity visible to host writes: all of it in place;
+// under the log layout raw capacity minus the overprovisioning reserve, which
+// keeps GC able to relocate a victim even when the device is logically full.
+// The reserve is at least two segments so a full victim always has room.
 func (d *Device) hostCapLocked() int64 {
+	if d.layout != LayoutLog {
+		return d.spec.CapacityBytes
+	}
 	reserve := int64(d.log.cfg.OPReserve * float64(d.spec.CapacityBytes))
 	if min := 2 * d.log.cfg.SegmentBytes; reserve < min {
 		reserve = min

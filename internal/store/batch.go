@@ -117,7 +117,9 @@ func (s *Store) putOneLocked(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class
 	if err != nil {
 		return 0, err
 	}
-	s.objects[id] = &object{id: id, class: class, size: len(data), dirty: dirty, stripes: ids}
+	// A fresh object even on overwrite: dropCorpse tells a replaced version
+	// from the one it read by identity.
+	s.assignLocked(&object{id: id, size: len(data), dirty: dirty}, class, ids)
 	if s.dir.Exists(id) {
 		err = s.dir.Update(id, func(info *osd.Info) {
 			info.Size = int64(len(data))

@@ -214,6 +214,9 @@ func (s *Store) RecoverStepCtx(rc *reqctx.Ctx, maxObjects int) (cost time.Durati
 }
 
 func (s *Store) rebuildObjectLocked(rc *reqctx.Ctx, obj *object) (time.Duration, error) {
+	// A replicated stripe rebuilt onto a spare that was not a member gains a
+	// copy, and with it overhead — also when a later stripe's rebuild fails.
+	defer func() { s.assignLocked(obj, obj.class, obj.stripes) }()
 	var total time.Duration
 	for _, sid := range obj.stripes {
 		c, status, err := s.stripes.RebuildCtx(rc, sid)
@@ -257,7 +260,7 @@ func (s *Store) reencodeObjectLocked(rc *reqctx.Ctx, obj *object) (time.Duration
 		}
 		return readCost, nil // stays degraded; served via reconstruction
 	}
-	obj.stripes = ids
+	s.assignLocked(obj, obj.class, ids)
 	s.reencoded++
 	return readCost + writeCost, nil
 }

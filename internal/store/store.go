@@ -139,6 +139,38 @@ type object struct {
 	size    int
 	dirty   bool
 	stripes []stripe.ID
+	// overhead is the redundancy and padding bytes of stripes, summed when
+	// they were assigned (assignLocked).
+	overhead int64
+}
+
+// hot is what the object adds to the store's hot-clean redundancy total.
+func (o *object) hot() int64 {
+	if o == nil || o.class != osd.ClassHotClean {
+		return 0
+	}
+	return o.overhead
+}
+
+// refusal is a put turned away for lack of room. A full cache's admission
+// loop is refused as often as it is served and only ever asks errors.Is, so
+// the text is built when someone reads it.
+type refusal struct {
+	sentinel error // ErrCacheFull or ErrRedundancyFull
+	id       osd.ObjectID
+	bytes    int64 // the object's size, or the redundancy bytes it needs
+	used     int64 // redundancy bytes in use, of budget
+	budget   int64
+}
+
+func (r *refusal) Unwrap() error { return r.sentinel }
+
+func (r *refusal) Error() string {
+	if r.sentinel == ErrRedundancyFull {
+		return fmt.Sprintf("%v: object %v needs %d redundancy bytes, %d of %d in use",
+			r.sentinel, r.id, r.bytes, r.used, r.budget)
+	}
+	return fmt.Sprintf("%v: object %v (%d bytes)", r.sentinel, r.id, r.bytes)
 }
 
 // Store is the object storage target. All methods are safe for concurrent
@@ -159,6 +191,10 @@ type Store struct {
 	// mutations and recovery hold the write side.
 	mu      sync.RWMutex
 	objects map[osd.ObjectID]*object
+	// hotOverhead is the redundancy bytes of every listed hot-clean object —
+	// what the redundancy budget bounds — kept in step wherever an object's
+	// class or stripes change (assignLocked, unlistLocked).
+	hotOverhead int64
 
 	recovering bool
 	queue      []osd.ObjectID
@@ -350,30 +386,30 @@ func (s *Store) checkBudgetLocked(id osd.ObjectID, class osd.Class, scheme polic
 	// objects are admitted "until a predefined data redundancy
 	// percentage is reached"); metadata and dirty replication are
 	// protected unconditionally and do not consume it.
-	currentOverhead := s.hotOverheadLocked(id)
+	// The object being (re)written does not count against itself.
+	currentOverhead := s.hotOverhead - s.objects[id].hot()
 	budget := int64(s.cfg.RedundancyBudget * float64(s.array.TotalCapacity()))
 	if currentOverhead+needed > budget {
-		return fmt.Errorf("%w: object %v needs %d redundancy bytes, %d of %d in use",
-			ErrRedundancyFull, id, needed, currentOverhead, budget)
+		return &refusal{sentinel: ErrRedundancyFull, id: id, bytes: needed, used: currentOverhead, budget: budget}
 	}
 	return nil
 }
 
-// hotOverheadLocked sums the redundancy bytes of hot-clean objects,
-// excluding the object being (re)written.
-func (s *Store) hotOverheadLocked(exclude osd.ObjectID) int64 {
-	var total int64
-	for _, obj := range s.objects {
-		if obj.class != osd.ClassHotClean || obj.id == exclude {
-			continue
-		}
-		for _, sid := range obj.stripes {
-			if info, err := s.stripes.Describe(sid); err == nil {
-				total += info.OverheadBytes
-			}
+// assignLocked is the one place an object is listed and a listed object's
+// class or stripes change: it lists obj (in place of the version a put
+// replaces, if any), records both, re-sums the stripes' overhead (a rebuild
+// may have extended a replica set since they were written) and moves the
+// hot-clean total by the difference.
+func (s *Store) assignLocked(obj *object, class osd.Class, ids []stripe.ID) {
+	s.hotOverhead -= s.objects[obj.id].hot() // obj itself, or what it replaces
+	s.objects[obj.id] = obj
+	obj.class, obj.stripes, obj.overhead = class, ids, 0
+	for _, sid := range ids {
+		if info, err := s.stripes.Describe(sid); err == nil {
+			obj.overhead += info.OverheadBytes
 		}
 	}
-	return total
+	s.hotOverhead += obj.hot()
 }
 
 // GetCtx reads an object into a leased pooled buffer. The caller owns the
@@ -462,7 +498,7 @@ func (s *Store) replaceStripesLocked(rc *reqctx.Ctx, id osd.ObjectID, old []stri
 			s.unlistLocked(id)
 		}
 		if errors.Is(err, flash.ErrDeviceFull) {
-			err = fmt.Errorf("%w: object %v (%d bytes)", ErrCacheFull, id, len(data))
+			err = &refusal{sentinel: ErrCacheFull, id: id, bytes: int64(len(data))}
 		}
 		return nil, 0, err
 	}
@@ -515,6 +551,7 @@ func (s *Store) freeObjectLocked(obj *object) {
 // unlistLocked drops the object from the object map and the OSD directory,
 // which must never disagree about what exists.
 func (s *Store) unlistLocked(id osd.ObjectID) {
+	s.hotOverhead -= s.objects[id].hot()
 	delete(s.objects, id)
 	_ = s.dir.Remove(id)
 }
@@ -531,7 +568,7 @@ func (s *Store) SetClass(id osd.ObjectID, class osd.Class) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
-	obj.class = class
+	s.assignLocked(obj, class, obj.stripes)
 	return s.dir.SetClass(id, class)
 }
 
@@ -582,7 +619,7 @@ func (s *Store) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) 
 	oldScheme := s.cfg.Policy.SchemeFor(obj.class)
 	newScheme := s.cfg.Policy.SchemeFor(class)
 	if oldScheme == newScheme {
-		obj.class = class
+		s.assignLocked(obj, class, obj.stripes)
 		return 0, s.dir.SetClass(id, class)
 	}
 	if err := s.checkBudgetLocked(id, class, newScheme, obj.size); err != nil {
@@ -601,8 +638,7 @@ func (s *Store) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) 
 	if err != nil {
 		return 0, err
 	}
-	obj.stripes = ids
-	obj.class = class
+	s.assignLocked(obj, class, ids)
 	return readCost + writeCost, s.dir.SetClass(id, class)
 }
 

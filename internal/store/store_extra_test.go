@@ -130,20 +130,20 @@ func TestHotOverheadExcludesOtherClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	overhead := s.hotOverheadLocked(osd.ObjectID{})
+	overhead, walked := s.hotOverhead, s.hotOverheadLocked(osd.ObjectID{})
 	s.mu.Unlock()
-	if overhead != 0 {
-		t.Fatalf("hot overhead = %d with no hot objects", overhead)
+	if overhead != 0 || walked != 0 {
+		t.Fatalf("hot overhead = %d (walk: %d) with no hot objects", overhead, walked)
 	}
 	if _, err := s.PutCtx(nil, oid(3), randBytes(5, 30_000), osd.ClassHotClean, false); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	overhead = s.hotOverheadLocked(osd.ObjectID{})
-	excluded := s.hotOverheadLocked(oid(3))
+	overhead, walked = s.hotOverhead, s.hotOverheadLocked(osd.ObjectID{})
+	excluded := s.hotOverhead - s.objects[oid(3)].hot()
 	s.mu.Unlock()
-	if overhead <= 0 {
-		t.Fatal("hot object contributed no overhead")
+	if overhead <= 0 || overhead != walked {
+		t.Fatalf("hot overhead = %d (walk: %d) with one hot object", overhead, walked)
 	}
 	if excluded != 0 {
 		t.Fatal("exclusion did not remove the object's own overhead")

@@ -60,7 +60,7 @@ func (s *Store) WriteRangeCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, dat
 			return 0, err
 		}
 		if s.cfg.Policy.Differentiated() {
-			obj.class = osd.ClassDirty
+			s.assignLocked(obj, osd.ClassDirty, obj.stripes)
 		}
 	} else {
 		// Scheme change: read-merge-rewrite under the dirty scheme.
@@ -74,8 +74,7 @@ func (s *Store) WriteRangeCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, dat
 		if err != nil {
 			return 0, err
 		}
-		obj.stripes = ids
-		obj.class = osd.ClassDirty
+		s.assignLocked(obj, osd.ClassDirty, ids)
 		cost = readCost + writeCost
 	}
 	obj.dirty = true

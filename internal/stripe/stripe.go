@@ -22,6 +22,7 @@ package stripe
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -285,6 +286,15 @@ func (m *Manager) lookup(id ID) (*stripeMeta, error) {
 // span the devices alive at write time; chunk writes within a stripe fan out
 // to per-device goroutines, and stripes are written back to back.
 //
+// An object the array cannot fit is refused with flash.ErrDeviceFull before
+// anything is encoded or written: every stripe puts one chunk of equal length
+// on every alive device, so the object fits iff the alive device with the
+// least room can take the sum of its stripes' chunk lengths. Nothing else
+// writes while the store holds its writer lock, which makes that exactly the
+// condition on which the write would have failed part way; a device that fills
+// up regardless (a background writer took the room) fails the write as any
+// device error does, and the rollback below handles it.
+//
 // Cancellation is exact: the request context is consulted only at chunk
 // boundaries before a chunk commits and between stripes before the next stripe
 // starts, so a cancelled write never leaves a stripe half-committed — any
@@ -294,7 +304,15 @@ func (m *Manager) WriteCtx(rc *reqctx.Ctx, data []byte, scheme policy.Scheme) ([
 	if err := rc.Err(); err != nil {
 		return nil, 0, err
 	}
-	alive := m.array.Alive()
+	// The alive set lives on this frame until the object is known to fit.
+	var serving [stackFrags]int
+	alive, room := serving[:0], int64(math.MaxInt64)
+	for i := 0; i < m.array.N(); i++ {
+		if d := m.array.Device(i); d.Serving() {
+			alive = append(alive, i)
+			room = min(room, d.Free())
+		}
+	}
 	if len(alive) == 0 {
 		return nil, 0, ErrNoAliveDevices
 	}
@@ -307,15 +325,28 @@ func (m *Manager) WriteCtx(rc *reqctx.Ctx, data []byte, scheme policy.Scheme) ([
 	if scheme.Kind != policy.KindReplicate {
 		perStripe *= len(alive) - scheme.ParityChunks
 	}
+	// Zero-length objects still get one (empty) stripe so they remain
+	// addressable.
+	stripes, need := 0, int64(0)
+	for off := 0; off == 0 || off < len(data); off += perStripe {
+		stripes++
+		need += int64(chunkLen(scheme, min(perStripe, len(data)-off), len(alive)))
+	}
+	if need > room {
+		return nil, 0, flash.ErrDeviceFull
+	}
 	var (
-		ids   []ID
+		ids   = make([]ID, 0, stripes)
 		total time.Duration
 		w     = writeOp{rc: rc}
 	)
-	// Zero-length objects still get one (empty) stripe so they remain
-	// addressable.
+	// One snapshot shared by every stripe of the call and never written
+	// again: its capacity is its length, so a rebuild that extends a replica
+	// set by append gets its own copy.
+	devs := make([]int, len(alive))
+	copy(devs, alive)
 	for off := 0; off == 0 || off < len(data); off += perStripe {
-		id, cost, err := m.writeStripe(&w, scheme, data[off:min(off+perStripe, len(data))], alive)
+		id, cost, err := m.writeStripe(&w, scheme, data[off:min(off+perStripe, len(data))], devs)
 		if err != nil {
 			m.Free(ids)
 			return nil, 0, err
@@ -326,11 +357,22 @@ func (m *Manager) WriteCtx(rc *reqctx.Ctx, data []byte, scheme policy.Scheme) ([
 	return ids, total, nil
 }
 
+// chunkLen is the length of every chunk of a stripe that holds n bytes of user
+// data across alive devices: a replica is the data itself; a parity stripe
+// splits it over its data chunks, which are never empty.
+func chunkLen(scheme policy.Scheme, n, alive int) int {
+	if scheme.Kind == policy.KindReplicate {
+		return n
+	}
+	dataChunks := alive - scheme.ParityChunks
+	return max(1, (n+dataChunks-1)/dataChunks)
+}
+
 // writeStripe lays data out as one fresh stripe — a copy per alive device, or
 // data chunks plus encoded parity — scatters the fragments and publishes the
 // stripe. The stripe is not published until its chunks are durably written, so
 // concurrent readers cannot observe a half-written one. It returns the new ID
-// and the encode plus device cost.
+// and the encode plus device cost. alive is WriteCtx's shared snapshot.
 func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, alive []int) (ID, time.Duration, error) {
 	if err := w.rc.Err(); err != nil {
 		return 0, 0, err
@@ -341,7 +383,7 @@ func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ali
 	m.mu.Unlock()
 
 	n := len(alive)
-	meta := &stripeMeta{scheme: scheme, dataLen: len(data)}
+	meta := &stripeMeta{scheme: scheme, dataLen: len(data), chunkLen: chunkLen(scheme, len(data), n)}
 	var table [stackFrags][]byte
 	frags := fragTable(&table, n)
 	var encodeCost time.Duration
@@ -350,27 +392,24 @@ func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ali
 			data = []byte{} // scatter skips nil fragments; an empty chunk is still a chunk
 		}
 		meta.scheme = policy.ReplicateAll()
-		meta.chunkLen = len(data)
-		meta.replicaDevs = slices.Clone(alive)
+		meta.replicaDevs = alive
 		for i := range frags {
 			frags[i] = data
 		}
 	} else {
 		k := scheme.ParityChunks
 		dataChunks := n - k
-		meta.chunkLen = max(1, (len(data)+dataChunks-1)/dataChunks)
 		// Round-robin parity rotation: parity starts at slot id % n (or is
 		// pinned to slot 0 when rotation is disabled).
 		start := 0
 		if m.rotate {
 			start = int(uint64(id) % uint64(n))
 		}
-		for j := 0; j < k; j++ {
-			meta.parityDevs = append(meta.parityDevs, alive[(start+j)%n])
+		devs := make([]int, n)
+		for j := range devs {
+			devs[j] = alive[(start+j)%n]
 		}
-		for i := 0; i < dataChunks; i++ {
-			meta.dataDevs = append(meta.dataDevs, alive[(start+k+i)%n])
-		}
+		meta.parityDevs, meta.dataDevs = devs[:k:k], devs[k:]
 		// Stage every fragment in one leased buffer: the data chunks are
 		// consecutive slots, zero-padded past len(data) (leases come back
 		// dirty; the encode overwrites the parity slots that follow). The
@@ -542,10 +581,11 @@ func (m *Manager) put(rc *reqctx.Ctx, id ID, meta *stripeMeta, i int, data []byt
 // way. The stripe is unpublished (or the caller holds its write lock), so
 // no locking is needed here.
 func (m *Manager) rollback(id ID, meta *stripeMeta) {
-	devs := append(append(append([]int(nil), meta.dataDevs...), meta.parityDevs...), meta.replicaDevs...)
-	for _, dev := range devs {
-		// Best effort; failed devices reject deletes, which is fine.
-		_ = m.array.Device(dev).Delete(flash.ChunkAddr(id))
+	for _, devs := range [...][]int{meta.dataDevs, meta.parityDevs, meta.replicaDevs} {
+		for _, dev := range devs {
+			// Best effort; failed devices reject deletes, which is fine.
+			_ = m.array.Device(dev).Delete(flash.ChunkAddr(id))
+		}
 	}
 }
 
