@@ -11,7 +11,7 @@
 //	reoctl -addr 127.0.0.1:9700 status 0x10010
 //	reoctl -addr 127.0.0.1:9700 stats
 //	reoctl -addr 127.0.0.1:9700 segments
-//	reoctl -addr 127.0.0.1:9700 tune gc.trigger 0.15
+//	reoctl -addr 127.0.0.1:9700 tune policy.read.degraded.retry.max 3
 //	reoctl -addr 127.0.0.1:9700 policy list
 //	reoctl -addr 127.0.0.1:9700 policy set read.degraded hedge.delay=200us hedge.max=2
 //	reoctl -addr 127.0.0.1:9700 fail 0
@@ -213,7 +213,7 @@ func dispatch(client *transport.Client, args []string, stdin io.Reader, stdout i
 		return nil
 	case "tune":
 		if len(rest) != 2 {
-			return errors.New("tune <gc.trigger|gc.target> <value>")
+			return errors.New("tune policy.<class>.<knob> <value>")
 		}
 		value, err := strconv.ParseFloat(rest[1], 64)
 		if err != nil {

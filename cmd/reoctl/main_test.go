@@ -121,7 +121,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	if out, err := runCmd("", "segments"); err != nil || !strings.Contains(out, "in-place") {
 		t.Fatalf("segments: %q, %v", out, err)
 	}
-	if out, err := runCmd("", "tune", "gc.trigger", "0.2"); err != nil || !strings.Contains(out, "tuned gc.trigger = 0.2") {
+	if out, err := runCmd("", "tune", "policy.read.degraded.retry.max", "3"); err != nil || !strings.Contains(out, "tuned policy.read.degraded.retry.max = 3") {
 		t.Fatalf("tune: %q, %v", out, err)
 	}
 
@@ -170,7 +170,7 @@ func TestCLIUsageErrors(t *testing.T) {
 		{"fail", "x"},
 		{"spare"},
 		{"tune"},
-		{"tune", "gc.trigger", "nope"},
+		{"tune", "policy.read.degraded.retry.max", "nope"},
 		{"tune", "gc.unknown", "0.5"},
 	}
 	for _, args := range cases {

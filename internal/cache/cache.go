@@ -80,8 +80,11 @@ type Config struct {
 	// RefreshInterval is the number of read requests between adaptive
 	// Hhot recomputations. Zero defaults to 1000.
 	RefreshInterval int
-	// MaxDirtyFraction is the share of cache capacity dirty data may
-	// occupy before a background flush kicks in. Zero defaults to 0.25.
+	// MaxDirtyFraction starts the threshold flush when dirty payload bytes
+	// exceed this fraction of the array's raw capacity. Zero defaults to
+	// 0.25. Payload, not footprint: under a policy that stores dirty data
+	// n-fold the array fills at 1/n, so at fractions >= 1/n the threshold
+	// flush never fires and dirty data leaves only by eviction.
 	MaxDirtyFraction float64
 	// HotnessMetric selects the hot/cold ranking function.
 	HotnessMetric HotnessMetric
@@ -508,7 +511,9 @@ func (m *Manager) settleLocked(rc *reqctx.Ctx, id osd.ObjectID, dirty bool) time
 		case prev.flushing || prev.reclassing:
 			m.latchWaitLocked(prev)
 		default:
-			total += m.flushEntryLocked(prev)
+			// Written back only: the put that follows replaces the entry,
+			// and every way it can fail ends in forgetLocked.
+			total += m.flushEntryLocked(prev, false)
 		}
 	}
 }
@@ -613,8 +618,8 @@ func (m *Manager) admitFromLocked(rc *reqctx.Ctx, id osd.ObjectID, data []byte, 
 	return total, nil
 }
 
-// evictOneLocked removes the least recently used object, flushing it first
-// if dirty. It reports false when nothing is evictable. The lock may be
+// evictOneLocked removes the least recently used object, writing it back
+// first if dirty. It reports false when nothing is evictable. The lock may be
 // dropped and retaken while waiting on in-flight flushes.
 func (m *Manager) evictOneLocked() (time.Duration, bool) {
 	var total time.Duration
@@ -632,7 +637,7 @@ func (m *Manager) evictOneLocked() (time.Duration, bool) {
 			continue
 		}
 		if e.dirty {
-			total += m.flushEntryLocked(e)
+			total += m.flushEntryLocked(e, false)
 			if m.entries[e.id] != e {
 				continue // dropped while the flush ran; rescan
 			}
@@ -649,12 +654,19 @@ func (m *Manager) evictOneLocked() (time.Duration, bool) {
 	}
 }
 
-// flushEntryLocked writes a dirty object back to the backend and reclasses
-// it as clean in the store. It is called and returns with the manager lock
-// held, but drops the lock around the store read, backend write, and
-// reclassification so concurrent requests keep flowing; the entry's flush
-// latch serialises flushers of the same entry.
-func (m *Manager) flushEntryLocked(e *entry) time.Duration {
+// flushEntryLocked flushes a dirty entry in two halves. Write back: read the
+// object from the store, put it to the backend, mark it clean — MarkClean
+// even when the entry is about to die, so that a failed delete can only ever
+// leave a clean orphan. Settle as clean: re-label (and re-encode) the object
+// under the class its hotness earns. A caller whose entry dies before it next
+// releases the manager lock — evicted, or replaced by a put — passes settle
+// false: re-encoding would program flash for bytes the next line deletes.
+//
+// It is called and returns with the manager lock held, but drops the lock
+// around the store read, backend write, and reclassification so concurrent
+// requests keep flowing; the entry's flush latch serialises flushers of the
+// same entry.
+func (m *Manager) flushEntryLocked(e *entry, settle bool) time.Duration {
 	for e.flushing || e.reclassing {
 		// Another goroutine is already flushing this entry, or a
 		// background reclassification holds it: wait on the latch rather
@@ -699,10 +711,9 @@ func (m *Manager) flushEntryLocked(e *entry) time.Duration {
 		buf.Release()
 	}
 
-	// Re-label (and re-encode) the now-clean object per its hotness.
 	var reclassCost time.Duration
 	reclassOK := false
-	if flushed {
+	if flushed && settle {
 		if cost, rerr := m.cfg.Store.ReclassifyCtx(frc, e.id, class); rerr == nil {
 			reclassCost = cost
 			reclassOK = true
@@ -758,7 +769,7 @@ func (m *Manager) maybeFlushLocked() time.Duration {
 		if victim == nil {
 			break // remaining dirty bytes are all mid-flush elsewhere
 		}
-		total += m.flushEntryLocked(victim)
+		total += m.flushEntryLocked(victim, true)
 	}
 	return total
 }
@@ -775,7 +786,7 @@ func (m *Manager) FlushAll() time.Duration {
 		victim, inflight := m.flushVictimLocked()
 		switch {
 		case victim != nil:
-			total += m.flushEntryLocked(victim)
+			total += m.flushEntryLocked(victim, true)
 		case inflight != nil:
 			m.latchWaitLocked(inflight)
 		default:

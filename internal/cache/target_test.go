@@ -9,9 +9,11 @@ import (
 	"time"
 
 	"github.com/reo-cache/reo/internal/bufpool"
+	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
+	"github.com/reo-cache/reo/internal/simclock"
 	"github.com/reo-cache/reo/internal/store"
 	"github.com/reo-cache/reo/internal/target"
 )
@@ -44,6 +46,16 @@ func (s *spyTarget) GetCtx(rc *reqctx.Ctx, id osd.ObjectID) (*bufpool.Buf, time.
 func (s *spyTarget) Delete(id osd.ObjectID) error {
 	s.calls = append(s.calls, "Delete")
 	return s.Store.Delete(id)
+}
+
+func (s *spyTarget) MarkClean(id osd.ObjectID) error {
+	s.calls = append(s.calls, "MarkClean")
+	return s.Store.MarkClean(id)
+}
+
+func (s *spyTarget) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) (time.Duration, error) {
+	s.calls = append(s.calls, "ReclassifyCtx")
+	return s.Store.ReclassifyCtx(rc, id, class)
 }
 
 // DeleteCtx refuses a dead request, as the wire client does.
@@ -158,8 +170,8 @@ func TestRequestStoreCalls(t *testing.T) {
 
 // TestWriteUnderPressureStoreCalls: a single write that does not fit makes
 // exactly the refused put, the eviction's delete, and the put that lands —
-// then, 30 KB being over a quarter of the array, the threshold flush reads
-// it back.
+// then, 30 KB being over a quarter of the array, the threshold flush writes
+// it back and settles it as clean.
 func TestWriteUnderPressureStoreCalls(t *testing.T) {
 	// 5 x 16 KiB raw, no redundancy: two 30 KB objects fill it.
 	f := newFixture(t, policy.Uniform{ParityChunks: 0}, 0, 16<<10)
@@ -178,7 +190,7 @@ func TestWriteUnderPressureStoreCalls(t *testing.T) {
 	if err != nil || !res.Hit {
 		t.Fatalf("write: hit=%v err=%v", res.Hit, err)
 	}
-	if got, want := s.took(), []string{"PutCtx", "Delete", "PutCtx", "GetCtx"}; !reflect.DeepEqual(got, want) {
+	if got, want := s.took(), []string{"PutCtx", "Delete", "PutCtx", "GetCtx", "MarkClean", "ReclassifyCtx"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("store calls %v, want %v", got, want)
 	}
 }
@@ -203,7 +215,7 @@ func TestCancellableOverwriteUnderPressureEvictsNobody(t *testing.T) {
 	if err != nil || !res.Hit {
 		t.Fatalf("write: hit=%v err=%v", res.Hit, err)
 	}
-	if got, want := s.took(), []string{"PutCtx", "Delete", "PutCtx", "GetCtx"}; !reflect.DeepEqual(got, want) {
+	if got, want := s.took(), []string{"PutCtx", "Delete", "PutCtx", "GetCtx", "MarkClean", "ReclassifyCtx"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("store calls %v, want %v", got, want)
 	}
 	if ev := f.cache.Stats().Evictions; ev != 0 || !f.cache.Contains(oid(2)) {
@@ -282,4 +294,178 @@ func TestOverwritePutDidNotLand(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFlushThatKeepsItsEntryStoreCalls pins a flush whose entry stays cached
+// — the threshold flush and FlushAll: write back (GetCtx for the bytes,
+// MarkClean once the backend has them), then settle as clean (ReclassifyCtx
+// to the class the object's hotness earns).
+func TestFlushThatKeepsItsEntryStoreCalls(t *testing.T) {
+	f := newFixture(t, policy.Reo{ParityBudget: 0.4}, 0.4, 4<<20)
+	f.cache.cfg.MaxDirtyFraction = 0.001 // 20 KB of 20 MB raw: one 30 KB write crosses it
+	s := f.spy(t)
+	settled := func(what string, n uint64, want []byte, calls ...string) {
+		t.Helper()
+		if got := s.took(); !reflect.DeepEqual(got, calls) {
+			t.Fatalf("%s: store calls %v, want %v", what, got, calls)
+		}
+		if got, _, err := f.backend.Get(oid(n)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: backend does not hold the flushed bytes (err %v)", what, err)
+		}
+		info, err := f.store.Info(oid(n))
+		if err != nil || info.Dirty || info.Class == osd.ClassDirty {
+			t.Fatalf("%s: store holds %+v (err %v), want a clean class", what, info, err)
+		}
+		res, err := f.cache.Read(oid(n))
+		if err != nil || !res.Hit || !bytes.Equal(res.Data, want) {
+			t.Fatalf("%s: read back: hit=%v err=%v", what, res.Hit, err)
+		}
+		res.Release()
+		s.took()
+	}
+
+	big := randBytes(1, 30_000)
+	if _, err := f.cache.Write(oid(1), big); err != nil {
+		t.Fatal(err)
+	}
+	settled("threshold flush", 1, big, "PutCtx", "GetCtx", "MarkClean", "ReclassifyCtx")
+
+	small := randBytes(2, 4096)
+	if _, err := f.cache.Write(oid(2), small); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.took(); !reflect.DeepEqual(got, []string{"PutCtx"}) || f.cache.DirtyBytes() != 4096 {
+		t.Fatalf("write under the threshold: store calls %v, %d dirty bytes", got, f.cache.DirtyBytes())
+	}
+	f.cache.FlushAll()
+	settled("FlushAll", 2, small, "GetCtx", "MarkClean", "ReclassifyCtx")
+	if st := f.cache.Stats(); st.Flushes != 2 || f.cache.DirtyBytes() != 0 || f.cache.Len() != 2 {
+		t.Fatalf("%d flushes, %d dirty bytes, %d entries: want 2, 0, 2", st.Flushes, f.cache.DirtyBytes(), f.cache.Len())
+	}
+}
+
+// deviceStats snapshots every device's counters.
+func (f *fixture) deviceStats() []flash.Stats {
+	out := make([]flash.Stats, f.store.Devices())
+	for i := range out {
+		out[i] = f.store.Array().Device(i).Stats()
+	}
+	return out
+}
+
+// TestEvictedDirtyVictimIsWrittenBackAndDropped: a flush whose entry dies
+// before the manager lock is next released — an eviction's, or the one a
+// replacing put needs first — is the write-back alone. The victim reaches the
+// backend and is marked clean, and nothing is programmed to re-encode an
+// object the next line deletes or replaces: the flush costs the request one
+// replica read.
+func TestEvictedDirtyVictimIsWrittenBackAndDropped(t *testing.T) {
+	const size = 1024 // one chunk: a dirty object is one replica per device
+	spec := testSpec(32 << 10)
+	replicaRead := spec.ReadLatency + simclock.TransferTime(size, spec.ReadBandwidth)
+	// fill writes dirty objects, oid(1) the least recently used, until less
+	// than room is free on each device, and returns how many.
+	fill := func(t *testing.T, room int64) (*fixture, *spyTarget, int64) {
+		f := newFixture(t, policy.Reo{ParityBudget: 0.4}, 0.4, spec.CapacityBytes)
+		s := f.spy(t)
+		n := int64(0)
+		for f.store.Array().Device(0).Free() >= room {
+			n++
+			if res, err := f.cache.Write(oid(uint64(n)), randBytes(n, size)); err != nil || !res.Hit {
+				t.Fatalf("fill %d: hit=%v err=%v", n, res.Hit, err)
+			}
+		}
+		if st := f.cache.Stats(); n < 4 || f.cache.DirtyBytes() != n*size || st.Evictions != 0 {
+			t.Fatalf("fill: %d objects, %d dirty bytes, %d evictions", n, f.cache.DirtyBytes(), st.Evictions)
+		}
+		s.took()
+		return f, s, n
+	}
+	// oneReplicaRead checks the device traffic between two snapshots: one
+	// chunk read from one device, and per device exactly the writes given.
+	oneReplicaRead := func(t *testing.T, before, after []flash.Stats, writeOps, bytesWritten int64) {
+		t.Helper()
+		var reads, bytesRead int64
+		for i := range before {
+			reads += after[i].ReadOps - before[i].ReadOps
+			bytesRead += after[i].BytesRead - before[i].BytesRead
+			if ops, n := after[i].WriteOps-before[i].WriteOps, after[i].BytesWritten-before[i].BytesWritten; ops != writeOps || n != bytesWritten {
+				t.Errorf("device %d: %d writes of %d bytes, want %d of %d", i, ops, n, writeOps, bytesWritten)
+			}
+		}
+		if reads != 1 || bytesRead != size {
+			t.Errorf("%d device reads of %d bytes, want one replica of %d", reads, bytesRead, size)
+		}
+	}
+
+	t.Run("eviction", func(t *testing.T) {
+		f, s, n := fill(t, size)
+		// A 5 KB miss needs 1 KB per device: refused, then oid(1) goes. The
+		// put that would land fails hard, so the request's device traffic is
+		// the eviction's alone.
+		f.seed(t, 100, 5*size)
+		puts := 0
+		s.onPut = func(osd.ObjectID) error {
+			if puts++; puts == 2 {
+				return errors.New("target: put failed")
+			}
+			return nil
+		}
+		before := f.deviceStats()
+		res, err := f.cache.Read(oid(100))
+		if err != nil || res.Hit {
+			t.Fatalf("read: hit=%v err=%v", res.Hit, err)
+		}
+		res.Release()
+		if got, want := s.took(), []string{"PutCtx", "GetCtx", "MarkClean", "Delete", "PutCtx"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("store calls %v, want %v", got, want)
+		}
+		oneReplicaRead(t, before, f.deviceStats(), 0, 0)
+		if res.Background != replicaRead {
+			t.Errorf("eviction cost the request %v of background time, want one replica read (%v)", res.Background, replicaRead)
+		}
+		if got, _, err := f.backend.Get(oid(1)); err != nil || !bytes.Equal(got, randBytes(1, size)) {
+			t.Errorf("backend does not hold the victim's last acknowledged bytes (err %v)", err)
+		}
+		if f.cache.Contains(oid(1)) || f.store.Has(oid(1)) {
+			t.Errorf("victim: cache entry %v, store copy %v, want neither", f.cache.Contains(oid(1)), f.store.Has(oid(1)))
+		}
+		if st := f.cache.Stats(); st.Evictions != 1 || st.Flushes != 1 || f.cache.DirtyBytes() != (n-1)*size {
+			t.Errorf("%d evictions, %d flushes, %d dirty bytes: want 1, 1, %d", st.Evictions, st.Flushes, f.cache.DirtyBytes(), (n-1)*size)
+		}
+	})
+
+	t.Run("cancellable overwrite", func(t *testing.T) {
+		f, s, n := fill(t, 2*size) // room to write the new version before freeing the old
+		// If the replacing put were cancelled the entry would be forgotten,
+		// so the acknowledged version goes to the backend first.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		update := randBytes(200, size)
+		before := f.deviceStats()
+		res, err := f.cache.WriteCtx(reqctx.New(ctx), oid(1), update)
+		if err != nil || !res.Hit {
+			t.Fatalf("write: hit=%v err=%v", res.Hit, err)
+		}
+		if got, want := s.took(), []string{"GetCtx", "MarkClean", "PutCtx"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("store calls %v, want %v", got, want)
+		}
+		// Each device programs the new version's replica and nothing else.
+		oneReplicaRead(t, before, f.deviceStats(), 1, size)
+		if got, _, err := f.backend.Get(oid(1)); err != nil || !bytes.Equal(got, randBytes(1, size)) {
+			t.Errorf("backend does not hold the last acknowledged bytes before the overwrite (err %v)", err)
+		}
+		info, err := f.store.Info(oid(1))
+		if err != nil || !info.Dirty || info.Class != osd.ClassDirty {
+			t.Errorf("store holds %+v (err %v), want the dirty update", info, err)
+		}
+		if st := f.cache.Stats(); st.Flushes != 1 || st.Evictions != 0 || f.cache.DirtyBytes() != n*size {
+			t.Errorf("%d flushes, %d evictions, %d dirty bytes: want 1, 0, %d", st.Flushes, st.Evictions, f.cache.DirtyBytes(), n*size)
+		}
+		got, err := f.cache.Read(oid(1))
+		if err != nil || !got.Hit || !bytes.Equal(got.Data, update) {
+			t.Fatalf("read back: hit=%v err=%v", got.Hit, err)
+		}
+		got.Release()
+	})
 }

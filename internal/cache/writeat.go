@@ -80,7 +80,7 @@ func (m *Manager) WriteAtCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, data
 					// The admission below replaces the entry; flush first so
 					// a cancellation inside it cannot strand the acknowledged
 					// dirty update (settledLocked's rule).
-					bg += m.flushEntryLocked(e)
+					bg += m.flushEntryLocked(e, true)
 					continue
 				}
 				// In-place growth impossible: merge with the cached copy and

@@ -4,11 +4,13 @@
 // Under LayoutLog a device never overwrites a chunk in place. Every host
 // write appends into the open segment; overwrites and deletes tombstone the
 // chunk's previous copy, leaving dead bytes behind in whatever segment holds
-// it. When enough dead bytes accumulate, GC picks a victim segment by a
+// it. When erased space runs short, GC picks a victim segment by a
 // cost-benefit score (garbage ratio weighted by segment age, the LFS/Nemo
 // policy), relocates only the still-live chunks into the open segment, and
 // erases the victim — the only operation that reclaims space and the only
-// operation that consumes an erase cycle.
+// operation that consumes an erase cycle. Garbage on a device with erased
+// room costs nothing to keep, and every overwrite that lands before the
+// victim is chosen is a chunk GC never has to move.
 //
 // Chunk addressing is unaffected: the data/crcs maps stay keyed by
 // ChunkAddr, so the stripe manager's placement directory, scrub, and
@@ -67,12 +69,6 @@ type LogConfig struct {
 	// reserve is never less than two segments, so a victim's live bytes
 	// always fit during relocation.
 	OPReserve float64
-	// GCTrigger starts background collection when dead bytes exceed this
-	// fraction of capacity. Zero picks 0.10.
-	GCTrigger float64
-	// GCTarget stops background collection once dead bytes fall to this
-	// fraction of capacity. Zero picks half of GCTrigger.
-	GCTarget float64
 }
 
 func (c LogConfig) normalized(capacity int64) LogConfig {
@@ -87,12 +83,6 @@ func (c LogConfig) normalized(capacity int64) LogConfig {
 	}
 	if c.OPReserve <= 0 {
 		c.OPReserve = 0.08
-	}
-	if c.GCTrigger <= 0 {
-		c.GCTrigger = 0.10
-	}
-	if c.GCTarget <= 0 || c.GCTarget >= c.GCTrigger {
-		c.GCTarget = c.GCTrigger / 2
 	}
 	return c
 }
@@ -155,38 +145,6 @@ func (d *Device) Layout() Layout {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.layout
-}
-
-// SetGCThresholds adjusts the background-GC trigger/target ratios at
-// runtime (reoctl tune). Out-of-range or inverted values are normalized; a
-// no-op on in-place devices.
-func (d *Device) SetGCThresholds(trigger, target float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.layout != LayoutLog {
-		return
-	}
-	c := d.log.cfg
-	c.GCTrigger = trigger
-	c.GCTarget = target
-	if c.GCTrigger <= 0 || c.GCTrigger > 1 {
-		c.GCTrigger = 0.10
-	}
-	if c.GCTarget <= 0 || c.GCTarget >= c.GCTrigger {
-		c.GCTarget = c.GCTrigger / 2
-	}
-	d.log.cfg = c
-}
-
-// GCThresholds returns the current background-GC trigger/target ratios
-// (zeros on in-place devices).
-func (d *Device) GCThresholds() (trigger, target float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.layout != LayoutLog {
-		return 0, 0
-	}
-	return d.log.cfg.GCTrigger, d.log.cfg.GCTarget
 }
 
 // hostCapLocked is the capacity visible to host writes: all of it in place;
@@ -342,36 +300,32 @@ func (d *Device) CollectOnce() (int64, bool) {
 	return d.collectOnceLocked(false)
 }
 
-// GCTriggered reports whether dead bytes have crossed the background-GC
-// start threshold and a sealed victim exists.
-func (d *Device) GCTriggered() bool {
+// GCTriggered reports whether background collection should start: less than
+// one segment is erased.
+func (d *Device) GCTriggered() bool { return d.gcWanted(1) }
+
+// GCBacklog reports whether background collection, once running, should keep
+// collecting: fewer than two segments are erased.
+func (d *Device) GCBacklog() bool { return d.gcWanted(2) }
+
+// gcWanted reports whether less than the given number of segments is erased
+// (neither live nor garbage) while a sealed segment holds garbage. Collection
+// is driven by erased space, not by how much garbage there is, and both
+// watermarks sit inside the over-provisioning reserve, which is never less
+// than two segments: a device with room never relocates a chunk, and a full
+// one collects only as fast as host writes consume segments.
+func (d *Device) gcWanted(segments int64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.layout != LayoutLog || d.state == StateFailed {
 		return false
 	}
-	return d.sealedGarbageLocked() > 0 &&
-		d.log.garbage >= int64(d.log.cfg.GCTrigger*float64(d.spec.CapacityBytes))
-}
-
-// GCBacklog reports whether background GC, once running, should keep
-// collecting: dead bytes above the target ratio with a sealed victim left.
-func (d *Device) GCBacklog() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.layout != LayoutLog || d.state == StateFailed {
-		return false
-	}
-	return d.sealedGarbageLocked() > 0 &&
-		d.log.garbage > int64(d.log.cfg.GCTarget*float64(d.spec.CapacityBytes))
-}
-
-func (d *Device) sealedGarbageLocked() int64 {
-	g := d.log.garbage
+	sealed := d.log.garbage
 	if d.log.open != nil {
-		g -= d.log.open.dead
+		sealed -= d.log.open.dead
 	}
-	return g
+	erased := d.spec.CapacityBytes - d.used - d.log.garbage
+	return sealed > 0 && erased < segments*d.log.cfg.SegmentBytes
 }
 
 // SegmentStats is a point-in-time snapshot of one device's log-layout

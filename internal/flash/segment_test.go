@@ -3,6 +3,7 @@ package flash
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -293,37 +294,123 @@ func TestLogFailAndReplaceResetSegments(t *testing.T) {
 	}
 }
 
-func TestLogGCTriggerHysteresis(t *testing.T) {
-	d := NewDeviceLayout(logSpec(64<<10), LayoutLog, LogConfig{
-		SegmentBytes: 4 << 10, GCTrigger: 0.10, GCTarget: 0.05,
-	})
-	if d.GCTriggered() {
-		t.Fatal("triggered while empty")
-	}
-	for a := ChunkAddr(1); a <= 8; a++ {
-		if _, err := d.Write(a, payload(a, 4096)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 8KiB garbage = 12.5% of 64KiB > 10% trigger.
-	for _, a := range []ChunkAddr{1, 2} {
-		if err := d.Delete(a); err != nil {
-			t.Fatal(err)
-		}
-	}
+// backgroundGC is the store's collector (gcCheck + runGC) for one device on
+// one goroutine: start when triggered, collect while there is a backlog.
+func backgroundGC(d *Device) {
 	if !d.GCTriggered() {
-		t.Fatal("not triggered at 12.5% garbage")
+		return
 	}
 	for d.GCBacklog() {
 		if _, ok := d.CollectOnce(); !ok {
-			break
+			return
 		}
 	}
-	if st := d.SegmentStats(); float64(st.GarbageBytes) > 0.05*float64(64<<10) {
-		t.Fatalf("backlog drained but garbage still %d", st.GarbageBytes)
+}
+
+// Background collection waits for erased space to run short: however much
+// garbage a device holds, nothing is relocated while two segments are erased.
+func TestLogGCLazyWatermarks(t *testing.T) {
+	const capacity, seg, chunk = 64 << 10, 4 << 10, 1 << 10
+	d := newLogDevice(t, capacity, seg)
+	if d.GCTriggered() || d.GCBacklog() {
+		t.Fatal("wants collection while empty")
 	}
-	if d.GCTriggered() {
-		t.Fatal("still triggered after drain")
+	erased := func() int64 {
+		st := d.SegmentStats()
+		return st.CapacityBytes - st.LiveBytes - st.GarbageBytes
+	}
+	// Overwrite the same 24 KiB again and again: garbage grows to well over
+	// half of what is occupied, and the collector stays idle until less than
+	// one segment is erased.
+	var triggered bool
+	for round := 0; !triggered; round++ {
+		if round > 10 {
+			t.Fatal("never triggered")
+		}
+		for a := ChunkAddr(1); a <= 24 && !triggered; a++ {
+			if _, err := d.Write(a, payload(a+ChunkAddr(round), chunk)); err != nil {
+				t.Fatal(err)
+			}
+			triggered = d.GCTriggered()
+			e := erased()
+			if triggered != (e < seg) {
+				t.Fatalf("GCTriggered = %v with %d bytes erased (segment %d)", triggered, e, seg)
+			}
+			if !triggered && e >= 2*seg && d.GCBacklog() {
+				t.Fatalf("backlog with %d bytes erased", e)
+			}
+		}
+	}
+	st := d.SegmentStats()
+	if st.GCBytesWritten != 0 || st.SegmentErases != 0 {
+		t.Fatalf("collected before the trigger: %+v", st)
+	}
+	if st.GarbageBytes < 3*seg {
+		t.Fatalf("garbage %d at the trigger, want most of the device", st.GarbageBytes)
+	}
+	// Once running it stops at two erased segments, not at "no garbage".
+	backgroundGC(d)
+	if d.GCTriggered() || d.GCBacklog() {
+		t.Fatal("still wants collection after the drain")
+	}
+	if e := erased(); e < 2*seg || e >= 4*seg {
+		t.Fatalf("%d bytes erased after the drain, want two to four segments", e)
+	}
+	if d.SegmentStats().GarbageBytes == 0 {
+		t.Fatal("drain collected every segment")
+	}
+}
+
+// A device driven like the store drives it, under seeded uniform overwrites.
+// At 60 % live the collector finds mostly-dead victims (device WA 1.46; a
+// trigger on the garbage fraction, 10 % → 5 % of capacity, gives 4.05). At
+// 92 % — every byte host writes may use — it must only keep pace with them
+// (6.34): watermarks of one and two over-provisioning reserves instead of one
+// and two segments make a full device collect continuously (16.0).
+func TestLazyGCSteadyState(t *testing.T) {
+	const (
+		capacity = 1 << 20
+		seg      = 16 << 10
+		chunk    = 1 << 10
+	)
+	for _, tc := range []struct {
+		live  float64
+		maxWA float64
+	}{
+		{0.60, 1.6},
+		{0.92, 8.0},
+	} {
+		d := newLogDevice(t, capacity, seg)
+		n := int(tc.live * capacity / chunk)
+		for a := 0; a < n; a++ {
+			if _, err := d.Write(ChunkAddr(a), payload(ChunkAddr(a), chunk)); err != nil {
+				t.Fatalf("%.0f%% live: fill %d: %v", tc.live*100, a, err)
+			}
+		}
+		rng := rand.New(rand.NewSource(22))
+		warm := d.SegmentStats()
+		for i := 0; i < 20*n; i++ {
+			if i == 4*n {
+				warm = d.SegmentStats() // steady state from here
+			}
+			a := ChunkAddr(rng.Intn(n))
+			if _, err := d.Write(a, payload(a+ChunkAddr(i), chunk)); err != nil {
+				t.Fatalf("%.0f%% live: overwrite %d refused with %d bytes of garbage: %v",
+					tc.live*100, i, d.SegmentStats().GarbageBytes, err)
+			}
+			backgroundGC(d)
+		}
+		st := d.SegmentStats()
+		host := (st.BytesWritten - st.GCBytesWritten) - (warm.BytesWritten - warm.GCBytesWritten)
+		wa := float64(st.BytesWritten-warm.BytesWritten) / float64(host)
+		t.Logf("%.0f%% live: device WA %.3f, %d erases, garbage %.1f%%", tc.live*100, wa,
+			st.SegmentErases-warm.SegmentErases, st.GarbageRatio()*100)
+		if wa > tc.maxWA {
+			t.Errorf("%.0f%% live: device WA %.3f, want <= %.1f", tc.live*100, wa, tc.maxWA)
+		}
+		if st.LiveBytes != int64(n*chunk) {
+			t.Errorf("%.0f%% live: %d live bytes, want %d", tc.live*100, st.LiveBytes, n*chunk)
+		}
 	}
 }
 

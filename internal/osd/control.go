@@ -83,8 +83,8 @@ func (c QueryCommand) Encode() []byte {
 
 // TuneCommand adjusts one named runtime knob on the target (reoctl tune).
 // Keys are low-cardinality dotted names; the target rejects unknown keys.
-// Currently defined: "gc.trigger" and "gc.target" (log-layout garbage
-// -collection start/stop ratios as fractions of device capacity).
+// Currently defined: "policy.<class>.<knob>", one resilience knob of one op
+// class (policy.Resilience.Tune).
 type TuneCommand struct {
 	Key   string
 	Value float64

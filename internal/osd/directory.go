@@ -131,10 +131,18 @@ func (d *Directory) Lookup(id ObjectID) (Info, error) {
 	return *info, nil
 }
 
-// Exists reports whether the object is present.
+// Exists reports whether the object is present. "No" is the common answer
+// (every put of a new object asks), so it is not routed through Lookup's
+// formatted error.
 func (d *Directory) Exists(id ObjectID) bool {
-	_, err := d.Lookup(id)
-	return err == nil
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	p, ok := d.partitions[id.PID]
+	if !ok {
+		return false
+	}
+	_, ok = p.objects[id.OID]
+	return ok
 }
 
 // Update applies fn to the object's metadata under the directory lock.

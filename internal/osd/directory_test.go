@@ -54,6 +54,25 @@ func TestCreateLookupRemove(t *testing.T) {
 	}
 }
 
+// A put of a new object asks Exists and hears "no": that answer, for a
+// missing object or a missing partition, allocates nothing.
+func TestExistsAllocFree(t *testing.T) {
+	d := NewDirectory()
+	present := ObjectID{PID: FirstPID, OID: d.AllocateOID()}
+	if err := d.CreateObject(userInfo(present.PID, present.OID)); err != nil {
+		t.Fatal(err)
+	}
+	absent := ObjectID{PID: FirstPID, OID: d.AllocateOID()}
+	elsewhere := ObjectID{PID: FirstPID + 7, OID: present.OID}
+	if n := testing.AllocsPerRun(100, func() {
+		if !d.Exists(present) || d.Exists(absent) || d.Exists(elsewhere) {
+			t.Fatal("Exists wrong")
+		}
+	}); n != 0 {
+		t.Fatalf("Exists allocates %.0f times per three calls, want 0", n)
+	}
+}
+
 func TestCreateValidation(t *testing.T) {
 	d := NewDirectory()
 	if err := d.CreateObject(userInfo(FirstPID, 0x42)); !errors.Is(err, ErrInvalidID) {

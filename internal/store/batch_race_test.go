@@ -24,14 +24,15 @@ import (
 // with -race.
 func TestBatchConcurrentWithGC(t *testing.T) {
 	base := bufpool.Outstanding()
+	// Sized as TestGCConcurrentWithTraffic is, so the collector runs.
 	s, err := New(Config{
 		Devices:          5,
-		DeviceSpec:       testSpec(256 << 10),
+		DeviceSpec:       testSpec(80 << 10),
 		ChunkSize:        1024,
 		Policy:           policy.Reo{ParityBudget: 0.20},
 		RedundancyBudget: 0.20,
 		Layout:           flash.LayoutLog,
-		LogConfig:        flash.LogConfig{SegmentBytes: 8 << 10, GCTrigger: 0.05},
+		LogConfig:        flash.LogConfig{SegmentBytes: 8 << 10},
 		BackgroundGC:     true,
 	})
 	if err != nil {
@@ -169,6 +170,11 @@ func TestBatchConcurrentWithGC(t *testing.T) {
 		}
 		checkSelfVerifying(t, buf.Bytes())
 		buf.Release()
+	}
+	wa := s.WriteAmp()
+	t.Logf("soak: rounds=%d erases=%d gcBytes=%d garbage=%.1f%%", ops.Load(), wa.SegmentErases, wa.GCBytesWritten, wa.GarbageRatio()*100)
+	if wa.GCBytesWritten < gcRaceFloor {
+		t.Errorf("GC relocated %d bytes, want at least %d — relocation did not race the batches", wa.GCBytesWritten, gcRaceFloor)
 	}
 	if after := bufpool.Outstanding(); after != base {
 		t.Errorf("bufpool leases %d at quiesce, %d at start — leaked %d", after, base, after-base)

@@ -13,10 +13,11 @@ import (
 
 // Background segment garbage collection for log-structured flash layouts.
 //
-// Writes and deletes tombstone old chunk copies; once a device's dead bytes
-// cross its GC trigger ratio, an episode goroutine drains every device's
-// backlog one victim segment at a time, yielding to in-flight on-demand
-// traffic between victims exactly like the reclassification workers do.
+// Writes and deletes tombstone old chunk copies; once a device has less than
+// one erased segment left (flash.Device.GCTriggered), an episode goroutine
+// drains every device's backlog one victim segment at a time, yielding to
+// in-flight on-demand traffic between victims exactly like the
+// reclassification workers do.
 // Correctness never depends on this worker running: the device reclaims
 // space inline (collectOnceLocked under the write) when an append would
 // overflow physical capacity, so the episode is purely latency-hiding —
@@ -28,7 +29,7 @@ import (
 const gcYieldBudget = 50 * time.Microsecond
 
 // gcCheck starts a background collection episode when any log-layout device
-// has crossed its GC trigger. Called unlocked at write-path operation
+// is short of erased space. Called unlocked at write-path operation
 // boundaries, like autoRecoverCheck; cheap when GC is off or idle.
 func (s *Store) gcCheck() {
 	if !s.cfg.BackgroundGC || s.cfg.Layout != flash.LayoutLog {
@@ -171,26 +172,9 @@ func (s *Store) WriteAmp() WriteAmpStats {
 // tune applies one reoctl #TUNE# knob. Unknown keys fail so operators
 // notice typos instead of silently tuning nothing.
 func (s *Store) tune(cmd osd.TuneCommand) error {
-	switch cmd.Key {
-	case "gc.trigger", "gc.target":
-		if cmd.Value <= 0 || cmd.Value >= 1 {
-			return fmt.Errorf("store: tune %s=%g out of (0,1)", cmd.Key, cmd.Value)
-		}
-		for i := 0; i < s.array.N(); i++ {
-			dev := s.array.Device(i)
-			trigger, target := dev.GCThresholds()
-			if cmd.Key == "gc.trigger" {
-				trigger = cmd.Value
-			} else {
-				target = cmd.Value
-			}
-			dev.SetGCThresholds(trigger, target)
-		}
-		return nil
-	default:
-		if strings.HasPrefix(cmd.Key, "policy.") {
-			return s.res.Tune(strings.TrimPrefix(cmd.Key, "policy."), cmd.Value)
-		}
+	key, ok := strings.CutPrefix(cmd.Key, "policy.")
+	if !ok {
 		return fmt.Errorf("store: unknown tune key %q", cmd.Key)
 	}
+	return s.res.Tune(key, cmd.Value)
 }

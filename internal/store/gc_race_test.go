@@ -46,6 +46,12 @@ func checkSelfVerifying(t *testing.T, got []byte) {
 	}
 }
 
+// gcRaceFloor is the least this soak and TestBatchConcurrentWithGC must see
+// relocated for "raced segment GC" to be true: eight segments' worth of live
+// chunks. They move 16–19 MB in a plain build and 0.3–2.7 MB under -race on a
+// 2-vCPU box.
+const gcRaceFloor = 64 << 10
+
 // TestGCConcurrentWithTraffic hammers a log-structured store with
 // concurrent reads, dirty overwrites, deletes, scrub-repair passes, and an
 // injected fail-stop — all while segment GC (background episodes plus the
@@ -55,14 +61,17 @@ func checkSelfVerifying(t *testing.T, got []byte) {
 // bufpool lease books must balance once the dust settles. Run with -race.
 func TestGCConcurrentWithTraffic(t *testing.T) {
 	base := bufpool.Outstanding()
+	// Sized so the dirty set (one 48 KB replica per device) fills three
+	// quarters of what host writes may use: the collector runs only when
+	// erased space is short, and on a roomier array it would hardly run.
 	s, err := New(Config{
 		Devices:          5,
-		DeviceSpec:       testSpec(256 << 10),
+		DeviceSpec:       testSpec(80 << 10),
 		ChunkSize:        1024,
 		Policy:           policy.Reo{ParityBudget: 0.20},
 		RedundancyBudget: 0.20,
 		Layout:           flash.LayoutLog,
-		LogConfig:        flash.LogConfig{SegmentBytes: 8 << 10, GCTrigger: 0.05},
+		LogConfig:        flash.LogConfig{SegmentBytes: 8 << 10},
 		BackgroundGC:     true,
 	})
 	if err != nil {
@@ -219,6 +228,9 @@ func TestGCConcurrentWithTraffic(t *testing.T) {
 	wa := s.WriteAmp()
 	if wa.SegmentErases == 0 {
 		t.Error("no segments erased — GC never ran during the soak")
+	}
+	if wa.GCBytesWritten < gcRaceFloor {
+		t.Errorf("GC relocated %d bytes, want at least %d — relocation did not race the traffic", wa.GCBytesWritten, gcRaceFloor)
 	}
 	t.Logf("soak: ops=%d erases=%d gcBytes=%d (pre-fail %d) garbage=%.1f%%",
 		ops.Load(), wa.SegmentErases, wa.GCBytesWritten, gcBefore, wa.GarbageRatio()*100)

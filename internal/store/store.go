@@ -101,8 +101,8 @@ type Config struct {
 	// (LayoutInPlace) is the seed behavior; LayoutLog turns every device
 	// into an append-only segment log with tombstones and segment GC.
 	Layout flash.Layout
-	// LogConfig tunes segment size, overprovisioning, and GC thresholds
-	// under LayoutLog. Zero values pick defaults.
+	// LogConfig tunes segment size and overprovisioning under LayoutLog.
+	// Zero values pick defaults.
 	LogConfig flash.LogConfig
 	// BackgroundGC runs segment collection in a background episode that
 	// yields to on-demand traffic (see gc.go). Without it devices still

@@ -201,8 +201,8 @@ func (o ops) ResilienceRules() ([]policy.ClassRule, error) {
 	return payloadCall(o, OpResilience, decodeResilience)
 }
 
-// Tune sets one named target-side knob (e.g. "gc.trigger", "gc.target", or
-// a "policy.<class>.<knob>" resilience key) via a #TUNE# control message.
+// Tune sets one named target-side knob (a "policy.<class>.<knob>" resilience
+// key) via a #TUNE# control message.
 func (o ops) Tune(key string, value float64) error {
 	msg := osd.TuneCommand{Key: key, Value: value}.Encode()
 	_, err := o.call(nil, Request{Op: OpControl, Payload: []byte(msg)})

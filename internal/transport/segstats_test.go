@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"math"
 	"net"
 	"testing"
 	"time"
@@ -99,17 +98,16 @@ func TestSegStatsAndTuneOverWire(t *testing.T) {
 		t.Fatalf("array live bytes %d < payload %d", live, len(payload))
 	}
 
-	if err := client.Tune("gc.trigger", 0.42); err != nil {
+	if err := client.Tune("policy.read.degraded.retry.max", 7); err != nil {
 		t.Fatal(err)
 	}
-	trigger, _ := st.Array().Device(0).GCThresholds()
-	if math.Abs(trigger-0.42) > 1e-9 {
-		t.Fatalf("gc.trigger = %v after tune, want 0.42", trigger)
+	if got := st.Resilience().Rule(policy.OpReadDegraded).Retry.MaxAttempts; got != 7 {
+		t.Fatalf("read.degraded retry.max = %d after tune, want 7", got)
 	}
 	if err := client.Tune("gc.bogus", 0.5); err == nil {
 		t.Fatal("unknown tune key accepted")
 	}
-	if err := client.Tune("gc.target", 1.5); err == nil {
+	if err := client.Tune("policy.read.degraded.retry.jitter", 1.5); err == nil {
 		t.Fatal("out-of-range tune value accepted")
 	}
 }

@@ -190,7 +190,7 @@ func WithAsyncReclassification(workers int) Option {
 // segment-granular collector erases the garbage-heaviest segments,
 // relocating only live chunks. Collection runs inline when a device is
 // physically full and in a background episode (yielding to on-demand
-// traffic) once a device's garbage crosses its trigger ratio. segmentBytes
+// traffic) once a device has less than one erased segment left. segmentBytes
 // sets the segment size; <= 0 selects the default (capacity/64, clamped to
 // [4KiB, 4MiB]). GC charges no virtual time, so serial-run results remain
 // byte-comparable with the in-place layout; wear and write-amplification

@@ -10,8 +10,13 @@
 # cache+cluster+transport+harness), then the
 # number of exported *Ctx methods under internal/ that still have a non-Ctx
 # sibling on the same receiver in the same file (reo.Cache keeps its
-# convenience wrappers and is not counted), and, given a base ref, the non-test
-# .go diffstat of the working tree against it.
+# convenience wrappers and is not counted), then a knob census — every value
+# someone can set: flag definitions under cmd/, exported With* options in
+# reo.go, #TUNE# keys (literal keys of store.tune plus the policy.<class>.
+# knob names), exported fields of flash.LogConfig, store.Config and
+# cache.Config — for the working tree and, given a base ref, for it too, so
+# "no knob added, N removed" (ROADMAP item 6b) is a printed number; and, given
+# a base ref, the non-test .go diffstat of the working tree against it.
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
@@ -76,7 +81,47 @@ awk '
 	}
 ' "${files[@]}"
 
+# src <ref> <path>...: the non-test .go source under the paths, from the
+# working tree when <ref> is empty.
+src() {
+	local ref=$1 f
+	shift
+	if [ -n "$ref" ]; then
+		git ls-tree -r --name-only "$ref" -- "$@"
+	else
+		git ls-files -co --exclude-standard -- "$@"
+	fi | grep '\.go$' | grep -v '_test\.go$' | while read -r f; do
+		if [ -n "$ref" ]; then git show "$ref:$f"; else cat "$f"; fi
+	done
+}
+
+# fields <ref> <package dir> <struct>: its exported fields.
+fields() {
+	src "$1" "$2" | awk -v decl="^type $3 struct \\{" '
+		$0 ~ decl { inside = 1; next }
+		inside && /^}/ { inside = 0 }
+		inside && /^\t[A-Z][A-Za-z0-9_]*[ \t]/ { n++ }
+		END { print n + 0 }'
+}
+
+census() { # census <label> <ref>
+	local flags with tune lc sc cc
+	flags=$(src "$2" cmd | grep -cE '\.(String|Int|Int64|Uint|Uint64|Bool|Float64|Duration)(Var)?\("' || true)
+	with=$(src "$2" reo.go | grep -cE '^func With[A-Z]' || true)
+	tune=$(src "$2" internal/store | awk '/^func \(s \*Store\) tune\(/,/^}/' | grep -oE '"[a-z][a-z.]*"' | sort -u | grep -vcx '"policy\."' || true)
+	tune=$((tune + $(src "$2" internal/policy | grep -cE '^[[:space:]]Knob[A-Za-z]+ += "' || true)))
+	lc=$(fields "$2" internal/flash LogConfig)
+	sc=$(fields "$2" internal/store Config)
+	cc=$(fields "$2" internal/cache Config)
+	printf '%-20.20s %6d %6d %7d %10d %13d %13d %6d\n' "$1" "$flags" "$with" "$tune" "$lc" "$sc" "$cc" \
+		$((flags + with + tune + lc + sc + cc))
+}
+
+printf '\n%-20s %6s %6s %7s %10s %13s %13s %6s\n' "knob census" flags 'With*' '#TUNE#' LogConfig store.Config cache.Config total
+census "working tree" ""
+
 if [ $# -ge 1 ]; then
+	census "$1" "$1"
 	printf '\nnon-test .go diffstat against %s:\n' "$1"
 	git diff --stat=100 "$1" -- '*.go' ':!bench' ':!*_test.go' | tail -n 1
 fi
