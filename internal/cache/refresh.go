@@ -3,27 +3,31 @@ package cache
 // This file implements the adaptive hot/cold classification refresh
 // (paper §IV.C.1) in two modes.
 //
-// Synchronous (default): the deterministic simulator path. The refresh runs
-// under the manager lock, ranks every clean entry, recomputes Hhot, and
-// re-encodes reclassified objects inline, charging the cost to virtual
-// time — byte-identical to the original stop-the-world refresh.
+// Both snapshot every clean entry's classification inputs (id + size +
+// precomputed hotness) into a pooled slice under the manager lock and compute
+// Hhot from it by partial selection (budgetSelect) — only the side of each
+// pivot the parity-budget boundary falls in is examined, O(n) average instead
+// of a full O(n log n) sort.
 //
-// Asynchronous (Config.AsyncRefresh): the production path. The only work
-// done under the manager lock is a cheap snapshot of classification inputs
-// (id + size + precomputed hotness) into a pooled slice. Ranking happens
-// outside the lock via partial selection (budgetSelect) — only the side of
-// each pivot the parity-budget boundary falls in is examined, O(n) average
-// instead of a full O(n log n) sort. The resulting class-change work-list is
-// re-encoded by a bounded worker pool that takes a per-entry reclass latch
-// for each object (so evictions, flushes, and overwrites of an in-flight
-// object wait instead of racing) and defers to on-demand traffic through
-// the store's OnDemandInFlight gauge, mirroring background recovery.
+// Synchronous (default): the deterministic simulator path. The whole refresh
+// runs under the manager lock and re-encodes reclassified objects inline,
+// hottest first, charging the cost to virtual time — byte-identical to the
+// original stop-the-world refresh.
+//
+// Asynchronous (Config.AsyncRefresh): the production path. The snapshot is
+// the only work done under the manager lock; ranking happens outside it. The
+// resulting class-change work-list is re-encoded by a bounded worker pool
+// that takes a per-entry reclass latch for each object (so evictions,
+// flushes, and overwrites of an in-flight object wait instead of racing) and
+// defers to on-demand traffic through the store's OnDemandInFlight gauge,
+// mirroring background recovery.
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,19 +52,14 @@ type snap struct {
 	hot  float64
 }
 
-// hotterSnap is the total order used to rank snapshots: descending hotness,
+// rankSnap is the total order used to rank snapshots: descending hotness,
 // ties broken by object ID. The tie-break makes the admitted set — and with
 // it the simulator's output — deterministic across runs; the previous
 // implementation sorted map-iteration-ordered entries with an unstable sort,
-// so equal-hotness populations classified differently run to run.
-func hotterSnap(a, b snap) bool {
-	if a.hot != b.hot {
-		return a.hot > b.hot
-	}
-	if a.id.PID != b.id.PID {
-		return a.id.PID < b.id.PID
-	}
-	return a.id.OID < b.id.OID
+// so equal-hotness populations classified differently run to run. It is a
+// slices.SortFunc comparison: sorting with it allocates nothing.
+func rankSnap(a, b snap) int {
+	return cmp.Or(cmp.Compare(b.hot, a.hot), cmp.Compare(a.id.PID, b.id.PID), cmp.Compare(a.id.OID, b.id.OID))
 }
 
 // snapPool recycles snapshot slices across refreshes so the periodic
@@ -140,83 +139,72 @@ func (m *Manager) noteRefreshPauseLocked(d time.Duration) {
 	}
 }
 
-// admitBudget walks a descending-hotness snapshot admitting entries to the
-// hot set until the parity their stripes would occupy exceeds the reserved
-// budget, and returns the hotness of the last admitted entry (§IV.C.1). An
-// empty admission leaves the threshold at +Inf: everything stays cold.
-func admitBudget(sorted []snap, p refreshParams) float64 {
-	factor := p.overhead / (1 - p.overhead)
-	spent := 0.0
-	hhot := math.Inf(1)
-	for i := range sorted {
-		need := float64(sorted[i].size) * factor
-		if spent+need > p.budget {
-			break
-		}
-		spent += need
-		hhot = sorted[i].hot
-	}
-	return hhot
-}
-
 // budgetSelectCutoff is the segment size below which budgetSelect falls back
 // to sorting: tiny segments are cheaper to sort than to keep partitioning.
 const budgetSelectCutoff = 24
 
-// budgetSelect computes the same threshold admitBudget derives from a fully
-// sorted snapshot, but via quickselect-style partial selection: the snapshot
-// is partitioned around a pivot hotness, and only the side the parity-budget
-// boundary falls in is examined further, so ranking costs O(n) on average.
-// The slice is reordered in place.
+// fits reports whether a hot set of the given size stays inside the reserved
+// budget: the parity its stripes would occupy. Callers sum the set in whole
+// bytes, so what is admitted never depends on the order of summation.
+func (p refreshParams) fits(hotBytes int64) bool {
+	return float64(hotBytes)*(p.overhead/(1-p.overhead)) <= p.budget
+}
+
+// budgetSelect computes Hhot (§IV.C.1): walking the snapshot in rankSnap
+// order, entries are admitted to the hot set until one does not fit the
+// reserved budget, and the threshold is the hotness of the last one admitted
+// (+Inf when none is: everything stays cold). It gets there without the sort,
+// by quickselect-style partial selection: the snapshot is partitioned around a
+// pivot hotness, and only the side the budget boundary falls in is examined
+// further, so ranking costs O(n) on average. The slice is reordered in place.
 func budgetSelect(snaps []snap, p refreshParams) float64 {
-	factor := p.overhead / (1 - p.overhead)
-	remaining := p.budget
+	var spent int64
 	hhot := math.Inf(1)
 	lo, hi := 0, len(snaps)
 	for hi-lo > budgetSelectCutoff {
 		pivot := medianHot(snaps, lo, hi)
 		gt, eq := partitionHot(snaps, lo, hi, pivot)
-		// Sum the parity the hotter-than-pivot side needs, tracking its
-		// minimum hotness (the running threshold if it is fully admitted).
-		sum, minHot := 0.0, math.Inf(1)
+		// Sum the hotter-than-pivot side, tracking its minimum hotness (the
+		// running threshold if it is fully admitted).
+		sum, minHot := int64(0), math.Inf(1)
 		for i := lo; i < gt; i++ {
-			sum += float64(snaps[i].size) * factor
-			if snaps[i].hot < minHot {
-				minHot = snaps[i].hot
-			}
+			sum += snaps[i].size
+			minHot = min(minHot, snaps[i].hot)
 		}
-		if sum > remaining {
+		if !p.fits(spent + sum) {
 			// The boundary is inside the hotter side: discard the rest.
 			hi = gt
 			continue
 		}
 		// The hotter side is fully admitted.
-		remaining -= sum
+		spent += sum
 		if gt > lo {
 			hhot = minHot
 		}
-		// Admit the pivot-equal group while it fits; a member that does
-		// not fit ends the admission outright (sorted-walk semantics).
+		// The pivot-equal group is admitted whole when all of it fits;
+		// otherwise the boundary is inside it, where the IDs order the walk.
+		sum = 0
 		for i := gt; i < eq; i++ {
-			need := float64(snaps[i].size) * factor
-			if need > remaining {
-				return hhot
-			}
-			remaining -= need
-			hhot = pivot
+			sum += snaps[i].size
 		}
+		if !p.fits(spent + sum) {
+			return p.walk(snaps[gt:eq], spent, hhot)
+		}
+		spent += sum
+		hhot = pivot
 		// Continue into the colder side with the leftover budget.
 		lo = eq
 	}
-	// Small remainder: sort it and walk like admitBudget.
-	seg := snaps[lo:hi]
-	sort.Slice(seg, func(i, j int) bool { return hotterSnap(seg[i], seg[j]) })
-	for i := range seg {
-		need := float64(seg[i].size) * factor
-		if need > remaining {
-			break
-		}
-		remaining -= need
+	return p.walk(snaps[lo:hi], spent, hhot)
+}
+
+// walk sorts seg and admits it, on top of a hot set of spent bytes, until a
+// member does not fit; it returns the hotness of the last member admitted, or
+// hhot when there is none.
+func (p refreshParams) walk(seg []snap, spent int64, hhot float64) float64 {
+	slices.SortFunc(seg, rankSnap)
+	for i := 0; i < len(seg) && p.fits(spent+seg[i].size); i++ {
+		spent += seg[i].size
 		hhot = seg[i].hot
 	}
 	return hhot
@@ -265,11 +253,11 @@ func partitionHot(snaps []snap, lo, hi int, pivot float64) (gt, eq int) {
 	return i, j
 }
 
-// refreshLocked is the deterministic synchronous refresh (§IV.C.1): sort
-// clean objects by H descending, admit them to the hot set until the
-// redundancy their parity would occupy reaches the reserved budget, set
-// Hhot to the H of the last admitted object, and re-encode every class
-// change inline — all under the manager lock, cost charged to virtual time.
+// refreshLocked is the deterministic synchronous refresh (§IV.C.1): admit
+// clean objects to the hot set, hottest first, until the redundancy their
+// parity would occupy reaches the reserved budget, set Hhot to the H of the
+// last admitted object, and re-encode every class change inline, hottest
+// first — all under the manager lock, cost charged to virtual time.
 // Non-differentiated policies have nothing to differentiate: the threshold
 // stays infinite and no re-encoding happens.
 func (m *Manager) refreshLocked() time.Duration {
@@ -279,23 +267,21 @@ func (m *Manager) refreshLocked() time.Duration {
 	}
 	start := time.Now()
 	sp := m.snapshotCleanLocked(true)
-	snaps := *sp
-	sort.Slice(snaps, func(i, j int) bool { return hotterSnap(snaps[i], snaps[j]) })
-	m.hhot = admitBudget(snaps, params)
+	m.hhot = budgetSelect(*sp, params)
+	// Only the entries whose class changes are ranked. One an async worker
+	// owns (manual sync refresh racing a background batch) is left to settle
+	// against the new Hhot on the next refresh.
+	changed := (*sp)[:0]
+	for _, s := range *sp {
+		if !s.e.reclassing && m.cleanClassLocked(s.hot) != s.e.class {
+			changed = append(changed, s)
+		}
+	}
+	slices.SortFunc(changed, rankSnap)
 
 	var total time.Duration
-	for i := range snaps {
-		e := snaps[i].e
-		if e.reclassing {
-			// An async worker owns this entry (manual sync refresh racing
-			// a background batch); it will settle against the new Hhot on
-			// the next refresh.
-			continue
-		}
-		want := m.cleanClassLocked(snaps[i].hot)
-		if want == e.class {
-			continue
-		}
+	for _, s := range changed {
+		e, want := s.e, m.cleanClassLocked(s.hot)
 		cost, err := m.cfg.Store.ReclassifyCtx(nil, e.id, want)
 		if err != nil {
 			if errors.Is(err, store.ErrCorrupted) || errors.Is(err, store.ErrNotFound) {

@@ -2,17 +2,22 @@ package cache
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"github.com/reo-cache/reo/internal/backend"
+	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/hdd"
 	"github.com/reo-cache/reo/internal/metrics"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
+	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/store"
 )
 
@@ -47,6 +52,40 @@ func newAsyncFixture(t testing.TB, pol policy.Policy, budget float64, deviceCap 
 	return &fixture{store: s, backend: b, cache: m}
 }
 
+// admitBudget is the oracle for budgetSelect, and what the synchronous refresh
+// ran before it shared the selection: sort the whole snapshot into the
+// refresh's total order (rankSnap: hotness, then PID, then OID), admit
+// entries until the parity their stripes would occupy no longer fits the
+// reserved budget, and return the hotness of the last one admitted (+Inf when
+// none is). The hot set is summed in whole bytes, as budgetSelect sums it.
+func admitBudget(snaps []snap, p refreshParams) float64 {
+	sort.Slice(snaps, func(i, j int) bool { return rankSnap(snaps[i], snaps[j]) < 0 })
+	factor := p.overhead / (1 - p.overhead)
+	var spent int64
+	hhot := math.Inf(1)
+	for _, s := range snaps {
+		if float64(spent+s.size)*factor > p.budget {
+			break
+		}
+		spent += s.size
+		hhot = s.hot
+	}
+	return hhot
+}
+
+// checkBudgetSelect runs budgetSelect on a shuffled copy of snaps and
+// compares it with the oracle.
+func checkBudgetSelect(t *testing.T, rng *rand.Rand, what string, snaps []snap, params refreshParams) {
+	t.Helper()
+	want := admitBudget(append([]snap(nil), snaps...), params)
+	shuffled := append([]snap(nil), snaps...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	if got := budgetSelect(shuffled, params); got != want {
+		t.Fatalf("%s (n=%d budget=%g overhead=%g): budgetSelect=%v, sorted walk=%v",
+			what, len(snaps), params.budget, params.overhead, got, want)
+	}
+}
+
 // TestBudgetSelectMatchesSort checks the partial-selection threshold against
 // the full-sort reference across randomized populations and budgets. Hotness
 // values are distinct (random floats), so the admitted prefix is unique and
@@ -54,59 +93,232 @@ func newAsyncFixture(t testing.TB, pol policy.Policy, budget float64, deviceCap 
 func TestBudgetSelectMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(400)
-		snaps := make([]snap, n)
+		snaps := make([]snap, rng.Intn(400))
 		for i := range snaps {
 			snaps[i] = snap{
+				id:   oid(uint64(i)),
 				size: int64(1 + rng.Intn(1<<20)),
 				hot:  rng.Float64(),
 			}
 		}
-		params := refreshParams{
+		checkBudgetSelect(t, rng, fmt.Sprintf("trial %d", trial), snaps, refreshParams{
 			overhead: 0.1 + rng.Float64()*0.7,
 			budget:   rng.Float64() * 2e7,
-		}
-
-		ref := make([]snap, n)
-		copy(ref, snaps)
-		sort.Slice(ref, func(i, j int) bool { return ref[i].hot > ref[j].hot })
-		want := admitBudget(ref, params)
-
-		got := budgetSelect(snaps, params)
-		if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
-			t.Fatalf("trial %d (n=%d budget=%g): budgetSelect=%v admitBudget=%v",
-				trial, n, params.budget, got, want)
-		}
+		})
 	}
 }
 
 // TestBudgetSelectTies exercises duplicate hotness values (the 3-way
-// partition's equal group): the computed threshold must still admit a prefix
-// whose parity fits the budget under sorted-walk semantics.
+// partition's equal group) against the order the refresh really ranks in:
+// inside a hotness level the IDs decide who is asked first, and the first
+// member that does not fit ends the admission. Random populations first —
+// sizes from one byte to a mebibyte, a dozen hotness levels — then two-member
+// levels built to straddle the budget boundary, where admitting the level in
+// any order but the IDs' gives a different threshold.
 func TestBudgetSelectTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(300)
-		snaps := make([]snap, n)
-		for i := range snaps {
+	for trial := 0; trial < 20000; trial++ {
+		snaps := make([]snap, 30+rng.Intn(201))
+		var total int64
+		for i, n := range rng.Perm(len(snaps)) {
 			snaps[i] = snap{
-				size: int64(1 + rng.Intn(1<<18)),
-				hot:  float64(rng.Intn(5)), // heavy ties
+				id:   osd.ObjectID{PID: osd.FirstPID + uint64(n%3), OID: osd.FirstUserOID + uint64(n)},
+				size: 1 + rng.Int63n(1<<uint(rng.Intn(21))),
+				hot:  float64(rng.Intn(12)), // heavy ties
+			}
+			total += snaps[i].size
+		}
+		params := refreshParams{overhead: 0.4}
+		params.budget = rng.Float64() * float64(total) * params.overhead / (1 - params.overhead)
+		checkBudgetSelect(t, rng, fmt.Sprintf("trial %d", trial), snaps, params)
+	}
+
+	// The level at hotness 5 has two members, one small and one large; every
+	// hotter entry fits, and the budget then has room for the small member
+	// only. Whichever of the two has the lower ID is asked first: the large
+	// one ends the admission above the level, the small one is admitted and
+	// the level becomes the threshold.
+	for trial := 0; trial < 2000; trial++ {
+		const small, large = 1000, 50_000
+		n := 30 + rng.Intn(201)
+		snaps := make([]snap, 0, n)
+		var hotter int64
+		for i := 0; len(snaps) < n-2; i++ {
+			s := snap{id: oid(uint64(i)), size: 1 + rng.Int63n(20_000), hot: float64(rng.Intn(12))}
+			if s.hot == 5 {
+				continue
+			}
+			if s.hot > 5 {
+				hotter += s.size
+			}
+			snaps = append(snaps, s)
+		}
+		a, b := uint64(n+rng.Intn(100)), uint64(n+100+rng.Intn(100))
+		sizes := [2]int64{small, large}
+		if trial%2 == 1 {
+			sizes = [2]int64{large, small}
+		}
+		snaps = append(snaps, snap{id: oid(a), size: sizes[0], hot: 5}, snap{id: oid(b), size: sizes[1], hot: 5})
+		params := refreshParams{overhead: 0.4}
+		params.budget = float64(hotter+small+rng.Int63n(large-small)) * params.overhead / (1 - params.overhead)
+		checkBudgetSelect(t, rng, fmt.Sprintf("straddling pair %d", trial), snaps, params)
+	}
+}
+
+// TestBudgetSelectAllocFree: the selection runs under the manager lock every
+// refresh interval; neither it nor the ranking of the changed entries
+// allocates (sort.Slice's closure and reflection swapper did, once per call).
+func TestBudgetSelectAllocFree(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	rng := rand.New(rand.NewSource(3))
+	snaps := make([]snap, 4000)
+	var total int64
+	for i := range snaps {
+		snaps[i] = snap{id: oid(uint64(i)), size: 1 + rng.Int63n(4096), hot: float64(rng.Intn(12))}
+		total += snaps[i].size
+	}
+	params := refreshParams{overhead: 0.4, budget: float64(total) / 3}
+	if allocs := testing.AllocsPerRun(50, func() {
+		budgetSelect(snaps, params)
+		slices.SortFunc(snaps[:64], rankSnap)
+	}); allocs != 0 {
+		t.Errorf("%.1f mallocs per selection, want 0", allocs)
+	}
+}
+
+// reclassCall is one ReclassifyCtx the manager made.
+type reclassCall struct {
+	id    osd.ObjectID
+	class osd.Class
+}
+
+// reclassSpy logs every reclassification the manager asks of its store,
+// counts the ones the store carried out (it refuses a promotion its own
+// redundancy budget cannot take) and sums their virtual cost.
+type reclassSpy struct {
+	*store.Store
+	calls []reclassCall
+	done  int64
+	cost  time.Duration
+}
+
+func (s *reclassSpy) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) (time.Duration, error) {
+	cost, err := s.Store.ReclassifyCtx(rc, id, class)
+	s.calls = append(s.calls, reclassCall{id, class})
+	if err == nil {
+		s.done++
+		s.cost += cost
+	}
+	return cost, err
+}
+
+// TestSyncRefreshOrderPinned pins what a synchronous refresh does to its
+// store: across three refreshes of a 300-entry population with heavy hotness
+// ties, under a budget that moves several objects each way, the
+// ReclassifyCtx calls (which objects, to which class, in which order) are
+// exactly the class changes met by walking the whole population hottest
+// first — hotness, then PID, then OID — against the threshold of the sorted
+// walk; Hhot, Stats.Reclassified and the virtual cost returned agree with
+// them. The store refuses some of the promotions (its budget counts padding
+// the manager's estimate does not), so the refusal branch is walked too.
+func TestSyncRefreshOrderPinned(t *testing.T) {
+	f := newFixture(t, policy.Reo{ParityBudget: 0.02}, 0.02, 1<<20) // room for under half the population's parity
+	spy := &reclassSpy{Store: f.store}
+	cfg := f.cache.cfg
+	cfg.Store, cfg.RefreshInterval = spy, 1<<30 // refreshes run when the test says
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const objects = 300
+	read := func(n uint64, times int) {
+		t.Helper()
+		for i := 0; i < times; i++ {
+			if _, err := m.Read(oid(n)); err != nil {
+				t.Fatal(err)
 			}
 		}
-		params := refreshParams{overhead: 0.4, budget: rng.Float64() * 1e7}
+	}
+	for n := uint64(0); n < objects; n++ {
+		f.seed(t, n, 600+400*int(n%4)) // four sizes: hotness ties within and across them
+		read(n, 1)
+	}
+	// Each round reads a different slice of the population a few more times,
+	// so the hot set of one refresh is partly the cold set of the next.
+	rounds := []func(n uint64) int{
+		func(n uint64) int { return int(n % 5) },
+		func(n uint64) int { return int((n / 3) % 4 * 2) },
+		func(n uint64) int { return int((objects - n) % 7) },
+	}
+	// What the full-sort refresh did, recorded on the commit before this test.
+	type pinned struct {
+		hhot  float64
+		calls int
+		done  int64 // cumulative
+		cost  time.Duration
+	}
+	golden := []pinned{
+		{0.0022222222222222222, 165, 153, 17073525},
+		{0.005, 81, 187, 3788098},
+		{0.007142857142857143, 73, 244, 6356661},
+	}
+	for round, extra := range rounds {
+		for n := uint64(0); n < objects; n++ {
+			read(n, extra(n))
+		}
 
-		ref := make([]snap, n)
-		copy(ref, snaps)
-		sort.Slice(ref, func(i, j int) bool { return ref[i].hot > ref[j].hot })
-		want := admitBudget(ref, params)
+		// The reference: the full sort, the sorted walk, and every entry
+		// whose class the new threshold changes, in sorted order.
+		m.mu.Lock()
+		params, ok := m.refreshParamsLocked()
+		sp := m.snapshotCleanLocked(true)
+		ranked := append([]snap(nil), *sp...)
+		putSnaps(sp)
+		m.mu.Unlock()
+		if !ok || len(ranked) != objects {
+			t.Fatalf("round %d: %d clean entries ranked (differentiated: %v)", round, len(ranked), ok)
+		}
+		hhot := admitBudget(ranked, params)
+		var want []reclassCall
+		toHot, toCold := 0, 0
+		for _, s := range ranked {
+			class := osd.ClassColdClean
+			if s.hot >= hhot {
+				class = osd.ClassHotClean
+			}
+			if class != s.e.class {
+				want = append(want, reclassCall{s.id, class})
+				if class == osd.ClassHotClean {
+					toHot++
+				} else {
+					toCold++
+				}
+			}
+		}
+		if toHot < 5 || (round > 0 && toCold < 5) {
+			t.Fatalf("round %d moves %d objects to hot and %d to cold; the population should move at least 5 each way", round, toHot, toCold)
+		}
 
-		got := budgetSelect(snaps, params)
-		// With ties the admitted byte total can differ within the equal-hot
-		// group, but the threshold value itself must match the sorted walk's:
-		// both stop inside the same hotness level.
-		if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
-			t.Fatalf("trial %d (n=%d): threshold %v != reference %v", trial, n, got, want)
+		spy.calls, spy.cost = nil, 0
+		cost := m.RefreshClassification()
+		if got := m.HotThreshold(); got != hhot {
+			t.Errorf("round %d: Hhot = %v, sorted walk %v", round, got, hhot)
+		}
+		if !reflect.DeepEqual(spy.calls, want) {
+			t.Fatalf("round %d: %d reclassifications, want %d in sorted order\n got %v\nwant %v",
+				round, len(spy.calls), len(want), spy.calls, want)
+		}
+		if got := m.Stats().Reclassified; got != spy.done || got == 0 {
+			t.Errorf("round %d: Stats.Reclassified = %d, the store carried out %d", round, got, spy.done)
+		}
+		if cost != spy.cost || cost <= 0 {
+			t.Errorf("round %d: refresh returned cost %v, its reclassifications cost %v", round, cost, spy.cost)
+		}
+		if got := (pinned{hhot, len(want), spy.done, cost}); got != golden[round] {
+			t.Errorf("round %d: Hhot, calls, carried out so far, cost = %v, recorded before the refresh shared the selection: %v",
+				round, got, golden[round])
 		}
 	}
 }

@@ -177,10 +177,14 @@ type Device struct {
 	mu    sync.Mutex
 	spec  Spec
 	state State
-	data  map[ChunkAddr][]byte
-	crcs  map[ChunkAddr]uint32
-	used  int64
-	stats Stats
+	// chunks holds each stored chunk's bytes beside their CRC32C.
+	chunks map[ChunkAddr]chunk
+	used   int64
+	stats  Stats
+	// faults counts the events that took chunks away without their owner
+	// asking (see Array.FaultEpoch). Written under mu at the removal itself,
+	// read without it.
+	faults atomic.Uint64
 	// generation counts how many physical devices have occupied this slot;
 	// it increments on Replace so stale chunk references can be detected.
 	generation int
@@ -198,6 +202,13 @@ type Device struct {
 	// capacities.
 	spare      [][]byte
 	spareBytes int64
+}
+
+// chunk is one stored chunk: its bytes and the CRC32C taken when they were
+// written.
+type chunk struct {
+	buf []byte
+	crc uint32
 }
 
 // Chunk buffers are device-owned: a write copies the caller's bytes in, a read
@@ -273,8 +284,7 @@ func NewDevice(spec Spec) *Device {
 	return &Device{
 		spec:   spec,
 		state:  StateHealthy,
-		data:   make(map[ChunkAddr][]byte),
-		crcs:   make(map[ChunkAddr]uint32),
+		chunks: make(map[ChunkAddr]chunk),
 		health: newHealthState(),
 	}
 }
@@ -466,12 +476,9 @@ func (d *Device) writeOnce(addr ChunkAddr, data []byte) (time.Duration, error) {
 		d.recordOutcomeLocked(false, dec.LatencyScale, &d.health.transientErrors)
 		return scaleCost(d.spec.WriteLatency, dec.LatencyScale), dec.Err
 	}
-	old, exists := d.data[addr]
+	old, exists := d.chunks[addr]
 	n := int64(len(data))
-	newUsed := d.used + n
-	if exists {
-		newUsed -= int64(len(old))
-	}
+	newUsed := d.used + n - int64(len(old.buf))
 	// Logical fullness (live bytes) is the same refusal under either layout,
 	// so the store's evict-and-retry loop behaves alike on both. It is what
 	// Free reports: a writer that asked first gets here only when another
@@ -496,12 +503,11 @@ func (d *Device) writeOnce(addr ChunkAddr, data []byte) (time.Duration, error) {
 			d.tombstoneLocked(addr)
 		}
 		d.appendChunkLocked(addr, n)
+		old = d.chunks[addr] // inline GC above may have dropped the old copy
 	}
-	// Looked up again: inline GC above may have dropped the old copy.
-	buf := d.chunkBufLocked(d.data[addr], len(data))
+	buf := d.chunkBufLocked(old.buf, len(data))
 	copy(buf, data)
-	d.data[addr] = buf
-	d.crcs[addr] = crc32.Checksum(buf, castagnoli)
+	d.chunks[addr] = chunk{buf, crc32.Checksum(buf, castagnoli)}
 	d.used = newUsed
 	d.stats.WriteOps++
 	d.stats.BytesWritten += n
@@ -552,20 +558,21 @@ func (d *Device) readOnce(addr ChunkAddr, dst []byte) ([]byte, int, int64, time.
 	if dec.FlipByte > 0 {
 		d.corruptLocked(addr, dec.FlipByte-1, false)
 	}
-	data, ok := d.data[addr]
+	c, ok := d.chunks[addr]
 	if !ok {
 		return nil, 0, 0, 0, ErrChunkNotFound
 	}
+	data := c.buf
 	if dec.DropChunk {
-		d.dropChunkLocked(addr)
+		d.loseChunkLocked(addr)
 		d.recordOutcomeLocked(false, dec.LatencyScale, &d.health.latentErrors)
 		return nil, 0, 0, scaleCost(d.spec.ReadLatency, dec.LatencyScale),
 			fmt.Errorf("%w: latent sector error at addr %d", ErrChunkCorrupt, addr)
 	}
-	if crc32.Checksum(data, castagnoli) != d.crcs[addr] {
+	if crc32.Checksum(data, castagnoli) != c.crc {
 		// Integrity failure: discard the chunk so every later Has/Read sees
 		// it as missing and the stripe layer reconstructs + repairs it.
-		d.dropChunkLocked(addr)
+		d.loseChunkLocked(addr)
 		d.recordOutcomeLocked(false, dec.LatencyScale, &d.health.checksumErrors)
 		return nil, 0, 0, scaleCost(d.spec.ReadLatency, dec.LatencyScale),
 			fmt.Errorf("%w: checksum mismatch at addr %d", ErrChunkCorrupt, addr)
@@ -671,12 +678,15 @@ func (d *Device) Has(addr ChunkAddr) bool {
 	if d.state == StateFailed {
 		return false
 	}
-	_, ok := d.data[addr]
+	_, ok := d.chunks[addr]
 	return ok
 }
 
 // Delete removes the chunk at addr, freeing its space. Deleting a missing
-// chunk is a no-op; deletes on failed devices fail.
+// chunk is a no-op; deletes on failed devices fail. Delete is the chunk's
+// owner unlisting or rolling back its own stripe: deleting a chunk of a live
+// stripe behind its owner is not a fault the array reports (FaultEpoch does
+// not move).
 func (d *Device) Delete(addr ChunkAddr) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -688,17 +698,23 @@ func (d *Device) Delete(addr ChunkAddr) error {
 }
 
 func (d *Device) dropChunkLocked(addr ChunkAddr) {
-	if old, ok := d.data[addr]; ok {
+	if old, ok := d.chunks[addr]; ok {
 		if d.layout == LayoutLog {
 			// The chunk's bytes stay physically occupied (dead) in their
 			// segment until GC erases it.
 			d.tombstoneLocked(addr)
 		}
-		d.used -= int64(len(old))
-		delete(d.data, addr)
-		delete(d.crcs, addr)
-		d.recycleLocked(old)
+		d.used -= int64(len(old.buf))
+		delete(d.chunks, addr)
+		d.recycleLocked(old.buf)
 	}
+}
+
+// loseChunkLocked drops a chunk the device found unreadable: a fault, unlike
+// the owner's Delete.
+func (d *Device) loseChunkLocked(addr ChunkAddr) {
+	d.faults.Add(1)
+	d.dropChunkLocked(addr)
 }
 
 // corruptLocked flips one bit of the stored chunk at the given byte offset.
@@ -708,8 +724,8 @@ func (d *Device) dropChunkLocked(addr ChunkAddr) {
 // check finds it. When silent is false the CRC is left stale, so the next
 // foreground read detects and drops the chunk.
 func (d *Device) corruptLocked(addr ChunkAddr, offset int, silent bool) bool {
-	data, ok := d.data[addr]
-	if !ok || len(data) == 0 {
+	data := d.chunks[addr].buf
+	if len(data) == 0 {
 		return false
 	}
 	if silent {
@@ -721,7 +737,7 @@ func (d *Device) corruptLocked(addr ChunkAddr, offset int, silent bool) bool {
 	}
 	data[offset] ^= 0x01
 	if silent {
-		d.crcs[addr] = crc32.Checksum(data, castagnoli)
+		d.chunks[addr] = chunk{data, crc32.Checksum(data, castagnoli)}
 	}
 	return true
 }
@@ -772,11 +788,11 @@ func (d *Device) failLocked(reason string) {
 // wipeLocked discards every chunk — the device failed, or a blank spare takes
 // its slot — keeping as many of their buffers as the spare list has room for.
 func (d *Device) wipeLocked() {
-	for _, buf := range d.data {
-		d.recycleLocked(buf)
+	d.faults.Add(1)
+	for _, c := range d.chunks {
+		d.recycleLocked(c.buf)
 	}
-	d.data = make(map[ChunkAddr][]byte)
-	d.crcs = make(map[ChunkAddr]uint32)
+	d.chunks = make(map[ChunkAddr]chunk)
 	d.used = 0
 	if d.layout == LayoutLog {
 		d.log.reset()
@@ -827,6 +843,20 @@ func (a *Array) SetResilience(r *policy.Resilience) {
 	for _, d := range a.devices {
 		d.SetResilience(r)
 	}
+}
+
+// FaultEpoch identifies the array's fault history: it moves whenever a device
+// loses chunks their stripes did not free — it failed, a blank spare took its
+// slot, or a chunk was dropped as unreadable — and at nothing else. Whatever
+// was verified present at one epoch is still present while FaultEpoch returns
+// the same value, provided the epoch was read before the verification. Zero is
+// never returned: it is the caller's "never verified".
+func (a *Array) FaultEpoch() uint64 {
+	epoch := uint64(1)
+	for _, d := range a.devices {
+		epoch += d.faults.Load()
+	}
+	return epoch
 }
 
 // N returns the number of device slots.

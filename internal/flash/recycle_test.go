@@ -27,9 +27,10 @@ func checkDevice(t *testing.T, d *Device) {
 			len(d.spare), spareBytes, d.spareBytes, bound, spareMaxBufs)
 	}
 	var used int64
-	for addr, b := range d.data {
+	for addr, c := range d.chunks {
+		b := c.buf
 		used += int64(len(b))
-		if crc32.Checksum(b, castagnoli) != d.crcs[addr] {
+		if crc32.Checksum(b, castagnoli) != c.crc {
 			t.Fatalf("chunk %d: stored CRC does not match its bytes", addr)
 		}
 		if slack := cap(b) - len(b); slack > cap(b)/8 {
@@ -85,8 +86,8 @@ func TestDeviceChunkRecycle(t *testing.T) {
 				write(a, 1000+37*int(a))
 			}
 			d.mu.Lock()
-			for addr, b := range d.data {
-				if cap(b) != len(b) {
+			for addr, c := range d.chunks {
+				if b := c.buf; cap(b) != len(b) {
 					t.Errorf("fresh chunk %d: len %d in a %d-byte allocation", addr, len(b), cap(b))
 				}
 			}
@@ -95,11 +96,11 @@ func TestDeviceChunkRecycle(t *testing.T) {
 
 			// A same-size overwrite keeps the chunk's buffer.
 			d.mu.Lock()
-			before := &d.data[7][0]
+			before := &d.chunks[7].buf[0]
 			d.mu.Unlock()
 			write(7, len(want[7]))
 			d.mu.Lock()
-			if &d.data[7][0] != before {
+			if &d.chunks[7].buf[0] != before {
 				t.Error("same-size overwrite did not reuse the chunk's buffer")
 			}
 			d.mu.Unlock()

@@ -12,7 +12,7 @@
 // room costs nothing to keep, and every overwrite that lands before the
 // victim is chosen is a chunk GC never has to move.
 //
-// Chunk addressing is unaffected: the data/crcs maps stay keyed by
+// Chunk addressing is unaffected: the chunk map stays keyed by
 // ChunkAddr, so the stripe manager's placement directory, scrub, and
 // recovery observe exactly the address-stable device they always did. The
 // segment machinery is an FTL-style indirection *below* chunk addresses:
@@ -196,7 +196,7 @@ func (d *Device) appendChunkLocked(addr ChunkAddr, n int64) {
 
 // tombstoneLocked marks addr's current copy dead in whatever segment holds
 // it. It only moves segment bookkeeping (live→dead, garbage and tombstone
-// counters); callers adjust d.used and the data/crcs maps.
+// counters); callers adjust d.used and the chunk map.
 func (d *Device) tombstoneLocked(addr ChunkAddr) {
 	id, ok := d.log.chunkSeg[addr]
 	if !ok {
@@ -259,15 +259,15 @@ func (d *Device) collectOnceLocked(force bool) (int64, bool) {
 		delete(victim.chunks, addr)
 		victim.live -= n
 		delete(d.log.chunkSeg, addr)
-		data := d.data[addr]
-		if crc32.Checksum(data, castagnoli) != d.crcs[addr] {
+		c := d.chunks[addr]
+		if crc32.Checksum(c.buf, castagnoli) != c.crc {
 			// Corruption found while relocating: drop the chunk so reads
 			// see it as missing and reconstruct through parity. Its bytes
 			// die with the victim segment.
-			delete(d.data, addr)
-			delete(d.crcs, addr)
+			d.faults.Add(1)
+			delete(d.chunks, addr)
 			d.used -= n
-			d.recycleLocked(data)
+			d.recycleLocked(c.buf)
 			d.recordOutcomeLocked(false, 0, &d.health.checksumErrors)
 			if d.state == StateFailed {
 				// The health monitor failed the device on this error and

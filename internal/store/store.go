@@ -142,6 +142,9 @@ type object struct {
 	// overhead is the redundancy and padding bytes of stripes, summed when
 	// they were assigned (assignLocked).
 	overhead int64
+	// aliveAt is the array's fault epoch at which every stripe was last
+	// probed healthy; zero when never, or not since the stripes were assigned.
+	aliveAt atomic.Uint64
 }
 
 // hot is what the object adds to the store's hot-clean redundancy total.
@@ -404,6 +407,7 @@ func (s *Store) assignLocked(obj *object, class osd.Class, ids []stripe.ID) {
 	s.hotOverhead -= s.objects[obj.id].hot() // obj itself, or what it replaces
 	s.objects[obj.id] = obj
 	obj.class, obj.stripes, obj.overhead = class, ids, 0
+	obj.aliveAt.Store(0)
 	for _, sid := range ids {
 		if info, err := s.stripes.Describe(sid); err == nil {
 			obj.overhead += info.OverheadBytes
@@ -673,7 +677,17 @@ func (s *Store) Status(id osd.ObjectID) ObjectStatus {
 	return s.statusLocked(obj)
 }
 
+// statusLocked probes every chunk of every stripe unless the object was found
+// alive at the array's current fault epoch: between two equal epochs no device
+// lost a chunk its stripe did not free, and only assignLocked changes which
+// stripes are asked. Only an alive answer is kept — a degraded or lost object
+// changes by repair, which moves no epoch — and the epoch is read before the
+// probe, so a fault landing while it runs leaves a stamp that is already stale.
 func (s *Store) statusLocked(obj *object) ObjectStatus {
+	epoch := s.array.FaultEpoch()
+	if obj.aliveAt.Load() == epoch {
+		return StatusAlive
+	}
 	worst := StatusAlive
 	for _, sid := range obj.stripes {
 		st, err := s.stripes.Status(sid)
@@ -686,6 +700,9 @@ func (s *Store) statusLocked(obj *object) ObjectStatus {
 		case stripe.StatusDegraded:
 			worst = StatusDegraded
 		}
+	}
+	if worst == StatusAlive {
+		obj.aliveAt.Store(epoch)
 	}
 	return worst
 }

@@ -133,6 +133,11 @@ type Manager struct {
 	// repairedChunks counts chunks persisted by repair-on-read.
 	repairedChunks atomic.Int64
 
+	// userTotal and overheadTotal are the published stripes' user and
+	// overhead bytes (Totals), moved wherever a stripe is published, freed or
+	// has its replica set changed.
+	userTotal, overheadTotal atomic.Int64
+
 	// res is the resilience registry the hedged-read gate consults; nil (or
 	// a registry with hedging off, the default) leaves every read on the
 	// plain primary path.
@@ -439,6 +444,8 @@ func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ali
 	m.mu.Lock()
 	m.stripes[id] = meta
 	m.mu.Unlock()
+	m.userTotal.Add(meta.userBytes())
+	m.overheadTotal.Add(meta.overheadBytes())
 	return id, encodeCost + cost, nil
 }
 
@@ -994,6 +1001,8 @@ func (m *Manager) RebuildCtx(rc *reqctx.Ctx, id ID) (time.Duration, Status, erro
 }
 
 func (m *Manager) rebuildReplicated(w *writeOp, id ID, meta *stripeMeta) (time.Duration, Status, error) {
+	// Spares that join the replica set below add their copies to the overhead.
+	defer func(before int64) { m.overheadTotal.Add(meta.overheadBytes() - before) }(meta.overheadBytes())
 	// The source is the first readable copy in slot order, not the rotation
 	// primary a foreground read starts at: which device a rebuild reads is
 	// part of the replay contract.
@@ -1083,6 +1092,8 @@ func (m *Manager) Free(ids []ID) {
 		// ErrUnknownStripe — never a half-freed one.
 		meta.mu.Lock()
 		m.rollback(id, meta)
+		m.userTotal.Add(-meta.userBytes())
+		m.overheadTotal.Add(-meta.overheadBytes())
 		meta.mu.Unlock()
 	}
 }
@@ -1119,19 +1130,7 @@ func (m *Manager) Describe(id ID) (Info, error) {
 
 // Totals returns aggregate user and overhead bytes across all live stripes.
 func (m *Manager) Totals() (userBytes, overheadBytes int64) {
-	m.mu.RLock()
-	metas := make([]*stripeMeta, 0, len(m.stripes))
-	for _, meta := range m.stripes {
-		metas = append(metas, meta)
-	}
-	m.mu.RUnlock()
-	for _, meta := range metas {
-		meta.mu.RLock()
-		userBytes += meta.userBytes()
-		overheadBytes += meta.overheadBytes()
-		meta.mu.RUnlock()
-	}
-	return userBytes, overheadBytes
+	return m.userTotal.Load(), m.overheadTotal.Load()
 }
 
 // RepairedChunks returns the number of chunks persisted by repair-on-read.
