@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -110,6 +111,57 @@ func TestBitFlipDetectedAndDropped(t *testing.T) {
 	}
 	if d.Has(1) {
 		t.Fatal("Has = true for a dropped corrupt chunk")
+	}
+	if h := d.Health(); h.ChecksumErrors != 1 {
+		t.Fatalf("ChecksumErrors = %d, want 1", h.ChecksumErrors)
+	}
+}
+
+// WriteCtx stores the checksum its caller computed, as given: the right one
+// reads back, Write computes it itself, and a wrong one fails the chunk's next
+// read exactly like a bit flip would — checksum error, chunk dropped, fault
+// epoch moved.
+func TestWriteCtxStoresGivenSum(t *testing.T) {
+	a, err := NewArray(1, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := a.Device(0)
+	data := []byte("guarded by its writer")
+	if _, err := d.WriteCtx(nil, 1, data, Checksum(data)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Write(2, data); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []ChunkAddr{1, 2} {
+		if got := d.chunks[addr].crc; got != Checksum(data) {
+			t.Fatalf("chunk %d stored sum %#x, want Checksum %#x", addr, got, Checksum(data))
+		}
+		if got, _, err := d.ReadCtx(nil, addr); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("chunk %d: read %q, %v", addr, got, err)
+		}
+	}
+
+	epoch := a.FaultEpoch()
+	if _, err := d.WriteCtx(nil, 3, data, Checksum(data)^1); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.chunks[3].crc; got != Checksum(data)^1 {
+		t.Fatalf("stored sum %#x, want the given %#x", got, Checksum(data)^1)
+	}
+	if a.FaultEpoch() != epoch {
+		t.Fatal("a write moved the fault epoch")
+	}
+	_, _, err = d.ReadCtx(nil, 3)
+	if !errors.Is(err, ErrChunkCorrupt) || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("read of a chunk stored under a wrong sum: %v, want the checksum error", err)
+	}
+	if d.Has(3) {
+		t.Fatal("the chunk that failed its checksum was not dropped")
+	}
+	if a.FaultEpoch() == epoch {
+		t.Fatal("dropping the chunk did not move the fault epoch")
 	}
 	if h := d.Health(); h.ChecksumErrors != 1 {
 		t.Fatalf("ChecksumErrors = %d, want 1", h.ChecksumErrors)

@@ -78,6 +78,9 @@ func IsTransient(err error) bool { return errors.Is(err, ErrTransientIO) }
 // polynomial storage systems use for end-to-end integrity).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// Checksum is the CRC32C a chunk of these bytes is stored and verified under.
+func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
+
 // ChunkAddr identifies a chunk on a device. Addresses are assigned by the
 // stripe manager and are unique per device.
 type ChunkAddr uint64
@@ -437,28 +440,32 @@ func (d *Device) attempts(rc *reqctx.Ctx, addr ChunkAddr, op func() (time.Durati
 	}
 }
 
-// Write is WriteCtx under no request.
+// Write is WriteCtx under no request, with the checksum computed here.
 func (d *Device) Write(addr ChunkAddr, data []byte) (time.Duration, error) {
-	return d.WriteCtx(nil, addr, data)
+	return d.WriteCtx(nil, addr, data, Checksum(data))
 }
 
-// WriteCtx stores a copy of data at addr and returns the virtual-time cost.
-// Overwriting an existing chunk releases its old space first. Device IO is
-// interruptible at chunk granularity: the request context is consulted once
-// before the chunk lands — a cancelled request never leaves a partial chunk —
-// and the write is attributed to the request.
-func (d *Device) WriteCtx(rc *reqctx.Ctx, addr ChunkAddr, data []byte) (time.Duration, error) {
+// WriteCtx stores a copy of data at addr under the checksum sum, which must be
+// Checksum(data), and returns the virtual-time cost. The writer computes the
+// guard once and every device it hands the same bytes stores it (T10-DIF
+// style); the device does not recompute it, so a wrong sum is kept as given
+// and fails the chunk's next read like corruption would. Overwriting an
+// existing chunk releases its old space first. Device IO is interruptible at
+// chunk granularity: the request context is consulted once before the chunk
+// lands — a cancelled request never leaves a partial chunk — and the write is
+// attributed to the request.
+func (d *Device) WriteCtx(rc *reqctx.Ctx, addr ChunkAddr, data []byte, sum uint32) (time.Duration, error) {
 	if err := rc.Err(); err != nil {
 		return 0, err
 	}
-	cost, err := d.attempts(rc, addr, func() (time.Duration, error) { return d.writeOnce(addr, data) })
+	cost, err := d.attempts(rc, addr, func() (time.Duration, error) { return d.writeOnce(addr, data, sum) })
 	if err == nil {
 		rc.CountDeviceWrite(int64(len(data)))
 	}
 	return cost, err
 }
 
-func (d *Device) writeOnce(addr ChunkAddr, data []byte) (time.Duration, error) {
+func (d *Device) writeOnce(addr ChunkAddr, data []byte, sum uint32) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.state == StateFailed {
@@ -507,7 +514,7 @@ func (d *Device) writeOnce(addr ChunkAddr, data []byte) (time.Duration, error) {
 	}
 	buf := d.chunkBufLocked(old.buf, len(data))
 	copy(buf, data)
-	d.chunks[addr] = chunk{buf, crc32.Checksum(buf, castagnoli)}
+	d.chunks[addr] = chunk{buf, sum}
 	d.used = newUsed
 	d.stats.WriteOps++
 	d.stats.BytesWritten += n
@@ -569,7 +576,7 @@ func (d *Device) readOnce(addr ChunkAddr, dst []byte) ([]byte, int, int64, time.
 		return nil, 0, 0, scaleCost(d.spec.ReadLatency, dec.LatencyScale),
 			fmt.Errorf("%w: latent sector error at addr %d", ErrChunkCorrupt, addr)
 	}
-	if crc32.Checksum(data, castagnoli) != c.crc {
+	if Checksum(data) != c.crc {
 		// Integrity failure: discard the chunk so every later Has/Read sees
 		// it as missing and the stripe layer reconstructs + repairs it.
 		d.loseChunkLocked(addr)
@@ -737,7 +744,7 @@ func (d *Device) corruptLocked(addr ChunkAddr, offset int, silent bool) bool {
 	}
 	data[offset] ^= 0x01
 	if silent {
-		d.chunks[addr] = chunk{data, crc32.Checksum(data, castagnoli)}
+		d.chunks[addr] = chunk{data, Checksum(data)}
 	}
 	return true
 }

@@ -2,7 +2,6 @@ package flash
 
 import (
 	"bytes"
-	"hash/crc32"
 	"math/rand"
 	"testing"
 )
@@ -30,7 +29,7 @@ func checkDevice(t *testing.T, d *Device) {
 	for addr, c := range d.chunks {
 		b := c.buf
 		used += int64(len(b))
-		if crc32.Checksum(b, castagnoli) != c.crc {
+		if Checksum(b) != c.crc {
 			t.Fatalf("chunk %d: stored CRC does not match its bytes", addr)
 		}
 		if slack := cap(b) - len(b); slack > cap(b)/8 {

@@ -34,7 +34,7 @@ func TestBackoffInterruptedByCancellationPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := d.WriteCtx(rc, 1, []byte("x"))
+	_, err := d.WriteCtx(rc, 1, []byte("x"), Checksum([]byte("x")))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -64,7 +64,7 @@ func TestBackoffSkippedWhenAlreadyCancelled(t *testing.T) {
 	cancel()
 	rc := reqctx.New(ctx)
 	start := time.Now()
-	_, err := d.WriteCtx(rc, 1, []byte("x"))
+	_, err := d.WriteCtx(rc, 1, []byte("x"), Checksum([]byte("x")))
 	if err == nil {
 		t.Fatal("want cancellation error")
 	}
@@ -130,7 +130,7 @@ func TestRetryLoopConsultsRegistry(t *testing.T) {
 		return FaultDecision{Err: fmt.Errorf("%w: storm", ErrTransientIO)}
 	}})
 	wrc := reqctx.New(context.Background()).WithOpClass(policy.OpWriteDirty)
-	if _, err := d.WriteCtx(wrc, 2, []byte("y")); !IsTransient(err) {
+	if _, err := d.WriteCtx(wrc, 2, []byte("y"), Checksum([]byte("y"))); !IsTransient(err) {
 		t.Fatalf("err = %v, want transient", err)
 	}
 	if writeAttempts != 1 {
@@ -148,7 +148,7 @@ func TestDeviceAttemptsFeedObserver(t *testing.T) {
 	res.SetObserver(func(a policy.Attempt) { events = append(events, a) })
 	d.SetFaultHook(transientN(2))
 	rc := reqctx.New(context.Background()).WithOpClass(policy.OpWriteDirty)
-	if _, err := d.WriteCtx(rc, 1, []byte("observed")); err != nil {
+	if _, err := d.WriteCtx(rc, 1, []byte("observed"), Checksum([]byte("observed"))); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 3 {

@@ -29,7 +29,6 @@
 package flash
 
 import (
-	"hash/crc32"
 	"sort"
 )
 
@@ -260,7 +259,7 @@ func (d *Device) collectOnceLocked(force bool) (int64, bool) {
 		victim.live -= n
 		delete(d.log.chunkSeg, addr)
 		c := d.chunks[addr]
-		if crc32.Checksum(c.buf, castagnoli) != c.crc {
+		if Checksum(c.buf) != c.crc {
 			// Corruption found while relocating: drop the chunk so reads
 			// see it as missing and reconstruct through parity. Its bytes
 			// die with the victim segment.

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Scalar reference implementations the word-wide kernels are checked against.
+// Scalar reference implementations the kernels are checked against.
 
 func mulSliceRef(c byte, src, dst []byte) {
 	for i, s := range src {
@@ -125,8 +125,8 @@ func TestMulAddMatrixMatchesScalar(t *testing.T) {
 }
 
 func TestMulAddMatrixSpecialCoeffs(t *testing.T) {
-	// 0 and 1 coefficients take the single-row specials inside the paired
-	// row loop; make sure every mix stays correct.
+	// 0 and 1 coefficients take the row kernel's no-op and xor specials;
+	// make sure every mix with general rows stays correct.
 	rng := rand.New(rand.NewSource(5))
 	n := matrixBlock + 77
 	for _, coeffs := range [][]byte{

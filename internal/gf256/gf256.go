@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // polynomial is the primitive polynomial for GF(2^8): x^8+x^4+x^3+x^2+1.
@@ -94,140 +93,75 @@ func Inverse(a byte) (byte, error) {
 
 var errDivZero = errors.New("gf256: division by zero")
 
-// pairTables caches, per coefficient c, a 64K-entry table mapping two packed
-// input bytes to their two packed products: pair[x|y<<8] = c*x | (c*y)<<8.
-// One 16-bit lookup replaces two 8-bit lookups on the word-wide hot path.
-// Tables build lazily (128KiB each); only the handful of coefficients a
-// workload's codecs actually use are ever materialised.
-var pairTables [fieldSize]atomic.Pointer[[1 << 16]uint16]
+// The slice kernels below run in two tiers. On amd64 with AVX2 the vector
+// kernels of kernel_amd64.s take every whole 32-byte block (PSHUFB split
+// tables: Plank, Greenan and Miller, FAST '13); the word loops here finish the
+// tail, and are the whole kernel everywhere else.
 
-// pairTableMin is the slice length below which building/using the pair table
-// is not worth its cache footprint.
-const pairTableMin = 1024
-
-func pairTable(c byte) *[1 << 16]uint16 {
-	if t := pairTables[c].Load(); t != nil {
-		return t
-	}
-	t := new([1 << 16]uint16)
-	mt := &mulTable[c]
-	for hi := 0; hi < 256; hi++ {
-		phi := uint16(mt[hi]) << 8
-		base := hi << 8
-		for lo := 0; lo < 256; lo++ {
-			t[base|lo] = uint16(mt[lo]) | phi
-		}
-	}
-	// Racing builders produce identical tables; last store wins harmlessly.
-	pairTables[c].Store(t)
-	return t
-}
-
-// MulSlice computes dst[i] = c * src[i] for all i. dst and src must have the
-// same length; dst may alias src.
+// MulSlice computes dst[i] = c * src[i] for all i < len(src). dst must be at
+// least as long as src; dst may alias src.
 func MulSlice(c byte, src, dst []byte) {
-	if c == 0 {
-		for i := range src {
-			dst[i] = 0
-		}
+	switch c {
+	case 0:
+		clear(dst[:len(src)])
 		return
-	}
-	if c == 1 {
+	case 1:
 		copy(dst, src)
 		return
 	}
+	i := mulVec(c, src, dst)
 	mt := &mulTable[c]
-	n := len(src)
-	i := 0
-	if n >= pairTableMin {
-		// Word-wide fast path: one uint64 load of src, four pair-table
-		// lookups (two product bytes each), one uint64 store.
-		pt := pairTable(c)
-		for ; i+8 <= n; i += 8 {
-			s := binary.LittleEndian.Uint64(src[i:])
-			v := uint64(pt[uint16(s)]) |
-				uint64(pt[uint16(s>>16)])<<16 |
-				uint64(pt[uint16(s>>32)])<<32 |
-				uint64(pt[uint16(s>>48)])<<48
-			binary.LittleEndian.PutUint64(dst[i:], v)
-		}
+	for ; i+8 <= len(src); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], mulWord(mt, binary.LittleEndian.Uint64(src[i:])))
 	}
-	for ; i < n; i++ {
+	for ; i < len(src); i++ {
 		dst[i] = mt[src[i]]
 	}
 }
 
-// MulAddSlice computes dst[i] ^= c * src[i] for all i (multiply-accumulate).
-// dst and src must have the same length and must not partially overlap.
+// MulAddSlice computes dst[i] ^= c * src[i] for all i < len(src)
+// (multiply-accumulate). dst must be at least as long as src, and the two must
+// not partially overlap.
 func MulAddSlice(c byte, src, dst []byte) {
-	if c == 0 {
+	switch c {
+	case 0:
 		return
-	}
-	if c == 1 {
+	case 1:
 		XorSlice(src, dst)
 		return
 	}
+	i := mulAddVec(c, src, dst)
 	mt := &mulTable[c]
-	n := len(src)
-	i := 0
-	if n >= pairTableMin {
-		// Word-wide fast path: one uint64 load of src, four pair-table
-		// lookups (two product bytes each), one uint64 read-xor-write of
-		// dst. Two words per iteration keep more lookups in flight.
-		pt := pairTable(c)
-		for ; i+16 <= n; i += 16 {
-			s0 := binary.LittleEndian.Uint64(src[i:])
-			s1 := binary.LittleEndian.Uint64(src[i+8:])
-			v0 := uint64(pt[uint16(s0)]) |
-				uint64(pt[uint16(s0>>16)])<<16 |
-				uint64(pt[uint16(s0>>32)])<<32 |
-				uint64(pt[uint16(s0>>48)])<<48
-			v1 := uint64(pt[uint16(s1)]) |
-				uint64(pt[uint16(s1>>16)])<<16 |
-				uint64(pt[uint16(s1>>32)])<<32 |
-				uint64(pt[uint16(s1>>48)])<<48
-			binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^v0)
-			binary.LittleEndian.PutUint64(dst[i+8:], binary.LittleEndian.Uint64(dst[i+8:])^v1)
-		}
-		for ; i+8 <= n; i += 8 {
-			s := binary.LittleEndian.Uint64(src[i:])
-			v := uint64(pt[uint16(s)]) |
-				uint64(pt[uint16(s>>16)])<<16 |
-				uint64(pt[uint16(s>>32)])<<32 |
-				uint64(pt[uint16(s>>48)])<<48
-			binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^v)
-		}
-	} else {
-		// Short slices: word-wide dst update with byte-table lane lookups,
-		// skipping the 128KiB pair table's build and cache cost.
-		for ; i+8 <= n; i += 8 {
-			s := binary.LittleEndian.Uint64(src[i:])
-			v := uint64(mt[byte(s)]) |
-				uint64(mt[byte(s>>8)])<<8 |
-				uint64(mt[byte(s>>16)])<<16 |
-				uint64(mt[byte(s>>24)])<<24 |
-				uint64(mt[byte(s>>32)])<<32 |
-				uint64(mt[byte(s>>40)])<<40 |
-				uint64(mt[byte(s>>48)])<<48 |
-				uint64(mt[byte(s>>56)])<<56
-			binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^v)
-		}
+	for ; i+8 <= len(src); i += 8 {
+		v := mulWord(mt, binary.LittleEndian.Uint64(src[i:]))
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^v)
 	}
-	for ; i < n; i++ {
+	for ; i < len(src); i++ {
 		dst[i] ^= mt[src[i]]
 	}
 }
 
-// XorSlice computes dst[i] ^= src[i] for all i.
+// mulWord multiplies the eight bytes of s by mt's coefficient, one table
+// lookup per lane.
+func mulWord(mt *[fieldSize]byte, s uint64) uint64 {
+	return uint64(mt[byte(s)]) |
+		uint64(mt[byte(s>>8)])<<8 |
+		uint64(mt[byte(s>>16)])<<16 |
+		uint64(mt[byte(s>>24)])<<24 |
+		uint64(mt[byte(s>>32)])<<32 |
+		uint64(mt[byte(s>>40)])<<40 |
+		uint64(mt[byte(s>>48)])<<48 |
+		uint64(mt[byte(s>>56)])<<56
+}
+
+// XorSlice computes dst[i] ^= src[i] for all i < len(src).
 func XorSlice(src, dst []byte) {
-	n := len(src)
-	i := 0
-	// Word-wide fast path: xor 8 bytes per iteration through uint64 views.
-	for ; i+8 <= n; i += 8 {
+	i := xorVec(src, dst)
+	for ; i+8 <= len(src); i += 8 {
 		binary.LittleEndian.PutUint64(dst[i:],
 			binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
 	}
-	for ; i < n; i++ {
+	for ; i < len(src); i++ {
 		dst[i] ^= src[i]
 	}
 }
@@ -238,108 +172,32 @@ func XorSlice(src, dst []byte) {
 const matrixBlock = 16 << 10
 
 // MulAddMatrix computes dsts[r][i] ^= coeffs[r] * src[i] for every row r —
-// the fused multi-row kernel of the erasure encode hot path. Instead of k
+// the multi-row kernel of the erasure encode hot path. Instead of k
 // independent full passes over src (one per parity row), the source is
 // walked once in cache-sized blocks and each block is applied to all rows
 // while it is hot, so encode cost stops scaling as k full-slice sweeps.
 // Every dsts[r] must be at least len(src) bytes.
 func MulAddMatrix(coeffs []byte, src []byte, dsts [][]byte) {
-	if len(coeffs) != len(dsts) {
-		panic(fmt.Sprintf("gf256: %d coefficients for %d rows", len(coeffs), len(dsts)))
-	}
-	for lo := 0; lo < len(src); lo += matrixBlock {
-		hi := lo + matrixBlock
-		if hi > len(src) {
-			hi = len(src)
-		}
-		blk := src[lo:hi]
-		r := 0
-		// Row pairs share one pass over the source: each 8-byte word is
-		// loaded once and applied to both rows' tables.
-		for ; r+2 <= len(coeffs); r += 2 {
-			c0, c1 := coeffs[r], coeffs[r+1]
-			if c0 > 1 && c1 > 1 && len(blk) >= pairTableMin {
-				mulAdd2(pairTable(c0), pairTable(c1), blk, dsts[r][lo:hi], dsts[r+1][lo:hi])
-			} else {
-				// 0/1 coefficients have cheaper single-row specials.
-				MulAddSlice(c0, blk, dsts[r][lo:hi])
-				MulAddSlice(c1, blk, dsts[r+1][lo:hi])
-			}
-		}
-		for ; r < len(coeffs); r++ {
-			MulAddSlice(coeffs[r], blk, dsts[r][lo:hi])
-		}
-	}
+	blocked(MulAddSlice, coeffs, src, dsts)
 }
 
 // MulMatrix computes dsts[r][i] = coeffs[r] * src[i] for every row r — the
 // overwriting variant of MulAddMatrix, used for the first data chunk of an
 // encode so parity needs no pre-zeroing.
 func MulMatrix(coeffs []byte, src []byte, dsts [][]byte) {
+	blocked(MulSlice, coeffs, src, dsts)
+}
+
+// blocked applies the row kernel for every row to each matrixBlock of src.
+func blocked(kernel func(c byte, src, dst []byte), coeffs, src []byte, dsts [][]byte) {
 	if len(coeffs) != len(dsts) {
 		panic(fmt.Sprintf("gf256: %d coefficients for %d rows", len(coeffs), len(dsts)))
 	}
 	for lo := 0; lo < len(src); lo += matrixBlock {
-		hi := lo + matrixBlock
-		if hi > len(src) {
-			hi = len(src)
+		hi := min(lo+matrixBlock, len(src))
+		for r, c := range coeffs {
+			kernel(c, src[lo:hi], dsts[r][lo:hi])
 		}
-		blk := src[lo:hi]
-		r := 0
-		for ; r+2 <= len(coeffs); r += 2 {
-			c0, c1 := coeffs[r], coeffs[r+1]
-			if c0 > 1 && c1 > 1 && len(blk) >= pairTableMin {
-				mul2(pairTable(c0), pairTable(c1), blk, dsts[r][lo:hi], dsts[r+1][lo:hi])
-			} else {
-				// 0/1 coefficients reduce to zeroing/copying.
-				MulSlice(c0, blk, dsts[r][lo:hi])
-				MulSlice(c1, blk, dsts[r+1][lo:hi])
-			}
-		}
-		for ; r < len(coeffs); r++ {
-			MulSlice(coeffs[r], blk, dsts[r][lo:hi])
-		}
-	}
-}
-
-// mulAdd2 computes dst0[i] ^= c0*src[i] and dst1[i] ^= c1*src[i] in a single
-// pass: one uint64 load of src feeds both rows' pair-table lookups. pt0/pt1
-// are the rows' pair tables.
-func mulAdd2(pt0, pt1 *[1 << 16]uint16, src, dst0, dst1 []byte) {
-	n := len(src)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		s := binary.LittleEndian.Uint64(src[i:])
-		w0, w1, w2, w3 := uint16(s), uint16(s>>16), uint16(s>>32), uint16(s>>48)
-		v0 := uint64(pt0[w0]) | uint64(pt0[w1])<<16 | uint64(pt0[w2])<<32 | uint64(pt0[w3])<<48
-		v1 := uint64(pt1[w0]) | uint64(pt1[w1])<<16 | uint64(pt1[w2])<<32 | uint64(pt1[w3])<<48
-		binary.LittleEndian.PutUint64(dst0[i:], binary.LittleEndian.Uint64(dst0[i:])^v0)
-		binary.LittleEndian.PutUint64(dst1[i:], binary.LittleEndian.Uint64(dst1[i:])^v1)
-	}
-	for ; i < n; i++ {
-		w := uint16(src[i])
-		dst0[i] ^= byte(pt0[w])
-		dst1[i] ^= byte(pt1[w])
-	}
-}
-
-// mul2 is the overwriting variant of mulAdd2: dst0[i] = c0*src[i],
-// dst1[i] = c1*src[i].
-func mul2(pt0, pt1 *[1 << 16]uint16, src, dst0, dst1 []byte) {
-	n := len(src)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		s := binary.LittleEndian.Uint64(src[i:])
-		w0, w1, w2, w3 := uint16(s), uint16(s>>16), uint16(s>>32), uint16(s>>48)
-		v0 := uint64(pt0[w0]) | uint64(pt0[w1])<<16 | uint64(pt0[w2])<<32 | uint64(pt0[w3])<<48
-		v1 := uint64(pt1[w0]) | uint64(pt1[w1])<<16 | uint64(pt1[w2])<<32 | uint64(pt1[w3])<<48
-		binary.LittleEndian.PutUint64(dst0[i:], v0)
-		binary.LittleEndian.PutUint64(dst1[i:], v1)
-	}
-	for ; i < n; i++ {
-		w := uint16(src[i])
-		dst0[i] = byte(pt0[w])
-		dst1[i] = byte(pt1[w])
 	}
 }
 

@@ -10,6 +10,52 @@ import (
 	"github.com/reo-cache/reo/internal/policy"
 )
 
+// TestWriteCtxAllocs pins a put's heap cost, whatever its stripe count: the ID
+// list, the alive snapshot and one slab of stripe metadata — and, with parity,
+// one slab of rotated device lists. Stripes are freed after each put, so the
+// devices write into recycled chunk buffers and the staging arena is leased.
+func TestWriteCtxAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("under the race detector sync.Pool drops leases")
+	}
+	const chunk = 1024
+	for _, tc := range []struct {
+		scheme    policy.Scheme
+		perStripe int
+		bound     float64
+	}{{policy.ReplicateAll(), chunk, 3}, {policy.Parity(2), 3 * chunk, 4}} {
+		for _, stripes := range []int{1, 5} {
+			m := testManager(t, 5, chunk)
+			data := randBytes(int64(stripes), stripes*tc.perStripe)
+			put := func() {
+				ids, _, err := m.WriteCtx(nil, data, tc.scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ids) != stripes {
+					t.Fatalf("%v: %d stripes, want %d", tc.scheme, len(ids), stripes)
+				}
+				m.Free(ids)
+			}
+			for i := 0; i < 20; i++ {
+				put() // warm-up: chunk buffers recycled, maps grown, pool filled
+			}
+			const runs = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				put()
+			}
+			runtime.ReadMemStats(&after)
+			mallocs := float64(after.Mallocs-before.Mallocs) / runs
+			t.Logf("%v, %d stripes: %.2f mallocs per put and free", tc.scheme, stripes, mallocs)
+			if mallocs > tc.bound {
+				t.Errorf("%v, %d stripes: %.2f mallocs per put and free, want <= %v", tc.scheme, stripes, mallocs, tc.bound)
+			}
+		}
+	}
+}
+
 // TestDegradedReadAllocBound pins the degraded read's memory behaviour: 3+2
 // stripes of 16 KiB chunks (the benchmark's shape, tail stripe of odd chunk
 // length included) with one device failed, so reads whose data chunk sat

@@ -1,0 +1,167 @@
+package stripe
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"time"
+
+	"github.com/reo-cache/reo/internal/flash"
+	"github.com/reo-cache/reo/internal/policy"
+)
+
+// checkChunkSums reads every chunk of the stripes straight from its device. A
+// device verifies the stored sum on every read, so each read succeeding means
+// each chunk stores exactly flash.Checksum of its bytes; the replicas of a
+// replicated stripe must also hold the same bytes.
+func checkChunkSums(t *testing.T, m *Manager, ids []ID) {
+	t.Helper()
+	for _, id := range ids {
+		meta, err := m.lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frags := len(meta.dataDevs) + len(meta.parityDevs)
+		if meta.scheme.Kind == policy.KindReplicate {
+			frags = len(meta.replicaDevs)
+		}
+		var first []byte
+		for i := 0; i < frags; i++ {
+			dev := meta.fragmentDev(i)
+			got, _, err := m.Array().Device(dev).ReadCtx(nil, flash.ChunkAddr(id))
+			if err != nil {
+				t.Fatalf("stripe %d fragment %d on device %d: %v", id, i, dev, err)
+			}
+			if meta.scheme.Kind == policy.KindReplicate && i > 0 && !bytes.Equal(got, first) {
+				t.Fatalf("stripe %d: replica %d differs from replica 0", id, i)
+			}
+			if i == 0 {
+				first = got
+			}
+		}
+	}
+}
+
+// TestReplicatedChunksShareChecksum pins the checksum contract of scatter:
+// one sum per distinct fragment, reused by the replicas that alias it and
+// never by a different fragment. Every replica of a replicated stripe and
+// every chunk of a 2-parity stripe must read back under its stored sum, on
+// both layouts, after a spare is rebuilt and, under the log layout, after GC
+// has relocated the chunks.
+func TestReplicatedChunksShareChecksum(t *testing.T) {
+	for _, layout := range []flash.Layout{flash.LayoutInPlace, flash.LayoutLog} {
+		t.Run(fmt.Sprint(layout), func(t *testing.T) {
+			array, err := flash.NewArrayLayout(5, flash.Spec{
+				CapacityBytes:  1 << 20,
+				ReadBandwidth:  500e6,
+				WriteBandwidth: 400e6,
+				ReadLatency:    50 * time.Microsecond,
+				WriteLatency:   60 * time.Microsecond,
+			}, layout, flash.LogConfig{SegmentBytes: 8 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewManager(array, 1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An empty replicated object: five empty chunks under the
+			// zero sum.
+			kept, _, err := m.WriteCtx(nil, nil, policy.ReplicateAll())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var freed []ID
+			for i := 0; i < 24; i++ {
+				scheme := policy.ReplicateAll()
+				if i%2 == 1 {
+					scheme = policy.Parity(2)
+				}
+				ids, _, err := m.WriteCtx(nil, randBytes(int64(i), 500+i*211), scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i%3 == 0 {
+					freed = append(freed, ids...)
+				} else {
+					kept = append(kept, ids...)
+				}
+			}
+			checkChunkSums(t, m, append(kept, freed...))
+
+			// Rebuild a blank spare: the rebuilt replicas share one sum,
+			// the reconstructed parity-stripe chunks each get their own.
+			if err := array.FailDevice(2); err != nil {
+				t.Fatal(err)
+			}
+			if err := array.InsertSpare(2); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range m.IDs() {
+				if _, status, err := m.RebuildCtx(nil, id); err != nil || status != StatusHealthy {
+					t.Fatalf("rebuild stripe %d: %v, %v", id, status, err)
+				}
+			}
+			checkChunkSums(t, m, kept)
+
+			if layout != flash.LayoutLog {
+				return
+			}
+			m.Free(freed)
+			var moved int64
+			for dev := 0; dev < array.N(); dev++ {
+				for {
+					n, ok := array.Device(dev).CollectOnce()
+					if !ok {
+						break
+					}
+					moved += n
+				}
+			}
+			if moved == 0 {
+				t.Fatal("GC relocated nothing: the test no longer covers relocated chunks")
+			}
+			checkChunkSums(t, m, kept)
+		})
+	}
+}
+
+// TestWrongSumChunkIsReconstructed: a chunk stored under a wrong sum is
+// corruption to the stripe layer — its device fails the read and drops it,
+// the fault epoch moves, and the stripe read decodes the right bytes from
+// the survivors and repairs the chunk under its true sum.
+func TestWrongSumChunkIsReconstructed(t *testing.T) {
+	m := testManager(t, 5, 1024)
+	data := randBytes(41, 3*1024)
+	ids, _, err := m.WriteCtx(nil, data, policy.Parity(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := m.lookup(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, dev := flash.ChunkAddr(ids[0]), m.Array().Device(meta.dataDevs[1])
+	chunk, _, err := dev.ReadCtx(nil, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.WriteCtx(nil, addr, chunk, flash.Checksum(chunk)^1); err != nil {
+		t.Fatal(err)
+	}
+	epoch := m.Array().FaultEpoch()
+	got, _, err := readStripes(m, ids, len(data))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read with a chunk under a wrong sum: %v, bytes equal %v", err, bytes.Equal(got, data))
+	}
+	if m.Array().FaultEpoch() == epoch {
+		t.Fatal("the dropped chunk did not move the fault epoch")
+	}
+	if dev.Health().ChecksumErrors != 1 {
+		t.Fatalf("ChecksumErrors = %d, want 1", dev.Health().ChecksumErrors)
+	}
+	if m.RepairedChunks() != 1 {
+		t.Fatalf("RepairedChunks = %d, want 1", m.RepairedChunks())
+	}
+	checkChunkSums(t, m, ids)
+}

@@ -77,9 +77,10 @@ var (
 )
 
 // encodeBandwidth models the CPU cost of Reed–Solomon encode/decode work,
-// charged per byte processed. Pure-Go table-driven GF(2^8) math sustains a
-// few GB/s; IO dominates, but the term keeps degraded reads strictly more
-// expensive than healthy ones.
+// charged per byte processed. It is a constant of the simulation, not a
+// measurement of the host's GF(2^8) kernels (see gf256), so virtual time does
+// not depend on the CPU; IO dominates, but the term keeps degraded reads
+// strictly more expensive than healthy ones.
 const encodeBandwidth = 3e9 // bytes/sec
 
 type stripeMeta struct {
@@ -344,14 +345,28 @@ func (m *Manager) WriteCtx(rc *reqctx.Ctx, data []byte, scheme policy.Scheme) ([
 		ids   = make([]ID, 0, stripes)
 		total time.Duration
 		w     = writeOp{rc: rc}
+		n     = len(alive)
+		// The call's stripe metadata is one slab, and so are a parity call's
+		// rotated device lists, each stripe's capped at its own length. The
+		// store frees an object's stripes together (Free(ids)), so no slab
+		// outlives its object.
+		metas   = make([]stripeMeta, stripes)
+		rotated []int
 	)
+	if scheme.Kind != policy.KindReplicate {
+		rotated = make([]int, stripes*n)
+	}
 	// One snapshot shared by every stripe of the call and never written
 	// again: its capacity is its length, so a rebuild that extends a replica
 	// set by append gets its own copy.
-	devs := make([]int, len(alive))
+	devs := make([]int, n)
 	copy(devs, alive)
-	for off := 0; off == 0 || off < len(data); off += perStripe {
-		id, cost, err := m.writeStripe(&w, scheme, data[off:min(off+perStripe, len(data))], devs)
+	for k, off := 0, 0; off == 0 || off < len(data); k, off = k+1, off+perStripe {
+		var rot []int
+		if rotated != nil {
+			rot = rotated[k*n : (k+1)*n : (k+1)*n]
+		}
+		id, cost, err := m.writeStripe(&w, scheme, data[off:min(off+perStripe, len(data))], devs, &metas[k], rot)
 		if err != nil {
 			m.Free(ids)
 			return nil, 0, err
@@ -377,8 +392,10 @@ func chunkLen(scheme policy.Scheme, n, alive int) int {
 // data chunks plus encoded parity — scatters the fragments and publishes the
 // stripe. The stripe is not published until its chunks are durably written, so
 // concurrent readers cannot observe a half-written one. It returns the new ID
-// and the encode plus device cost. alive is WriteCtx's shared snapshot.
-func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, alive []int) (ID, time.Duration, error) {
+// and the encode plus device cost. alive is WriteCtx's shared snapshot; meta
+// (zero) and, for a parity stripe, rot (len(alive) ints) are the stripe's
+// entries of WriteCtx's slabs, filled here.
+func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, alive []int, meta *stripeMeta, rot []int) (ID, time.Duration, error) {
 	if err := w.rc.Err(); err != nil {
 		return 0, 0, err
 	}
@@ -388,7 +405,7 @@ func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ali
 	m.mu.Unlock()
 
 	n := len(alive)
-	meta := &stripeMeta{scheme: scheme, dataLen: len(data), chunkLen: chunkLen(scheme, len(data), n)}
+	meta.scheme, meta.dataLen, meta.chunkLen = scheme, len(data), chunkLen(scheme, len(data), n)
 	var table [stackFrags][]byte
 	frags := fragTable(&table, n)
 	var encodeCost time.Duration
@@ -410,11 +427,10 @@ func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ali
 		if m.rotate {
 			start = int(uint64(id) % uint64(n))
 		}
-		devs := make([]int, n)
-		for j := range devs {
-			devs[j] = alive[(start+j)%n]
+		for j := range rot {
+			rot[j] = alive[(start+j)%n]
 		}
-		meta.parityDevs, meta.dataDevs = devs[:k:k], devs[k:]
+		meta.parityDevs, meta.dataDevs = rot[:k:k], rot[k:]
 		// Stage every fragment in one leased buffer: the data chunks are
 		// consecutive slots, zero-padded past len(data) (leases come back
 		// dirty; the encode overwrites the parity slots that follow). The
@@ -495,7 +511,9 @@ func (w *writeOp) end() {
 // Every non-nil frags[i] goes to meta.fragmentDev(i) through the rc-carrying
 // Device.WriteCtx, so the request's op class, ID and IO attribution reach
 // every chunk write. It returns the parallel (critical path) device cost, how
-// many fragments landed, and the first error by fragment index.
+// many fragments landed, and the first error by fragment index. The chunk
+// checksum is computed here, once per distinct fragment (see fragSum), and
+// every device handed those bytes stores it.
 //
 // On a fresh stripe the first failure stops the scatter (fanned-out writes all
 // finish) and what landed is rolled back. On a published stripe a fragment
@@ -507,6 +525,7 @@ func (m *Manager) scatter(w *writeOp, id ID, meta *stripeMeta, frags [][]byte) (
 		return m.scatterFanOut(w, id, meta, frags)
 	}
 	// Serial, closure- and allocation-free, like gather's small-chunk path.
+	var sum fragSum
 	for i := range frags {
 		if !m.writable(w.published, meta, frags, i) {
 			continue
@@ -514,7 +533,7 @@ func (m *Manager) scatter(w *writeOp, id ID, meta *stripeMeta, frags [][]byte) (
 		if err := w.begin(); err != nil { // only the first write due can be refused
 			return 0, 0, err
 		}
-		c, werr := m.put(w.rc, id, meta, i, frags[i])
+		c, werr := m.put(w.rc, id, meta, i, frags[i], sum.of(frags[i]))
 		if werr == nil {
 			landed++
 			cost = max(cost, c)
@@ -539,11 +558,15 @@ func (m *Manager) scatterFanOut(w *writeOp, id ID, meta *stripeMeta, frags [][]b
 	type dueFrag struct {
 		i    int
 		data []byte
+		sum  uint32
 	}
-	var due []dueFrag
+	var (
+		due []dueFrag
+		sum fragSum
+	)
 	for i := range frags {
 		if m.writable(w.published, meta, frags, i) {
-			due = append(due, dueFrag{i, frags[i]})
+			due = append(due, dueFrag{i, frags[i], sum.of(frags[i])})
 		}
 	}
 	if len(due) == 0 {
@@ -556,7 +579,7 @@ func (m *Manager) scatterFanOut(w *writeOp, id ID, meta *stripeMeta, frags [][]b
 	costs := make([]time.Duration, len(due))
 	var landed atomic.Int32
 	err := fanOut(len(due), func(j int) error {
-		c, werr := m.put(rc, id, meta, due[j].i, due[j].data)
+		c, werr := m.put(rc, id, meta, due[j].i, due[j].data, due[j].sum)
 		if werr == nil {
 			costs[j] = c
 			landed.Add(1)
@@ -574,10 +597,26 @@ func (m *Manager) writable(published bool, meta *stripeMeta, frags [][]byte, i i
 	return frags[i] != nil && (!published || m.array.Device(meta.fragmentDev(i)).Serving())
 }
 
-// put writes fragment i for scatter.
-func (m *Manager) put(rc *reqctx.Ctx, id ID, meta *stripeMeta, i int, data []byte) (time.Duration, error) {
+// fragSum is scatter's checksum of the fragment it writes next. A fragment
+// that aliases the previous one — the same bytes a replicated stripe hands
+// every device — reuses its sum instead of being checksummed again. The zero
+// value is right for an empty fragment, whose checksum is 0.
+type fragSum struct {
+	last []byte
+	sum  uint32
+}
+
+func (s *fragSum) of(data []byte) uint32 {
+	if len(data) != len(s.last) || len(data) > 0 && &data[0] != &s.last[0] {
+		s.last, s.sum = data, flash.Checksum(data)
+	}
+	return s.sum
+}
+
+// put writes fragment i, whose checksum is sum, for scatter.
+func (m *Manager) put(rc *reqctx.Ctx, id ID, meta *stripeMeta, i int, data []byte, sum uint32) (time.Duration, error) {
 	dev := meta.fragmentDev(i)
-	cost, err := m.array.Device(dev).WriteCtx(rc, flash.ChunkAddr(id), data)
+	cost, err := m.array.Device(dev).WriteCtx(rc, flash.ChunkAddr(id), data, sum)
 	if err != nil {
 		return 0, fmt.Errorf("stripe %d device %d: %w", id, dev, err)
 	}
