@@ -25,7 +25,9 @@ func Example() {
 	}
 
 	_, first, _ := cache.Read(id)
+	first.Release() // the bytes live in a pooled buffer the Result owns
 	_, second, _ := cache.Read(id)
+	second.Release()
 	fmt.Println("first read hit:", first.Hit)
 	fmt.Println("second read hit:", second.Hit)
 	// Output:
@@ -78,6 +80,7 @@ func ExampleCache_InjectDeviceFailure() {
 	}
 	fmt.Println("served:", res.Hit)
 	fmt.Println("payload:", string(data))
+	res.Release() // done with data
 	fmt.Println("alive devices:", cache.AliveDevices())
 
 	if _, err := cache.InsertSpare(0); err != nil {

@@ -83,6 +83,7 @@ func degrade(pol reo.Policy) ([5]float64, error) {
 			if res.Hit {
 				hits++
 			}
+			res.Release()
 		}
 		return float64(hits) / probeReads * 100, nil
 	}
@@ -136,9 +137,11 @@ func recoveryDemo() error {
 		if err := cache.Seed(reo.UserObject(i), payload); err != nil {
 			return err
 		}
-		if _, _, err := cache.Read(reo.UserObject(i)); err != nil {
+		_, res, err := cache.Read(reo.UserObject(i))
+		if err != nil {
 			return err
 		}
+		res.Release()
 	}
 
 	if err := cache.InjectDeviceFailure(1); err != nil {

@@ -44,8 +44,10 @@ func run() error {
 		return err
 	}
 	fmt.Printf("read #1: hit=%v latency=%v (backend fetch + admission)\n", res.Hit, res.Latency)
+	res.Release()
 
-	// 3. Second read hits flash.
+	// 3. Second read hits flash. The bytes live in a pooled buffer the
+	// Result owns: Release hands it back once they are no longer needed.
 	data, res, err = cache.Read(id)
 	if err != nil {
 		return err
@@ -54,6 +56,7 @@ func run() error {
 	if !bytes.Equal(data, payload) {
 		return fmt.Errorf("data mismatch")
 	}
+	res.Release()
 
 	// 4. Write-back: the update is absorbed dirty (Class 1, fully
 	// replicated) and acknowledged at flash speed.
@@ -78,6 +81,7 @@ func run() error {
 	if !bytes.Equal(data, update) {
 		return fmt.Errorf("lost the acknowledged update — exactly what Reo must prevent")
 	}
+	res.Release()
 
 	// 6. Insert a spare: differentiated recovery rebuilds in class order.
 	queued, err := cache.InsertSpare(2)

@@ -272,8 +272,11 @@ func (c *Codec) Reconstruct(fragments [][]byte) error {
 // ReconstructInto is Reconstruct decoding into the caller's buffers: every
 // missing fragments[i] is computed into outs[i], which must have the
 // survivors' length (its prior contents are overwritten), and fragments[i] is
-// set to it. Entries of outs under surviving fragments are ignored. It
-// allocates nothing once the surviving set's decode matrix is cached.
+// set to it. A missing parity fragment whose outs entry is nil is not wanted:
+// it is not computed and stays nil, so a caller that needs only the data pays
+// for the data alone. Every missing data chunk needs a buffer. Entries of outs
+// under surviving fragments are ignored. It allocates nothing once the
+// surviving set's decode matrix is cached.
 func (c *Codec) ReconstructInto(fragments, outs [][]byte) error {
 	if len(fragments) != c.m+c.k || len(outs) != len(fragments) {
 		return ErrShapeMismatch
@@ -302,7 +305,9 @@ func (c *Codec) ReconstructInto(fragments, outs [][]byte) error {
 	size := len(fragments[use[0]])
 	for i, f := range fragments {
 		if f == nil {
-			f = outs[i]
+			if f = outs[i]; f == nil && i >= c.m {
+				continue // a parity fragment nobody wants
+			}
 		}
 		if len(f) != size {
 			return ErrChunkSizeUneven
@@ -341,10 +346,11 @@ func (c *Codec) ReconstructInto(fragments, outs [][]byte) error {
 			fragments[d] = dsts[i]
 		}
 	}
-	// Recompute missing parity chunks from the (now complete) data chunks.
+	// Recompute the wanted missing parity chunks from the (now complete) data
+	// chunks.
 	n = 0
 	for p := c.m; p < c.m+c.k; p++ {
-		if fragments[p] == nil {
+		if fragments[p] == nil && outs[p] != nil {
 			rows[n], dsts[n] = uint8(p), outs[p]
 			n++
 		}

@@ -17,9 +17,11 @@ import (
 	"github.com/reo-cache/reo/internal/stripe"
 )
 
-// probeStatus is the oracle for Status: every chunk of every stripe asked
-// again, whatever the object's stamp says — what statusLocked did on each call
-// before an alive answer was kept for the fault epoch it was found at.
+// probeStatus is the oracle for Status: a Has walk over every device for every
+// stripe of the object, whatever the object's stamp or its stripes' absent
+// masks say — what statusLocked did on each call before its answers were
+// stamped. A parity stripe's width is its user plus overhead bytes over its
+// chunk length; a replicated stripe wants a copy on every serving device.
 func (s *Store) probeStatus(id osd.ObjectID) ObjectStatus {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -29,11 +31,28 @@ func (s *Store) probeStatus(id osd.ObjectID) ObjectStatus {
 	}
 	worst := StatusAlive
 	for _, sid := range obj.stripes {
-		st, err := s.stripes.Status(sid)
-		if err != nil || st == stripe.StatusLost {
+		info, err := s.stripes.Describe(sid)
+		if err != nil {
 			return StatusLost
 		}
-		if st == stripe.StatusDegraded {
+		have, lacking := 0, 0 // devices holding the chunk; serving ones that do not
+		for dev := 0; dev < s.array.N(); dev++ {
+			switch d := s.array.Device(dev); {
+			case d.Has(flash.ChunkAddr(sid)):
+				have++
+			case d.Serving():
+				lacking++
+			}
+		}
+		lost, degraded := have == 0, lacking > 0
+		if info.Scheme.Kind != policy.KindReplicate {
+			gone := int((info.UserBytes+info.OverheadBytes)/int64(info.ChunkLen)) - have
+			lost, degraded = gone > info.Scheme.ParityChunks, gone > 0
+		}
+		switch {
+		case lost:
+			return StatusLost
+		case degraded:
 			worst = StatusDegraded
 		}
 	}
@@ -113,9 +132,10 @@ func faultErrors(a *flash.Array) (n int64) {
 // in a failed or a serving slot, silent and detected corruption, latent sector
 // errors and bit flips injected into reads, segment GC meeting a corrupt
 // chunk, recovery steps, scrub-repair — and after every step compares Status
-// with the full probe for every listed object. Every alive object is stamped
-// by that comparison, so a fault that fails to move the epoch shows up as a
-// stale "alive" on the very next step.
+// with the full probe for every listed object, and requires the answer —
+// alive, degraded or lost — stamped at the current epoch. Every object is
+// stamped by that comparison, so a fault or a repair that fails to move the
+// epoch shows up as a stale answer on the very next step.
 func TestStatusEpochMatchesProbe(t *testing.T) {
 	classes := []osd.Class{osd.ClassDirty, osd.ClassHotClean, osd.ClassColdClean}
 	for _, layout := range []flash.Layout{flash.LayoutInPlace, flash.LayoutLog} {
@@ -248,6 +268,9 @@ func TestStatusEpochMatchesProbe(t *testing.T) {
 						if got := s.Status(id); got != probed {
 							t.Fatalf("step %d after %s: Status(%v) = %v, the probe says %v", step, op, id, got, probed)
 						}
+						if stamp, current := s.stampOf(id); !current || ObjectStatus(stamp&(1<<statusBits-1)) != probed {
+							t.Fatalf("step %d after %s: %v is %v; its stamp %#x (current %v)", step, op, id, probed, stamp, current)
+						}
 						seen[probed]++
 					}
 				}
@@ -264,20 +287,22 @@ func TestStatusEpochMatchesProbe(t *testing.T) {
 	}
 }
 
-// stampOf returns the object's stamp and whether it is the array's epoch.
+// stampOf returns the object's stamp and whether it was taken at the stripe
+// manager's current epoch.
 func (s *Store) stampOf(id osd.ObjectID) (stamp uint64, current bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	stamp = s.objects[id].aliveAt.Load()
-	return stamp, stamp == s.array.FaultEpoch()
+	stamp = s.objects[id].stamp.Load()
+	return stamp, stamp>>statusBits == s.stripes.Epoch()
 }
 
-// TestHealthyGetKeepsItsStamp: the first healthy get stamps its object with
-// the array's fault epoch, and neither further gets nor the owner freeing
-// other objects' chunks — overwrites, deletes, re-encodes — move the epoch or
-// the stamp, so the probe stays skipped. A chunk dropped on a read, a device
-// failure and a blank spare each move the epoch, after which no object's stamp
-// is current and Status asks the chunks again.
+// TestHealthyGetKeepsItsStamp: the first healthy get stamps its object alive
+// at the stripe manager's epoch, and neither further gets nor the owner
+// freeing other objects' chunks — overwrites, deletes, re-encodes — move the
+// epoch or the stamp, so the stripes stay unasked. A chunk dropped on a read,
+// a device failure and a blank spare each move the epoch, after which no
+// object's stamp is current and Status asks the stripes again; every answer,
+// degraded ones included, is stamped afresh.
 func TestHealthyGetKeepsItsStamp(t *testing.T) {
 	layouts(t, func(t *testing.T, layout flash.Layout) {
 		s, err := New(Config{
@@ -308,9 +333,10 @@ func TestHealthyGetKeepsItsStamp(t *testing.T) {
 		if _, _, degraded, err := getObject(s, oid(0)); err != nil || degraded {
 			t.Fatalf("healthy get: degraded=%v err=%v", degraded, err)
 		}
-		epoch := s.array.FaultEpoch()
-		if stamp, _ := s.stampOf(oid(0)); stamp != epoch || epoch == 0 {
-			t.Fatalf("after a healthy get the stamp is %d, the epoch %d", stamp, epoch)
+		epoch := s.stripes.Epoch()
+		first, current := s.stampOf(oid(0))
+		if !current || ObjectStatus(first&(1<<statusBits-1)) != StatusAlive || epoch == 0 {
+			t.Fatalf("after a healthy get the stamp is %#x, the epoch %d", first, epoch)
 		}
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 1000; i++ {
@@ -333,11 +359,11 @@ func TestHealthyGetKeepsItsStamp(t *testing.T) {
 				}
 			}
 		}
-		if got := s.array.FaultEpoch(); got != epoch {
-			t.Fatalf("gets, overwrites, deletes and re-encodes moved the fault epoch %d -> %d", epoch, got)
+		if got := s.stripes.Epoch(); got != epoch {
+			t.Fatalf("gets, overwrites, deletes and re-encodes moved the epoch %d -> %d", epoch, got)
 		}
-		if stamp, _ := s.stampOf(oid(0)); stamp != epoch {
-			t.Fatalf("the stamp moved %d -> %d with the epoch still", epoch, stamp)
+		if stamp, _ := s.stampOf(oid(0)); stamp != first {
+			t.Fatalf("the stamp moved %#x -> %#x with the epoch still", first, stamp)
 		}
 		// New stripes have not been probed: assigning them takes the stamp away,
 		// and the next answer puts it back.
@@ -363,8 +389,8 @@ func TestHealthyGetKeepsItsStamp(t *testing.T) {
 				if got := s.Status(id); got != probed {
 					t.Fatalf("%s: Status(%v) = %v, the probe says %v", when, id, got, probed)
 				}
-				if _, current := s.stampOf(id); current != (probed == StatusAlive) {
-					t.Fatalf("%s: %v is %v; stamp current: %v", when, id, probed, current)
+				if _, current := s.stampOf(id); !current {
+					t.Fatalf("%s: %v is %v and its stamp is not current", when, id, probed)
 				}
 				if probed == StatusAlive {
 					alive++
@@ -407,8 +433,9 @@ func TestHealthyGetKeepsItsStamp(t *testing.T) {
 	})
 }
 
-// TestStampedStatusZeroAllocs: the status of a stamped object costs no malloc
-// (neither does the probe; the stamp must not add one).
+// TestStampedStatusZeroAllocs: the status of a stamped object, alive and then
+// degraded once a device has failed, costs no malloc (neither does the probe;
+// the stamp must not add one).
 func TestStampedStatusZeroAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -417,22 +444,29 @@ func TestStampedStatusZeroAllocs(t *testing.T) {
 	if _, err := s.PutCtx(nil, oid(1), randBytes(1, 20_000), osd.ClassHotClean, false); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Status(oid(1)); st != StatusAlive {
-		t.Fatalf("status = %v", st)
-	}
-	if _, current := s.stampOf(oid(1)); !current {
-		t.Fatal("an alive answer left no stamp")
-	}
-	s.mu.RLock()
-	obj := s.objects[oid(1)]
-	allocs := testing.AllocsPerRun(1000, func() {
-		if s.statusLocked(obj) != StatusAlive {
-			t.Fatal("stamped object not alive")
+	for _, want := range []ObjectStatus{StatusAlive, StatusDegraded} {
+		if want == StatusDegraded {
+			if err := s.FailDevice(0); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	s.mu.RUnlock()
-	if allocs != 0 {
-		t.Errorf("%.2f mallocs per stamped statusLocked, want 0", allocs)
+		if st := s.Status(oid(1)); st != want {
+			t.Fatalf("status = %v, want %v", st, want)
+		}
+		if _, current := s.stampOf(oid(1)); !current {
+			t.Fatalf("a %v answer left no stamp", want)
+		}
+		s.mu.RLock()
+		obj := s.objects[oid(1)]
+		allocs := testing.AllocsPerRun(1000, func() {
+			if s.statusLocked(obj) != want {
+				t.Fatalf("stamped object not %v", want)
+			}
+		})
+		s.mu.RUnlock()
+		if allocs != 0 {
+			t.Errorf("%.2f mallocs per stamped %v statusLocked, want 0", allocs, want)
+		}
 	}
 }
 
@@ -453,7 +487,9 @@ func (g *writeGate) Decide(op flash.FaultOp, _ flash.ChunkAddr) flash.FaultDecis
 // cycle, a device fails, a blank spare takes a serving slot, or one chunk of
 // every object is corrupted and dropped by a read — with repairs held off, so
 // that from the moment the fault has happened until the cycle heals it no
-// object can be whole. A get that began after the fault and reports
+// object can be whole. Just before each fault a chunk of a bystander object is
+// dropped, so the readers are busy asking their objects' stripes again when
+// the fault lands. A get that began after the fault and reports
 // degraded == false trusted a stamp the fault should have outdated. Reads are
 // byte-verified and the lease books must balance. Run with -race.
 func TestStatusEpochRace(t *testing.T) {
@@ -469,6 +505,24 @@ func TestStatusEpochRace(t *testing.T) {
 		ids[i] = oid(uint64(i))
 		if _, err := s.PutCtx(nil, ids[i], selfVerifying(uint64(i), 0, 1500+i*200), osd.ClassHotClean, false); err != nil {
 			t.Fatal(err)
+		}
+	}
+	bystander := oid(objects)
+	if _, err := s.PutCtx(nil, bystander, selfVerifying(objects, 0, 1500), osd.ClassHotClean, false); err != nil {
+		t.Fatal(err)
+	}
+	// outdate moves the epoch by dropping a chunk of the bystander from a
+	// device other than the one the fault is about to hit.
+	outdate := func(spared int) {
+		s.mu.RLock()
+		addr := flash.ChunkAddr(s.objects[bystander].stripes[0])
+		s.mu.RUnlock()
+		for i := 0; i < s.array.N(); i++ {
+			if d := s.array.Device(i); i != spared && d.Has(addr) {
+				d.InjectCorruption(addr, 5, false)
+				_, _, _ = d.ReadCtx(nil, addr) // fails its checksum and drops the chunk
+				return
+			}
 		}
 	}
 
@@ -522,6 +576,7 @@ func TestStatusEpochRace(t *testing.T) {
 		waitBatches() // every object is stamped again
 		gate.shut.Store(true)
 		dev := s.array.Device(cycle % s.array.N())
+		outdate(cycle % s.array.N())
 		switch cycle % 3 {
 		case 0:
 			dev.Fail()

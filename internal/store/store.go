@@ -142,10 +142,14 @@ type object struct {
 	// overhead is the redundancy and padding bytes of stripes, summed when
 	// they were assigned (assignLocked).
 	overhead int64
-	// aliveAt is the array's fault epoch at which every stripe was last
-	// probed healthy; zero when never, or not since the stripes were assigned.
-	aliveAt atomic.Uint64
+	// stamp is the object's status as found at the stripe manager's epoch,
+	// epoch<<statusBits | status; zero when never asked, or not since the
+	// stripes were assigned.
+	stamp atomic.Uint64
 }
+
+// statusBits is the width of the status under the epoch in object.stamp.
+const statusBits = 2
 
 // hot is what the object adds to the store's hot-clean redundancy total.
 func (o *object) hot() int64 {
@@ -407,7 +411,7 @@ func (s *Store) assignLocked(obj *object, class osd.Class, ids []stripe.ID) {
 	s.hotOverhead -= s.objects[obj.id].hot() // obj itself, or what it replaces
 	s.objects[obj.id] = obj
 	obj.class, obj.stripes, obj.overhead = class, ids, 0
-	obj.aliveAt.Store(0)
+	obj.stamp.Store(0)
 	for _, sid := range ids {
 		if info, err := s.stripes.Describe(sid); err == nil {
 			obj.overhead += info.OverheadBytes
@@ -677,33 +681,29 @@ func (s *Store) Status(id osd.ObjectID) ObjectStatus {
 	return s.statusLocked(obj)
 }
 
-// statusLocked probes every chunk of every stripe unless the object was found
-// alive at the array's current fault epoch: between two equal epochs no device
-// lost a chunk its stripe did not free, and only assignLocked changes which
-// stripes are asked. Only an alive answer is kept — a degraded or lost object
-// changes by repair, which moves no epoch — and the epoch is read before the
-// probe, so a fault landing while it runs leaves a stamp that is already stale.
+// statusLocked asks every stripe for its health unless the object's status was
+// found at the stripe manager's current epoch: between two equal epochs no
+// chunk was lost or restored, and only assignLocked changes which stripes are
+// asked. Every answer is kept, alive, degraded or lost, and the epoch is read
+// before the stripes are asked, so a loss or repair landing meanwhile leaves a
+// stamp that is already stale.
 func (s *Store) statusLocked(obj *object) ObjectStatus {
-	epoch := s.array.FaultEpoch()
-	if obj.aliveAt.Load() == epoch {
-		return StatusAlive
+	epoch := s.stripes.Epoch()
+	if stamp := obj.stamp.Load(); stamp>>statusBits == epoch {
+		return ObjectStatus(stamp & (1<<statusBits - 1))
 	}
 	worst := StatusAlive
 	for _, sid := range obj.stripes {
 		st, err := s.stripes.Status(sid)
-		if err != nil {
-			return StatusLost
+		if err != nil || st == stripe.StatusLost {
+			worst = StatusLost
+			break
 		}
-		switch st {
-		case stripe.StatusLost:
-			return StatusLost
-		case stripe.StatusDegraded:
+		if st == stripe.StatusDegraded {
 			worst = StatusDegraded
 		}
 	}
-	if worst == StatusAlive {
-		obj.aliveAt.Store(epoch)
-	}
+	obj.stamp.Store(epoch<<statusBits | uint64(worst))
 	return worst
 }
 

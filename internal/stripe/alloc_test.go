@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/reo-cache/reo/internal/bufpool"
@@ -18,6 +19,11 @@ func TestWriteCtxAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("under the race detector sync.Pool drops leases")
 	}
+	// A collection empties sync.Pool, and a goroutine moved to another P
+	// misses the lease it put back on the first: with the collector off and
+	// one P, a lease refilled for either reason is not counted against the put.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const chunk = 1024
 	for _, tc := range []struct {
 		scheme    policy.Scheme
@@ -95,6 +101,9 @@ func TestDegradedReadAllocBound(t *testing.T) {
 		read() // warm-up: decode matrices cached, pool tiers filled
 	}
 	if !bufpool.RaceEnabled {
+		// As in TestWriteCtxAllocs: no collection and one P while counting.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		const runs = 20 * objects
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

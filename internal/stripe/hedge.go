@@ -41,9 +41,10 @@ type hedgePlan struct {
 	// replicaDev is the healthy replica the hedge reads (replicate kind);
 	// -1 selects the parity-reconstruction hedge.
 	replicaDev int
-	// avoid marks device slots the reconstruction must not touch: suspect
-	// ones, and parity slots that do not hold the chunk.
-	avoid map[int]bool
+	// avoid marks the fragment slots the reconstruction must not touch:
+	// suspect devices' chunks, and parity chunks that are absent or on a
+	// device that is suspect or not serving.
+	avoid uint64
 }
 
 // hedgePlan decides whether this stripe read should race a hedge. The fast
@@ -66,7 +67,11 @@ func (m *Manager) hedgePlan(id ID, meta *stripeMeta) (hedgePlan, bool) {
 		}
 		start := meta.primary(id)
 		primary := meta.replicaDevs[start]
-		if !m.array.Device(primary).Suspect() || !m.chunkPresent(id, primary) {
+		if !m.array.Device(primary).Suspect() {
+			return hedgePlan{}, false
+		}
+		absent := m.absent(id, meta)
+		if absent&(1<<primary) != 0 {
 			return hedgePlan{}, false
 		}
 		// Hedge target: the next replica in rotation order that is serving,
@@ -74,7 +79,7 @@ func (m *Manager) hedgePlan(id ID, meta *stripeMeta) (hedgePlan, bool) {
 		for i := 1; i < n; i++ {
 			dev := meta.replicaDevs[(start+i)%n]
 			d := m.array.Device(dev)
-			if d.Serving() && !d.Suspect() && m.chunkPresent(id, dev) {
+			if d.Serving() && !d.Suspect() && absent&(1<<dev) == 0 {
 				if !res.TryStartHedge(class) {
 					return hedgePlan{}, false
 				}
@@ -92,32 +97,34 @@ func (m *Manager) hedgePlan(id ID, meta *stripeMeta) (hedgePlan, bool) {
 	if k == 0 {
 		return hedgePlan{}, false
 	}
+	dataChunks := len(meta.dataDevs)
+	absent := m.absent(id, meta)
+	if absent&(1<<dataChunks-1) != 0 {
+		// Already degraded: the primary path reconstructs anyway, and a
+		// second reconstruction would race it for the same survivors.
+		return hedgePlan{}, false
+	}
+	var avoid uint64
 	suspects := 0
-	avoid := make(map[int]bool, k)
-	for _, dev := range meta.dataDevs {
-		if !m.chunkPresent(id, dev) {
-			// Already degraded: the primary path reconstructs anyway, and a
-			// second reconstruction would race it for the same survivors.
-			return hedgePlan{}, false
-		}
+	for i, dev := range meta.dataDevs {
 		if m.array.Device(dev).Suspect() {
 			suspects++
-			avoid[dev] = true
+			avoid |= 1 << i
 		}
 	}
 	if suspects == 0 || suspects > k {
 		return hedgePlan{}, false
 	}
-	trusted := len(meta.dataDevs) - suspects
-	for _, dev := range meta.parityDevs {
+	trusted := dataChunks - suspects
+	for j, dev := range meta.parityDevs {
 		d := m.array.Device(dev)
-		if d.Suspect() || !d.Serving() || !m.chunkPresent(id, dev) {
-			avoid[dev] = true
+		if slot := dataChunks + j; d.Suspect() || !d.Serving() || absent&(1<<slot) != 0 {
+			avoid |= 1 << slot
 			continue
 		}
 		trusted++
 	}
-	if trusted < len(meta.dataDevs) {
+	if trusted < dataChunks {
 		return hedgePlan{}, false
 	}
 	if !res.TryStartHedge(class) {
@@ -187,23 +194,23 @@ func (m *Manager) readStripeHedged(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst 
 // context: a direct read of the chosen healthy replica, or a parity
 // reconstruction that avoids every suspect device. Unlike the primary
 // degraded path it never repairs on read — the data it rebuilds is not
-// missing, just slow.
+// missing, just slow — so it decodes the data alone.
 func (m *Manager) readHedge(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte, plan hedgePlan) (time.Duration, error) {
 	if plan.replicaDev >= 0 {
 		_, cost, err := m.array.Device(plan.replicaDev).ReadInto(rc, flash.ChunkAddr(id), dst)
 		return cost, err
 	}
-	// Parity hedge: rebuild the data from fragments on devices outside
-	// plan.avoid, decoding the avoided chunks from parity.
-	var table [stackFrags][]byte
-	frags := fragTable(&table, len(meta.dataDevs)+len(meta.parityDevs))
+	// Parity hedge: rebuild the data from the fragments outside plan.avoid,
+	// decoding the avoided data chunks from parity.
+	var table [maxSlots][]byte
+	frags := table[:len(meta.dataDevs)+len(meta.parityDevs)]
 	scratch := leaseArena(len(frags), meta.chunkLen)
 	defer scratch.release()
 	cost, _, err := m.gather(rc, id, meta, 0, len(frags), dst, frags, scratch, plan.avoid)
 	if err != nil {
 		return 0, err
 	}
-	decodeCost, err := m.reconstruct(id, meta, frags, dst, scratch)
+	decodeCost, err := m.reconstruct(id, meta, frags, dst, scratch, 0)
 	if err != nil {
 		return 0, err
 	}

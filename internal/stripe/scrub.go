@@ -87,12 +87,12 @@ func (m *Manager) verifyStripe(rc *reqctx.Ctx, id ID, meta *stripeMeta) (bool, t
 }
 
 func (m *Manager) verifyReplicated(rc *reqctx.Ctx, id ID, meta *stripeMeta) (bool, time.Duration, error) {
-	var table [stackFrags][]byte
-	copies := fragTable(&table, len(meta.replicaDevs))
+	var table [maxSlots][]byte
+	copies := table[:len(meta.replicaDevs)]
 	scratch := leaseArena(len(copies), meta.chunkLen)
 	defer scratch.release()
 	// Missing replicas are Degraded, handled by the caller.
-	cost, _, err := m.gather(rc, id, meta, 0, len(copies), nil, copies, scratch, nil)
+	cost, _, err := m.gather(rc, id, meta, 0, len(copies), nil, copies, scratch, 0)
 	if err != nil {
 		return true, cost, err
 	}
@@ -119,11 +119,11 @@ func (m *Manager) verifyParity(rc *reqctx.Ctx, id ID, meta *stripeMeta) (bool, t
 		return true, 0, nil
 	}
 	dataChunks := len(meta.dataDevs)
-	var table [stackFrags][]byte
-	frags := fragTable(&table, dataChunks+k)
+	var table [maxSlots][]byte
+	frags := table[:dataChunks+k]
 	scratch := leaseArena(len(frags), meta.chunkLen)
 	defer scratch.release()
-	cost, got, err := m.gather(rc, id, meta, 0, len(frags), nil, frags, scratch, nil)
+	cost, got, err := m.gather(rc, id, meta, 0, len(frags), nil, frags, scratch, 0)
 	if err != nil || got < len(frags) {
 		return true, cost, err // degraded; not a mismatch
 	}
@@ -166,11 +166,11 @@ func (m *Manager) RepairStripe(rc *reqctx.Ctx, id ID) (bool, time.Duration, erro
 }
 
 func (m *Manager) repairReplicated(w *writeOp, id ID, meta *stripeMeta) (bool, time.Duration, error) {
-	var table [stackFrags][]byte
-	copies := fragTable(&table, len(meta.replicaDevs))
+	var table [maxSlots][]byte
+	copies := table[:len(meta.replicaDevs)]
 	scratch := leaseArena(len(copies), meta.chunkLen)
 	defer scratch.release()
-	total, _, err := m.gather(w.rc, id, meta, 0, len(copies), nil, copies, scratch, nil)
+	total, _, err := m.gather(w.rc, id, meta, 0, len(copies), nil, copies, scratch, 0)
 	if err != nil {
 		return false, total, err
 	}
@@ -213,11 +213,11 @@ func (m *Manager) repairParity(w *writeOp, id ID, meta *stripeMeta) (bool, time.
 	if len(meta.parityDevs) < 2 {
 		return false, 0, nil // single corruption not locatable with k < 2
 	}
-	var table, trial [stackFrags][]byte
-	frags := fragTable(&table, len(meta.dataDevs)+len(meta.parityDevs))
+	var table, trial [maxSlots][]byte
+	frags := table[:len(meta.dataDevs)+len(meta.parityDevs)]
 	stored := leaseArena(len(frags), meta.chunkLen)
 	defer stored.release()
-	total, got, err := m.gather(w.rc, id, meta, 0, len(frags), nil, frags, stored, nil)
+	total, got, err := m.gather(w.rc, id, meta, 0, len(frags), nil, frags, stored, 0)
 	if err != nil || got < len(frags) {
 		// Missing chunks make this a degraded stripe; the normal
 		// reconstruction machinery owns that case.
@@ -229,13 +229,13 @@ func (m *Manager) repairParity(w *writeOp, id ID, meta *stripeMeta) (bool, time.
 	}
 	// Each candidate is decoded beside the stored fragments, not over them:
 	// the stored copy is what the decode is compared against.
-	scratch := fragTable(&trial, len(frags))
+	scratch := trial[:len(frags)]
 	decoded := leaseArena(len(frags), meta.chunkLen)
 	defer decoded.release()
 	for cand := range frags {
 		copy(scratch, frags)
 		scratch[cand] = nil
-		decodeCost, err := m.reconstruct(id, meta, scratch, nil, decoded)
+		decodeCost, err := m.reconstruct(id, meta, scratch, nil, decoded, 1<<cand)
 		if err != nil {
 			continue
 		}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -98,6 +99,9 @@ type stripeMeta struct {
 	// replicaDevs lists devices holding copies (replicate kind). Guarded
 	// by mu: rebuild extends it when re-replicating onto spares.
 	replicaDevs []int
+	// stamp is Manager.Epoch()<<maxSlots | the absent-slot mask probed at
+	// that epoch (see absent); zero is never probed.
+	stamp atomic.Uint64
 }
 
 func (sm *stripeMeta) userBytes() int64 { return int64(sm.dataLen) }
@@ -134,6 +138,10 @@ type Manager struct {
 	// repairedChunks counts chunks persisted by repair-on-read.
 	repairedChunks atomic.Int64
 
+	// restores counts scatters that landed a chunk on a published stripe; with
+	// the array's fault epoch it makes up Epoch.
+	restores atomic.Uint64
+
 	// userTotal and overheadTotal are the published stripes' user and
 	// overhead bytes (Totals), moved wherever a stripe is published, freed or
 	// has its replica set changed.
@@ -164,6 +172,9 @@ func NewManager(array *flash.Array, chunkSize int, opts ...Option) (*Manager, er
 	}
 	if chunkSize <= 0 {
 		return nil, fmt.Errorf("stripe: chunk size %d must be positive", chunkSize)
+	}
+	if array.N() > maxSlots {
+		return nil, fmt.Errorf("stripe: %d devices exceed the %d slots a stripe's absent mask covers", array.N(), maxSlots)
 	}
 	m := &Manager{
 		array:     array,
@@ -240,21 +251,14 @@ func fanOut(n int, fn func(i int) error) error {
 	return nil
 }
 
-// stackFrags is the widest stripe whose fragment table fits in its
-// operation's stack frame. The paper's array and every experiment here are 5
-// wide; a wider array's tables fall back to the heap.
-const stackFrags = 16
-
-// fragTable returns n empty fragment slots, backed by arr when it is wide
-// enough. The table stays on the caller's stack as long as nothing it is
-// passed to retains it — which is why the fan-out paths of gather and scatter
-// copy what they need into their own slices before forking.
-func fragTable(arr *[stackFrags][]byte, n int) [][]byte {
-	if n <= stackFrags {
-		return arr[:n]
-	}
-	return make([][]byte, n) // wider than any configured array: heap
-}
+// maxSlots is the widest array a manager runs on (NewManager refuses a wider
+// one; the paper's array and every experiment here are 5 wide), so the most
+// fragments a stripe has. A stripe's absent mask fits in the low maxSlots bits
+// of its stamp, and an operation's fragment table in a [maxSlots][]byte on its
+// stack frame — as long as nothing the table is passed to retains it, which is
+// why the fan-out paths of gather and scatter copy what they need into their
+// own slices before forking.
+const maxSlots = 16
 
 // arena is the leased scratch of one stripe operation: slot i holds fragment
 // i whenever it is not read or decoded straight into the caller's buffer.
@@ -311,7 +315,7 @@ func (m *Manager) WriteCtx(rc *reqctx.Ctx, data []byte, scheme policy.Scheme) ([
 		return nil, 0, err
 	}
 	// The alive set lives on this frame until the object is known to fit.
-	var serving [stackFrags]int
+	var serving [maxSlots]int
 	alive, room := serving[:0], int64(math.MaxInt64)
 	for i := 0; i < m.array.N(); i++ {
 		if d := m.array.Device(i); d.Serving() {
@@ -406,8 +410,8 @@ func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ali
 
 	n := len(alive)
 	meta.scheme, meta.dataLen, meta.chunkLen = scheme, len(data), chunkLen(scheme, len(data), n)
-	var table [stackFrags][]byte
-	frags := fragTable(&table, n)
+	var table [maxSlots][]byte
+	frags := table[:n]
 	var encodeCost time.Duration
 	if scheme.Kind == policy.KindReplicate {
 		if data == nil {
@@ -519,8 +523,15 @@ func (w *writeOp) end() {
 // finish) and what landed is rolled back. On a published stripe a fragment
 // whose device is not serving is skipped — redundancy covers the missing
 // chunk — and a failed write does not stop the rest: once readers can see the
-// stripe, fewer stale chunks is the better outcome.
+// stripe, fewer stale chunks is the better outcome. A chunk that lands on a
+// published stripe may have been absent, so such a scatter moves the restore
+// counter once its writes are done (see Epoch).
 func (m *Manager) scatter(w *writeOp, id ID, meta *stripeMeta, frags [][]byte) (cost time.Duration, landed int, err error) {
+	defer func() {
+		if w.published && landed > 0 {
+			m.restores.Add(1)
+		}
+	}()
 	if meta.chunkLen >= fanOutMinBytes {
 		return m.scatterFanOut(w, id, meta, frags)
 	}
@@ -755,7 +766,7 @@ func (sm *stripeMeta) fragmentDev(i int) int {
 }
 
 // gather is the one place a stripe's fragments are fetched. It reads
-// fragments lo..hi-1 from their devices — skipping devices in avoid — under
+// fragments lo..hi-1 from their devices — skipping the slots set in skip — under
 // the request context, so the request's retry rule, budget, attempt observer
 // and cancellation apply to every fetch, and returns the parallel (critical
 // path) device cost plus how many fragments arrived. A fetch that fails just
@@ -768,11 +779,11 @@ func (sm *stripeMeta) fragmentDev(i int) int {
 // chunk goes into its dst segment however short, no scratch is needed, and —
 // with no fragments kept to decode from — the first miss ends the gather.
 // Nothing is allocated on the small-chunk path.
-func (m *Manager) gather(rc *reqctx.Ctx, id ID, meta *stripeMeta, lo, hi int, dst []byte, frags [][]byte, scratch arena, avoid map[int]bool) (cost time.Duration, got int, err error) {
+func (m *Manager) gather(rc *reqctx.Ctx, id ID, meta *stripeMeta, lo, hi int, dst []byte, frags [][]byte, scratch arena, skip uint64) (cost time.Duration, got int, err error) {
 	if meta.chunkLen < fanOutMinBytes {
 		// Serial and closure-free, tracking the max cost by hand.
 		for i := lo; i < hi; i++ {
-			frag, c, ok := m.fetch(rc, id, meta, i, dst, frags != nil, scratch, avoid)
+			frag, c, ok := m.fetch(rc, id, meta, i, dst, frags != nil, scratch, skip)
 			if ok {
 				got++
 				cost = max(cost, c)
@@ -794,7 +805,7 @@ func (m *Manager) gather(rc *reqctx.Ctx, id ID, meta *stripeMeta, lo, hi int, ds
 		}
 		var arrived atomic.Int32
 		_ = fanOut(hi-lo, func(j int) error {
-			if frag, c, ok := m.fetch(rc, id, meta, lo+j, dst, landed != nil, scratch, avoid); ok {
+			if frag, c, ok := m.fetch(rc, id, meta, lo+j, dst, landed != nil, scratch, skip); ok {
 				costs[j] = c
 				arrived.Add(1)
 				if landed != nil {
@@ -820,11 +831,11 @@ func (m *Manager) gather(rc *reqctx.Ctx, id ID, meta *stripeMeta, lo, hi int, ds
 
 // fetch reads fragment i for gather, reporting where it landed, its device
 // cost and whether it arrived. keep is gather's frags != nil.
-func (m *Manager) fetch(rc *reqctx.Ctx, id ID, meta *stripeMeta, i int, dst []byte, keep bool, scratch arena, avoid map[int]bool) ([]byte, time.Duration, bool) {
-	dev := meta.fragmentDev(i)
-	if avoid[dev] {
+func (m *Manager) fetch(rc *reqctx.Ctx, id ID, meta *stripeMeta, i int, dst []byte, keep bool, scratch arena, skip uint64) ([]byte, time.Duration, bool) {
+	if skip&(1<<i) != 0 {
 		return nil, 0, false
 	}
+	dev := meta.fragmentDev(i)
 	var into []byte
 	if i < len(meta.dataDevs) {
 		into = chunkSeg(dst, meta.chunkLen, i)
@@ -840,31 +851,26 @@ func (m *Manager) fetch(rc *reqctx.Ctx, id ID, meta *stripeMeta, i int, dst []by
 }
 
 // reconstruct is the one place missing fragments are decoded: it restores
-// the nil entries of frags from the survivors — a data chunk whose dst
-// segment spans the whole chunk straight into that segment, anything else
-// into its slot of scratch — copies every data chunk not already sitting in
-// dst into its segment (dst may be nil), and returns the decode CPU cost,
-// which callers charge serially after the gather's fan-out. Fewer than m
-// survivors is ErrUnrecoverable.
-func (m *Manager) reconstruct(id ID, meta *stripeMeta, frags [][]byte, dst []byte, scratch arena) (time.Duration, error) {
+// the nil data chunks of frags, and the nil parity fragments restore names,
+// from the survivors — a data chunk whose dst segment spans the whole chunk
+// straight into that segment, anything else into its slot of scratch —
+// copies every data chunk not already sitting in dst into its segment (dst
+// may be nil), and returns the decode CPU cost, which callers charge serially
+// after the gather's fan-out. A parity fragment restore does not name stays
+// nil: nobody reads or writes it. Fewer than m survivors is ErrUnrecoverable.
+func (m *Manager) reconstruct(id ID, meta *stripeMeta, frags [][]byte, dst []byte, scratch arena, restore uint64) (time.Duration, error) {
 	dataChunks := len(meta.dataDevs)
-	have := 0
-	for _, f := range frags {
-		if f != nil {
-			have++
-		}
-	}
-	if have < dataChunks {
+	if have := len(frags) - bits.OnesCount64(missing(frags)); have < dataChunks {
 		return 0, fmt.Errorf("%w: stripe %d (%d of %d fragments)", ErrUnrecoverable, id, have, dataChunks)
 	}
 	codec, err := m.codec(dataChunks, len(meta.parityDevs))
 	if err != nil {
 		return 0, err
 	}
-	var table [stackFrags][]byte
-	outs := fragTable(&table, len(frags))
+	var table [maxSlots][]byte
+	outs := table[:len(frags)]
 	for i, f := range frags {
-		if f != nil {
+		if f != nil || i >= dataChunks && restore&(1<<i) == 0 {
 			continue
 		}
 		if outs[i] = scratch.slot(i); i < dataChunks {
@@ -884,67 +890,98 @@ func (m *Manager) reconstruct(id ID, meta *stripeMeta, frags [][]byte, dst []byt
 	return simclock.TransferTime(int64(dataChunks*meta.chunkLen), encodeBandwidth), nil
 }
 
-// readParityInto reads a parity stripe's data into dst. Healthy stripes —
-// every data chunk present — take the allocation-free gather; when a chunk is
-// missing, or vanishes mid-read, the degraded read takes over.
+// readParityInto reads a parity stripe's data into dst. A stripe whose absent
+// mask marks no data chunk takes the allocation-free gather; when one is
+// marked, or a chunk vanishes mid-read, the degraded read takes over.
 func (m *Manager) readParityInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte) (time.Duration, error) {
-	healthy := true
-	for _, dev := range meta.dataDevs {
-		if !m.chunkPresent(id, dev) {
-			healthy = false
-			break
-		}
-	}
-	if healthy {
-		cost, got, err := m.gather(rc, id, meta, 0, len(meta.dataDevs), dst, nil, arena{}, nil)
-		if err != nil || got == len(meta.dataDevs) {
+	dataChunks := len(meta.dataDevs)
+	if m.absent(id, meta)&(1<<dataChunks-1) == 0 {
+		cost, got, err := m.gather(rc, id, meta, 0, dataChunks, dst, nil, arena{}, 0)
+		if err != nil || got == dataChunks {
 			return cost, err
 		}
 	}
 	return m.readDegradedInto(rc, id, meta, dst)
 }
 
+// survivors gathers the fragments a decode needs and no more: the data chunks
+// absent does not mark, then parity in slot order, only as many present
+// chunks as the data is short of; a fetch that fails widens the gather by
+// another round. The first parity round is charged in parallel with the data
+// reads, each later one after the round before. It returns the cost and how
+// many fragments arrived: fewer than the data chunks means the stripe is
+// lost, unless the request died (err).
+func (m *Manager) survivors(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte, frags [][]byte, scratch arena, absent uint64) (time.Duration, int, error) {
+	dataChunks := len(meta.dataDevs)
+	cost, got, err := m.gather(rc, id, meta, 0, dataChunks, dst, frags, scratch, absent)
+	for lo, round := dataChunks, 0; err == nil && got < dataChunks && lo < len(frags); round++ {
+		hi := lo
+		for short := dataChunks - got; short > 0 && hi < len(frags); hi++ {
+			if absent&(1<<hi) == 0 {
+				short--
+			}
+		}
+		c, arrived, gerr := m.gather(rc, id, meta, lo, hi, nil, frags, scratch, absent)
+		if round == 0 {
+			cost = simclock.Parallel(cost, c)
+		} else {
+			cost += c
+		}
+		got, lo, err = got+arrived, hi, gerr
+	}
+	return cost, got, err
+}
+
 // readDegradedInto reads a parity stripe's data into dst tolerating missing
-// chunks (§IV.D: corrupted but recoverable): it gathers the data chunks and,
-// when some are gone, widens the gather to parity, reconstructs, and repairs
-// on read. The caller holds the stripe's lock (read or write).
+// chunks (§IV.D: corrupted but recoverable): it fetches the fragments the
+// decode needs, decodes the missing data chunks into dst, and repairs on
+// read. The caller holds the stripe's lock (read or write).
 func (m *Manager) readDegradedInto(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte) (time.Duration, error) {
 	dataChunks := len(meta.dataDevs)
-	n := dataChunks + len(meta.parityDevs)
-	var table [stackFrags][]byte
-	frags := fragTable(&table, n)
-	scratch := leaseArena(n, meta.chunkLen)
+	var table [maxSlots][]byte
+	frags := table[:dataChunks+len(meta.parityDevs)]
+	scratch := leaseArena(len(frags), meta.chunkLen)
 	defer scratch.release()
-	dataCost, got, err := m.gather(rc, id, meta, 0, dataChunks, dst, frags, scratch, nil)
-	if err != nil || got == dataChunks {
-		return dataCost, err
+	readCost, _, err := m.survivors(rc, id, meta, dst, frags, scratch, m.absent(id, meta))
+	if err != nil || missing(frags[:dataChunks]) == 0 {
+		return readCost, err // a dead request, or nothing lost to decode
 	}
-	// All parity reads fan out at once — the degraded path is rare, and a
-	// parallel sweep beats serial retries even when one would do.
-	parityCost, _, err := m.gather(rc, id, meta, dataChunks, n, nil, frags, scratch, nil)
+	// Repair-on-read (§IV.D: on-demand data is "restored first"): every chunk
+	// absent now whose device serves (a spare was inserted) is decoded — a
+	// parity chunk the read did not fetch too — and written back rather than
+	// left to background recovery, charged after the decode. The mask is asked
+	// again because a failed fetch may have dropped a chunk; when no epoch
+	// moved that is one compare.
+	restore := m.serving(meta, m.absent(id, meta))
+	decodeCost, err := m.reconstruct(id, meta, frags, dst, scratch, restore)
 	if err != nil {
 		return 0, err
 	}
-	decodeCost, err := m.reconstruct(id, meta, frags, dst, scratch)
-	if err != nil {
-		return 0, err
-	}
-	// Repair-on-read (§IV.D: on-demand data is "restored first"): the
-	// reconstruction already produced the missing chunks, so if their home
-	// devices are healthy again (a spare was inserted), persist them now
-	// rather than leaving the work to background recovery. Only the chunks
-	// that are gone are scattered — it skips home devices still down — and
-	// the write-back is charged after the decode.
-	for i := range frags {
-		if m.chunkPresent(id, meta.fragmentDev(i)) {
-			frags[i] = nil
-		}
-	}
+	retain(frags, restore)
 	w := writeOp{rc: rc, published: true}
 	repairCost, repaired, _ := m.scatter(&w, id, meta, frags)
 	w.end()
 	m.repairedChunks.Add(int64(repaired))
-	return simclock.Parallel(dataCost, parityCost) + decodeCost + repairCost, nil
+	return readCost + decodeCost + repairCost, nil
+}
+
+// missing returns the mask of frags' empty slots.
+func missing(frags [][]byte) (mask uint64) {
+	for i, f := range frags {
+		if f == nil {
+			mask |= 1 << i
+		}
+	}
+	return mask
+}
+
+// retain empties every slot of frags outside mask.
+func retain(frags [][]byte, mask uint64) {
+	for i := range frags {
+		if mask&(1<<i) == 0 {
+			frags[i] = nil
+		}
+	}
 }
 
 // Status reports the stripe's health without charging IO cost.
@@ -958,59 +995,84 @@ func (m *Manager) Status(id ID) (Status, error) {
 	return m.status(id, meta), nil
 }
 
-// status computes a stripe's health. The caller holds the stripe's lock.
-// It allocates nothing: the hot read path consults it per stripe.
+// status derives a stripe's health from its absent mask. The caller holds the
+// stripe's lock. It allocates nothing.
 func (m *Manager) status(id ID, meta *stripeMeta) Status {
+	absent := m.absent(id, meta)
+	gone := bits.OnesCount64(absent)
 	if meta.scheme.Kind == policy.KindReplicate {
 		// Replication targets the whole array ("we replicate each
 		// metadata object across all the devices", §IV.C.4): the stripe
 		// is healthy only when every alive device holds a copy, so that
 		// spare insertion marks it degraded and recovery extends the
 		// replica set onto the new device.
-		have := 0
-		missingAlive := 0
-		for dev := 0; dev < m.array.N(); dev++ {
-			if !m.array.Device(dev).Serving() {
-				continue
-			}
-			if m.chunkPresent(id, dev) {
-				have++
-			} else {
-				missingAlive++
-			}
-		}
 		switch {
-		case have == 0:
+		case gone == m.array.N():
 			return StatusLost
-		case missingAlive > 0:
+		case m.serving(meta, absent) != 0:
 			return StatusDegraded
-		default:
-			return StatusHealthy
 		}
-	}
-	missing := 0
-	for _, dev := range meta.dataDevs {
-		if !m.chunkPresent(id, dev) {
-			missing++
-		}
-	}
-	for _, dev := range meta.parityDevs {
-		if !m.chunkPresent(id, dev) {
-			missing++
-		}
+		return StatusHealthy
 	}
 	switch {
-	case missing == 0:
+	case gone == 0:
 		return StatusHealthy
-	case missing <= len(meta.parityDevs):
+	case gone <= len(meta.parityDevs):
 		return StatusDegraded
-	default:
-		return StatusLost
 	}
+	return StatusLost
 }
 
-func (m *Manager) chunkPresent(id ID, dev int) bool {
-	return m.array.Device(dev).Has(flash.ChunkAddr(id))
+// Epoch moves whenever a chunk of a published stripe may have been lost — the
+// array's FaultEpoch — or restored: a repair, rebuild or in-place update
+// landed a chunk (scatter onto a published stripe). Which chunks are present,
+// found after reading it, holds while Epoch returns the same value. Zero is
+// never returned.
+func (m *Manager) Epoch() uint64 { return m.array.FaultEpoch() + m.restores.Load() }
+
+// absent returns the stripe's absent-slot mask: bit i is set when slot i's
+// chunk cannot be read from its device. A parity stripe's slot i is fragment
+// i; a replicated stripe's slot d is device d of the array, whose health
+// counts every serving device, member or not. The devices are probed once
+// per epoch and the answer stamped with the epoch read before the probe, so a
+// loss or restore landing meanwhile leaves a stamp that is stale from birth.
+// The caller holds the stripe's lock; nothing is allocated.
+func (m *Manager) absent(id ID, meta *stripeMeta) uint64 {
+	epoch := m.Epoch()
+	if stamp := meta.stamp.Load(); stamp>>maxSlots == epoch {
+		return stamp & (1<<maxSlots - 1)
+	}
+	n := m.array.N()
+	if meta.scheme.Kind != policy.KindReplicate {
+		n = len(meta.dataDevs) + len(meta.parityDevs)
+	}
+	var mask uint64
+	for i := 0; i < n; i++ {
+		if !m.array.Device(meta.slotDev(i)).Has(flash.ChunkAddr(id)) {
+			mask |= 1 << i
+		}
+	}
+	meta.stamp.Store(epoch<<maxSlots | mask)
+	return mask
+}
+
+// slotDev maps absent-mask slot i to its device.
+func (sm *stripeMeta) slotDev(i int) int {
+	if sm.scheme.Kind == policy.KindReplicate {
+		return i
+	}
+	return sm.fragmentDev(i)
+}
+
+// serving returns the slots of mask whose devices serve: of absent chunks,
+// the ones a write can restore.
+func (m *Manager) serving(meta *stripeMeta, mask uint64) uint64 {
+	for rest := mask; rest != 0; rest &= rest - 1 {
+		if i := bits.TrailingZeros64(rest); !m.array.Device(meta.slotDev(i)).Serving() {
+			mask &^= 1 << i
+		}
+	}
+	return mask
 }
 
 // RebuildCtx restores the stripe's missing chunks onto their home devices
@@ -1056,10 +1118,11 @@ func (m *Manager) rebuildReplicated(w *writeOp, id ID, meta *stripeMeta) (time.D
 	// spares that were not members at write time join the replica set, under
 	// the held stripe write lock, so that scatter can address them.
 	members := len(meta.replicaDevs)
-	var table [stackFrags][]byte
-	frags := fragTable(&table, members)
+	var table [maxSlots][]byte
+	frags := table[:members]
+	absent := m.absent(id, meta)
 	for _, dev := range m.array.Alive() {
-		if m.chunkPresent(id, dev) {
+		if absent&(1<<dev) == 0 {
 			continue
 		}
 		i := slices.Index(meta.replicaDevs, dev)
@@ -1073,7 +1136,8 @@ func (m *Manager) rebuildReplicated(w *writeOp, id ID, meta *stripeMeta) (time.D
 	writeCost, _, err := m.scatter(w, id, meta, frags)
 	if err != nil {
 		// A spare whose write failed does not become a member.
-		joined := slices.DeleteFunc(meta.replicaDevs[members:], func(dev int) bool { return !m.chunkPresent(id, dev) })
+		absent = m.absent(id, meta)
+		joined := slices.DeleteFunc(meta.replicaDevs[members:], func(dev int) bool { return absent&(1<<dev) != 0 })
 		meta.replicaDevs = meta.replicaDevs[:members+len(joined)]
 		return 0, StatusDegraded, err
 	}
@@ -1081,31 +1145,27 @@ func (m *Manager) rebuildReplicated(w *writeOp, id ID, meta *stripeMeta) (time.D
 }
 
 func (m *Manager) rebuildParity(w *writeOp, id ID, meta *stripeMeta) (time.Duration, Status, error) {
-	n := len(meta.dataDevs) + len(meta.parityDevs)
-	var table, present [stackFrags][]byte
-	frags := fragTable(&table, n)
-	scratch := leaseArena(n, meta.chunkLen)
+	var table [maxSlots][]byte
+	frags := table[:len(meta.dataDevs)+len(meta.parityDevs)]
+	scratch := leaseArena(len(frags), meta.chunkLen)
 	defer scratch.release()
-	readCost, got, err := m.gather(w.rc, id, meta, 0, n, nil, frags, scratch, nil)
+	readCost, _, err := m.survivors(w.rc, id, meta, nil, frags, scratch, m.absent(id, meta))
 	if err != nil {
 		return 0, 0, err
 	}
-	if got == n {
+	// Asked again: a failed fetch may have dropped a chunk.
+	absent := m.absent(id, meta)
+	if absent == 0 {
 		return readCost, StatusHealthy, nil
 	}
-	survivors := fragTable(&present, n)
-	copy(survivors, frags)
-	decodeCost, err := m.reconstruct(id, meta, frags, nil, scratch)
+	restore := m.serving(meta, absent)
+	decodeCost, err := m.reconstruct(id, meta, frags, nil, scratch, restore)
 	if err != nil {
 		return 0, StatusLost, err
 	}
-	// Write back what the gather missed; a chunk whose home device is still
-	// failed stays missing.
-	for i, f := range survivors {
-		if f != nil {
-			frags[i] = nil
-		}
-	}
+	// Write back the absent chunks whose home devices serve; a chunk whose
+	// device is still failed stays missing.
+	retain(frags, restore)
 	writeCost, _, err := m.scatter(w, id, meta, frags)
 	if err != nil {
 		return 0, StatusDegraded, err

@@ -120,8 +120,8 @@ func (m *Manager) updateReplicated(w *writeOp, id ID, meta *stripeMeta, local in
 		return 0, err
 	}
 	copy(chunk[local:], data)
-	var table [stackFrags][]byte
-	frags := fragTable(&table, len(meta.replicaDevs))
+	var table [maxSlots][]byte
+	frags := table[:len(meta.replicaDevs)]
 	for i := range frags {
 		frags[i] = chunk
 	}
@@ -135,13 +135,13 @@ func (m *Manager) updateReplicated(w *writeOp, id ID, meta *stripeMeta, local in
 // in one gather and written in one scatter: that would charge max r + max w,
 // more as soon as the devices differ in speed.
 func (m *Manager) updateNoParity(w *writeOp, id ID, meta *stripeMeta, local int, data []byte, first, last int) (time.Duration, error) {
-	var table [stackFrags][]byte
-	frags := fragTable(&table, len(meta.dataDevs))
+	var table [maxSlots][]byte
+	frags := table[:len(meta.dataDevs)]
 	scratch := leaseArena(len(frags), meta.chunkLen)
 	defer scratch.release()
 	var total time.Duration
 	for ci := first; ci <= last; ci++ {
-		readCost, got, err := m.gather(w.rc, id, meta, ci, ci+1, nil, frags, scratch, nil)
+		readCost, got, err := m.gather(w.rc, id, meta, ci, ci+1, nil, frags, scratch, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -170,22 +170,22 @@ func (m *Manager) updateNoParity(w *writeOp, id ID, meta *stripeMeta, local int,
 // delta, write the new chunk and parity.
 func (m *Manager) updateDelta(w *writeOp, id ID, meta *stripeMeta, codec *erasure.Codec, local int, data []byte, chunkIdx int) (time.Duration, error) {
 	dataChunks, k := len(meta.dataDevs), len(meta.parityDevs)
-	var table [stackFrags][]byte
-	frags := fragTable(&table, dataChunks+k)
+	var table [maxSlots][]byte
+	frags := table[:dataChunks+k]
 	// One slot per fragment plus one for the new content of the chunk.
 	scratch := leaseArena(dataChunks+k+1, meta.chunkLen)
 	defer scratch.release()
 	// The old chunk first: when it is unreadable the parity is not fetched.
 	// Whenever a needed chunk is unavailable the direct path takes over — it
 	// reconstructs from survivors.
-	chunkCost, got, err := m.gather(w.rc, id, meta, chunkIdx, chunkIdx+1, nil, frags, scratch, nil)
+	chunkCost, got, err := m.gather(w.rc, id, meta, chunkIdx, chunkIdx+1, nil, frags, scratch, 0)
 	if err != nil {
 		return 0, err
 	}
 	if got == 0 {
 		return m.updateDirect(w, id, meta, codec, local, data, chunkIdx, chunkIdx)
 	}
-	parityCost, got, err := m.gather(w.rc, id, meta, dataChunks, dataChunks+k, nil, frags, scratch, nil)
+	parityCost, got, err := m.gather(w.rc, id, meta, dataChunks, dataChunks+k, nil, frags, scratch, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -220,8 +220,8 @@ func (m *Manager) updateDirect(w *writeOp, id ID, meta *stripeMeta, codec *erasu
 		return 0, err
 	}
 	copy(buf[local:], data)
-	var table [stackFrags][]byte
-	frags := fragTable(&table, dataChunks+k)
+	var table [maxSlots][]byte
+	frags := table[:dataChunks+k]
 	for i := range frags {
 		frags[i] = stage.slot(i)
 	}

@@ -14,10 +14,25 @@ import (
 // No reobench experiment, gate command or bench/ workload issues a partial
 // write, a rebuild of a replicated stripe, or a scrub repair, so this table is
 // what pins their virtual cost and the device operations they issue. Every
-// expectation is written out from the device spec and encodeBandwidth, never
-// taken from the code under test.
+// expectation is written out from the device spec — the paper's device,
+// flash.Intel540s — and encodeBandwidth, and every read count from the stripe
+// shape, never taken from the code under test.
 
 const wcChunk = 512 // every stripe below is one full stripe of 512-byte chunks
+
+// wcManager is the table's array: five flash.Intel540s devices.
+func wcManager(t *testing.T) *Manager {
+	t.Helper()
+	a, err := flash.NewArray(5, flash.Intel540s(64<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(a, wcChunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // opSlowHook scales the cost of reads and writes separately (fail-slow).
 type opSlowHook struct{ read, write float64 }
@@ -149,15 +164,15 @@ func TestUpdateRangeCostAndOps(t *testing.T) {
 		{
 			// m=4, k=1: delta (1+k = 2 reads) beats direct (m-1 = 3). With the
 			// chunk's device failed the old chunk cannot be read and the
-			// update falls back to direct: reconstruct from the 3 surviving
-			// data chunks + parity, re-encode, write parity only.
+			// update falls back to direct: reconstruct from the m survivors,
+			// the 3 data chunks left + parity, re-encode, write parity only.
 			name: "delta", scheme: policy.Parity(1), off: 600, n: 100,
 			victim: func(meta *stripeMeta, _ arrayState) int { return meta.dataDevs[1] },
 			want: func(e wcEnv, state arrayState) wcWant {
 				d, p := e.meta.dataDevs[1], e.meta.parityDevs[0]
 				if state == oneFailed {
 					read := max(maxOver(e.meta.dataDevs, e.r, e.serving), e.r(p))
-					return wcWant{cost: read + code(4) + code(4) + e.w(p), reads: 4, writes: 1}
+					return wcWant{cost: read + code(4) + code(4) + e.w(p), reads: int64(len(e.meta.dataDevs)), writes: 1}
 				}
 				return wcWant{
 					cost:  max(e.r(d), e.r(p)) + code(1) + max(e.w(d), e.w(p)),
@@ -172,9 +187,11 @@ func TestUpdateRangeCostAndOps(t *testing.T) {
 			victim: func(meta *stripeMeta, _ arrayState) int { return meta.dataDevs[1] },
 			want: func(e wcEnv, state arrayState) wcWant {
 				if state == oneFailed {
-					// 2 data + 2 parity reads, decode, encode, parity writes.
-					read := max(maxOver(e.meta.dataDevs, e.r, e.serving), maxOver(e.meta.parityDevs, e.r, all))
-					return wcWant{cost: read + code(3) + code(3) + maxOver(e.meta.parityDevs, e.w, all), reads: 4, writes: 2}
+					// The m survivors — the 2 data chunks left and the first
+					// parity chunk — read in parallel; decode, encode, parity
+					// writes.
+					read := max(maxOver(e.meta.dataDevs, e.r, e.serving), e.r(e.meta.parityDevs[0]))
+					return wcWant{cost: read + code(3) + code(3) + maxOver(e.meta.parityDevs, e.w, all), reads: int64(len(e.meta.dataDevs)), writes: 2}
 				}
 				write := max(e.w(e.meta.dataDevs[1]), maxOver(e.meta.parityDevs, e.w, all))
 				return wcWant{cost: maxOver(e.meta.dataDevs, e.r, all) + code(3) + write, reads: 3, writes: 3}
@@ -195,14 +212,15 @@ func TestUpdateRangeCostAndOps(t *testing.T) {
 			},
 			want: func(e wcEnv, state arrayState) wcWant {
 				if state == oneFailed {
-					return wcWant{err: ErrUnrecoverable, reads: 3}
+					// Every chunk left is read: m-1 of them.
+					return wcWant{err: ErrUnrecoverable, reads: int64(len(e.meta.dataDevs) - 1)}
 				}
 				d, p := e.meta.dataDevs[1], e.meta.parityDevs[0]
 				present := func(dev int) bool { return dev != d }
 				read := max(maxOver(e.meta.dataDevs, e.r, present), e.r(p))
 				return wcWant{
 					cost:  read + code(4) + e.w(d) + code(4) + max(e.w(d), e.w(p)),
-					reads: 4, writes: 3,
+					reads: int64(len(e.meta.dataDevs)), writes: 3,
 				}
 			},
 		},
@@ -220,7 +238,7 @@ func TestUpdateRangeCostAndOps(t *testing.T) {
 				name = state.String()
 			}
 			t.Run(tc.name+"/"+name, func(t *testing.T) {
-				m := testManager(t, 5, wcChunk)
+				m := wcManager(t)
 				size := wcChunk
 				if tc.scheme.Kind == policy.KindParity {
 					size = (5 - tc.scheme.ParityChunks) * wcChunk
@@ -284,7 +302,7 @@ func TestUpdateRangeCostAndOps(t *testing.T) {
 
 func TestRebuildCostAndOps(t *testing.T) {
 	t.Run("replicated onto a spare", func(t *testing.T) {
-		m := testManager(t, 5, wcChunk)
+		m := wcManager(t)
 		ids, _, err := m.WriteCtx(nil, randBytes(31, 2*wcChunk), policy.ReplicateAll())
 		if err != nil || len(ids) != 2 {
 			t.Fatalf("write: %v (%d stripes)", err, len(ids))
@@ -321,7 +339,7 @@ func TestRebuildCostAndOps(t *testing.T) {
 			name = "parity, home device still failed"
 		}
 		t.Run(name, func(t *testing.T) {
-			m := testManager(t, 5, wcChunk)
+			m := wcManager(t)
 			ids, _, err := m.WriteCtx(nil, randBytes(32, 3*wcChunk), policy.Parity(2))
 			if err != nil || len(ids) != 1 {
 				t.Fatalf("write: %v (%d stripes)", err, len(ids))
@@ -344,8 +362,10 @@ func TestRebuildCostAndOps(t *testing.T) {
 			if cost != want {
 				t.Errorf("cost = %v, want %v", cost, want)
 			}
-			if r1-r0 != 4 || w1-w0 != wantWrites {
-				t.Errorf("device ops = %d reads / %d writes, want 4 / %d", r1-r0, w1-w0, wantWrites)
+			// The m survivors are read: the 2 data chunks left and the first
+			// parity chunk.
+			if wantReads := int64(len(meta.dataDevs)); r1-r0 != wantReads || w1-w0 != wantWrites {
+				t.Errorf("device ops = %d reads / %d writes, want %d / %d", r1-r0, w1-w0, wantReads, wantWrites)
 			}
 		})
 	}
@@ -366,7 +386,7 @@ func TestRepairStripeCostAndOps(t *testing.T) {
 		{"parity locate", policy.Parity(2), 3 * wcChunk, 1, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := testManager(t, 5, wcChunk)
+			m := wcManager(t)
 			data := randBytes(41, tc.size)
 			ids, _, err := m.WriteCtx(nil, data, tc.scheme)
 			if err != nil || len(ids) != 1 {

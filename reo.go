@@ -356,6 +356,10 @@ func (c *Cache) Seed(id ObjectID, data []byte) error {
 
 // Read serves an object: from flash on a hit (reconstructing degraded data
 // when possible), from the backend on a miss (admitting it into the cache).
+// As with ReadCtx, on a hit the returned data lives in a pooled buffer owned
+// by the Result — call Result.Release once done with it to keep the
+// steady-state read path allocation-free (skipping Release is safe; the GC
+// reclaims the buffer, it just isn't recycled).
 func (c *Cache) Read(id ObjectID) ([]byte, Result, error) {
 	res, err := c.manager.Read(id)
 	if err != nil {
