@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/reo-cache/reo/internal/harness"
-	"github.com/reo-cache/reo/internal/workload"
 )
 
 // clusterArgs carries the -cluster* flag values into runCluster.
@@ -28,16 +27,14 @@ type clusterArgs struct {
 // cluster behind the consistent-hash initiator. Three shard placements are
 // supported: in-process stores (default), loopback wire servers (-remote),
 // and external reotarget processes (-cluster-addrs, or spawned here via
-// -reotarget-bin). The replay byte-verifies every object's final content
-// and prints a shard-count-independent digest: the same trace must print
-// the same digest at -cluster 1 and -cluster N.
+// -reotarget-bin). -remote without -cluster is one loopback wire shard. The
+// replay byte-verifies every object's final content and prints a
+// shard-count-independent digest: the same trace must print the same digest
+// at -cluster 1, -remote and -cluster N.
 func runCluster(experiment string, opts harness.Options, args clusterArgs) error {
-	loc := workload.Medium
-	switch experiment {
-	case "fig5":
-		loc = workload.Weak
-	case "fig7":
-		loc = workload.Strong
+	loc := locality(experiment)
+	if args.shards < 1 && args.addrs == "" {
+		args.shards = 1
 	}
 	spec := harness.ClusterSpec{
 		Shards:  args.shards,
@@ -51,9 +48,6 @@ func runCluster(experiment string, opts harness.Options, args clusterArgs) error
 	}
 
 	if args.reotargetBin != "" && len(spec.Addrs) == 0 {
-		if spec.Shards < 1 {
-			return fmt.Errorf("-reotarget-bin needs -cluster N")
-		}
 		addrs, stop, err := spawnTargets(args.reotargetBin, spec.Shards, opts)
 		if err != nil {
 			return err

@@ -15,6 +15,15 @@
 // paper (1.0 = 4.4MB mean objects ≈ 17GB data set; the default 1/64 keeps
 // the data set around 270MB). Hit ratios are scale-invariant; bandwidth and
 // latency keep their relative shape (see EXPERIMENTS.md).
+//
+// Besides the virtual-time experiments, -chaos replays a trace under fault
+// injection, and -cluster N replays one against an N-shard cluster in wall
+// clock time; -remote puts the shards behind a loopback transport and, on
+// its own, is a one-shard wire cluster:
+//
+//	reobench -chaos -fault-seed 42
+//	reobench -cluster 3 -batch 64
+//	reobench -remote -workers 8
 package main
 
 import (
@@ -53,11 +62,9 @@ func run(args []string) error {
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		opstats    = fs.Bool("opstats", false, "print a per-op latency breakdown (read.hit/read.miss/write) after each experiment")
-		timeout    = fs.Duration("timeout", 0, "per-request deadline; expired requests are counted and skipped (0 = none)")
-		cancelRate = fs.Float64("cancel-rate", 0, "fraction of requests issued pre-cancelled, deterministic per seed (0 = none)")
-		remote     = fs.Bool("remote", false, "replay over a real loopback transport (multiplexed wire) instead of the in-process simulator")
-		workers    = fs.Int("workers", 8, "concurrent request issuers for -remote")
-		conns      = fs.Int("conns", 1, "multiplexed connections in the -remote client pool")
+		remote     = fs.Bool("remote", false, "serve the cluster replay's shards over a loopback multiplexed transport; without -cluster, replay against one such shard")
+		workers    = fs.Int("workers", 8, "concurrent request issuers for -cluster/-remote, partitioned by object")
+		conns      = fs.Int("conns", 1, "multiplexed connections per wire shard for -cluster/-remote")
 		asyncRecl  = fs.Bool("async-reclass", false, "run the asynchronous reclassification pipeline instead of the deterministic in-lock refresh (output no longer byte-comparable to golden runs)")
 		chaos      = fs.Bool("chaos", false, "run the chaos soak: replay under injected faults (transient errors, bit-flips, latent sectors, fail-slow, fail-stop) and verify every byte end to end")
 		faultSeed  = fs.Int64("fault-seed", 1, "fault-injection seed for -chaos; the same seed replays the identical fault sequence")
@@ -68,9 +75,7 @@ func run(args []string) error {
 		reotargets = fs.String("reotarget-bin", "", "spawn -cluster N reotarget processes from this binary and replay against them")
 		clChurn    = fs.Bool("cluster-churn", false, "add one shard and retire another mid-replay (in-process -cluster mode only)")
 		layoutStr  = fs.String("flash-layout", "inplace", "flash write path: inplace (seed behaviour) or log (append-only segments with GC)")
-		segBytes   = fs.Int64("segment-bytes", 0, "log-structured segment size in bytes (0 = capacity/64, clamped)")
 		admitStr   = fs.String("admission", "all", "clean-miss admission gate: all (admit every miss) or reuse (Flashield-style ghost filter)")
-		admitHits  = fs.Int("admit-min-hits", 0, "prior misses required before -admission=reuse admits an object (0 = 1)")
 		batchN     = fs.Int("batch", 0, "group up to N consecutive same-kind requests into one ReadBatch/WriteBatch call during -remote/-cluster replays (0 or 1 = one request per call)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -82,18 +87,13 @@ func run(args []string) error {
 		Parallelism:  *parallel,
 		Objects:      *objects,
 		Requests:     *requests,
-		Timeout:      *timeout,
-		CancelRate:   *cancelRate,
 		AsyncReclass: *asyncRecl,
-		SegmentBytes: *segBytes,
-		AdmitMinHits: *admitHits,
 		Batch:        *batchN,
 	}
 	switch *layoutStr {
 	case "inplace":
 	case "log":
 		opts.Layout = flash.LayoutLog
-		opts.BackgroundGC = true
 	default:
 		return fmt.Errorf("flash-layout %q (want inplace or log)", *layoutStr)
 	}
@@ -103,9 +103,6 @@ func run(args []string) error {
 		opts.Admission = cache.AdmitOnReuse
 	default:
 		return fmt.Errorf("admission %q (want all or reuse)", *admitStr)
-	}
-	if *cancelRate < 0 || *cancelRate > 1 {
-		return fmt.Errorf("cancel-rate %v outside [0,1]", *cancelRate)
 	}
 	if *opstats {
 		opts.OpStats = metrics.NewOpHistogram()
@@ -146,7 +143,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	if *clusterN > 0 || *clAddrs != "" {
+	if *clusterN > 0 || *clAddrs != "" || *remote {
 		return runCluster(*experiment, opts, clusterArgs{
 			shards:       *clusterN,
 			addrs:        *clAddrs,
@@ -156,10 +153,6 @@ func run(args []string) error {
 			workers:      *workers,
 			conns:        *conns,
 		})
-	}
-
-	if *remote {
-		return runRemote(*experiment, opts, *workers, *conns)
 	}
 
 	dispatch := map[string]func(harness.Options) error{
@@ -212,13 +205,7 @@ func run(args []string) error {
 // periodic scrub-repair — every read is byte-verified and a final sweep
 // checks the last acknowledged version of every object.
 func runChaos(experiment string, opts harness.Options, faultSeed int64, hedgeDelay time.Duration, failSlowFactor float64) error {
-	loc := workload.Medium
-	switch experiment {
-	case "fig5":
-		loc = workload.Weak
-	case "fig7":
-		loc = workload.Strong
-	}
+	loc := locality(experiment)
 	start := time.Now()
 	cc := harness.DefaultChaos(faultSeed)
 	cc.HedgeDelay = hedgeDelay
@@ -327,37 +314,17 @@ func runHedge(opts harness.Options, delay time.Duration) error {
 	return nil
 }
 
-// runRemote replays the selected experiment's workload over a real loopback
-// transport with concurrent issuers: the store is served by the multiplexed
-// wire server, and the cache manager drives it through a pooled remote
-// target. The experiment name selects the locality (fig5 = weak, fig7 =
-// strong, anything else = medium).
-func runRemote(experiment string, opts harness.Options, workers, conns int) error {
-	loc := workload.Medium
+// locality picks the trace locality the -chaos and -cluster replays run
+// under from the experiment name: fig5 = weak, fig7 = strong, anything else
+// = medium.
+func locality(experiment string) workload.Locality {
 	switch experiment {
 	case "fig5":
-		loc = workload.Weak
+		return workload.Weak
 	case "fig7":
-		loc = workload.Strong
+		return workload.Strong
 	}
-	start := time.Now()
-	res, err := harness.RemoteThroughput(loc, opts, workers, conns)
-	if err != nil {
-		return err
-	}
-	w := table(fmt.Sprintf("== Remote replay: %s locality over loopback multiplexed transport ==", loc))
-	fmt.Fprintln(w, "workers\tconns\trequests\thit ratio\tthroughput\tdata\telapsed")
-	fmt.Fprintf(w, "%d\t%d\t%d\t%.1f%%\t%.0f ops/s\t%.1f MB\t%v\n",
-		res.Workers, res.Conns, res.Requests, res.HitRatioPct(), res.OpsPerSec(),
-		float64(res.Bytes)/1e6, res.Elapsed.Round(time.Millisecond))
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("[remote completed in %v]\n", time.Since(start).Round(time.Millisecond))
-	if opts.OpStats != nil {
-		fmt.Printf("-- per-op latency (remote, wall clock) and wire counters --\n%s\n", opts.OpStats)
-	}
-	return nil
+	return workload.Medium
 }
 
 func defaultParallelism() int {

@@ -74,6 +74,16 @@ func TestSmokeAblations(t *testing.T) {
 	}
 }
 
+// TestSmokeRemote runs -remote, a one-shard cluster behind a loopback
+// transport; runCluster fails if any object's final bytes mismatch. The scale
+// is doubled from tiny's so the shard admits objects and the wire carries
+// puts, not only misses.
+func TestSmokeRemote(t *testing.T) {
+	if err := run(append(tiny("fig6"), "-scale", "0.004", "-remote", "-workers", "4", "-conns", "2")); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDefaultParallelismSane(t *testing.T) {
 	if n := defaultParallelism(); n < 1 || n > 6 {
 		t.Fatalf("defaultParallelism = %d", n)

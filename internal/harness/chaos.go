@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -124,11 +123,9 @@ func ChaosRun(loc workload.Locality, opts Options, chaos ChaosConfig) (*ChaosRes
 		return nil, err
 	}
 	sys, err := BuildSystem(opts.systemConfig(SystemConfig{
-		Policy:             policy.Reo{ParityBudget: 0.20},
-		CacheBytes:         tr.DatasetBytes / 10,
-		ChunkSize:          opts.chunk(64 << 10),
-		MetadataObjectSize: opts.metadataSize(),
-		AutoRecover:        true,
+		Policy:      policy.Reo{ParityBudget: 0.20},
+		CacheBytes:  tr.DatasetBytes / 10,
+		AutoRecover: true,
 	}), tr)
 	if err != nil {
 		return nil, err
@@ -190,26 +187,8 @@ func ChaosRun(loc workload.Locality, opts Options, chaos ChaosConfig) (*ChaosRes
 	// object must read back its last acknowledged version — dirty data from
 	// flash, clean data from flash or the backend.
 	faultinject.Detach(sys.Store.Array())
-	last := make([]int, len(tr.Sizes))
-	for _, req := range tr.Requests {
-		if req.Write {
-			last[req.Object] = req.Version
-		}
-	}
-	for obj := range tr.Sizes {
-		result, err := sys.Cache.Read(objectID(obj))
-		if err != nil {
-			return nil, fmt.Errorf("post-chaos sweep: object %d: %w", obj, err)
-		}
-		want := Payload(tr, obj, last[obj])
-		match := bytes.Equal(result.Data, want)
-		result.Release()
-		if !match {
-			return nil, fmt.Errorf("post-chaos sweep: object %d: content mismatch at version %d (acknowledged data lost)",
-				obj, last[obj])
-		}
-		sys.Clock.Advance(result.Latency + result.Background)
-		out.Verified++
+	if out.Verified, _, _, err = sweep(sys.Cache, tr, true); err != nil {
+		return nil, fmt.Errorf("post-chaos %w", err)
 	}
 
 	out.Faults = inj.Counters()

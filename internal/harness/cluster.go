@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -12,6 +11,8 @@ import (
 	"github.com/reo-cache/reo/internal/cache"
 	"github.com/reo-cache/reo/internal/cluster"
 	"github.com/reo-cache/reo/internal/flash"
+	"github.com/reo-cache/reo/internal/metrics"
+	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/store"
 	"github.com/reo-cache/reo/internal/target"
@@ -19,13 +20,56 @@ import (
 	"github.com/reo-cache/reo/internal/workload"
 )
 
+// setWireGauges surfaces the zero-copy/batching wire counters next to the op
+// latencies so -opstats shows how the transport moved the bytes: frames per
+// flush, the coalescing rate and the frame-lease books (leases != releases
+// at quiesce means a leaked pooled buffer), plus the batch PDUs when the
+// replay batches.
+func setWireGauges(h *metrics.OpHistogram, batched bool) {
+	ws := transport.SnapshotWireStats()
+	h.SetGauge("wire.flushes", float64(ws.Flushes))
+	h.SetGauge("wire.frames", float64(ws.Frames))
+	h.SetGauge("wire.batchedFrames", float64(ws.BatchedFrames))
+	h.SetGauge("wire.bytesPerSyscall", ws.BytesPerFlush())
+	h.SetGauge("bufpool.wireLeases", float64(ws.Leases))
+	h.SetGauge("bufpool.wireReleases", float64(ws.Releases))
+	if batched {
+		h.SetGauge("batch.frames", float64(ws.BatchFrames))
+		h.SetGauge("batch.subOpsPerFrame", ws.SubOpsPerBatch())
+	}
+}
+
+// remoteWriteRatio mixes writes into the cluster replay so the targets (and
+// the multiplexed connections, over the wire) carry put, get, write-range,
+// and mark-clean traffic, not just reads (matching the paper's mixed
+// workload of §VI.D).
+const remoteWriteRatio = 0.3
+
+// issueBatch issues one run of same-kind trace requests as a single batched
+// cache call.
+func issueBatch(cm *cache.Manager, tr *workload.Trace, run []workload.Request) ([]cache.Result, []error) {
+	if run[0].Write {
+		ops := make([]cache.BatchWrite, len(run))
+		for k, rq := range run {
+			ops[k] = cache.BatchWrite{ID: objectID(rq.Object), Data: Payload(tr, rq.Object, rq.Version)}
+		}
+		return cm.WriteBatch(ops)
+	}
+	ids := make([]osd.ObjectID, len(run))
+	for k, rq := range run {
+		ids[k] = objectID(rq.Object)
+	}
+	return cm.ReadBatch(ids)
+}
+
 // ClusterSpec shapes a sharded replay.
 type ClusterSpec struct {
 	// Shards is the shard count for in-process modes. Ignored when Addrs
 	// is set.
 	Shards int
 	// Remote serves each in-process shard through a loopback TCP
-	// transport instead of direct store calls.
+	// transport instead of direct store calls (reobench -remote is one
+	// such shard).
 	Remote bool
 	// Addrs, when non-empty, are external reotarget addresses (one shard
 	// each) — e.g. processes spawned by reobench or a CI script.
@@ -45,15 +89,22 @@ type ClusterSpec struct {
 type ClusterResult struct {
 	Shards  int
 	Workers int
-	replayTotals
+	// Requests, Hits, Bytes and Elapsed are the replay's totals. Unlike
+	// RunResult, which advances a virtual clock per request, the cluster
+	// replay drives real stores with real concurrency, so Elapsed and
+	// OpsPerSec are measured, not simulated.
+	Requests int
+	Hits     int64
+	Bytes    int64
+	Elapsed  time.Duration
 	// Digest fingerprints the final byte content of every object (in
 	// object order). Two replays of the same trace — whatever the shard
 	// count, worker count, or transport — must print the same digest;
 	// that is the cluster's byte-identical-to-single-target contract.
 	Digest uint64
-	// Verified counts objects whose final bytes matched the last
-	// acknowledged write exactly; Mismatched counts objects that did not
-	// (always 0 on a healthy run).
+	// Verified counts objects whose final bytes matched the trace's last
+	// write exactly; Mismatched counts objects that did not (always 0 on a
+	// healthy run).
 	Verified   int
 	Mismatched int
 	// Retries counts transient admission-race retries during the replay.
@@ -63,6 +114,22 @@ type ClusterResult struct {
 	MigratedBytes   int64
 	// PerShard is the per-shard routing accounting at quiesce.
 	PerShard []cluster.ShardCounters
+}
+
+// OpsPerSec is the measured wall-clock request throughput.
+func (r *ClusterResult) OpsPerSec() float64 {
+	if r.Elapsed <= 0 {
+		return 0
+	}
+	return float64(r.Requests) / r.Elapsed.Seconds()
+}
+
+// HitRatioPct is the fraction of requests served from flash.
+func (r *ClusterResult) HitRatioPct() float64 {
+	if r.Requests == 0 {
+		return 0
+	}
+	return 100 * float64(r.Hits) / float64(r.Requests)
 }
 
 // clusterShardStore builds one shard-sized store: the cluster divides the
@@ -85,9 +152,9 @@ func clusterShardStore(cacheBytes int64, shards, chunk int, pol policy.Reo) (*st
 
 // ClusterThroughput replays a trace against an N-shard cluster behind a
 // cluster.Initiator, with `spec.Workers` goroutines partitioned by object.
-// It is reobench's -cluster mode. After the replay it sweeps every object
-// and byte-verifies the final content against the last acknowledged write,
-// folding the bytes into a shard-count-independent digest.
+// It is reobench's -cluster and -remote mode. After the replay it sweeps
+// every object and byte-verifies the final content against the trace's last
+// write, folding the bytes into a shard-count-independent digest.
 func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*ClusterResult, error) {
 	opts.applyDefaults()
 	if spec.Workers < 1 {
@@ -111,9 +178,8 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 		return nil, err
 	}
 
-	// Same envelope as the single-target remote replay: mid-range cache
-	// (8% of the data set), the flagship Reo-40% policy — split across N
-	// shards.
+	// Mid-range cache (8% of the data set), the flagship Reo-40% policy —
+	// split across N shards.
 	cacheBytes := int64(float64(tr.DatasetBytes) * 0.08)
 	pol := policy.Reo{ParityBudget: 0.40}
 	chunk := opts.chunk(64 << 10)
@@ -174,10 +240,7 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 		return nil, err
 	}
 
-	res := &ClusterResult{Shards: shards, Workers: spec.Workers, replayTotals: replayTotals{Requests: len(tr.Requests)}}
-	// lastAcked[obj] is the highest acknowledged write version; slot obj is
-	// owned by worker obj%Workers, read by the verify sweep after quiesce.
-	lastAcked := make([]int, len(tr.Sizes))
+	res := &ClusterResult{Shards: shards, Workers: spec.Workers, Requests: len(tr.Requests)}
 	var (
 		hits     int64
 		bytes    int64
@@ -226,9 +289,6 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 				return r, err
 			}
 			settle := func(req workload.Request, r cache.Result) {
-				if req.Write {
-					lastAcked[req.Object] = req.Version
-				}
 				if r.Hit {
 					localHits++
 				}
@@ -325,27 +385,11 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 	}
 	res.Hits, res.Bytes, res.Retries = hits, bytes, retries
 
-	// Verify sweep: every object's final bytes must equal its last
-	// acknowledged write. The digest folds the verified bytes in object
-	// order, so it is identical across shard counts, worker counts, and
+	// The digest is identical across shard counts, worker counts, and
 	// transports — the byte-identical-to-single-target check.
-	digest := fnv.New64a()
-	for obj := range tr.Sizes {
-		r, err := cm.Read(objectID(obj))
-		if err != nil {
-			return nil, fmt.Errorf("verify sweep object %d: %w", obj, err)
-		}
-		want := Payload(tr, obj, lastAcked[obj])
-		got := r.Data
-		if string(got) == string(want) {
-			res.Verified++
-		} else {
-			res.Mismatched++
-		}
-		digest.Write(want)
-		r.Release()
+	if res.Verified, res.Mismatched, res.Digest, err = sweep(cm, tr, false); err != nil {
+		return nil, err
 	}
-	res.Digest = digest.Sum64()
 
 	res.MigratedObjects, res.MigratedBytes = ini.MigratedTotals()
 	res.PerShard = ini.Counters()

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"github.com/reo-cache/reo/internal/metrics"
 	"github.com/reo-cache/reo/internal/workload"
 )
 
@@ -11,8 +12,12 @@ func clusterOpts() Options {
 }
 
 // TestClusterMatchesSingleTarget is the byte-identical contract: the same
-// trace replayed at 1 shard, 4 in-process shards, and 4 loopback-wire
-// shards must verify every object and produce the same content digest.
+// trace replayed at 1 shard, 4 in-process shards, 1 loopback-wire shard
+// (reobench -remote) and 4 loopback-wire shards must verify every object and
+// produce the same content digest. Each replay's wall-clock accounting must
+// be sane, and a wire replay must return every pooled frame buffer it leased.
+// Run with -race to exercise the concurrent cache manager and transport
+// together.
 func TestClusterMatchesSingleTarget(t *testing.T) {
 	single, err := ClusterThroughput(workload.Medium, clusterOpts(), ClusterSpec{Shards: 1, Workers: 4})
 	if err != nil {
@@ -30,9 +35,12 @@ func TestClusterMatchesSingleTarget(t *testing.T) {
 		spec ClusterSpec
 	}{
 		{"4-shard in-process", ClusterSpec{Shards: 4, Workers: 4}},
+		{"1-shard loopback wire", ClusterSpec{Shards: 1, Workers: 4, Remote: true, Conns: 2}},
 		{"4-shard loopback wire", ClusterSpec{Shards: 4, Workers: 4, Remote: true, Conns: 2}},
 	} {
-		res, err := ClusterThroughput(workload.Medium, clusterOpts(), tc.spec)
+		opts := clusterOpts()
+		opts.OpStats = metrics.NewOpHistogram()
+		res, err := ClusterThroughput(workload.Medium, opts, tc.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -42,8 +50,33 @@ func TestClusterMatchesSingleTarget(t *testing.T) {
 		if res.Digest != single.Digest {
 			t.Errorf("%s: digest %016x != single-target %016x", tc.name, res.Digest, single.Digest)
 		}
-		if res.Shards != 4 || len(res.PerShard) != 4 {
+		if res.Shards != tc.spec.Shards || len(res.PerShard) != tc.spec.Shards {
 			t.Errorf("%s: shards=%d per-shard rows=%d", tc.name, res.Shards, len(res.PerShard))
+		}
+		if res.Requests != 1200 {
+			t.Errorf("%s: requests = %d, want 1200", tc.name, res.Requests)
+		}
+		if res.Elapsed <= 0 || res.OpsPerSec() <= 0 {
+			t.Errorf("%s: no wall-clock measurement: elapsed=%v ops/s=%v", tc.name, res.Elapsed, res.OpsPerSec())
+		}
+		// A quarter-size shard at this scale holds almost nothing, so only
+		// the one-shard replay is sure to hit.
+		if tc.spec.Shards == 1 && res.Hits == 0 {
+			t.Errorf("%s: a 1200-request replay over 120 objects should see repeat hits", tc.name)
+		}
+		if hr := res.HitRatioPct(); hr < 0 || hr > 100 {
+			t.Errorf("%s: hit ratio %v%% out of range", tc.name, hr)
+		}
+		if res.Bytes == 0 {
+			t.Errorf("%s: no bytes accounted", tc.name)
+		}
+		if tc.spec.Remote {
+			leases, okL := opts.OpStats.Gauge("bufpool.wireLeases")
+			releases, okR := opts.OpStats.Gauge("bufpool.wireReleases")
+			if !okL || !okR || leases == 0 || leases != releases {
+				t.Errorf("%s: wire leases %v (set %v) != releases %v (set %v) at quiesce",
+					tc.name, leases, okL, releases, okR)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -35,11 +36,6 @@ type Options struct {
 	// OpStats, when set, aggregates per-op request latencies across every
 	// measured run of the experiment (reobench -opstats).
 	OpStats *metrics.OpHistogram
-	// Timeout and CancelRate are the request-lifecycle knobs (reobench
-	// -timeout / -cancel-rate), applied to every measured run. Zero values
-	// keep the legacy non-context replay path.
-	Timeout    time.Duration
-	CancelRate float64
 	// AsyncReclass runs every system with the asynchronous
 	// reclassification pipeline (reobench -async-reclass). Off by
 	// default: golden outputs assume the deterministic synchronous
@@ -49,39 +45,35 @@ type Options struct {
 	// builds (reobench -flash-layout). Zero keeps the in-place seed path,
 	// so golden outputs are unaffected.
 	Layout flash.Layout
-	// SegmentBytes sets the log-structured segment size (0 = default).
-	SegmentBytes int64
-	// BackgroundGC enables background segment collection (log layout).
-	BackgroundGC bool
 	// Admission selects the clean-miss admission gate (reobench
-	// -admission); AdmitMinHits tunes its reuse threshold (0 = 1).
-	Admission    cache.AdmissionMode
-	AdmitMinHits int
+	// -admission).
+	Admission cache.AdmissionMode
 	// Batch groups up to N consecutive same-kind trace requests into one
-	// ReadBatch/WriteBatch call during the -remote and -cluster replays
-	// (reobench -batch). 0 or 1 is a batch of one — the same calls, wire
+	// ReadBatch/WriteBatch call during the cluster replay (reobench
+	// -batch). 0 or 1 is a batch of one — the same calls, wire
 	// traffic and output as a plain Read or Write.
 	Batch int
 }
 
-// runConfig stamps the option-level instrumentation and request-lifecycle
-// knobs onto one run's schedule.
+// runConfig stamps the option-level instrumentation onto one run's
+// schedule.
 func (o Options) runConfig(cfg RunConfig) RunConfig {
 	cfg.OpStats = o.OpStats
-	cfg.Timeout = o.Timeout
-	cfg.CancelRate = o.CancelRate
 	return cfg
 }
 
-// systemConfig stamps the option-level cache knobs onto one run's system.
+// systemConfig stamps the option-level knobs, the scaled metadata object
+// size and — unless the driver sweeps it — the scaled 64KiB chunk onto one
+// run's system, so each driver states only what differs.
 func (o Options) systemConfig(cfg SystemConfig) SystemConfig {
+	if cfg.ChunkSize == 0 {
+		cfg.ChunkSize = o.chunk(64 << 10)
+	}
+	cfg.MetadataObjectSize = o.metadataSize()
 	cfg.AsyncReclass = o.AsyncReclass
 	cfg.OpStats = o.OpStats
 	cfg.Layout = o.Layout
-	cfg.SegmentBytes = o.SegmentBytes
-	cfg.BackgroundGC = o.BackgroundGC
 	cfg.Admission = o.Admission
-	cfg.AdmitMinHits = o.AdmitMinHits
 	return cfg
 }
 
@@ -168,10 +160,8 @@ func NormalRun(loc workload.Locality, opts Options) ([]NormalRunRow, error) {
 			pi, ci, pol, pct := pi, ci, pol, pct
 			tasks = append(tasks, func() error {
 				sys, err := BuildSystem(opts.systemConfig(SystemConfig{
-					Policy:             pol,
-					CacheBytes:         tr.DatasetBytes * int64(pct) / 100,
-					ChunkSize:          opts.chunk(64 << 10),
-					MetadataObjectSize: opts.metadataSize(),
+					Policy:     pol,
+					CacheBytes: tr.DatasetBytes * int64(pct) / 100,
 				}), tr)
 				if err != nil {
 					return err
@@ -224,10 +214,8 @@ func SpaceEfficiency(opts Options) ([]SpaceRow, error) {
 				}
 				pol := policy.Reo{ParityBudget: budget}
 				sys, err := BuildSystem(opts.systemConfig(SystemConfig{
-					Policy:             pol,
-					CacheBytes:         tr.DatasetBytes / 10,
-					ChunkSize:          opts.chunk(64 << 10),
-					MetadataObjectSize: opts.metadataSize(),
+					Policy:     pol,
+					CacheBytes: tr.DatasetBytes / 10,
 				}), tr)
 				if err != nil {
 					return err
@@ -250,20 +238,11 @@ func SpaceEfficiency(opts Options) ([]SpaceRow, error) {
 	if err := runParallel(opts.Parallelism, tasks); err != nil {
 		return nil, err
 	}
-	sortSpaceRows(rows)
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		return a.Locality < b.Locality || (a.Locality == b.Locality && a.Policy < b.Policy)
+	})
 	return rows, nil
-}
-
-func sortSpaceRows(rows []SpaceRow) {
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0; j-- {
-			a, b := rows[j-1], rows[j]
-			if a.Locality < b.Locality || (a.Locality == b.Locality && a.Policy <= b.Policy) {
-				break
-			}
-			rows[j-1], rows[j] = b, a
-		}
-	}
 }
 
 // FailureRow is one point of Fig 8: metrics for a given number of failed
@@ -296,10 +275,9 @@ func FailureResistance(opts Options) ([]FailureRow, error) {
 		pol := pol
 		tasks = append(tasks, func() error {
 			sys, err := BuildSystem(opts.systemConfig(SystemConfig{
-				Policy:             pol,
-				CacheBytes:         tr.DatasetBytes / 10,
-				ChunkSize:          opts.chunk(1 << 20),
-				MetadataObjectSize: opts.metadataSize(),
+				Policy:     pol,
+				CacheBytes: tr.DatasetBytes / 10,
+				ChunkSize:  opts.chunk(1 << 20),
 			}), tr)
 			if err != nil {
 				return err
@@ -325,7 +303,10 @@ func FailureResistance(opts Options) ([]FailureRow, error) {
 	if err := runParallel(opts.Parallelism, tasks); err != nil {
 		return nil, err
 	}
-	sortFailureRows(rows)
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		return a.Policy < b.Policy || (a.Policy == b.Policy && a.Failures < b.Failures)
+	})
 	return rows, nil
 }
 
@@ -343,18 +324,6 @@ func failureSchedule(requests int) map[int]int {
 		idx(20_000): 1,
 		idx(30_000): 2,
 		idx(40_000): 3,
-	}
-}
-
-func sortFailureRows(rows []FailureRow) {
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0; j-- {
-			a, b := rows[j-1], rows[j]
-			if a.Policy < b.Policy || (a.Policy == b.Policy && a.Failures <= b.Failures) {
-				break
-			}
-			rows[j-1], rows[j] = b, a
-		}
 	}
 }
 
@@ -384,10 +353,8 @@ func DirtyDataProtection(opts Options) ([]WriteRow, error) {
 					return err
 				}
 				sys, err := BuildSystem(opts.systemConfig(SystemConfig{
-					Policy:             pol,
-					CacheBytes:         tr.DatasetBytes / 10,
-					ChunkSize:          opts.chunk(64 << 10),
-					MetadataObjectSize: opts.metadataSize(),
+					Policy:     pol,
+					CacheBytes: tr.DatasetBytes / 10,
 				}), tr)
 				if err != nil {
 					return err
@@ -475,11 +442,9 @@ func RecoveryAblation(opts Options) ([]RecoveryRow, error) {
 	var rows []RecoveryRow
 	for _, order := range []store.RecoveryOrder{store.RecoverByClass, store.RecoverByStripeID} {
 		sys, err := BuildSystem(opts.systemConfig(SystemConfig{
-			Policy:             policy.Reo{ParityBudget: 0.20},
-			CacheBytes:         tr.DatasetBytes / 10,
-			ChunkSize:          opts.chunk(64 << 10),
-			MetadataObjectSize: opts.metadataSize(),
-			RecoveryOrder:      order,
+			Policy:        policy.Reo{ParityBudget: 0.20},
+			CacheBytes:    tr.DatasetBytes / 10,
+			RecoveryOrder: order,
 		}), tr)
 		if err != nil {
 			return nil, err
@@ -571,11 +536,9 @@ func HotnessAblation(opts Options) ([]HotnessRow, error) {
 		m    cache.HotnessMetric
 	}{{"freq/size", cache.FreqOverSize}, {"freq-only", cache.FreqOnly}} {
 		sys, err := BuildSystem(opts.systemConfig(SystemConfig{
-			Policy:             policy.Reo{ParityBudget: 0.20},
-			CacheBytes:         tr.DatasetBytes / 10,
-			ChunkSize:          opts.chunk(64 << 10),
-			MetadataObjectSize: opts.metadataSize(),
-			HotnessMetric:      metric.m,
+			Policy:        policy.Reo{ParityBudget: 0.20},
+			CacheBytes:    tr.DatasetBytes / 10,
+			HotnessMetric: metric.m,
 		}), tr)
 		if err != nil {
 			return nil, err
@@ -617,10 +580,9 @@ func ChunkAblation(opts Options) ([]ChunkRow, error) {
 	var rows []ChunkRow
 	for _, paperChunk := range []int{16 << 10, 64 << 10, 256 << 10, 1 << 20} {
 		sys, err := BuildSystem(opts.systemConfig(SystemConfig{
-			Policy:             policy.Reo{ParityBudget: 0.20},
-			CacheBytes:         tr.DatasetBytes / 10,
-			ChunkSize:          opts.chunk(paperChunk),
-			MetadataObjectSize: opts.metadataSize(),
+			Policy:     policy.Reo{ParityBudget: 0.20},
+			CacheBytes: tr.DatasetBytes / 10,
+			ChunkSize:  opts.chunk(paperChunk),
 		}), tr)
 		if err != nil {
 			return nil, err
@@ -669,8 +631,6 @@ func WearAblation(opts Options) ([]WearRow, error) {
 		sys, err := BuildSystem(opts.systemConfig(SystemConfig{
 			Policy:                policy.Reo{ParityBudget: 0.20},
 			CacheBytes:            tr.DatasetBytes / 10,
-			ChunkSize:             opts.chunk(64 << 10),
-			MetadataObjectSize:    opts.metadataSize(),
 			DisableParityRotation: variant.disable,
 		}), tr)
 		if err != nil {
@@ -801,13 +761,10 @@ func WriteAmplification(opts Options) ([]WriteAmpRow, error) {
 		i, cb := i, cb
 		tasks = append(tasks, func() error {
 			cfg := opts.systemConfig(SystemConfig{
-				Policy:             policy.Reo{ParityBudget: 0.20},
-				CacheBytes:         tr.DatasetBytes / 8,
-				ChunkSize:          opts.chunk(64 << 10),
-				MetadataObjectSize: opts.metadataSize(),
+				Policy:     policy.Reo{ParityBudget: 0.20},
+				CacheBytes: tr.DatasetBytes / 8,
 			})
 			cfg.Layout = cb.layout
-			cfg.BackgroundGC = cb.layout == flash.LayoutLog
 			cfg.Admission = cb.admission
 			sys, err := BuildSystem(cfg, tr)
 			if err != nil {

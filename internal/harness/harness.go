@@ -6,9 +6,9 @@ package harness
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"time"
 
@@ -19,7 +19,6 @@ import (
 	"github.com/reo-cache/reo/internal/metrics"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
-	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/simclock"
 	"github.com/reo-cache/reo/internal/store"
 	"github.com/reo-cache/reo/internal/target"
@@ -51,8 +50,6 @@ type SystemConfig struct {
 	// outputs depend on the deterministic synchronous refresh whose cost
 	// is charged to virtual time.
 	AsyncReclass bool
-	// ReclassWorkers bounds the async reclassifier pool (0 = default).
-	ReclassWorkers int
 	// OpStats, when set, receives the cache's refresh instrumentation
 	// ("refresh.pause", "reclass.bg") alongside the per-request latencies
 	// RunConfig.OpStats records.
@@ -62,18 +59,11 @@ type SystemConfig struct {
 	// declarations included) — no InsertSpare/StartRecovery call needed.
 	AutoRecover bool
 	// Layout selects the flash write path: in-place (the default, the
-	// seed behaviour) or log-structured append-only segments.
+	// seed behaviour) or log-structured append-only segments, which run
+	// background segment collection too.
 	Layout flash.Layout
-	// SegmentBytes sets the log-structured segment size (0 = default).
-	SegmentBytes int64
-	// BackgroundGC enables the background segment-collection episodes
-	// (log layout only; inline GC always runs regardless).
-	BackgroundGC bool
 	// Admission selects the clean-miss admission gate (default AdmitAll).
 	Admission cache.AdmissionMode
-	// AdmitMinHits and GhostCapacity tune the ghost filter (0 = defaults).
-	AdmitMinHits  int
-	GhostCapacity int
 }
 
 // System is a fully wired cache server plus its backend and virtual clock.
@@ -112,20 +102,16 @@ func BuildSystem(cfg SystemConfig, tr *workload.Trace) (*System, error) {
 		DisableParityRotation: cfg.DisableParityRotation,
 		AutoRecover:           cfg.AutoRecover,
 		Layout:                cfg.Layout,
-		LogConfig:             flash.LogConfig{SegmentBytes: cfg.SegmentBytes},
-		BackgroundGC:          cfg.BackgroundGC,
+		BackgroundGC:          cfg.Layout == flash.LayoutLog,
 	})
 	if err != nil {
 		return nil, err
 	}
 	be, cm, err := newCacheOver(st, tr, cache.Config{
-		HotnessMetric:  cfg.HotnessMetric,
-		AsyncRefresh:   cfg.AsyncReclass,
-		ReclassWorkers: cfg.ReclassWorkers,
-		OpStats:        cfg.OpStats,
-		Admission:      cfg.Admission,
-		AdmitMinHits:   cfg.AdmitMinHits,
-		GhostCapacity:  cfg.GhostCapacity,
+		HotnessMetric: cfg.HotnessMetric,
+		AsyncRefresh:  cfg.AsyncReclass,
+		OpStats:       cfg.OpStats,
+		Admission:     cfg.Admission,
 	})
 	if err != nil {
 		return nil, err
@@ -159,34 +145,48 @@ func newCacheOver(tgt target.Target, tr *workload.Trace, cfg cache.Config) (*bac
 	return be, cm, err
 }
 
-// serve issues one trace request. When the schedule sets Timeout or
-// CancelRate the request runs under a per-request context built from them —
-// a pooled reqctx carrying a real-time deadline, pre-cancelled for the
-// deterministic CancelRate share of requests; otherwise it runs under a nil
-// context, which is what Cache.Read and Cache.Write pass.
-func serve(sys *System, cfg RunConfig, cancelRng *rand.Rand, tr *workload.Trace, req workload.Request) (cache.Result, error) {
-	var rc *reqctx.Ctx
-	if cfg.Timeout > 0 || cfg.CancelRate > 0 {
-		var (
-			ctx    context.Context
-			cancel context.CancelFunc
-		)
-		if cfg.Timeout > 0 {
-			ctx, cancel = context.WithTimeout(context.Background(), cfg.Timeout)
-		} else {
-			ctx, cancel = context.WithCancel(context.Background())
-		}
-		defer cancel()
-		if cancelRng != nil && cancelRng.Float64() < cfg.CancelRate {
-			cancel() // the client abandoned this request before service
-		}
-		rc = reqctx.Acquire(ctx)
-		defer reqctx.Release(rc)
-	}
+// serve issues one trace request.
+func serve(cm *cache.Manager, tr *workload.Trace, req workload.Request) (cache.Result, error) {
 	if req.Write {
-		return sys.Cache.WriteCtx(rc, objectID(req.Object), Payload(tr, req.Object, req.Version))
+		return cm.Write(objectID(req.Object), Payload(tr, req.Object, req.Version))
 	}
-	return sys.Cache.ReadCtx(rc, objectID(req.Object))
+	return cm.Read(objectID(req.Object))
+}
+
+// sweep is the end-of-run audit the chaos soak and the cluster replay share:
+// it reads every object through cm in object order and compares it with the
+// trace's last write to it. Both replays retry every write until it is
+// acknowledged or fail the run, so the trace alone says what each object must
+// hold. The digest folds the bytes read, in object order, so two runs print
+// the same digest only if they end holding the same content. strict fails at
+// the first mismatch instead of counting it.
+func sweep(cm *cache.Manager, tr *workload.Trace, strict bool) (verified, mismatched int, digest uint64, err error) {
+	last := make([]int, len(tr.Sizes))
+	for _, req := range tr.Requests {
+		if req.Write {
+			last[req.Object] = req.Version
+		}
+	}
+	h := fnv.New64a()
+	for obj := range tr.Sizes {
+		r, err := cm.Read(objectID(obj))
+		if err != nil {
+			return verified, mismatched, 0, fmt.Errorf("sweep: object %d: %w", obj, err)
+		}
+		h.Write(r.Data)
+		match := bytes.Equal(r.Data, Payload(tr, obj, last[obj]))
+		r.Release()
+		switch {
+		case match:
+			verified++
+		case strict:
+			return verified, mismatched, 0, fmt.Errorf("sweep: object %d: content mismatch at version %d (acknowledged data lost)",
+				obj, last[obj])
+		default:
+			mismatched++
+		}
+	}
+	return verified, mismatched, h.Sum64(), nil
 }
 
 // objectID maps a trace object index to its OSD identity.
@@ -222,9 +222,6 @@ type RunConfig struct {
 	// keeps priority; recovery only runs in the gaps). Zero disables
 	// interleaved recovery.
 	RecoveryObjectsPerRequest int
-	// PhaseAt lists request indices that start a new measurement phase
-	// (a failure injection implicitly starts one too).
-	PhaseAt []int
 	// OnSpare, when set, is invoked immediately after each spare
 	// insertion (instrumentation hook, e.g. to snapshot the rebuild
 	// queue).
@@ -239,16 +236,6 @@ type RunConfig struct {
 	// by operation ("read.hit", "read.miss", "write") for per-path tail
 	// analysis. The histogram may be shared across concurrent runs.
 	OpStats *metrics.OpHistogram
-	// Timeout, when positive, attaches a real-time deadline to every
-	// request. Requests that miss it are counted (RunResult, OpStats) and
-	// skipped, not fatal.
-	Timeout time.Duration
-	// CancelRate, when positive, issues that fraction of requests with an
-	// already-cancelled context — the client abandoned the request before
-	// service. Selection is deterministic per trace seed. When both Timeout
-	// and CancelRate are zero every request runs under a nil context and
-	// the replay is byte-identical to the pre-lifecycle harness.
-	CancelRate float64
 	// OnRequest, when set, runs before each measured request with its
 	// index; the returned cost is charged to the virtual clock. Chaos runs
 	// use it for periodic scrub-repair passes.
@@ -281,10 +268,6 @@ type RunResult struct {
 	// RecoveryDoneRequest is the request index at which background
 	// recovery drained its queue, or -1 if recovery never ran/finished.
 	RecoveryDoneRequest int
-	// CancelledOps and DeadlineOps count requests aborted by the request
-	// lifecycle (RunConfig.CancelRate / RunConfig.Timeout).
-	CancelledOps int64
-	DeadlineOps  int64
 	// Elapsed is the measured run's virtual duration.
 	Elapsed time.Duration
 }
@@ -308,30 +291,14 @@ func Run(sys *System, tr *workload.Trace, cfg RunConfig) (*RunResult, error) {
 // (failure schedules are ignored during warmup).
 func replay(sys *System, tr *workload.Trace, cfg RunConfig, res *RunResult) error {
 	measured := res != nil
-	lifecycle := cfg.Timeout > 0 || cfg.CancelRate > 0
-	var cancelRng *rand.Rand
-	if cfg.CancelRate > 0 {
-		// A dedicated stream keeps cancellation selection independent of
-		// trace synthesis: the same requests are cancelled for every policy
-		// under the same seed.
-		cancelRng = rand.New(rand.NewSource(tr.Config.Seed*2_654_435_761 + 0x5eed))
-	}
 	var (
 		readCol, allCol      *metrics.Collector
 		totalReads, totalAll *metrics.Collector
 		phases               []Phase
 		currentLabel         string
-		phaseStarts          map[int]string
 		measuredStart        time.Duration
 	)
 	if measured {
-		phaseStarts = make(map[int]string, len(cfg.PhaseAt)+len(cfg.FailAt))
-		for _, idx := range cfg.PhaseAt {
-			phaseStarts[idx] = fmt.Sprintf("phase@%d", idx)
-		}
-		for idx := range cfg.FailAt {
-			phaseStarts[idx] = "" // label assigned when the failure lands
-		}
 		now := sys.Clock.Now()
 		measuredStart = now
 		readCol = metrics.NewCollector(now)
@@ -366,12 +333,6 @@ func replay(sys *System, tr *workload.Trace, cfg RunConfig, res *RunResult) erro
 				now := sys.Clock.Now()
 				readCol.Reset(now)
 				allCol.Reset(now)
-			} else if label, ok := phaseStarts[i]; ok && label != "" {
-				closePhase()
-				currentLabel = label
-				now := sys.Clock.Now()
-				readCol.Reset(now)
-				allCol.Reset(now)
 			}
 			if slot, ok := cfg.SpareAt[i]; ok {
 				if _, err := sys.Store.InsertSpare(slot); err != nil {
@@ -390,35 +351,13 @@ func replay(sys *System, tr *workload.Trace, cfg RunConfig, res *RunResult) erro
 			}
 		}
 
-		result, err := serve(sys, cfg, cancelRng, tr, req)
-		if err == nil && !req.Write && cfg.VerifyPayloads {
-			want := Payload(tr, req.Object, req.Version)
-			if !bytes.Equal(result.Data, want) {
-				return fmt.Errorf("request %d: object %d version %d content mismatch",
-					i, req.Object, req.Version)
-			}
-		}
+		result, err := serve(sys.Cache, tr, req)
 		if err != nil {
-			if lifecycle && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-				// An abandoned or expired request is an outcome, not a run
-				// failure: tally it and move on to the next request.
-				if res != nil {
-					if errors.Is(err, context.DeadlineExceeded) {
-						res.DeadlineOps++
-					} else {
-						res.CancelledOps++
-					}
-				}
-				if measured && cfg.OpStats != nil {
-					op := "write"
-					if !req.Write {
-						op = "read"
-					}
-					cfg.OpStats.RecordOutcome(op, err)
-				}
-				continue
-			}
 			return fmt.Errorf("request %d (object %d): %w", i, req.Object, err)
+		}
+		if !req.Write && cfg.VerifyPayloads && !bytes.Equal(result.Data, Payload(tr, req.Object, req.Version)) {
+			return fmt.Errorf("request %d: object %d version %d content mismatch",
+				i, req.Object, req.Version)
 		}
 		sys.Clock.Advance(result.Latency + result.Background)
 		// Payload verification is done; return the hit path's pooled buffer

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 
 	"github.com/reo-cache/reo/internal/policy"
@@ -160,5 +161,65 @@ func TestPhasesSplitOnFailure(t *testing.T) {
 	}
 	if res.Phases[0].Reads.Requests+res.Phases[1].Reads.Requests != int64(tr.Reads) {
 		t.Fatal("phase read counts do not cover the trace")
+	}
+}
+
+// TestSweepDigestsWhatItRead pins the end-of-run sweep the chaos soak and the
+// cluster replay share: a clean sweep verifies every object and its digest is
+// FNV-64a over the trace's last-write payloads in object order (the value the
+// cluster digest gate pins); an object overwritten behind the trace's back is
+// one mismatch and moves the digest, because the digest folds the bytes read,
+// not the bytes expected.
+func TestSweepDigestsWhatItRead(t *testing.T) {
+	tr := miniTrace(t, workload.Medium, 0.3)
+	sys, err := BuildSystem(SystemConfig{
+		Policy:     policy.Reo{ParityBudget: 0.2},
+		CacheBytes: tr.DatasetBytes / 10,
+		ChunkSize:  512,
+	}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(sys, tr, RunConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	last := make([]int, len(tr.Sizes))
+	for _, req := range tr.Requests {
+		if req.Write {
+			last[req.Object] = req.Version
+		}
+	}
+	want := fnv.New64a()
+	for obj := range tr.Sizes {
+		want.Write(Payload(tr, obj, last[obj]))
+	}
+
+	verified, mismatched, digest, err := sweep(sys.Cache, tr, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verified != len(tr.Sizes) || mismatched != 0 {
+		t.Fatalf("clean sweep: verified %d mismatched %d, want %d and 0", verified, mismatched, len(tr.Sizes))
+	}
+	if digest != want.Sum64() {
+		t.Fatalf("clean sweep digest %016x != FNV over the last writes %016x", digest, want.Sum64())
+	}
+
+	const victim = 7
+	if _, err := sys.Cache.Write(objectID(victim), Payload(tr, victim, last[victim]+1)); err != nil {
+		t.Fatal(err)
+	}
+	verified, mismatched, moved, err := sweep(sys.Cache, tr, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verified != len(tr.Sizes)-1 || mismatched != 1 {
+		t.Fatalf("sweep after an overwrite: verified %d mismatched %d, want %d and 1", verified, mismatched, len(tr.Sizes)-1)
+	}
+	if moved == digest {
+		t.Fatalf("sweep after an overwrite kept the clean digest %016x", digest)
+	}
+	if _, _, _, err := sweep(sys.Cache, tr, true); err == nil {
+		t.Fatal("strict sweep accepted a mismatched object")
 	}
 }

@@ -7,8 +7,6 @@
 package metrics
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -178,12 +176,6 @@ type opBucket struct {
 	sum     time.Duration
 	max     time.Duration
 	buckets [bucketCount]int64
-	// Request-lifecycle outcomes: operations that did not complete because
-	// the client abandoned them or their deadline fired. These are counted
-	// separately from the latency distribution (an aborted op has no
-	// meaningful service latency).
-	cancelled        int64
-	deadlineExceeded int64
 }
 
 // NewOpHistogram returns an empty per-op latency histogram.
@@ -205,33 +197,6 @@ func (h *OpHistogram) Record(op string, d time.Duration) {
 		b.max = d
 	}
 	b.buckets[bucketIndex(d)]++
-	h.mu.Unlock()
-}
-
-// RecordOutcome classifies a finished operation's error as a lifecycle
-// outcome. Cancellations and deadline expiries are tallied under the op
-// label; every other error (and nil) is ignored — completions are recorded
-// through Record with their latency.
-func (h *OpHistogram) RecordOutcome(op string, err error) {
-	if err == nil {
-		return
-	}
-	cancelled := errors.Is(err, context.Canceled)
-	deadline := errors.Is(err, context.DeadlineExceeded)
-	if !cancelled && !deadline {
-		return
-	}
-	h.mu.Lock()
-	b := h.ops[op]
-	if b == nil {
-		b = &opBucket{}
-		h.ops[op] = b
-	}
-	if deadline {
-		b.deadlineExceeded++
-	} else {
-		b.cancelled++
-	}
 	h.mu.Unlock()
 }
 
@@ -275,10 +240,6 @@ type OpStats struct {
 	P50   time.Duration
 	P99   time.Duration
 	Max   time.Duration
-	// Cancelled and DeadlineExceeded count operations aborted by the
-	// request lifecycle; they are not part of Count or the quantiles.
-	Cancelled        int64
-	DeadlineExceeded int64
 }
 
 // Snapshot returns per-op summaries sorted by op label.
@@ -287,10 +248,7 @@ func (h *OpHistogram) Snapshot() []OpStats {
 	defer h.mu.Unlock()
 	out := make([]OpStats, 0, len(h.ops))
 	for op, b := range h.ops {
-		s := OpStats{
-			Op: op, Count: b.count, Max: b.max,
-			Cancelled: b.cancelled, DeadlineExceeded: b.deadlineExceeded,
-		}
+		s := OpStats{Op: op, Count: b.count, Max: b.max}
 		if b.count > 0 {
 			s.Mean = b.sum / time.Duration(b.count)
 		}
@@ -306,15 +264,8 @@ func (h *OpHistogram) Snapshot() []OpStats {
 func (h *OpHistogram) String() string {
 	var sb strings.Builder
 	for _, s := range h.Snapshot() {
-		fmt.Fprintf(&sb, "%-12s n=%-8d mean=%-10v p50=%-10v p99=%-10v max=%v",
+		fmt.Fprintf(&sb, "%-12s n=%-8d mean=%-10v p50=%-10v p99=%-10v max=%v\n",
 			s.Op, s.Count, s.Mean, s.P50, s.P99, s.Max)
-		if s.Cancelled > 0 {
-			fmt.Fprintf(&sb, " cancelled=%d", s.Cancelled)
-		}
-		if s.DeadlineExceeded > 0 {
-			fmt.Fprintf(&sb, " deadline_exceeded=%d", s.DeadlineExceeded)
-		}
-		sb.WriteByte('\n')
 	}
 	for _, name := range h.Gauges() {
 		v, _ := h.Gauge(name)

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"github.com/reo-cache/reo/internal/flash"
 )
 
 func newCache(t testing.TB, opts ...Option) *Cache {
@@ -454,5 +456,141 @@ func TestHedgedReadsOption(t *testing.T) {
 	}
 	if err := c.TunePolicy("read.degraded.bogus", 1); err == nil {
 		t.Fatal("unknown policy knob accepted")
+	}
+}
+
+// TestOptionsThatChangeThePaths turns on each option that swaps a path the
+// default cache never takes: it must construct, round-trip bytes exactly,
+// and show the one effect its doc comment promises.
+func TestOptionsThatChangeThePaths(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		opts   []Option
+		effect func(t *testing.T, c *Cache)
+	}{
+		{"async reclassification", []Option{WithAsyncReclassification(2), WithRefreshInterval(20)},
+			func(t *testing.T, c *Cache) {
+				// The refresh leaves the request path: no hit read pays for a
+				// reclassification, yet once it settles objects changed class.
+				for i := 0; i < 30; i++ {
+					if err := c.Seed(UserObject(uint64(100+i)), randBytes(int64(100+i), 2048+512*i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for round := 0; round < 10; round++ {
+					for i := 0; i < 30; i += 1 + round%3 {
+						_, res, err := c.Read(UserObject(uint64(100 + i)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Hit && res.Background != 0 {
+							t.Fatalf("round %d object %d: a hit paid %v of background work", round, i, res.Background)
+						}
+						res.Release()
+					}
+				}
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if st := c.Stats(); st.Reclassified == 0 || st.ReclassPending != 0 {
+					t.Fatalf("after the refresh settled: reclassified %d, pending %d", st.Reclassified, st.ReclassPending)
+				}
+			}},
+		{"log-structured flash", []Option{WithLogStructuredFlash(64 << 10)},
+			func(t *testing.T, c *Cache) {
+				var segments int
+				for i, s := range c.SegmentStats() {
+					if s.Layout != flash.LayoutLog || s.SegmentBytes != 64<<10 {
+						t.Fatalf("device %d: layout %v, segment %d B, want log and %d B", i, s.Layout, s.SegmentBytes, 64<<10)
+					}
+					segments += s.Segments
+				}
+				if segments == 0 {
+					t.Fatal("a written object opened no segment")
+				}
+			}},
+		{"write-aware admission", []Option{WithWriteAwareAdmission(1, 0)},
+			func(t *testing.T, c *Cache) {
+				id, data := UserObject(2), randBytes(2, 6000)
+				if err := c.Seed(id, data); err != nil {
+					t.Fatal(err)
+				}
+				for miss := 1; miss <= 2; miss++ {
+					got, res, err := c.Read(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Hit || !bytes.Equal(got, data) {
+						t.Fatalf("miss %d: hit %v, bytes equal %v", miss, res.Hit, bytes.Equal(got, data))
+					}
+					res.Release()
+					if admitted := c.Contains(id); admitted != (miss == 2) {
+						t.Fatalf("after miss %d: cached %v, bypasses %d", miss, admitted, c.Stats().AdmissionBypasses)
+					}
+				}
+				if n := c.Stats().AdmissionBypasses; n != 1 {
+					t.Fatalf("admission bypasses = %d, want 1", n)
+				}
+			}},
+		// Clean objects under one parity chunk: a lost device degrades their
+		// stripes (a replicated dirty stripe with every alive device holding
+		// a copy would stay healthy and leave nothing to rebuild).
+		{"auto recovery", []Option{WithAutoRecovery(), WithPolicy(UniformPolicy(1))},
+			func(t *testing.T, c *Cache) {
+				for i := 0; i < 8; i++ {
+					id := UserObject(uint64(10 + i))
+					if err := c.Seed(id, randBytes(int64(10+i), 9000)); err != nil {
+						t.Fatal(err)
+					}
+					_, res, err := c.Read(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res.Release()
+				}
+				if err := c.InjectDeviceFailure(0); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 8 && !c.RecoveryActive(); i++ {
+					_, res, err := c.Read(UserObject(uint64(10 + i)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					res.Release()
+				}
+				if !c.RecoveryActive() {
+					t.Fatal("a failed device seen on the request path started no recovery")
+				}
+				if _, err := c.RecoverAll(); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 8; i++ {
+					got, res, err := c.Read(UserObject(uint64(10 + i)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, randBytes(int64(10+i), 9000)) {
+						t.Fatalf("object %d changed across the rebuild", 10+i)
+					}
+					res.Release()
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCache(t, tc.opts...)
+			id, data := UserObject(1), randBytes(1, 12_345)
+			if _, err := c.Write(id, data); err != nil {
+				t.Fatal(err)
+			}
+			got, res, err := c.Read(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Hit || !bytes.Equal(got, data) {
+				t.Fatalf("round trip: hit %v, bytes equal %v", res.Hit, bytes.Equal(got, data))
+			}
+			res.Release()
+			tc.effect(t, c)
+		})
 	}
 }
