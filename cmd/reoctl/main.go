@@ -11,9 +11,8 @@
 //	reoctl -addr 127.0.0.1:9700 status 0x10010
 //	reoctl -addr 127.0.0.1:9700 stats
 //	reoctl -addr 127.0.0.1:9700 segments
-//	reoctl -addr 127.0.0.1:9700 tune policy.read.degraded.retry.max 3
-//	reoctl -addr 127.0.0.1:9700 policy list
-//	reoctl -addr 127.0.0.1:9700 policy set read.degraded hedge.delay=200us hedge.max=2
+//	reoctl -addr 127.0.0.1:9700 tune policy.read.degraded.hedge.delay 0.0002
+//	reoctl -addr 127.0.0.1:9700 tune policy.read.degraded.hedge.max 2
 //	reoctl -addr 127.0.0.1:9700 fail 0
 //	reoctl -addr 127.0.0.1:9700 spare 0
 //	reoctl -addr 127.0.0.1:9700 recover
@@ -54,7 +53,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return errors.New("missing command (put|get|del|classify|query|status|stats|segments|tune|policy|fail|spare|recover|cluster)")
+		return errors.New("missing command (put|get|del|classify|query|status|stats|segments|tune|fail|spare|recover|cluster)")
 	}
 	if rest[0] == "cluster" {
 		return runCluster(rest[1:], stdout)
@@ -213,7 +212,7 @@ func dispatch(client *transport.Client, args []string, stdin io.Reader, stdout i
 		return nil
 	case "tune":
 		if len(rest) != 2 {
-			return errors.New("tune policy.<class>.<knob> <value>")
+			return errors.New("tune policy.read.degraded.hedge.<delay|max> <value>")
 		}
 		value, err := strconv.ParseFloat(rest[1], 64)
 		if err != nil {
@@ -224,8 +223,6 @@ func dispatch(client *transport.Client, args []string, stdin io.Reader, stdout i
 		}
 		fmt.Fprintf(stdout, "tuned %s = %g\n", rest[0], value)
 		return nil
-	case "policy":
-		return runPolicy(client, rest, stdout)
 	case "fail":
 		idx, err := oneIndex(rest, "fail")
 		if err != nil {

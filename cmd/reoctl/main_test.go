@@ -121,7 +121,11 @@ func TestCLIEndToEnd(t *testing.T) {
 	if out, err := runCmd("", "segments"); err != nil || !strings.Contains(out, "in-place") {
 		t.Fatalf("segments: %q, %v", out, err)
 	}
-	if out, err := runCmd("", "tune", "policy.read.degraded.retry.max", "3"); err != nil || !strings.Contains(out, "tuned policy.read.degraded.retry.max = 3") {
+	// Arm hedging on degraded reads at 200µs, two in flight.
+	if out, err := runCmd("", "tune", "policy.read.degraded.hedge.delay", "0.0002"); err != nil || !strings.Contains(out, "tuned policy.read.degraded.hedge.delay = 0.0002") {
+		t.Fatalf("tune: %q, %v", out, err)
+	}
+	if out, err := runCmd("", "tune", "policy.read.degraded.hedge.max", "2"); err != nil || !strings.Contains(out, "tuned policy.read.degraded.hedge.max = 2") {
 		t.Fatalf("tune: %q, %v", out, err)
 	}
 
@@ -170,8 +174,10 @@ func TestCLIUsageErrors(t *testing.T) {
 		{"fail", "x"},
 		{"spare"},
 		{"tune"},
-		{"tune", "policy.read.degraded.retry.max", "nope"},
+		{"tune", "policy.read.degraded.hedge.delay", "nope"},
+		{"tune", "policy.read.degraded.retry.max", "3"},
 		{"tune", "gc.unknown", "0.5"},
+		{"policy", "list"},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

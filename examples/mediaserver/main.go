@@ -129,6 +129,7 @@ func serve(pol reo.Policy, catalogue [][]byte, trace []int) (normal, afterFailur
 		if err != nil {
 			return 0, 0, 0, err
 		}
+		res.Release()
 		if res.Hit {
 			if i < failPoint {
 				hitsBefore++

@@ -85,11 +85,13 @@ func run() error {
 		return err
 	}
 	fmt.Printf("read #1 over the wire: hit=%v (%d bytes)\n", res.Hit, res.Bytes)
+	res.Release()
 	res, err = mgr.Read(id)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("read #2 over the wire: hit=%v\n", res.Hit)
+	res.Release()
 
 	// Talk to the communication object directly: deliver a (label-only)
 	// classification and a query.
@@ -121,6 +123,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("after shootdown: hit=%v degraded=%v\n", res.Hit, res.Degraded)
+	res.Release()
 	queued, err := client.InsertSpare(1)
 	if err != nil {
 		return err

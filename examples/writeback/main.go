@@ -77,12 +77,17 @@ func crashTest(pol reo.Policy) (survived, lost int, err error) {
 	}
 
 	for i := uint64(0); i < objects; i++ {
-		data, _, err := cache.Read(reo.UserObject(i))
-		if err != nil || !bytes.Equal(data, want[i]) {
+		data, res, err := cache.Read(reo.UserObject(i))
+		if err != nil {
 			lost++
 			continue
 		}
-		survived++
+		if bytes.Equal(data, want[i]) {
+			survived++
+		} else {
+			lost++
+		}
+		res.Release()
 	}
 	return survived, lost, nil
 }

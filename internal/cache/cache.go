@@ -683,10 +683,8 @@ func (m *Manager) flushEntryLocked(e *entry, settle bool) time.Duration {
 
 	// Flushes are background work: they run under a non-cancellable
 	// background context regardless of which request triggered them, because
-	// a flush abandoned halfway would strand acknowledged dirty data. The
-	// write.flush op class lets the resilience registry give flush IO its
-	// own retry policy.
-	frc := reqctx.AcquireBackground(nil).WithOpClass(policy.OpWriteFlush)
+	// a flush abandoned halfway would strand acknowledged dirty data.
+	frc := reqctx.AcquireBackground(nil)
 	defer reqctx.Release(frc)
 	buf, readCost, _, err := m.cfg.Store.GetCtx(frc, e.id)
 	total := readCost

@@ -87,8 +87,8 @@ func TestTransientRetriesExhausted(t *testing.T) {
 	if h.RetriesExhausted != 1 {
 		t.Fatalf("RetriesExhausted = %d, want 1", h.RetriesExhausted)
 	}
-	if h.TransientErrors != maxIOAttempts {
-		t.Fatalf("TransientErrors = %d, want %d (one per attempt)", h.TransientErrors, maxIOAttempts)
+	if h.TransientErrors != int64(ioRetry.MaxAttempts) {
+		t.Fatalf("TransientErrors = %d, want %d (one per attempt)", h.TransientErrors, ioRetry.MaxAttempts)
 	}
 }
 
@@ -260,7 +260,7 @@ func TestErrorStormSuspectThenFailed(t *testing.T) {
 	d.SetFaultHook(&funcHook{fn: func(FaultOp, ChunkAddr) FaultDecision {
 		return FaultDecision{Err: fmt.Errorf("%w: storm", ErrTransientIO)}
 	}})
-	// Each exhausted read records maxIOAttempts errors in the window.
+	// Each exhausted read records ioRetry.MaxAttempts errors in the window.
 	for d.Health().WindowErrors < suspectErrorThreshold {
 		if _, _, err := d.ReadCtx(nil, 1); err == nil {
 			t.Fatal("read unexpectedly succeeded under permanent storm")

@@ -162,18 +162,17 @@ type Stats struct {
 	TombstonedBytes int64 // cumulative bytes invalidated by overwrite/delete
 }
 
-// Retry policy for transient faults: bounded exponential backoff with
-// deterministic jitter, real (wall-clock) sleeps only — virtual time is
-// charged per attempt from the device spec, so fault-free runs are
-// byte-identical with retries compiled in. The schedule now comes from the
-// policy.Resilience registry keyed by the request's op class; these
-// constants remain as the reference values the registry's defaults must
-// reproduce (asserted in tests).
-const (
-	maxIOAttempts  = 4
-	retryBaseDelay = 50 * time.Microsecond
-	retryMaxDelay  = 2 * time.Millisecond
-)
+// ioRetry is the retry schedule for transient faults: 4 attempts, bounded
+// exponential backoff 50µs..2ms with ±25% deterministic jitter, real
+// (wall-clock) sleeps only — virtual time is charged per attempt from the
+// device spec, so fault-free runs are byte-identical with retries compiled
+// in.
+var ioRetry = policy.RetryRule{
+	MaxAttempts: 4,
+	BaseBackoff: 50 * time.Microsecond,
+	MaxBackoff:  2 * time.Millisecond,
+	Jitter:      0.25,
+}
 
 // Device is a simulated flash SSD. All methods are safe for concurrent use.
 type Device struct {
@@ -197,9 +196,6 @@ type Device struct {
 	// per-segment bookkeeping, only populated under LayoutLog.
 	layout Layout
 	log    logState
-	// res is the resilience registry retry loops consult; nil serves the
-	// built-in defaults (identical behaviour to the pre-registry constants).
-	res atomic.Pointer[policy.Resilience]
 	// spare holds the buffers of dropped chunks, oldest first, for the next
 	// writes to fill (see chunkBufLocked); spareBytes is the sum of their
 	// capacities.
@@ -299,17 +295,6 @@ func (d *Device) SetFaultHook(h FaultHook) {
 	d.hook = h
 }
 
-// SetResilience points the device's retry loops at a resilience registry
-// (nil restores the built-in defaults). Safe to call on a live device.
-func (d *Device) SetResilience(r *policy.Resilience) {
-	d.res.Store(r)
-}
-
-// resilience returns the registry the retry loops consult (nil-safe).
-func (d *Device) resilience() *policy.Resilience {
-	return d.res.Load()
-}
-
 // Spec returns the device's parameters.
 func (d *Device) Spec() Spec {
 	d.mu.Lock()
@@ -407,34 +392,23 @@ func scaleCost(cost time.Duration, scale float64) time.Duration {
 	return time.Duration(float64(cost) * scale)
 }
 
-// attempts runs one device operation under the retry rule of the request's op
-// class: op is retried on transient errors, with bounded backoff, until it
-// succeeds, fails hard, runs out of attempts or retry budget, or the request
-// dies during a backoff. Every attempt feeds the class's attempt observer. It
-// returns the summed cost of all attempts.
+// attempts runs one device operation under ioRetry: op is retried on
+// transient errors, with bounded backoff, until it succeeds, fails hard, runs
+// out of attempts, or the request dies during a backoff. It returns the
+// summed cost of all attempts.
 func (d *Device) attempts(rc *reqctx.Ctx, addr ChunkAddr, op func() (time.Duration, error)) (time.Duration, error) {
-	res := d.resilience()
-	class := rc.OpClass()
-	retry := res.Rule(class).Retry
 	var total time.Duration
 	for attempt := 0; ; attempt++ {
 		cost, err := op()
 		total += cost
-		res.ObserveAttempt(class, attempt, attemptOutcome(err), cost)
 		if err == nil || !IsTransient(err) {
 			return total, err
 		}
-		if retry.MaxAttempts > 0 && attempt+1 >= retry.MaxAttempts {
+		if attempt+1 >= ioRetry.MaxAttempts {
 			d.noteRetriesExhausted()
 			return total, err
 		}
-		if !res.AllowRetry(class) {
-			res.ObserveAttempt(class, attempt+1, policy.OutcomeDenied, 0)
-			d.noteRetriesExhausted()
-			return total, err
-		}
-		if serr := d.backoff(rc, retry, attempt, addr); serr != nil {
-			res.ObserveAttempt(class, attempt+1, policy.OutcomeCancelled, 0)
+		if serr := d.backoff(rc, ioRetry, attempt, addr); serr != nil {
 			return total, serr
 		}
 	}
@@ -599,12 +573,12 @@ func (d *Device) readOnce(addr ChunkAddr, dst []byte) ([]byte, int, int64, time.
 	return out, n, int64(len(data)), scaleCost(cost, dec.LatencyScale), nil
 }
 
-// backoff sleeps before the next retry attempt: the registry rule's
-// exponential schedule with deterministic jitter derived from (addr,
-// attempt), honouring the request's cancellation/deadline. Sleeps are
-// wall-clock only and never charged to the virtual clock. A cancellation
-// that lands mid-sleep interrupts the sleep immediately — the request does
-// not finish serving out a delay it no longer needs.
+// backoff sleeps before the next retry attempt: retry's exponential schedule
+// with deterministic jitter derived from (addr, attempt), honouring the
+// request's cancellation/deadline. Sleeps are wall-clock only and never
+// charged to the virtual clock. A cancellation that lands mid-sleep
+// interrupts the sleep immediately — the request does not finish serving out
+// a delay it no longer needs.
 func (d *Device) backoff(rc *reqctx.Ctx, retry policy.RetryRule, attempt int, addr ChunkAddr) error {
 	if err := rc.Err(); err != nil {
 		return err
@@ -627,18 +601,6 @@ func (d *Device) backoff(rc *reqctx.Ctx, retry policy.RetryRule, attempt int, ad
 	d.health.retries++
 	d.mu.Unlock()
 	return rc.Err()
-}
-
-// attemptOutcome classifies an attempt error for the per-attempt timeline.
-func attemptOutcome(err error) policy.AttemptOutcome {
-	switch {
-	case err == nil:
-		return policy.OutcomeOK
-	case IsTransient(err):
-		return policy.OutcomeTransient
-	default:
-		return policy.OutcomeError
-	}
 }
 
 func (d *Device) noteRetriesExhausted() {
@@ -841,15 +803,6 @@ func NewArrayLayout(n int, spec Spec, layout Layout, cfg LogConfig) (*Array, err
 		devices[i] = NewDeviceLayout(spec, layout, cfg)
 	}
 	return &Array{devices: devices}, nil
-}
-
-// SetResilience points every slot's retry loops at the registry (nil
-// restores defaults). Spares inserted later keep the slot's Device object,
-// so the registry survives replacement.
-func (a *Array) SetResilience(r *policy.Resilience) {
-	for _, d := range a.devices {
-		d.SetResilience(r)
-	}
 }
 
 // FaultEpoch identifies the array's fault history: it moves whenever a device

@@ -11,22 +11,35 @@ import (
 	"github.com/reo-cache/reo/internal/reqctx"
 )
 
+// ioRetry must back off bit-identically to the legacy flash formula: delay =
+// min(50µs<<attempt, 2ms); jittered = delay*3/4 + h%delay/2.
+func TestBackoffDelayMatchesLegacyFlashFormula(t *testing.T) {
+	rule := ioRetry
+	hashes := []uint64{0, 1, 12345, 0x9E3779B97F4A7C15, ^uint64(0), 7777777777}
+	for attempt := 0; attempt < 4; attempt++ {
+		legacyDelay := (50 * time.Microsecond) << uint(attempt)
+		if legacyDelay > 2*time.Millisecond {
+			legacyDelay = 2 * time.Millisecond
+		}
+		for _, h := range hashes {
+			legacy := legacyDelay*3/4 + time.Duration(h%uint64(legacyDelay)/2)
+			got := rule.BackoffDelay(attempt, h)
+			if got != legacy {
+				t.Fatalf("attempt %d h %#x: BackoffDelay=%v legacy=%v", attempt, h, got, legacy)
+			}
+		}
+	}
+}
+
+// slowRetry backs off for 30s: long enough that only an interrupted sleep
+// returns within a test's patience.
+var slowRetry = policy.RetryRule{BaseBackoff: 30 * time.Second, MaxBackoff: 30 * time.Second}
+
 // A cancelled request must interrupt a pending backoff sleep immediately,
-// not after the delay elapses: with a multi-second backoff rule and a
-// cancel landing ~10ms into the sleep, the op must return well before the
-// nominal delay.
+// not after the delay elapses: with a 30s backoff and a cancel landing ~10ms
+// into the sleep, the backoff must return well before the nominal delay.
 func TestBackoffInterruptedByCancellationPromptly(t *testing.T) {
 	d := NewDevice(testSpec())
-	res := policy.NewResilience()
-	rule := res.Rule(policy.OpDefault)
-	rule.Retry.BaseBackoff = 30 * time.Second
-	rule.Retry.MaxBackoff = 30 * time.Second
-	res.SetRule(policy.OpDefault, rule)
-	d.SetResilience(res)
-	d.SetFaultHook(&funcHook{fn: func(FaultOp, ChunkAddr) FaultDecision {
-		return FaultDecision{Err: fmt.Errorf("%w: storm", ErrTransientIO)}
-	}})
-
 	ctx, cancel := context.WithCancel(context.Background())
 	rc := reqctx.New(ctx)
 	go func() {
@@ -34,7 +47,7 @@ func TestBackoffInterruptedByCancellationPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := d.WriteCtx(rc, 1, []byte("x"), Checksum([]byte("x")))
+	err := d.backoff(rc, slowRetry, 0, 1)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -46,124 +59,114 @@ func TestBackoffInterruptedByCancellationPromptly(t *testing.T) {
 	}
 }
 
-// A request cancelled before the backoff starts must not sleep at all.
+// A request cancelled before the backoff starts must not sleep at all, and a
+// write under a request already cancelled never reaches the device.
 func TestBackoffSkippedWhenAlreadyCancelled(t *testing.T) {
 	d := NewDevice(testSpec())
-	res := policy.NewResilience()
-	rule := res.Rule(policy.OpDefault)
-	rule.Retry.BaseBackoff = 30 * time.Second
-	rule.Retry.MaxBackoff = 30 * time.Second
-	res.SetRule(policy.OpDefault, rule)
-	d.SetResilience(res)
-	hits := 0
+	attempts := 0
 	d.SetFaultHook(&funcHook{fn: func(FaultOp, ChunkAddr) FaultDecision {
-		hits++
-		return FaultDecision{Err: fmt.Errorf("%w: storm", ErrTransientIO)}
+		attempts++
+		return FaultDecision{}
 	}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rc := reqctx.New(ctx)
 	start := time.Now()
-	_, err := d.WriteCtx(rc, 1, []byte("x"), Checksum([]byte("x")))
-	if err == nil {
-		t.Fatal("want cancellation error")
+	if err := d.backoff(rc, slowRetry, 0, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("backoff err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("pre-cancelled request blocked %v in backoff", elapsed)
 	}
-}
-
-// The registry's per-class retry bounds drive the loop: a class tuned to a
-// single attempt must not retry, and a class with a drained retry budget
-// must stop after the first attempt as if exhausted.
-func TestRetryLoopConsultsRegistry(t *testing.T) {
-	d := NewDevice(testSpec())
-	res := policy.NewResilience()
-	rule := res.Rule(policy.OpReadDegraded)
-	rule.Retry.MaxAttempts = 1
-	res.SetRule(policy.OpReadDegraded, rule)
-	d.SetResilience(res)
-	if _, err := d.Write(1, []byte("x")); err != nil {
-		t.Fatal(err)
+	if _, err := d.WriteCtx(rc, 1, []byte("x"), Checksum([]byte("x"))); !errors.Is(err, context.Canceled) {
+		t.Fatalf("write err = %v, want context.Canceled", err)
 	}
-
-	attempts := 0
-	d.SetFaultHook(&funcHook{fn: func(op FaultOp, _ ChunkAddr) FaultDecision {
-		if op != FaultRead {
-			return FaultDecision{}
-		}
-		attempts++
-		return FaultDecision{Err: fmt.Errorf("%w: storm", ErrTransientIO)}
-	}})
-
-	rc := reqctx.New(context.Background()).WithOpClass(policy.OpReadDegraded)
-	if _, _, err := d.ReadCtx(rc, 1); !IsTransient(err) {
-		t.Fatalf("err = %v, want transient", err)
-	}
-	if attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (MaxAttempts=1)", attempts)
-	}
-	if d.Health().RetriesExhausted != 1 {
-		t.Fatalf("RetriesExhausted = %d, want 1", d.Health().RetriesExhausted)
-	}
-
-	// Untagged ops (default class) still get the default 4 attempts.
-	attempts = 0
-	if _, _, err := d.ReadCtx(nil, 1); !IsTransient(err) {
-		t.Fatalf("err = %v, want transient", err)
-	}
-	if attempts != maxIOAttempts {
-		t.Fatalf("default-class attempts = %d, want %d", attempts, maxIOAttempts)
-	}
-
-	// A drained retry budget denies the retry outright.
-	rule = res.Rule(policy.OpWriteDirty)
-	rule.Budget = policy.BudgetRule{Rate: 1e-9, Burst: 1}
-	res.SetRule(policy.OpWriteDirty, rule)
-	res.AllowRetry(policy.OpWriteDirty) // drain the single burst token
-	writeAttempts := 0
-	d.SetFaultHook(&funcHook{fn: func(op FaultOp, _ ChunkAddr) FaultDecision {
-		if op != FaultWrite {
-			return FaultDecision{}
-		}
-		writeAttempts++
-		return FaultDecision{Err: fmt.Errorf("%w: storm", ErrTransientIO)}
-	}})
-	wrc := reqctx.New(context.Background()).WithOpClass(policy.OpWriteDirty)
-	if _, err := d.WriteCtx(wrc, 2, []byte("y"), Checksum([]byte("y"))); !IsTransient(err) {
-		t.Fatalf("err = %v, want transient", err)
-	}
-	if writeAttempts != 1 {
-		t.Fatalf("write attempts = %d, want 1 (budget denied the retry)", writeAttempts)
+	if attempts != 0 || d.Has(1) {
+		t.Fatalf("pre-cancelled write reached the device (%d attempts)", attempts)
 	}
 }
 
-// Attempt outcomes stream to the registry observer with class, attempt
-// number, and latency — the structured timeline the metrics registry renders.
-func TestDeviceAttemptsFeedObserver(t *testing.T) {
-	d := NewDevice(testSpec())
-	res := policy.NewResilience()
-	d.SetResilience(res)
-	var events []policy.Attempt
-	res.SetObserver(func(a policy.Attempt) { events = append(events, a) })
-	d.SetFaultHook(transientN(2))
-	rc := reqctx.New(context.Background()).WithOpClass(policy.OpWriteDirty)
-	if _, err := d.WriteCtx(rc, 1, []byte("observed"), Checksum([]byte("observed"))); err != nil {
-		t.Fatal(err)
+// The retry loop hands the request to its backoff: a request that dies during
+// a transient attempt ends the loop with the request's error after that one
+// attempt — no retry, and not counted as an exhausted schedule.
+func TestRetryLoopStopsWhenRequestDies(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   FaultOp
+		do   func(d *Device, rc *reqctx.Ctx) error
+	}{
+		{"read", FaultRead, func(d *Device, rc *reqctx.Ctx) error { _, _, err := d.ReadCtx(rc, 1); return err }},
+		{"write", FaultWrite, func(d *Device, rc *reqctx.Ctx) error {
+			_, err := d.WriteCtx(rc, 2, []byte("y"), Checksum([]byte("y")))
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDevice(testSpec())
+			if _, err := d.Write(1, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			attempts := 0
+			d.SetFaultHook(&funcHook{fn: func(op FaultOp, _ ChunkAddr) FaultDecision {
+				if op != tc.op {
+					return FaultDecision{}
+				}
+				attempts++
+				cancel()
+				return FaultDecision{Err: fmt.Errorf("%w: storm", ErrTransientIO)}
+			}})
+			if err := tc.do(d, reqctx.New(ctx)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if attempts != 1 {
+				t.Fatalf("attempts = %d, want 1", attempts)
+			}
+			if h := d.Health(); h.Retries != 0 || h.RetriesExhausted != 0 {
+				t.Fatalf("Retries = %d, RetriesExhausted = %d, want 0 and 0", h.Retries, h.RetriesExhausted)
+			}
+		})
 	}
-	if len(events) != 3 {
-		t.Fatalf("observer saw %d events, want 3 (2 transient + 1 ok)", len(events))
-	}
-	for i, ev := range events {
-		if ev.Class != policy.OpWriteDirty || ev.Attempt != i {
-			t.Fatalf("event %d = %+v", i, ev)
-		}
-	}
-	if events[0].Outcome != policy.OutcomeTransient || events[2].Outcome != policy.OutcomeOK {
-		t.Fatalf("outcomes = %v, %v, %v", events[0].Outcome, events[1].Outcome, events[2].Outcome)
-	}
-	if events[2].Latency <= 0 {
-		t.Fatal("successful attempt must carry its virtual-time latency")
+}
+
+// A transient storm gets the fixed device-IO schedule's 4 attempts, reads and
+// writes alike, then the loop gives up and counts the exhaustion.
+func TestRetryLoopMakesFourAttempts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   FaultOp
+		do   func(d *Device) error
+	}{
+		{"read", FaultRead, func(d *Device) error { _, _, err := d.ReadCtx(nil, 1); return err }},
+		{"write", FaultWrite, func(d *Device) error { _, err := d.Write(2, []byte("y")); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDevice(testSpec())
+			if _, err := d.Write(1, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			attempts := 0
+			d.SetFaultHook(&funcHook{fn: func(op FaultOp, _ ChunkAddr) FaultDecision {
+				if op != tc.op {
+					return FaultDecision{}
+				}
+				attempts++
+				return FaultDecision{Err: fmt.Errorf("%w: storm", ErrTransientIO)}
+			}})
+			if err := tc.do(d); !IsTransient(err) {
+				t.Fatalf("err = %v, want transient", err)
+			}
+			if attempts != 4 {
+				t.Fatalf("attempts = %d, want 4", attempts)
+			}
+			if d.Health().RetriesExhausted != 1 {
+				t.Fatalf("RetriesExhausted = %d, want 1", d.Health().RetriesExhausted)
+			}
+			if d.Has(2) {
+				t.Fatal("an exhausted write left its chunk behind")
+			}
+		})
 	}
 }
 

@@ -42,9 +42,9 @@ type ChaosConfig struct {
 	RecoveryPerRequest int
 	// WriteRatio is the trace's write fraction (dirty data must survive).
 	WriteRatio float64
-	// HedgeDelay, when positive, arms hedged degraded reads (policy class
-	// read.degraded, MaxHedges 4) for the soak. Zero — the default — keeps
-	// hedging off and the soak byte-identical to the pre-hedging harness.
+	// HedgeDelay, when positive, arms hedged degraded reads (MaxHedges 4)
+	// for the soak. Zero — the default — keeps hedging off and the soak
+	// byte-identical to the pre-hedging harness.
 	HedgeDelay time.Duration
 }
 
@@ -131,9 +131,7 @@ func ChaosRun(loc workload.Locality, opts Options, chaos ChaosConfig) (*ChaosRes
 		return nil, err
 	}
 	if chaos.HedgeDelay > 0 {
-		rule := policy.DefaultRule(policy.OpReadDegraded)
-		rule.Hedge = policy.HedgeRule{Delay: chaos.HedgeDelay, MaxHedges: 4}
-		sys.Store.Resilience().SetRule(policy.OpReadDegraded, rule)
+		sys.Store.Resilience().SetHedge(policy.HedgeRule{Delay: chaos.HedgeDelay, MaxHedges: 4})
 	}
 
 	// Warm the cache fault-free so the soak hits a populated steady state.

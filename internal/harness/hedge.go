@@ -39,13 +39,12 @@ type HedgeConfig struct {
 	// cost from the first op onward.
 	FailSlowDevice int
 	FailSlowFactor float64
-	// HedgeDelay arms hedged reads on read.degraded when positive;
-	// zero runs the identical scenario with hedging off.
+	// HedgeDelay arms hedged degraded reads when positive; zero runs the
+	// identical scenario with hedging off.
 	HedgeDelay time.Duration
 	// MaxHedges bounds in-flight hedges (default 4).
 	MaxHedges int
-	// OpStats, when set, receives the per-attempt resilience timeline
-	// ("read.degraded.try1.ok") and the hedge lifecycle gauges.
+	// OpStats, when set, receives the hedge lifecycle gauges.
 	OpStats *metrics.OpHistogram
 }
 
@@ -134,16 +133,7 @@ func HedgeRun(cfg HedgeConfig) (*HedgeResult, error) {
 
 	res := st.Resilience()
 	if cfg.HedgeDelay > 0 {
-		rule := policy.DefaultRule(policy.OpReadDegraded)
-		rule.Hedge = policy.HedgeRule{Delay: cfg.HedgeDelay, MaxHedges: cfg.MaxHedges}
-		res.SetRule(policy.OpReadDegraded, rule)
-	}
-	if cfg.OpStats != nil {
-		h := cfg.OpStats
-		res.SetObserver(func(a policy.Attempt) {
-			h.Record(fmt.Sprintf("%s.try%d.%s", a.Class, a.Attempt+1, a.Outcome), a.Latency)
-		})
-		defer res.SetObserver(nil)
+		res.SetHedge(policy.HedgeRule{Delay: cfg.HedgeDelay, MaxHedges: cfg.MaxHedges})
 	}
 
 	inj, err := faultinject.New(faultinject.Plan{

@@ -104,9 +104,7 @@ func TestHedgeLoserCancellationSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rule := policy.DefaultRule(policy.OpReadDegraded)
-	rule.Hedge = policy.HedgeRule{Delay: 5 * time.Microsecond, MaxHedges: 8}
-	st.Resilience().SetRule(policy.OpReadDegraded, rule)
+	st.Resilience().SetHedge(policy.HedgeRule{Delay: 5 * time.Microsecond, MaxHedges: 8})
 	inj, err := faultinject.New(faultinject.Plan{
 		Seed:     3,
 		FailSlow: map[int]faultinject.FailSlow{0: {FromOp: 0, Factor: 4}},
@@ -173,8 +171,7 @@ func TestHedgeLoserCancellationSoak(t *testing.T) {
 
 	// Phase 2: a delay inside (slowCost - hedgeCost, slowCost) — hedges still
 	// fire but provably lose, driving the loser-cancellation path under load.
-	rule.Hedge.Delay = 250 * time.Microsecond
-	st.Resilience().SetRule(policy.OpReadDegraded, rule)
+	st.Resilience().SetHedge(policy.HedgeRule{Delay: 250 * time.Microsecond, MaxHedges: 8})
 	burst(2)
 	hs = st.Resilience().HedgeStats()
 	if hs.Cancelled == 0 {

@@ -83,8 +83,9 @@ func (c QueryCommand) Encode() []byte {
 
 // TuneCommand adjusts one named runtime knob on the target (reoctl tune).
 // Keys are low-cardinality dotted names; the target rejects unknown keys.
-// Currently defined: "policy.<class>.<knob>", one resilience knob of one op
-// class (policy.Resilience.Tune).
+// Currently defined: "policy.read.degraded.hedge.delay" and
+// "policy.read.degraded.hedge.max", the hedged-read rule
+// (policy.Resilience.Tune).
 type TuneCommand struct {
 	Key   string
 	Value float64

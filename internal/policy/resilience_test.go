@@ -1,244 +1,97 @@
 package policy
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
 
-// The registry's default IO backoff must be bit-identical to the legacy
-// flash formula: delay = min(base<<attempt, cap); jittered = delay*3/4 +
-// h%delay/2. fig6 byte-identity depends on this.
-func TestBackoffDelayMatchesLegacyFlashFormula(t *testing.T) {
-	rule := DefaultRule(OpReadHit).Retry
-	hashes := []uint64{0, 1, 12345, 0x9E3779B97F4A7C15, ^uint64(0), 7777777777}
-	for attempt := 0; attempt < 4; attempt++ {
-		legacyDelay := (50 * time.Microsecond) << uint(attempt)
-		if legacyDelay > 2*time.Millisecond {
-			legacyDelay = 2 * time.Millisecond
-		}
-		for _, h := range hashes {
-			legacy := legacyDelay*3/4 + time.Duration(h%uint64(legacyDelay)/2)
-			got := rule.BackoffDelay(attempt, h)
-			if got != legacy {
-				t.Fatalf("attempt %d h %#x: BackoffDelay=%v legacy=%v", attempt, h, got, legacy)
+func TestTuneHedgeKeys(t *testing.T) {
+	var r Resilience
+	if _, ok := r.HedgeDelay(); ok {
+		t.Fatal("hedging must be off until a rule is set")
+	}
+	if err := r.Tune("policy.read.degraded.hedge.delay", 200e-6); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.HedgeDelay(); ok {
+		t.Fatal("a delay without an in-flight cap must not hedge")
+	}
+	if err := r.Tune("policy.read.degraded.hedge.max", 2); err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := r.HedgeDelay(); !ok || d != 200*time.Microsecond {
+		t.Fatalf("HedgeDelay = %v, %v; want 200µs, true", d, ok)
+	}
+	if r.rule() != (HedgeRule{Delay: 200 * time.Microsecond, MaxHedges: 2}) {
+		t.Fatalf("tuned rule = %+v", r.rule())
+	}
+}
+
+// Tune takes exactly the two hedge keys, at values >= 0. Every other key
+// fails — a key outside the "policy." namespace and the retired per-class
+// knobs included, so a script still setting
+// one hears about it instead of tuning nothing — and a rejected update
+// leaves the rule alone.
+func TestTuneRejects(t *testing.T) {
+	for _, tc := range []struct {
+		key   string
+		value float64
+	}{
+		{"policy.read.degraded.bogus", 1},
+		{"read.degraded.hedge.max", 1},
+		{"gc.read.degraded.hedge.max", 1},
+		{"policy.no.such.class.hedge.max", 1},
+		{"policy.read.degraded.retry.max", 1},
+		{"policy.read.degraded.retry.base", 0.001},
+		{"policy.read.degraded.retry.cap", 0.01},
+		{"policy.read.degraded.retry.jitter", 0.5},
+		{"policy.read.degraded.timeout", 1},
+		{"policy.read.degraded.hedge.quantile", 0.95},
+		{"policy.read.degraded.budget.rate", 10},
+		{"policy.read.degraded.budget.burst", 5},
+		{"policy.read.hit.hedge.max", 1},
+		{"policy.wire.dial.retry.max", 1},
+		{"policy.read.degraded.hedge.delay", -1e-3},
+		{"policy.read.degraded.hedge.max", -1},
+	} {
+		t.Run(fmt.Sprintf("%s=%g", tc.key, tc.value), func(t *testing.T) {
+			var r Resilience
+			want := HedgeRule{Delay: 200 * time.Microsecond, MaxHedges: 2}
+			r.SetHedge(want)
+			if err := r.Tune(tc.key, tc.value); err == nil {
+				t.Fatalf("Tune(%q, %g) must fail", tc.key, tc.value)
 			}
-		}
-	}
-}
-
-// Same bit-identity for the redial schedule, including the doubling cap and
-// attempts far past where a shift would overflow.
-func TestBackoffDelayMatchesLegacyRedialFormula(t *testing.T) {
-	rule := DefaultRule(OpWireDial).Retry
-	delay := 5 * time.Millisecond
-	for attempt := 0; attempt < 100; attempt++ {
-		h := (uint64(3)<<32 + uint64(attempt) + 1) * 0x9E3779B97F4A7C15
-		legacy := delay*3/4 + time.Duration(h%uint64(delay)/2)
-		got := rule.BackoffDelay(attempt, h)
-		if got != legacy {
-			t.Fatalf("attempt %d: BackoffDelay=%v legacy=%v (delay %v)", attempt, got, legacy, delay)
-		}
-		delay *= 2
-		if delay > time.Second {
-			delay = time.Second
-		}
-	}
-}
-
-func TestDefaultRulesReproduceConstants(t *testing.T) {
-	io := DefaultRule(OpReadDegraded)
-	if io.Retry.MaxAttempts != 4 || io.Retry.BaseBackoff != 50*time.Microsecond ||
-		io.Retry.MaxBackoff != 2*time.Millisecond || io.Retry.Jitter != 0.25 {
-		t.Fatalf("IO default retry = %+v", io.Retry)
-	}
-	dial := DefaultRule(OpWireDial)
-	if dial.Retry.MaxAttempts != 0 || dial.Retry.BaseBackoff != 5*time.Millisecond ||
-		dial.Retry.MaxBackoff != time.Second {
-		t.Fatalf("dial default retry = %+v", dial.Retry)
-	}
-	for c := OpClass(0); c < NumOpClasses; c++ {
-		r := DefaultRule(c)
-		if r.Hedge.Enabled() || r.Budget.Rate > 0 || r.Timeout != 0 {
-			t.Fatalf("class %v: hedging/budget/timeout not off by default: %+v", c, r)
-		}
-	}
-}
-
-func TestOpClassNamesRoundTrip(t *testing.T) {
-	for c := OpClass(0); c < NumOpClasses; c++ {
-		got, err := ParseOpClass(c.String())
-		if err != nil || got != c {
-			t.Fatalf("ParseOpClass(%q) = %v, %v", c.String(), got, err)
-		}
-	}
-	if _, err := ParseOpClass("read.bogus"); err == nil {
-		t.Fatal("expected error for unknown class name")
-	}
-}
-
-func TestTuneAndKnobValue(t *testing.T) {
-	r := NewResilience()
-	if err := r.Tune("read.degraded.hedge.delay", 200e-6); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Tune("read.degraded.hedge.max", 2); err != nil {
-		t.Fatal(err)
-	}
-	rule := r.Rule(OpReadDegraded)
-	if rule.Hedge.Delay != 200*time.Microsecond || rule.Hedge.MaxHedges != 2 {
-		t.Fatalf("tuned hedge = %+v", rule.Hedge)
-	}
-	if !rule.Hedge.Enabled() {
-		t.Fatal("hedge should be enabled after tuning")
-	}
-	v, err := r.KnobValue(OpReadDegraded, KnobHedgeDelay)
-	if err != nil || v != 200e-6 {
-		t.Fatalf("KnobValue = %v, %v", v, err)
-	}
-	// Every knob must round-trip through KnobValue.
-	for _, knob := range Knobs() {
-		if _, err := r.KnobValue(OpWriteDirty, knob); err != nil {
-			t.Fatalf("KnobValue(%s): %v", knob, err)
-		}
-	}
-	if err := r.Tune("read.degraded.bogus", 1); err == nil {
-		t.Fatal("expected error for unknown knob")
-	}
-	if err := r.Tune("no.such.class.retry.max", 1); err == nil {
-		t.Fatal("expected error for unknown class")
-	}
-	if err := r.Tune("read.degraded.retry.jitter", 2); err == nil {
-		t.Fatal("expected range error for jitter > 1")
-	}
-}
-
-func TestRetryBudgetTokenBucket(t *testing.T) {
-	r := NewResilience()
-	if !r.AllowRetry(OpReadHit) {
-		t.Fatal("unlimited budget must always allow")
-	}
-	rule := r.Rule(OpReadHit)
-	rule.Budget = BudgetRule{Rate: 0.0001, Burst: 2} // refill effectively never
-	r.SetRule(OpReadHit, rule)
-	if !r.AllowRetry(OpReadHit) || !r.AllowRetry(OpReadHit) {
-		t.Fatal("burst of 2 must allow two retries")
-	}
-	if r.AllowRetry(OpReadHit) {
-		t.Fatal("third retry must be denied by the drained bucket")
-	}
-	// Other classes are unaffected.
-	if !r.AllowRetry(OpWriteDirty) {
-		t.Fatal("write.dirty budget should be unlimited")
-	}
-}
-
-func TestHedgeDelayQuantile(t *testing.T) {
-	r := NewResilience()
-	rule := r.Rule(OpReadDegraded)
-	rule.Hedge = HedgeRule{DelayQuantile: 0.95, MaxHedges: 1}
-	r.SetRule(OpReadDegraded, rule)
-	if _, ok := r.HedgeDelay(OpReadDegraded); ok {
-		t.Fatal("quantile delay must not engage before min samples")
-	}
-	for i := 0; i < digestMinSamples; i++ {
-		r.ObserveAttempt(OpReadDegraded, 0, OutcomeOK, 100*time.Microsecond)
-	}
-	d, ok := r.HedgeDelay(OpReadDegraded)
-	if !ok || d <= 0 {
-		t.Fatalf("quantile delay = %v, %v", d, ok)
-	}
-	// Bucket upper edge for 100µs is 128µs.
-	if d != 128*time.Microsecond {
-		t.Fatalf("quantile delay = %v, want 128µs", d)
-	}
-	// Fixed delay takes precedence.
-	rule.Hedge.Delay = 42 * time.Microsecond
-	r.SetRule(OpReadDegraded, rule)
-	if d, ok := r.HedgeDelay(OpReadDegraded); !ok || d != 42*time.Microsecond {
-		t.Fatalf("fixed delay = %v, %v", d, ok)
+			if r.rule() != want {
+				t.Fatalf("rejected update changed the rule to %+v", r.rule())
+			}
+		})
 	}
 }
 
 func TestHedgeGateAndCounters(t *testing.T) {
-	r := NewResilience()
-	rule := r.Rule(OpReadDegraded)
-	rule.Hedge = HedgeRule{Delay: time.Microsecond, MaxHedges: 1}
-	r.SetRule(OpReadDegraded, rule)
+	var r Resilience
+	r.SetHedge(HedgeRule{Delay: time.Microsecond, MaxHedges: 1})
 
-	if !r.TryStartHedge(OpReadDegraded) {
+	if !r.TryStartHedge() {
 		t.Fatal("first hedge slot must be granted")
 	}
-	if r.TryStartHedge(OpReadDegraded) {
+	if r.TryStartHedge() {
 		t.Fatal("second concurrent hedge must be suppressed at MaxHedges=1")
 	}
-	r.FinishHedge(OpReadDegraded, true, true) // fired and won
-	if !r.TryStartHedge(OpReadDegraded) {
+	r.FinishHedge(true, true) // fired and won
+	if !r.TryStartHedge() {
 		t.Fatal("slot must be free after FinishHedge")
 	}
-	r.FinishHedge(OpReadDegraded, true, false) // fired, lost → cancelled
-	if !r.TryStartHedge(OpReadDegraded) {
+	r.FinishHedge(true, false) // fired, lost → cancelled
+	if !r.TryStartHedge() {
 		t.Fatal("slot must be free again")
 	}
-	r.FinishHedge(OpReadDegraded, false, false) // resolved before firing
+	r.FinishHedge(false, false) // resolved before firing
 
 	st := r.HedgeStats()
 	want := HedgeStats{Fired: 2, Won: 1, Cancelled: 1, Suppressed: 1}
 	if st != want {
 		t.Fatalf("HedgeStats = %+v, want %+v", st, want)
-	}
-}
-
-func TestObserverReceivesTimeline(t *testing.T) {
-	r := NewResilience()
-	var got []Attempt
-	r.SetObserver(func(a Attempt) { got = append(got, a) })
-	r.ObserveAttempt(OpWriteDirty, 1, OutcomeTransient, 5*time.Microsecond)
-	r.ObserveAttempt(OpWriteDirty, 2, OutcomeOK, 7*time.Microsecond)
-	if len(got) != 2 || got[0].Outcome != OutcomeTransient || got[1].Attempt != 2 {
-		t.Fatalf("observer timeline = %+v", got)
-	}
-	r.SetObserver(nil)
-	r.ObserveAttempt(OpWriteDirty, 3, OutcomeOK, 0)
-	if len(got) != 2 {
-		t.Fatal("cleared observer must not fire")
-	}
-}
-
-func TestNilRegistryIsSafe(t *testing.T) {
-	var r *Resilience
-	if r.Rule(OpReadHit) != DefaultRule(OpReadHit) {
-		t.Fatal("nil registry must serve defaults")
-	}
-	if !r.AllowRetry(OpReadHit) {
-		t.Fatal("nil registry must allow retries")
-	}
-	if _, ok := r.HedgeDelay(OpReadDegraded); ok {
-		t.Fatal("nil registry must not hedge")
-	}
-	if r.TryStartHedge(OpReadDegraded) {
-		t.Fatal("nil registry must not grant hedge slots")
-	}
-	r.FinishHedge(OpReadDegraded, true, true)
-	r.ObserveAttempt(OpReadHit, 0, OutcomeOK, 0)
-	r.SetRule(OpReadHit, Rule{})
-	r.SetObserver(func(Attempt) {})
-	if r.HedgeStats() != (HedgeStats{}) {
-		t.Fatal("nil registry stats must be zero")
-	}
-	if err := r.Tune("read.hit.retry.max", 1); err == nil {
-		t.Fatal("nil registry Tune must error")
-	}
-}
-
-func TestSnapshotCoversEveryClass(t *testing.T) {
-	r := NewResilience()
-	snap := r.Snapshot()
-	if len(snap) != int(NumOpClasses) {
-		t.Fatalf("snapshot has %d entries, want %d", len(snap), NumOpClasses)
-	}
-	for i, cr := range snap {
-		if cr.Class != OpClass(i) {
-			t.Fatalf("snapshot[%d].Class = %v", i, cr.Class)
-		}
 	}
 }

@@ -24,8 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/reo-cache/reo/internal/policy"
 )
 
 // Priority distinguishes client-facing requests from background work.
@@ -82,7 +80,6 @@ type Ctx struct {
 	id          uint64
 	priority    Priority
 	classHint   int
-	opClass     policy.OpClass
 	deadline    time.Time
 	hasDeadline bool
 	stats       Stats
@@ -104,7 +101,6 @@ func Acquire(ctx context.Context) *Ctx {
 	rc.id = nextID.Add(1)
 	rc.priority = OnDemand
 	rc.classHint = NoClassHint
-	rc.opClass = policy.OpDefault
 	rc.deadline, rc.hasDeadline = time.Time{}, false
 	if ctx != nil {
 		if d, ok := ctx.Deadline(); ok {
@@ -170,25 +166,6 @@ func (rc *Ctx) WithClassHint(class int) *Ctx {
 		rc.classHint = class
 	}
 	return rc
-}
-
-// WithOpClass tags the request with its resilience op class and returns rc
-// for chaining. The class keys the policy.Resilience registry lookup the
-// device and transport layers do for this request. No-op on nil.
-func (rc *Ctx) WithOpClass(class policy.OpClass) *Ctx {
-	if rc != nil {
-		rc.opClass = class
-	}
-	return rc
-}
-
-// OpClass returns the request's resilience op class. A nil context is
-// OpDefault, so untagged legacy paths resolve the default rule.
-func (rc *Ctx) OpClass() policy.OpClass {
-	if rc == nil {
-		return policy.OpDefault
-	}
-	return rc.opClass
 }
 
 // WithDeadline sets (or tightens) the request deadline and returns rc.
@@ -293,7 +270,7 @@ func (rc *Ctx) CanCancel() bool {
 
 // Fork derives an independently cancellable child context for a hedged or
 // speculative attempt: the child inherits the parent's identity (ID,
-// priority, class hint, op class, deadline) and cancellation — cancelling
+// priority, class hint, deadline) and cancellation — cancelling
 // the parent cancels the child — but the returned CancelFunc aborts only the
 // child, which is how a losing hedge is reaped without touching the primary.
 // The child has its own Stats; fold them back with AbsorbStats after joining.
@@ -311,7 +288,6 @@ func Fork(rc *Ctx) (*Ctx, context.CancelFunc) {
 		child.id = rc.id
 		child.priority = rc.priority
 		child.classHint = rc.classHint
-		child.opClass = rc.opClass
 		child.deadline, child.hasDeadline = rc.deadline, rc.hasDeadline
 	}
 	return child, cancel

@@ -4,8 +4,6 @@ import (
 	"context"
 	"testing"
 	"time"
-
-	"github.com/reo-cache/reo/internal/policy"
 )
 
 func TestNilCtxIsBackgroundAndInert(t *testing.T) {
@@ -173,41 +171,17 @@ func TestNextIDNonZeroUniqueAndShared(t *testing.T) {
 	}
 }
 
-func TestOpClassThreading(t *testing.T) {
-	var nilRC *Ctx
-	if nilRC.OpClass() != policy.OpDefault {
-		t.Fatal("nil context must report the default op class")
-	}
-	nilRC.WithOpClass(policy.OpReadDegraded) // no-op, must not panic
-
-	rc := Acquire(context.Background())
-	if rc.OpClass() != policy.OpDefault {
-		t.Fatalf("fresh context class = %v", rc.OpClass())
-	}
-	rc.WithOpClass(policy.OpReadDegraded)
-	if rc.OpClass() != policy.OpReadDegraded {
-		t.Fatalf("class after WithOpClass = %v", rc.OpClass())
-	}
-	Release(rc)
-	// Pooled reuse must not leak the class into the next request.
-	rc2 := Acquire(context.Background())
-	defer Release(rc2)
-	if rc2.OpClass() != policy.OpDefault {
-		t.Fatalf("reacquired context class = %v (leaked)", rc2.OpClass())
-	}
-}
-
 func TestForkInheritsAndCancelsIndependently(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rc := Acquire(ctx).WithPriority(Background).WithClassHint(2).WithOpClass(policy.OpReadDegraded)
+	rc := Acquire(ctx).WithPriority(Background).WithClassHint(2)
 	defer Release(rc)
 
 	child, childCancel := Fork(rc)
 	if child.ID() != rc.ID() || child.Priority() != Background ||
-		child.ClassHint() != 2 || child.OpClass() != policy.OpReadDegraded {
-		t.Fatalf("child did not inherit identity: id=%d pri=%v hint=%d class=%v",
-			child.ID(), child.Priority(), child.ClassHint(), child.OpClass())
+		child.ClassHint() != 2 {
+		t.Fatalf("child did not inherit identity: id=%d pri=%v hint=%d",
+			child.ID(), child.Priority(), child.ClassHint())
 	}
 	if !child.CanCancel() {
 		t.Fatal("forked child must be cancellable")

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/reo-cache/reo/internal/osd"
-	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/stripe"
 	"github.com/reo-cache/reo/internal/target"
@@ -107,13 +106,7 @@ func (s *Store) putOneLocked(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class
 	if prev, ok := s.objects[id]; ok {
 		old = prev.stripes
 	}
-	writeFirst := rc.CanCancel() // before the class timeout below can add a deadline
-	prevClass := rc.OpClass()
-	if dirty {
-		s.enterOpClass(rc, policy.OpWriteDirty)
-	}
-	ids, cost, err := s.replaceStripesLocked(rc, id, old, data, scheme, writeFirst)
-	rc.WithOpClass(prevClass)
+	ids, cost, err := s.replaceStripesLocked(rc, id, old, data, scheme, rc.CanCancel())
 	if err != nil {
 		return 0, err
 	}

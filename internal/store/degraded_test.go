@@ -129,10 +129,11 @@ func TestIrrecoverableStripeNeverReturnsWrongData(t *testing.T) {
 	}
 }
 
-// transientOn injects a transient error on every read of one chunk address
-// and counts those reads.
+// transientOn injects a transient error on the first fails reads of one chunk
+// address (every read when fails is 0) and counts all reads of it.
 type transientOn struct {
 	addr  flash.ChunkAddr
+	fails int
 	mu    sync.Mutex
 	reads int
 }
@@ -143,22 +144,26 @@ func (h *transientOn) Decide(op flash.FaultOp, addr flash.ChunkAddr) flash.Fault
 	}
 	h.mu.Lock()
 	h.reads++
+	ok := h.fails > 0 && h.reads > h.fails
 	h.mu.Unlock()
+	if ok {
+		return flash.FaultDecision{}
+	}
 	return flash.FaultDecision{Err: fmt.Errorf("%w: injected", flash.ErrTransientIO)}
 }
 
 // TestDegradedFetchesCarryRequestContext: the chunk fetches of a degraded
-// read run under the request's context, so they resolve the read.degraded
-// retry rule and report to the attempt observer under that class — not under
-// the default class a context-less device read gets.
+// read run under the request's context, so the device IO they do — every
+// retry of a transiently failing survivor included — is counted on the
+// request.
 func TestDegradedFetchesCarryRequestContext(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
-		tune         bool
+		fails        int
 		wantAttempts int
 	}{
-		{"default rule retries 4x", false, 4},
-		{"read.degraded.retry.max=1 does not retry", true, 1},
+		{"storm exhausts the 4-attempt schedule", 0, 4},
+		{"survivor answers on its third attempt", 2, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
@@ -167,26 +172,11 @@ func TestDegradedFetchesCarryRequestContext(t *testing.T) {
 			if err := s.FailDevice(dataDevs[0]); err != nil {
 				t.Fatal(err)
 			}
-			if tc.tune {
-				if err := s.Resilience().Tune("read.degraded.retry.max", 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// A surviving data device of the first stripe keeps failing
-			// transiently; with k=2 the stripe still decodes without it.
-			hook := &transientOn{addr: flash.ChunkAddr(sid)}
+			// A surviving data device of the first stripe fails transiently;
+			// with k=2 the stripe still decodes without it.
+			hook := &transientOn{addr: flash.ChunkAddr(sid), fails: tc.fails}
 			s.Array().Device(dataDevs[1]).SetFaultHook(hook)
-			var (
-				mu        sync.Mutex
-				transient []policy.OpClass
-			)
-			s.Resilience().SetObserver(func(a policy.Attempt) {
-				if a.Outcome == policy.OutcomeTransient {
-					mu.Lock()
-					transient = append(transient, a.Class)
-					mu.Unlock()
-				}
-			})
+			readsBefore := deviceReadOps(s)
 
 			rc := reqctx.New(context.Background())
 			buf, _, degraded, err := s.GetCtx(rc, oid(1))
@@ -200,13 +190,8 @@ func TestDegradedFetchesCarryRequestContext(t *testing.T) {
 			if hook.reads != tc.wantAttempts {
 				t.Fatalf("surviving device saw %d fetch attempts, want %d", hook.reads, tc.wantAttempts)
 			}
-			if len(transient) != tc.wantAttempts {
-				t.Fatalf("observer saw %d transient attempts, want %d", len(transient), tc.wantAttempts)
-			}
-			for _, class := range transient {
-				if class != policy.OpReadDegraded {
-					t.Fatalf("transient attempt observed under class %v, want read.degraded", class)
-				}
+			if got, want := rc.Stats().DeviceReads.Load(), deviceReadOps(s)-readsBefore; got != want || want == 0 {
+				t.Fatalf("request attributed %d device reads, the array served %d", got, want)
 			}
 		})
 	}

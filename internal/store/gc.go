@@ -1,9 +1,7 @@
 package store
 
 import (
-	"fmt"
 	"runtime"
-	"strings"
 	"time"
 
 	"github.com/reo-cache/reo/internal/flash"
@@ -172,9 +170,5 @@ func (s *Store) WriteAmp() WriteAmpStats {
 // tune applies one reoctl #TUNE# knob. Unknown keys fail so operators
 // notice typos instead of silently tuning nothing.
 func (s *Store) tune(cmd osd.TuneCommand) error {
-	key, ok := strings.CutPrefix(cmd.Key, "policy.")
-	if !ok {
-		return fmt.Errorf("store: unknown tune key %q", cmd.Key)
-	}
-	return s.res.Tune(key, cmd.Value)
+	return s.stripes.Resilience().Tune(cmd.Key, cmd.Value)
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/reo-cache/reo/internal/osd"
-	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/stripe"
 )
@@ -141,8 +140,7 @@ func (s *Store) RecoveryPending() []osd.ObjectID {
 // and returns the IO cost, the number of objects actually rebuilt, and
 // whether recovery has completed. Objects found irrecoverable mid-queue are
 // freed and skipped; objects already healthy (e.g. re-put by the cache since
-// queueing) are skipped at no cost. All of a step's device IO, rebuilt-chunk
-// writes included, runs under the recover.bg op class.
+// queueing) are skipped at no cost.
 //
 // A Background-priority context turns the step into a good citizen: between
 // objects it checks for cancellation and — when on-demand requests are
@@ -154,8 +152,6 @@ func (s *Store) RecoverStepCtx(rc *reqctx.Ctx, maxObjects int) (cost time.Durati
 	if maxObjects <= 0 {
 		return 0, 0, !s.RecoveryActive(), nil
 	}
-	prevClass := s.enterOpClass(rc, policy.OpRecoverBG)
-	defer rc.WithOpClass(prevClass)
 	yielding := rc != nil && !rc.OnDemand()
 	s.mu.Lock()
 	defer s.mu.Unlock()

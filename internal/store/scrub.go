@@ -6,21 +6,13 @@ import (
 	"time"
 
 	"github.com/reo-cache/reo/internal/osd"
-	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/stripe"
 )
 
-// scrubCtx builds the background request context scrub IO runs under: the
-// scrub.bg op class resolves the pass's retry policy and timeout.
-func (s *Store) scrubCtx() *reqctx.Ctx {
-	rc := reqctx.New(context.Background()).
-		WithPriority(reqctx.Background).
-		WithOpClass(policy.OpScrubBG)
-	if t := s.res.Rule(policy.OpScrubBG).Timeout; t > 0 {
-		rc.WithDeadline(time.Now().Add(t))
-	}
-	return rc
+// scrubCtx builds the background request context scrub IO runs under.
+func scrubCtx() *reqctx.Ctx {
+	return reqctx.New(context.Background()).WithPriority(reqctx.Background)
 }
 
 // ScrubReport summarises a store-level verification pass.
@@ -60,7 +52,7 @@ type ScrubRepairReport struct {
 // returns the report and the virtual-time IO cost of the pass. Scrub only
 // detects; ScrubRepair is the variant that also acts on what it finds.
 func (s *Store) Scrub() (ScrubReport, time.Duration, error) {
-	res, cost, err := s.stripes.ScrubCtx(s.scrubCtx())
+	res, cost, err := s.stripes.ScrubCtx(scrubCtx())
 	if err != nil {
 		return ScrubReport{}, cost, err
 	}
@@ -103,10 +95,9 @@ func (s *Store) buildScrubReport(res stripe.ScrubResult) ScrubReport {
 // corruption can be located (stripe.RepairStripe), otherwise invalidate the
 // owning clean object so the next access refetches it from the backend.
 // Dirty objects are never invalidated — their flash copy is the only copy —
-// and are reported instead. Scan and repairs share one scrub.bg context: when
-// its timeout ends the pass, the report so far comes back with its error.
+// and are reported instead. Scan and repairs share one background context.
 func (s *Store) ScrubRepair() (ScrubRepairReport, time.Duration, error) {
-	rc := s.scrubCtx()
+	rc := scrubCtx()
 	res, cost, err := s.stripes.ScrubCtx(rc)
 	if err != nil {
 		return ScrubRepairReport{}, cost, err
@@ -115,12 +106,6 @@ func (s *Store) ScrubRepair() (ScrubRepairReport, time.Duration, error) {
 	for _, sid := range res.Mismatched {
 		repaired, c, rerr := s.stripes.RepairStripe(rc, sid)
 		cost += c
-		if cerr := rc.Err(); cerr != nil && !repaired {
-			// A repair the deadline cut short says nothing about its stripe:
-			// neither "freed" nor "cannot be arbitrated".
-			err = cerr
-			break
-		}
 		if rerr != nil {
 			continue // e.g. the stripe was freed since the scan
 		}
@@ -148,7 +133,7 @@ func (s *Store) ScrubRepair() (ScrubRepairReport, time.Duration, error) {
 	}
 	sortObjectIDs(report.Invalidated)
 	sortObjectIDs(report.UnrepairableDirty)
-	return report, cost, err
+	return report, cost, nil
 }
 
 // ownerOfLocked finds the live object holding the given stripe.

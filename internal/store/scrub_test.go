@@ -2,11 +2,8 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/osd"
@@ -217,69 +214,6 @@ func TestScrubRepairReportsUnrepairableDirty(t *testing.T) {
 	// Dirty data is the only copy: it must never be deleted.
 	if _, _, _, err := getObject(s, oid(1)); err != nil {
 		t.Fatalf("dirty object deleted by scrub-repair: %v", err)
-	}
-}
-
-// Scan and repairs share one scrub.bg context. A repair its timeout cuts short
-// must end the pass with the deadline error: before, the cut-short stripe was
-// skipped as "freed since the scan" (nil error, nothing repaired), or — cut
-// after the vote, when the write is refused — reported as unrepairable.
-func TestScrubRepairStopsAtItsDeadline(t *testing.T) {
-	const timeout = 150 * time.Millisecond
-	for _, tc := range []struct {
-		name    string
-		sleepAt int64 // device attempt of the repair after which the deadline passes
-	}{
-		{"during the repair's reads", 1},
-		{"between the repair's reads and its write", 5},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
-			dirty := randBytes(2, 900) // one replicated stripe, a copy per device
-			if _, err := s.PutCtx(nil, oid(1), dirty, osd.ClassDirty, true); err != nil {
-				t.Fatal(err)
-			}
-			if !s.Array().Device(2).Corrupt(firstStripe(s, oid(1)), 3) {
-				t.Fatal("nothing corrupted")
-			}
-			// The scan makes the same device attempts every pass: count them,
-			// then let the deadline pass that many plus sleepAt attempts in.
-			var attempts atomic.Int64
-			s.Resilience().SetObserver(func(policy.Attempt) { attempts.Add(1) })
-			if report, _, err := s.Scrub(); err != nil || len(report.SilentlyCorrupted) != 1 {
-				t.Fatalf("Scrub: %+v, err %v", report, err)
-			}
-			expire := attempts.Load() + tc.sleepAt
-			attempts.Store(0)
-			s.Resilience().SetObserver(func(policy.Attempt) {
-				if attempts.Add(1) == expire {
-					time.Sleep(timeout + 50*time.Millisecond)
-				}
-			})
-			rule := s.Resilience().Rule(policy.OpScrubBG)
-			rule.Timeout = timeout
-			s.Resilience().SetRule(policy.OpScrubBG, rule)
-
-			report, _, err := s.ScrubRepair()
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("ScrubRepair err = %v, want the deadline", err)
-			}
-			if report.StripesRepaired != 0 || len(report.UnrepairableDirty) != 0 || len(report.Invalidated) != 0 ||
-				len(report.SilentlyCorrupted) != 1 {
-				t.Fatalf("cut-short pass reported %+v", report)
-			}
-
-			s.Resilience().SetObserver(nil)
-			rule.Timeout = 0
-			s.Resilience().SetRule(policy.OpScrubBG, rule)
-			report, _, err = s.ScrubRepair()
-			if err != nil || report.StripesRepaired != 1 {
-				t.Fatalf("unhurried ScrubRepair repaired %d stripes, err %v", report.StripesRepaired, err)
-			}
-			if got, _, _, err := getObject(s, oid(1)); err != nil || !bytes.Equal(got, dirty) {
-				t.Fatalf("dirty object after repair: err %v", err)
-			}
-		})
 	}
 }
 

@@ -187,10 +187,6 @@ type Store struct {
 	array   *flash.Array
 	dir     *osd.Directory
 	stripes *stripe.Manager
-	// res is the resilience registry every retry loop, timeout, and hedge
-	// gate under this store consults. Defaults reproduce the historical
-	// constants, so an untuned registry changes nothing.
-	res *policy.Resilience
 
 	// mu guards the object map and recovery bookkeeping. Read-mostly
 	// paths (GetCtx, Status, Has, counters) take the read side, so
@@ -294,15 +290,11 @@ func New(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := policy.NewResilience()
-	array.SetResilience(res)
-	mgr.SetResilience(res)
 	s := &Store{
 		cfg:     cfg,
 		array:   array,
 		dir:     osd.NewDirectory(),
 		stripes: mgr,
-		res:     res,
 		objects: make(map[osd.ObjectID]*object),
 	}
 	if !cfg.SkipMetadataObjects {
@@ -323,25 +315,9 @@ func New(cfg Config) (*Store, error) {
 // Array exposes the underlying flash array (failure injection, stats).
 func (s *Store) Array() *flash.Array { return s.array }
 
-// Resilience exposes the store's resilience registry for tuning and
-// introspection (reoctl policy, harness assertions).
-func (s *Store) Resilience() *policy.Resilience { return s.res }
-
-// enterOpClass tags rc with the op class for the duration of one store
-// operation and attaches the class's timeout (if any) as a deadline;
-// deadlines only tighten, which is the right semantics for a per-request
-// context. It returns the previous class for the caller to restore with
-// rc.WithOpClass — a closure here would allocate on the read hot path.
-func (s *Store) enterOpClass(rc *reqctx.Ctx, class policy.OpClass) policy.OpClass {
-	prev := rc.OpClass()
-	rc.WithOpClass(class)
-	if rc != nil {
-		if t := s.res.Rule(class).Timeout; t > 0 {
-			rc.WithDeadline(time.Now().Add(t))
-		}
-	}
-	return prev
-}
+// Resilience exposes the stripe manager's hedged-read gate for tuning and
+// its counters.
+func (s *Store) Resilience() *policy.Resilience { return s.stripes.Resilience() }
 
 // Directory exposes the OSD namespace.
 func (s *Store) Directory() *osd.Directory { return s.dir }
@@ -456,14 +432,8 @@ func (s *Store) getOneRLocked(rc *reqctx.Ctx, id osd.ObjectID) (buf *bufpool.Buf
 		return nil, 0, false, nil, fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
 	degraded = s.statusLocked(obj) != StatusAlive
-	class := policy.OpReadHit
-	if degraded {
-		class = policy.OpReadDegraded
-	}
-	prevClass := s.enterOpClass(rc, class)
 	buf = bufpool.Get(obj.size)
 	_, cost, err = s.stripes.ReadInto(rc, obj.stripes, obj.size, buf.Bytes())
-	rc.WithOpClass(prevClass)
 	if err != nil {
 		buf.Release()
 		if errors.Is(err, stripe.ErrUnrecoverable) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/reo-cache/reo/internal/osd"
-	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
 )
 
@@ -14,8 +13,7 @@ import (
 var ErrOutOfRange = errors.New("store: write range outside object bounds")
 
 // WriteRangeCtx overwrites [offset, offset+len(data)) of an existing object
-// and marks it dirty, returning the virtual-time IO cost. It is a dirty write
-// and runs under the write.dirty op class like a dirty PutCtx. Two paths,
+// and marks it dirty, returning the virtual-time IO cost. Two paths,
 // depending on whether the dirty class changes the redundancy scheme:
 //
 //   - Same scheme (uniform policies, or an already-dirty object): the
@@ -24,8 +22,8 @@ var ErrOutOfRange = errors.New("store: write range outside object bounds")
 //     is cancellable until its first chunk write is due; from then on it runs
 //     to completion whatever the request says, because a half-updated stripe
 //     would have parity that no longer matches its data (stripe/update.go).
-//     The request still supplies the op class, ID and IO attribution of every
-//     chunk read and write.
+//     The request still supplies the ID and IO attribution of every chunk
+//     read and write.
 //   - Scheme change (a clean object under a differentiated policy becomes
 //     Class 1): the object is read, merged, and rewritten under the dirty
 //     scheme — partial updates cannot stay on parity stripes when the
@@ -50,7 +48,6 @@ func (s *Store) WriteRangeCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, dat
 	if len(data) == 0 {
 		return 0, nil
 	}
-	defer rc.WithOpClass(s.enterOpClass(rc, policy.OpWriteDirty))
 
 	var cost time.Duration
 	dirtyScheme := s.cfg.Policy.SchemeFor(osd.ClassDirty)

@@ -97,13 +97,17 @@ func TestDegradedReadAllocBound(t *testing.T) {
 		}
 		next++
 	}
+	if !bufpool.RaceEnabled {
+		// As in TestWriteCtxAllocs: no collection and one P from the warm-up
+		// on, so a collection between warm-up and count cannot empty the
+		// pool tiers the warm-up filled.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	}
 	for i := 0; i < 2*objects; i++ {
 		read() // warm-up: decode matrices cached, pool tiers filled
 	}
 	if !bufpool.RaceEnabled {
-		// As in TestWriteCtxAllocs: no collection and one P while counting.
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		const runs = 20 * objects
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -15,9 +15,8 @@ package stripe
 // within the hedge delay the hedge provably cannot win and is cancelled
 // immediately (the one genuinely asynchronous cancel, exercising the
 // interruptible-backoff path); otherwise the hedge runs to its natural
-// outcome before the winner is picked. Hedging is strictly opt-in: with the
-// default registry (MaxHedges 0) every read takes readStripePrimary
-// untouched.
+// outcome before the winner is picked. Hedging is strictly opt-in: with no
+// hedge rule set (MaxHedges 0) every read takes readStripePrimary untouched.
 
 import (
 	"time"
@@ -28,15 +27,10 @@ import (
 	"github.com/reo-cache/reo/internal/reqctx"
 )
 
-// SetResilience points the manager's hedged-read gate at a resilience
-// registry (nil disables hedging). Safe to call on a live manager.
-func (m *Manager) SetResilience(r *policy.Resilience) { m.res.Store(r) }
-
 // hedgePlan is an armed hedge: the gate found a suspect primary and a
 // healthy alternative, resolved the policy delay, and claimed an in-flight
 // hedge slot (which readStripeHedged must release via FinishHedge).
 type hedgePlan struct {
-	class policy.OpClass
 	delay time.Duration
 	// replicaDev is the healthy replica the hedge reads (replicate kind);
 	// -1 selects the parity-reconstruction hedge.
@@ -48,15 +42,10 @@ type hedgePlan struct {
 }
 
 // hedgePlan decides whether this stripe read should race a hedge. The fast
-// path out — hedging unarmed — costs two atomic loads, so default-policy
+// path out — hedging unarmed — costs one atomic load, so default-policy
 // runs stay byte-identical. The caller holds the stripe's read lock.
 func (m *Manager) hedgePlan(id ID, meta *stripeMeta) (hedgePlan, bool) {
-	res := m.res.Load()
-	if res == nil {
-		return hedgePlan{}, false
-	}
-	const class = policy.OpReadDegraded
-	delay, ok := res.HedgeDelay(class)
+	delay, ok := m.hedge.HedgeDelay()
 	if !ok {
 		return hedgePlan{}, false
 	}
@@ -80,10 +69,10 @@ func (m *Manager) hedgePlan(id ID, meta *stripeMeta) (hedgePlan, bool) {
 			dev := meta.replicaDevs[(start+i)%n]
 			d := m.array.Device(dev)
 			if d.Serving() && !d.Suspect() && absent&(1<<dev) == 0 {
-				if !res.TryStartHedge(class) {
+				if !m.hedge.TryStartHedge() {
 					return hedgePlan{}, false
 				}
-				return hedgePlan{class: class, delay: delay, replicaDev: dev}, true
+				return hedgePlan{delay: delay, replicaDev: dev}, true
 			}
 		}
 		return hedgePlan{}, false
@@ -127,23 +116,16 @@ func (m *Manager) hedgePlan(id ID, meta *stripeMeta) (hedgePlan, bool) {
 	if trusted < dataChunks {
 		return hedgePlan{}, false
 	}
-	if !res.TryStartHedge(class) {
+	if !m.hedge.TryStartHedge() {
 		return hedgePlan{}, false
 	}
-	return hedgePlan{class: class, delay: delay, replicaDev: -1, avoid: avoid}, true
+	return hedgePlan{delay: delay, replicaDev: -1, avoid: avoid}, true
 }
 
 // readStripeHedged races the primary read against the plan's hedge. The
 // caller holds the stripe's read lock; the hedge goroutine is always joined
 // before returning, so the lock covers it too.
 func (m *Manager) readStripeHedged(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte, plan hedgePlan) (time.Duration, error) {
-	res := m.res.Load()
-	// A hedged read is a degraded-confidence read: retag the request so both
-	// attempts resolve the read.degraded retry rule and timeline label.
-	prevClass := rc.OpClass()
-	rc.WithOpClass(plan.class)
-	defer rc.WithOpClass(prevClass)
-
 	child, cancel := reqctx.Fork(rc)
 	// The hedge fills its own lease; the goroutine is joined on every path
 	// below, so the deferred release cannot race it.
@@ -169,7 +151,7 @@ func (m *Manager) readStripeHedged(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst 
 		<-done
 		rc.AbsorbStats(child)
 		reqctx.Release(child)
-		res.FinishHedge(plan.class, false, false)
+		m.hedge.FinishHedge(false, false)
 		return pCost, nil
 	}
 
@@ -182,7 +164,7 @@ func (m *Manager) readStripeHedged(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst 
 
 	hCost := plan.delay + ho.cost
 	won := ho.err == nil && (pErr != nil || hCost < pCost)
-	res.FinishHedge(plan.class, true, won)
+	m.hedge.FinishHedge(true, won)
 	if won {
 		copy(dst, scratch)
 		return hCost, nil

@@ -27,11 +27,10 @@ func makeSuspect(t *testing.T, m *Manager, dev int) {
 	}
 }
 
-func hedgingRegistry(delay time.Duration) *policy.Resilience {
-	res := policy.NewResilience()
-	rule := res.Rule(policy.OpReadDegraded)
-	rule.Hedge = policy.HedgeRule{Delay: delay, MaxHedges: 4}
-	res.SetRule(policy.OpReadDegraded, rule)
+// armHedging turns hedging on in m's gate and returns the gate.
+func armHedging(m *Manager, delay time.Duration) *policy.Resilience {
+	res := m.Resilience()
+	res.SetHedge(policy.HedgeRule{Delay: delay, MaxHedges: 4})
 	return res
 }
 
@@ -54,8 +53,7 @@ func TestHedgedReadReplicatedWins(t *testing.T) {
 		t.Fatalf("fail-slow device did not slow the read: %v <= %v", slowCost, plainCost)
 	}
 
-	res := hedgingRegistry(10 * time.Microsecond)
-	m.SetResilience(res)
+	res := armHedging(m, 10*time.Microsecond)
 	got, hedgedCost := readAll(t, m, ids, len(data))
 	if !bytes.Equal(got, data) {
 		t.Fatal("hedged read returned wrong data")
@@ -81,8 +79,7 @@ func TestHedgedReadParityReconstructionWins(t *testing.T) {
 	makeSuspect(t, m, 0)
 	_, slowCost := readAll(t, m, ids, len(data))
 
-	res := hedgingRegistry(10 * time.Microsecond)
-	m.SetResilience(res)
+	res := armHedging(m, 10*time.Microsecond)
 	got, hedgedCost := readAll(t, m, ids, len(data))
 	if !bytes.Equal(got, data) {
 		t.Fatal("hedged read returned wrong data")
@@ -115,8 +112,7 @@ func TestHedgeCancelledWhenPrimaryBeatsDelay(t *testing.T) {
 	}
 	makeSuspect(t, m, 0)
 
-	res := hedgingRegistry(time.Second)
-	m.SetResilience(res)
+	res := armHedging(m, time.Second)
 	got, _ := readAll(t, m, ids, len(data))
 	if !bytes.Equal(got, data) {
 		t.Fatal("read returned wrong data")
@@ -128,7 +124,7 @@ func TestHedgeCancelledWhenPrimaryBeatsDelay(t *testing.T) {
 }
 
 // Healthy devices never arm a hedge even with hedging enabled, and a nil
-// registry (the default) leaves the read path untouched byte-for-byte.
+// gate (the default) leaves the read path untouched byte-for-byte.
 func TestHedgeIdleWhenHealthy(t *testing.T) {
 	m := testManager(t, 3, 1024)
 	data := randBytes(13, 4*1024)
@@ -138,8 +134,7 @@ func TestHedgeIdleWhenHealthy(t *testing.T) {
 	}
 	_, baseline := readAll(t, m, ids, len(data))
 
-	res := hedgingRegistry(10 * time.Microsecond)
-	m.SetResilience(res)
+	res := armHedging(m, 10*time.Microsecond)
 	got, cost := readAll(t, m, ids, len(data))
 	if !bytes.Equal(got, data) {
 		t.Fatal("data mismatch")

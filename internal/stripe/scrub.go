@@ -34,9 +34,8 @@ type ScrubResult struct {
 //
 // The pass walks a snapshot of the stripe IDs and locks each stripe only
 // while verifying it, so foreground reads and writes to other stripes are
-// never blocked behind the scrub. Device reads carry the context's op class
-// (scrub.bg when the store drives it), so scrub IO resolves its own retry
-// policy, and cancellation stops the pass at the next stripe boundary.
+// never blocked behind the scrub. Device reads carry the context, so
+// cancellation stops the pass at the next stripe boundary.
 func (m *Manager) ScrubCtx(rc *reqctx.Ctx) (ScrubResult, time.Duration, error) {
 	var (
 		res   ScrubResult

@@ -147,10 +147,11 @@ type Manager struct {
 	// has its replica set changed.
 	userTotal, overheadTotal atomic.Int64
 
-	// res is the resilience registry the hedged-read gate consults; nil (or
-	// a registry with hedging off, the default) leaves every read on the
-	// plain primary path.
-	res atomic.Pointer[policy.Resilience]
+	// hedge is the hedged-read gate; hedging is off until a rule is set
+	// (the default), which leaves every read on the plain primary path. It
+	// is allocated on its own: every stripe read loads its rule, and inline
+	// here it would share a cache line with mu, which every reader writes.
+	hedge *policy.Resilience
 }
 
 // Option customises a Manager.
@@ -183,12 +184,17 @@ func NewManager(array *flash.Array, chunkSize int, opts ...Option) (*Manager, er
 		nextID:    1,
 		stripes:   make(map[ID]*stripeMeta),
 		codecs:    make(map[[2]int]*erasure.Codec),
+		hedge:     new(policy.Resilience),
 	}
 	for _, opt := range opts {
 		opt(m)
 	}
 	return m, nil
 }
+
+// Resilience returns the manager's hedged-read gate, for tuning and its
+// counters.
+func (m *Manager) Resilience() *policy.Resilience { return m.hedge }
 
 // ChunkSize returns the configured chunk size.
 func (m *Manager) ChunkSize() int { return m.chunkSize }
@@ -478,9 +484,9 @@ func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ali
 //     matching its data. The operation is cancellable while it only reads; a
 //     request dead when the first chunk write is due writes no new data. From
 //     that write on, every read and write of the operation — across stripes —
-//     is issued under a child of the request that keeps its ID, priority,
-//     class hint and op class (so retry rule, budget and observer apply) but
-//     neither its cancellation nor its deadline: it runs to completion.
+//     is issued under a child of the request that keeps its ID, priority and
+//     class hint but neither its cancellation nor its deadline: it runs to
+//     completion.
 type writeOp struct {
 	rc        *reqctx.Ctx // what IO is issued under right now
 	published bool
@@ -498,7 +504,7 @@ func (w *writeOp) begin() error {
 	}
 	w.req = w.rc
 	w.rc = reqctx.Acquire(nil).WithID(w.req.ID()).WithPriority(w.req.Priority()).
-		WithClassHint(w.req.ClassHint()).WithOpClass(w.req.OpClass())
+		WithClassHint(w.req.ClassHint())
 	return nil
 }
 
@@ -513,8 +519,8 @@ func (w *writeOp) end() {
 
 // scatter is the one place a stripe's fragments are written — gather's mirror.
 // Every non-nil frags[i] goes to meta.fragmentDev(i) through the rc-carrying
-// Device.WriteCtx, so the request's op class, ID and IO attribution reach
-// every chunk write. It returns the parallel (critical path) device cost, how
+// Device.WriteCtx, so the request's ID and IO attribution reach every chunk
+// write. It returns the parallel (critical path) device cost, how
 // many fragments landed, and the first error by fragment index. The chunk
 // checksum is computed here, once per distinct fragment (see fragSum), and
 // every device handed those bytes stores it.

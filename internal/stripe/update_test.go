@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/policy"
 )
 
@@ -142,12 +143,16 @@ func TestUpdateRangeZeroParityDeviceFailsBeforeWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := policy.NewResilience()
-	m.array.SetResilience(res)
-	res.SetObserver(func(policy.Attempt) { // runs after the chunk's read attempt
-		res.SetObserver(nil)
-		_ = m.array.FailDevice(meta.dataDevs[1])
-	})
+	// The chunk's read succeeds, but so slowly that the health monitor fails
+	// the device on it: the device leaves service between the read and the
+	// write, without a write ever reporting an error.
+	d := m.array.Device(meta.dataDevs[1])
+	for i := 0; i < 16; i++ { // enough samples for the monitor to trust its slowdown estimate
+		if _, err := d.Write(flash.ChunkAddr(1<<40+i), []byte("warm")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.SetFaultHook(opSlowHook{read: 1000})
 	if _, err := m.UpdateRange(nil, ids, 300, randBytes(8, 100)); !errors.Is(err, ErrUnrecoverable) {
 		t.Fatalf("UpdateRange = %v, want ErrUnrecoverable", err)
 	}

@@ -195,13 +195,7 @@ func (o ops) SegStats() ([]flash.SegmentStats, error) {
 	return payloadCall(o, OpSegStats, decodeSegStats)
 }
 
-// ResilienceRules fetches the target's per-op-class resilience policy
-// snapshot (retry, timeout, hedging, budget) in registry order.
-func (o ops) ResilienceRules() ([]policy.ClassRule, error) {
-	return payloadCall(o, OpResilience, decodeResilience)
-}
-
-// Tune sets one named target-side knob (a "policy.<class>.<knob>" resilience
+// Tune sets one named target-side knob (a "policy.read.degraded.hedge.*"
 // key) via a #TUNE# control message.
 func (o ops) Tune(key string, value float64) error {
 	msg := osd.TuneCommand{Key: key, Value: value}.Encode()

@@ -19,7 +19,6 @@ import (
 	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/osd"
-	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/target"
 )
 
@@ -45,7 +44,6 @@ const (
 	OpSegStats
 	OpGetBatch
 	OpPutBatch
-	OpResilience
 )
 
 // String returns the op name.
@@ -85,8 +83,6 @@ func (o Op) String() string {
 		return "get-batch"
 	case OpPutBatch:
 		return "put-batch"
-	case OpResilience:
-		return "resilience"
 	default:
 		return fmt.Sprintf("Op(%d)", byte(o))
 	}
@@ -258,8 +254,11 @@ func decodeRequestInPlace(body []byte) (Request, error) {
 	if len(body) < fixed {
 		return Request{}, ErrShortFrame
 	}
+	// Only the zero opcode is malformed here. An opcode past the last one
+	// decodes, and the server answers it "unhandled op" under its request
+	// ID, so the caller can match the failure to its request.
 	op := Op(body[0])
-	if op < OpPut || op > OpResilience {
+	if op < OpPut {
 		return Request{}, fmt.Errorf("%w: %d", ErrUnknownOp, body[0])
 	}
 	req := Request{
@@ -503,66 +502,6 @@ func decodeSegStats(payload []byte) ([]flash.SegmentStats, error) {
 			TombstonedBytes: int64(binary.BigEndian.Uint64(e[62:70])),
 			SegmentErases:   int64(binary.BigEndian.Uint64(e[70:78])),
 			WearCycles:      math.Float64frombits(binary.BigEndian.Uint64(e[78:86])),
-		})
-	}
-	return out, nil
-}
-
-// resilienceEntrySize is the fixed wire size of one OpResilience per-class
-// entry: class, retry max attempts, base/max backoff, jitter, timeout,
-// hedge delay, hedge quantile, max hedges, budget rate, budget burst.
-const resilienceEntrySize = 1 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 4 + 8 + 8
-
-// encodeResilience renders an OpResilience response payload: a packed array
-// of per-class rule entries in registry order, count implied by length.
-func encodeResilience(rules []policy.ClassRule) []byte {
-	out := make([]byte, 0, len(rules)*resilienceEntrySize)
-	for _, cr := range rules {
-		r := cr.Rule
-		out = append(out, byte(cr.Class))
-		out = binary.BigEndian.AppendUint32(out, uint32(r.Retry.MaxAttempts))
-		out = binary.BigEndian.AppendUint64(out, uint64(r.Retry.BaseBackoff))
-		out = binary.BigEndian.AppendUint64(out, uint64(r.Retry.MaxBackoff))
-		out = binary.BigEndian.AppendUint64(out, math.Float64bits(r.Retry.Jitter))
-		out = binary.BigEndian.AppendUint64(out, uint64(r.Timeout))
-		out = binary.BigEndian.AppendUint64(out, uint64(r.Hedge.Delay))
-		out = binary.BigEndian.AppendUint64(out, math.Float64bits(r.Hedge.DelayQuantile))
-		out = binary.BigEndian.AppendUint32(out, uint32(r.Hedge.MaxHedges))
-		out = binary.BigEndian.AppendUint64(out, math.Float64bits(r.Budget.Rate))
-		out = binary.BigEndian.AppendUint64(out, math.Float64bits(r.Budget.Burst))
-	}
-	return out
-}
-
-// decodeResilience parses an OpResilience response payload.
-func decodeResilience(payload []byte) ([]policy.ClassRule, error) {
-	if len(payload)%resilienceEntrySize != 0 {
-		return nil, fmt.Errorf("%w: resilience payload %d bytes, not a multiple of %d",
-			ErrShortFrame, len(payload), resilienceEntrySize)
-	}
-	out := make([]policy.ClassRule, 0, len(payload)/resilienceEntrySize)
-	for off := 0; off < len(payload); off += resilienceEntrySize {
-		e := payload[off : off+resilienceEntrySize]
-		out = append(out, policy.ClassRule{
-			Class: policy.OpClass(e[0]),
-			Rule: policy.Rule{
-				Retry: policy.RetryRule{
-					MaxAttempts: int(int32(binary.BigEndian.Uint32(e[1:5]))),
-					BaseBackoff: time.Duration(binary.BigEndian.Uint64(e[5:13])),
-					MaxBackoff:  time.Duration(binary.BigEndian.Uint64(e[13:21])),
-					Jitter:      math.Float64frombits(binary.BigEndian.Uint64(e[21:29])),
-				},
-				Timeout: time.Duration(binary.BigEndian.Uint64(e[29:37])),
-				Hedge: policy.HedgeRule{
-					Delay:         time.Duration(binary.BigEndian.Uint64(e[37:45])),
-					DelayQuantile: math.Float64frombits(binary.BigEndian.Uint64(e[45:53])),
-					MaxHedges:     int(int32(binary.BigEndian.Uint32(e[53:57]))),
-				},
-				Budget: policy.BudgetRule{
-					Rate:  math.Float64frombits(binary.BigEndian.Uint64(e[57:65])),
-					Burst: math.Float64frombits(binary.BigEndian.Uint64(e[65:73])),
-				},
-			},
 		})
 	}
 	return out, nil

@@ -154,9 +154,8 @@ func (rt *RemoteTarget) maybeRedialLocked(slot int) {
 	go rt.redial(slot)
 }
 
-// redial replaces a dead connection, backing off per the default wire.dial
-// retry rule (exponential from 5ms capped at 1s with ±25% deterministic
-// jitter, unbounded attempts) until the dial succeeds or the pool closes.
+// redial replaces a dead connection, backing off per dialRetry until the
+// dial succeeds or the pool closes.
 func (rt *RemoteTarget) redial(slot int) {
 	c := rt.dialUntilClosed(slot)
 	rt.mu.Lock()
@@ -179,10 +178,13 @@ func (rt *RemoteTarget) redial(slot int) {
 	}
 }
 
+// dialRetry is the redial schedule: unbounded attempts, 5ms doubling to 1s,
+// ±25% jitter.
+var dialRetry = policy.RetryRule{BaseBackoff: 5 * time.Millisecond, MaxBackoff: time.Second, Jitter: 0.25}
+
 // dialUntilClosed retries the pool's address until a dial succeeds; nil means
 // the pool closed first.
 func (rt *RemoteTarget) dialUntilClosed(slot int) *Client {
-	retry := policy.DefaultRule(policy.OpWireDial).Retry
 	for attempt := 0; ; attempt++ {
 		// Deterministic jitter in [0.75, 1.25) of the nominal delay keeps
 		// a burst of redialing slots from thundering in lockstep.
@@ -190,7 +192,7 @@ func (rt *RemoteTarget) dialUntilClosed(slot int) *Client {
 		select {
 		case <-rt.closed:
 			return nil
-		case <-time.After(retry.BackoffDelay(attempt, h)):
+		case <-time.After(dialRetry.BackoffDelay(attempt, h)):
 		}
 		if c, err := Dial(rt.addr); err == nil {
 			return c

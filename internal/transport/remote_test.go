@@ -212,3 +212,26 @@ func TestPolicyWireRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// dialRetry must back off bit-identically to the legacy redial formula
+// (5ms doubling to 1s, jittered delay*3/4 + h%delay/2), including the
+// doubling cap and attempts far past where a shift would overflow.
+func TestBackoffDelayMatchesLegacyRedialFormula(t *testing.T) {
+	rule := dialRetry
+	if rule.MaxAttempts != 0 {
+		t.Fatalf("redial gives up after %d attempts, want unbounded", rule.MaxAttempts)
+	}
+	delay := 5 * time.Millisecond
+	for attempt := 0; attempt < 100; attempt++ {
+		h := (uint64(3)<<32 + uint64(attempt) + 1) * 0x9E3779B97F4A7C15
+		legacy := delay*3/4 + time.Duration(h%uint64(delay)/2)
+		got := rule.BackoffDelay(attempt, h)
+		if got != legacy {
+			t.Fatalf("attempt %d: BackoffDelay=%v legacy=%v (delay %v)", attempt, got, legacy, delay)
+		}
+		delay *= 2
+		if delay > time.Second {
+			delay = time.Second
+		}
+	}
+}

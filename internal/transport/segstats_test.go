@@ -98,16 +98,28 @@ func TestSegStatsAndTuneOverWire(t *testing.T) {
 		t.Fatalf("array live bytes %d < payload %d", live, len(payload))
 	}
 
-	if err := client.Tune("policy.read.degraded.retry.max", 7); err != nil {
+	// Arm hedged degraded reads through #TUNE#: 200µs, two in flight.
+	if err := client.Tune("policy.read.degraded.hedge.delay", 200e-6); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Resilience().Rule(policy.OpReadDegraded).Retry.MaxAttempts; got != 7 {
-		t.Fatalf("read.degraded retry.max = %d after tune, want 7", got)
+	if err := client.Tune("policy.read.degraded.hedge.max", 2); err != nil {
+		t.Fatal(err)
 	}
-	if err := client.Tune("gc.bogus", 0.5); err == nil {
-		t.Fatal("unknown tune key accepted")
+	res := st.Resilience()
+	if d, ok := res.HedgeDelay(); !ok || d != 200*time.Microsecond {
+		t.Fatalf("hedge delay after tune = %v (armed %v), want 200µs", d, ok)
 	}
-	if err := client.Tune("policy.read.degraded.retry.jitter", 1.5); err == nil {
+	if !res.TryStartHedge() || !res.TryStartHedge() || res.TryStartHedge() {
+		t.Fatal("hedge cap after tune is not 2")
+	}
+	res.FinishHedge(false, false)
+	res.FinishHedge(false, false)
+	for _, key := range []string{"gc.bogus", "policy.read.degraded.bogus", "policy.read.degraded.retry.max"} {
+		if err := client.Tune(key, 1); err == nil {
+			t.Fatalf("unknown tune key %q accepted", key)
+		}
+	}
+	if err := client.Tune("policy.read.degraded.hedge.max", -1); err == nil {
 		t.Fatal("out-of-range tune value accepted")
 	}
 }

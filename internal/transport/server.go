@@ -390,8 +390,6 @@ func (s *Server) dispatch(req Request) (Response, *bufpool.Buf) {
 		return Response{Sense: osd.SenseOK, Payload: encodeInventory(s.st.ListObjects())}, nil
 	case OpSegStats:
 		return Response{Sense: osd.SenseOK, Payload: encodeSegStats(s.st.SegmentStats())}, nil
-	case OpResilience:
-		return Response{Sense: osd.SenseOK, Payload: encodeResilience(s.st.Resilience().Snapshot())}, nil
 	default:
 		return Response{Sense: osd.SenseFailure, Message: fmt.Sprintf("unhandled op %v", req.Op)}, nil
 	}

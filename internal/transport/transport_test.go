@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -128,6 +129,33 @@ func TestDecodeRequestPropertyNoCrash(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An op the server does not know — the byte after the last op, where a
+// retired op used to sit — is answered SenseFailure "unhandled op" under its
+// request ID, and the same connection goes on serving.
+func TestUnknownOpAnsweredAndConnectionServes(t *testing.T) {
+	client, _ := pipePair(t, newTarget(t))
+	want := []byte("still serving")
+	if _, err := client.PutCtx(nil, oid(1), want, osd.ClassColdClean, false); err != nil {
+		t.Fatal(err)
+	}
+	resp, frame, err := client.exchange(nil, Request{Op: OpPutBatch + 1})
+	releaseFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Sense != osd.SenseFailure || !strings.Contains(resp.Message, "unhandled op") {
+		t.Fatalf("unknown op answered sense %#x %q, want SenseFailure \"unhandled op\"", int(resp.Sense), resp.Message)
+	}
+	buf, _, _, err := client.GetLeasedCtx(nil, oid(1))
+	if err != nil {
+		t.Fatalf("Get after the unknown op: %v", err)
+	}
+	defer buf.Release()
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Get after the unknown op = %q, want %q", buf.Bytes(), want)
 	}
 }
 

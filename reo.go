@@ -227,9 +227,9 @@ func WithWriteAwareAdmission(minHits, ghostCapacity int) Option {
 // bounds concurrent in-flight hedges (<= 0 selects 4). Hedging is off by
 // default; arming it leaves fault-free runs byte-identical (the race only
 // engages on suspect devices) but tail latencies under fail-slow faults
-// improve by roughly the slowdown factor. Equivalent to
-// `reoctl policy set read.degraded hedge.delay=<delay> hedge.max=<max>`
-// against a live target.
+// improve by roughly the slowdown factor. Against a live target the same
+// rule is set with `reoctl tune policy.read.degraded.hedge.delay <seconds>`
+// and `reoctl tune policy.read.degraded.hedge.max <n>`.
 func WithHedgedReads(delay time.Duration, maxHedges int) Option {
 	return func(c *config) {
 		c.hedgeDelay = delay
@@ -309,9 +309,7 @@ func New(opts ...Option) (*Cache, error) {
 		if max <= 0 {
 			max = 4
 		}
-		rule := policy.DefaultRule(policy.OpReadDegraded)
-		rule.Hedge = policy.HedgeRule{Delay: cfg.hedgeDelay, MaxHedges: max}
-		st.Resilience().SetRule(policy.OpReadDegraded, rule)
+		st.Resilience().SetHedge(policy.HedgeRule{Delay: cfg.hedgeDelay, MaxHedges: max})
 	}
 	be := backend.New(hdd.WD1TB(cfg.backendCapacity))
 	mgr, err := cache.New(cache.Config{
@@ -619,16 +617,16 @@ func (c *Cache) ScrubRepair() (ScrubRepairReport, error) {
 type HedgeStats = policy.HedgeStats
 
 // HedgeStats snapshots the hedged-read counters (all zero unless
-// WithHedgedReads — or a runtime `policy set read.degraded` tune — armed
-// hedging).
+// WithHedgedReads or a TunePolicy hedge key armed hedging).
 func (c *Cache) HedgeStats() HedgeStats { return c.store.Resilience().HedgeStats() }
 
-// TunePolicy applies one resilience-policy knob update at runtime, e.g.
-// TunePolicy("read.degraded.hedge.delay", 200e-6). Keys are
-// "<class>.<knob>" with durations in fractional seconds — the same keys
-// reoctl's policy subcommand sends over the wire.
+// TunePolicy updates the hedged-degraded-read rule at runtime. Two keys
+// exist: "read.degraded.hedge.delay" in fractional seconds (200e-6 for
+// 200µs) and "read.degraded.hedge.max", the in-flight cap (0 turns hedging
+// off). reoctl's tune command sends the same keys, prefixed "policy.", over
+// the wire; any other key fails.
 func (c *Cache) TunePolicy(key string, value float64) error {
-	return c.store.Resilience().Tune(key, value)
+	return c.store.Resilience().Tune("policy."+key, value)
 }
 
 // DeviceHealth returns the health monitor's snapshot for device slot i:

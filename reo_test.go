@@ -451,11 +451,26 @@ func TestHedgedReadsOption(t *testing.T) {
 	if hs := c.HedgeStats(); hs != (HedgeStats{}) {
 		t.Fatalf("healthy array recorded hedge activity: %+v", hs)
 	}
+	gate := c.store.Resilience()
+	if d, ok := gate.HedgeDelay(); !ok || d != 50*time.Microsecond {
+		t.Fatalf("armed hedge delay = %v (armed %v), want 50µs", d, ok)
+	}
 	if err := c.TunePolicy("read.degraded.hedge.delay", 100e-6); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.TunePolicy("read.degraded.bogus", 1); err == nil {
-		t.Fatal("unknown policy knob accepted")
+	if d, _ := gate.HedgeDelay(); d != 100*time.Microsecond {
+		t.Fatalf("hedge delay after tune = %v, want 100µs", d)
+	}
+	if err := c.TunePolicy("read.degraded.hedge.max", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := gate.HedgeDelay(); ok {
+		t.Fatal("hedge.max=0 left hedging armed")
+	}
+	for _, key := range []string{"read.degraded.bogus", "read.degraded.retry.max"} {
+		if err := c.TunePolicy(key, 1); err == nil {
+			t.Fatalf("unknown policy key %q accepted", key)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@
 #   scripts/behaviour-gate.sh <base-ref>
 #
 # The hedged chaos variant (-hedge-delay 200us -fail-slow-factor 3) is not in
-# the list: it differs run to run on identical code (ROADMAP item 3).
+# the list: it differs run to run on identical code (ROADMAP item 1).
 set -euo pipefail
 
 base=${1:?usage: scripts/behaviour-gate.sh <base-ref>}

@@ -12,8 +12,9 @@
 # sibling on the same receiver in the same file (reo.Cache keeps its
 # convenience wrappers and is not counted), then a knob census — every value
 # someone can set: flag definitions under cmd/, exported With* options in
-# reo.go, #TUNE# keys (literal keys of store.tune plus the policy.<class>.
-# knob names), exported fields of flash.LogConfig, store.Config and
+# reo.go, #TUNE# keys (the literal keys of every tune/Tune method in
+# internal/store and internal/policy, plus the Knob* names of the per-op-class
+# registry older refs carry), exported fields of flash.LogConfig, store.Config and
 # cache.Config — for the working tree and, given a base ref, for it too, so
 # "no knob added, N removed" (ROADMAP item 6b) is a printed number; and, given
 # a base ref, the non-test .go diffstat of the working tree against it.
@@ -108,7 +109,8 @@ census() { # census <label> <ref>
 	local flags with tune lc sc cc
 	flags=$(src "$2" cmd | grep -cE '\.(String|Int|Int64|Uint|Uint64|Bool|Float64|Duration)(Var)?\("' || true)
 	with=$(src "$2" reo.go | grep -cE '^func With[A-Z]' || true)
-	tune=$(src "$2" internal/store | awk '/^func \(s \*Store\) tune\(/,/^}/' | grep -oE '"[a-z][a-z.]*"' | sort -u | grep -vcx '"policy\."' || true)
+	tune=$(src "$2" internal/store internal/policy | awk '/^func \([a-z]+ \*[A-Za-z]+\) [tT]une\(/,/^}/' |
+		grep -oE '"[a-z][a-z.]*"' | sort -u | grep -vcx '"policy\."' || true)
 	tune=$((tune + $(src "$2" internal/policy | grep -cE '^[[:space:]]Knob[A-Za-z]+ += "' || true)))
 	lc=$(fields "$2" internal/flash LogConfig)
 	sc=$(fields "$2" internal/store Config)
