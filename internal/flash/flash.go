@@ -21,7 +21,6 @@ package flash
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -73,13 +72,6 @@ var (
 
 // IsTransient reports whether err is a retryable device fault.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransientIO) }
-
-// castagnoli is the CRC32C table used for per-chunk checksums (the
-// polynomial storage systems use for end-to-end integrity).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Checksum is the CRC32C a chunk of these bytes is stored and verified under.
-func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
 // ChunkAddr identifies a chunk on a device. Addresses are assigned by the
 // stripe manager and are unique per device.
@@ -550,7 +542,15 @@ func (d *Device) readOnce(addr ChunkAddr, dst []byte) ([]byte, int, int64, time.
 		return nil, 0, 0, scaleCost(d.spec.ReadLatency, dec.LatencyScale),
 			fmt.Errorf("%w: latent sector error at addr %d", ErrChunkCorrupt, addr)
 	}
-	if Checksum(data) != c.crc {
+	var out []byte
+	if dst == nil {
+		out = make([]byte, len(data)) // ReadCtx's contract: a copy the caller keeps (tests; the data path reads into its own buffers)
+		dst = out
+	}
+	// The bytes are verified in the pass that delivers them, so on a
+	// mismatch dst already holds them: ReadInto leaves dst unspecified on
+	// error.
+	if copyChecksum(dst, data) != c.crc {
 		// Integrity failure: discard the chunk so every later Has/Read sees
 		// it as missing and the stripe layer reconstructs + repairs it.
 		d.loseChunkLocked(addr)
@@ -558,14 +558,7 @@ func (d *Device) readOnce(addr ChunkAddr, dst []byte) ([]byte, int, int64, time.
 		return nil, 0, 0, scaleCost(d.spec.ReadLatency, dec.LatencyScale),
 			fmt.Errorf("%w: checksum mismatch at addr %d", ErrChunkCorrupt, addr)
 	}
-	var out []byte
-	n := len(data)
-	if dst != nil {
-		n = copy(dst, data)
-	} else {
-		out = make([]byte, len(data)) // ReadCtx's contract: a copy the caller keeps (tests; the data path reads into its own buffers)
-		copy(out, data)
-	}
+	n := min(len(dst), len(data))
 	d.stats.ReadOps++
 	d.stats.BytesRead += int64(len(data))
 	cost := d.spec.ReadLatency + simclock.TransferTime(int64(len(data)), d.spec.ReadBandwidth)
@@ -633,7 +626,9 @@ func (d *Device) ReadCtx(rc *reqctx.Ctx, addr ChunkAddr) ([]byte, time.Duration,
 // virtual-time cost. Cost and IO counters are charged on the full stored
 // chunk — the device always transfers whole chunks; dst only bounds how much
 // of it the caller keeps — so ReadInto and ReadCtx are indistinguishable to
-// the clock.
+// the clock. The whole stored chunk is verified against its CRC32C in the
+// pass that copies it, so dst is unspecified on error: a corrupt chunk's
+// bytes may already sit in it.
 func (d *Device) ReadInto(rc *reqctx.Ctx, addr ChunkAddr, dst []byte) (int, time.Duration, error) {
 	_, n, cost, err := d.read(rc, addr, dst)
 	return n, cost, err

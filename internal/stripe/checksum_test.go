@@ -126,42 +126,132 @@ func TestReplicatedChunksShareChecksum(t *testing.T) {
 	}
 }
 
-// TestWrongSumChunkIsReconstructed: a chunk stored under a wrong sum is
-// corruption to the stripe layer — its device fails the read and drops it,
-// the fault epoch moves, and the stripe read decodes the right bytes from
-// the survivors and repairs the chunk under its true sum.
+// TestWrongSumChunkIsReconstructed: a chunk whose bytes no longer match its
+// stored sum is corruption to the stripe layer, however it came about — stored
+// under a wrong sum, a bit flipped behind the device's back (a non-silent
+// InjectCorruption), or such a flip on a chunk log-layout GC relocates before
+// the read. Its device drops it (on the read, which verifies in the pass that
+// copies, or on the relocation, which verifies too), the fault epoch moves,
+// and the stripe read returns the right bytes: from another replica of a
+// replicated stripe, decoded from the survivors of a parity stripe and
+// repaired under its true sum. Every case runs on both layouts except the
+// relocation, which only the log layout has.
 func TestWrongSumChunkIsReconstructed(t *testing.T) {
-	m := testManager(t, 5, 1024)
-	data := randBytes(41, 3*1024)
-	ids, _, err := m.WriteCtx(nil, data, policy.Parity(2))
-	if err != nil {
-		t.Fatal(err)
+	const chunkLen = 1024
+	type corruption int
+	const (
+		wrongSum corruption = iota
+		flip
+		flipThenGC
+	)
+	for _, layout := range []flash.Layout{flash.LayoutInPlace, flash.LayoutLog} {
+		for _, how := range []corruption{wrongSum, flip, flipThenGC} {
+			if how == flipThenGC && layout != flash.LayoutLog {
+				continue
+			}
+			for _, scheme := range []policy.Scheme{policy.ReplicateAll(), policy.Parity(2)} {
+				kind := "parity"
+				if scheme.Kind == policy.KindReplicate {
+					kind = "replicated"
+				}
+				name := fmt.Sprintf("%v/%v/%v", layout, []string{"wrong-sum", "flip", "flip-then-gc"}[how], kind)
+				t.Run(name, func(t *testing.T) {
+					array, err := flash.NewArrayLayout(5, flash.Spec{
+						CapacityBytes:  1 << 20,
+						ReadBandwidth:  500e6,
+						WriteBandwidth: 400e6,
+						ReadLatency:    50 * time.Microsecond,
+						WriteLatency:   60 * time.Microsecond,
+					}, layout, flash.LogConfig{SegmentBytes: 4 * chunkLen})
+					if err != nil {
+						t.Fatal(err)
+					}
+					m, err := NewManager(array, chunkLen)
+					if err != nil {
+						t.Fatal(err)
+					}
+					size := chunkLen - 24 // the kernel's 16-byte blocks and a tail
+					if scheme.Kind != policy.KindReplicate {
+						size = 3 * chunkLen
+					}
+					write := func(seed int64) ([]ID, []byte) {
+						data := randBytes(seed, size)
+						ids, _, err := m.WriteCtx(nil, data, scheme)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return ids, data
+					}
+					// Garbage ahead of the object and enough after it that
+					// its segment is sealed: GC can only relocate it then.
+					garbage, _ := write(1)
+					ids, data := write(41)
+					for seed := int64(2); seed < 6; seed++ {
+						write(seed)
+					}
+					meta, err := m.lookup(ids[0])
+					if err != nil {
+						t.Fatal(err)
+					}
+					slot := 1 // a parity stripe's second data chunk
+					if scheme.Kind == policy.KindReplicate {
+						slot = meta.primary(ids[0]) // the copy the read tries first
+					}
+					addr, dev := flash.ChunkAddr(ids[0]), m.Array().Device(meta.fragmentDev(slot))
+					epoch := m.Array().FaultEpoch()
+					switch how {
+					case wrongSum:
+						chunk, _, err := dev.ReadCtx(nil, addr)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := dev.WriteCtx(nil, addr, chunk, flash.Checksum(chunk)^1); err != nil {
+							t.Fatal(err)
+						}
+						epoch = m.Array().FaultEpoch()
+					case flip, flipThenGC:
+						if !dev.InjectCorruption(addr, chunkLen/2, false) {
+							t.Fatal("nothing to corrupt")
+						}
+					}
+					if how == flipThenGC {
+						m.Free(garbage)
+						var moved int64
+						for {
+							n, ok := dev.CollectOnce()
+							if !ok {
+								break
+							}
+							moved += n
+						}
+						if moved == 0 || dev.Has(addr) {
+							t.Fatalf("GC moved %d bytes and kept the corrupt chunk %v: the case no longer covers a relocated chunk", moved, dev.Has(addr))
+						}
+					}
+					got, _, err := readStripes(m, ids, len(data))
+					if err != nil || !bytes.Equal(got, data) {
+						t.Fatalf("read with a corrupt chunk: %v, bytes equal %v", err, bytes.Equal(got, data))
+					}
+					if m.Array().FaultEpoch() == epoch {
+						t.Fatal("the dropped chunk did not move the fault epoch")
+					}
+					if dev.Health().ChecksumErrors != 1 {
+						t.Fatalf("ChecksumErrors = %d, want 1", dev.Health().ChecksumErrors)
+					}
+					if scheme.Kind == policy.KindReplicate {
+						// No repair on read: the copy stays dropped until a
+						// rebuild or scrub restores it.
+						if dev.Has(addr) {
+							t.Fatal("the corrupt replica was not dropped")
+						}
+						return
+					}
+					if m.RepairedChunks() != 1 {
+						t.Fatalf("RepairedChunks = %d, want 1", m.RepairedChunks())
+					}
+					checkChunkSums(t, m, ids)
+				})
+			}
+		}
 	}
-	meta, err := m.lookup(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, dev := flash.ChunkAddr(ids[0]), m.Array().Device(meta.dataDevs[1])
-	chunk, _, err := dev.ReadCtx(nil, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dev.WriteCtx(nil, addr, chunk, flash.Checksum(chunk)^1); err != nil {
-		t.Fatal(err)
-	}
-	epoch := m.Array().FaultEpoch()
-	got, _, err := readStripes(m, ids, len(data))
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("read with a chunk under a wrong sum: %v, bytes equal %v", err, bytes.Equal(got, data))
-	}
-	if m.Array().FaultEpoch() == epoch {
-		t.Fatal("the dropped chunk did not move the fault epoch")
-	}
-	if dev.Health().ChecksumErrors != 1 {
-		t.Fatalf("ChecksumErrors = %d, want 1", dev.Health().ChecksumErrors)
-	}
-	if m.RepairedChunks() != 1 {
-		t.Fatalf("RepairedChunks = %d, want 1", m.RepairedChunks())
-	}
-	checkChunkSums(t, m, ids)
 }

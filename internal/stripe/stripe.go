@@ -658,7 +658,8 @@ func (m *Manager) rollback(id ID, meta *stripeMeta) {
 // that takes no heap allocation. Unavailable chunks are reconstructed from
 // survivors when the redundancy level allows (the degraded-read path);
 // otherwise ReadInto returns ErrUnrecoverable. No manager-wide lock is held
-// during IO.
+// during IO. Devices verify each chunk in the pass that copies it into dst, so
+// dst is unspecified on error.
 //
 // Cancellation checkpoints sit at stripe and chunk boundaries, so a cancelled
 // read stops issuing device IO at the next boundary and returns the context's
