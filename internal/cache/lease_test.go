@@ -22,9 +22,9 @@ import (
 // chunk writes, eviction of what was there), dirty overwrite of the object
 // just admitted (full replication), flush (read back, backend overwrite) and
 // the reclassification re-encode that follows. With the fetch, the flush and
-// the re-encode on leases, chunk buffers recycled through the devices' spare
-// lists and the backend overwriting in place, an operation allocates a small
-// fraction of one payload.
+// the re-encode on leases, one shared chunk per distinct fragment recycled
+// through the flash chunk pool and the backend overwriting in place, an
+// operation allocates a small fraction of one payload.
 func TestMissFillFlushAllocBound(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("allocation bounds are not meaningful under the race detector")
@@ -75,7 +75,7 @@ func TestMissFillFlushAllocBound(t *testing.T) {
 		m.FlushAll()
 	}
 	for i := 0; i < 2*objects; i++ {
-		cycle() // warm-up: the cache is full, pools and spare lists are stocked
+		cycle() // warm-up: the cache is full, the pools are stocked
 	}
 	before := m.Stats()
 	const cycles = 2 * objects

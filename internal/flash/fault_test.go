@@ -117,8 +117,8 @@ func TestBitFlipDetectedAndDropped(t *testing.T) {
 	}
 }
 
-// WriteCtx stores the checksum its caller computed, as given: the right one
-// reads back, Write computes it itself, and a wrong one fails the chunk's next
+// WriteCtx stores the checksum its chunk carries, as given: NewChunk's reads
+// back, Write makes its chunk itself, and a wrong one fails the chunk's next
 // read exactly like a bit flip would — checksum error, chunk dropped, fault
 // epoch moved.
 func TestWriteCtxStoresGivenSum(t *testing.T) {
@@ -128,14 +128,14 @@ func TestWriteCtxStoresGivenSum(t *testing.T) {
 	}
 	d := a.Device(0)
 	data := []byte("guarded by its writer")
-	if _, err := d.WriteCtx(nil, 1, data, Checksum(data)); err != nil {
+	if _, err := d.WriteCtx(nil, 1, NewChunk(data)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Write(2, data); err != nil {
 		t.Fatal(err)
 	}
 	for _, addr := range []ChunkAddr{1, 2} {
-		if got := d.chunks[addr].crc; got != Checksum(data) {
+		if got := d.chunks[addr].c.crc; got != Checksum(data) {
 			t.Fatalf("chunk %d stored sum %#x, want Checksum %#x", addr, got, Checksum(data))
 		}
 		if got, _, err := d.ReadCtx(nil, addr); err != nil || !bytes.Equal(got, data) {
@@ -144,10 +144,12 @@ func TestWriteCtxStoresGivenSum(t *testing.T) {
 	}
 
 	epoch := a.FaultEpoch()
-	if _, err := d.WriteCtx(nil, 3, data, Checksum(data)^1); err != nil {
+	wrong := NewChunk(data)
+	wrong.crc ^= 1
+	if _, err := d.WriteCtx(nil, 3, wrong); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.chunks[3].crc; got != Checksum(data)^1 {
+	if got := d.chunks[3].c.crc; got != Checksum(data)^1 {
 		t.Fatalf("stored sum %#x, want the given %#x", got, Checksum(data)^1)
 	}
 	if a.FaultEpoch() != epoch {

@@ -1,9 +1,18 @@
 // Package flash models the array of flash SSDs that backs Reo's object
-// cache. Each Device stores chunk payloads in memory, charges virtual-time
-// costs for reads and writes from a datasheet-style Spec, tracks wear and IO
+// cache. Each Device stores chunks in memory, charges virtual-time costs for
+// reads and writes from a datasheet-style Spec, tracks wear and IO
 // statistics, and supports the failure events the paper's evaluation
 // exercises: taking a device offline ("shootdown") and inserting a blank
 // spare to trigger reconstruction.
+//
+// A stored chunk is an immutable, refcounted Chunk (chunk.go): the writer
+// makes one per distinct fragment, copying and checksumming it in one pass,
+// and every device that stores the same fragment holds a reference to the
+// same bytes, so a fully replicated stripe is one host buffer. Everything the
+// model charges stays per device — used bytes, segments, the stored CRC,
+// wear, stats, faults — and a fault injected into one device's copy is
+// applied to a private clone (copy on corrupt). Released chunks return to a
+// bounded, size-classed pool.
 //
 // Beyond clean fail-stop, devices model the partial failures that dominate
 // in practice (transient read errors, latent sector errors, silent bit rot,
@@ -21,7 +30,6 @@ package flash
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,13 +174,23 @@ var ioRetry = policy.RetryRule{
 	Jitter:      0.25,
 }
 
+// held is a device's hold on a stored chunk: its reference, beside a copy of
+// the chunk's slice header, so a read finds the bytes in the map entry instead
+// of behind a second dependent load.
+type held struct {
+	buf []byte
+	c   *Chunk
+}
+
+func hold(c *Chunk) held { return held{c.buf, c} }
+
 // Device is a simulated flash SSD. All methods are safe for concurrent use.
 type Device struct {
 	mu    sync.Mutex
 	spec  Spec
 	state State
-	// chunks holds each stored chunk's bytes beside their CRC32C.
-	chunks map[ChunkAddr]chunk
+	// chunks holds each stored chunk (see held).
+	chunks map[ChunkAddr]held
 	used   int64
 	stats  Stats
 	// faults counts the events that took chunks away without their owner
@@ -188,86 +206,6 @@ type Device struct {
 	// per-segment bookkeeping, only populated under LayoutLog.
 	layout Layout
 	log    logState
-	// spare holds the buffers of dropped chunks, oldest first, for the next
-	// writes to fill (see chunkBufLocked); spareBytes is the sum of their
-	// capacities.
-	spare      [][]byte
-	spareBytes int64
-}
-
-// chunk is one stored chunk: its bytes and the CRC32C taken when they were
-// written.
-type chunk struct {
-	buf []byte
-	crc uint32
-}
-
-// Chunk buffers are device-owned: a write copies the caller's bytes in, a read
-// copies them out under the device lock, and nothing else ever sees the stored
-// slice. So the buffer of a chunk that is freed, overwritten, dropped as
-// corrupt or lost with its device can hold the next chunk written, and no
-// caller can be left aliasing it. The spare list is bounded in bytes (the
-// lesser of spareMaxBytes and 1/16 of the device) and in entries (the lookup
-// is a linear best-fit scan); what does not fit is left to the GC.
-const (
-	spareMaxBytes = 1 << 20
-	spareMaxBufs  = 64
-)
-
-// spareBound is the spare list's byte bound.
-func (d *Device) spareBound() int64 {
-	return min(spareMaxBytes, d.spec.CapacityBytes/16)
-}
-
-// fits reports whether buf may hold an n-byte chunk: it must be long enough
-// and at most an eighth longer. A first allocation is always exactly n bytes —
-// resident chunks are never rounded up to a pool tier, which on a cache full
-// of odd-length tail chunks would cost several percent of memory — so the
-// slack recycled buffers carry is bounded by an eighth of their bytes.
-func fits(buf []byte, n int) bool {
-	c := cap(buf)
-	return n <= c && c-n <= c/8
-}
-
-// chunkBufLocked returns the buffer an n-byte chunk is about to be copied
-// into: old — the buffer of the chunk being overwritten, nil for a new chunk —
-// when the new content fits it, else the tightest spare, else a fresh one.
-func (d *Device) chunkBufLocked(old []byte, n int) []byte {
-	if old != nil && fits(old, n) {
-		return old[:n]
-	}
-	d.recycleLocked(old)
-	best := -1
-	for i, b := range d.spare {
-		if fits(b, n) && (best < 0 || cap(b) < cap(d.spare[best])) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return make([]byte, n) // first allocation, at exact length (see fits)
-	}
-	buf := d.spare[best]
-	d.spare = slices.Delete(d.spare, best, best+1)
-	d.spareBytes -= int64(cap(buf))
-	return buf[:n]
-}
-
-// recycleLocked keeps a dropped chunk's buffer, making room by forgetting the
-// spares that have waited longest: what was freed most recently is what the
-// next write most likely replaces.
-func (d *Device) recycleLocked(buf []byte) {
-	c := int64(cap(buf))
-	bound := d.spareBound()
-	if c == 0 || c > bound {
-		return
-	}
-	drop := 0
-	for len(d.spare)-drop >= spareMaxBufs || d.spareBytes+c > bound {
-		d.spareBytes -= int64(cap(d.spare[drop]))
-		drop++
-	}
-	d.spare = append(slices.Delete(d.spare, 0, drop), buf)
-	d.spareBytes += c
 }
 
 // NewDevice returns a healthy, empty device with the given spec.
@@ -275,7 +213,7 @@ func NewDevice(spec Spec) *Device {
 	return &Device{
 		spec:   spec,
 		state:  StateHealthy,
-		chunks: make(map[ChunkAddr]chunk),
+		chunks: make(map[ChunkAddr]held),
 		health: newHealthState(),
 	}
 }
@@ -406,32 +344,43 @@ func (d *Device) attempts(rc *reqctx.Ctx, addr ChunkAddr, op func() (time.Durati
 	}
 }
 
-// Write is WriteCtx under no request, with the checksum computed here.
+// Write stores a copy of data at addr under no request: WriteCtx of a chunk
+// made of data, whose one reference passes to the device.
 func (d *Device) Write(addr ChunkAddr, data []byte) (time.Duration, error) {
-	return d.WriteCtx(nil, addr, data, Checksum(data))
+	return d.write(nil, addr, NewChunk(data), true)
 }
 
-// WriteCtx stores a copy of data at addr under the checksum sum, which must be
-// Checksum(data), and returns the virtual-time cost. The writer computes the
-// guard once and every device it hands the same bytes stores it (T10-DIF
-// style); the device does not recompute it, so a wrong sum is kept as given
-// and fails the chunk's next read like corruption would. Overwriting an
-// existing chunk releases its old space first. Device IO is interruptible at
-// chunk granularity: the request context is consulted once before the chunk
-// lands — a cancelled request never leaves a partial chunk — and the write is
-// attributed to the request.
-func (d *Device) WriteCtx(rc *reqctx.Ctx, addr ChunkAddr, data []byte, sum uint32) (time.Duration, error) {
-	if err := rc.Err(); err != nil {
-		return 0, err
-	}
-	cost, err := d.attempts(rc, addr, func() (time.Duration, error) { return d.writeOnce(addr, data, sum) })
+// WriteCtx stores chunk c at addr, taking a reference to it, and returns the
+// virtual-time cost. The chunk carries the checksum its maker took (T10-DIF
+// style): every device handed the same chunk stores that sum and none
+// recomputes it, so a wrong sum is kept as given and fails the chunk's next
+// read like corruption would. Overwriting an existing chunk releases its old
+// space and reference first. Device IO is interruptible at chunk granularity:
+// the request context is consulted once before the chunk lands — a cancelled
+// request never leaves a partial chunk — and the write is attributed to the
+// request.
+func (d *Device) WriteCtx(rc *reqctx.Ctx, addr ChunkAddr, c *Chunk) (time.Duration, error) {
+	return d.write(rc, addr, c, false)
+}
+
+// write is WriteCtx. With adopt set the caller's reference to c is handed
+// over: it becomes the device's when the chunk lands and is dropped when the
+// write fails, which spares Write a take and a drop of a reference.
+func (d *Device) write(rc *reqctx.Ctx, addr ChunkAddr, c *Chunk, adopt bool) (time.Duration, error) {
+	var cost time.Duration
+	err := rc.Err()
 	if err == nil {
-		rc.CountDeviceWrite(int64(len(data)))
+		cost, err = d.attempts(rc, addr, func() (time.Duration, error) { return d.writeOnce(addr, c, adopt) })
+	}
+	if err == nil {
+		rc.CountDeviceWrite(int64(len(c.buf)))
+	} else if adopt {
+		c.Release()
 	}
 	return cost, err
 }
 
-func (d *Device) writeOnce(addr ChunkAddr, data []byte, sum uint32) (time.Duration, error) {
+func (d *Device) writeOnce(addr ChunkAddr, c *Chunk, adopt bool) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.state == StateFailed {
@@ -450,8 +399,11 @@ func (d *Device) writeOnce(addr ChunkAddr, data []byte, sum uint32) (time.Durati
 		return scaleCost(d.spec.WriteLatency, dec.LatencyScale), dec.Err
 	}
 	old, exists := d.chunks[addr]
-	n := int64(len(data))
-	newUsed := d.used + n - int64(len(old.buf))
+	n := int64(len(c.buf))
+	newUsed := d.used + n
+	if exists {
+		newUsed -= int64(len(old.buf))
+	}
 	// Logical fullness (live bytes) is the same refusal under either layout,
 	// so the store's evict-and-retry loop behaves alike on both. It is what
 	// Free reports: a writer that asked first gets here only when another
@@ -478,9 +430,13 @@ func (d *Device) writeOnce(addr ChunkAddr, data []byte, sum uint32) (time.Durati
 		d.appendChunkLocked(addr, n)
 		old = d.chunks[addr] // inline GC above may have dropped the old copy
 	}
-	buf := d.chunkBufLocked(old.buf, len(data))
-	copy(buf, data)
-	d.chunks[addr] = chunk{buf, sum}
+	if !adopt {
+		c.retain()
+	}
+	d.chunks[addr] = hold(c)
+	if old.c != nil {
+		old.c.Release()
+	}
 	d.used = newUsed
 	d.stats.WriteOps++
 	d.stats.BytesWritten += n
@@ -550,7 +506,7 @@ func (d *Device) readOnce(addr ChunkAddr, dst []byte) ([]byte, int, int64, time.
 	// The bytes are verified in the pass that delivers them, so on a
 	// mismatch dst already holds them: ReadInto leaves dst unspecified on
 	// error.
-	if copyChecksum(dst, data) != c.crc {
+	if copyChecksum(dst, data) != c.c.crc {
 		// Integrity failure: discard the chunk so every later Has/Read sees
 		// it as missing and the stripe layer reconstructs + repairs it.
 		d.loseChunkLocked(addr)
@@ -670,7 +626,7 @@ func (d *Device) dropChunkLocked(addr ChunkAddr) {
 		}
 		d.used -= int64(len(old.buf))
 		delete(d.chunks, addr)
-		d.recycleLocked(old.buf)
+		old.c.Release()
 	}
 }
 
@@ -687,22 +643,32 @@ func (d *Device) loseChunkLocked(addr ChunkAddr) {
 // returned with a matching checksum): only scrub's cross-chunk redundancy
 // check finds it. When silent is false the CRC is left stale, so the next
 // foreground read detects and drops the chunk.
+//
+// It is the only code that changes stored bytes, and it never writes a chunk
+// other devices may hold: this device's reference is swapped for a corrupted
+// copy (copy on corrupt), so the damage hits this device's copy alone.
 func (d *Device) corruptLocked(addr ChunkAddr, offset int, silent bool) bool {
-	data := d.chunks[addr].buf
-	if len(data) == 0 {
+	old := d.chunks[addr]
+	if len(old.buf) == 0 {
 		return false
 	}
+	n := len(old.buf)
 	if silent {
-		if offset < 0 || offset >= len(data) {
+		if offset < 0 || offset >= n {
 			return false
 		}
 	} else {
-		offset = ((offset % len(data)) + len(data)) % len(data)
+		offset = ((offset % n) + n) % n
 	}
-	data[offset] ^= 0x01
+	c := newChunk(n)
+	copy(c.buf, old.buf)
+	c.buf[offset] ^= 0x01
+	c.crc = old.c.crc
 	if silent {
-		d.chunks[addr] = chunk{data, Checksum(data)}
+		c.crc = Checksum(c.buf)
 	}
+	d.chunks[addr] = hold(c) // the new chunk's one reference is this device's
+	old.c.Release()
 	return true
 }
 
@@ -750,13 +716,13 @@ func (d *Device) failLocked(reason string) {
 }
 
 // wipeLocked discards every chunk — the device failed, or a blank spare takes
-// its slot — keeping as many of their buffers as the spare list has room for.
+// its slot — dropping the device's reference to each.
 func (d *Device) wipeLocked() {
 	d.faults.Add(1)
-	for _, c := range d.chunks {
-		d.recycleLocked(c.buf)
+	for _, h := range d.chunks {
+		h.c.Release()
 	}
-	d.chunks = make(map[ChunkAddr]chunk)
+	d.chunks = make(map[ChunkAddr]held)
 	d.used = 0
 	if d.layout == LayoutLog {
 		d.log.reset()

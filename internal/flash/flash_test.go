@@ -3,6 +3,7 @@ package flash
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -335,5 +336,30 @@ func TestStateString(t *testing.T) {
 	}
 	if State(0).String() == "" {
 		t.Fatal("unknown state should stringify")
+	}
+}
+
+// BenchmarkDeviceWrite is the frozen Device.Write overwriting one of 256
+// resident chunks, the loop bench/'s flash.write_us and flash.log_write_us
+// probes time.
+func BenchmarkDeviceWrite(b *testing.B) {
+	for _, layout := range []Layout{LayoutInPlace, LayoutLog} {
+		for _, n := range []int{512, 16 << 10} {
+			b.Run(fmt.Sprintf("%v/%d", layout, n), func(b *testing.B) {
+				const addrs = 256
+				d := NewDeviceLayout(Intel540s(int64(4*addrs*n)), layout, LogConfig{})
+				data := make([]byte, n)
+				for a := 0; a < addrs; a++ {
+					if _, err := d.Write(ChunkAddr(a), data); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.SetBytes(int64(n))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					d.Write(ChunkAddr(i%addrs), data)
+				}
+			})
+		}
 	}
 }

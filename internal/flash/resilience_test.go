@@ -78,7 +78,7 @@ func TestBackoffSkippedWhenAlreadyCancelled(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("pre-cancelled request blocked %v in backoff", elapsed)
 	}
-	if _, err := d.WriteCtx(rc, 1, []byte("x"), Checksum([]byte("x"))); !errors.Is(err, context.Canceled) {
+	if _, err := d.WriteCtx(rc, 1, NewChunk([]byte("x"))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("write err = %v, want context.Canceled", err)
 	}
 	if attempts != 0 || d.Has(1) {
@@ -97,7 +97,7 @@ func TestRetryLoopStopsWhenRequestDies(t *testing.T) {
 	}{
 		{"read", FaultRead, func(d *Device, rc *reqctx.Ctx) error { _, _, err := d.ReadCtx(rc, 1); return err }},
 		{"write", FaultWrite, func(d *Device, rc *reqctx.Ctx) error {
-			_, err := d.WriteCtx(rc, 2, []byte("y"), Checksum([]byte("y")))
+			_, err := d.WriteCtx(rc, 2, NewChunk([]byte("y")))
 			return err
 		}},
 	} {

@@ -259,14 +259,14 @@ func (d *Device) collectOnceLocked(force bool) (int64, bool) {
 		victim.live -= n
 		delete(d.log.chunkSeg, addr)
 		c := d.chunks[addr]
-		if Checksum(c.buf) != c.crc {
+		if Checksum(c.buf) != c.c.crc {
 			// Corruption found while relocating: drop the chunk so reads
 			// see it as missing and reconstruct through parity. Its bytes
 			// die with the victim segment.
 			d.faults.Add(1)
 			delete(d.chunks, addr)
 			d.used -= n
-			d.recycleLocked(c.buf)
+			c.c.Release()
 			d.recordOutcomeLocked(false, 0, &d.health.checksumErrors)
 			if d.state == StateFailed {
 				// The health monitor failed the device on this error and

@@ -269,7 +269,8 @@ const maxSlots = 16
 // arena is the leased scratch of one stripe operation: slot i holds fragment
 // i whenever it is not read or decoded straight into the caller's buffer.
 // Whoever leases it releases it, after the last scatter of the operation —
-// devices copy what they are handed, so nothing outlives the call.
+// scatter copies each distinct fragment into the chunk the devices share, so
+// nothing outlives the call.
 type arena struct {
 	buf      *bufpool.Buf
 	chunkLen int
@@ -443,8 +444,9 @@ func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ali
 		meta.parityDevs, meta.dataDevs = rot[:k:k], rot[k:]
 		// Stage every fragment in one leased buffer: the data chunks are
 		// consecutive slots, zero-padded past len(data) (leases come back
-		// dirty; the encode overwrites the parity slots that follow). The
-		// device copies the payload, so the lease ends with the scatter.
+		// dirty; the encode overwrites the parity slots that follow).
+		// Scatter copies each fragment into its chunk, so the lease ends
+		// with the scatter.
 		stage := leaseArena(n, meta.chunkLen)
 		defer stage.release()
 		staged := stage.buf.Bytes()
@@ -521,9 +523,10 @@ func (w *writeOp) end() {
 // Every non-nil frags[i] goes to meta.fragmentDev(i) through the rc-carrying
 // Device.WriteCtx, so the request's ID and IO attribution reach every chunk
 // write. It returns the parallel (critical path) device cost, how
-// many fragments landed, and the first error by fragment index. The chunk
-// checksum is computed here, once per distinct fragment (see fragSum), and
-// every device handed those bytes stores it.
+// many fragments landed, and the first error by fragment index. Each distinct
+// fragment is made into one flash.Chunk here — copied and checksummed in one
+// pass (see fragChunks) — and every device handed those bytes takes a reference
+// to it: a replicated stripe costs one copy, not one per replica.
 //
 // On a fresh stripe the first failure stops the scatter (fanned-out writes all
 // finish) and what landed is rolled back. On a published stripe a fragment
@@ -541,8 +544,9 @@ func (m *Manager) scatter(w *writeOp, id ID, meta *stripeMeta, frags [][]byte) (
 	if meta.chunkLen >= fanOutMinBytes {
 		return m.scatterFanOut(w, id, meta, frags)
 	}
-	// Serial, closure- and allocation-free, like gather's small-chunk path.
-	var sum fragSum
+	// Serial, closure-free, like gather's small-chunk path.
+	var chunks fragChunks
+	defer chunks.release()
 	for i := range frags {
 		if !m.writable(w.published, meta, frags, i) {
 			continue
@@ -550,7 +554,7 @@ func (m *Manager) scatter(w *writeOp, id ID, meta *stripeMeta, frags [][]byte) (
 		if err := w.begin(); err != nil { // only the first write due can be refused
 			return 0, 0, err
 		}
-		c, werr := m.put(w.rc, id, meta, i, frags[i], sum.of(frags[i]))
+		c, werr := m.put(w.rc, id, meta, i, chunks.of(frags[i]))
 		if werr == nil {
 			landed++
 			cost = max(cost, c)
@@ -573,17 +577,17 @@ func (m *Manager) scatterFanOut(w *writeOp, id ID, meta *stripeMeta, frags [][]b
 	// The closure captures due, never frags or w: either would move every
 	// caller's fragment table or writeOp to the heap.
 	type dueFrag struct {
-		i    int
-		data []byte
-		sum  uint32
+		i     int
+		chunk *flash.Chunk
 	}
 	var (
-		due []dueFrag
-		sum fragSum
+		due    []dueFrag
+		chunks fragChunks
 	)
+	defer chunks.release()
 	for i := range frags {
 		if m.writable(w.published, meta, frags, i) {
-			due = append(due, dueFrag{i, frags[i], sum.of(frags[i])})
+			due = append(due, dueFrag{i, chunks.of(frags[i])})
 		}
 	}
 	if len(due) == 0 {
@@ -596,7 +600,7 @@ func (m *Manager) scatterFanOut(w *writeOp, id ID, meta *stripeMeta, frags [][]b
 	costs := make([]time.Duration, len(due))
 	var landed atomic.Int32
 	err := fanOut(len(due), func(j int) error {
-		c, werr := m.put(rc, id, meta, due[j].i, due[j].data, due[j].sum)
+		c, werr := m.put(rc, id, meta, due[j].i, due[j].chunk)
 		if werr == nil {
 			costs[j] = c
 			landed.Add(1)
@@ -614,26 +618,37 @@ func (m *Manager) writable(published bool, meta *stripeMeta, frags [][]byte, i i
 	return frags[i] != nil && (!published || m.array.Device(meta.fragmentDev(i)).Serving())
 }
 
-// fragSum is scatter's checksum of the fragment it writes next. A fragment
-// that aliases the previous one — the same bytes a replicated stripe hands
-// every device — reuses its sum instead of being checksummed again. The zero
-// value is right for an empty fragment, whose checksum is 0.
-type fragSum struct {
+// fragChunks is scatter's chunk maker. A fragment that aliases the previous
+// one — the same bytes a replicated stripe hands every device — gets the
+// previous one's chunk instead of a second copy and checksum; any other
+// fragment gets a chunk of its own. The maker keeps one reference to each
+// chunk it made until release, after the devices have taken theirs.
+type fragChunks struct {
 	last []byte
-	sum  uint32
+	made [maxSlots]*flash.Chunk
+	n    int
 }
 
-func (s *fragSum) of(data []byte) uint32 {
-	if len(data) != len(s.last) || len(data) > 0 && &data[0] != &s.last[0] {
-		s.last, s.sum = data, flash.Checksum(data)
+func (f *fragChunks) of(data []byte) *flash.Chunk {
+	if f.n == 0 || len(data) != len(f.last) || len(data) > 0 && &data[0] != &f.last[0] {
+		f.made[f.n] = flash.NewChunk(data)
+		f.n++
+		f.last = data
 	}
-	return s.sum
+	return f.made[f.n-1]
 }
 
-// put writes fragment i, whose checksum is sum, for scatter.
-func (m *Manager) put(rc *reqctx.Ctx, id ID, meta *stripeMeta, i int, data []byte, sum uint32) (time.Duration, error) {
+// release drops the maker's references.
+func (f *fragChunks) release() {
+	for _, c := range f.made[:f.n] {
+		c.Release()
+	}
+}
+
+// put writes chunk c, fragment i, for scatter.
+func (m *Manager) put(rc *reqctx.Ctx, id ID, meta *stripeMeta, i int, c *flash.Chunk) (time.Duration, error) {
 	dev := meta.fragmentDev(i)
-	cost, err := m.array.Device(dev).WriteCtx(rc, flash.ChunkAddr(id), data, sum)
+	cost, err := m.array.Device(dev).WriteCtx(rc, flash.ChunkAddr(id), c)
 	if err != nil {
 		return 0, fmt.Errorf("stripe %d device %d: %w", id, dev, err)
 	}
