@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -115,8 +117,17 @@ func TestCLIEndToEnd(t *testing.T) {
 	if out, err := runCmd("", "status", "0x10010"); err != nil || !strings.Contains(out, "alive") {
 		t.Fatalf("status: %q, %v", out, err)
 	}
-	if out, err := runCmd("", "stats"); err != nil || !strings.Contains(out, "space efficiency") {
-		t.Fatalf("stats: %q, %v", out, err)
+	stats, err := runCmd("", "stats")
+	if err != nil || !strings.Contains(stats, "space efficiency") {
+		t.Fatalf("stats: %q, %v", stats, err)
+	}
+	// A put into a partition the target does not export fails and leaves
+	// the object count as it was.
+	if out, err := runCmd("stray", "put", "0x20000:0x10010"); err == nil {
+		t.Fatalf("put into partition 0x20000 accepted: %q", out)
+	}
+	if out, err := runCmd("", "stats"); err != nil || objectsLine(out) != objectsLine(stats) {
+		t.Fatalf("stats after the refused put: %q, %v; before: %q", out, err, stats)
 	}
 	if out, err := runCmd("", "segments"); err != nil || !strings.Contains(out, "in-place") {
 		t.Fatalf("segments: %q, %v", out, err)
@@ -158,6 +169,90 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 	if _, err := runCmd("", "get", "0x10010"); err == nil {
 		t.Fatal("get after delete succeeded")
+	}
+}
+
+// objectsLine is the "objects:" line of a stats or cluster status report.
+func objectsLine(report string) string {
+	for _, line := range strings.Split(report, "\n") {
+		if strings.HasPrefix(line, "objects:") {
+			return line
+		}
+	}
+	return ""
+}
+
+// TestCLICluster walks README's membership commands over two live targets:
+// status, owner, then add a third, after which every object is placed once
+// and reads back from the shard owner names.
+func TestCLICluster(t *testing.T) {
+	a, b, c := liveServer(t), liveServer(t), liveServer(t)
+	reoctl := func(stdin string, args ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(args, strings.NewReader(stdin), &out); err != nil {
+			t.Fatalf("reoctl %s: %v (output %q)", strings.Join(args, " "), err, out.String())
+		}
+		return out.String()
+	}
+	owner := func(members string, id osd.ObjectID) string {
+		t.Helper()
+		out := reoctl("", "cluster", "-addrs", members, "owner", id.String())
+		prefix := "owner " + id.String() + ": "
+		if !strings.HasPrefix(out, prefix) {
+			t.Fatalf("owner %v: %q", id, out)
+		}
+		return strings.TrimSpace(strings.TrimPrefix(out, prefix))
+	}
+
+	// Each object is put on the shard the two-member cluster routes it to.
+	const n = 8
+	pair := a + "," + b
+	payload := func(i int) string { return fmt.Sprintf("object %d", i) }
+	for i := 0; i < n; i++ {
+		id := osd.ObjectID{PID: osd.FirstPID, OID: osd.FirstUserOID + uint64(i)}
+		shard := owner(pair, id)
+		if shard != a && shard != b {
+			t.Fatalf("owner of %v = %q, not a member", id, shard)
+		}
+		reoctl(payload(i), "-addr", shard, "put", id.String())
+	}
+	// A put the target refuses is not adopted into the placement directory.
+	var out bytes.Buffer
+	if err := run([]string{"-addr", a, "put", "0x20000:0x10010"}, strings.NewReader("stray"), &out); err == nil {
+		t.Fatal("put into partition 0x20000 accepted")
+	}
+
+	status := reoctl("", "cluster", "-addrs", pair, "status")
+	members := []string{a, b}
+	sort.Strings(members) // the ring lists its members in order
+	for _, want := range []string{"members: " + strings.Join(members, ", "), fmt.Sprintf("objects: %d placed", n), a + ": ", b + ": "} {
+		if !strings.Contains(status, want) {
+			t.Fatalf("status lacks %q:\n%s", want, status)
+		}
+	}
+
+	added := reoctl("", "cluster", "-addrs", pair, "add", c)
+	if !strings.Contains(added, "add "+c+": planned") || !strings.Contains(added, "members now: "+pair+","+c) {
+		t.Fatalf("add:\n%s", added)
+	}
+	trio := pair + "," + c
+	if status := reoctl("", "cluster", "-addrs", trio, "status"); !strings.Contains(status, fmt.Sprintf("objects: %d placed", n)) {
+		t.Fatalf("status after add:\n%s", status)
+	}
+	moved := 0
+	for i := 0; i < n; i++ {
+		id := osd.ObjectID{PID: osd.FirstPID, OID: osd.FirstUserOID + uint64(i)}
+		shard := owner(trio, id)
+		if shard == c {
+			moved++
+		}
+		if got := reoctl("", "-addr", shard, "get", id.String()); got != payload(i) {
+			t.Fatalf("get %v from %s = %q, want %q", id, shard, got, payload(i))
+		}
+	}
+	if !strings.Contains(added, fmt.Sprintf("moved %d objects", moved)) {
+		t.Fatalf("%d objects now route to %s; add reported:\n%s", moved, c, added)
 	}
 }
 

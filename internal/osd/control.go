@@ -3,6 +3,7 @@ package osd
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -123,7 +124,7 @@ func decodeTune(body string) (ControlMessage, error) {
 		return nil, fmt.Errorf("%w: TUNE key is empty", ErrBadMessage)
 	}
 	v, err := strconv.ParseFloat(fields[1], 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return nil, fmt.Errorf("%w: TUNE value %q", ErrBadMessage, fields[1])
 	}
 	return TuneCommand{Key: fields[0], Value: v}, nil

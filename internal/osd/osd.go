@@ -1,10 +1,10 @@
 // Package osd implements the T10 Object Storage Device (OSD) object model
 // that Reo is built on (paper §II.A, Table I): objects addressed by a
-// (partition ID, object ID) pair, the four object types (Root, Partition,
-// Collection, User), the reserved metadata objects exofs defines (Super
-// Block, Device Table, Root Directory), the special communication object
-// through which the cache manager delivers classification hints and queries
-// (§IV.C.2), and the sense codes the target returns (Table III).
+// (partition ID, object ID) pair, the reserved metadata objects exofs
+// defines (Super Block, Device Table, Root Directory), the special
+// communication object through which the cache manager delivers
+// classification hints and queries (§IV.C.2), and the sense codes the
+// target returns (Table III).
 package osd
 
 import (
@@ -15,14 +15,10 @@ import (
 // Well-known identifiers from the OSD-2 specification and the exofs
 // reservations listed in Table I of the paper.
 const (
-	// RootPID and RootOID identify the root object.
-	RootPID uint64 = 0x0
-	RootOID uint64 = 0x0
 	// FirstPID is the lowest valid partition ID; partitions occupy
-	// 0x10000 and above.
+	// 0x10000 and above. A target exports this one partition.
 	FirstPID uint64 = 0x10000
-	// FirstOID is the lowest valid collection/user object ID within a
-	// partition.
+	// FirstOID is the lowest valid object ID within a partition.
 	FirstOID uint64 = 0x10000
 	// SuperBlockOID, DeviceTableOID, and RootDirectoryOID are the exofs
 	// metadata reservations in partition FirstPID.
@@ -48,38 +44,8 @@ type ObjectID struct {
 // messages.
 func (id ObjectID) String() string { return fmt.Sprintf("0x%x:0x%x", id.PID, id.OID) }
 
-// RootID returns the root object's ID.
-func RootID() ObjectID { return ObjectID{PID: RootPID, OID: RootOID} }
-
 // ControlID returns the communication object's ID in the default partition.
 func ControlID() ObjectID { return ObjectID{PID: FirstPID, OID: ControlOID} }
-
-// Type enumerates the four OSD object types.
-type Type int
-
-// Object types per OSD-2.
-const (
-	TypeRoot Type = iota + 1
-	TypePartition
-	TypeCollection
-	TypeUser
-)
-
-// String returns the type name.
-func (t Type) String() string {
-	switch t {
-	case TypeRoot:
-		return "root"
-	case TypePartition:
-		return "partition"
-	case TypeCollection:
-		return "collection"
-	case TypeUser:
-		return "user"
-	default:
-		return fmt.Sprintf("Type(%d)", int(t))
-	}
-}
 
 // Class is the semantic importance label Reo attaches to every object
 // (paper Table II). Lower class IDs are more important.
@@ -178,21 +144,15 @@ func (s SenseCode) String() string {
 // Info is the per-object metadata the target tracks.
 type Info struct {
 	ID    ObjectID
-	Type  Type
 	Class Class
 	// Size is the object's logical size in bytes.
 	Size int64
 	// Dirty marks objects whose latest content exists only in cache.
 	Dirty bool
-	// Attributes carries OSD attribute-page-style key/value metadata
-	// (e.g. access counters delivered by the cache manager).
-	Attributes map[uint32][]byte
 }
 
-// Errors returned by the directory.
+// Errors for an object ID a target does not export.
 var (
 	ErrNoSuchPartition = errors.New("osd: no such partition")
-	ErrNoSuchObject    = errors.New("osd: no such object")
-	ErrObjectExists    = errors.New("osd: object already exists")
 	ErrInvalidID       = errors.New("osd: invalid object identifier")
 )

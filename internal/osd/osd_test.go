@@ -6,9 +6,6 @@ import (
 )
 
 func TestWellKnownIDs(t *testing.T) {
-	if RootID() != (ObjectID{PID: 0, OID: 0}) {
-		t.Fatal("root object must be 0x0:0x0")
-	}
 	ctl := ControlID()
 	if ctl.PID != FirstPID || ctl.OID != ControlOID {
 		t.Fatalf("control object = %v", ctl)
@@ -74,17 +71,6 @@ func TestSenseCodeTable(t *testing.T) {
 	}
 	if SenseCode(0x99).String() == "" {
 		t.Fatal("unknown sense code should stringify")
-	}
-}
-
-func TestTypeString(t *testing.T) {
-	for _, tc := range []struct {
-		typ  Type
-		want string
-	}{{TypeRoot, "root"}, {TypePartition, "partition"}, {TypeCollection, "collection"}, {TypeUser, "user"}} {
-		if tc.typ.String() != tc.want {
-			t.Errorf("%d.String() = %q, want %q", tc.typ, tc.typ.String(), tc.want)
-		}
 	}
 }
 
@@ -157,6 +143,13 @@ func TestDecodeMalformedMessages(t *testing.T) {
 		"#QUERY#0x1#0x2#R#-1#1", // negative offset
 		"#QUERY#0x1#0x2#R#0#-2", // negative size
 		"#QUERY#0x1#0x2#RW#0#1", // multi-char op
+		"#TUNE#k",               // too few fields
+		"#TUNE##1",              // empty key
+		"#TUNE#k#x",             // non-numeric value
+		"#TUNE#k#NaN",           // not a number
+		"#TUNE#k#Inf",           // infinite
+		"#TUNE#k#-Inf",          // infinite
+		"#TUNE#k#1e400",         // overflows float64
 	}
 	for _, s := range bad {
 		if _, err := DecodeControlMessage([]byte(s)); !errors.Is(err, ErrBadMessage) {

@@ -1,6 +1,7 @@
 package osd
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -62,7 +63,7 @@ func TestPropertyDecodeArbitraryBytes(t *testing.T) {
 			return msg == nil
 		}
 		switch msg.(type) {
-		case SetIDCommand, QueryCommand:
+		case SetIDCommand, QueryCommand, TuneCommand:
 			return true
 		default:
 			return false
@@ -71,4 +72,35 @@ func TestPropertyDecodeArbitraryBytes(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzDecodeControlMessage: whatever the decoder accepts, its Encode decodes
+// back to the same command; whatever it rejects, it rejects as ErrBadMessage.
+//
+//	go test -run xxx -fuzz 'FuzzDecodeControlMessage$' -fuzztime=30s ./internal/osd/
+func FuzzDecodeControlMessage(f *testing.F) {
+	for _, seed := range []string{
+		"#SETID#0x10000#0x10010#2",
+		"#QUERY#0x10000#0x10010#W#4096#65536",
+		"#TUNE#policy.read.degraded.hedge.delay#0.0002",
+		"#TUNE#k#NaN",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		msg, err := DecodeControlMessage(raw)
+		if err != nil {
+			if !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("DecodeControlMessage(%q) err = %v, want ErrBadMessage", raw, err)
+			}
+			return
+		}
+		again, err := DecodeControlMessage(msg.Encode())
+		if err != nil {
+			t.Fatalf("%q decoded to %+v, whose encoding %q fails: %v", raw, msg, msg.Encode(), err)
+		}
+		if again != msg {
+			t.Fatalf("%q decoded to %+v, re-decoded as %+v", raw, msg, again)
+		}
+	})
 }

@@ -7,6 +7,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -153,19 +154,25 @@ func (r *Resilience) HedgeStats() HedgeStats {
 // Tune applies one #TUNE# update to the hedge rule:
 // "policy.read.degraded.hedge.delay" in (fractional) seconds, e.g. 0.0002
 // for 200µs, or "policy.read.degraded.hedge.max", the in-flight cap.
-// Unknown keys and negative values fail.
+// Unknown keys fail, and so do values that are negative, not a number, or
+// too large for a time.Duration or an int (the comparisons are false for
+// NaN).
 func (r *Resilience) Tune(key string, value float64) error {
 	h := r.rule()
 	switch key {
 	case "policy.read.degraded.hedge.delay":
-		h.Delay = time.Duration(value * float64(time.Second))
+		ns := value * float64(time.Second)
+		if !(ns >= 0 && ns < math.MaxInt64) {
+			return fmt.Errorf("policy: %s = %g is outside [0, %v)", key, value, time.Duration(math.MaxInt64))
+		}
+		h.Delay = time.Duration(ns)
 	case "policy.read.degraded.hedge.max":
+		if !(value >= 0 && value < math.MaxInt) {
+			return fmt.Errorf("policy: %s = %g is outside [0, %d]", key, value, math.MaxInt)
+		}
 		h.MaxHedges = int(value)
 	default:
 		return fmt.Errorf("policy: unknown tune key %q", key)
-	}
-	if value < 0 {
-		return fmt.Errorf("policy: %s must be >= 0", key)
 	}
 	r.SetHedge(h)
 	return nil

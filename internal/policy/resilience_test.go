@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -28,7 +29,9 @@ func TestTuneHedgeKeys(t *testing.T) {
 	}
 }
 
-// Tune takes exactly the two hedge keys, at values >= 0. Every other key
+// Tune takes exactly the two hedge keys, at values >= 0 that fit the
+// field: NaN, infinities and values past a time.Duration or an int fail
+// rather than wrap to a negative rule. Every other key
 // fails — a key outside the "policy." namespace and the retired per-class
 // knobs included, so a script still setting
 // one hears about it instead of tuning nothing — and a rejected update
@@ -54,6 +57,15 @@ func TestTuneRejects(t *testing.T) {
 		{"policy.wire.dial.retry.max", 1},
 		{"policy.read.degraded.hedge.delay", -1e-3},
 		{"policy.read.degraded.hedge.max", -1},
+		{"policy.read.degraded.hedge.delay", math.NaN()},
+		{"policy.read.degraded.hedge.delay", math.Inf(1)},
+		{"policy.read.degraded.hedge.delay", math.Inf(-1)},
+		{"policy.read.degraded.hedge.delay", 1e300},
+		{"policy.read.degraded.hedge.delay", 9.3e9}, // seconds: past the 292-year Duration
+		{"policy.read.degraded.hedge.max", math.NaN()},
+		{"policy.read.degraded.hedge.max", math.Inf(1)},
+		{"policy.read.degraded.hedge.max", 1e300},
+		{"policy.read.degraded.hedge.max", 0x1p63},
 	} {
 		t.Run(fmt.Sprintf("%s=%g", tc.key, tc.value), func(t *testing.T) {
 			var r Resilience

@@ -98,6 +98,9 @@ func (s *Store) putOneLocked(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class
 	if err := rc.Err(); err != nil {
 		return 0, err
 	}
+	if err := checkID(id); err != nil {
+		return 0, err
+	}
 	scheme := s.cfg.Policy.SchemeFor(class)
 	if err := s.checkBudgetLocked(id, class, scheme, len(data)); err != nil {
 		return 0, err
@@ -113,17 +116,17 @@ func (s *Store) putOneLocked(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class
 	// A fresh object even on overwrite: dropCorpse tells a replaced version
 	// from the one it read by identity.
 	s.assignLocked(&object{id: id, size: len(data), dirty: dirty}, class, ids)
-	if s.dir.Exists(id) {
-		err = s.dir.Update(id, func(info *osd.Info) {
-			info.Size = int64(len(data))
-			info.Class = class
-			info.Dirty = dirty
-		})
-	} else {
-		err = s.dir.CreateObject(osd.Info{ID: id, Type: osd.TypeUser, Class: class, Size: int64(len(data)), Dirty: dirty})
-	}
-	if err != nil {
-		return 0, err
-	}
 	return cost, nil
+}
+
+// checkID admits the IDs a target exports: objects at or above FirstOID in
+// its one partition, FirstPID.
+func checkID(id osd.ObjectID) error {
+	if id.OID < osd.FirstOID {
+		return fmt.Errorf("%w: object ID %#x below %#x", osd.ErrInvalidID, id.OID, osd.FirstOID)
+	}
+	if id.PID != osd.FirstPID {
+		return fmt.Errorf("%w: %#x", osd.ErrNoSuchPartition, id.PID)
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
+	"github.com/reo-cache/reo/internal/target"
 )
 
 // Refused puts: what a put the array cannot fit leaves behind (pinned, the
@@ -70,11 +72,7 @@ func footprintOf(t testing.TB, s *Store) footprint {
 	for i := range f.used {
 		f.used[i] = s.Array().Device(i).Used()
 	}
-	listed, err := s.Directory().List(osd.FirstPID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.stripes, f.objects, f.listed = s.stripes.StripeCount(), s.ObjectCount(), len(listed)
+	f.stripes, f.objects, f.listed = s.stripes.StripeCount(), s.ObjectCount(), len(s.ListObjects())
 	return f
 }
 
@@ -94,7 +92,7 @@ func wantGone(t *testing.T, s *Store, id osd.ObjectID) {
 		t.Fatalf("%v still in the object map", id)
 	}
 	if _, err := s.Info(id); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("%v still in the directory (err %v)", id, err)
+		t.Fatalf("%v still has metadata (err %v)", id, err)
 	}
 }
 
@@ -105,7 +103,7 @@ func layouts(t *testing.T, fn func(t *testing.T, layout flash.Layout)) {
 }
 
 // TestRefusedPutLeavesNoTrace pins the post-state of a put that does not fit:
-// cost 0, ErrCacheFull, and bytes used, stripes, object map and directory as
+// cost 0, ErrCacheFull, and bytes used, stripes, object count and listing as
 // the put found them — except that a free-first overwrite has by then freed
 // the old version, so that object is gone from all four.
 func TestRefusedPutLeavesNoTrace(t *testing.T) {
@@ -241,5 +239,70 @@ func TestRefusedPutAllocBound(t *testing.T) {
 	t.Logf("mallocs per refusal: cache full %.2f, redundancy full %.2f", full, budget)
 	if full > 1 || budget > 1 {
 		t.Errorf("mallocs per refusal: cache full %.2f, redundancy full %.2f; want <= 1 each", full, budget)
+	}
+}
+
+// TestPutRejectsBadIDBeforeWriting: a put naming a partition the target does
+// not export, or an OID below FirstOID, is refused with the osd sentinel
+// before anything is written — not listed, no byte of flash and no stripe
+// used — alone and as one sub-op of a batch whose mates succeed.
+func TestPutRejectsBadIDBeforeWriting(t *testing.T) {
+	for _, tc := range []struct {
+		id   osd.ObjectID
+		want error
+	}{
+		{osd.ObjectID{PID: 0x20000, OID: 0x10010}, osd.ErrNoSuchPartition},
+		{osd.ObjectID{PID: osd.FirstPID, OID: 0x5}, osd.ErrInvalidID},
+	} {
+		t.Run(tc.id.String(), func(t *testing.T) {
+			seeded := func() *Store {
+				s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
+				if _, err := s.PutCtx(nil, oid(1), randBytes(1, 4000), osd.ClassHotClean, false); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			s := seeded()
+			wantRejected := func(what string, err error, twin *Store) {
+				t.Helper()
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("%s: err = %v, want %v", what, err, tc.want)
+				}
+				if s.Has(tc.id) {
+					t.Fatalf("%s: the rejected object is in the table", what)
+				}
+				if got, want := s.ListObjects(), twin.ListObjects(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: ListObjects = %+v, want %+v", what, got, want)
+				}
+				if got, want := footprintOf(t, s), footprintOf(t, twin); got != want {
+					t.Fatalf("%s: footprint %+v, want %+v", what, got, want)
+				}
+			}
+
+			_, err := s.PutCtx(nil, tc.id, randBytes(2, 4100), osd.ClassColdClean, false)
+			wantRejected("put", err, seeded())
+
+			// The twin takes the batch-mates alone: the bad sub-op must leave
+			// what they leave.
+			mates := []target.BatchPut{
+				{ID: oid(2), Class: osd.ClassColdClean, Data: randBytes(3, 3000)},
+				{ID: oid(3), Class: osd.ClassDirty, Dirty: true, Data: randBytes(4, 2000)},
+			}
+			twin := seeded()
+			for i, r := range twin.PutBatchCtx(nil, mates) {
+				if r.Err != nil {
+					t.Fatalf("twin sub-op %d: %v", i, r.Err)
+				}
+			}
+			results := s.PutBatchCtx(nil, []target.BatchPut{
+				mates[0],
+				{ID: tc.id, Class: osd.ClassHotClean, Data: randBytes(5, 4100)},
+				mates[1],
+			})
+			if results[0].Err != nil || results[2].Err != nil {
+				t.Fatalf("batch-mates failed: %v / %v", results[0].Err, results[2].Err)
+			}
+			wantRejected("batch sub-op", results[1].Err, twin)
+		})
 	}
 }

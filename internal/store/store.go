@@ -1,10 +1,13 @@
 // Package store implements Reo's object storage target: the user-level
 // osd-target process of the paper (§V), re-hosted on the simulated flash
-// array. It combines the OSD directory (object namespace + classes), the
-// stripe manager (variable-parity layout), and a redundancy policy into the
-// full object lifecycle:
+// array. It combines one object table (the paper's "hash table": each
+// object's class, size, dirty flag and stripes), the stripe manager
+// (variable-parity layout), and a redundancy policy into the full object
+// lifecycle:
 //
-//   - Put applies the policy's per-class encoding (§IV.C.4), enforcing the
+//   - Put refuses an ID the target does not export (a partition other than
+//     FirstPID, an OID below FirstOID) before it writes anything, and
+//     applies the policy's per-class encoding (§IV.C.4), enforcing the
 //     reserved redundancy budget (sense 0x67 when exceeded).
 //   - GetCtx serves on-demand access with the three-way outcome of §IV.D —
 //     immediately accessible, corrupted-but-recoverable (degraded read), or
@@ -185,11 +188,10 @@ func (r *refusal) Error() string {
 type Store struct {
 	cfg     Config
 	array   *flash.Array
-	dir     *osd.Directory
 	stripes *stripe.Manager
 
 	// mu guards the object map and recovery bookkeeping. Read-mostly
-	// paths (GetCtx, Status, Has, counters) take the read side, so
+	// paths (GetCtx, Status, Has, Info, counters) take the read side, so
 	// independent object reads reach the stripe layer concurrently;
 	// mutations and recovery hold the write side.
 	mu      sync.RWMutex
@@ -271,9 +273,9 @@ func (s ObjectStatus) String() string {
 	}
 }
 
-// New builds a store: a fresh flash array, the OSD directory with its
-// reserved metadata objects, and (unless suppressed) the metadata objects
-// materialised on flash under the policy's ClassMetadata scheme.
+// New builds a store: a fresh flash array, an empty object table, and
+// (unless suppressed) the exofs metadata objects materialised on flash under
+// the policy's ClassMetadata scheme.
 func New(cfg Config) (*Store, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -293,7 +295,6 @@ func New(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:     cfg,
 		array:   array,
-		dir:     osd.NewDirectory(),
 		stripes: mgr,
 		objects: make(map[osd.ObjectID]*object),
 	}
@@ -318,9 +319,6 @@ func (s *Store) Array() *flash.Array { return s.array }
 // Resilience exposes the stripe manager's hedged-read gate for tuning and
 // its counters.
 func (s *Store) Resilience() *policy.Resilience { return s.stripes.Resilience() }
-
-// Directory exposes the OSD namespace.
-func (s *Store) Directory() *osd.Directory { return s.dir }
 
 // Policy returns the configured redundancy policy.
 func (s *Store) Policy() policy.Policy { return s.cfg.Policy }
@@ -526,12 +524,11 @@ func (s *Store) freeObjectLocked(obj *object) {
 	s.unlistLocked(obj.id)
 }
 
-// unlistLocked drops the object from the object map and the OSD directory,
-// which must never disagree about what exists.
+// unlistLocked drops the object from the object map and its redundancy bytes
+// from the hot-clean total.
 func (s *Store) unlistLocked(id osd.ObjectID) {
 	s.hotOverhead -= s.objects[id].hot()
 	delete(s.objects, id)
-	_ = s.dir.Remove(id)
 }
 
 // SetClass updates the object's class label without re-encoding (the raw
@@ -547,7 +544,7 @@ func (s *Store) SetClass(id osd.ObjectID, class osd.Class) error {
 		return fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
 	s.assignLocked(obj, class, obj.stripes)
-	return s.dir.SetClass(id, class)
+	return nil
 }
 
 // reclassYieldBudget caps how long a background reclassification defers to
@@ -598,7 +595,7 @@ func (s *Store) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) 
 	newScheme := s.cfg.Policy.SchemeFor(class)
 	if oldScheme == newScheme {
 		s.assignLocked(obj, class, obj.stripes)
-		return 0, s.dir.SetClass(id, class)
+		return 0, nil
 	}
 	if err := s.checkBudgetLocked(id, class, newScheme, obj.size); err != nil {
 		return 0, err
@@ -617,7 +614,7 @@ func (s *Store) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) 
 		return 0, err
 	}
 	s.assignLocked(obj, class, ids)
-	return readCost + writeCost, s.dir.SetClass(id, class)
+	return readCost + writeCost, nil
 }
 
 // MarkClean clears the object's dirty flag after a write-back flush.
@@ -629,7 +626,7 @@ func (s *Store) MarkClean(id osd.ObjectID) error {
 		return fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
 	obj.dirty = false
-	return s.dir.Update(id, func(info *osd.Info) { info.Dirty = false })
+	return nil
 }
 
 // MarkCleanCtx is MarkClean with request attribution. Like DeleteCtx it is
@@ -718,13 +715,19 @@ func (s *Store) Has(id osd.ObjectID) bool {
 	return ok
 }
 
-// Info returns the object's directory metadata.
+// Info returns the object's metadata.
 func (s *Store) Info(id osd.ObjectID) (osd.Info, error) {
-	info, err := s.dir.Lookup(id)
-	if err != nil {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	obj, ok := s.objects[id]
+	if !ok {
 		return osd.Info{}, fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
-	return info, nil
+	return infoOf(obj), nil
+}
+
+func infoOf(obj *object) osd.Info {
+	return osd.Info{ID: obj.id, Class: obj.class, Size: int64(obj.size), Dirty: obj.dirty}
 }
 
 // ObjectCount returns the number of live objects (including metadata
@@ -747,13 +750,7 @@ func (s *Store) ListObjects() []osd.Info {
 		if obj.class == osd.ClassMetadata {
 			continue
 		}
-		out = append(out, osd.Info{
-			ID:    obj.id,
-			Type:  osd.TypeUser,
-			Class: obj.class,
-			Size:  int64(obj.size),
-			Dirty: obj.dirty,
-		})
+		out = append(out, infoOf(obj))
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {

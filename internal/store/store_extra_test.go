@@ -13,9 +13,6 @@ func TestAccessors(t *testing.T) {
 	if s.Policy().Name() != "Reo-20%" {
 		t.Fatalf("Policy = %q", s.Policy().Name())
 	}
-	if s.Directory() == nil {
-		t.Fatal("Directory nil")
-	}
 	if s.Devices() != 5 || s.AliveDevices() != 5 {
 		t.Fatalf("devices = %d/%d", s.AliveDevices(), s.Devices())
 	}

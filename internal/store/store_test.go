@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -88,8 +89,26 @@ func TestMetadataObjectsMaterialised(t *testing.T) {
 		}
 	}
 	id := osd.ObjectID{PID: osd.FirstPID, OID: osd.SuperBlockOID}
+	if info, err := s.Info(id); err != nil || info != (osd.Info{ID: id, Class: osd.ClassMetadata, Size: 4096}) {
+		t.Fatalf("Info(super block) = %+v, %v", info, err)
+	}
 	if _, _, _, err := getObject(s, id); err != nil {
 		t.Fatalf("metadata unreadable with one survivor: %v", err)
+	}
+
+	// Not materialised, not there.
+	bare, err := New(Config{
+		Devices:             5,
+		DeviceSpec:          testSpec(4 << 20),
+		ChunkSize:           1024,
+		Policy:              policy.Reo{ParityBudget: 0.2},
+		SkipMetadataObjects: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err := bare.Info(id); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Info(super block) without metadata objects = %+v, %v; want ErrNotFound", info, err)
 	}
 }
 
@@ -178,8 +197,7 @@ func TestCacheFull(t *testing.T) {
 }
 
 // A free-first overwrite that does not fit has already released the old
-// version, so the object is gone — from the directory as well as the object
-// map, which must agree on what exists.
+// version, so the object is gone — from Has, Info and the listing alike.
 func TestFailedOverwriteLeavesNoDirectoryEntry(t *testing.T) {
 	s := newStore(t, policy.Uniform{ParityChunks: 0}, 0)
 	for n := uint64(1); n <= 2; n++ {
@@ -198,12 +216,8 @@ func TestFailedOverwriteLeavesNoDirectoryEntry(t *testing.T) {
 	if _, err := s.Info(oid(1)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Info of the lost object: err = %v, want ErrNotFound", err)
 	}
-	listed, err := s.Directory().List(osd.FirstPID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(listed) != s.ObjectCount() {
-		t.Fatalf("directory lists %d objects, store holds %d", len(listed), s.ObjectCount())
+	if listed := s.ListObjects(); len(listed) != 1 || listed[0].ID != oid(2) {
+		t.Fatalf("ListObjects = %+v, want oid(2) alone", listed)
 	}
 }
 
@@ -279,22 +293,53 @@ func TestCorruptedGetFreesObject(t *testing.T) {
 	}
 }
 
+// wantListed checks that ListObjects is want and that Info agrees with it
+// for every object listed.
+func wantListed(t *testing.T, s *Store, what string, want ...osd.Info) {
+	t.Helper()
+	listed := s.ListObjects()
+	if !reflect.DeepEqual(listed, want) {
+		t.Fatalf("%s: ListObjects = %+v, want %+v", what, listed, want)
+	}
+	for _, entry := range listed {
+		if info, err := s.Info(entry.ID); err != nil || info != entry {
+			t.Fatalf("%s: Info(%v) = %+v, %v; listed as %+v", what, entry.ID, info, err, entry)
+		}
+	}
+}
+
 func TestDeleteAndMarkClean(t *testing.T) {
 	s := newStore(t, policy.Reo{ParityBudget: 0.4}, 0.4)
 	if _, err := s.PutCtx(nil, oid(1), randBytes(6, 1_000), osd.ClassDirty, true); err != nil {
 		t.Fatal(err)
 	}
-	info, err := s.Info(oid(1))
-	if err != nil || !info.Dirty {
-		t.Fatalf("info = %+v, %v", info, err)
+	if _, err := s.PutCtx(nil, oid(2), randBytes(7, 3_000), osd.ClassColdClean, false); err != nil {
+		t.Fatal(err)
 	}
+	one := osd.Info{ID: oid(1), Class: osd.ClassDirty, Size: 1_000, Dirty: true}
+	two := osd.Info{ID: oid(2), Class: osd.ClassColdClean, Size: 3_000}
+	wantListed(t, s, "put", one, two)
+
+	if err := s.SetClass(oid(2), osd.ClassHotClean); err != nil {
+		t.Fatal(err)
+	}
+	two.Class = osd.ClassHotClean
+	wantListed(t, s, "SetClass", one, two)
+	if _, err := s.ReclassifyCtx(nil, oid(2), osd.ClassColdClean); err != nil {
+		t.Fatal(err)
+	}
+	two.Class = osd.ClassColdClean
+	wantListed(t, s, "ReclassifyCtx", one, two)
+	if _, err := s.WriteRangeCtx(nil, oid(2), 100, randBytes(8, 200)); err != nil {
+		t.Fatal(err)
+	}
+	two.Class, two.Dirty = osd.ClassDirty, true
+	wantListed(t, s, "WriteRangeCtx", one, two)
 	if err := s.MarkClean(oid(1)); err != nil {
 		t.Fatal(err)
 	}
-	info, _ = s.Info(oid(1))
-	if info.Dirty {
-		t.Fatal("MarkClean did not clear dirty flag")
-	}
+	one.Dirty = false
+	wantListed(t, s, "MarkClean", one, two)
 	if err := s.Delete(oid(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -401,6 +446,10 @@ func TestControlSetIDAndQuery(t *testing.T) {
 	// SETID for a missing object fails.
 	if sense, _ := s.Control(osd.SetIDCommand{Object: oid(99), Class: osd.ClassDirty}.Encode()); sense != osd.SenseFailure {
 		t.Fatalf("missing SETID sense = %v", sense)
+	}
+	// A TUNE value that is not a number fails rather than disarm hedging.
+	if sense, err := s.Control([]byte("#TUNE#policy.read.degraded.hedge.delay#NaN")); err == nil || sense != osd.SenseFailure {
+		t.Fatalf("NaN TUNE sense = %v, err = %v", sense, err)
 	}
 }
 

@@ -75,8 +75,5 @@ func (s *Store) WriteRangeCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, dat
 		cost = readCost + writeCost
 	}
 	obj.dirty = true
-	return cost, s.dir.Update(id, func(info *osd.Info) {
-		info.Dirty = true
-		info.Class = obj.class
-	})
+	return cost, nil
 }

@@ -444,7 +444,6 @@ func decodeInventory(payload []byte) ([]osd.Info, error) {
 				PID: binary.BigEndian.Uint64(e[0:8]),
 				OID: binary.BigEndian.Uint64(e[8:16]),
 			},
-			Type:  osd.TypeUser,
 			Size:  int64(binary.BigEndian.Uint64(e[16:24])),
 			Class: osd.Class(e[24]),
 			Dirty: e[25] != 0,
