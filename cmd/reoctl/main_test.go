@@ -107,8 +107,9 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("get = %q", out)
 	}
 
-	// classify + query + status + stats.
-	if out, err := runCmd("", "classify", "0x10010", "cold"); err != nil || !strings.Contains(out, "sense 0x0") {
+	// classify + query + status + stats. #SETID# re-encodes: dirty is
+	// replicated, so the object survives the failure injected below.
+	if out, err := runCmd("", "classify", "0x10010", "dirty"); err != nil || !strings.Contains(out, "sense 0x0") {
 		t.Fatalf("classify: %q, %v", out, err)
 	}
 	if out, err := runCmd("", "query", "0x10010"); err != nil || !strings.Contains(out, "sense 0x0") {

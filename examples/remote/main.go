@@ -93,8 +93,9 @@ func run() error {
 	fmt.Printf("read #2 over the wire: hit=%v\n", res.Hit)
 	res.Release()
 
-	// Talk to the communication object directly: deliver a (label-only)
-	// classification and a query.
+	// Talk to the communication object directly: deliver a classification
+	// (the target re-encodes the object under the class's scheme) and a
+	// query.
 	sense, err := client.ControlCtx(nil, osd.SetIDCommand{Object: id, Class: osd.ClassColdClean})
 	if err != nil {
 		return err
@@ -106,9 +107,9 @@ func run() error {
 	}
 	fmt.Printf("#QUERY# -> sense %#x (%v)\n", int(sense), sense)
 
-	// #SETID# updates the label; Reclassify also re-encodes the object
-	// under the new class's scheme (here: two parity chunks), so it can
-	// survive the failure we are about to inject.
+	// Reclassify is the same re-encode as #SETID#, with its cost returned:
+	// hot gets two parity chunks, so the object can survive the failure we
+	// are about to inject.
 	if _, err := client.ReclassifyCtx(nil, id, osd.ClassHotClean); err != nil {
 		return err
 	}

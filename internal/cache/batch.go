@@ -172,7 +172,7 @@ func (m *Manager) readOneLocked(rc *reqctx.Ctx, id osd.ObjectID, e *entry, g *ta
 	case errors.Is(g.Err, store.ErrCorrupted), errors.Is(g.Err, store.ErrNotFound):
 		// The object died with a device; fall through to a miss. An entry
 		// mid-flush or mid-reclassification is left for its latch holder.
-		if m.entries[id] == e && !e.flushing && !e.reclassing {
+		if m.entries[id] == e && e.latch == nil {
 			m.dropEntryLocked(e)
 			m.stats.LostObjects++
 		}

@@ -220,9 +220,7 @@ func TestBatchStatParity(t *testing.T) {
 			return []parityStep{writesOf(0, 1536, 2, 3, 4, 5), readsOf(span(0, 6)...)}
 		}, func(s Stats) bool { return s.Hits == 0 && s.AdmittedBytes == 0 }},
 		{"admit on reuse bypass", func(t *testing.T) *fixture {
-			f := reo(t)
-			f.cache.SetAdmission(AdmitOnReuse, 1, 64)
-			return f
+			return newFixture(t, policy.Reo{ParityBudget: 0.4}, 0.4, 4<<20, func(c *Config) { c.Admission = AdmitOnReuse })
 		}, func(t *testing.T, f *fixture) []parityStep {
 			for n := uint64(0); n < 8; n++ {
 				f.seed(t, n, 1536)

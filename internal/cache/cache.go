@@ -94,9 +94,6 @@ type Config struct {
 	// default (false) keeps the deterministic synchronous refresh whose
 	// cost is charged to virtual time — the simulator/harness path.
 	AsyncRefresh bool
-	// ReclassWorkers bounds the concurrency of the background
-	// reclassifier pool (async mode only). Zero defaults to 2.
-	ReclassWorkers int
 	// OpStats, when set, receives wall-clock refresh instrumentation:
 	// a "refresh.pause" histogram of time spent holding the cache lock
 	// per refresh and a "reclass.bg" histogram of per-object background
@@ -105,18 +102,11 @@ type Config struct {
 	// Admission selects the flash-admission policy for clean misses.
 	// AdmitAll (the default) writes every miss to flash — the seed
 	// behavior. AdmitOnReuse gates each clean miss through a ghost-queue
-	// "seen-again" filter: only objects that have already missed
-	// AdmitMinHits times are worth a flash write; everything else is
+	// "seen-again" filter: only an object that missed recently before is
+	// worth a flash write ("admit on the second miss"); everything else is
 	// served straight through from the backend. Dirty writes are always
 	// admitted — write-back durability never depends on reuse prediction.
 	Admission AdmissionMode
-	// AdmitMinHits is the prior-miss count AdmitOnReuse requires before a
-	// clean miss earns a flash write. Zero defaults to 1 ("admit on the
-	// second miss").
-	AdmitMinHits int
-	// GhostCapacity bounds the admission filter's remembered IDs. Zero
-	// defaults to 16384.
-	GhostCapacity int
 }
 
 // AdmissionMode selects the flash-admission policy for clean misses.
@@ -156,9 +146,6 @@ func (c *Config) applyDefaults() error {
 	if c.MaxDirtyFraction <= 0 {
 		c.MaxDirtyFraction = 0.25
 	}
-	if c.ReclassWorkers <= 0 {
-		c.ReclassWorkers = 2
-	}
 	return nil
 }
 
@@ -174,19 +161,12 @@ type entry struct {
 	// so flush victim selection walks only dirty objects instead of
 	// rescanning the whole LRU per flush.
 	dirtyElem *list.Element
-	// flushing marks an in-flight write-back; flushDone closes when it
-	// completes. Both are guarded by Manager.mu — the latch lets other
-	// goroutines wait for the flush without holding the manager lock.
-	flushing  bool
-	flushDone chan struct{}
-	// reclassing marks an in-flight background reclassification;
-	// reclassDone closes when it completes. Guarded by Manager.mu like
-	// the flush latch. While held, paths that would delete, dirty, or
-	// flush the entry wait on the latch so the background re-encode
-	// never races a conflicting mutation. flushing and reclassing are
-	// mutually exclusive: each waits out the other before latching.
-	reclassing  bool
-	reclassDone chan struct{}
+	// latch is non-nil while a write-back or a background reclassification
+	// of the entry is in flight, and closes when it completes. Guarded by
+	// Manager.mu: paths that would delete, dirty, flush, or re-encode the
+	// entry wait on it without holding the manager lock, so the store work
+	// behind the latch never races a conflicting mutation.
+	latch chan struct{}
 }
 
 // fill is the in-flight latch for a backend miss. Concurrent misses on the
@@ -326,7 +306,7 @@ type Manager struct {
 	// mu guards the entry map, LRU list, counters, and fill map. It is
 	// not held across store or backend IO on the hot paths: hits read the
 	// store outside the lock, misses fetch the backend behind a per-object
-	// fill latch, and flushes run behind per-entry flush latches.
+	// fill latch, and flushes run behind per-entry latches.
 	mu      sync.Mutex
 	entries map[osd.ObjectID]*entry
 	fills   map[osd.ObjectID]*fill
@@ -367,24 +347,9 @@ func New(cfg Config) (*Manager, error) {
 		hhot:      math.Inf(1), // everything cold until the first refresh
 	}
 	if cfg.Admission == AdmitOnReuse {
-		m.ghost = policy.NewGhostFilter(cfg.AdmitMinHits, cfg.GhostCapacity)
+		m.ghost = policy.NewGhostFilter()
 	}
 	return m, nil
-}
-
-// SetAdmission switches the admission policy at runtime. Enabling
-// AdmitOnReuse starts with an empty ghost (history is not retroactive);
-// disabling it drops the filter. minHits/ghostCapacity follow Config
-// semantics (zero picks the defaults).
-func (m *Manager) SetAdmission(mode AdmissionMode, minHits, ghostCapacity int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cfg.Admission = mode
-	if mode == AdmitOnReuse {
-		m.ghost = policy.NewGhostFilter(minHits, ghostCapacity)
-	} else {
-		m.ghost = nil
-	}
 }
 
 // netCost models the client link: RTT plus payload transfer.
@@ -495,7 +460,7 @@ func (m *Manager) admitClass(size int, dirty bool) osd.Class {
 // that put is cancelled the entry is forgotten (putOutcomeLocked), so the
 // old update must already be safe in the backend.
 func settledLocked(prev *entry, rc *reqctx.Ctx, dirty bool) bool {
-	return !prev.flushing && !prev.reclassing && !(prev.dirty && (!dirty || rc.CanCancel()))
+	return prev.latch == nil && !(prev.dirty && (!dirty || rc.CanCancel()))
 }
 
 // settleLocked waits out latches on, and flushes where settledLocked
@@ -508,7 +473,7 @@ func (m *Manager) settleLocked(rc *reqctx.Ctx, id osd.ObjectID, dirty bool) time
 		switch {
 		case !ok || settledLocked(prev, rc, dirty):
 			return total
-		case prev.flushing || prev.reclassing:
+		case prev.latch != nil:
 			m.latchWaitLocked(prev)
 		default:
 			// Written back only: the put that follows replaces the entry,
@@ -629,7 +594,7 @@ func (m *Manager) evictOneLocked() (time.Duration, bool) {
 			return total, false
 		}
 		e := back.Value.(*entry)
-		if e.flushing || e.reclassing {
+		if e.latch != nil {
 			// The victim is mid-flush or mid-reclassification; wait for
 			// the latch and rescan (the LRU tail may have changed while
 			// the lock was dropped).
@@ -646,8 +611,8 @@ func (m *Manager) evictOneLocked() (time.Duration, bool) {
 		m.stats.Evictions++
 		if m.ghost != nil {
 			// The victim demonstrated reuse once to get admitted; remember
-			// it pre-credited so a single re-miss readmits it instead of
-			// making it re-earn its history.
+			// it so a single re-miss readmits it instead of making it
+			// re-earn its history.
 			m.ghost.NoteEvicted(e.id)
 		}
 		return total, true
@@ -664,10 +629,10 @@ func (m *Manager) evictOneLocked() (time.Duration, bool) {
 //
 // It is called and returns with the manager lock held, but drops the lock
 // around the store read, backend write, and reclassification so concurrent
-// requests keep flowing; the entry's flush latch serialises flushers of the
-// same entry.
+// requests keep flowing; the entry's latch serialises flushers of the same
+// entry.
 func (m *Manager) flushEntryLocked(e *entry, settle bool) time.Duration {
-	for e.flushing || e.reclassing {
+	for e.latch != nil {
 		// Another goroutine is already flushing this entry, or a
 		// background reclassification holds it: wait on the latch rather
 		// than racing it, then re-check.
@@ -676,8 +641,7 @@ func (m *Manager) flushEntryLocked(e *entry, settle bool) time.Duration {
 	if !e.dirty || m.entries[e.id] != e {
 		return 0
 	}
-	e.flushing = true
-	e.flushDone = make(chan struct{})
+	e.latch = make(chan struct{})
 	class := m.cleanClassLocked(m.hotness(e))
 	m.mu.Unlock()
 
@@ -719,8 +683,8 @@ func (m *Manager) flushEntryLocked(e *entry, settle bool) time.Duration {
 	}
 
 	m.mu.Lock()
-	e.flushing = false
-	close(e.flushDone)
+	close(e.latch)
+	e.latch = nil
 	if m.entries[e.id] == e {
 		if clearDirty {
 			m.setDirtyLocked(e, false)
@@ -738,11 +702,12 @@ func (m *Manager) flushEntryLocked(e *entry, settle bool) time.Duration {
 
 // flushVictimLocked returns the oldest dirty entry not already mid-flush
 // (scanning only the dirty list, not the whole LRU), or failing that one
-// that is.
+// that is. A dirty entry's latch can only be a flush: a background
+// reclassification latches clean entries only, and writers wait it out.
 func (m *Manager) flushVictimLocked() (victim, inflight *entry) {
 	for elem := m.dirtyList.Back(); elem != nil; elem = elem.Prev() {
 		e := elem.Value.(*entry)
-		if !e.flushing {
+		if e.latch == nil {
 			return e, nil
 		}
 		inflight = e
@@ -828,13 +793,10 @@ func (m *Manager) touchLocked(e *entry) {
 
 // latchWaitLocked drops the manager lock until the entry's in-flight flush
 // or background reclassification completes, then retakes it. Callers must
-// re-check all entry state afterwards. Must only be called when e.flushing
-// or e.reclassing is set.
+// re-check all entry state afterwards. Must only be called when e.latch is
+// set.
 func (m *Manager) latchWaitLocked(e *entry) {
-	ch := e.flushDone
-	if e.reclassing {
-		ch = e.reclassDone
-	}
+	ch := e.latch
 	m.mu.Unlock()
 	<-ch
 	m.mu.Lock()
@@ -860,13 +822,6 @@ func (m *Manager) DirtyBytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.dirtyBytes
-}
-
-// HotThreshold returns the current adaptive Hhot value.
-func (m *Manager) HotThreshold() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hhot
 }
 
 // Stats returns a copy of the activity counters plus the current gauges

@@ -32,7 +32,7 @@ type fixture struct {
 	cache   *Manager
 }
 
-func newFixture(t testing.TB, pol policy.Policy, budget float64, deviceCap int64) *fixture {
+func newFixture(t testing.TB, pol policy.Policy, budget float64, deviceCap int64, tweaks ...func(*Config)) *fixture {
 	t.Helper()
 	s, err := store.New(store.Config{
 		Devices:          5,
@@ -45,13 +45,17 @@ func newFixture(t testing.TB, pol policy.Policy, budget float64, deviceCap int64
 		t.Fatal(err)
 	}
 	b := backend.New(hdd.WD1TB(1 << 30))
-	m, err := New(Config{
+	cfg := Config{
 		Store:            s,
 		Backend:          b,
 		NetworkBandwidth: 1.25e9,
 		NetworkRTT:       100 * time.Microsecond,
 		RefreshInterval:  50,
-	})
+	}
+	for _, tweak := range tweaks {
+		tweak(&cfg)
+	}
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +311,7 @@ func TestAdaptiveThresholdClassifiesHotObjects(t *testing.T) {
 	if cost := f.cache.RefreshClassification(); cost <= 0 {
 		t.Fatal("refresh should re-encode at least one object")
 	}
-	if math.IsInf(f.cache.HotThreshold(), 1) {
+	if math.IsInf(f.cache.Stats().Hhot, 1) {
 		t.Fatal("threshold still infinite after refresh")
 	}
 	info1, err := f.store.Info(oid(1))

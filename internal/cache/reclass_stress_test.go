@@ -92,7 +92,7 @@ func TestConcurrentReclassChurn(t *testing.T) {
 					objMu[obj].Lock()
 					version[obj]++
 					data := fillPattern(obj, version[obj], sizes[obj])
-					_, err := f.cache.WriteAt(id, 0, data)
+					_, err := f.cache.WriteAtCtx(nil, id, 0, data)
 					objMu[obj].Unlock()
 					if err != nil {
 						errc <- fmt.Errorf("writeAt %v: %w", id, err)

@@ -17,10 +17,10 @@ package cache
 // Asynchronous (Config.AsyncRefresh): the production path. The snapshot is
 // the only work done under the manager lock; ranking happens outside it. The
 // resulting class-change work-list is re-encoded by a bounded worker pool
-// that takes a per-entry reclass latch for each object (so evictions,
-// flushes, and overwrites of an in-flight object wait instead of racing) and
-// defers to on-demand traffic through the store's OnDemandInFlight gauge,
-// mirroring background recovery.
+// that takes each object's entry latch (so evictions, flushes, and
+// overwrites of an in-flight object wait instead of racing) and defers to
+// on-demand traffic through the store's OnDemandInFlight gauge, mirroring
+// background recovery.
 
 import (
 	"cmp"
@@ -273,7 +273,7 @@ func (m *Manager) refreshLocked() time.Duration {
 	// against the new Hhot on the next refresh.
 	changed := (*sp)[:0]
 	for _, s := range *sp {
-		if !s.e.reclassing && m.cleanClassLocked(s.hot) != s.e.class {
+		if s.e.latch == nil && m.cleanClassLocked(s.hot) != s.e.class {
 			changed = append(changed, s)
 		}
 	}
@@ -335,7 +335,7 @@ func (m *Manager) runRefresh(sp *[]snap, params refreshParams) {
 	work := make([]osd.ObjectID, 0, len(snaps)/8+1)
 	for i := range snaps {
 		e, ok := m.entries[snaps[i].id]
-		if !ok || e.dirty || e.flushing || e.reclassing {
+		if !ok || e.dirty || e.latch != nil {
 			continue
 		}
 		if m.cleanClassLocked(snaps[i].hot) != e.class {
@@ -357,13 +357,13 @@ func (m *Manager) runRefresh(sp *[]snap, params refreshParams) {
 	m.mu.Unlock()
 }
 
+// reclassWorkers bounds the concurrency of the background reclassifier pool.
+const reclassWorkers = 2
+
 // runReclassWorkers drains the work-list with bounded concurrency and
 // blocks until every item has been applied or skipped.
 func (m *Manager) runReclassWorkers(work []osd.ObjectID) {
-	n := m.cfg.ReclassWorkers
-	if n > len(work) {
-		n = len(work)
-	}
+	n := min(reclassWorkers, len(work))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {
@@ -417,7 +417,7 @@ func (m *Manager) reclassOne(rc *reqctx.Ctx, id osd.ObjectID) {
 
 	m.mu.Lock()
 	e, ok := m.entries[id]
-	if !ok || e.dirty || e.flushing || e.reclassing {
+	if !ok || e.dirty || e.latch != nil {
 		m.mu.Unlock()
 		return
 	}
@@ -426,11 +426,9 @@ func (m *Manager) reclassOne(rc *reqctx.Ctx, id osd.ObjectID) {
 		m.mu.Unlock()
 		return
 	}
-	// Take the per-entry reclass latch: eviction, overwrite, partial
-	// update, and flush of this object wait on it instead of racing the
-	// re-encode below.
-	e.reclassing = true
-	e.reclassDone = make(chan struct{})
+	// Take the entry's latch: eviction, overwrite, partial update, and
+	// flush of this object wait on it instead of racing the re-encode below.
+	e.latch = make(chan struct{})
 	m.mu.Unlock()
 
 	start := time.Now()
@@ -438,8 +436,8 @@ func (m *Manager) reclassOne(rc *reqctx.Ctx, id osd.ObjectID) {
 	dur := time.Since(start)
 
 	m.mu.Lock()
-	e.reclassing = false
-	close(e.reclassDone)
+	close(e.latch)
+	e.latch = nil
 	if m.entries[id] == e {
 		switch {
 		case err == nil:

@@ -55,7 +55,6 @@ func newRefreshBenchManager(b *testing.B, async bool) *Manager {
 		NetworkRTT:       100 * time.Microsecond,
 		RefreshInterval:  1 << 30, // only explicit kicks refresh
 		AsyncRefresh:     async,
-		ReclassWorkers:   4,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -11,9 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/reo-cache/reo/internal/backend"
 	"github.com/reo-cache/reo/internal/bufpool"
-	"github.com/reo-cache/reo/internal/hdd"
 	"github.com/reo-cache/reo/internal/metrics"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
@@ -25,31 +23,10 @@ import (
 // reclassification pipeline.
 func newAsyncFixture(t testing.TB, pol policy.Policy, budget float64, deviceCap int64) *fixture {
 	t.Helper()
-	s, err := store.New(store.Config{
-		Devices:          5,
-		DeviceSpec:       testSpec(deviceCap),
-		ChunkSize:        1024,
-		Policy:           pol,
-		RedundancyBudget: budget,
+	return newFixture(t, pol, budget, deviceCap, func(c *Config) {
+		c.AsyncRefresh = true
+		c.OpStats = metrics.NewOpHistogram()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := backend.New(hdd.WD1TB(1 << 30))
-	m, err := New(Config{
-		Store:            s,
-		Backend:          b,
-		NetworkBandwidth: 1.25e9,
-		NetworkRTT:       100 * time.Microsecond,
-		RefreshInterval:  50,
-		AsyncRefresh:     true,
-		ReclassWorkers:   4,
-		OpStats:          metrics.NewOpHistogram(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &fixture{store: s, backend: b, cache: m}
 }
 
 // admitBudget is the oracle for budgetSelect, and what the synchronous refresh
@@ -303,7 +280,7 @@ func TestSyncRefreshOrderPinned(t *testing.T) {
 
 		spy.calls, spy.cost = nil, 0
 		cost := m.RefreshClassification()
-		if got := m.HotThreshold(); got != hhot {
+		if got := m.Stats().Hhot; got != hhot {
 			t.Errorf("round %d: Hhot = %v, sorted walk %v", round, got, hhot)
 		}
 		if !reflect.DeepEqual(spy.calls, want) {
@@ -346,7 +323,7 @@ func TestAsyncRefreshConverges(t *testing.T) {
 	f.cache.KickRefresh()
 	f.cache.WaitRefresh()
 
-	if math.IsInf(f.cache.HotThreshold(), 1) {
+	if math.IsInf(f.cache.Stats().Hhot, 1) {
 		t.Fatal("threshold still infinite after async refresh")
 	}
 	st := f.cache.Stats()
@@ -400,7 +377,7 @@ func TestRefreshClassificationSyncUnderAsync(t *testing.T) {
 	if cost := f.cache.RefreshClassification(); cost <= 0 {
 		t.Fatal("synchronous refresh should re-encode inline and return its cost")
 	}
-	if math.IsInf(f.cache.HotThreshold(), 1) {
+	if math.IsInf(f.cache.Stats().Hhot, 1) {
 		t.Fatal("threshold still infinite")
 	}
 }
@@ -463,7 +440,7 @@ func TestDirtyListSurvivesOverwriteAndEvict(t *testing.T) {
 				t.Fatal(err)
 			}
 		case 2:
-			if _, err := f.cache.WriteAt(id, 0, randBytes(int64(step), 512)); err != nil &&
+			if _, err := f.cache.WriteAtCtx(nil, id, 0, randBytes(int64(step), 512)); err != nil &&
 				!isNotFoundErr(err) {
 				t.Fatal(err)
 			}

@@ -97,7 +97,7 @@ func TestConcurrentStress(t *testing.T) {
 					version[obj]++
 					data := fillPattern(obj, version[obj], sizes[obj])
 					writeCalls.Add(1)
-					_, err := f.cache.WriteAt(id, 0, data)
+					_, err := f.cache.WriteAtCtx(nil, id, 0, data)
 					objMu[obj].Unlock()
 					if err != nil {
 						errc <- fmt.Errorf("writeAt %v: %w", id, err)

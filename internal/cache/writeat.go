@@ -12,20 +12,16 @@ import (
 	"github.com/reo-cache/reo/internal/store"
 )
 
-// WriteAt absorbs a partial update of an object, write-back style. When the
-// object is cached, the update is applied in place on the flash array —
-// exercising the paper's delta/direct parity-updating (§II.B) under uniform
-// policies, or a dirty re-encode under differentiated ones. When the object
-// is not cached, the authoritative copy is fetched, merged, and admitted
-// dirty. Out-of-range updates are rejected.
-func (m *Manager) WriteAt(id osd.ObjectID, offset int64, data []byte) (Result, error) {
-	return m.WriteAtCtx(nil, id, offset, data)
-}
-
-// WriteAtCtx is WriteAt under a request context. Cancel points sit before
-// the in-place update begins and at the store's chunk boundaries on the
-// merge-rewrite paths; as with WriteCtx, a cancelled update is not
-// acknowledged and never leaves a torn object.
+// WriteAtCtx absorbs a partial update of an object, write-back style, under
+// a request context (nil for none). When the object is cached, the update is
+// applied in place on the flash array — exercising the paper's delta/direct
+// parity-updating (§II.B) under uniform policies, or a dirty re-encode under
+// differentiated ones. When the object is not cached, the authoritative copy
+// is fetched, merged, and admitted dirty. Out-of-range updates are rejected.
+//
+// Cancel points sit before the in-place update begins and at the store's
+// chunk boundaries on the merge-rewrite paths; as with WriteCtx, a cancelled
+// update is not acknowledged and never leaves a torn object.
 func (m *Manager) WriteAtCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, data []byte) (Result, error) {
 	if err := rc.Err(); err != nil {
 		return Result{}, err
@@ -47,7 +43,7 @@ func (m *Manager) WriteAtCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int64, data
 			pre  time.Duration
 		)
 		if e, ok := m.entries[id]; ok && !disabled {
-			if e.flushing || e.reclassing {
+			if e.latch != nil {
 				// An in-flight flush would clear the dirty bit this update
 				// is about to set, and an in-flight background reclass
 				// would re-encode under a clean class; wait for the latch

@@ -16,7 +16,7 @@ func TestWriteAtCachedObjectInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	update := randBytes(100, 500)
-	res, err := f.cache.WriteAt(oid(1), 2_000, update)
+	res, err := f.cache.WriteAtCtx(nil, oid(1), 2_000, update)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestWriteAtUncachedObjectMergesFromBackend(t *testing.T) {
 	f := newFixture(t, policy.Reo{ParityBudget: 0.4}, 0.4, 4<<20)
 	f.seed(t, 1, 8_000)
 	update := randBytes(101, 300)
-	res, err := f.cache.WriteAt(oid(1), 1_000, update)
+	res, err := f.cache.WriteAtCtx(nil, oid(1), 1_000, update)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,10 @@ func TestWriteAtRepeatedDirtyCountsOnce(t *testing.T) {
 	if _, err := f.cache.Read(oid(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.cache.WriteAt(oid(1), 0, []byte("aa")); err != nil {
+	if _, err := f.cache.WriteAtCtx(nil, oid(1), 0, []byte("aa")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.cache.WriteAt(oid(1), 10, []byte("bb")); err != nil {
+	if _, err := f.cache.WriteAtCtx(nil, oid(1), 10, []byte("bb")); err != nil {
 		t.Fatal(err)
 	}
 	if f.cache.DirtyBytes() != 6_000 {
@@ -94,19 +94,19 @@ func TestWriteAtOutOfRange(t *testing.T) {
 	if _, err := f.cache.Read(oid(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.cache.WriteAt(oid(1), 990, make([]byte, 100)); !errors.Is(err, store.ErrOutOfRange) {
+	if _, err := f.cache.WriteAtCtx(nil, oid(1), 990, make([]byte, 100)); !errors.Is(err, store.ErrOutOfRange) {
 		t.Fatalf("cached out-of-range err = %v", err)
 	}
 	// Uncached path bounds-checks too.
 	f.seed(t, 2, 1_000)
-	if _, err := f.cache.WriteAt(oid(2), -1, []byte("x")); !errors.Is(err, store.ErrOutOfRange) {
+	if _, err := f.cache.WriteAtCtx(nil, oid(2), -1, []byte("x")); !errors.Is(err, store.ErrOutOfRange) {
 		t.Fatalf("uncached out-of-range err = %v", err)
 	}
 }
 
 func TestWriteAtUnknownObject(t *testing.T) {
 	f := newFixture(t, policy.Uniform{ParityChunks: 1}, 0, 4<<20)
-	if _, err := f.cache.WriteAt(oid(404), 0, []byte("x")); !errors.Is(err, ErrNoBackend) {
+	if _, err := f.cache.WriteAtCtx(nil, oid(404), 0, []byte("x")); !errors.Is(err, ErrNoBackend) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -116,7 +116,7 @@ func TestWriteAtWhileDisabledGoesToBackend(t *testing.T) {
 	f.seed(t, 1, 2_000)
 	_ = f.store.FailDevice(0) // 0-parity: any failure disables the cache
 	update := randBytes(102, 100)
-	res, err := f.cache.WriteAt(oid(1), 50, update)
+	res, err := f.cache.WriteAtCtx(nil, oid(1), 50, update)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,7 +217,7 @@ func (ini *Initiator) PutBatchCtx(rc *reqctx.Ctx, ops []target.BatchPut) []targe
 			}
 			failed--
 			op := &ops[i]
-			ini.stripeFor(op.ID).commitPut(op.ID, sb.name, op.Class, op.Dirty, int64(len(op.Data)))
+			ini.stripeFor(op.ID).commitPut(op.ID, sb.name, op.Class, op.Dirty)
 			c.book(int64(len(op.Data)), 0)
 		}
 	}

@@ -35,7 +35,6 @@ type placement struct {
 	shard string
 	class osd.Class
 	dirty bool
-	size  int64
 }
 
 // dirStripe is one stripe of the placement directory plus its route lock.
@@ -240,7 +239,6 @@ func (ini *Initiator) adopt(name string, t target.Target) error {
 			shard: name,
 			class: info.Class,
 			dirty: info.Dirty,
-			size:  info.Size,
 		}
 		st.mu.Unlock()
 	}
@@ -280,11 +278,11 @@ func (ini *Initiator) resolve(st *dirStripe, id osd.ObjectID) (route, error) {
 
 // commitPut records a successful full-object write to shard in the
 // directory. The caller holds the stripe's write lock.
-func (st *dirStripe) commitPut(id osd.ObjectID, shard string, class osd.Class, dirty bool, size int64) {
+func (st *dirStripe) commitPut(id osd.ObjectID, shard string, class osd.Class, dirty bool) {
 	if p := st.objs[id]; p != nil {
-		p.class, p.dirty, p.size = class, dirty, size
+		p.class, p.dirty = class, dirty
 	} else {
-		st.objs[id] = &placement{shard: shard, class: class, dirty: dirty, size: size}
+		st.objs[id] = &placement{shard: shard, class: class, dirty: dirty}
 	}
 }
 
@@ -355,7 +353,7 @@ func (ini *Initiator) PutCtx(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class
 	err := ini.routed("cluster.put", id, false, func(r route) (in, out int64, err error) {
 		cost, err = r.t.PutCtx(rc, id, data, class, dirty)
 		if err == nil {
-			r.st.commitPut(id, r.name, class, dirty, int64(len(data)))
+			r.st.commitPut(id, r.name, class, dirty)
 		}
 		return int64(len(data)), 0, err
 	})
@@ -370,9 +368,6 @@ func (ini *Initiator) WriteRangeCtx(rc *reqctx.Ctx, id osd.ObjectID, offset int6
 		if err == nil && r.p != nil {
 			r.p.dirty = true
 			r.p.class = osd.ClassDirty
-			if end := offset + int64(len(data)); end > r.p.size {
-				r.p.size = end
-			}
 		}
 		return int64(len(data)), 0, err
 	})

@@ -174,7 +174,6 @@ func (ini *Initiator) migrateObject(st *dirStripe, id osd.ObjectID, stats *Rebal
 	// or adoption pass will reconcile; routing already points at dest.
 	_ = src.Delete(id)
 	p.shard = dest
-	p.size = size
 	stats.Moved++
 	stats.MovedBytes += size
 	ini.migratedObjects.Add(1)

@@ -398,17 +398,13 @@ func (d *Device) writeOnce(addr ChunkAddr, c *Chunk, adopt bool) (time.Duration,
 		d.recordOutcomeLocked(false, dec.LatencyScale, &d.health.transientErrors)
 		return scaleCost(d.spec.WriteLatency, dec.LatencyScale), dec.Err
 	}
-	old, exists := d.chunks[addr]
+	old := d.chunks[addr]
 	n := int64(len(c.buf))
-	newUsed := d.used + n
-	if exists {
-		newUsed -= int64(len(old.buf))
-	}
 	// Logical fullness (live bytes) is the same refusal under either layout,
 	// so the store's evict-and-retry loop behaves alike on both. It is what
 	// Free reports: a writer that asked first gets here only when another
 	// took the room since.
-	if newUsed > d.hostCapLocked() {
+	if d.used+n-int64(len(old.buf)) > d.hostCapLocked() {
 		return 0, ErrDeviceFull
 	}
 	if d.layout == LayoutLog {
@@ -421,23 +417,28 @@ func (d *Device) writeOnce(addr ChunkAddr, c *Chunk, adopt bool) (time.Duration,
 				break
 			}
 		}
+		if d.state == StateFailed {
+			// A corrupt chunk the collection dropped failed the device.
+			return 0, ErrDeviceFailed
+		}
 		if d.used+d.log.garbage+n > d.spec.CapacityBytes {
 			return 0, ErrDeviceFull
 		}
-		if exists {
+		// The collection may have dropped chunks, this address's old copy
+		// among them, and taken their bytes off d.used.
+		if old = d.chunks[addr]; old.c != nil {
 			d.tombstoneLocked(addr)
 		}
 		d.appendChunkLocked(addr, n)
-		old = d.chunks[addr] // inline GC above may have dropped the old copy
 	}
 	if !adopt {
 		c.retain()
 	}
 	d.chunks[addr] = hold(c)
+	d.used += n - int64(len(old.buf))
 	if old.c != nil {
 		old.c.Release()
 	}
-	d.used = newUsed
 	d.stats.WriteOps++
 	d.stats.BytesWritten += n
 	cost := d.spec.WriteLatency + simclock.TransferTime(n, d.spec.WriteBandwidth)

@@ -63,12 +63,12 @@ type LogConfig struct {
 	// SegmentBytes is the append-unit / erase-unit size. Zero picks
 	// capacity/64 clamped to [4KiB, 4MiB].
 	SegmentBytes int64
-	// OPReserve is the fraction of raw capacity withheld from host writes
-	// as GC headroom (overprovisioning). Zero picks 0.08. The effective
-	// reserve is never less than two segments, so a victim's live bytes
-	// always fit during relocation.
-	OPReserve float64
 }
+
+// opReserve is the fraction of raw capacity withheld from host writes as GC
+// headroom (overprovisioning). The effective reserve is never less than two
+// segments, so a victim's live bytes always fit during relocation.
+const opReserve = 0.08
 
 func (c LogConfig) normalized(capacity int64) LogConfig {
 	if c.SegmentBytes <= 0 {
@@ -79,9 +79,6 @@ func (c LogConfig) normalized(capacity int64) LogConfig {
 		if c.SegmentBytes > 4<<20 {
 			c.SegmentBytes = 4 << 20
 		}
-	}
-	if c.OPReserve <= 0 {
-		c.OPReserve = 0.08
 	}
 	return c
 }
@@ -154,7 +151,7 @@ func (d *Device) hostCapLocked() int64 {
 	if d.layout != LayoutLog {
 		return d.spec.CapacityBytes
 	}
-	reserve := int64(d.log.cfg.OPReserve * float64(d.spec.CapacityBytes))
+	reserve := int64(opReserve * float64(d.spec.CapacityBytes))
 	if min := 2 * d.log.cfg.SegmentBytes; reserve < min {
 		reserve = min
 	}

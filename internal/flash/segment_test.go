@@ -2,6 +2,7 @@ package flash
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -177,7 +178,7 @@ func TestLogInlineGCReclaimsWhenPhysicallyFull(t *testing.T) {
 
 func TestLogHostCapacityReserveEnforced(t *testing.T) {
 	d := newLogDevice(t, 64<<10, 4<<10)
-	hostCap := int64(64<<10) - 2*(4<<10) // OPReserve 8% < 2 segments
+	hostCap := int64(64<<10) - 2*(4<<10) // opReserve 8% < 2 segments
 	var used int64
 	var addr ChunkAddr
 	for {
@@ -452,4 +453,77 @@ func TestLogStatsStringersAndSnapshot(t *testing.T) {
 	}
 	// fmt coverage for the snapshot in reoctl-style output.
 	_ = fmt.Sprintf("%v %v", st.Layout, st.State)
+}
+
+// TestInlineGCCorruptDrop: an inline collection inside a write that drops a
+// *different*, corrupt chunk must leave the live byte count equal to the
+// chunks still resident — the write must not book its size against a count
+// taken before the drop — and when that drop is the error that fails the
+// device, the write fails instead of landing in the wiped device.
+func TestInlineGCCorruptDrop(t *testing.T) {
+	// setup returns a log device holding 1 KiB chunks at 1–4 with chunk 1
+	// corrupt, and a write of the i-th chunk of a round-robin over 2–21.
+	setup := func() (*Device, func(i int) error) {
+		d := newLogDevice(t, 64<<10, 4<<10)
+		for a := ChunkAddr(1); a <= 4; a++ {
+			if _, err := d.Write(a, payload(a, 1024)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !d.InjectCorruption(1, 5, false) {
+			t.Fatal("corruption not injected")
+		}
+		return d, func(i int) error {
+			addr := ChunkAddr(2 + i%20)
+			_, err := d.Write(addr, payload(addr, 1024))
+			return err
+		}
+	}
+	resident := func(d *Device) (sum int64, corrupt bool) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		for _, h := range d.chunks {
+			sum += int64(len(h.buf))
+		}
+		_, corrupt = d.chunks[1]
+		return sum, corrupt
+	}
+
+	d, write := setup()
+	drop := -1
+	for i := 0; i < 200; i++ {
+		if err := write(i); err != nil {
+			t.Fatalf("write %d: %v", i+1, err)
+		}
+		sum, corrupt := resident(d)
+		if used := d.Used(); used != sum {
+			t.Fatalf("after write %d: used = %d, resident chunks sum to %d", i+1, used, sum)
+		}
+		if !corrupt && drop < 0 {
+			drop = i
+		}
+	}
+	if drop < 0 {
+		t.Fatal("the corrupt chunk was never met by a collection")
+	}
+
+	// Replay up to the write whose collection drops the chunk, with the
+	// health window one error short of failing the device.
+	d, write = setup()
+	for i := 0; i < drop; i++ {
+		if err := write(i); err != nil {
+			t.Fatalf("write %d: %v", i+1, err)
+		}
+	}
+	d.mu.Lock()
+	for i := 0; i < failErrorThreshold-1; i++ {
+		d.recordOutcomeLocked(false, 0, nil)
+	}
+	d.mu.Unlock()
+	if err := write(drop); !errors.Is(err, ErrDeviceFailed) {
+		t.Fatalf("write %d on a device its collection failed: %v, want ErrDeviceFailed", drop+1, err)
+	}
+	if sum, _ := resident(d); sum != 0 || d.Used() != 0 {
+		t.Fatalf("failed device holds %d bytes, used = %d", sum, d.Used())
+	}
 }

@@ -6,92 +6,60 @@ import (
 	"github.com/reo-cache/reo/internal/osd"
 )
 
+// ghostCapacity bounds the IDs a GhostFilter remembers; LRU beyond it.
+const ghostCapacity = 16384
+
 // GhostFilter is a Flashield-style "seen-again" reuse predictor for
 // write-aware flash admission. It remembers objects that missed recently in
-// a capacity-bounded ghost queue (IDs and miss counts only — no payloads):
-// an object is worth a flash write only once it has missed MinHits times
-// while resident in the ghost, i.e. once it has demonstrated reuse. Objects
-// without demonstrated reuse (the one-hit wonders that dominate tiny-object
-// churn) are served straight from the backend and never cost flash writes.
+// a capacity-bounded ghost queue (IDs only — no payloads): an object is worth
+// a flash write only once it misses again while remembered, i.e. once it has
+// demonstrated reuse. Objects without demonstrated reuse (the one-hit wonders
+// that dominate tiny-object churn) are served straight from the backend and
+// never cost flash writes.
 //
 // The filter is deliberately deterministic and clock-free: eviction is pure
 // LRU over miss recency, so identical request sequences make identical
 // admission decisions. Callers provide their own locking; the cache manager
 // consults the filter under its own mutex.
 type GhostFilter struct {
-	// MinHits is the number of prior ghost misses required before a clean
-	// miss is admitted to flash. 1 means "admit on the second miss".
-	MinHits int
-	// Capacity bounds the number of remembered IDs; LRU beyond it.
-	Capacity int
-
 	entries map[osd.ObjectID]*list.Element
-	order   *list.List // front = most recently missed
+	order   *list.List // of osd.ObjectID, front = most recently remembered
 }
 
-type ghostEntry struct {
-	id     osd.ObjectID
-	misses int
+// NewGhostFilter returns an empty filter.
+func NewGhostFilter() *GhostFilter {
+	return &GhostFilter{entries: make(map[osd.ObjectID]*list.Element), order: list.New()}
 }
 
-// NewGhostFilter returns a filter admitting after minHits prior misses,
-// remembering at most capacity IDs. Non-positive arguments pick minHits 1
-// and capacity 16384.
-func NewGhostFilter(minHits, capacity int) *GhostFilter {
-	if minHits <= 0 {
-		minHits = 1
-	}
-	if capacity <= 0 {
-		capacity = 16384
-	}
-	return &GhostFilter{
-		MinHits:  minHits,
-		Capacity: capacity,
-		entries:  make(map[osd.ObjectID]*list.Element),
-		order:    list.New(),
-	}
-}
-
-// Admit records one clean miss for id and reports whether the object has
-// already demonstrated enough reuse (MinHits prior remembered misses) to
-// deserve a flash write. When it returns true the id is forgotten — it is
-// about to become resident; when false the miss is remembered so a future
-// miss can admit it.
+// Admit records one clean miss for id and reports whether the object was
+// already remembered, i.e. deserves a flash write. When it returns true the
+// id is forgotten — it is about to become resident; when false the miss is
+// remembered so a future miss can admit it.
 func (g *GhostFilter) Admit(id osd.ObjectID) bool {
 	if elem, ok := g.entries[id]; ok {
-		ge := elem.Value.(*ghostEntry)
-		if ge.misses >= g.MinHits {
-			g.order.Remove(elem)
-			delete(g.entries, id)
-			return true
-		}
-		ge.misses++
-		g.order.MoveToFront(elem)
-		return false
+		g.order.Remove(elem)
+		delete(g.entries, id)
+		return true
 	}
-	g.remember(id, 1)
+	g.remember(id)
 	return false
 }
 
-// NoteEvicted records that a resident object was evicted from flash. It
-// re-enters the ghost pre-credited at the admission threshold: the object
-// already demonstrated reuse once, so a single further miss readmits it
-// instead of making it re-earn its whole history.
+// NoteEvicted records that a resident object was evicted from flash. The
+// object already demonstrated reuse once, so it is remembered: its next miss
+// readmits it instead of making it re-earn its history.
 func (g *GhostFilter) NoteEvicted(id osd.ObjectID) {
 	if elem, ok := g.entries[id]; ok {
-		elem.Value.(*ghostEntry).misses = g.MinHits
 		g.order.MoveToFront(elem)
 		return
 	}
-	g.remember(id, g.MinHits)
+	g.remember(id)
 }
 
-func (g *GhostFilter) remember(id osd.ObjectID, misses int) {
-	g.entries[id] = g.order.PushFront(&ghostEntry{id: id, misses: misses})
-	for g.order.Len() > g.Capacity {
-		back := g.order.Back()
-		delete(g.entries, back.Value.(*ghostEntry).id)
-		g.order.Remove(back)
+func (g *GhostFilter) remember(id osd.ObjectID) {
+	g.entries[id] = g.order.PushFront(id)
+	if g.order.Len() > ghostCapacity {
+		delete(g.entries, g.order.Remove(g.order.Back()).(osd.ObjectID))
 	}
 }
 

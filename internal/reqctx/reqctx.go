@@ -8,8 +8,7 @@
 //   - an optional deadline (folded with the context's own deadline),
 //   - a request/trace ID for attribution,
 //   - a priority (on-demand vs background) that lets background work —
-//     most importantly the recovery engine — yield to client requests,
-//   - an optional class hint from the client, and
+//     most importantly the recovery engine — yield to client requests, and
 //   - per-request IO statistics filled in by the layers the request crosses.
 //
 // Every method is safe to call on a nil *Ctx: nil means "background,
@@ -47,9 +46,6 @@ func (p Priority) String() string {
 	return "on-demand"
 }
 
-// NoClassHint is the ClassHint value meaning "no hint supplied".
-const NoClassHint = -1
-
 // Stats aggregates the IO a single request performed across every layer.
 // Counters are atomic because chunk IO within one request fans out to
 // per-device goroutines.
@@ -79,7 +75,6 @@ type Ctx struct {
 	ctx         context.Context // nil = context.Background()
 	id          uint64
 	priority    Priority
-	classHint   int
 	deadline    time.Time
 	hasDeadline bool
 	stats       Stats
@@ -100,7 +95,6 @@ func Acquire(ctx context.Context) *Ctx {
 	rc.ctx = ctx
 	rc.id = nextID.Add(1)
 	rc.priority = OnDemand
-	rc.classHint = NoClassHint
 	rc.deadline, rc.hasDeadline = time.Time{}, false
 	if ctx != nil {
 		if d, ok := ctx.Deadline(); ok {
@@ -135,7 +129,7 @@ func Release(rc *Ctx) {
 // request ID and OnDemand priority. Intended for tests and long-lived
 // requests; hot paths should prefer Acquire/Release.
 func New(ctx context.Context) *Ctx {
-	rc := &Ctx{ctx: ctx, id: nextID.Add(1), classHint: NoClassHint}
+	rc := &Ctx{ctx: ctx, id: nextID.Add(1)}
 	if ctx != nil {
 		if d, ok := ctx.Deadline(); ok {
 			rc.deadline, rc.hasDeadline = d, true
@@ -155,15 +149,6 @@ func NextID() uint64 { return nextID.Add(1) }
 func (rc *Ctx) WithPriority(p Priority) *Ctx {
 	if rc != nil {
 		rc.priority = p
-	}
-	return rc
-}
-
-// WithClassHint records the client's class hint and returns rc. No-op on
-// nil.
-func (rc *Ctx) WithClassHint(class int) *Ctx {
-	if rc != nil {
-		rc.classHint = class
 	}
 	return rc
 }
@@ -207,14 +192,6 @@ func (rc *Ctx) Priority() Priority {
 
 // OnDemand reports whether this is a client-facing request.
 func (rc *Ctx) OnDemand() bool { return rc.Priority() == OnDemand }
-
-// ClassHint returns the client's class hint, or NoClassHint.
-func (rc *Ctx) ClassHint() int {
-	if rc == nil {
-		return NoClassHint
-	}
-	return rc.classHint
-}
 
 // Deadline returns the effective deadline (the earlier of the explicit
 // deadline and the wrapped context's) and whether one is set.
@@ -270,7 +247,7 @@ func (rc *Ctx) CanCancel() bool {
 
 // Fork derives an independently cancellable child context for a hedged or
 // speculative attempt: the child inherits the parent's identity (ID,
-// priority, class hint, deadline) and cancellation — cancelling
+// priority, deadline) and cancellation — cancelling
 // the parent cancels the child — but the returned CancelFunc aborts only the
 // child, which is how a losing hedge is reaped without touching the primary.
 // The child has its own Stats; fold them back with AbsorbStats after joining.
@@ -287,7 +264,6 @@ func Fork(rc *Ctx) (*Ctx, context.CancelFunc) {
 	if rc != nil {
 		child.id = rc.id
 		child.priority = rc.priority
-		child.classHint = rc.classHint
 		child.deadline, child.hasDeadline = rc.deadline, rc.hasDeadline
 	}
 	return child, cancel

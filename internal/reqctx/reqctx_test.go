@@ -23,9 +23,6 @@ func TestNilCtxIsBackgroundAndInert(t *testing.T) {
 	if rc.ID() != 0 {
 		t.Fatalf("nil ctx ID = %d, want 0", rc.ID())
 	}
-	if hint := rc.ClassHint(); hint != NoClassHint {
-		t.Fatalf("nil ctx ClassHint = %d, want %d", hint, NoClassHint)
-	}
 	if _, ok := rc.Deadline(); ok {
 		t.Fatal("nil ctx must not have a deadline")
 	}
@@ -112,13 +109,10 @@ func TestContextDeadlineFolded(t *testing.T) {
 	}
 }
 
-func TestPriorityAndHints(t *testing.T) {
-	rc := New(context.Background()).WithPriority(Background).WithClassHint(3).WithID(77)
+func TestPriorityAndID(t *testing.T) {
+	rc := New(context.Background()).WithPriority(Background).WithID(77)
 	if rc.OnDemand() {
 		t.Fatal("background priority should not be on-demand")
-	}
-	if rc.ClassHint() != 3 {
-		t.Fatalf("ClassHint = %d, want 3", rc.ClassHint())
 	}
 	if rc.ID() != 77 {
 		t.Fatalf("ID = %d, want 77", rc.ID())
@@ -174,14 +168,12 @@ func TestNextIDNonZeroUniqueAndShared(t *testing.T) {
 func TestForkInheritsAndCancelsIndependently(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rc := Acquire(ctx).WithPriority(Background).WithClassHint(2)
+	rc := Acquire(ctx).WithPriority(Background)
 	defer Release(rc)
 
 	child, childCancel := Fork(rc)
-	if child.ID() != rc.ID() || child.Priority() != Background ||
-		child.ClassHint() != 2 {
-		t.Fatalf("child did not inherit identity: id=%d pri=%v hint=%d",
-			child.ID(), child.Priority(), child.ClassHint())
+	if child.ID() != rc.ID() || child.Priority() != Background {
+		t.Fatalf("child did not inherit identity: id=%d pri=%v", child.ID(), child.Priority())
 	}
 	if !child.CanCancel() {
 		t.Fatal("forked child must be cancellable")

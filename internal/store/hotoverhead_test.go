@@ -49,7 +49,7 @@ func (p hotReplicated) SchemeFor(class osd.Class) policy.Scheme {
 // TestHotOverheadRunningTotal drives a store through a seeded random sequence
 // of everything that assigns or drops an object's stripes or class — put,
 // overwrite (write-first and free-first, fitting and refused), delete,
-// reclassify with and without a scheme change, SetClass, range write in place
+// reclassify with and without a scheme change, #SETID#, range write in place
 // and re-encoding, device failure, reads that drop lost objects, rebuild onto
 // a spare, re-encode onto the survivors — and after every step compares the
 // running hot-clean redundancy total with the walk it replaced, overall and
@@ -93,8 +93,8 @@ func TestHotOverheadRunningTotal(t *testing.T) {
 						op = "reclassify"
 						_, err = s.ReclassifyCtx(rc, id, classes[rng.Intn(len(classes))])
 					case r < 70:
-						op = "setclass"
-						err = s.SetClass(id, classes[rng.Intn(len(classes))])
+						op = "#SETID#"
+						_, err = s.Control(osd.SetIDCommand{Object: id, Class: classes[rng.Intn(len(classes))]}.Encode())
 					case r < 82:
 						op = "write-range"
 						if info, ierr := s.Info(id); ierr == nil && info.Size > 1 {

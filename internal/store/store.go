@@ -82,9 +82,6 @@ type Config struct {
 	RedundancyBudget float64
 	// RecoveryOrder defaults to RecoverByClass.
 	RecoveryOrder RecoveryOrder
-	// SkipMetadataObjects suppresses materialising the exofs metadata
-	// objects at startup (used by a few focused tests).
-	SkipMetadataObjects bool
 	// DisableParityRotation pins parity to the lowest-index devices
 	// instead of rotating it round-robin (wear-levelling ablation).
 	DisableParityRotation bool
@@ -298,16 +295,14 @@ func New(cfg Config) (*Store, error) {
 		stripes: mgr,
 		objects: make(map[osd.ObjectID]*object),
 	}
-	if !cfg.SkipMetadataObjects {
-		for _, oid := range []uint64{osd.SuperBlockOID, osd.DeviceTableOID, osd.RootDirectoryOID} {
-			id := osd.ObjectID{PID: osd.FirstPID, OID: oid}
-			payload := make([]byte, cfg.MetadataObjectSize) // set-up time: three metadata objects per store
-			for i := range payload {
-				payload[i] = byte(oid + uint64(i))
-			}
-			if _, err := s.PutCtx(nil, id, payload, osd.ClassMetadata, false); err != nil {
-				return nil, fmt.Errorf("store: materialise metadata %v: %w", id, err)
-			}
+	for _, oid := range []uint64{osd.SuperBlockOID, osd.DeviceTableOID, osd.RootDirectoryOID} {
+		id := osd.ObjectID{PID: osd.FirstPID, OID: oid}
+		payload := make([]byte, cfg.MetadataObjectSize) // set-up time: three metadata objects per store
+		for i := range payload {
+			payload[i] = byte(oid + uint64(i))
+		}
+		if _, err := s.PutCtx(nil, id, payload, osd.ClassMetadata, false); err != nil {
+			return nil, fmt.Errorf("store: materialise metadata %v: %w", id, err)
 		}
 	}
 	return s, nil
@@ -531,22 +526,6 @@ func (s *Store) unlistLocked(id osd.ObjectID) {
 	delete(s.objects, id)
 }
 
-// SetClass updates the object's class label without re-encoding (the raw
-// effect of a #SETID# control message).
-func (s *Store) SetClass(id osd.ObjectID, class osd.Class) error {
-	if !class.Valid() {
-		return fmt.Errorf("store: invalid class %d", class)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	obj, ok := s.objects[id]
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrNotFound, id)
-	}
-	s.assignLocked(obj, class, obj.stripes)
-	return nil
-}
-
 // reclassYieldBudget caps how long a background reclassification defers to
 // on-demand traffic before taking the store lock anyway — deference, not
 // starvation.
@@ -577,6 +556,13 @@ func (s *Store) yieldToOnDemand(rc *reqctx.Ctx) {
 // reclassifier pool) defer to in-flight on-demand traffic before contending
 // for the store lock.
 func (s *Store) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) (time.Duration, error) {
+	return s.reclassify(rc, id, class, rc.CanCancel())
+}
+
+// reclassify is ReclassifyCtx with the re-encode order chosen by the caller:
+// writeFirst keeps the old stripes until the new ones have landed, so a
+// refused re-encode leaves the object as it was.
+func (s *Store) reclassify(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class, writeFirst bool) (time.Duration, error) {
 	if !class.Valid() {
 		return 0, fmt.Errorf("store: invalid class %d", class)
 	}
@@ -609,7 +595,7 @@ func (s *Store) ReclassifyCtx(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class) 
 		return 0, err
 	}
 	defer data.Release()
-	ids, writeCost, err := s.replaceStripesLocked(rc, id, obj.stripes, data.Bytes(), newScheme, rc.CanCancel())
+	ids, writeCost, err := s.replaceStripesLocked(rc, id, obj.stripes, data.Bytes(), newScheme, writeFirst)
 	if err != nil {
 		return 0, err
 	}
@@ -846,10 +832,20 @@ func (s *Store) Control(raw []byte) (osd.SenseCode, error) {
 	}
 	switch cmd := msg.(type) {
 	case osd.SetIDCommand:
-		if err := s.SetClass(cmd.Object, cmd.Class); err != nil {
+		// A label is the redundancy the object gets: re-encode under the
+		// new class, charged against the reserved budget like a put, and
+		// write-first, so a refused label leaves the object as it was.
+		_, err := s.reclassify(nil, cmd.Object, cmd.Class, true)
+		switch {
+		case err == nil:
+			return osd.SenseOK, nil
+		case errors.Is(err, ErrRedundancyFull):
+			return osd.SenseRedundancyFull, err
+		case errors.Is(err, ErrCacheFull):
+			return osd.SenseCacheFull, err
+		default:
 			return osd.SenseFailure, err
 		}
-		return osd.SenseOK, nil
 	case osd.QueryCommand:
 		return s.query(cmd), nil
 	case osd.TuneCommand:

@@ -95,21 +95,6 @@ func TestMetadataObjectsMaterialised(t *testing.T) {
 	if _, _, _, err := getObject(s, id); err != nil {
 		t.Fatalf("metadata unreadable with one survivor: %v", err)
 	}
-
-	// Not materialised, not there.
-	bare, err := New(Config{
-		Devices:             5,
-		DeviceSpec:          testSpec(4 << 20),
-		ChunkSize:           1024,
-		Policy:              policy.Reo{ParityBudget: 0.2},
-		SkipMetadataObjects: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info, err := bare.Info(id); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Info(super block) without metadata objects = %+v, %v; want ErrNotFound", info, err)
-	}
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -155,8 +140,8 @@ func TestInvalidClassRejected(t *testing.T) {
 	if _, err := s.PutCtx(nil, oid(1), []byte("x"), osd.ClassColdClean, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetClass(oid(1), osd.Class(9)); err == nil {
-		t.Fatal("invalid class accepted on SetClass")
+	if sense, err := s.Control(osd.SetIDCommand{Object: oid(1), Class: osd.Class(9)}.Encode()); err == nil || sense != osd.SenseFailure {
+		t.Fatalf("invalid class on #SETID#: sense %v, err %v", sense, err)
 	}
 	if _, err := s.ReclassifyCtx(nil, oid(1), osd.Class(-1)); err == nil {
 		t.Fatal("invalid class accepted on Reclassify")
@@ -320,16 +305,16 @@ func TestDeleteAndMarkClean(t *testing.T) {
 	two := osd.Info{ID: oid(2), Class: osd.ClassColdClean, Size: 3_000}
 	wantListed(t, s, "put", one, two)
 
-	if err := s.SetClass(oid(2), osd.ClassHotClean); err != nil {
+	if _, err := s.ReclassifyCtx(nil, oid(2), osd.ClassHotClean); err != nil {
 		t.Fatal(err)
 	}
 	two.Class = osd.ClassHotClean
-	wantListed(t, s, "SetClass", one, two)
+	wantListed(t, s, "ReclassifyCtx hot", one, two)
 	if _, err := s.ReclassifyCtx(nil, oid(2), osd.ClassColdClean); err != nil {
 		t.Fatal(err)
 	}
 	two.Class = osd.ClassColdClean
-	wantListed(t, s, "ReclassifyCtx", one, two)
+	wantListed(t, s, "ReclassifyCtx cold", one, two)
 	if _, err := s.WriteRangeCtx(nil, oid(2), 100, randBytes(8, 200)); err != nil {
 		t.Fatal(err)
 	}
@@ -348,6 +333,68 @@ func TestDeleteAndMarkClean(t *testing.T) {
 	}
 	if err := s.MarkClean(oid(1)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("MarkClean on missing err = %v", err)
+	}
+}
+
+// TestSetIDReencodes: a #SETID# label is the redundancy the object gets. The
+// target re-encodes the object under the new class's scheme, so the parity
+// left behind by a hot label is freed and a dirty label is replicated, and a
+// change the reserved budget or the array cannot hold is refused with its
+// Table III sense, the old label kept.
+func TestSetIDReencodes(t *testing.T) {
+	s := newStore(t, policy.Reo{ParityBudget: 0.1}, 0.1)
+	setID := func(id osd.ObjectID, class osd.Class) osd.SenseCode {
+		t.Helper()
+		sense, _ := s.Control(osd.SetIDCommand{Object: id, Class: class}.Encode())
+		return sense
+	}
+	a, b, big := oid(1), oid(2), oid(3)
+	dataB := randBytes(11, 300_000)
+	if _, err := s.PutCtx(nil, a, randBytes(10, 600_000), osd.ClassHotClean, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutCtx(nil, b, dataB, osd.ClassColdClean, false); err != nil {
+		t.Fatal(err)
+	}
+	unlabelled := s.OverheadBytes()
+	if sense := setID(a, osd.ClassColdClean); sense != osd.SenseOK {
+		t.Fatalf("#SETID# hot → cold: sense %v", sense)
+	}
+	if got := s.OverheadBytes(); got >= unlabelled {
+		t.Fatalf("after hot → cold the array holds %d redundancy bytes, %d before: the parity was not freed", got, unlabelled)
+	}
+	if sense := setID(b, osd.ClassDirty); sense != osd.SenseOK {
+		t.Fatalf("#SETID# cold → dirty: sense %v", sense)
+	}
+
+	// Refusals: a hot label whose parity exceeds the reserved budget, and a
+	// dirty label whose replicas do not fit the array.
+	if _, err := s.PutCtx(nil, big, randBytes(12, 3_900_000), osd.ClassColdClean, false); err != nil {
+		t.Fatal(err)
+	}
+	if sense := setID(big, osd.ClassHotClean); sense != osd.SenseRedundancyFull {
+		t.Fatalf("#SETID# over the budget: sense %v, want %v", sense, osd.SenseRedundancyFull)
+	}
+	if sense := setID(big, osd.ClassDirty); sense != osd.SenseCacheFull {
+		t.Fatalf("#SETID# past the array: sense %v, want %v", sense, osd.SenseCacheFull)
+	}
+	if info, err := s.Info(big); err != nil || info.Class != osd.ClassColdClean {
+		t.Fatalf("refused object: %+v, %v; want it still cold", info, err)
+	}
+	if _, _, _, err := getObject(s, big); err != nil {
+		t.Fatalf("refused object unreadable: %v", err)
+	}
+
+	// B is listed dirty, so it must survive a device failure.
+	if err := s.FailDevice(0); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := s.Info(b); err != nil || info.Class != osd.ClassDirty {
+		t.Fatalf("Info(B) = %+v, %v", info, err)
+	}
+	got, _, _, err := getObject(s, b)
+	if err != nil || !bytes.Equal(got, dataB) {
+		t.Fatalf("object labelled dirty lost to one device failure: %v", err)
 	}
 }
 

@@ -486,9 +486,8 @@ func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ali
 //     matching its data. The operation is cancellable while it only reads; a
 //     request dead when the first chunk write is due writes no new data. From
 //     that write on, every read and write of the operation — across stripes —
-//     is issued under a child of the request that keeps its ID, priority and
-//     class hint but neither its cancellation nor its deadline: it runs to
-//     completion.
+//     is issued under a child of the request that keeps its ID and priority
+//     but neither its cancellation nor its deadline: it runs to completion.
 type writeOp struct {
 	rc        *reqctx.Ctx // what IO is issued under right now
 	published bool
@@ -505,8 +504,7 @@ func (w *writeOp) begin() error {
 		return err
 	}
 	w.req = w.rc
-	w.rc = reqctx.Acquire(nil).WithID(w.req.ID()).WithPriority(w.req.Priority()).
-		WithClassHint(w.req.ClassHint())
+	w.rc = reqctx.Acquire(nil).WithID(w.req.ID()).WithPriority(w.req.Priority())
 	return nil
 }
 

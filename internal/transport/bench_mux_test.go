@@ -58,7 +58,8 @@ func benchTargetConn(b *testing.B, objects uint64, size int) net.Conn {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := NewServer(st, ln, WithConnWorkers(16))
+	srv := NewServer(st, ln)
+	srv.workers = 16
 	srv.opDelay = func(req Request) {
 		if req.Op == OpGet {
 			time.Sleep(benchServiceDelay)

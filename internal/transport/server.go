@@ -27,8 +27,10 @@ import (
 // order — by a single per-connection writer goroutine; the RequestID echoed
 // on every response lets the initiator re-match them.
 type Server struct {
-	st      *store.Store
-	ln      net.Listener
+	st *store.Store
+	ln net.Listener
+	// workers bounds each connection's dispatch pool (defaultConnWorkers;
+	// tests may raise it before any connection is served).
 	workers int
 
 	// opDelay, when set (tests only, before any connection is served),
@@ -40,19 +42,6 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
-}
-
-// ServerOption configures a Server at construction.
-type ServerOption func(*Server)
-
-// WithConnWorkers bounds the per-connection dispatch pool to n concurrent
-// requests (values < 1 keep the default).
-func WithConnWorkers(n int) ServerOption {
-	return func(s *Server) {
-		if n >= 1 {
-			s.workers = n
-		}
-	}
 }
 
 // defaultConnWorkers sizes the per-connection dispatch pool: enough to keep
@@ -70,15 +59,12 @@ func defaultConnWorkers() int {
 }
 
 // NewServer starts serving the store on the listener. Close shuts it down.
-func NewServer(st *store.Store, ln net.Listener, opts ...ServerOption) *Server {
+func NewServer(st *store.Store, ln net.Listener) *Server {
 	s := &Server{
 		st:      st,
 		ln:      ln,
 		workers: defaultConnWorkers(),
 		conns:   make(map[net.Conn]struct{}),
-	}
-	for _, opt := range opts {
-		opt(s)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()

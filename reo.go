@@ -77,15 +77,6 @@ type Result = cache.Result
 // Stats aggregates cache activity counters.
 type Stats = cache.Stats
 
-// AdmissionMode selects how clean misses are admitted to flash.
-type AdmissionMode = cache.AdmissionMode
-
-// Admission modes for WithWriteAwareAdmission / Cache.SetAdmission.
-const (
-	AdmitAll     = cache.AdmitAll
-	AdmitOnReuse = cache.AdmitOnReuse
-)
-
 // Policy maps object classes to redundancy schemes.
 type Policy = policy.Policy
 
@@ -119,16 +110,11 @@ type config struct {
 	refreshInterval  int
 	maxDirtyFraction float64
 	recoveryOrder    store.RecoveryOrder
-	metadataSize     int
 	asyncReclass     bool
-	reclassWorkers   int
 	autoRecover      bool
 	layout           flash.Layout
 	segmentBytes     int64
-	backgroundGC     bool
 	admission        cache.AdmissionMode
-	admitMinHits     int
-	ghostCapacity    int
 	hedgeDelay       time.Duration
 	hedgeMax         int
 }
@@ -173,15 +159,11 @@ func WithMaxDirtyFraction(f float64) Option { return func(c *config) { c.maxDirt
 // WithAsyncReclassification moves the periodic hot/cold refresh off the
 // request path: Hhot is ranked outside the cache lock from a cheap snapshot
 // and class changes are re-encoded by a bounded background worker pool that
-// defers to on-demand traffic. workers bounds the pool's concurrency
-// (<= 0 selects the default, 2). Background re-encode work is not charged
-// to the virtual clock in this mode (it overlaps request service), so
-// results are not byte-comparable with the synchronous default.
-func WithAsyncReclassification(workers int) Option {
-	return func(c *config) {
-		c.asyncReclass = true
-		c.reclassWorkers = workers
-	}
+// defers to on-demand traffic (two workers). Background re-encode work is
+// not charged to the virtual clock in this mode (it overlaps request
+// service), so results are not byte-comparable with the synchronous default.
+func WithAsyncReclassification() Option {
+	return func(c *config) { c.asyncReclass = true }
 }
 
 // WithLogStructuredFlash switches the flash devices from in-place chunk
@@ -199,24 +181,18 @@ func WithLogStructuredFlash(segmentBytes int64) Option {
 	return func(c *config) {
 		c.layout = flash.LayoutLog
 		c.segmentBytes = segmentBytes
-		c.backgroundGC = true
 	}
 }
 
 // WithWriteAwareAdmission gates clean-miss admission on reuse: an object
 // missed for the first time is served straight through from the backend and
-// remembered in a ghost queue; only after minHits further misses is it
-// written to flash (Flashield-style "seen-again" filtering). Dirty writes
-// are always admitted — write-back durability cannot be bypassed. minHits
-// <= 0 selects 1; ghostCapacity <= 0 selects 16384 remembered IDs. This
-// trades cold-miss latency for flash lifetime: one-hit wonders never cost a
-// flash write.
-func WithWriteAwareAdmission(minHits, ghostCapacity int) Option {
-	return func(c *config) {
-		c.admission = cache.AdmitOnReuse
-		c.admitMinHits = minHits
-		c.ghostCapacity = ghostCapacity
-	}
+// remembered in a ghost queue of the last 16384 such IDs; only a second miss
+// while remembered writes it to flash (Flashield-style "seen-again"
+// filtering). Dirty writes are always admitted — write-back durability cannot
+// be bypassed. This trades cold-miss latency for flash lifetime: one-hit
+// wonders never cost a flash write.
+func WithWriteAwareAdmission() Option {
+	return func(c *config) { c.admission = cache.AdmitOnReuse }
 }
 
 // WithHedgedReads arms hedged degraded reads: when the health monitor marks
@@ -289,17 +265,16 @@ func New(opts ...Option) (*Cache, error) {
 		budget = reoPol.ParityBudget
 	}
 	st, err := store.New(store.Config{
-		Devices:            cfg.devices,
-		DeviceSpec:         flash.Intel540s((cfg.cacheCapacity + int64(cfg.devices) - 1) / int64(cfg.devices)),
-		ChunkSize:          cfg.chunkSize,
-		Policy:             cfg.policyChoice,
-		RedundancyBudget:   budget,
-		RecoveryOrder:      cfg.recoveryOrder,
-		MetadataObjectSize: cfg.metadataSize,
-		AutoRecover:        cfg.autoRecover,
-		Layout:             cfg.layout,
-		LogConfig:          flash.LogConfig{SegmentBytes: cfg.segmentBytes},
-		BackgroundGC:       cfg.backgroundGC,
+		Devices:          cfg.devices,
+		DeviceSpec:       flash.Intel540s((cfg.cacheCapacity + int64(cfg.devices) - 1) / int64(cfg.devices)),
+		ChunkSize:        cfg.chunkSize,
+		Policy:           cfg.policyChoice,
+		RedundancyBudget: budget,
+		RecoveryOrder:    cfg.recoveryOrder,
+		AutoRecover:      cfg.autoRecover,
+		Layout:           cfg.layout,
+		LogConfig:        flash.LogConfig{SegmentBytes: cfg.segmentBytes},
+		BackgroundGC:     cfg.layout == flash.LayoutLog,
 	})
 	if err != nil {
 		return nil, err
@@ -320,10 +295,7 @@ func New(opts ...Option) (*Cache, error) {
 		RefreshInterval:  cfg.refreshInterval,
 		MaxDirtyFraction: cfg.maxDirtyFraction,
 		AsyncRefresh:     cfg.asyncReclass,
-		ReclassWorkers:   cfg.reclassWorkers,
 		Admission:        cfg.admission,
-		AdmitMinHits:     cfg.admitMinHits,
-		GhostCapacity:    cfg.ghostCapacity,
 	})
 	if err != nil {
 		return nil, err
@@ -497,7 +469,7 @@ func (c *Cache) PreloadCtx(ctx context.Context, ids []ObjectID) (int, error) {
 // the paper's §II.B — and marked dirty; uncached objects are fetched,
 // merged, and admitted dirty.
 func (c *Cache) WriteAt(id ObjectID, offset int64, data []byte) (Result, error) {
-	res, err := c.manager.WriteAt(id, offset, data)
+	res, err := c.manager.WriteAtCtx(nil, id, offset, data)
 	if err != nil {
 		return Result{}, err
 	}
@@ -672,15 +644,6 @@ func (c *Cache) WriteAmp() WriteAmpStats { return c.store.WriteAmp() }
 // SegmentStats snapshots every device slot's segment utilization, garbage
 // ratio, and write-amplification counters in slot order.
 func (c *Cache) SegmentStats() []SegmentStats { return c.store.SegmentStats() }
-
-// SetAdmission reconfigures the clean-miss admission gate at runtime —
-// reo.AdmitAll restores unconditional admission; reo.AdmitOnReuse installs
-// a fresh ghost filter with the given thresholds (zero values select
-// defaults). Used by live tuning paths; the ghost history does not survive
-// reconfiguration.
-func (c *Cache) SetAdmission(mode AdmissionMode, minHits, ghostCapacity int) {
-	c.manager.SetAdmission(mode, minHits, ghostCapacity)
-}
 
 // WaitGC blocks until no background segment-collection episode is running.
 func (c *Cache) WaitGC() { c.store.WaitGC() }

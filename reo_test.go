@@ -483,7 +483,7 @@ func TestOptionsThatChangeThePaths(t *testing.T) {
 		opts   []Option
 		effect func(t *testing.T, c *Cache)
 	}{
-		{"async reclassification", []Option{WithAsyncReclassification(2), WithRefreshInterval(20)},
+		{"async reclassification", []Option{WithAsyncReclassification(), WithRefreshInterval(20)},
 			func(t *testing.T, c *Cache) {
 				// The refresh leaves the request path: no hit read pays for a
 				// reclassification, yet once it settles objects changed class.
@@ -524,7 +524,7 @@ func TestOptionsThatChangeThePaths(t *testing.T) {
 					t.Fatal("a written object opened no segment")
 				}
 			}},
-		{"write-aware admission", []Option{WithWriteAwareAdmission(1, 0)},
+		{"write-aware admission", []Option{WithWriteAwareAdmission()},
 			func(t *testing.T, c *Cache) {
 				id, data := UserObject(2), randBytes(2, 6000)
 				if err := c.Seed(id, data); err != nil {

@@ -11,8 +11,9 @@
 # number of exported *Ctx methods under internal/ that still have a non-Ctx
 # sibling on the same receiver in the same file (reo.Cache keeps its
 # convenience wrappers and is not counted), then a knob census — every value
-# someone can set: flag definitions under cmd/, exported With* options in
-# reo.go, #TUNE# keys (the literal keys of every tune/Tune method in
+# someone can set: flag definitions under cmd/, exported With* option
+# constructors (top-level `func With…`) in every package outside bench/,
+# #TUNE# keys (the literal keys of every tune/Tune method in
 # internal/store and internal/policy, plus the Knob* names of the per-op-class
 # registry older refs carry), exported fields of flash.LogConfig, store.Config and
 # cache.Config — for the working tree and, given a base ref, for it too, so
@@ -82,8 +83,8 @@ awk '
 	}
 ' "${files[@]}"
 
-# src <ref> <path>...: the non-test .go source under the paths, from the
-# working tree when <ref> is empty.
+# src <ref> <path>...: the non-test .go source under the paths, outside
+# bench/, from the working tree when <ref> is empty.
 src() {
 	local ref=$1 f
 	shift
@@ -91,7 +92,7 @@ src() {
 		git ls-tree -r --name-only "$ref" -- "$@"
 	else
 		git ls-files -co --exclude-standard -- "$@"
-	fi | grep '\.go$' | grep -v '_test\.go$' | while read -r f; do
+	fi | grep '\.go$' | grep -v -e '_test\.go$' -e '^bench/' | while read -r f; do
 		if [ -n "$ref" ]; then git show "$ref:$f"; else cat "$f"; fi
 	done
 }
@@ -108,7 +109,7 @@ fields() {
 census() { # census <label> <ref>
 	local flags with tune lc sc cc
 	flags=$(src "$2" cmd | grep -cE '\.(String|Int|Int64|Uint|Uint64|Bool|Float64|Duration)(Var)?\("' || true)
-	with=$(src "$2" reo.go | grep -cE '^func With[A-Z]' || true)
+	with=$(src "$2" . | grep -cE '^func With' || true)
 	tune=$(src "$2" internal/store internal/policy | awk '/^func \([a-z]+ \*[A-Za-z]+\) [tT]une\(/,/^}/' |
 		grep -oE '"[a-z][a-z.]*"' | sort -u | grep -vcx '"policy\."' || true)
 	tune=$((tune + $(src "$2" internal/policy | grep -cE '^[[:space:]]Knob[A-Za-z]+ += "' || true)))
