@@ -3,6 +3,8 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"github.com/reo-cache/reo/internal/backend"
@@ -28,6 +30,36 @@ import (
 // fill; the admission loop that evicts and retries), where the sub-writes
 // that needed care start.
 
+// scratch is one batch request's typed working set: the classification of
+// each sub-op and the vectored call's arguments. It lives for one call and
+// comes from scratchPool, sized by the call's N, so a batch allocates only
+// the result slices it returns.
+type scratch struct {
+	hit  []*entry
+	ids  []osd.ObjectID
+	subs []writeSub
+	puts []target.BatchPut
+	// first maps each ID of a write batch to its first position in it.
+	first map[osd.ObjectID]int
+}
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{first: make(map[osd.ObjectID]int)} }}
+
+// resize returns s with length n, reusing its array when it is big enough.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// putScratch clears what the call left in sc — entry pointers, errors and
+// caller data must not outlive it — and pools it.
+func putScratch(sc *scratch) {
+	clear(sc.hit)
+	clear(sc.ids)
+	clear(sc.subs)
+	clear(sc.puts)
+	clear(sc.first)
+	sc.hit, sc.ids, sc.subs, sc.puts = sc.hit[:0], sc.ids[:0], sc.subs[:0], sc.puts[:0]
+	scratchPool.Put(sc)
+}
+
 // BatchWrite is one object write in a batch.
 type BatchWrite struct {
 	ID   osd.ObjectID
@@ -47,7 +79,10 @@ func (m *Manager) ReadBatch(ids []osd.ObjectID) ([]Result, []error) {
 func (m *Manager) ReadBatchCtx(rc *reqctx.Ctx, ids []osd.ObjectID) ([]Result, []error) {
 	results := make([]Result, len(ids))
 	errs := make([]error, len(ids))
-	m.readN(rc, ids, make([]*entry, len(ids)), results, errs)
+	sc := scratchPool.Get().(*scratch)
+	sc.hit = resize(sc.hit, len(ids))
+	m.readN(rc, ids, sc.hit, sc, results, errs)
+	putScratch(sc)
 	return results, errs
 }
 
@@ -67,7 +102,10 @@ func (m *Manager) WriteBatch(ops []BatchWrite) ([]Result, []error) {
 func (m *Manager) WriteBatchCtx(rc *reqctx.Ctx, ops []BatchWrite) ([]Result, []error) {
 	results := make([]Result, len(ops))
 	errs := make([]error, len(ops))
-	m.writeN(rc, ops, make([]writeSub, len(ops)), results, errs)
+	sc := scratchPool.Get().(*scratch)
+	sc.subs = resize(sc.subs, len(ops))
+	m.writeN(rc, ops, sc.subs, sc, results, errs)
+	putScratch(sc)
 	return results, errs
 }
 
@@ -79,8 +117,9 @@ func failAll(errs []error, err error) {
 }
 
 // readN serves one read request. hit is caller-provided scratch, one per
-// id, so the N = 1 hit stays free of heap allocation.
-func (m *Manager) readN(rc *reqctx.Ctx, ids []osd.ObjectID, hit []*entry, results []Result, errs []error) {
+// id, so the N = 1 hit stays free of heap allocation; sc, the rest of a
+// batch's scratch, may be nil when len(ids) is 1.
+func (m *Manager) readN(rc *reqctx.Ctx, ids []osd.ObjectID, hit []*entry, sc *scratch, results []Result, errs []error) {
 	if err := rc.Err(); err != nil {
 		failAll(errs, err)
 		return
@@ -110,12 +149,13 @@ func (m *Manager) readN(rc *reqctx.Ctx, ids []osd.ObjectID, hit []*entry, result
 		g := &got[0]
 		g.Buf, g.Cost, g.Degraded, g.Err = m.cfg.Store.GetCtx(rc, ids[first])
 	case hits > 1:
-		hitIDs := make([]osd.ObjectID, 0, hits)
+		hitIDs := sc.ids[:0]
 		for i, e := range hit {
 			if e != nil {
 				hitIDs = append(hitIDs, ids[i])
 			}
 		}
+		sc.ids = hitIDs
 		got = target.GetBatch(m.cfg.Store, rc, hitIDs)
 	}
 
@@ -273,8 +313,9 @@ type writeSub struct {
 	through bool
 }
 
-// writeN absorbs one write request. subs is caller-provided scratch.
-func (m *Manager) writeN(rc *reqctx.Ctx, ops []BatchWrite, subs []writeSub, results []Result, errs []error) {
+// writeN absorbs one write request. subs is caller-provided scratch, one per
+// op; sc, the rest of a batch's scratch, may be nil when len(ops) is 1.
+func (m *Manager) writeN(rc *reqctx.Ctx, ops []BatchWrite, subs []writeSub, sc *scratch, results []Result, errs []error) {
 	if err := rc.Err(); err != nil {
 		failAll(errs, err)
 		return
@@ -291,7 +332,7 @@ func (m *Manager) writeN(rc *reqctx.Ctx, ops []BatchWrite, subs []writeSub, resu
 			subs[i].through = true
 		}
 	} else {
-		m.absorbLocked(rc, ops, subs, results, errs)
+		m.absorbLocked(rc, ops, subs, sc, results, errs)
 	}
 	m.mu.Unlock()
 
@@ -305,21 +346,22 @@ func (m *Manager) writeN(rc *reqctx.Ctx, ops []BatchWrite, subs []writeSub, resu
 // absorbLocked is writeN with the cache in service: write-back. The lock is
 // held from classification through the store put (as for any admission), so
 // every entry found settled still is when its put is booked.
-func (m *Manager) absorbLocked(rc *reqctx.Ctx, ops []BatchWrite, subs []writeSub, results []Result, errs []error) {
-	// Classify: a sub-write rides the first put (err nil) unless it needs
-	// care. Only a request of several objects can repeat an ID.
-	var seen map[osd.ObjectID]struct{}
+func (m *Manager) absorbLocked(rc *reqctx.Ctx, ops []BatchWrite, subs []writeSub, sc *scratch, results []Result, errs []error) {
+	// Only a request of several objects can repeat an ID: note where each
+	// one first appears.
 	if len(ops) > 1 {
-		seen = make(map[osd.ObjectID]struct{}, len(ops))
+		for i := len(ops) - 1; i >= 0; i-- {
+			sc.first[ops[i].ID] = i
+		}
 	}
+
+	// Classify: a sub-write rides the first put (err nil) unless it needs
+	// care.
 	puts, first := 0, 0
 	for i := range ops {
 		id := ops[i].ID
 		m.stats.OfferedBytes += results[i].Bytes
-		_, repeated := seen[id]
-		if seen != nil {
-			seen[id] = struct{}{}
-		}
+		repeated := len(ops) > 1 && sc.first[id] != i
 		if prev, ok := m.entries[id]; repeated || ok && !settledLocked(prev, rc, true) {
 			subs[i].err = errNotPut
 			continue
@@ -339,12 +381,13 @@ func (m *Manager) absorbLocked(rc *reqctx.Ctx, ops []BatchWrite, subs []writeSub
 	case puts == 1:
 		out[0].Cost, out[0].Err = m.cfg.Store.PutCtx(rc, ops[first].ID, ops[first].Data, osd.ClassDirty, true)
 	case puts > 1:
-		batch := make([]target.BatchPut, 0, puts)
+		batch := sc.puts[:0]
 		for i := range ops {
 			if subs[i].err == nil {
 				batch = append(batch, target.BatchPut{ID: ops[i].ID, Data: ops[i].Data, Class: osd.ClassDirty, Dirty: true})
 			}
 		}
+		sc.puts = batch
 		out = target.PutBatch(m.cfg.Store, rc, batch)
 	}
 	for i := range ops {
@@ -361,6 +404,16 @@ func (m *Manager) absorbLocked(rc *reqctx.Ctx, ops []BatchWrite, subs []writeSub
 	for i := range ops {
 		if s := &subs[i]; s.err != nil {
 			errs[i] = m.admitWriteLocked(rc, ops[i].ID, ops[i].Data, s, &results[i])
+			if s.through && slices.ContainsFunc(ops[i+1:], func(op BatchWrite) bool { return op.ID == ops[i].ID }) {
+				// A later sub-write of the same object must land after this
+				// one, as it would after N single writes: write this one
+				// through before the later one can be admitted, flushed
+				// and overwritten by a deferred write-through.
+				m.mu.Unlock()
+				errs[i] = m.writeThrough(rc, ops[i].ID, ops[i].Data, &results[i])
+				m.mu.Lock()
+				s.through = false
+			}
 		} else {
 			results[i].Hit = true
 			results[i].Latency += s.cost

@@ -17,7 +17,6 @@
 package cache
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"math"
@@ -155,12 +154,11 @@ type entry struct {
 	freq  int64
 	dirty bool
 	class osd.Class
-	elem  *list.Element
-	// dirtyElem is the entry's element in Manager.dirtyList while dirty,
-	// nil otherwise. The dirty list mirrors LRU order among dirty entries
-	// so flush victim selection walks only dirty objects instead of
-	// rescanning the whole LRU per flush.
-	dirtyElem *list.Element
+	// link holds the entry's place in Manager.lru (link[lruList]) and, while
+	// dirty, in Manager.dirty (link[dirtyList]). The dirty list mirrors
+	// LRU order among dirty entries so flush victim selection walks only
+	// dirty objects instead of rescanning the whole LRU per flush.
+	link [2]links
 	// latch is non-nil while a write-back or a background reclassification
 	// of the entry is in flight, and closes when it completes. Guarded by
 	// Manager.mu: paths that would delete, dirty, flush, or re-encode the
@@ -168,6 +166,69 @@ type entry struct {
 	// behind the latch never races a conflicting mutation.
 	latch chan struct{}
 }
+
+// links is an entry's place in one entryList; on reports whether it is
+// linked at all.
+type links struct {
+	prev, next *entry
+	on         bool
+}
+
+// The lists an entry can be on, indexing entry.link.
+const (
+	lruList = iota
+	dirtyList
+)
+
+// entryList is an intrusive doubly linked list of entries, front = most
+// recent: the links live in the entries, so linking one allocates nothing.
+// As with container/list, removing or moving an entry that is not on the
+// list is a no-op: a request may touch an entry another one dropped while
+// the manager lock was down.
+type entryList struct {
+	which       int // lruList or dirtyList
+	front, back *entry
+}
+
+func (l *entryList) pushFront(e *entry) {
+	k := &e.link[l.which]
+	k.prev, k.next, k.on = nil, l.front, true
+	if l.front != nil {
+		l.front.link[l.which].prev = e
+	} else {
+		l.back = e
+	}
+	l.front = e
+}
+
+func (l *entryList) remove(e *entry) {
+	k := &e.link[l.which]
+	if !k.on {
+		return
+	}
+	if k.prev != nil {
+		k.prev.link[l.which].next = k.next
+	} else {
+		l.front = k.next
+	}
+	if k.next != nil {
+		k.next.link[l.which].prev = k.prev
+	} else {
+		l.back = k.prev
+	}
+	k.prev, k.next, k.on = nil, nil, false
+}
+
+func (l *entryList) moveToFront(e *entry) {
+	if e.link[l.which].on && l.front != e {
+		l.remove(e)
+		l.pushFront(e)
+	}
+}
+
+// next is the entry behind e (towards the back), prev the one before it.
+func (l *entryList) next(e *entry) *entry { return e.link[l.which].next }
+func (l *entryList) prev(e *entry) *entry { return e.link[l.which].prev }
 
 // fill is the in-flight latch for a backend miss. Concurrent misses on the
 // same object coalesce onto one backend fetch: the first request becomes
@@ -310,11 +371,11 @@ type Manager struct {
 	mu      sync.Mutex
 	entries map[osd.ObjectID]*entry
 	fills   map[osd.ObjectID]*fill
-	lru     *list.List // front = most recent
-	// dirtyList holds exactly the dirty entries in LRU order (front =
-	// most recent); an entry is linked iff entry.dirtyElem != nil. Flush
-	// victim selection scans this list instead of the whole LRU.
-	dirtyList  *list.List
+	lru     entryList // every entry, front = most recent
+	// dirty holds exactly the dirty entries in LRU order (front = most
+	// recent); an entry is linked iff entry.dirty. Flush victim selection
+	// scans this list instead of the whole LRU.
+	dirty      entryList
 	hhot       float64
 	dirtyBytes int64
 	readsSince int
@@ -339,12 +400,12 @@ func New(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{
-		cfg:       cfg,
-		entries:   make(map[osd.ObjectID]*entry),
-		fills:     make(map[osd.ObjectID]*fill),
-		lru:       list.New(),
-		dirtyList: list.New(),
-		hhot:      math.Inf(1), // everything cold until the first refresh
+		cfg:     cfg,
+		entries: make(map[osd.ObjectID]*entry),
+		fills:   make(map[osd.ObjectID]*fill),
+		lru:     entryList{which: lruList},
+		dirty:   entryList{which: dirtyList},
+		hhot:    math.Inf(1), // everything cold until the first refresh
 	}
 	if cfg.Admission == AdmitOnReuse {
 		m.ghost = policy.NewGhostFilter()
@@ -395,7 +456,7 @@ func (m *Manager) ReadCtx(rc *reqctx.Ctx, id osd.ObjectID) (Result, error) {
 		err [1]error
 		hit [1]*entry
 	)
-	m.readN(rc, []osd.ObjectID{id}, hit[:], res[:], err[:])
+	m.readN(rc, []osd.ObjectID{id}, hit[:], nil, res[:], err[:])
 	return res[0], err[0]
 }
 
@@ -418,7 +479,7 @@ func (m *Manager) WriteCtx(rc *reqctx.Ctx, id osd.ObjectID, data []byte) (Result
 		err [1]error
 		sub [1]writeSub
 	)
-	m.writeN(rc, []BatchWrite{{ID: id, Data: data}}, sub[:], res[:], err[:])
+	m.writeN(rc, []BatchWrite{{ID: id, Data: data}}, sub[:], nil, res[:], err[:])
 	return res[0], err[0]
 }
 
@@ -491,7 +552,7 @@ func (m *Manager) installLocked(id osd.ObjectID, size int64, class osd.Class, di
 		m.dropEntryLocked(prev)
 	}
 	e := &entry{id: id, size: size, freq: 1, class: class}
-	e.elem = m.lru.PushFront(e)
+	m.lru.pushFront(e)
 	m.entries[id] = e
 	m.setDirtyLocked(e, dirty)
 }
@@ -589,11 +650,10 @@ func (m *Manager) admitFromLocked(rc *reqctx.Ctx, id osd.ObjectID, data []byte, 
 func (m *Manager) evictOneLocked() (time.Duration, bool) {
 	var total time.Duration
 	for {
-		back := m.lru.Back()
-		if back == nil {
+		e := m.lru.back
+		if e == nil {
 			return total, false
 		}
-		e := back.Value.(*entry)
 		if e.latch != nil {
 			// The victim is mid-flush or mid-reclassification; wait for
 			// the latch and rescan (the LRU tail may have changed while
@@ -705,8 +765,7 @@ func (m *Manager) flushEntryLocked(e *entry, settle bool) time.Duration {
 // that is. A dirty entry's latch can only be a flush: a background
 // reclassification latches clean entries only, and writers wait it out.
 func (m *Manager) flushVictimLocked() (victim, inflight *entry) {
-	for elem := m.dirtyList.Back(); elem != nil; elem = elem.Prev() {
-		e := elem.Value.(*entry)
+	for e := m.dirty.back; e != nil; e = m.dirty.prev(e) {
 		if e.latch == nil {
 			return e, nil
 		}
@@ -760,7 +819,7 @@ func (m *Manager) FlushAll() time.Duration {
 
 func (m *Manager) dropEntryLocked(e *entry) {
 	m.setDirtyLocked(e, false)
-	m.lru.Remove(e.elem)
+	m.lru.remove(e)
 	delete(m.entries, e.id)
 }
 
@@ -772,12 +831,11 @@ func (m *Manager) setDirtyLocked(e *entry, dirty bool) {
 	case dirty:
 		e.dirty = true
 		m.dirtyBytes += e.size
-		e.dirtyElem = m.dirtyList.PushFront(e)
+		m.dirty.pushFront(e)
 	default:
 		e.dirty = false
 		m.dirtyBytes -= e.size
-		m.dirtyList.Remove(e.dirtyElem)
-		e.dirtyElem = nil
+		m.dirty.remove(e)
 	}
 }
 
@@ -785,9 +843,9 @@ func (m *Manager) setDirtyLocked(e *entry, dirty bool) {
 // if dirty, in the dirty list (the two lists stay order-consistent so
 // flush victims match what a full LRU scan would pick).
 func (m *Manager) touchLocked(e *entry) {
-	m.lru.MoveToFront(e.elem)
-	if e.dirtyElem != nil {
-		m.dirtyList.MoveToFront(e.dirtyElem)
+	m.lru.moveToFront(e)
+	if e.dirty {
+		m.dirty.moveToFront(e)
 	}
 }
 

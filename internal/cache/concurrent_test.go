@@ -70,16 +70,14 @@ func TestConcurrentAdmitEvictChurn(t *testing.T) {
 	// from the map has its own live LRU element and vice versa.
 	f.cache.mu.Lock()
 	defer f.cache.mu.Unlock()
-	if got, want := f.cache.lru.Len(), len(f.cache.entries); got != want {
-		t.Fatalf("LRU has %d elements but the index has %d entries (orphaned elements)", got, want)
-	}
-	for elem := f.cache.lru.Back(); elem != nil; elem = elem.Prev() {
-		e, ok := elem.Value.(*entry)
-		if !ok {
-			t.Fatal("non-entry value in LRU")
-		}
+	linked := 0
+	for e := f.cache.lru.back; e != nil; e = f.cache.lru.prev(e) {
+		linked++
 		if f.cache.entries[e.id] != e {
 			t.Fatalf("stale LRU element for %v: index points at a different entry", e.id)
 		}
+	}
+	if want := len(f.cache.entries); linked != want {
+		t.Fatalf("LRU has %d elements but the index has %d entries (orphaned elements)", linked, want)
 	}
 }

@@ -109,8 +109,7 @@ func (m *Manager) refreshParamsLocked() (refreshParams, bool) {
 func (m *Manager) snapshotCleanLocked(withEntries bool) *[]snap {
 	sp := snapPool.Get().(*[]snap)
 	snaps := (*sp)[:0]
-	for el := m.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
+	for e := m.lru.front; e != nil; e = m.lru.next(e) {
 		if e.dirty {
 			// Dirty objects are Class 1 and protected unconditionally;
 			// the reserved budget covers only the hot clean set.

@@ -23,15 +23,15 @@ import (
 type spyTarget struct {
 	*store.Store
 	calls []string
-	// onPut, when set, runs before a put reaches the store; a non-nil error
-	// is returned in the store's place.
-	onPut func(id osd.ObjectID) error
+	// onPut, when set, runs before a put — single or a batch's sub-put —
+	// reaches the store; a non-nil error is returned in the store's place.
+	onPut func(id osd.ObjectID, data []byte) error
 }
 
 func (s *spyTarget) PutCtx(rc *reqctx.Ctx, id osd.ObjectID, data []byte, class osd.Class, dirty bool) (time.Duration, error) {
 	s.calls = append(s.calls, "PutCtx")
 	if s.onPut != nil {
-		if err := s.onPut(id); err != nil {
+		if err := s.onPut(id, data); err != nil {
 			return 0, err
 		}
 	}
@@ -74,7 +74,16 @@ func (s *spyTarget) GetBatchCtx(rc *reqctx.Ctx, ids []osd.ObjectID) []target.Bat
 
 func (s *spyTarget) PutBatchCtx(rc *reqctx.Ctx, ops []target.BatchPut) []target.BatchPutResult {
 	s.calls = append(s.calls, "PutBatchCtx")
-	return s.Store.PutBatchCtx(rc, ops)
+	if s.onPut == nil {
+		return s.Store.PutBatchCtx(rc, ops)
+	}
+	out := make([]target.BatchPutResult, len(ops))
+	for i := range ops {
+		if out[i].Err = s.onPut(ops[i].ID, ops[i].Data); out[i].Err == nil {
+			out[i] = s.Store.PutBatchCtx(rc, ops[i:i+1])[0]
+		}
+	}
+	return out
 }
 
 // spy rebuilds the fixture's manager over a spying wrapper of its store.
@@ -270,7 +279,7 @@ func TestOverwritePutDidNotLand(t *testing.T) {
 			if tc.cancelable {
 				rc = reqctx.New(ctx)
 			}
-			s.onPut = func(osd.ObjectID) error { return tc.fail(cancel) }
+			s.onPut = func(osd.ObjectID, []byte) error { return tc.fail(cancel) }
 			res, err := f.cache.WriteCtx(rc, oid(1), update)
 			s.onPut = nil
 			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && err != nil) {
@@ -405,7 +414,7 @@ func TestEvictedDirtyVictimIsWrittenBackAndDropped(t *testing.T) {
 		// the eviction's alone.
 		f.seed(t, 100, 5*size)
 		puts := 0
-		s.onPut = func(osd.ObjectID) error {
+		s.onPut = func(osd.ObjectID, []byte) error {
 			if puts++; puts == 2 {
 				return errors.New("target: put failed")
 			}
@@ -468,4 +477,46 @@ func TestEvictedDirtyVictimIsWrittenBackAndDropped(t *testing.T) {
 		}
 		got.Release()
 	})
+}
+
+// TestWriteBatchThroughKeepsCallerOrder pins caller order for a repeated ID
+// in one write batch under admission pressure: v5 of an object is refused
+// with nothing evictable and goes through to the backend; v6 of the same
+// object, later in the batch, is admitted dirty and then evicted — flushed
+// to the backend — by a still later sub-write's admission. N single writes
+// leave v6 in the backend, so the batch must too: v5's write-through has to
+// land before v6 is admitted, not after the batch lets go of the lock.
+func TestWriteBatchThroughKeepsCallerOrder(t *testing.T) {
+	f := newFixture(t, policy.Reo{ParityBudget: 0.4}, 0.4, 4<<20)
+	s := f.spy(t)
+	v5, v6, z := randBytes(5, 1024), randBytes(6, 1024), randBytes(7, 1024)
+	zRefused := false
+	s.onPut = func(id osd.ObjectID, data []byte) error {
+		switch {
+		case bytes.Equal(data, v5):
+			return store.ErrCacheFull
+		case id == oid(2) && !zRefused:
+			zRefused = true
+			return store.ErrCacheFull
+		}
+		return nil
+	}
+	_, errs := f.cache.WriteBatch([]BatchWrite{{ID: oid(1), Data: v5}, {ID: oid(1), Data: v6}, {ID: oid(2), Data: z}})
+	s.onPut = nil
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("sub-write %d: %v", i, err)
+		}
+	}
+	if st := f.cache.Stats(); st.Evictions != 1 || st.Flushes != 1 {
+		t.Fatalf("%d evictions, %d flushes: the scenario needs v6 evicted by the last sub-write", st.Evictions, st.Flushes)
+	}
+	if got, _, err := f.backend.Get(oid(1)); err != nil || !bytes.Equal(got, v6) {
+		t.Fatalf("backend holds v5 or worse after the batch (err %v), want v6", err)
+	}
+	res, err := f.cache.Read(oid(1))
+	if err != nil || !bytes.Equal(res.Data, v6) {
+		t.Fatalf("read after the batch: err %v, v5 %v, want v6", err, bytes.Equal(res.Data, v5))
+	}
+	res.Release()
 }

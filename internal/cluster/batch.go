@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/reo-cache/reo/internal/osd"
@@ -60,13 +62,13 @@ func (ini *Initiator) BatchCounters() BatchStats {
 // stripeSet marks the route-lock stripes a batch touches.
 type stripeSet [routeStripes]bool
 
-// lockStripes acquires the route-lock stripes covering ids in ascending
-// stripe index, each once (shared for batch gets, exclusive for batch puts),
-// and returns the set for unlockStripes.
-func (ini *Initiator) lockStripes(ids []osd.ObjectID, shared bool) stripeSet {
+// lockStripes acquires the route-lock stripes covering the n objects id
+// names in ascending stripe index, each once (shared for batch gets,
+// exclusive for batch puts), and returns the set for unlockStripes.
+func (ini *Initiator) lockStripes(n int, id func(i int) osd.ObjectID, shared bool) stripeSet {
 	var set stripeSet
-	for _, id := range ids {
-		set[HashID(id)&routeStripeMask] = true
+	for i := range n {
+		set[HashID(id(i))&routeStripeMask] = true
 	}
 	for idx, touched := range set {
 		if touched {
@@ -84,68 +86,138 @@ func (ini *Initiator) unlockStripes(set *stripeSet, shared bool) {
 	}
 }
 
-// shardBatch is one shard's slice of a batch: where its sub-ops go and their
-// positions in the caller's order.
-type shardBatch struct {
-	name    string
-	target  target.Target
-	indices []int
+// shardRun is one shard's part of a batch: the shard, and where its
+// sub-ops' caller positions sit in the plan's slab, pos[start:end].
+type shardRun struct {
+	name       string
+	target     target.Target
+	start, end int
 }
 
-// planBatch resolves every id to its owning shard under the already-held
-// stripe locks, returning per-shard sub-batches in first-touched order.
+// fan is one batch call's routing plan and fan-out state. It lives for the
+// call and comes from a per-direction pool (getFans, putFans), sized by the
+// call's N, so routing a batch allocates only the result slice it returns.
+// The plan groups positions by shard in one slab by counting, and each
+// shard's sub-batch is carved from one input slab the same way.
+type fan[In, Out any] struct {
+	shards []shardRun // in first-touched order
+	slot   []int      // per sub-op: its shard's index in shards, -1 if unresolved
+	pos    []int      // caller positions grouped by shard
+	sub    []In       // the sub-ops in pos order: each shard's sub-batch
+
+	// What the shards run, set for the call.
+	rc   *reqctx.Ctx
+	in   []In
+	out  []Out
+	call func(t target.Target, rc *reqctx.Ctx, sub []In) []Out
+
+	next atomic.Int32 // the next shard to claim
+	wg   sync.WaitGroup
+	// help is the helper goroutines' body, bound once per pooled fan so
+	// starting one allocates nothing.
+	help func()
+}
+
+func newFan[In, Out any](call func(target.Target, *reqctx.Ctx, []In) []Out) *fan[In, Out] {
+	f := &fan[In, Out]{call: call}
+	f.help = func() {
+		f.runShards()
+		f.wg.Done()
+	}
+	return f
+}
+
+var (
+	getFans = sync.Pool{New: func() any { return newFan(target.GetBatch) }}
+	putFans = sync.Pool{New: func() any { return newFan(target.PutBatch) }}
+)
+
+// resize returns s with length n, reusing its array when it is big enough.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// plan resolves every sub-op to its owning shard under the already-held
+// stripe locks (id gives a sub-op's object) and groups the sub-ops by shard.
 // A sub-op that does not resolve (unknown shard) is reported through fail
-// and belongs to no sub-batch.
-func (ini *Initiator) planBatch(ids []osd.ObjectID, fail func(i int, err error)) []*shardBatch {
-	var plan []*shardBatch
-	byName := make(map[string]*shardBatch)
-	for i, id := range ids {
-		r, err := ini.resolve(ini.stripeFor(id), id)
+// and belongs to no shard.
+func (f *fan[In, Out]) plan(ini *Initiator, id func(*In) osd.ObjectID, fail func(i int, err error)) {
+	f.slot = resize(f.slot, len(f.in))
+	for i := range f.in {
+		oid := id(&f.in[i])
+		r, err := ini.resolve(ini.stripeFor(oid), oid)
 		if err != nil {
 			fail(i, err)
+			f.slot[i] = -1
 			continue
 		}
-		sb := byName[r.name]
-		if sb == nil {
-			sb = &shardBatch{name: r.name, target: r.t}
-			byName[r.name] = sb
-			plan = append(plan, sb)
+		k := slices.IndexFunc(f.shards, func(sr shardRun) bool { return sr.name == r.name })
+		if k < 0 {
+			k = len(f.shards)
+			f.shards = append(f.shards, shardRun{name: r.name, target: r.t})
 		}
-		sb.indices = append(sb.indices, i)
+		f.slot[i] = k
+		f.shards[k].end++ // a count until the offsets pass below
 	}
-	return plan
+	at := 0
+	for k := range f.shards {
+		sr := &f.shards[k]
+		sr.start, sr.end, at = at, at, at+sr.end
+	}
+	f.pos = resize(f.pos, at)
+	f.sub = resize(f.sub, at)
+	for i, k := range f.slot {
+		if k >= 0 {
+			sr := &f.shards[k]
+			f.pos[sr.end], f.sub[sr.end] = i, f.in[i]
+			sr.end++
+		}
+	}
 }
 
-// fanOut runs each shard's sub-batch — concurrently when the batch spans
-// shards, inline when it does not — handing run the sub-batch's elements of
-// in and putting what it returns back at their positions in out.
-func fanOut[In, Out any](plan []*shardBatch, in []In, out []Out, run func(t target.Target, sub []In) []Out) {
-	do := func(sb *shardBatch) {
-		sub := make([]In, len(sb.indices))
-		for j, i := range sb.indices {
-			sub[j] = in[i]
+// run sends each shard its sub-batch and puts each result back at its
+// sub-op's caller position in out. The caller's goroutine and one helper
+// per further shard claim shards as they go, so a batch that touches one
+// shard starts no goroutine.
+func (f *fan[In, Out]) run() {
+	if helpers := len(f.shards) - 1; helpers > 0 {
+		f.wg.Add(helpers)
+		for range helpers {
+			go f.help()
 		}
-		results := run(sb.target, sub)
-		for j, i := range sb.indices {
+	}
+	f.runShards()
+	f.wg.Wait()
+}
+
+// runShards claims and runs shards until none is left.
+func (f *fan[In, Out]) runShards() {
+	for {
+		k := int(f.next.Add(1)) - 1
+		if k >= len(f.shards) {
+			return
+		}
+		sr := &f.shards[k]
+		results := f.call(sr.target, f.rc, f.sub[sr.start:sr.end])
+		for j, i := range f.pos[sr.start:sr.end] {
 			if j < len(results) {
-				out[i] = results[j]
+				f.out[i] = results[j]
 			}
 		}
 	}
-	if len(plan) == 1 {
-		do(plan[0])
-		return
-	}
-	var wg sync.WaitGroup
-	for _, sb := range plan {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			do(sb)
-		}()
-	}
-	wg.Wait()
 }
+
+// release clears what the call left in f — targets, contexts and caller
+// data must not outlive it — and pools it.
+func (f *fan[In, Out]) release(pool *sync.Pool) {
+	clear(f.shards)
+	clear(f.sub)
+	f.shards, f.sub = f.shards[:0], f.sub[:0]
+	f.rc, f.in, f.out = nil, nil, nil
+	f.next.Store(0)
+	pool.Put(f)
+}
+
+func batchGetID(id *osd.ObjectID) osd.ObjectID    { return *id }
+func batchPutID(op *target.BatchPut) osd.ObjectID { return op.ID }
 
 // GetBatchCtx implements target.BatchTarget: one directory resolution pass,
 // concurrent per-shard fan-out, caller-order reassembly. Per-object
@@ -157,18 +229,18 @@ func (ini *Initiator) GetBatchCtx(rc *reqctx.Ctx, ids []osd.ObjectID) []target.B
 		return out
 	}
 	defer ini.observe("cluster.get_batch", time.Now())
-	locked := ini.lockStripes(ids, true)
-	plan := ini.planBatch(ids, func(i int, err error) { out[i].Err = err })
-	fanOut(plan, ids, out, func(t target.Target, sub []osd.ObjectID) []target.BatchGetResult {
-		return target.GetBatch(t, rc, sub)
-	})
+	f := getFans.Get().(*fan[osd.ObjectID, target.BatchGetResult])
+	f.rc, f.in, f.out = rc, ids, out
+	locked := ini.lockStripes(len(ids), func(i int) osd.ObjectID { return ids[i] }, true)
+	f.plan(ini, batchGetID, func(i int, err error) { out[i].Err = err })
+	f.run()
 	ini.unlockStripes(&locked, true)
 
 	// Bookkeeping outside the read locks, as GetCtx does it.
 	failed := len(ids)
-	for _, sb := range plan {
-		c := ini.countersFor(sb.name)
-		for _, i := range sb.indices {
+	for _, sr := range f.shards {
+		c := ini.countersFor(sr.name)
+		for _, i := range f.pos[sr.start:sr.end] {
 			switch res := &out[i]; {
 			case res.Err == nil:
 				failed--
@@ -178,11 +250,12 @@ func (ini *Initiator) GetBatchCtx(rc *reqctx.Ctx, ids []osd.ObjectID) []target.B
 				}
 				c.book(0, n)
 			case errors.Is(res.Err, store.ErrNotFound):
-				ini.stripeFor(ids[i]).dropStale(ids[i], sb.name)
+				ini.stripeFor(ids[i]).dropStale(ids[i], sr.name)
 			}
 		}
 	}
-	ini.noteBatch(len(ids), len(plan), failed)
+	ini.noteBatch(len(ids), len(f.shards), failed)
+	f.release(&getFans)
 	return out
 }
 
@@ -196,33 +269,30 @@ func (ini *Initiator) PutBatchCtx(rc *reqctx.Ctx, ops []target.BatchPut) []targe
 		return out
 	}
 	defer ini.observe("cluster.put_batch", time.Now())
-	ids := make([]osd.ObjectID, len(ops))
-	for i := range ops {
-		ids[i] = ops[i].ID
-	}
-	locked := ini.lockStripes(ids, false)
-	plan := ini.planBatch(ids, func(i int, err error) { out[i].Err = err })
-	fanOut(plan, ops, out, func(t target.Target, sub []target.BatchPut) []target.BatchPutResult {
-		return target.PutBatch(t, rc, sub)
-	})
+	f := putFans.Get().(*fan[target.BatchPut, target.BatchPutResult])
+	f.rc, f.in, f.out = rc, ops, out
+	locked := ini.lockStripes(len(ops), func(i int) osd.ObjectID { return ops[i].ID }, false)
+	f.plan(ini, batchPutID, func(i int, err error) { out[i].Err = err })
+	f.run()
 
 	// Commit placements for the successes while the write locks are still
 	// held, so a concurrent rebalance never observes a half-committed batch.
 	failed := len(ops)
-	for _, sb := range plan {
-		c := ini.countersFor(sb.name)
-		for _, i := range sb.indices {
+	for _, sr := range f.shards {
+		c := ini.countersFor(sr.name)
+		for _, i := range f.pos[sr.start:sr.end] {
 			if out[i].Err != nil {
 				continue
 			}
 			failed--
 			op := &ops[i]
-			ini.stripeFor(op.ID).commitPut(op.ID, sb.name, op.Class, op.Dirty)
+			ini.stripeFor(op.ID).commitPut(op.ID, sr.name, op.Class, op.Dirty)
 			c.book(int64(len(op.Data)), 0)
 		}
 	}
 	ini.unlockStripes(&locked, false)
-	ini.noteBatch(len(ops), len(plan), failed)
+	ini.noteBatch(len(ops), len(f.shards), failed)
+	f.release(&putFans)
 	return out
 }
 

@@ -28,9 +28,7 @@
 // first-class outputs of this layout, not request latency.
 package flash
 
-import (
-	"sort"
-)
+import "slices"
 
 // Layout selects how a device organises chunk writes physically.
 type Layout int
@@ -94,6 +92,9 @@ type segment struct {
 	live   int64
 	dead   int64
 	chunks map[ChunkAddr]int64
+	// appended counts the chunks ever appended, the size hint for the map
+	// of the segment opened after this one.
+	appended int
 }
 
 // logState is the per-device log-layout bookkeeping, embedded in Device and
@@ -106,6 +107,8 @@ type logState struct {
 	nextSeg  uint32
 	segSeq   uint64
 	garbage  int64 // total dead bytes across all unerased segments
+	// addrs is collectOnceLocked's scratch: a victim's chunk addresses.
+	addrs []ChunkAddr
 }
 
 func newLogState(cfg LogConfig, capacity int64) logState {
@@ -168,12 +171,18 @@ func (d *Device) openForLocked(n int64) *segment {
 	if d.log.open != nil && d.log.open.fill+n <= d.log.cfg.SegmentBytes {
 		return d.log.open
 	}
+	// Size the chunk map for as many chunks as the segment before took, so
+	// it does not grow chunk by chunk.
+	hint := 0
+	if d.log.open != nil {
+		hint = d.log.open.appended
+	}
 	d.log.nextSeg++
 	d.log.segSeq++
 	seg := &segment{
 		id:     d.log.nextSeg,
 		seq:    d.log.segSeq,
-		chunks: make(map[ChunkAddr]int64),
+		chunks: make(map[ChunkAddr]int64, hint),
 	}
 	d.log.segs[seg.id] = seg
 	d.log.open = seg
@@ -185,6 +194,7 @@ func (d *Device) openForLocked(n int64) *segment {
 func (d *Device) appendChunkLocked(addr ChunkAddr, n int64) {
 	seg := d.openForLocked(n)
 	seg.chunks[addr] = n
+	seg.appended++
 	seg.fill += n
 	seg.live += n
 	d.log.chunkSeg[addr] = seg.id
@@ -244,11 +254,12 @@ func (d *Device) collectOnceLocked(force bool) (int64, bool) {
 	if victim == nil {
 		return 0, false
 	}
-	addrs := make([]ChunkAddr, 0, len(victim.chunks))
+	addrs := d.log.addrs[:0]
 	for addr := range victim.chunks {
 		addrs = append(addrs, addr)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
+	d.log.addrs = addrs
 	var moved int64
 	for _, addr := range addrs {
 		n := victim.chunks[addr]

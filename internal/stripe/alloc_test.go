@@ -12,8 +12,9 @@ import (
 )
 
 // TestWriteCtxAllocs pins a put's heap cost, whatever its stripe count: the ID
-// list, the alive snapshot and one slab of stripe metadata — and, with parity,
-// one slab of rotated device lists. Stripes are freed after each put, so the
+// list and one slab of stripe metadata — and, with parity, one slab of
+// rotated device lists. The alive snapshot is shared with the puts before
+// it while the alive set holds. Stripes are freed after each put, so the
 // devices write into recycled chunk buffers and the staging arena is leased.
 func TestWriteCtxAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
@@ -29,7 +30,7 @@ func TestWriteCtxAllocs(t *testing.T) {
 		scheme    policy.Scheme
 		perStripe int
 		bound     float64
-	}{{policy.ReplicateAll(), chunk, 3}, {policy.Parity(2), 3 * chunk, 4}} {
+	}{{policy.ReplicateAll(), chunk, 2}, {policy.Parity(2), 3 * chunk, 3}} {
 		for _, stripes := range []int{1, 5} {
 			m := testManager(t, 5, chunk)
 			data := randBytes(int64(stripes), stripes*tc.perStripe)

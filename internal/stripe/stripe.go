@@ -124,11 +124,12 @@ type Manager struct {
 	chunkSize int
 	rotate    bool
 
-	// mu guards nextID and the stripes map — metadata only. It is never
-	// held across device IO or encode/decode work.
+	// mu guards nextID, the stripes map and alive — metadata only. It is
+	// never held across device IO or encode/decode work.
 	mu      sync.RWMutex
 	nextID  ID
 	stripes map[ID]*stripeMeta
+	alive   []int // the last write's alive-device snapshot (aliveSnapshot)
 
 	// codecMu guards the codec cache so read paths can share codecs
 	// without contending on the manager mutex.
@@ -367,11 +368,7 @@ func (m *Manager) WriteCtx(rc *reqctx.Ctx, data []byte, scheme policy.Scheme) ([
 	if scheme.Kind != policy.KindReplicate {
 		rotated = make([]int, stripes*n)
 	}
-	// One snapshot shared by every stripe of the call and never written
-	// again: its capacity is its length, so a rebuild that extends a replica
-	// set by append gets its own copy.
-	devs := make([]int, n)
-	copy(devs, alive)
+	devs := m.aliveSnapshot(alive)
 	for k, off := 0, 0; off == 0 || off < len(data); k, off = k+1, off+perStripe {
 		var rot []int
 		if rotated != nil {
@@ -386,6 +383,19 @@ func (m *Manager) WriteCtx(rc *reqctx.Ctx, data []byte, scheme policy.Scheme) ([
 		total += cost
 	}
 	return ids, total, nil
+}
+
+// aliveSnapshot returns alive as a slice shared by every stripe written since
+// the alive set last changed, so a write allocates none while it holds. No
+// one writes a snapshot: its capacity is its length, so a rebuild that
+// extends a replica set by append gets its own copy.
+func (m *Manager) aliveSnapshot(alive []int) []int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !slices.Equal(m.alive, alive) {
+		m.alive = slices.Clip(slices.Clone(alive))
+	}
+	return m.alive
 }
 
 // chunkLen is the length of every chunk of a stripe that holds n bytes of user

@@ -46,6 +46,12 @@ type BatchPutResult struct {
 // one wire frame, one fan-out — while keeping per-object semantics: each
 // sub-op succeeds or fails independently with the same errors the single-op
 // methods return, and results are positionally aligned with the inputs.
+//
+// Ownership: ids and ops (and each op's Data) are borrowed for the call. An
+// implementation reads them only until it returns and never retains them,
+// so a caller may reuse pooled scratch for them as soon as the call is
+// done. The returned slice is a fresh one that belongs to the caller, as
+// does every lease in it.
 type BatchTarget interface {
 	// GetBatchCtx reads len(ids) objects; the returned slice has one entry
 	// per id, in order.

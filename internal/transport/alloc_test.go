@@ -8,6 +8,7 @@ import (
 
 	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/osd"
+	"github.com/reo-cache/reo/internal/target"
 )
 
 // settleOutstanding waits for bufpool.Outstanding to drain back to want.
@@ -154,5 +155,89 @@ func BenchmarkRemoteReadAllocs(b *testing.B) {
 				b.Fatalf("leaked %d pooled buffers", got-before)
 			}
 		})
+	}
+}
+
+// remoteBatchAllocCeiling bounds the heap objects one 64-op batch call
+// costs over the wire, client and in-process server together, beyond what
+// the store itself allocates for the same sub-ops: the result slice the
+// client returns, the one the store returns, and the odd pool refill. Every
+// per-call scratch — the request payload, the decoded sub-ops, the response
+// payload, the write vector — is leased or pooled.
+const remoteBatchAllocCeiling = 4.0
+
+// TestRemoteBatchAllocBound is the batch mirror of
+// TestRemoteReadHitAllocBound: a warm 64-ID GetBatchCtx and a 64-op
+// PutBatchCtx over a loopback connection each cost at most a small constant
+// number of allocations per call, every byte read is verified, and the
+// pooled-buffer and wire-lease books balance afterwards.
+func TestRemoteBatchAllocBound(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("allocation counts are distorted under the race detector")
+	}
+	const n, size = 64, 512
+	st := newTarget(t)
+	client, _ := pipePair(t, st)
+	ids := make([]osd.ObjectID, n)
+	ops := make([]target.BatchPut, n)
+	for i := range ids {
+		ids[i] = oid(uint64(i))
+		ops[i] = target.BatchPut{ID: ids[i], Data: bytes.Repeat([]byte{byte(i + 1)}, size), Class: osd.ClassColdClean}
+	}
+	put := func() {
+		for i, r := range client.PutBatchCtx(nil, ops) {
+			if r.Err != nil {
+				t.Fatalf("put %d: %v", i, r.Err)
+			}
+		}
+	}
+	get := func() {
+		rs := client.GetBatchCtx(nil, ids)
+		for i := range rs {
+			if rs[i].Err != nil || !bytes.Equal(rs[i].Buf.Bytes(), ops[i].Data) {
+				t.Fatalf("get %d: err %v or wrong bytes", i, rs[i].Err)
+			}
+			rs[i].Release()
+		}
+	}
+	direct := func() {
+		for _, r := range st.PutBatchCtx(nil, ops) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	}
+	for range 8 {
+		put()
+		get()
+	}
+	direct()
+	// A payload-less round trip after the last read: once it returns, the
+	// server's writer has released every earlier response lease.
+	if _, err := client.StatusCtx(nil, oid(1)); err != nil {
+		t.Fatal(err)
+	}
+	outstanding := bufpool.Outstanding()
+	ws := SnapshotWireStats()
+	gap := ws.Leases - ws.Releases
+
+	getAllocs := testing.AllocsPerRun(50, get)
+	storeAllocs := testing.AllocsPerRun(50, direct)
+	putAllocs := testing.AllocsPerRun(50, put)
+	t.Logf("per 64-op call: get %.1f allocs, put %.1f (store alone %.1f)", getAllocs, putAllocs, storeAllocs)
+	if getAllocs > remoteBatchAllocCeiling {
+		t.Errorf("a 64-ID remote batch read allocates %.1f objects, want <= %v", getAllocs, remoteBatchAllocCeiling)
+	}
+	if putAllocs-storeAllocs > remoteBatchAllocCeiling {
+		t.Errorf("a 64-op remote batch write allocates %.1f objects beyond the store's own %.1f, want <= %v",
+			putAllocs-storeAllocs, storeAllocs, remoteBatchAllocCeiling)
+	}
+
+	get()
+	if got := settleOutstanding(outstanding); got != outstanding {
+		t.Errorf("leaked %d pooled buffers across the measured batches", got-outstanding)
+	}
+	if got := settleWireGap(gap); got != gap {
+		t.Errorf("wire lease gap %d after the measured batches, want %d", got, gap)
 	}
 }

@@ -3,6 +3,8 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"github.com/reo-cache/reo/internal/bufpool"
@@ -41,55 +43,77 @@ const getBatchRespFixed = 4 + 1 + 8 + 2 + 4
 // (sense, cost, msgLen).
 const putBatchRespFixed = 4 + 8 + 2
 
-// encodeBatchIDs renders an OpGetBatch request payload.
-func encodeBatchIDs(ids []osd.ObjectID) []byte {
-	out := make([]byte, 0, len(ids)*batchIDSize)
-	for _, id := range ids {
-		out = binary.BigEndian.AppendUint64(out, id.PID)
-		out = binary.BigEndian.AppendUint64(out, id.OID)
-	}
-	return out
+// batchScratch is one batch dispatch's decoded sub-ops, pooled and sized by
+// the batch's N; a put's Data aliases the request frame. It lives until the
+// store call returns.
+type batchScratch struct {
+	ids  []osd.ObjectID
+	puts []target.BatchPut
 }
 
-// decodeBatchIDs parses an OpGetBatch request payload.
-func decodeBatchIDs(payload []byte) ([]osd.ObjectID, error) {
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// leasePayload leases a wire buffer of n bytes for a payload the codecs
+// append into; it is released like a frame (releaseFrame).
+func leasePayload(n int) *bufpool.Buf {
+	wireLeases.Add(1)
+	return bufpool.Get(n)
+}
+
+// appendBatchIDs appends an OpGetBatch request payload to dst.
+func appendBatchIDs(dst []byte, ids []osd.ObjectID) []byte {
+	for _, id := range ids {
+		dst = binary.BigEndian.AppendUint64(dst, id.PID)
+		dst = binary.BigEndian.AppendUint64(dst, id.OID)
+	}
+	return dst
+}
+
+// decodeBatchIDsInto parses an OpGetBatch request payload into dst's array,
+// grown as needed, and returns the IDs.
+func decodeBatchIDsInto(dst []osd.ObjectID, payload []byte) ([]osd.ObjectID, error) {
 	if len(payload)%batchIDSize != 0 {
 		return nil, fmt.Errorf("%w: get-batch payload %d bytes, not a multiple of %d",
 			ErrShortFrame, len(payload), batchIDSize)
 	}
-	out := make([]osd.ObjectID, 0, len(payload)/batchIDSize)
+	dst = slices.Grow(dst[:0], len(payload)/batchIDSize)
 	for off := 0; off < len(payload); off += batchIDSize {
-		out = append(out, osd.ObjectID{
+		dst = append(dst, osd.ObjectID{
 			PID: binary.BigEndian.Uint64(payload[off : off+8]),
 			OID: binary.BigEndian.Uint64(payload[off+8 : off+16]),
 		})
 	}
-	return out, nil
+	return dst, nil
 }
 
-// encodePutBatch renders an OpPutBatch request payload from the sub-ops.
-func encodePutBatch(ops []target.BatchPut) []byte {
+// putBatchSize is the OpPutBatch request payload size of ops.
+func putBatchSize(ops []target.BatchPut) int {
 	size := 0
 	for i := range ops {
 		size += putBatchEntryFixed + len(ops[i].Data)
 	}
-	out := make([]byte, 0, size)
-	for i := range ops {
-		op := &ops[i]
-		out = binary.BigEndian.AppendUint64(out, op.ID.PID)
-		out = binary.BigEndian.AppendUint64(out, op.ID.OID)
-		out = append(out, byte(op.Class), boolByte(op.Dirty))
-		out = binary.BigEndian.AppendUint32(out, uint32(len(op.Data)))
-		out = append(out, op.Data...)
-	}
-	return out
+	return size
 }
 
-// decodePutBatchInPlace parses an OpPutBatch request payload without moving
-// the object data: every entry's Data aliases payload. The caller must keep
-// payload alive until the sub-ops are fully consumed.
-func decodePutBatchInPlace(payload []byte) ([]target.BatchPut, error) {
-	var out []target.BatchPut
+// appendPutBatch appends an OpPutBatch request payload to dst.
+func appendPutBatch(dst []byte, ops []target.BatchPut) []byte {
+	for i := range ops {
+		op := &ops[i]
+		dst = binary.BigEndian.AppendUint64(dst, op.ID.PID)
+		dst = binary.BigEndian.AppendUint64(dst, op.ID.OID)
+		dst = append(dst, byte(op.Class), boolByte(op.Dirty))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(op.Data)))
+		dst = append(dst, op.Data...)
+	}
+	return dst
+}
+
+// decodePutOpsInto parses an OpPutBatch request payload into dst's array,
+// grown as needed, without moving the object data: every entry's Data
+// aliases payload. The caller must keep payload alive until the sub-ops are
+// fully consumed.
+func decodePutOpsInto(dst []target.BatchPut, payload []byte) ([]target.BatchPut, error) {
+	dst = dst[:0]
 	rest := payload
 	for len(rest) > 0 {
 		if len(rest) < putBatchEntryFixed {
@@ -114,117 +138,187 @@ func decodePutBatchInPlace(payload []byte) ([]target.BatchPut, error) {
 			op.Data = rest[:dataLen:dataLen]
 		}
 		rest = rest[dataLen:]
-		out = append(out, op)
+		dst = append(dst, op)
 	}
-	return out, nil
+	return dst, nil
 }
 
-// wireGetResult is one decoded OpGetBatch response entry; Data aliases the
-// response frame when decoded in place.
-type wireGetResult struct {
-	Sense    osd.SenseCode
-	Degraded bool
-	Cost     time.Duration
-	Message  string
-	Data     []byte
+// getBatchEntry is one OpGetBatch response entry as it sits on the wire:
+// msg and data alias the payload it was parsed from.
+type getBatchEntry struct {
+	sense    osd.SenseCode
+	degraded bool
+	cost     time.Duration
+	msg      []byte
+	data     []byte
 }
 
-// decodeGetBatchResults parses an OpGetBatch response payload in place: each
-// entry's Data aliases payload.
-func decodeGetBatchResults(payload []byte) ([]wireGetResult, error) {
-	var out []wireGetResult
-	rest := payload
-	for len(rest) > 0 {
-		if len(rest) < getBatchRespFixed-4 {
-			return nil, fmt.Errorf("%w: get-batch result header: %d bytes left",
-				ErrShortFrame, len(rest))
-		}
-		r := wireGetResult{
-			Sense:    osd.SenseCode(int32(binary.BigEndian.Uint32(rest[0:4]))),
-			Degraded: rest[4] != 0,
-			Cost:     time.Duration(binary.BigEndian.Uint64(rest[5:13])),
-		}
-		msgLen := int(binary.BigEndian.Uint16(rest[13:15]))
-		rest = rest[15:]
-		if len(rest) < msgLen+4 {
-			return nil, fmt.Errorf("%w: get-batch result message %d bytes, %d left",
-				ErrShortFrame, msgLen, len(rest))
-		}
-		if msgLen > 0 {
-			r.Message = string(rest[:msgLen])
-		}
-		rest = rest[msgLen:]
-		dataLen := binary.BigEndian.Uint32(rest[0:4])
-		rest = rest[4:]
-		if int64(dataLen) > int64(len(rest)) {
-			return nil, fmt.Errorf("%w: get-batch result data %d bytes, %d left",
-				ErrShortFrame, dataLen, len(rest))
-		}
-		if dataLen > 0 {
-			r.Data = rest[:dataLen:dataLen]
-		}
-		rest = rest[dataLen:]
-		out = append(out, r)
+// nextGetBatchEntry parses the OpGetBatch response entry at the head of
+// rest and returns it with what follows it.
+func nextGetBatchEntry(rest []byte) (getBatchEntry, []byte, error) {
+	if len(rest) < getBatchRespFixed-4 {
+		return getBatchEntry{}, nil, fmt.Errorf("%w: get-batch result header: %d bytes left",
+			ErrShortFrame, len(rest))
 	}
-	return out, nil
-}
-
-// wirePutResult is one decoded OpPutBatch response entry.
-type wirePutResult struct {
-	Sense   osd.SenseCode
-	Cost    time.Duration
-	Message string
-}
-
-// decodePutBatchResults parses an OpPutBatch response payload.
-func decodePutBatchResults(payload []byte) ([]wirePutResult, error) {
-	var out []wirePutResult
-	rest := payload
-	for len(rest) > 0 {
-		if len(rest) < putBatchRespFixed {
-			return nil, fmt.Errorf("%w: put-batch result header: %d bytes left",
-				ErrShortFrame, len(rest))
-		}
-		r := wirePutResult{
-			Sense: osd.SenseCode(int32(binary.BigEndian.Uint32(rest[0:4]))),
-			Cost:  time.Duration(binary.BigEndian.Uint64(rest[4:12])),
-		}
-		msgLen := int(binary.BigEndian.Uint16(rest[12:14]))
-		rest = rest[putBatchRespFixed:]
-		if len(rest) < msgLen {
-			return nil, fmt.Errorf("%w: put-batch result message %d bytes, %d left",
-				ErrShortFrame, msgLen, len(rest))
-		}
-		if msgLen > 0 {
-			r.Message = string(rest[:msgLen])
-		}
-		rest = rest[msgLen:]
-		out = append(out, r)
+	e := getBatchEntry{
+		sense:    osd.SenseCode(int32(binary.BigEndian.Uint32(rest[0:4]))),
+		degraded: rest[4] != 0,
+		cost:     time.Duration(binary.BigEndian.Uint64(rest[5:13])),
 	}
-	return out, nil
+	msgLen := int(binary.BigEndian.Uint16(rest[13:15]))
+	rest = rest[15:]
+	if len(rest) < msgLen+4 {
+		return getBatchEntry{}, nil, fmt.Errorf("%w: get-batch result message %d bytes, %d left",
+			ErrShortFrame, msgLen, len(rest))
+	}
+	if msgLen > 0 {
+		e.msg = rest[:msgLen:msgLen]
+	}
+	rest = rest[msgLen:]
+	dataLen := binary.BigEndian.Uint32(rest[0:4])
+	rest = rest[4:]
+	if int64(dataLen) > int64(len(rest)) {
+		return getBatchEntry{}, nil, fmt.Errorf("%w: get-batch result data %d bytes, %d left",
+			ErrShortFrame, dataLen, len(rest))
+	}
+	if dataLen > 0 {
+		e.data = rest[:dataLen:dataLen]
+	}
+	return e, rest[dataLen:], nil
+}
+
+// appendGetBatchEntry appends one OpGetBatch response entry to dst.
+func appendGetBatchEntry(dst []byte, sense osd.SenseCode, degraded bool, cost time.Duration, msg string, data []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(sense)))
+	dst = append(dst, boolByte(degraded))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(cost))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(msg)))
+	dst = append(dst, msg...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(data)))
+	return append(dst, data...)
+}
+
+// decodeGetResultsInto parses an OpGetBatch response payload straight into
+// out, which must have exactly one slot per entry. An OK entry's bytes are
+// copied into a pooled lease of their own — one frame backs every
+// sub-payload but a lease has a single owner, and for the tiny objects
+// batching targets the copy costs about as much as the lease bookkeeping it
+// replaces; an error message becomes a string only for a failed entry. On
+// error nothing stays leased and out is zeroed.
+func decodeGetResultsInto(out []target.BatchGetResult, payload []byte) error {
+	rest, n := payload, 0
+	for ; len(rest) > 0 && n < len(out); n++ {
+		e, tail, err := nextGetBatchEntry(rest)
+		if err != nil {
+			releaseResults(out[:n])
+			return err
+		}
+		rest = tail
+		if err := entryError(e.sense, e.msg); err != nil {
+			out[n] = target.BatchGetResult{Err: err}
+			continue
+		}
+		buf := bufpool.Get(len(e.data))
+		copy(buf.Bytes(), e.data)
+		out[n] = target.BatchGetResult{Buf: buf, Cost: e.cost, Degraded: e.degraded}
+	}
+	if len(rest) > 0 || n < len(out) {
+		releaseResults(out[:n])
+		return fmt.Errorf("%w: %v: results and %d sub-ops disagree", ErrShortFrame, OpGetBatch, len(out))
+	}
+	return nil
+}
+
+// releaseResults returns the leases of results decoded so far and zeroes
+// them.
+func releaseResults(rs []target.BatchGetResult) {
+	for i := range rs {
+		rs[i].Release()
+	}
+	clear(rs)
+}
+
+// putBatchEntry is one OpPutBatch response entry as it sits on the wire: msg
+// aliases the payload it was parsed from.
+type putBatchEntry struct {
+	sense osd.SenseCode
+	cost  time.Duration
+	msg   []byte
+}
+
+// nextPutBatchEntry parses the OpPutBatch response entry at the head of
+// rest and returns it with what follows it.
+func nextPutBatchEntry(rest []byte) (putBatchEntry, []byte, error) {
+	if len(rest) < putBatchRespFixed {
+		return putBatchEntry{}, nil, fmt.Errorf("%w: put-batch result header: %d bytes left",
+			ErrShortFrame, len(rest))
+	}
+	e := putBatchEntry{
+		sense: osd.SenseCode(int32(binary.BigEndian.Uint32(rest[0:4]))),
+		cost:  time.Duration(binary.BigEndian.Uint64(rest[4:12])),
+	}
+	msgLen := int(binary.BigEndian.Uint16(rest[12:14]))
+	rest = rest[putBatchRespFixed:]
+	if len(rest) < msgLen {
+		return putBatchEntry{}, nil, fmt.Errorf("%w: put-batch result message %d bytes, %d left",
+			ErrShortFrame, msgLen, len(rest))
+	}
+	if msgLen > 0 {
+		e.msg = rest[:msgLen:msgLen]
+	}
+	return e, rest[msgLen:], nil
+}
+
+// appendPutBatchEntry appends one OpPutBatch response entry to dst.
+func appendPutBatchEntry(dst []byte, sense osd.SenseCode, cost time.Duration, msg string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(sense)))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(cost))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(msg)))
+	return append(dst, msg...)
+}
+
+// decodePutResultsInto parses an OpPutBatch response payload straight into
+// out, which must have exactly one slot per entry; an error message becomes
+// a string only for a failed entry.
+func decodePutResultsInto(out []target.BatchPutResult, payload []byte) error {
+	rest, n := payload, 0
+	for ; len(rest) > 0 && n < len(out); n++ {
+		e, tail, err := nextPutBatchEntry(rest)
+		if err != nil {
+			return err
+		}
+		rest = tail
+		out[n] = target.BatchPutResult{Cost: e.cost, Err: entryError(e.sense, e.msg)}
+	}
+	if len(rest) > 0 || n < len(out) {
+		return fmt.Errorf("%w: %v: results and %d sub-ops disagree", ErrShortFrame, OpPutBatch, len(out))
+	}
+	return nil
+}
+
+// entryError is senseError for one batch entry: the message becomes a
+// string only for a failed entry.
+func entryError(sense osd.SenseCode, msg []byte) error {
+	if sense == osd.SenseOK {
+		return nil
+	}
+	return senseError(Response{Sense: sense, Message: string(msg)})
 }
 
 // batchCall carries one batch PDU of n sub-ops through the client call and
-// decodes the per-sub-op results in place. On success the caller owns the
-// frame the results alias; any frame-level failure — dead request, transport
-// error, non-OK frame sense, results that do not match the sub-ops — comes
-// back as one error for the caller to spread across the batch.
-func batchCall[R any](o ops, rc *reqctx.Ctx, req Request, n int, decode func([]byte) ([]R, error)) ([]R, *bufpool.Buf, error) {
+// decodes the per-sub-op results while the response frame is leased. Any
+// frame-level failure — dead request, transport error, non-OK frame sense,
+// results that do not match the sub-ops — comes back as one error for the
+// caller to spread across the batch.
+func batchCall(o ops, rc *reqctx.Ctx, req Request, n int, decode func(payload []byte) error) error {
 	wireBatchFrames.Add(1)
 	wireBatchSubOps.Add(int64(n))
 	resp, frame, err := o.callFrame(rc, req)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	results, err := decode(resp.Payload)
-	if err == nil && len(results) != n {
-		err = fmt.Errorf("%w: %v: %d results for %d sub-ops", ErrShortFrame, req.Op, len(results), n)
-	}
-	if err != nil {
-		releaseFrame(frame)
-		return nil, nil, err
-	}
-	return results, frame, nil
+	defer releaseFrame(frame)
+	return decode(resp.Payload)
 }
 
 // GetBatchCtx reads len(ids) objects in one OpGetBatch frame through one
@@ -242,27 +336,12 @@ func (o ops) GetBatchCtx(rc *reqctx.Ctx, ids []osd.ObjectID) []target.BatchGetRe
 		return []target.BatchGetResult{{Buf: buf, Cost: cost, Degraded: degraded, Err: err}}
 	}
 	out := make([]target.BatchGetResult, len(ids))
-	results, frame, err := batchCall(o, rc, Request{Op: OpGetBatch, Payload: encodeBatchIDs(ids)}, len(ids), decodeGetBatchResults)
-	if err != nil {
+	payload := leasePayload(len(ids) * batchIDSize)
+	req := Request{Op: OpGetBatch, Payload: appendBatchIDs(payload.Bytes()[:0], ids), lease: payload}
+	if err := batchCall(o, rc, req, len(ids), func(p []byte) error { return decodeGetResultsInto(out, p) }); err != nil {
 		for i := range out {
 			out[i].Err = err
 		}
-		return out
-	}
-	defer releaseFrame(frame)
-	for i := range results {
-		r := &results[i]
-		if err := senseError(Response{Sense: r.Sense, Message: r.Message}); err != nil {
-			out[i].Err = err
-			continue
-		}
-		// One frame lease backs every sub-payload but a lease has a single
-		// owner, so each sub-op gets its own pooled copy — for the tiny
-		// objects batching targets the copy costs about as much as the
-		// lease bookkeeping it replaces.
-		buf := bufpool.Get(len(r.Data))
-		copy(buf.Bytes(), r.Data)
-		out[i] = target.BatchGetResult{Buf: buf, Cost: r.Cost, Degraded: r.Degraded}
 	}
 	return out
 }
@@ -280,20 +359,11 @@ func (o ops) PutBatchCtx(rc *reqctx.Ctx, batch []target.BatchPut) []target.Batch
 		return []target.BatchPutResult{{Cost: cost, Err: err}}
 	}
 	out := make([]target.BatchPutResult, len(batch))
-	results, frame, err := batchCall(o, rc, Request{Op: OpPutBatch, Payload: encodePutBatch(batch)}, len(batch), decodePutBatchResults)
-	// decodePutBatchResults copies messages into strings, so the frame can
-	// go back to the pool as soon as decoding finishes.
-	releaseFrame(frame)
-	if err != nil {
+	payload := leasePayload(putBatchSize(batch))
+	req := Request{Op: OpPutBatch, Payload: appendPutBatch(payload.Bytes()[:0], batch), lease: payload}
+	if err := batchCall(o, rc, req, len(batch), func(p []byte) error { return decodePutResultsInto(out, p) }); err != nil {
 		for i := range out {
-			out[i].Err = err
-		}
-		return out
-	}
-	for i := range results {
-		out[i] = target.BatchPutResult{
-			Cost: results[i].Cost,
-			Err:  senseError(Response{Sense: results[i].Sense, Message: results[i].Message}),
+			out[i] = target.BatchPutResult{Err: err}
 		}
 	}
 	return out
@@ -303,63 +373,64 @@ func (o ops) PutBatchCtx(rc *reqctx.Ctx, batch []target.BatchPut) []target.Batch
 // sub-result — sense, cost, payload — packed into a single pooled response
 // lease the connection writer flushes and releases.
 func (s *Server) dispatchGetBatch(rc *reqctx.Ctx, req Request) (Response, *bufpool.Buf) {
-	ids, err := decodeBatchIDs(req.Payload)
+	sc := batchScratchPool.Get().(*batchScratch)
+	ids, err := decodeBatchIDsInto(sc.ids, req.Payload)
 	if err != nil {
+		batchScratchPool.Put(sc)
 		return Response{Sense: osd.SenseFailure, Message: err.Error()}, nil
 	}
 	results := s.st.GetBatchCtx(rc, ids)
+	sc.ids = ids[:0]
+	batchScratchPool.Put(sc)
+	// A failed entry's message is built once to size the lease and once to
+	// pack it; a successful one has none.
 	size := 0
-	entries := make([]Response, len(results))
 	for i := range results {
-		entries[i] = senseResponse(results[i].Err, Response{})
-		size += getBatchRespFixed + len(entries[i].Message)
-		if results[i].Buf != nil {
-			size += results[i].Buf.Len()
+		r := &results[i]
+		size += getBatchRespFixed + len(senseResponse(r.Err, Response{}).Message)
+		if r.Buf != nil {
+			size += r.Buf.Len()
 		}
 	}
-	lease := bufpool.Get(size)
+	lease := leasePayload(size)
 	out := lease.Bytes()[:0]
 	for i := range results {
 		r := &results[i]
-		out = binary.BigEndian.AppendUint32(out, uint32(int32(entries[i].Sense)))
-		out = append(out, boolByte(r.Degraded))
-		out = binary.BigEndian.AppendUint64(out, uint64(r.Cost))
-		out = binary.BigEndian.AppendUint16(out, uint16(len(entries[i].Message)))
-		out = append(out, entries[i].Message...)
+		sense := senseResponse(r.Err, Response{})
+		var data []byte
 		if r.Buf != nil {
-			out = binary.BigEndian.AppendUint32(out, uint32(r.Buf.Len()))
-			out = append(out, r.Buf.Bytes()...)
-			r.Release()
-		} else {
-			out = binary.BigEndian.AppendUint32(out, 0)
+			data = r.Buf.Bytes()
 		}
+		out = appendGetBatchEntry(out, sense.Sense, r.Degraded, r.Cost, sense.Message, data)
+		r.Release()
 	}
-	wireLeases.Add(1)
 	return Response{Sense: osd.SenseOK, Payload: out}, lease
 }
 
 // dispatchPutBatch serves OpPutBatch: the sub-ops are decoded in place (the
 // object bytes alias the request frame, which the store consumes
 // synchronously), run as one vectored store write, and answered with
-// per-sub-op sense codes.
+// per-sub-op sense codes in one pooled response lease.
 func (s *Server) dispatchPutBatch(rc *reqctx.Ctx, req Request) (Response, *bufpool.Buf) {
-	ops, err := decodePutBatchInPlace(req.Payload)
+	sc := batchScratchPool.Get().(*batchScratch)
+	ops, err := decodePutOpsInto(sc.puts, req.Payload)
 	if err != nil {
+		batchScratchPool.Put(sc)
 		return Response{Sense: osd.SenseFailure, Message: err.Error()}, nil
 	}
 	results := s.st.PutBatchCtx(rc, ops)
+	clear(ops) // the sub-ops alias the request frame
+	sc.puts = ops[:0]
+	batchScratchPool.Put(sc)
 	size := 0
-	entries := make([]Response, len(results))
 	for i := range results {
-		entries[i] = senseResponse(results[i].Err, Response{})
-		size += putBatchRespFixed + len(entries[i].Message)
+		size += putBatchRespFixed + len(senseResponse(results[i].Err, Response{}).Message)
 	}
-	out := make([]byte, 0, size)
+	lease := leasePayload(size)
+	out := lease.Bytes()[:0]
 	for i := range results {
-		out = binary.BigEndian.AppendUint32(out, uint32(int32(entries[i].Sense)))
-		out = binary.BigEndian.AppendUint64(out, uint64(results[i].Cost))
-		out = binary.BigEndian.AppendUint16(out, uint16(len(entries[i].Message)))
-		out = append(out, entries[i].Message...)
+		sense := senseResponse(results[i].Err, Response{})
+		out = appendPutBatchEntry(out, sense.Sense, results[i].Cost, sense.Message)
 	}
-	return Response{Sense: osd.SenseOK, Payload: out}, nil
+	return Response{Sense: osd.SenseOK, Payload: out}, lease
 }

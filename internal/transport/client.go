@@ -49,6 +49,9 @@ type call struct {
 	// pool when both resolved and sent (an unsent call may still be queued
 	// for a writer that died with it).
 	sent atomic.Bool
+	// owned is set by whichever of the writer and the sender first claims
+	// req.lease (see claim); the other leaves it alone.
+	owned atomic.Bool
 }
 
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
@@ -67,7 +70,25 @@ func putCall(cl *call) {
 	cl.frame = nil
 	cl.err = nil
 	cl.sent.Store(false)
+	cl.owned.Store(false)
 	callPool.Put(cl)
+}
+
+// claim decides who ends the request's payload lease. The writer claims a
+// call before staging it, and then the frame owns the lease; a sender
+// claims it on its way out, and wins only when the writer never got to the
+// call — abandoned, or stranded by a dead connection — in which case it
+// releases the lease and a writer that reaches the call later skips it. A
+// call without a lease is always the writer's to send.
+func (cl *call) claim() bool {
+	return cl.req.lease == nil || cl.owned.CompareAndSwap(false, true)
+}
+
+// reclaim is the sender's side of claim.
+func (cl *call) reclaim() {
+	if cl.req.lease != nil && cl.owned.CompareAndSwap(false, true) {
+		releaseFrame(cl.req.lease)
+	}
 }
 
 // resolve delivers the call's outcome. The caller must own the resolution
@@ -208,7 +229,10 @@ func (c *Client) writeLoop() {
 			return
 		}
 		for cl != nil {
-			err := w.stageRequest(&cl.req)
+			var err error
+			if cl.claim() {
+				err = w.stageRequest(&cl.req)
+			}
 			cl.sent.Store(true)
 			if err != nil {
 				dead(err)
@@ -305,10 +329,13 @@ func (c *Client) send(rc *reqctx.Ctx, req Request) (Response, *bufpool.Buf, erro
 	select {
 	case c.window <- struct{}{}:
 	case <-c.dead:
+		releaseFrame(req.lease)
 		return Response{}, nil, c.terminalErr()
 	case <-cancelled:
+		releaseFrame(req.lease)
 		return Response{}, nil, ctxErr(rc)
 	case <-timerC:
+		releaseFrame(req.lease)
 		return Response{}, nil, ctxErr(rc)
 	}
 
@@ -318,6 +345,7 @@ func (c *Client) send(rc *reqctx.Ctx, req Request) (Response, *bufpool.Buf, erro
 		err := c.err
 		c.mu.Unlock()
 		<-c.window
+		releaseFrame(req.lease)
 		putCall(cl)
 		return Response{}, nil, err
 	}
@@ -356,6 +384,7 @@ func (c *Client) send(rc *reqctx.Ctx, req Request) (Response, *bufpool.Buf, erro
 		delete(c.pending, cl.req.RequestID)
 		c.mu.Unlock()
 		<-c.window
+		cl.reclaim()
 		if cl.sent.Load() {
 			putCall(cl)
 		}
@@ -366,9 +395,11 @@ func (c *Client) send(rc *reqctx.Ctx, req Request) (Response, *bufpool.Buf, erro
 	return finishCall(cl)
 }
 
-// finishCall extracts a resolved call's outcome and recycles the call when
-// the writer is provably done with it (see call.sent).
+// finishCall extracts a resolved call's outcome, takes back the payload
+// lease of a call no writer staged, and recycles the call when the writer
+// is provably done with it (see call.sent).
 func finishCall(cl *call) (Response, *bufpool.Buf, error) {
+	cl.reclaim()
 	resp, frame, err := cl.resp, cl.frame, cl.err
 	if cl.sent.Load() {
 		putCall(cl)

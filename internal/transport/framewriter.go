@@ -38,6 +38,7 @@ type frameWriter struct {
 	slab     []byte // fixed-cap staging; never reallocated
 	segStart int    // start of the slab segment not yet in vecs
 	vecs     [][]byte
+	bufs     net.Buffers    // what one flush hands to the kernel: vecs, consumed
 	staged   int            // bytes staged since the last flush
 	frames   int            // frames staged since the last flush
 	releases []*bufpool.Buf // payload leases to release after the flush
@@ -68,10 +69,12 @@ func (w *frameWriter) room(need int) (bool, error) {
 	return need <= cap(w.slab), nil
 }
 
-// stageRequest appends one request frame to the batch. The payload is
-// copied into the slab when small; otherwise the write vector borrows the
-// caller's slice until the next flush (the caller is blocked awaiting the
-// response, so the bytes stay valid).
+// stageRequest appends one request frame to the batch, taking ownership of
+// req.lease (the pooled buffer backing the payload, if any). The payload is
+// copied into the slab when small, and its lease released at once;
+// otherwise the write vector borrows the slice until the next flush, which
+// releases the lease (an unleased payload is the caller's, who is blocked
+// awaiting the response, so the bytes stay valid).
 func (w *frameWriter) stageRequest(req *Request) error {
 	hdrLen := 4 + reqHeaderSize
 	inline := len(req.Payload) <= coalescePayloadMax
@@ -81,6 +84,7 @@ func (w *frameWriter) stageRequest(req *Request) error {
 	}
 	ok, err := w.room(need)
 	if err != nil {
+		releaseFrame(req.lease)
 		return err
 	}
 	frameLen := reqHeaderSize + len(req.Payload)
@@ -99,9 +103,14 @@ func (w *frameWriter) stageRequest(req *Request) error {
 			w.slab = append(w.slab, req.Payload...)
 		}
 	}
-	if !inline {
+	if inline {
+		releaseFrame(req.lease)
+	} else {
 		w.closeSegment()
 		w.vecs = append(w.vecs, req.Payload)
+		if req.lease != nil {
+			w.releases = append(w.releases, req.lease)
+		}
 	}
 	w.staged += 4 + frameLen
 	w.frames++
@@ -174,8 +183,11 @@ func (w *frameWriter) flush() error {
 	if len(w.vecs) == 0 {
 		return nil
 	}
-	bufs := net.Buffers(w.vecs)
-	_, err := bufs.WriteTo(w.conn)
+	// WriteTo consumes its receiver; a field rather than a local keeps the
+	// header off the heap.
+	w.bufs = w.vecs
+	_, err := w.bufs.WriteTo(w.conn)
+	w.bufs = nil
 	wireFlushes.Add(1)
 	wireFlushedFrames.Add(int64(w.frames))
 	wireFlushedBytes.Add(int64(w.staged))

@@ -38,6 +38,9 @@ type ops struct{ via carrier }
 // or the flush, so abandoning the op would strand state. They carry the
 // request's ID for attribution and nothing else — no precheck, no deadline
 // for the target to enforce, and a wait that only the connection can end.
+//
+// The request's payload lease, if any, passes to the carrier; a request
+// refused here is released here.
 func (o ops) exchange(rc *reqctx.Ctx, req Request) (Response, *bufpool.Buf, error) {
 	if req.RequestID = rc.ID(); req.RequestID == 0 {
 		req.RequestID = reqctx.NextID()
@@ -45,6 +48,7 @@ func (o ops) exchange(rc *reqctx.Ctx, req Request) (Response, *bufpool.Buf, erro
 	if req.Op == OpDelete || req.Op == OpMarkClean {
 		rc = nil
 	} else if err := rc.Err(); err != nil {
+		releaseFrame(req.lease)
 		return Response{}, nil, err
 	} else if d, ok := rc.Deadline(); ok {
 		req.Deadline = d.UnixNano()

@@ -120,6 +120,12 @@ type Request struct {
 	// them and enforces the deadline server-side.
 	RequestID uint64
 	Deadline  int64
+
+	// lease, when set, is the pooled wire buffer backing Payload. Whoever
+	// carries the request owns it: the connection writer releases it once
+	// the payload is copied or flushed, and a sender whose request never
+	// reaches a writer releases it itself (see call.claim).
+	lease *bufpool.Buf
 }
 
 // Response is a decoded response PDU.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/target"
 )
@@ -65,14 +66,17 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 // FuzzDecodeBatch throws arbitrary byte strings at all four batch sub-op
-// codecs (get/put request and response payloads). No decoder may panic or
-// over-read; accepted payloads must decode in place (object bytes alias the
-// input), and for the codecs with a matching encoder the canonical
-// re-encoding must be a decode fixpoint. Run with:
+// codecs (get/put request and response payloads), as the data path runs
+// them: each decoder writes into a slice the caller hands it. No decoder may
+// panic or over-read; request object bytes and parsed response entries
+// alias the input; a response decoded into results with one slot per entry
+// agrees with the entry parser and leaves no lease behind when the count is
+// wrong; and the canonical re-encoding of whatever decodes is a decode
+// fixpoint. Run with:
 // go test -fuzz=FuzzDecodeBatch ./internal/transport
 func FuzzDecodeBatch(f *testing.F) {
-	f.Add(uint8(0), encodeBatchIDs([]osd.ObjectID{{PID: 1, OID: 2}, {PID: 3, OID: 4}}))
-	f.Add(uint8(1), encodePutBatch([]target.BatchPut{
+	f.Add(uint8(0), appendBatchIDs(nil, []osd.ObjectID{{PID: 1, OID: 2}, {PID: 3, OID: 4}}))
+	f.Add(uint8(1), appendPutBatch(nil, []target.BatchPut{
 		{ID: osd.ObjectID{PID: 1, OID: 2}, Class: osd.ClassDirty, Dirty: true, Data: []byte("hello wire")},
 		{ID: osd.ObjectID{PID: 3, OID: 4}, Class: osd.ClassColdClean},
 	}))
@@ -90,18 +94,21 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(uint8(1), make([]byte, 21))   // one short of a put entry header
 	f.Add(uint8(2), make([]byte, 14))   // one short of a get result header
 	f.Add(uint8(3), []byte{0, 0, 0, 0}) // short put result
+	// Stale scratch the into-decoders must overwrite, not append to.
+	staleIDs := make([]osd.ObjectID, 3, 8)
+	stalePuts := []target.BatchPut{{ID: osd.ObjectID{PID: 9, OID: 9}, Data: []byte("stale")}}
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		switch kind % 4 {
 		case 0:
-			ids, err := decodeBatchIDs(payload)
+			ids, err := decodeBatchIDsInto(staleIDs, payload)
 			if err != nil {
 				return
 			}
-			if !bytes.Equal(encodeBatchIDs(ids), payload) {
+			if !bytes.Equal(appendBatchIDs(nil, ids), payload) {
 				t.Fatal("encode∘decode not identity for get-batch ids")
 			}
 		case 1:
-			ops, err := decodePutBatchInPlace(payload)
+			ops, err := decodePutOpsInto(stalePuts, payload)
 			if err != nil {
 				return
 			}
@@ -111,9 +118,12 @@ func FuzzDecodeBatch(f *testing.F) {
 					t.Fatal("put-batch data does not alias the payload")
 				}
 			}
+			if putBatchSize(ops) != len(payload) {
+				t.Fatalf("put-batch size %d for a %d-byte payload", putBatchSize(ops), len(payload))
+			}
 			// Re-encoding canonicalises bool bytes; it must decode back equal.
-			enc := encodePutBatch(ops)
-			ops2, err := decodePutBatchInPlace(enc)
+			enc := appendPutBatch(nil, ops)
+			ops2, err := decodePutOpsInto(nil, enc)
 			if err != nil || len(ops2) != len(ops) {
 				t.Fatalf("re-encoded put-batch rejected: %v", err)
 			}
@@ -124,17 +134,78 @@ func FuzzDecodeBatch(f *testing.F) {
 				}
 			}
 		case 2:
-			results, err := decodeGetBatchResults(payload)
-			if err != nil {
-				return
-			}
-			for i := range results {
-				if len(results[i].Data) > 0 && !aliases(payload, results[i].Data) {
+			var entries []getBatchEntry
+			for rest := payload; len(rest) > 0; {
+				e, tail, err := nextGetBatchEntry(rest)
+				if err != nil {
+					return
+				}
+				if len(e.data) > 0 && !aliases(payload, e.data) {
 					t.Fatal("get-batch result data does not alias the payload")
 				}
+				entries, rest = append(entries, e), tail
+			}
+			leases := bufpool.Outstanding()
+			if decodeGetResultsInto(make([]target.BatchGetResult, len(entries)+1), payload) == nil {
+				t.Fatal("get-batch results accepted for one sub-op too many")
+			}
+			if got := bufpool.Outstanding(); got != leases {
+				t.Fatalf("a rejected get-batch decode left %d leases", got-leases)
+			}
+			out := make([]target.BatchGetResult, len(entries))
+			if err := decodeGetResultsInto(out, payload); err != nil {
+				t.Fatalf("get-batch results the entry parser accepted were rejected: %v", err)
+			}
+			var enc []byte
+			for i, e := range entries {
+				r := &out[i]
+				if (e.sense == osd.SenseOK) != (r.Err == nil) || (r.Err == nil) != (r.Buf != nil) {
+					t.Fatalf("entry %d: sense %v decoded to err %v, lease %v", i, e.sense, r.Err, r.Buf != nil)
+				}
+				if r.Buf != nil && (!bytes.Equal(r.Buf.Bytes(), e.data) || r.Cost != e.cost || r.Degraded != e.degraded) {
+					t.Fatalf("entry %d decoded to other bytes, cost or degraded flag", i)
+				}
+				r.Release()
+				enc = appendGetBatchEntry(enc, e.sense, e.degraded, e.cost, string(e.msg), e.data)
+			}
+			var again []byte
+			for rest := enc; len(rest) > 0; {
+				e, tail, err := nextGetBatchEntry(rest)
+				if err != nil {
+					t.Fatalf("re-encoded get-batch results rejected: %v", err)
+				}
+				rest = tail
+				again = appendGetBatchEntry(again, e.sense, e.degraded, e.cost, string(e.msg), e.data)
+			}
+			if !bytes.Equal(again, enc) {
+				t.Fatal("encode∘decode not a fixpoint for get-batch results")
 			}
 		case 3:
-			_, _ = decodePutBatchResults(payload)
+			var entries []putBatchEntry
+			for rest := payload; len(rest) > 0; {
+				e, tail, err := nextPutBatchEntry(rest)
+				if err != nil {
+					return
+				}
+				entries, rest = append(entries, e), tail
+			}
+			if decodePutResultsInto(make([]target.BatchPutResult, len(entries)+1), payload) == nil {
+				t.Fatal("put-batch results accepted for one sub-op too many")
+			}
+			out := make([]target.BatchPutResult, len(entries))
+			if err := decodePutResultsInto(out, payload); err != nil {
+				t.Fatalf("put-batch results the entry parser accepted were rejected: %v", err)
+			}
+			var enc []byte
+			for i, e := range entries {
+				if (e.sense == osd.SenseOK) != (out[i].Err == nil) || out[i].Cost != e.cost {
+					t.Fatalf("entry %d: sense %v cost %v decoded to err %v cost %v", i, e.sense, e.cost, out[i].Err, out[i].Cost)
+				}
+				enc = appendPutBatchEntry(enc, e.sense, e.cost, string(e.msg))
+			}
+			if !bytes.Equal(enc, payload) {
+				t.Fatal("encode∘decode not identity for put-batch results")
+			}
 		}
 	})
 }
