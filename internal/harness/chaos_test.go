@@ -3,6 +3,7 @@ package harness
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/flash"
@@ -80,45 +81,69 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestChaosDeterministicReplay reruns the identical soak and requires
-// bit-identical outcomes: fault counters, defense counters, cache metrics,
-// virtual elapsed time, and per-device health.
-func TestChaosDeterministicReplay(t *testing.T) {
-	a, err := ChaosRun(workload.Medium, miniOpts(), chaosSchedule(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ChaosRun(workload.Medium, miniOpts(), chaosSchedule(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Faults != b.Faults {
-		t.Fatalf("fault counters diverged:\n%+v\n%+v", a.Faults, b.Faults)
-	}
-	if a.Store != b.Store {
-		t.Fatalf("defense counters diverged:\n%+v\n%+v", a.Store, b.Store)
-	}
-	if a.Run.TotalAll != b.Run.TotalAll {
-		t.Fatalf("run metrics diverged:\n%+v\n%+v", a.Run.TotalAll, b.Run.TotalAll)
-	}
-	if a.Run.Elapsed != b.Run.Elapsed {
-		t.Fatalf("virtual elapsed diverged: %v vs %v", a.Run.Elapsed, b.Run.Elapsed)
-	}
-	if !reflect.DeepEqual(a.Health, b.Health) {
-		t.Fatalf("device health diverged:\n%+v\n%+v", a.Health, b.Health)
-	}
-	if a.Verified != b.Verified || a.ScrubPasses != b.ScrubPasses {
-		t.Fatalf("sweep diverged: verified %d/%d scrubs %d/%d",
-			a.Verified, b.Verified, a.ScrubPasses, b.ScrubPasses)
-	}
+// hedgedSchedule is chaosSchedule with hedged reads armed at 200µs and the
+// fail-slow device kept suspect (a factor of 3 stays under the fail
+// threshold), so hedges fire and race the slow primary.
+func hedgedSchedule(seed int64) ChaosConfig {
+	c := chaosSchedule(seed)
+	c.HedgeDelay = 200 * time.Microsecond
+	c.FailSlowFactor = 3
+	return c
+}
 
-	// A different fault seed must actually change the run.
-	c, err := ChaosRun(workload.Medium, miniOpts(), chaosSchedule(22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Faults == c.Faults {
-		t.Fatal("different fault seeds produced identical fault counters")
+// TestChaosDeterministicReplay reruns the identical soak and requires
+// bit-identical outcomes: fault counters, defense counters, hedge tally,
+// cache metrics, virtual elapsed time, and per-device health — with hedging
+// off and with hedges firing, whose device reads must come in a fixed order.
+func TestChaosDeterministicReplay(t *testing.T) {
+	for _, sc := range []struct {
+		name     string
+		schedule func(int64) ChaosConfig
+	}{{"plain", chaosSchedule}, {"hedged", hedgedSchedule}} {
+		t.Run(sc.name, func(t *testing.T) {
+			a, err := ChaosRun(workload.Medium, miniOpts(), sc.schedule(21))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := ChaosRun(workload.Medium, miniOpts(), sc.schedule(21))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Faults != b.Faults {
+				t.Fatalf("fault counters diverged:\n%+v\n%+v", a.Faults, b.Faults)
+			}
+			if a.Store != b.Store {
+				t.Fatalf("defense counters diverged:\n%+v\n%+v", a.Store, b.Store)
+			}
+			if a.Hedge != b.Hedge {
+				t.Fatalf("hedge tally diverged:\n%+v\n%+v", a.Hedge, b.Hedge)
+			}
+			if a.Run.TotalAll != b.Run.TotalAll {
+				t.Fatalf("run metrics diverged:\n%+v\n%+v", a.Run.TotalAll, b.Run.TotalAll)
+			}
+			if a.Run.Elapsed != b.Run.Elapsed {
+				t.Fatalf("virtual elapsed diverged: %v vs %v", a.Run.Elapsed, b.Run.Elapsed)
+			}
+			if !reflect.DeepEqual(a.Health, b.Health) {
+				t.Fatalf("device health diverged:\n%+v\n%+v", a.Health, b.Health)
+			}
+			if a.Verified != b.Verified || a.ScrubPasses != b.ScrubPasses {
+				t.Fatalf("sweep diverged: verified %d/%d scrubs %d/%d",
+					a.Verified, b.Verified, a.ScrubPasses, b.ScrubPasses)
+			}
+			if sc.name == "hedged" && a.Hedge.Fired == 0 {
+				t.Fatalf("no hedge fired: %+v", a.Hedge)
+			}
+
+			// A different fault seed must actually change the run.
+			c, err := ChaosRun(workload.Medium, miniOpts(), sc.schedule(22))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Faults == c.Faults {
+				t.Fatal("different fault seeds produced identical fault counters")
+			}
+		})
 	}
 }
 

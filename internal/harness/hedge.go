@@ -79,10 +79,10 @@ type HedgeResult struct {
 }
 
 // HedgeRun executes the scenario. Everything is deterministic: payloads,
-// the read sequence, the injector's fail-slow schedule, and the hedge race
-// itself (winner picked on virtual cost, not goroutine interleaving) are
-// pure functions of the seed, so the same config always returns the same
-// result byte for byte.
+// the read sequence, the injector's fail-slow schedule, and the hedge itself
+// (run after the primary on the reading goroutine, winner picked on virtual
+// cost) are pure functions of the seed, so the same config always returns
+// the same result byte for byte.
 func HedgeRun(cfg HedgeConfig) (*HedgeResult, error) {
 	if cfg.Devices <= 1 {
 		cfg.Devices = 5

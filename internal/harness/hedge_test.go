@@ -76,9 +76,10 @@ func TestHedgeRunDeterministic(t *testing.T) {
 }
 
 // TestHedgeLoserCancellationSoak hammers the hedged read path from many
-// goroutines under fail-slow (run under -race in CI): every losing hedge is
-// cancelled through reqctx, and afterwards no pooled buffer may remain
-// leased — a leak here means a hedge goroutine outlived its request.
+// goroutines under fail-slow (run under -race in CI): requests hedge at once
+// under the shared in-flight cap, hedges win and lose, and afterwards no
+// pooled buffer may remain leased — a leak here means a hedge's lease
+// outlived its read.
 func TestHedgeLoserCancellationSoak(t *testing.T) {
 	base := bufpool.Outstanding()
 	const (
@@ -170,7 +171,7 @@ func TestHedgeLoserCancellationSoak(t *testing.T) {
 	}
 
 	// Phase 2: a delay inside (slowCost - hedgeCost, slowCost) — hedges still
-	// fire but provably lose, driving the loser-cancellation path under load.
+	// fire but provably lose, driving the losing-hedge path under load.
 	st.Resilience().SetHedge(policy.HedgeRule{Delay: 250 * time.Microsecond, MaxHedges: 8})
 	burst(2)
 	hs = st.Resilience().HedgeStats()

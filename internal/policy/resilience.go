@@ -71,7 +71,8 @@ type HedgeStats struct {
 	Fired int64
 	// Won counts hedges whose result beat the primary.
 	Won int64
-	// Cancelled counts losing hedges cancelled after the primary won.
+	// Cancelled counts fired hedges that lost: the primary finished first
+	// in virtual time, or the hedge failed.
 	Cancelled int64
 	// Suppressed counts hedges skipped by the MaxHedges gate.
 	Suppressed int64
@@ -125,9 +126,9 @@ func (r *Resilience) TryStartHedge() bool {
 }
 
 // FinishHedge releases a slot claimed by TryStartHedge and tallies the
-// hedge's outcome: won (hedge beat the primary) or cancelled (primary won
-// and the hedge was aborted). fired distinguishes hedges that actually
-// launched from those resolved before their delay elapsed.
+// hedge's outcome: won (hedge beat the primary) or cancelled (the hedge
+// lost). fired distinguishes hedges that actually launched from those
+// resolved before their delay elapsed.
 func (r *Resilience) FinishHedge(fired, won bool) {
 	r.inFlight.Add(-1)
 	if !fired {

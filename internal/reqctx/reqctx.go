@@ -47,8 +47,8 @@ func (p Priority) String() string {
 }
 
 // Stats aggregates the IO a single request performed across every layer.
-// Counters are atomic because chunk IO within one request fans out to
-// per-device goroutines.
+// Counters are atomic because one request's work can run on several
+// goroutines at once (a cluster batch's per-shard calls).
 type Stats struct {
 	DeviceReads        atomic.Int64
 	DeviceWrites       atomic.Int64
@@ -245,33 +245,9 @@ func (rc *Ctx) CanCancel() bool {
 	return rc.ctx != nil && rc.ctx.Done() != nil
 }
 
-// Fork derives an independently cancellable child context for a hedged or
-// speculative attempt: the child inherits the parent's identity (ID,
-// priority, deadline) and cancellation — cancelling
-// the parent cancels the child — but the returned CancelFunc aborts only the
-// child, which is how a losing hedge is reaped without touching the primary.
-// The child has its own Stats; fold them back with AbsorbStats after joining.
-// Release the child (after the goroutine using it has fully stopped) like
-// any Acquired context. Fork of nil forks a background context: the child is
-// cancellable even though the parent never was.
-func Fork(rc *Ctx) (*Ctx, context.CancelFunc) {
-	parent := context.Background()
-	if rc != nil && rc.ctx != nil {
-		parent = rc.ctx
-	}
-	ctx, cancel := context.WithCancel(parent)
-	child := Acquire(ctx)
-	if rc != nil {
-		child.id = rc.id
-		child.priority = rc.priority
-		child.deadline, child.hasDeadline = rc.deadline, rc.hasDeadline
-	}
-	return child, cancel
-}
-
-// AbsorbStats folds a joined child's IO counters into rc, so work done by a
-// hedge attempt stays attributed to the request that spawned it. Safe when
-// either side is nil; call only after the child's goroutine has stopped.
+// AbsorbStats folds a child's IO counters into rc, so work done under a
+// child stays attributed to the request that made it. Safe when either side
+// is nil; call only after the child's last operation has returned.
 func (rc *Ctx) AbsorbStats(child *Ctx) {
 	if rc == nil || child == nil {
 		return

@@ -164,52 +164,3 @@ func TestNextIDNonZeroUniqueAndShared(t *testing.T) {
 		t.Fatalf("NextID %d did not advance past Acquire ID %d", c, rc.ID())
 	}
 }
-
-func TestForkInheritsAndCancelsIndependently(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rc := Acquire(ctx).WithPriority(Background)
-	defer Release(rc)
-
-	child, childCancel := Fork(rc)
-	if child.ID() != rc.ID() || child.Priority() != Background {
-		t.Fatalf("child did not inherit identity: id=%d pri=%v", child.ID(), child.Priority())
-	}
-	if !child.CanCancel() {
-		t.Fatal("forked child must be cancellable")
-	}
-	// Cancelling the child leaves the parent alive.
-	childCancel()
-	if child.Err() == nil {
-		t.Fatal("cancelled child must report an error")
-	}
-	if rc.Err() != nil {
-		t.Fatalf("parent must survive child cancel, got %v", rc.Err())
-	}
-	child.CountDeviceRead(512)
-	rc.AbsorbStats(child)
-	Release(child)
-	if rc.Stats().DeviceReads.Load() != 1 || rc.Stats().DeviceBytesRead.Load() != 512 {
-		t.Fatal("AbsorbStats did not fold the child's counters")
-	}
-
-	// Cancelling the parent cancels a (new) child.
-	child2, cancel2 := Fork(rc)
-	defer cancel2()
-	cancel()
-	if child2.Err() == nil {
-		t.Fatal("parent cancel must propagate to the forked child")
-	}
-	Release(child2)
-
-	// Fork of nil yields a cancellable background child.
-	c3, cancel3 := Fork(nil)
-	if !c3.CanCancel() {
-		t.Fatal("Fork(nil) child must be cancellable")
-	}
-	cancel3()
-	if c3.Err() == nil {
-		t.Fatal("Fork(nil) child must observe its cancel")
-	}
-	Release(c3)
-}

@@ -289,7 +289,7 @@ func TestAbsentMaskMatchesProbe(t *testing.T) {
 // repair-on-read writes both absent chunks: the data chunk it decoded for the
 // caller and the parity chunk it never fetched.
 func TestDegradedReadFetchesM(t *testing.T) {
-	for _, chunk := range []int{1024, fanOutMinBytes} { // serial and fanned-out gathers
+	for _, chunk := range []int{1024, 32 << 10} {
 		setup := func(t *testing.T) (*Manager, []ID, *stripeMeta, []byte) {
 			m := testManager(t, 5, chunk)
 			data := randBytes(51, 3*chunk)

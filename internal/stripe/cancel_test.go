@@ -385,15 +385,15 @@ func (failWrites) Decide(op flash.FaultOp, _ flash.ChunkAddr) flash.FaultDecisio
 	return flash.FaultDecision{}
 }
 
-// TestScatterFanOut runs both scatter modes on chunks of fanOutMinBytes, where
-// the writes go out on per-fragment goroutines instead of the serial loop the
-// other tests take: only the fragments that are due are written, a cancellable
-// request gets every write attributed through the run-to-completion child, a
-// dead one writes nothing, and a fresh stripe still rolls back. Throughout,
-// every chunk has exactly one reference per device holding it: the fan-out
-// shares a replicated stripe's one chunk and drops its own references.
-func TestScatterFanOut(t *testing.T) {
-	const chunk = fanOutMinBytes
+// TestScatter32KiBChunks runs both scatter modes on 32 KiB chunks, the
+// largest the stripe tests write, one check per step of a stripe's life: the
+// device writes a published stripe's update, rebuild and repair each issue;
+// their attribution to a cancellable request through the run-to-completion
+// child; exactly one reference per device holding a chunk, which a replicated
+// stripe's devices share; a dead request writing nothing; and a fresh stripe
+// rolling back. The steps run in order on one stripe.
+func TestScatter32KiBChunks(t *testing.T) {
+	const chunk = 32 << 10
 	m := testManager(t, 5, chunk)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -404,88 +404,95 @@ func TestScatterFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta, _ := m.lookup(ids[0])
-	step := func(name string, wantWrites int64, op func() error) {
-		t.Helper()
-		_, w0 := arrayOps(m)
-		if err := op(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, w1 := arrayOps(m); w1-w0 != wantWrites {
-			t.Fatalf("%s issued %d device writes, want %d", name, w1-w0, wantWrites)
-		}
-		if got, _, err := readStripes(m, ids, len(want)); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s: read back err %v, bytes equal %v", name, err, bytes.Equal(got, want))
-		}
-		if res, _, err := m.ScrubCtx(nil); err != nil || len(res.Mismatched) != 0 || res.Healthy != 1 {
-			t.Fatalf("%s: scrub %+v, err %v", name, res, err)
-		}
-	}
-	step("delta update", 3, func() error { // the chunk and both parity
-		patch := randBytes(62, 1_000)
-		want = applyUpdate(want, chunk+100, patch)
-		_, err := m.UpdateRange(rc, ids, chunk+100, patch)
-		return err
-	})
-	// (A spare starts with fresh counters, so it goes in before the step.)
-	if err := m.array.FailDevice(meta.dataDevs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.array.InsertSpare(meta.dataDevs[0]); err != nil {
-		t.Fatal(err)
-	}
-	step("rebuild onto a spare", 1, func() error {
-		_, status, err := m.RebuildCtx(rc, ids[0])
-		if err == nil && status != StatusHealthy {
-			err = fmt.Errorf("status %v", status)
-		}
-		return err
-	})
-	step("located repair", 1, func() error {
-		if !m.array.Device(meta.dataDevs[2]).Corrupt(flash.ChunkAddr(ids[0]), 7) {
-			return errors.New("nothing corrupted")
-		}
-		repaired, _, err := m.RepairStripe(rc, ids[0])
-		if err == nil && !repaired {
-			err = errors.New("not repaired")
-		}
-		return err
-	})
-	if got := rc.Stats().DeviceWrites.Load(); got != 5+3+1+1 {
-		t.Errorf("request attributed %d device writes, want 10", got)
-	}
 
-	cancel()
-	r0, w0 := arrayOps(m)
-	if _, err := m.UpdateRange(rc, ids, 0, randBytes(63, 2*chunk)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("update under a dead request: %v", err)
-	}
-	if r1, w1 := arrayOps(m); r1 != r0 || w1 != w0 {
-		t.Fatalf("dead request cost %d device reads / %d writes", r1-r0, w1-w0)
-	}
-
-	if _, _, err := m.WriteCtx(nil, randBytes(64, chunk), policy.ReplicateAll()); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.array.CheckChunks(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Fresh stripe: one device refuses its chunk, the ones that landed go.
-	used, stripes := m.array.TotalUsed(), stripeCount(m)
-	m.array.Device(3).SetFaultHook(failWrites{})
-	// Both are fanned out: a 2-parity stripe of 3 chunks, one replica chunk.
-	for _, w := range []struct {
-		data   []byte
-		scheme policy.Scheme
-	}{{want, policy.Parity(2)}, {want[:chunk], policy.ReplicateAll()}} {
-		if _, _, err := m.WriteCtx(nil, w.data, w.scheme); err == nil {
-			t.Fatalf("%v write with a refusing device succeeded", w.scheme)
+	t.Run("device writes per step", func(t *testing.T) {
+		step := func(name string, wantWrites int64, op func() error) {
+			t.Helper()
+			_, w0 := arrayOps(m)
+			if err := op(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if _, w1 := arrayOps(m); w1-w0 != wantWrites {
+				t.Fatalf("%s issued %d device writes, want %d", name, w1-w0, wantWrites)
+			}
+			if got, _, err := readStripes(m, ids, len(want)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: read back err %v, bytes equal %v", name, err, bytes.Equal(got, want))
+			}
+			if res, _, err := m.ScrubCtx(nil); err != nil || len(res.Mismatched) != 0 || res.Healthy != 1 {
+				t.Fatalf("%s: scrub %+v, err %v", name, res, err)
+			}
 		}
-	}
-	if m.array.TotalUsed() != used || stripeCount(m) != stripes {
-		t.Fatalf("failed fresh write left %d bytes, %d stripe records", m.array.TotalUsed()-used, stripeCount(m)-stripes)
-	}
-	if err := m.array.CheckChunks(); err != nil {
-		t.Fatal(err)
-	}
+		step("delta update", 3, func() error { // the chunk and both parity
+			patch := randBytes(62, 1_000)
+			want = applyUpdate(want, chunk+100, patch)
+			_, err := m.UpdateRange(rc, ids, chunk+100, patch)
+			return err
+		})
+		// (A spare starts with fresh counters, so it goes in before the step.)
+		if err := m.array.FailDevice(meta.dataDevs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.array.InsertSpare(meta.dataDevs[0]); err != nil {
+			t.Fatal(err)
+		}
+		step("rebuild onto a spare", 1, func() error {
+			_, status, err := m.RebuildCtx(rc, ids[0])
+			if err == nil && status != StatusHealthy {
+				err = fmt.Errorf("status %v", status)
+			}
+			return err
+		})
+		step("located repair", 1, func() error {
+			if !m.array.Device(meta.dataDevs[2]).Corrupt(flash.ChunkAddr(ids[0]), 7) {
+				return errors.New("nothing corrupted")
+			}
+			repaired, _, err := m.RepairStripe(rc, ids[0])
+			if err == nil && !repaired {
+				err = errors.New("not repaired")
+			}
+			return err
+		})
+	})
+	t.Run("writes attributed through the run-to-completion child", func(t *testing.T) {
+		if got := rc.Stats().DeviceWrites.Load(); got != 5+3+1+1 {
+			t.Errorf("request attributed %d device writes, want 10", got)
+		}
+	})
+	t.Run("one reference per device holding a chunk", func(t *testing.T) {
+		if _, _, err := m.WriteCtx(nil, randBytes(64, chunk), policy.ReplicateAll()); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.array.CheckChunks(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("dead request writes nothing", func(t *testing.T) {
+		cancel()
+		r0, w0 := arrayOps(m)
+		if _, err := m.UpdateRange(rc, ids, 0, randBytes(63, 2*chunk)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("update under a dead request: %v", err)
+		}
+		if r1, w1 := arrayOps(m); r1 != r0 || w1 != w0 {
+			t.Fatalf("dead request cost %d device reads / %d writes", r1-r0, w1-w0)
+		}
+	})
+	t.Run("fresh stripe rolls back", func(t *testing.T) {
+		// One device refuses its chunk; the ones that landed go.
+		used, stripes := m.array.TotalUsed(), stripeCount(m)
+		m.array.Device(3).SetFaultHook(failWrites{})
+		for _, w := range []struct {
+			data   []byte
+			scheme policy.Scheme
+		}{{want, policy.Parity(2)}, {want[:chunk], policy.ReplicateAll()}} {
+			if _, _, err := m.WriteCtx(nil, w.data, w.scheme); err == nil {
+				t.Fatalf("%v write with a refusing device succeeded", w.scheme)
+			}
+		}
+		if m.array.TotalUsed() != used || stripeCount(m) != stripes {
+			t.Fatalf("failed fresh write left %d bytes, %d stripe records", m.array.TotalUsed()-used, stripeCount(m)-stripes)
+		}
+		if err := m.array.CheckChunks(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -1,22 +1,19 @@
 package stripe
 
 // Hedged degraded reads: when the health monitor marks a device suspect
-// (fail-slow), a read whose primary path would wait on that device races a
+// (fail-slow), a read whose primary path would wait on that device gets a
 // second attempt — another replica, or a parity reconstruction that avoids
-// every suspect device — fired after the policy's hedge delay. First success
-// wins in virtual time; the loser is cancelled through the regular reqctx
-// cancellation path.
+// every suspect device — fired after the policy's hedge delay. Whichever
+// attempt finishes first in virtual time wins.
 //
-// Determinism: the primary runs inline on the caller's goroutine and the
-// hedge on a forked, independently cancellable child. Both attempts report
-// virtual-time costs that are pure functions of the (deterministic) fault
-// schedule, so the winner — min(primaryCost, delay+hedgeCost) — does not
-// depend on wall-clock interleaving. When the primary's virtual cost is
-// within the hedge delay the hedge provably cannot win and is cancelled
-// immediately (the one genuinely asynchronous cancel, exercising the
-// interruptible-backoff path); otherwise the hedge runs to its natural
-// outcome before the winner is picked. Hedging is strictly opt-in: with no
-// hedge rule set (MaxHedges 0) every read takes readStripePrimary untouched.
+// Both attempts run on the caller's goroutine, primary first. Virtual time
+// decides the race, not the wall clock: when the primary succeeds within the
+// hedge delay the hedge would never have fired, so it does no IO at all;
+// otherwise the hedge reads after the primary and the result that is first at
+// min(primaryCost, delay+hedgeCost) is kept. The order of device operations
+// is fixed, so the fault injector's per-device op indexes — and every
+// figure — replay identically. Hedging is strictly opt-in: with no hedge rule
+// set (MaxHedges 0) every read takes readStripePrimary untouched.
 
 import (
 	"time"
@@ -122,48 +119,23 @@ func (m *Manager) hedgePlan(id ID, meta *stripeMeta) (hedgePlan, bool) {
 	return hedgePlan{delay: delay, replicaDev: -1, avoid: avoid}, true
 }
 
-// readStripeHedged races the primary read against the plan's hedge. The
-// caller holds the stripe's read lock; the hedge goroutine is always joined
-// before returning, so the lock covers it too.
+// readStripeHedged runs the primary read and, when it did not succeed within
+// the plan's delay, the plan's hedge, and keeps whichever result is first in
+// virtual time. The caller holds the stripe's read lock.
 func (m *Manager) readStripeHedged(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte, plan hedgePlan) (time.Duration, error) {
-	child, cancel := reqctx.Fork(rc)
-	// The hedge fills its own lease; the goroutine is joined on every path
-	// below, so the deferred release cannot race it.
-	lease := bufpool.Get(len(dst))
-	defer lease.Release()
-	scratch := lease.Bytes()
-	type hedgeOutcome struct {
-		cost time.Duration
-		err  error
-	}
-	done := make(chan hedgeOutcome, 1)
-	go func() {
-		cost, err := m.readHedge(child, id, meta, scratch, plan)
-		done <- hedgeOutcome{cost: cost, err: err}
-	}()
-
 	pCost, pErr := m.readStripePrimary(rc, id, meta, dst)
-
 	if pErr == nil && pCost <= plan.delay {
-		// The primary finished before the hedge would have fired: cancel the
-		// hedge through the reqctx path and reap it. Not counted as fired.
-		cancel()
-		<-done
-		rc.AbsorbStats(child)
-		reqctx.Release(child)
+		// The primary finished before the hedge would have fired.
 		m.hedge.FinishHedge(false, false)
 		return pCost, nil
 	}
-
-	// The race is live. Let the hedge run to its natural outcome so the
-	// virtual-time winner is deterministic, then reap it.
-	ho := <-done
-	cancel()
-	rc.AbsorbStats(child)
-	reqctx.Release(child)
-
-	hCost := plan.delay + ho.cost
-	won := ho.err == nil && (pErr != nil || hCost < pCost)
+	// The hedge fills its own lease, so a losing hedge leaves dst alone.
+	lease := bufpool.Get(len(dst))
+	defer lease.Release()
+	scratch := lease.Bytes()
+	hCost, hErr := m.readHedge(rc, id, meta, scratch, plan)
+	hCost += plan.delay
+	won := hErr == nil && (pErr != nil || hCost < pCost)
 	m.hedge.FinishHedge(true, won)
 	if won {
 		copy(dst, scratch)
@@ -172,11 +144,11 @@ func (m *Manager) readStripeHedged(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst 
 	return pCost, pErr
 }
 
-// readHedge performs the hedge attempt into dst under the forked child
-// context: a direct read of the chosen healthy replica, or a parity
-// reconstruction that avoids every suspect device. Unlike the primary
-// degraded path it never repairs on read — the data it rebuilds is not
-// missing, just slow — so it decodes the data alone.
+// readHedge performs the hedge attempt into dst under the request context: a
+// direct read of the chosen healthy replica, or a parity reconstruction that
+// avoids every suspect device. Unlike the primary degraded path it never
+// repairs on read — the data it rebuilds is not missing, just slow — so it
+// decodes the data alone.
 func (m *Manager) readHedge(rc *reqctx.Ctx, id ID, meta *stripeMeta, dst []byte, plan hedgePlan) (time.Duration, error) {
 	if plan.replicaDev >= 0 {
 		_, cost, err := m.array.Device(plan.replicaDev).ReadInto(rc, flash.ChunkAddr(id), dst)

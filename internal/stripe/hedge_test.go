@@ -2,11 +2,13 @@ package stripe
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
 	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/policy"
+	"github.com/reo-cache/reo/internal/reqctx"
 )
 
 // makeSuspect drives dev's latency EWMA over the 2× suspect threshold with a
@@ -101,8 +103,10 @@ func TestHedgedReadParityReconstructionWins(t *testing.T) {
 }
 
 // With a hedge delay longer than any primary read, the hedge never fires:
-// every armed hedge is cancelled through the reqctx path before launch, the
-// result is untouched, and no fired/won counts accrue.
+// every armed hedge ends before it would have launched, the result is
+// untouched, no fired/won counts accrue, and the hedge reads nothing — each
+// device, the hedge replica included, serves exactly the primary reads, and
+// so does the request's own count.
 func TestHedgeCancelledWhenPrimaryBeatsDelay(t *testing.T) {
 	m := testManager(t, 3, 1024)
 	data := randBytes(11, 6*1024)
@@ -112,14 +116,47 @@ func TestHedgeCancelledWhenPrimaryBeatsDelay(t *testing.T) {
 	}
 	makeSuspect(t, m, 0)
 
+	// The primary read of each stripe is one read of its rotation primary.
+	var want, before [3]int64
+	hedged := 0
+	for _, id := range ids {
+		meta, err := m.lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		primary := meta.replicaDevs[meta.primary(id)]
+		want[primary]++
+		if primary == 0 {
+			hedged++
+		}
+	}
+	if hedged == 0 {
+		t.Fatal("no stripe reads its primary from the suspect device: no hedge was armed")
+	}
+	for dev := range before {
+		before[dev] = m.Array().Device(dev).Stats().ReadOps
+	}
+
 	res := armHedging(m, time.Second)
-	got, _ := readAll(t, m, ids, len(data))
+	rc := reqctx.New(context.Background())
+	got := make([]byte, len(data))
+	if _, _, err := m.ReadInto(rc, ids, len(data), got); err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("read returned wrong data")
 	}
 	hs := res.HedgeStats()
 	if hs.Fired != 0 || hs.Won != 0 {
 		t.Fatalf("hedge stats = %+v, want nothing fired with a 1s delay", hs)
+	}
+	for dev := range before {
+		if reads := m.Array().Device(dev).Stats().ReadOps - before[dev]; reads != want[dev] {
+			t.Errorf("device %d served %d reads, want the primary's %d", dev, reads, want[dev])
+		}
+	}
+	if reads := rc.Stats().DeviceReads.Load(); reads != int64(len(ids)) {
+		t.Errorf("request counted %d device reads, want the primary's %d", reads, len(ids))
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // BenchmarkStripeWriteParallel measures aggregate wall-clock throughput of
 // concurrent clients writing (and freeing) erasure-coded objects through one
 // manager. Before the lock narrowing, every encode and chunk write serialized
-// behind the manager mutex; after it, encodes overlap and chunk writes fan
-// out to the devices concurrently.
+// behind the manager mutex; after it, concurrent writers' encodes and chunk
+// writes overlap.
 func BenchmarkStripeWriteParallel(b *testing.B) {
 	const objSize = 64 << 10
 	m := testManager(b, 5, 16<<10)

@@ -14,9 +14,11 @@
 //
 // Concurrency: the manager mutex guards only the stripe map and ID
 // allocation. Each stripe carries its own RWMutex serialising mutating
-// operations (update, rebuild, free) against readers of that stripe, and
-// chunk IO within an operation fans out to per-device goroutines. See
-// DESIGN.md "Concurrency model" for the full lock ordering.
+// operations (update, rebuild, free) against readers of that stripe. Every
+// device operation of a stripe operation — a hedge included — is issued on
+// the caller's goroutine; the devices still work in parallel in virtual time,
+// where each operation is charged its slowest device. See DESIGN.md
+// "Concurrency model" for the full lock ordering.
 package stripe
 
 import (
@@ -225,46 +227,11 @@ func (m *Manager) codec(dataChunks, parityChunks int) (*erasure.Codec, error) {
 	return c, nil
 }
 
-// fanOutMinBytes gates per-device goroutine fan-out: below this per-chunk
-// payload the goroutine handoff costs more than the device-side copy it
-// would overlap, so small-chunk stripes run their device IO serially.
-const fanOutMinBytes = 32 << 10
-
-// fanOut runs fn(0..n-1) on per-index goroutines and returns the first (by
-// index) non-nil error. All indices run to completion even when some fail,
-// so callers see a consistent post-state for rollback.
-func fanOut(n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if n == 1 {
-		return fn(0)
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // maxSlots is the widest array a manager runs on (NewManager refuses a wider
 // one; the paper's array and every experiment here are 5 wide), so the most
 // fragments a stripe has. A stripe's absent mask fits in the low maxSlots bits
 // of its stamp, and an operation's fragment table in a [maxSlots][]byte on its
-// stack frame — as long as nothing the table is passed to retains it, which is
-// why the fan-out paths of gather and scatter copy what they need into their
-// own slices before forking.
+// stack frame — as long as nothing the table is passed to retains it.
 const maxSlots = 16
 
 // arena is the leased scratch of one stripe operation: slot i holds fragment
@@ -301,8 +268,7 @@ func (m *Manager) lookup(id ID) (*stripeMeta, error) {
 
 // WriteCtx stores data under the given redundancy scheme and returns the IDs of
 // the stripes created (in data order) plus the virtual-time IO cost. Stripes
-// span the devices alive at write time; chunk writes within a stripe fan out
-// to per-device goroutines, and stripes are written back to back.
+// span the devices alive at write time and are written back to back.
 //
 // An object the array cannot fit is refused with flash.ErrDeviceFull before
 // anything is encoded or written: every stripe puts one chunk of equal length
@@ -530,17 +496,19 @@ func (w *writeOp) end() {
 // scatter is the one place a stripe's fragments are written — gather's mirror.
 // Every non-nil frags[i] goes to meta.fragmentDev(i) through the rc-carrying
 // Device.WriteCtx, so the request's ID and IO attribution reach every chunk
-// write. It returns the parallel (critical path) device cost, how
-// many fragments landed, and the first error by fragment index. Each distinct
-// fragment is made into one flash.Chunk here — copied and checksummed in one
-// pass (see fragChunks) — and every device handed those bytes takes a reference
-// to it: a replicated stripe costs one copy, not one per replica.
+// write. The writes are issued one after another on the caller's goroutine,
+// but the devices work in parallel in virtual time, so the cost returned is
+// the slowest write's; scatter also returns how many fragments landed and the
+// first error by fragment index. Each distinct fragment is made into one
+// flash.Chunk here — copied and checksummed in one pass (see fragChunks) — and
+// every device handed those bytes takes a reference to it: a replicated stripe
+// costs one copy, not one per replica.
 //
-// On a fresh stripe the first failure stops the scatter (fanned-out writes all
-// finish) and what landed is rolled back. On a published stripe a fragment
-// whose device is not serving is skipped — redundancy covers the missing
-// chunk — and a failed write does not stop the rest: once readers can see the
-// stripe, fewer stale chunks is the better outcome. A chunk that lands on a
+// On a fresh stripe the first failure stops the scatter and what landed is
+// rolled back. On a published stripe a fragment whose device is not serving is
+// skipped — redundancy covers the missing chunk — and a failed write does not
+// stop the rest: once readers can see the stripe, fewer stale chunks is the
+// better outcome. A chunk that lands on a
 // published stripe may have been absent, so such a scatter moves the restore
 // counter once its writes are done (see Epoch).
 func (m *Manager) scatter(w *writeOp, id ID, meta *stripeMeta, frags [][]byte) (cost time.Duration, landed int, err error) {
@@ -549,10 +517,6 @@ func (m *Manager) scatter(w *writeOp, id ID, meta *stripeMeta, frags [][]byte) (
 			m.restores.Add(1)
 		}
 	}()
-	if meta.chunkLen >= fanOutMinBytes {
-		return m.scatterFanOut(w, id, meta, frags)
-	}
-	// Serial, closure-free, like gather's small-chunk path.
 	var chunks fragChunks
 	defer chunks.release()
 	for i := range frags {
@@ -577,48 +541,6 @@ func (m *Manager) scatter(w *writeOp, id ID, meta *stripeMeta, frags [][]byte) (
 		}
 	}
 	return cost, landed, err
-}
-
-// scatterFanOut is scatter for large chunks: a goroutine per fragment due (one
-// due is written inline, none due allocates nothing).
-func (m *Manager) scatterFanOut(w *writeOp, id ID, meta *stripeMeta, frags [][]byte) (time.Duration, int, error) {
-	// The closure captures due, never frags or w: either would move every
-	// caller's fragment table or writeOp to the heap.
-	type dueFrag struct {
-		i     int
-		chunk *flash.Chunk
-	}
-	var (
-		due    []dueFrag
-		chunks fragChunks
-	)
-	defer chunks.release()
-	for i := range frags {
-		if m.writable(w.published, meta, frags, i) {
-			due = append(due, dueFrag{i, chunks.of(frags[i])})
-		}
-	}
-	if len(due) == 0 {
-		return 0, 0, nil
-	}
-	if err := w.begin(); err != nil {
-		return 0, 0, err
-	}
-	rc := w.rc
-	costs := make([]time.Duration, len(due))
-	var landed atomic.Int32
-	err := fanOut(len(due), func(j int) error {
-		c, werr := m.put(rc, id, meta, due[j].i, due[j].chunk)
-		if werr == nil {
-			costs[j] = c
-			landed.Add(1)
-		}
-		return werr
-	})
-	if err != nil && !w.published {
-		m.rollback(id, meta)
-	}
-	return simclock.Parallel(costs...), int(landed.Load()), err
 }
 
 // writable reports whether scatter owes fragment i a write.
@@ -677,9 +599,9 @@ func (m *Manager) rollback(id ID, meta *stripeMeta) {
 
 // ReadInto reads the stripes' data into dst (which must hold at least size
 // bytes) and returns the bytes written plus the virtual-time cost. Chunks are
-// copied straight from the devices into dst; on the healthy small-chunk path
-// that takes no heap allocation. Unavailable chunks are reconstructed from
-// survivors when the redundancy level allows (the degraded-read path);
+// copied straight from the devices into dst; on the healthy path that takes
+// no heap allocation. Unavailable chunks are reconstructed from survivors
+// when the redundancy level allows (the degraded-read path);
 // otherwise ReadInto returns ErrUnrecoverable. No manager-wide lock is held
 // during IO. Devices verify each chunk in the pass that copies it into dst, so
 // dst is unspecified on error.
@@ -798,9 +720,11 @@ func (sm *stripeMeta) fragmentDev(i int) int {
 // gather is the one place a stripe's fragments are fetched. It reads
 // fragments lo..hi-1 from their devices — skipping the slots set in skip — under
 // the request context, so the request's retry rule, budget, attempt observer
-// and cancellation apply to every fetch, and returns the parallel (critical
-// path) device cost plus how many fragments arrived. A fetch that fails just
-// leaves its fragment missing; only a dead request is an error.
+// and cancellation apply to every fetch, and returns the slowest fetch's
+// device cost (the devices work in parallel in virtual time) plus how many
+// fragments arrived. The fetches are issued in slot order on the caller's
+// goroutine. A fetch that fails just leaves its fragment missing; only a dead
+// request is an error.
 //
 // A data chunk whose dst segment spans the whole chunk is read straight into
 // it; anything else (the tail chunk a short dst clips, parity, dst == nil)
@@ -808,47 +732,18 @@ func (sm *stripeMeta) fragmentDev(i int) int {
 // records fragment i for decoding. frags == nil is the healthy read: every
 // chunk goes into its dst segment however short, no scratch is needed, and —
 // with no fragments kept to decode from — the first miss ends the gather.
-// Nothing is allocated on the small-chunk path.
+// Nothing is allocated.
 func (m *Manager) gather(rc *reqctx.Ctx, id ID, meta *stripeMeta, lo, hi int, dst []byte, frags [][]byte, scratch arena, skip uint64) (cost time.Duration, got int, err error) {
-	if meta.chunkLen < fanOutMinBytes {
-		// Serial and closure-free, tracking the max cost by hand.
-		for i := lo; i < hi; i++ {
-			frag, c, ok := m.fetch(rc, id, meta, i, dst, frags != nil, scratch, skip)
-			if ok {
-				got++
-				cost = max(cost, c)
-				if frags != nil {
-					frags[i] = frag
-				}
-			} else if frags == nil {
-				break
+	for i := lo; i < hi; i++ {
+		frag, c, ok := m.fetch(rc, id, meta, i, dst, frags != nil, scratch, skip)
+		if ok {
+			got++
+			cost = max(cost, c)
+			if frags != nil {
+				frags[i] = frag
 			}
-		}
-	} else {
-		// Large chunks: fan out per device. The small bookkeeping
-		// allocates, but large-chunk transfers dwarf it. The closure fills
-		// its own table, so the caller's can stay on its stack.
-		costs := make([]time.Duration, hi-lo)
-		var landed [][]byte
-		if frags != nil {
-			landed = make([][]byte, hi-lo)
-		}
-		var arrived atomic.Int32
-		_ = fanOut(hi-lo, func(j int) error {
-			if frag, c, ok := m.fetch(rc, id, meta, lo+j, dst, landed != nil, scratch, skip); ok {
-				costs[j] = c
-				arrived.Add(1)
-				if landed != nil {
-					landed[j] = frag
-				}
-			}
-			return nil
-		})
-		cost, got = simclock.Parallel(costs...), int(arrived.Load())
-		for j, frag := range landed {
-			if frag != nil {
-				frags[lo+j] = frag
-			}
+		} else if frags == nil {
+			break
 		}
 	}
 	if got < hi-lo {
@@ -886,8 +781,9 @@ func (m *Manager) fetch(rc *reqctx.Ctx, id ID, meta *stripeMeta, i int, dst []by
 // straight into that segment, anything else into its slot of scratch —
 // copies every data chunk not already sitting in dst into its segment (dst
 // may be nil), and returns the decode CPU cost, which callers charge serially
-// after the gather's fan-out. A parity fragment restore does not name stays
-// nil: nobody reads or writes it. Fewer than m survivors is ErrUnrecoverable.
+// after the gather's device cost. A parity fragment restore does not name
+// stays nil: nobody reads or writes it. Fewer than m survivors is
+// ErrUnrecoverable.
 func (m *Manager) reconstruct(id ID, meta *stripeMeta, frags [][]byte, dst []byte, scratch arena, restore uint64) (time.Duration, error) {
 	dataChunks := len(meta.dataDevs)
 	if have := len(frags) - bits.OnesCount64(missing(frags)); have < dataChunks {

@@ -197,12 +197,14 @@ func WithWriteAwareAdmission() Option {
 
 // WithHedgedReads arms hedged degraded reads: when the health monitor marks
 // a device suspect (fail-slow), a read whose primary path would wait on that
-// device races a second attempt — another replica, or a parity
-// reconstruction avoiding every suspect device — fired after delay.
-// First success wins in virtual time; the loser is cancelled. maxHedges
-// bounds concurrent in-flight hedges (<= 0 selects 4). Hedging is off by
-// default; arming it leaves fault-free runs byte-identical (the race only
-// engages on suspect devices) but tail latencies under fail-slow faults
+// device gets a second attempt — another replica, or a parity
+// reconstruction avoiding every suspect device — fired after delay in
+// virtual time. The primary runs first; if it succeeded within delay the
+// hedge never fires and reads nothing, otherwise the hedge runs next and
+// whichever attempt finishes first in virtual time wins. maxHedges bounds
+// concurrent in-flight hedges (<= 0 selects 4). Hedging is off by default;
+// arming it leaves fault-free runs byte-identical (hedges only arm on
+// suspect devices) but tail latencies under fail-slow faults
 // improve by roughly the slowdown factor. Against a live target the same
 // rule is set with `reoctl tune policy.read.degraded.hedge.delay <seconds>`
 // and `reoctl tune policy.read.degraded.hedge.max <n>`.
@@ -402,17 +404,6 @@ func (c *Cache) ReadBatch(ids []ObjectID) ([]Result, []error) {
 	return results, errs
 }
 
-// ReadBatchCtx is ReadBatch under a context. Cancellation drains the batch
-// cleanly: sub-reads not yet started fail with the context error while
-// completed ones keep their results.
-func (c *Cache) ReadBatchCtx(ctx context.Context, ids []ObjectID) ([]Result, []error) {
-	rc := reqctx.Acquire(ctx)
-	results, errs := c.manager.ReadBatchCtx(rc, ids)
-	reqctx.Release(rc)
-	c.advanceBatch(results)
-	return results, errs
-}
-
 // WriteBatch absorbs a batch of writes in one vectored pass: writes to
 // objects the cache has never seen ride a single multi-object store write;
 // overwrites and duplicate IDs keep the single-op path. Each sub-write
@@ -420,17 +411,6 @@ func (c *Cache) ReadBatchCtx(ctx context.Context, ids []ObjectID) ([]Result, []e
 // durability guarantee) as Write.
 func (c *Cache) WriteBatch(ops []BatchWrite) ([]Result, []error) {
 	results, errs := c.manager.WriteBatch(ops)
-	c.advanceBatch(results)
-	return results, errs
-}
-
-// WriteBatchCtx is WriteBatch under a context, with WriteCtx's exactness
-// guarantee per sub-write: a sub-write that returns a cancellation error
-// was not acknowledged and left no torn state.
-func (c *Cache) WriteBatchCtx(ctx context.Context, ops []BatchWrite) ([]Result, []error) {
-	rc := reqctx.Acquire(ctx)
-	results, errs := c.manager.WriteBatchCtx(rc, ops)
-	reqctx.Release(rc)
 	c.advanceBatch(results)
 	return results, errs
 }
@@ -454,36 +434,12 @@ func (c *Cache) Preload(ids []ObjectID) (int, error) {
 	return admitted, err
 }
 
-// PreloadCtx is Preload under a context, checked between objects: a
-// cancelled warm-up stops cleanly with everything admitted so far intact.
-func (c *Cache) PreloadCtx(ctx context.Context, ids []ObjectID) (int, error) {
-	rc := reqctx.Acquire(ctx)
-	admitted, cost, err := c.manager.PreloadCtx(rc, ids)
-	reqctx.Release(rc)
-	c.clock.Advance(cost)
-	return admitted, err
-}
-
 // WriteAt absorbs a partial update of an object. Cached objects are updated
 // in place on the flash array — the delta/direct parity-updating paths of
 // the paper's §II.B — and marked dirty; uncached objects are fetched,
 // merged, and admitted dirty.
 func (c *Cache) WriteAt(id ObjectID, offset int64, data []byte) (Result, error) {
 	res, err := c.manager.WriteAtCtx(nil, id, offset, data)
-	if err != nil {
-		return Result{}, err
-	}
-	c.clock.Advance(res.Latency + res.Background)
-	return res, nil
-}
-
-// WriteAtCtx is WriteAt under a context, with the same exactness guarantee
-// as WriteCtx: a cancelled partial update is not acknowledged and never
-// leaves a torn object.
-func (c *Cache) WriteAtCtx(ctx context.Context, id ObjectID, offset int64, data []byte) (Result, error) {
-	rc := reqctx.Acquire(ctx)
-	res, err := c.manager.WriteAtCtx(rc, id, offset, data)
-	reqctx.Release(rc)
 	if err != nil {
 		return Result{}, err
 	}
@@ -644,6 +600,3 @@ func (c *Cache) WriteAmp() WriteAmpStats { return c.store.WriteAmp() }
 // SegmentStats snapshots every device slot's segment utilization, garbage
 // ratio, and write-amplification counters in slot order.
 func (c *Cache) SegmentStats() []SegmentStats { return c.store.SegmentStats() }
-
-// WaitGC blocks until no background segment-collection episode is running.
-func (c *Cache) WaitGC() { c.store.WaitGC() }
