@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/reo-cache/reo/internal/harness"
+	"github.com/reo-cache/reo/internal/transport"
 )
 
 // clusterArgs carries the -cluster* flag values into runCluster.
@@ -94,7 +95,16 @@ func runCluster(experiment string, opts harness.Options, args clusterArgs) error
 	}
 	fmt.Printf("[cluster completed in %v]\n", time.Since(start).Round(time.Millisecond))
 	if opts.OpStats != nil {
-		fmt.Printf("-- per-op latency (cluster, wall clock) and cluster gauges --\n%s\n", opts.OpStats)
+		fmt.Printf("-- per-op latency (cluster, wall clock) --\n%s", opts.OpStats)
+		if opts.Batch > 1 {
+			fmt.Printf("batch routing: %+v fan-out width %.2f\n", res.Batch, res.Batch.FanoutWidth())
+		}
+		if mode != "in-process" {
+			ws := transport.SnapshotWireStats()
+			fmt.Printf("wire: %+v bytes/flush %.0f sub-ops/batch PDU %.2f\n",
+				ws, ws.BytesPerFlush(), ws.SubOpsPerBatch())
+		}
+		fmt.Println()
 	}
 	if res.Mismatched > 0 {
 		return fmt.Errorf("cluster replay: %d objects failed byte verification", res.Mismatched)

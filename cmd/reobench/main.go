@@ -134,13 +134,7 @@ func run(args []string) error {
 	}
 
 	if *chaos {
-		if err := runChaos(*experiment, opts, *faultSeed, *hedgeDelay, *failSlowF); err != nil {
-			return err
-		}
-		if opts.OpStats != nil {
-			fmt.Printf("-- per-op latency (chaos, virtual time, cumulative) --\n%s\n", opts.OpStats)
-		}
-		return nil
+		return runChaos(*experiment, opts, *faultSeed, *hedgeDelay, *failSlowF)
 	}
 
 	if *clusterN > 0 || *clAddrs != "" || *remote {
@@ -192,7 +186,7 @@ func run(args []string) error {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-		if opts.OpStats != nil {
+		if opts.OpStats != nil && len(opts.OpStats.Snapshot()) > 0 {
 			fmt.Printf("-- per-op latency (%s, virtual time, cumulative) --\n%s\n", name, opts.OpStats)
 		}
 	}
@@ -261,6 +255,17 @@ func runChaos(experiment string, opts harness.Options, faultSeed int64, hedgeDel
 		return err
 	}
 	fmt.Printf("[chaos completed in %v]\n", time.Since(start).Round(time.Millisecond))
+	if opts.OpStats != nil {
+		wa := res.WriteAmp
+		systemWA := 0.0
+		if res.Cache.OfferedBytes > 0 {
+			systemWA = float64(wa.FlashBytesWritten) / float64(res.Cache.OfferedBytes)
+		}
+		fmt.Printf("-- per-op latency (chaos, virtual time, cumulative) --\n%s", opts.OpStats)
+		fmt.Printf("cache: %+v\n", res.Cache)
+		fmt.Printf("write amp: %+v system %.3f device %.3f garbage %.1f%%\n\n",
+			wa, systemWA, wa.DeviceWriteAmp(), 100*wa.GarbageRatio())
+	}
 	return nil
 }
 
@@ -285,7 +290,6 @@ func runHedge(opts harness.Options, delay time.Duration) error {
 	if err != nil {
 		return err
 	}
-	cfg.OpStats = opts.OpStats
 	onRes, err := harness.HedgeRun(cfg)
 	if err != nil {
 		return err

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"io"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -81,6 +85,52 @@ func TestSmokeAblations(t *testing.T) {
 func TestSmokeRemote(t *testing.T) {
 	if err := run(append(tiny("fig6"), "-scale", "0.004", "-remote", "-workers", "4", "-conns", "2")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// capture runs reobench with args and returns what it printed to stdout.
+func capture(t *testing.T, args ...string) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run(args)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestOpStatsPrintsEachCounterOnce checks -opstats on a batched wire
+// cluster: per-op latency lines, then the wire and batch-routing snapshots,
+// each counter printed once and no gauge lines.
+func TestOpStatsPrintsEachCounterOnce(t *testing.T) {
+	out := capture(t, append(tiny("fig6"), "-scale", "0.004",
+		"-cluster", "2", "-remote", "-batch", "8", "-opstats")...)
+	if strings.Contains(out, "gauge=") {
+		t.Errorf("-opstats printed a gauge line:\n%s", out)
+	}
+	for _, field := range []string{"Leases", "Releases", "SubOps"} {
+		re := regexp.MustCompile(`\b` + field + `:(\d+)`)
+		if n := len(re.FindAllString(out, -1)); n != 1 {
+			t.Errorf("%s printed %d times, want once:\n%s", field, n, out)
+		}
+	}
+	leases := regexp.MustCompile(`\bLeases:(\d+) Releases:(\d+)`).FindStringSubmatch(out)
+	if leases == nil || leases[1] != leases[2] {
+		t.Errorf("wire leases and releases do not balance at quiesce: %v", leases)
 	}
 }
 

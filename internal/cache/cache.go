@@ -568,6 +568,31 @@ func (m *Manager) forgetLocked(id osd.ObjectID) bool {
 	return m.cfg.Store.Delete(id) == nil
 }
 
+// Delete drops id from the cache: it waits out any latch on the entry,
+// writes a dirty entry back to the backend the way eviction does, then
+// forgets the entry and the store copy. It returns the write-back cost.
+func (m *Manager) Delete(id osd.ObjectID) time.Duration {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var total time.Duration
+	for {
+		e, ok := m.entries[id]
+		switch {
+		case !ok:
+		case e.latch != nil:
+			m.latchWaitLocked(e)
+			continue
+		case e.dirty:
+			total += m.flushEntryLocked(e, false)
+			if m.entries[id] != e {
+				continue // replaced while the flush ran; settle the new entry
+			}
+		}
+		m.forgetLocked(id)
+		return total
+	}
+}
+
 // errNotPut is the admission state "put next, before evicting anyone": no
 // put has been issued yet, or cleaning up after a refused one made room.
 var errNotPut = errors.New("cache: object not put yet")

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/reo-cache/reo/internal/cache"
 	"github.com/reo-cache/reo/internal/faultinject"
 	"github.com/reo-cache/reo/internal/flash"
-	"github.com/reo-cache/reo/internal/metrics"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/store"
 	"github.com/reo-cache/reo/internal/workload"
@@ -104,6 +104,10 @@ type ChaosResult struct {
 	// Hedge is the hedged-read lifecycle tally (all zero unless
 	// ChaosConfig.HedgeDelay armed hedging).
 	Hedge policy.HedgeStats
+	// Cache and WriteAmp snapshot the soak's cache manager and flash write
+	// amplification as the replay ends, before the integrity sweep.
+	Cache    cache.Stats
+	WriteAmp store.WriteAmpStats
 }
 
 // ChaosRun replays a synthesized trace (with writes) through a Reo system
@@ -180,6 +184,8 @@ func ChaosRun(loc workload.Locality, opts Options, chaos ChaosConfig) (*ChaosRes
 	}
 	res.SpaceEfficiency = sys.Store.SpaceEfficiency()
 	out.Run = res
+	out.Cache = sys.Cache.Stats()
+	out.WriteAmp = sys.Store.WriteAmp()
 
 	// The storm is over: detach the injector and audit the survivors. Every
 	// object must read back its last acknowledged version — dirty data from
@@ -196,40 +202,5 @@ func ChaosRun(loc workload.Locality, opts Options, chaos ChaosConfig) (*ChaosRes
 	for i := 0; i < arr.N(); i++ {
 		out.Health = append(out.Health, arr.Device(i).Health())
 	}
-	if opts.OpStats != nil {
-		recordChaosGauges(opts.OpStats, out)
-	}
 	return out, nil
-}
-
-// recordChaosGauges exposes the fault/repair/retry/health counters through
-// the -opstats report.
-func recordChaosGauges(h *metrics.OpHistogram, out *ChaosResult) {
-	h.SetGauge("fault.transient", float64(out.Faults.Transient))
-	h.SetGauge("fault.bitflip", float64(out.Faults.BitFlips))
-	h.SetGauge("fault.latent", float64(out.Faults.Latent))
-	h.SetGauge("fault.failslow_ops", float64(out.Faults.FailSlow))
-	h.SetGauge("fault.failstop", float64(out.Faults.FailStops))
-	var retries, exhausted int64
-	suspect, failed := 0, 0
-	for _, dh := range out.Health {
-		retries += dh.Retries
-		exhausted += dh.RetriesExhausted
-		switch dh.State {
-		case flash.StateSuspect:
-			suspect++
-		case flash.StateFailed:
-			failed++
-		}
-	}
-	h.SetGauge("retry.attempts", float64(retries))
-	h.SetGauge("retry.exhausted", float64(exhausted))
-	h.SetGauge("repair.chunks", float64(out.Store.RepairedChunks))
-	h.SetGauge("repair.scrub_repaired", float64(out.Store.ScrubRepaired))
-	h.SetGauge("repair.scrub_invalidated", float64(out.Store.ScrubInvalidated))
-	h.SetGauge("repair.reencoded", float64(out.Store.Reencoded))
-	h.SetGauge("device.health.suspect", float64(suspect))
-	h.SetGauge("device.health.failed", float64(failed))
-	h.SetGauge("recovery.auto_starts", float64(out.Store.AutoRecoveries))
-	recordHedgeGauges(h, out.Hedge)
 }

@@ -11,7 +11,6 @@ import (
 	"github.com/reo-cache/reo/internal/cache"
 	"github.com/reo-cache/reo/internal/cluster"
 	"github.com/reo-cache/reo/internal/flash"
-	"github.com/reo-cache/reo/internal/metrics"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/store"
@@ -19,25 +18,6 @@ import (
 	"github.com/reo-cache/reo/internal/transport"
 	"github.com/reo-cache/reo/internal/workload"
 )
-
-// setWireGauges surfaces the zero-copy/batching wire counters next to the op
-// latencies so -opstats shows how the transport moved the bytes: frames per
-// flush, the coalescing rate and the frame-lease books (leases != releases
-// at quiesce means a leaked pooled buffer), plus the batch PDUs when the
-// replay batches.
-func setWireGauges(h *metrics.OpHistogram, batched bool) {
-	ws := transport.SnapshotWireStats()
-	h.SetGauge("wire.flushes", float64(ws.Flushes))
-	h.SetGauge("wire.frames", float64(ws.Frames))
-	h.SetGauge("wire.batchedFrames", float64(ws.BatchedFrames))
-	h.SetGauge("wire.bytesPerSyscall", ws.BytesPerFlush())
-	h.SetGauge("bufpool.wireLeases", float64(ws.Leases))
-	h.SetGauge("bufpool.wireReleases", float64(ws.Releases))
-	if batched {
-		h.SetGauge("batch.frames", float64(ws.BatchFrames))
-		h.SetGauge("batch.subOpsPerFrame", ws.SubOpsPerBatch())
-	}
-}
 
 // remoteWriteRatio mixes writes into the cluster replay so the targets (and
 // the multiplexed connections, over the wire) carry put, get, write-range,
@@ -114,6 +94,9 @@ type ClusterResult struct {
 	MigratedBytes   int64
 	// PerShard is the per-shard routing accounting at quiesce.
 	PerShard []cluster.ShardCounters
+	// Batch is the initiator's batch-routing tally (all zero unless the
+	// replay batched).
+	Batch cluster.BatchStats
 }
 
 // OpsPerSec is the measured wall-clock request throughput.
@@ -393,26 +376,7 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 
 	res.MigratedObjects, res.MigratedBytes = ini.MigratedTotals()
 	res.PerShard = ini.Counters()
-	if opts.OpStats != nil {
-		for _, sc := range res.PerShard {
-			opts.OpStats.SetGauge("cluster."+sc.Name+".ops", float64(sc.Ops))
-			opts.OpStats.SetGauge("cluster."+sc.Name+".objects", float64(sc.Objects))
-			opts.OpStats.SetGauge("cluster."+sc.Name+".bytesIn", float64(sc.BytesIn))
-			opts.OpStats.SetGauge("cluster."+sc.Name+".bytesOut", float64(sc.BytesOut))
-		}
-		opts.OpStats.SetGauge("cluster.migratedObjects", float64(res.MigratedObjects))
-		opts.OpStats.SetGauge("cluster.migratedBytes", float64(res.MigratedBytes))
-		if batchN > 1 {
-			bs := ini.BatchCounters()
-			opts.OpStats.SetGauge("batch.calls", float64(bs.Calls))
-			opts.OpStats.SetGauge("batch.subOps", float64(bs.SubOps))
-			opts.OpStats.SetGauge("batch.fanoutWidth", bs.FanoutWidth())
-			opts.OpStats.SetGauge("batch.partialFailures", float64(bs.PartialFailures))
-		}
-		if spec.Remote || len(spec.Addrs) > 0 {
-			setWireGauges(opts.OpStats, batchN > 1)
-		}
-	}
+	res.Batch = ini.BatchCounters()
 	return res, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/reo-cache/reo/internal/metrics"
+	"github.com/reo-cache/reo/internal/transport"
 	"github.com/reo-cache/reo/internal/workload"
 )
 
@@ -71,11 +72,9 @@ func TestClusterMatchesSingleTarget(t *testing.T) {
 			t.Errorf("%s: no bytes accounted", tc.name)
 		}
 		if tc.spec.Remote {
-			leases, okL := opts.OpStats.Gauge("bufpool.wireLeases")
-			releases, okR := opts.OpStats.Gauge("bufpool.wireReleases")
-			if !okL || !okR || leases == 0 || leases != releases {
-				t.Errorf("%s: wire leases %v (set %v) != releases %v (set %v) at quiesce",
-					tc.name, leases, okL, releases, okR)
+			ws := transport.SnapshotWireStats()
+			if ws.Leases == 0 || ws.Leases != ws.Releases {
+				t.Errorf("%s: wire leases %d != releases %d at quiesce", tc.name, ws.Leases, ws.Releases)
 			}
 		}
 	}

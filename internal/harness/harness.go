@@ -404,30 +404,6 @@ func replay(sys *System, tr *workload.Trace, cfg RunConfig, res *RunResult) erro
 		res.TotalReads = totalReads.Snapshot(now)
 		res.TotalAll = totalAll.Snapshot(now)
 		res.Elapsed = now - measuredStart
-		if cfg.OpStats != nil {
-			// An async refresh may still be applying class changes; settle
-			// it so the gauges below reflect the quiesced cache.
-			sys.Cache.WaitRefresh()
-			sys.Store.WaitGC()
-			cs := sys.Cache.Stats()
-			cfg.OpStats.SetGauge("cache.hhot", cs.Hhot)
-			cfg.OpStats.SetGauge("cache.reclass_pending", float64(cs.ReclassPending))
-			cfg.OpStats.SetGauge("cache.refresh_pauses", float64(cs.RefreshPauses))
-			cfg.OpStats.SetGauge("cache.admission_bypasses", float64(cs.AdmissionBypasses))
-			wa := sys.Store.WriteAmp()
-			cfg.OpStats.SetGauge("wa.flash_bytes", float64(wa.FlashBytesWritten))
-			cfg.OpStats.SetGauge("wa.gc_bytes", float64(wa.GCBytesWritten))
-			cfg.OpStats.SetGauge("wa.tombstoned_bytes", float64(wa.TombstonedBytes))
-			cfg.OpStats.SetGauge("wa.garbage_ratio", wa.GarbageRatio())
-			cfg.OpStats.SetGauge("wa.segment_erases", float64(wa.SegmentErases))
-			cfg.OpStats.SetGauge("wa.wear_cycles", wa.WearCycles)
-			cfg.OpStats.SetGauge("wa.device", wa.DeviceWriteAmp())
-			if cs.OfferedBytes > 0 {
-				// System-level WA: flash bytes programmed per user byte offered.
-				cfg.OpStats.SetGauge("wa.system",
-					float64(wa.FlashBytesWritten)/float64(cs.OfferedBytes))
-			}
-		}
 	}
 	return nil
 }

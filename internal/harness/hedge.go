@@ -10,7 +10,6 @@ import (
 
 	"github.com/reo-cache/reo/internal/faultinject"
 	"github.com/reo-cache/reo/internal/flash"
-	"github.com/reo-cache/reo/internal/metrics"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
@@ -44,8 +43,6 @@ type HedgeConfig struct {
 	HedgeDelay time.Duration
 	// MaxHedges bounds in-flight hedges (default 4).
 	MaxHedges int
-	// OpStats, when set, receives the hedge lifecycle gauges.
-	OpStats *metrics.OpHistogram
 }
 
 // DefaultHedge returns the acceptance-criteria scenario: 5 devices, 200
@@ -204,10 +201,6 @@ func HedgeRun(cfg HedgeConfig) (*HedgeResult, error) {
 			out.SuspectDevices++
 		}
 	}
-	if cfg.OpStats != nil {
-		recordHedgeGauges(cfg.OpStats, out.Hedge)
-		cfg.OpStats.SetGauge("hedge.p99_us", float64(out.P99.Microseconds()))
-	}
 	return out, nil
 }
 
@@ -221,16 +214,4 @@ func quantileExact(sorted []time.Duration, q float64) time.Duration {
 		rank = len(sorted) - 1
 	}
 	return sorted[rank]
-}
-
-// recordHedgeGauges exposes the hedge lifecycle counters (and win rate)
-// through the -opstats report.
-func recordHedgeGauges(h *metrics.OpHistogram, hs policy.HedgeStats) {
-	h.SetGauge("hedge.fired", float64(hs.Fired))
-	h.SetGauge("hedge.won", float64(hs.Won))
-	h.SetGauge("hedge.cancelled", float64(hs.Cancelled))
-	h.SetGauge("hedge.suppressed", float64(hs.Suppressed))
-	if hs.Fired > 0 {
-		h.SetGauge("hedge.win_rate", float64(hs.Won)/float64(hs.Fired))
-	}
 }

@@ -23,43 +23,50 @@ const (
 	bucketCount = 25
 )
 
-// Collector accumulates per-request observations.
-type Collector struct {
-	mu           sync.Mutex
-	requests     int64
-	hits         int64
-	degradedHits int64
-	bytesServed  int64
-	latencySum   time.Duration
-	latencyMax   time.Duration
-	buckets      [bucketCount]int64
-	started      time.Duration // virtual time at start/reset
+// latency is one log2-bucketed latency distribution: the body Collector and
+// OpHistogram share. Callers hold the owner's lock.
+type latency struct {
+	count   int64
+	sum     time.Duration
+	max     time.Duration
+	buckets [bucketCount]int64
 }
 
-// NewCollector returns a collector whose bandwidth window starts at the
-// given virtual time.
-func NewCollector(start time.Duration) *Collector {
-	return &Collector{started: start}
+func (l *latency) record(d time.Duration) {
+	l.count++
+	l.sum += d
+	if d > l.max {
+		l.max = d
+	}
+	l.buckets[bucketIndex(d)]++
 }
 
-// Record adds one request observation. degraded marks hits that required
-// on-the-fly reconstruction.
-func (c *Collector) Record(hit, degraded bool, bytes int64, latency time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.requests++
-	if hit {
-		c.hits++
-		if degraded {
-			c.degradedHits++
+func (l *latency) mean() time.Duration {
+	if l.count == 0 {
+		return 0
+	}
+	return l.sum / time.Duration(l.count)
+}
+
+// quantile returns the upper edge of the bucket containing the q-th
+// quantile, clamped so a sparse top bucket never reports a quantile above
+// the observed maximum.
+func (l *latency) quantile(q float64) time.Duration {
+	if l.count == 0 {
+		return 0
+	}
+	target := int64(math.Ceil(q * float64(l.count)))
+	var cum int64
+	for i, n := range l.buckets {
+		cum += n
+		if cum >= target {
+			if edge := bucketBase << uint(i+1); edge < l.max {
+				return edge
+			}
+			return l.max
 		}
 	}
-	c.bytesServed += bytes
-	c.latencySum += latency
-	if latency > c.latencyMax {
-		c.latencyMax = latency
-	}
-	c.buckets[bucketIndex(latency)]++
+	return l.max
 }
 
 func bucketIndex(d time.Duration) int {
@@ -74,6 +81,37 @@ func bucketIndex(d time.Duration) int {
 		idx = bucketCount - 1
 	}
 	return idx
+}
+
+// Collector accumulates per-request observations.
+type Collector struct {
+	mu           sync.Mutex
+	hits         int64
+	degradedHits int64
+	bytesServed  int64
+	lat          latency       // one observation per request
+	started      time.Duration // virtual time at start/reset
+}
+
+// NewCollector returns a collector whose bandwidth window starts at the
+// given virtual time.
+func NewCollector(start time.Duration) *Collector {
+	return &Collector{started: start}
+}
+
+// Record adds one request observation. degraded marks hits that required
+// on-the-fly reconstruction.
+func (c *Collector) Record(hit, degraded bool, bytes int64, latency time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if hit {
+		c.hits++
+		if degraded {
+			c.degradedHits++
+		}
+	}
+	c.bytesServed += bytes
+	c.lat.record(latency)
 }
 
 // Stats is a snapshot of a collector.
@@ -100,58 +138,29 @@ func (c *Collector) Snapshot(now time.Duration) Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := Stats{
-		Requests:     c.requests,
+		Requests:     c.lat.count,
 		Hits:         c.hits,
 		DegradedHits: c.degradedHits,
 		BytesServed:  c.bytesServed,
-		MaxLatency:   c.latencyMax,
+		MeanLatency:  c.lat.mean(),
+		MaxLatency:   c.lat.max,
+		P50:          c.lat.quantile(0.50),
+		P99:          c.lat.quantile(0.99),
 		Elapsed:      now - c.started,
 	}
-	if c.requests > 0 {
-		s.HitRatio = float64(c.hits) / float64(c.requests)
-		s.MeanLatency = c.latencySum / time.Duration(c.requests)
+	if s.Requests > 0 {
+		s.HitRatio = float64(c.hits) / float64(s.Requests)
 	}
 	s.BandwidthMBps = simclock.Bandwidth(c.bytesServed, s.Elapsed)
-	s.P50 = c.quantileLocked(0.50)
-	s.P99 = c.quantileLocked(0.99)
 	return s
-}
-
-func (c *Collector) quantileLocked(q float64) time.Duration {
-	return bucketQuantile(&c.buckets, c.requests, q, c.latencyMax)
-}
-
-// bucketQuantile returns the upper edge of the bucket containing the q-th
-// quantile of count observations.
-func bucketQuantile(buckets *[bucketCount]int64, count int64, q float64, max time.Duration) time.Duration {
-	if count == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(count)))
-	var cum int64
-	for i, n := range buckets {
-		cum += n
-		if cum >= target {
-			// Upper edge of bucket i, clamped so a sparse top bucket never
-			// reports a quantile above the observed maximum.
-			edge := bucketBase << uint(i+1)
-			if edge > max {
-				return max
-			}
-			return edge
-		}
-	}
-	return max
 }
 
 // Reset clears all counters and restarts the bandwidth window at now.
 func (c *Collector) Reset(now time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.requests, c.hits, c.degradedHits = 0, 0, 0
-	c.bytesServed = 0
-	c.latencySum, c.latencyMax = 0, 0
-	c.buckets = [bucketCount]int64{}
+	c.hits, c.degradedHits, c.bytesServed = 0, 0, 0
+	c.lat = latency{}
 	c.started = now
 }
 
@@ -166,70 +175,25 @@ func (s Stats) String() string {
 // is intended for profiling runs: the harness records every request's
 // latency under its op label so tail behaviour can be broken down by path.
 type OpHistogram struct {
-	mu     sync.Mutex
-	ops    map[string]*opBucket
-	gauges map[string]float64
-}
-
-type opBucket struct {
-	count   int64
-	sum     time.Duration
-	max     time.Duration
-	buckets [bucketCount]int64
+	mu  sync.Mutex
+	ops map[string]*latency
 }
 
 // NewOpHistogram returns an empty per-op latency histogram.
 func NewOpHistogram() *OpHistogram {
-	return &OpHistogram{ops: make(map[string]*opBucket)}
+	return &OpHistogram{ops: make(map[string]*latency)}
 }
 
 // Record adds one observation of the given operation.
 func (h *OpHistogram) Record(op string, d time.Duration) {
 	h.mu.Lock()
-	b := h.ops[op]
-	if b == nil {
-		b = &opBucket{}
-		h.ops[op] = b
+	l := h.ops[op]
+	if l == nil {
+		l = &latency{}
+		h.ops[op] = l
 	}
-	b.count++
-	b.sum += d
-	if d > b.max {
-		b.max = d
-	}
-	b.buckets[bucketIndex(d)]++
+	l.record(d)
 	h.mu.Unlock()
-}
-
-// SetGauge records a point-in-time value (queue depth, threshold, ...)
-// under the given name; the latest value wins. Gauges print after the op
-// lines in String.
-func (h *OpHistogram) SetGauge(name string, v float64) {
-	h.mu.Lock()
-	if h.gauges == nil {
-		h.gauges = make(map[string]float64)
-	}
-	h.gauges[name] = v
-	h.mu.Unlock()
-}
-
-// Gauge returns the last value recorded under name.
-func (h *OpHistogram) Gauge(name string) (float64, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	v, ok := h.gauges[name]
-	return v, ok
-}
-
-// Gauges returns the gauge names in sorted order.
-func (h *OpHistogram) Gauges() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.gauges))
-	for name := range h.gauges {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // OpStats summarises one operation's latency distribution.
@@ -247,14 +211,11 @@ func (h *OpHistogram) Snapshot() []OpStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make([]OpStats, 0, len(h.ops))
-	for op, b := range h.ops {
-		s := OpStats{Op: op, Count: b.count, Max: b.max}
-		if b.count > 0 {
-			s.Mean = b.sum / time.Duration(b.count)
-		}
-		s.P50 = bucketQuantile(&b.buckets, b.count, 0.50, b.max)
-		s.P99 = bucketQuantile(&b.buckets, b.count, 0.99, b.max)
-		out = append(out, s)
+	for op, l := range h.ops {
+		out = append(out, OpStats{
+			Op: op, Count: l.count, Mean: l.mean(),
+			P50: l.quantile(0.50), P99: l.quantile(0.99), Max: l.max,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Op < out[j].Op })
 	return out
@@ -266,10 +227,6 @@ func (h *OpHistogram) String() string {
 	for _, s := range h.Snapshot() {
 		fmt.Fprintf(&sb, "%-12s n=%-8d mean=%-10v p50=%-10v p99=%-10v max=%v\n",
 			s.Op, s.Count, s.Mean, s.P50, s.P99, s.Max)
-	}
-	for _, name := range h.Gauges() {
-		v, _ := h.Gauge(name)
-		fmt.Fprintf(&sb, "%-12s gauge=%g\n", name, v)
 	}
 	return sb.String()
 }

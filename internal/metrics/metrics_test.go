@@ -198,3 +198,19 @@ func TestOpHistogramConcurrent(t *testing.T) {
 		t.Fatalf("got %+v, want one op with count 8000", ops)
 	}
 }
+
+// TestCollectorAndOpHistogramAgree feeds both the same latencies: they share
+// one histogram body, so count, mean, quantiles and maximum must match.
+func TestCollectorAndOpHistogramAgree(t *testing.T) {
+	c, h := NewCollector(0), NewOpHistogram()
+	for i := 1; i <= 1000; i++ {
+		d := time.Duration(i*i) * time.Microsecond
+		c.Record(true, false, 1, d)
+		h.Record("op", d)
+	}
+	cs, o := c.Snapshot(time.Second), h.Snapshot()[0]
+	if cs.Requests != o.Count || cs.MeanLatency != o.Mean || cs.P50 != o.P50 ||
+		cs.P99 != o.P99 || cs.MaxLatency != o.Max {
+		t.Fatalf("collector %+v != op histogram %+v", cs, o)
+	}
+}

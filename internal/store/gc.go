@@ -95,9 +95,6 @@ func (s *Store) WaitGC() {
 	}
 }
 
-// GCActive reports whether a background collection episode is running.
-func (s *Store) GCActive() bool { return s.gcActive.Load() }
-
 // SegmentStats snapshots every device slot's segment occupancy and
 // write-amplification counters in slot order.
 func (s *Store) SegmentStats() []flash.SegmentStats {

@@ -231,21 +231,6 @@ func Generate(cfg Config) (*Trace, error) {
 	return tr, nil
 }
 
-// BatchEnd returns the exclusive end index of the longest run of
-// consecutive requests starting at start that share a kind (all reads or
-// all writes), capped at max entries. Batched replays use it to draw
-// multi-object batches off a trace without reordering it: consecutive
-// same-kind requests group into one ReadBatch/WriteBatch call, and a kind
-// change ends the batch so the read/write interleaving the trace encodes
-// is preserved.
-func BatchEnd(reqs []Request, start, max int) int {
-	end := start + 1
-	for end < len(reqs) && end-start < max && reqs[end].Write == reqs[start].Write {
-		end++
-	}
-	return end
-}
-
 // lognormalSizes draws sizes from a lognormal distribution and rescales them
 // so the mean is exactly the requested mean.
 func lognormalSizes(rng *rand.Rand, n int, mean int64, sigma float64) []int64 {

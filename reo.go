@@ -447,13 +447,11 @@ func (c *Cache) WriteAt(id ObjectID, offset int64, data []byte) (Result, error) 
 	return res, nil
 }
 
-// Delete drops the object from the cache (the backend copy, if any, stays).
+// Delete drops the object from the cache. A dirty copy is written back
+// first, so the backend keeps the last acknowledged version.
 func (c *Cache) Delete(id ObjectID) error {
-	err := c.store.Delete(id)
-	if errors.Is(err, store.ErrNotFound) {
-		return nil
-	}
-	return err
+	c.clock.Advance(c.manager.Delete(id))
+	return nil
 }
 
 // Flush writes all dirty objects back to the backend.

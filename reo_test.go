@@ -313,6 +313,42 @@ func TestDeleteIdempotent(t *testing.T) {
 	}
 }
 
+// TestDeleteKeepsAcknowledgedWrite deletes an object whose only current copy
+// is a dirty cache entry: the delete must write it back before dropping it,
+// so the manager forgets the entry and the next read fetches the
+// acknowledged version from the backend rather than the seeded one.
+func TestDeleteKeepsAcknowledgedWrite(t *testing.T) {
+	c := newCache(t)
+	id := UserObject(8)
+	seeded, written := bytes.Repeat([]byte("a"), 4096), bytes.Repeat([]byte("b"), 4096)
+	if err := c.Seed(id, seeded); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(id, written); err != nil {
+		t.Fatal(err)
+	}
+	if c.DirtyBytes() != 4096 {
+		t.Fatalf("dirty bytes after the write = %d, want 4096", c.DirtyBytes())
+	}
+	if err := c.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	if c.Contains(id) || c.DirtyBytes() != 0 {
+		t.Fatalf("after delete: contains %v, dirty bytes %d", c.Contains(id), c.DirtyBytes())
+	}
+	data, res, err := c.Read(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Hit || !bytes.Equal(data, written) {
+		t.Fatalf("read after delete: hit %v, data %q…, want a miss returning the written %q…",
+			res.Hit, data[:1], written[:1])
+	}
+	if lost := c.Stats().LostObjects; lost != 0 {
+		t.Fatalf("delete lost %d objects", lost)
+	}
+}
+
 func TestSpaceEfficiencyByPolicy(t *testing.T) {
 	fill := func(p Policy) float64 {
 		c := newCache(t, WithPolicy(p))

@@ -10,12 +10,6 @@
 # `scripts/behaviour-gate.sh <base-ref> >scripts/gate-expected.diff` records it.
 #
 #   scripts/behaviour-gate.sh <base-ref>
-#
-# The hedged chaos variant (-hedge-delay 200us -fail-slow-factor 3) replays
-# identically now that a hedge reads after its primary on the same goroutine,
-# but it is not in the list yet: a base that still races the hedge against the
-# primary prints a different table on every run. It joins `tables` in the
-# next change, whose base replays it identically too.
 set -euo pipefail
 
 base=${1:?usage: scripts/behaviour-gate.sh <base-ref>}
@@ -37,6 +31,7 @@ tables=(
 	"-chaos -fault-seed 42 -objects 300 -requests 6000"
 	"-chaos -fault-seed 42 -objects 300 -requests 6000 -admission reuse"
 	"-chaos -fault-seed 42 -objects 300 -requests 6000 -flash-layout log -admission reuse"
+	"-chaos -fault-seed 42 -objects 300 -requests 6000 -hedge-delay 200us -fail-slow-factor 3"
 	"-experiment hedge -objects 120 -requests 1500"
 )
 # Concurrent replays: only the content digest line is deterministic.
