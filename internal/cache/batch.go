@@ -238,16 +238,24 @@ func (m *Manager) missLocked(rc *reqctx.Ctx, id osd.ObjectID) (Result, error) {
 	if waiter {
 		f.waiters++
 	} else {
-		f = &fill{done: make(chan struct{})}
+		if f = m.idleFill; f != nil {
+			m.idleFill = nil
+		} else {
+			f = &fill{done: make(chan struct{})}
+		}
 		m.fills[id] = f
 	}
 	m.mu.Unlock()
-	var buf *bufpool.Buf
+	var (
+		buf  *bufpool.Buf
+		cost time.Duration
+		err  error
+	)
 	if waiter {
 		select {
 		case <-f.done:
 			m.mu.Lock()
-			buf = f.takeCopyLocked()
+			buf, cost, err = f.takeCopyLocked(), f.cost, f.err
 		case <-rc.Done():
 			m.mu.Lock()
 			select {
@@ -263,26 +271,30 @@ func (m *Manager) missLocked(rc *reqctx.Ctx, id osd.ObjectID) (Result, error) {
 		// ignores the leader's context — waiters have coalesced onto it, so
 		// it must complete and publish even if the leader's own request
 		// dies meanwhile. The read is attributed once, to the leader.
-		f.buf, f.cost, f.err = m.cfg.Backend.Fetch(id)
-		if errors.Is(f.err, backend.ErrNotFound) {
-			f.err = fmt.Errorf("%w: %v", ErrNoBackend, id)
-		} else if f.err == nil {
+		buf, cost, err = m.cfg.Backend.Fetch(id)
+		if errors.Is(err, backend.ErrNotFound) {
+			err = fmt.Errorf("%w: %v", ErrNoBackend, id)
+		} else if err == nil {
 			rc.CountBackendRead()
 		}
-		buf = f.buf
 		m.mu.Lock()
 		delete(m.fills, id)
-		f.publishLocked()
+		if f.waiters == 0 {
+			m.idleFill = f // nobody coalesced: no one else holds f, done is still open
+		} else {
+			f.buf, f.cost, f.err = buf, cost, err
+			f.publishLocked()
+		}
 	}
-	if f.err != nil {
-		return Result{}, f.err
+	if err != nil {
+		return Result{}, err
 	}
 	m.stats.Misses++
 	data := buf.Bytes()
 	res := Result{
 		Bytes:   int64(len(data)),
 		Data:    data,
-		Latency: f.cost + m.netCost(int64(len(data))),
+		Latency: cost + m.netCost(int64(len(data))),
 		buf:     buf,
 	}
 	if !waiter && !m.disabledLocked() {

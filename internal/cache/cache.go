@@ -241,6 +241,11 @@ func (l *entryList) prev(e *entry) *entry { return e.link[l.which].prev }
 // (copies, made under Manager.mu before done closes); each waiter takes one
 // into its own Result. A waiter that gives up first uncounts itself, one that
 // gives up after done closed releases its copy: no lease is stranded.
+//
+// A fill nobody coalesced onto is never published: the leader takes its fetch
+// straight into its own Result and parks the fill, done still open, as the
+// manager's idleFill for the next miss. Only a published fill — one a waiter
+// may still be reading — is left to the GC.
 type fill struct {
 	done    chan struct{}
 	buf     *bufpool.Buf
@@ -371,7 +376,9 @@ type Manager struct {
 	mu      sync.Mutex
 	entries map[osd.ObjectID]*entry
 	fills   map[osd.ObjectID]*fill
-	lru     entryList // every entry, front = most recent
+	// idleFill is a fill no waiter saw, kept for the next miss's leader.
+	idleFill *fill
+	lru      entryList // every entry, front = most recent
 	// dirty holds exactly the dirty entries in LRU order (front = most
 	// recent); an entry is linked iff entry.dirty. Flush victim selection
 	// scans this list instead of the whole LRU.

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -97,6 +99,93 @@ func TestMissFillFlushAllocBound(t *testing.T) {
 	}
 	if got := bufpool.Outstanding(); got != base {
 		t.Errorf("bufpool leases unbalanced: %d outstanding, started at %d", got, base)
+	}
+}
+
+// TestLocalPutAllocBound pins the heap cost of the single-object put path in
+// the shape of the benchmark's local_mixed workload: a cache holding about a
+// sixth of objects of scattered sizes (16 KiB chunks, Reo-40 %), one caller,
+// 70 % reads that mostly miss and admit while evicting, 30 % overwrites that
+// dirty an object and drive flushes. In steady state the chunk pool sits at
+// its bound with odd-sized tail chunks; the chunks of the classes that keep
+// recurring must still come from it, and a miss nobody coalesces onto must
+// cost no fill record.
+func TestLocalPutAllocBound(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("allocation bounds are not meaningful under the race detector")
+	}
+	const (
+		objects   = 600
+		warmOps   = 6000
+		ops       = 6000
+		maxAllocs = 5.5  // mallocs per operation
+		maxBytes  = 2000 // bytes per operation
+	)
+	s, err := store.New(store.Config{
+		Devices:          5,
+		DeviceSpec:       testSpec(2 << 20),
+		ChunkSize:        16 << 10,
+		Policy:           policy.Reo{ParityBudget: 0.4},
+		RedundancyBudget: 0.4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := backend.New(hdd.WD1TB(1 << 30))
+	m, err := New(Config{Store: s, Backend: b, NetworkBandwidth: 1.25e9, RefreshInterval: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(45))
+	want := make([][]byte, objects)
+	for i := range want {
+		want[i] = randBytes(int64(i), 4<<10+rng.Intn(120<<10))
+		if _, err := b.Put(oid(uint64(i)), want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op := func() {
+		i := rng.Intn(objects)
+		if rng.Intn(10) < 3 {
+			want[i][rng.Intn(len(want[i]))]++ // a new version, same size
+			if _, err := m.Write(oid(uint64(i)), want[i]); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		res, err := m.Read(oid(uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.Data, want[i]) {
+			t.Fatalf("object %d: wrong bytes", i)
+		}
+		res.Release()
+	}
+	for range warmOps {
+		op()
+	}
+	// A collection empties sync.Pool, and a goroutine moved to another P
+	// misses the lease it put back on the first: with the collector off and
+	// one P, a lease refilled for either reason is not counted here.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	before := m.Stats()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range ops {
+		op()
+	}
+	runtime.ReadMemStats(&m1)
+	after := m.Stats()
+	if misses, evictions, flushes := after.Misses-before.Misses, after.Evictions-before.Evictions, after.Flushes-before.Flushes; misses < ops/3 || evictions < ops/3 || flushes == 0 {
+		t.Fatalf("%d operations made %d misses, %d evictions and %d flushes: the loop is not exercising what it claims", ops, misses, evictions, flushes)
+	}
+	allocs := float64(m1.Mallocs-m0.Mallocs) / ops
+	perOp := float64(m1.TotalAlloc-m0.TotalAlloc) / ops
+	t.Logf("%.2f mallocs and %.0f B per operation", allocs, perOp)
+	if allocs > maxAllocs || perOp > maxBytes {
+		t.Errorf("%.2f mallocs and %.0f B per operation, want at most %v and %v", allocs, perOp, maxAllocs, maxBytes)
 	}
 }
 

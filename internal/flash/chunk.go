@@ -82,17 +82,19 @@ func (c *Chunk) Release() {
 // so consecutive classes are at most 1/16 of their size apart. A buffer is
 // allocated at its length's class size, the smallest class at least that long,
 // and comes back to that class's list, which serves any later length in the
-// class: a chunk carries less than a sixteenth of its buffer as slack, well
-// inside the eighth the pool promises. The rounding costs next to nothing on
-// top of the heap's own: the Go allocator's size classes up to 32 KiB mostly
-// are class sizes here too, and above that these classes are no coarser than
-// its 8 KiB pages up to 256 KiB.
+// class and, when the class below has none, that class's lengths too: a chunk
+// carries less than an eighth of its buffer as slack. The rounding costs next
+// to nothing on top of the heap's own: the Go allocator's size classes up to
+// 32 KiB mostly are class sizes here too, and above that these classes are no
+// coarser than its 8 KiB pages up to 256 KiB.
 //
 // The pool keeps at most poolMaxBytes of chunks — buffer capacity plus
-// chunkHeader each — across every device of every array in the process; what
-// does not fit is left to the GC. The bound is sized to carry a dirty flush:
-// dirty writes free a clean object's parity chunks and allocate one shared
-// chunk, and the flush that follows allocates parity chunks again.
+// chunkHeader each — across every device of every array in the process. A
+// chunk released while the pool is at its bound makes room by dropping idle
+// chunks of other classes (see evict): the odd-sized tails nobody asks for
+// again give way to the classes the traffic keeps coming back to. It is
+// dropped itself only when no other class has idle stock. A get whose class
+// is empty takes a chunk of the next class up (see stepUp).
 const (
 	classBits = 4
 	// Chunks up to 1<<maxPooledShift bytes are pooled, in poolClasses
@@ -148,13 +150,22 @@ func classSize(i int) int {
 // list takes the rest, its lock held only to push or pop, and its chunks are
 // counted against what remains of the bound. The copy into a chunk runs
 // outside either.
+//
+// Which lists give way at the bound is decided by a hand that moves round the
+// classes, and by each list's low-water mark: the fewest chunks it held since
+// the hand last visited it. That many chunks sat idle all the while; the
+// visit drops half of them and starts a new mark. A tail class nobody asks
+// for is all idle and goes in a few visits, a busy class loses only what its
+// traffic has not needed, and stock is safe until the hand has passed it once.
 type chunkPool struct {
 	classes [poolClasses]struct {
 		hot  atomic.Pointer[Chunk]
 		mu   sync.Mutex
 		free []*Chunk
+		low  int // the list's low-water mark
 	}
-	bytes atomic.Int64 // footprint of the chunks in the lists
+	bytes atomic.Int64  // footprint of the chunks in the lists
+	hand  atomic.Uint32 // the class evict visited last, modulo poolClasses
 }
 
 var pool chunkPool
@@ -168,34 +179,56 @@ var hotReserve = func() (n int64) {
 	return n
 }()
 
-// get returns a pooled chunk resized to n bytes, or nil when n's class has
-// none.
+// get returns a pooled chunk resized to n bytes, or nil when neither n's
+// class nor the one it may step up to has one.
 func (p *chunkPool) get(n int) *Chunk {
 	i := classOf(n)
 	if i >= poolClasses {
 		return nil
 	}
-	l := &p.classes[i]
-	c := l.hot.Swap(nil)
-	if c == nil {
-		l.mu.Lock()
-		k := len(l.free) - 1
-		if k < 0 {
-			l.mu.Unlock()
-			return nil
-		}
-		c = l.free[k]
-		l.free[k] = nil
-		l.free = l.free[:k]
-		l.mu.Unlock()
-		p.bytes.Add(-footprint(c))
+	c := p.take(i)
+	if c == nil && stepUp(i) {
+		c = p.take(i + 1)
 	}
-	c.buf = c.buf[:n]
+	if c != nil {
+		c.buf = c.buf[:n]
+	}
 	return c
 }
 
-// put files a chunk nobody references under its capacity's class, unless the
-// pool is at its bound.
+// stepUp reports whether a get of class i may take a chunk of class i+1 when
+// its own class is empty. From 32 bytes on a class is at most a sixteenth
+// longer than the one below it, and a length of class i is longer than class
+// i-1, so a buffer of class i+1 leaves it less than two steps — an eighth of
+// the buffer — of slack. Below 32 every length is a class of its own: a 0-byte
+// chunk in a 1-byte buffer is all slack.
+func stepUp(i int) bool { return i >= 2<<classBits && i+1 < poolClasses }
+
+// take empties class i's hot slot or pops its list, or returns nil when both
+// are empty.
+func (p *chunkPool) take(i int) *Chunk {
+	l := &p.classes[i]
+	if c := l.hot.Swap(nil); c != nil {
+		return c
+	}
+	l.mu.Lock()
+	k := len(l.free) - 1
+	if k < 0 {
+		l.mu.Unlock()
+		return nil
+	}
+	c := l.free[k]
+	l.free[k] = nil
+	l.free = l.free[:k]
+	l.low = min(l.low, k)
+	l.mu.Unlock()
+	p.bytes.Add(-footprint(c))
+	return c
+}
+
+// put files a chunk nobody references under its capacity's class, making room
+// at the bound by evicting other classes' idle chunks, or drops it when there
+// are none.
 func (p *chunkPool) put(c *Chunk) {
 	i := classOf(cap(c.buf))
 	if i >= poolClasses {
@@ -205,13 +238,44 @@ func (p *chunkPool) put(c *Chunk) {
 	if i < hotClasses && l.hot.CompareAndSwap(nil, c) {
 		return
 	}
-	if p.bytes.Add(footprint(c)) > poolMaxBytes-hotReserve {
-		p.bytes.Add(-footprint(c))
-		return
+	fp := footprint(c)
+	for p.bytes.Add(fp) > poolMaxBytes-hotReserve {
+		p.bytes.Add(-fp)
+		if !p.evict(i) {
+			return
+		}
 	}
 	l.mu.Lock()
 	l.free = append(l.free, c)
 	l.mu.Unlock()
+}
+
+// evict moves the hand on, visiting every class but keep, until a visit drops
+// something — half of the class's low-water mark, rounded up — and reports
+// whether one did within a turn.
+func (p *chunkPool) evict(keep int) bool {
+	for range poolClasses {
+		j := int(p.hand.Add(1) % poolClasses)
+		l := &p.classes[j]
+		if j == keep {
+			continue
+		}
+		var dropped int64
+		l.mu.Lock()
+		k := len(l.free) - (l.low+1)/2
+		for _, c := range l.free[k:] {
+			dropped += footprint(c)
+		}
+		clear(l.free[k:])
+		l.free = l.free[:k]
+		l.low = k
+		l.mu.Unlock()
+		if dropped > 0 {
+			p.bytes.Add(-dropped)
+			return true
+		}
+	}
+	return false
 }
 
 // footprint is what chunk c costs the pool's bound.

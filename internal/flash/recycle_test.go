@@ -11,39 +11,14 @@ import (
 )
 
 // checkChunks verifies the chunk lifetime invariants of a quiesced array (see
-// Array.CheckChunks) and of the pool: no pooled chunk is resident, the pool is
-// within its byte bound — the lists within what the hot slots' reserve leaves
-// — and every chunk is filed under its capacity's class.
+// Array.CheckChunks) and of the pool (see checkPool), and that no pooled chunk
+// is resident.
 func checkChunks(t *testing.T, a *Array) {
 	t.Helper()
 	if err := a.CheckChunks(); err != nil {
 		t.Fatal(err)
 	}
-	pooled := make(map[*Chunk]bool)
-	var listBytes, hotBytes int64
-	for i := range pool.classes {
-		l := &pool.classes[i]
-		l.mu.Lock()
-		for _, c := range l.free {
-			if classOf(cap(c.buf)) != i {
-				t.Errorf("a %d-byte chunk is listed in class %d (%d bytes)", cap(c.buf), i, classSize(i))
-			}
-			pooled[c] = true
-			listBytes += footprint(c)
-		}
-		l.mu.Unlock()
-		if c := l.hot.Load(); c != nil {
-			if classOf(cap(c.buf)) != i || i >= hotClasses {
-				t.Errorf("a %d-byte chunk is in class %d's hot slot", cap(c.buf), i)
-			}
-			pooled[c] = true
-			hotBytes += footprint(c)
-		}
-	}
-	if listBytes != pool.bytes.Load() || listBytes+hotReserve > poolMaxBytes || hotBytes > hotReserve {
-		t.Fatalf("pool lists hold %d bytes (counter %d), hot slots %d of %d reserved, bound %d",
-			listBytes, pool.bytes.Load(), hotBytes, hotReserve, poolMaxBytes)
-	}
+	pooled := checkPool(t)
 	for i, d := range a.devices {
 		d.mu.Lock()
 		for addr, h := range d.chunks {
@@ -55,18 +30,91 @@ func checkChunks(t *testing.T, a *Array) {
 	}
 }
 
+// checkPool verifies the invariants of a quiesced chunk pool — the lists
+// within what the hot slots' reserve leaves of the bound, the byte counter
+// equal to what the lists hold, every chunk filed under its capacity's class
+// and no chunk filed twice — and returns the pooled chunks.
+func checkPool(t *testing.T) map[*Chunk]bool {
+	t.Helper()
+	pooled := make(map[*Chunk]bool)
+	file := func(c *Chunk, where string) {
+		if pooled[c] {
+			t.Errorf("a %d-byte chunk is pooled twice (again in %s)", cap(c.buf), where)
+		}
+		pooled[c] = true
+	}
+	var listBytes, hotBytes int64
+	for i := range pool.classes {
+		l := &pool.classes[i]
+		l.mu.Lock()
+		for _, c := range l.free {
+			if classOf(cap(c.buf)) != i {
+				t.Errorf("a %d-byte chunk is listed in class %d (%d bytes)", cap(c.buf), i, classSize(i))
+			}
+			file(c, "a list")
+			listBytes += footprint(c)
+		}
+		l.mu.Unlock()
+		if c := l.hot.Load(); c != nil {
+			if classOf(cap(c.buf)) != i || i >= hotClasses {
+				t.Errorf("a %d-byte chunk is in class %d's hot slot", cap(c.buf), i)
+			}
+			file(c, "a hot slot")
+			hotBytes += footprint(c)
+		}
+	}
+	if listBytes != pool.bytes.Load() || listBytes+hotReserve > poolMaxBytes || hotBytes > hotReserve {
+		t.Fatalf("pool lists hold %d bytes (counter %d), hot slots %d of %d reserved, bound %d",
+			listBytes, pool.bytes.Load(), hotBytes, hotReserve, poolMaxBytes)
+	}
+	return pooled
+}
+
+// drainPool empties the chunk pool, so that a test starts from a known one.
+// Nothing else may use the pool meanwhile.
+func drainPool() {
+	for i := range pool.classes {
+		for pool.get(classSize(i)) != nil {
+		}
+	}
+}
+
+// fillPool fills a drained pool's lists to within one chunk of their share of
+// the bound with chunks of scattered classes between 16 and 256 KiB.
+func fillPool(rng *rand.Rand) {
+	var made []*Chunk
+	for room := poolMaxBytes - hotReserve; ; {
+		c := newChunk(16<<10 + 1 + rng.Intn(240<<10))
+		if room -= footprint(c); room < 0 {
+			break
+		}
+		made = append(made, c)
+	}
+	for _, c := range made {
+		c.Release()
+	}
+}
+
 // TestChunkClasses pins the size-class arithmetic the pool's slack bound rests
-// on: a length's class is the smallest at least as long as it, a buffer is
-// allocated at that class's size with less than a sixteenth of slack, and it
-// is filed back under the class it was allocated for.
+// on, for every pooled length: a length's class is the smallest at least as
+// long as it, a buffer is allocated at that class's size with less than a
+// sixteenth of slack and filed back under the class it was allocated for, and
+// a length served from the class above its own, where stepUp allows it, still
+// leaves at most an eighth of the buffer as slack — the bound CheckChunks
+// enforces.
 func TestChunkClasses(t *testing.T) {
-	for n := 0; n <= 1<<maxPooledShift; n += 1 + n/97 {
+	for n := 0; n <= 1<<maxPooledShift; n++ {
 		i := classOf(n)
 		if classSize(i) < n || (i > 0 && classSize(i-1) >= n) {
 			t.Fatalf("n=%d: class %d (%d B), previous %d B", n, i, classSize(i), classSize(i-1))
 		}
 		if c := classCap(n); c != classSize(i) || 16*(c-n) >= max(c, 1) || classOf(c) != i {
 			t.Fatalf("n=%d: a %d-byte buffer in class %d", n, c, classOf(c))
+		}
+		if stepUp(i) {
+			if c := classSize(i + 1); 8*(c-n) > c {
+				t.Fatalf("n=%d: served from class %d, %d bytes of slack in a %d-byte buffer", n, i+1, c-n, c)
+			}
 		}
 	}
 	if n := 1<<maxPooledShift + 1; classOf(n) != poolClasses || classCap(n) != n {
@@ -75,6 +123,89 @@ func TestChunkClasses(t *testing.T) {
 	if classOf(1<<hotShift) != hotClasses-1 {
 		t.Fatalf("hotClasses = %d, want classOf(1<<hotShift)+1 = %d", hotClasses, classOf(1<<hotShift)+1)
 	}
+	if stepUp(classOf(31)) || !stepUp(classOf(32)) || stepUp(poolClasses-1) {
+		t.Fatal("stepUp must start at length 32 and stop at the last pooled class")
+	}
+}
+
+// TestChunkPoolKeepsRecurringClassAtBound: with the pool at its bound, full of
+// odd-sized tail chunks nobody asks for again, 16 KiB chunks released and
+// asked for in turn are served from the pool — the tails give way to them.
+// Only the first round may miss: stock is safe from eviction until the hand
+// has passed it once, so the first release at the bound finds nothing idle
+// and is dropped.
+func TestChunkPoolKeepsRecurringClassAtBound(t *testing.T) {
+	drainPool()
+	defer drainPool()
+	const held, rounds = 8, 50
+	chunks := make([]*Chunk, held)
+	for i := range chunks {
+		chunks[i] = newChunk(16 << 10)
+	}
+	fillPool(rand.New(rand.NewSource(1)))
+	misses := 0
+	for round := range rounds {
+		for _, c := range chunks {
+			c.Release()
+		}
+		for i := range chunks {
+			if chunks[i] = pool.get(16 << 10); chunks[i] == nil {
+				if round > 0 {
+					misses++
+				}
+				chunks[i] = newChunk(16 << 10)
+			}
+			chunks[i].refs = 1 // what newChunk sets on a chunk get returns
+		}
+	}
+	if misses > 0 {
+		t.Errorf("%d of %d gets of a 16 KiB chunk, each released just before, missed the pool", misses, held*(rounds-1))
+	}
+	checkPool(t)
+}
+
+// TestChunkPoolBoundSoak races NewChunk and Release over a hundred classes
+// with the pool at its bound, so every release makes room or is dropped while
+// gets empty classes and step up; each chunk's bytes are checked when it is
+// released (under -race a pooled chunk is poisoned, so a chunk handed to two
+// holders shows). At quiesce the pool must hold its invariants (checkPool).
+func TestChunkPoolBoundSoak(t *testing.T) {
+	drainPool()
+	defer drainPool()
+	fillPool(rand.New(rand.NewSource(2)))
+	const workers, rounds, window = 4, 3000, 6
+	src := payload(5, 256<<10)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			var held []*Chunk
+			for range rounds {
+				if len(held) == window || len(held) > 0 && rng.Intn(2) == 0 {
+					k := rng.Intn(len(held))
+					c := held[k]
+					if !bytes.Equal(c.buf, src[:len(c.buf)]) || Checksum(c.buf) != c.crc {
+						t.Errorf("a held %d-byte chunk changed under its holder", len(c.buf))
+						return
+					}
+					c.Release()
+					held = append(held[:k], held[k+1:]...)
+					continue
+				}
+				// A hundred classes, from 40 bytes to 256 KiB.
+				n := 40 << rng.Intn(13)
+				n += rng.Intn(n)
+				held = append(held, NewChunk(src[:min(n, len(src))]))
+			}
+			for _, c := range held {
+				c.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	checkPool(t)
 }
 
 // TestDeviceChunkRecycle drives three devices of either layout through shared

@@ -11,11 +11,11 @@ import (
 	"github.com/reo-cache/reo/internal/policy"
 )
 
-// TestWriteCtxAllocs pins a put's heap cost, whatever its stripe count: the ID
-// list and one slab of stripe metadata — and, with parity, one slab of
-// rotated device lists. The alive snapshot is shared with the puts before
-// it while the alive set holds. Stripes are freed after each put, so the
-// devices write into recycled chunk buffers and the staging arena is leased.
+// TestWriteCtxAllocs pins a put's heap cost, whatever its stripe count and
+// scheme: the ID list and one slab of stripe metadata. The alive ring, and with
+// it every stripe's device lists, is shared with the puts before it while the
+// alive set holds. Stripes are freed after each put, so the devices write into
+// recycled chunk buffers and the staging arena is leased.
 func TestWriteCtxAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("under the race detector sync.Pool drops leases")
@@ -30,7 +30,7 @@ func TestWriteCtxAllocs(t *testing.T) {
 		scheme    policy.Scheme
 		perStripe int
 		bound     float64
-	}{{policy.ReplicateAll(), chunk, 2}, {policy.Parity(2), 3 * chunk, 3}} {
+	}{{policy.ReplicateAll(), chunk, 2}, {policy.Parity(2), 3 * chunk, 2}} {
 		for _, stripes := range []int{1, 5} {
 			m := testManager(t, 5, chunk)
 			data := randBytes(int64(stripes), stripes*tc.perStripe)

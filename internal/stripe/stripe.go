@@ -131,7 +131,7 @@ type Manager struct {
 	mu      sync.RWMutex
 	nextID  ID
 	stripes map[ID]*stripeMeta
-	alive   []int // the last write's alive-device snapshot (aliveSnapshot)
+	ring    []int // the last write's alive devices, twice over (aliveRing)
 
 	// codecMu guards the codec cache so read paths can share codecs
 	// without contending on the manager mutex.
@@ -323,24 +323,14 @@ func (m *Manager) WriteCtx(rc *reqctx.Ctx, data []byte, scheme policy.Scheme) ([
 		ids   = make([]ID, 0, stripes)
 		total time.Duration
 		w     = writeOp{rc: rc}
-		n     = len(alive)
-		// The call's stripe metadata is one slab, and so are a parity call's
-		// rotated device lists, each stripe's capped at its own length. The
-		// store frees an object's stripes together (Free(ids)), so no slab
-		// outlives its object.
-		metas   = make([]stripeMeta, stripes)
-		rotated []int
+		// The call's stripe metadata is one slab. The store frees an
+		// object's stripes together (Free(ids)), so no slab outlives its
+		// object.
+		metas = make([]stripeMeta, stripes)
 	)
-	if scheme.Kind != policy.KindReplicate {
-		rotated = make([]int, stripes*n)
-	}
-	devs := m.aliveSnapshot(alive)
+	ring := m.aliveRing(alive)
 	for k, off := 0, 0; off == 0 || off < len(data); k, off = k+1, off+perStripe {
-		var rot []int
-		if rotated != nil {
-			rot = rotated[k*n : (k+1)*n : (k+1)*n]
-		}
-		id, cost, err := m.writeStripe(&w, scheme, data[off:min(off+perStripe, len(data))], devs, &metas[k], rot)
+		id, cost, err := m.writeStripe(&w, scheme, data[off:min(off+perStripe, len(data))], ring, &metas[k])
 		if err != nil {
 			m.Free(ids)
 			return nil, 0, err
@@ -351,17 +341,20 @@ func (m *Manager) WriteCtx(rc *reqctx.Ctx, data []byte, scheme policy.Scheme) ([
 	return ids, total, nil
 }
 
-// aliveSnapshot returns alive as a slice shared by every stripe written since
-// the alive set last changed, so a write allocates none while it holds. No
-// one writes a snapshot: its capacity is its length, so a rebuild that
-// extends a replica set by append gets its own copy.
-func (m *Manager) aliveSnapshot(alive []int) []int {
+// aliveRing returns alive written out twice, a slice shared by every stripe
+// written since the alive set last changed, so a write allocates none while
+// it holds: ring[s:s+n] is the alive set rotated to start at its s-th device,
+// the device list of a parity stripe whose rotation starts there, and
+// ring[:n] a replica set. No one writes a ring: each stripe's lists are
+// capped at their own length, so a rebuild that extends a replica set by
+// append gets its own copy.
+func (m *Manager) aliveRing(alive []int) []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !slices.Equal(m.alive, alive) {
-		m.alive = slices.Clip(slices.Clone(alive))
+	if n := len(m.ring) / 2; !slices.Equal(m.ring[:n], alive) {
+		m.ring = slices.Clip(append(slices.Clone(alive), alive...))
 	}
-	return m.alive
+	return m.ring
 }
 
 // chunkLen is the length of every chunk of a stripe that holds n bytes of user
@@ -379,10 +372,9 @@ func chunkLen(scheme policy.Scheme, n, alive int) int {
 // data chunks plus encoded parity — scatters the fragments and publishes the
 // stripe. The stripe is not published until its chunks are durably written, so
 // concurrent readers cannot observe a half-written one. It returns the new ID
-// and the encode plus device cost. alive is WriteCtx's shared snapshot; meta
-// (zero) and, for a parity stripe, rot (len(alive) ints) are the stripe's
-// entries of WriteCtx's slabs, filled here.
-func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, alive []int, meta *stripeMeta, rot []int) (ID, time.Duration, error) {
+// and the encode plus device cost. ring is WriteCtx's shared alive ring and
+// meta (zero) the stripe's entry of WriteCtx's slab, filled here.
+func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ring []int, meta *stripeMeta) (ID, time.Duration, error) {
 	if err := w.rc.Err(); err != nil {
 		return 0, 0, err
 	}
@@ -391,7 +383,7 @@ func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ali
 	m.nextID++
 	m.mu.Unlock()
 
-	n := len(alive)
+	n := len(ring) / 2
 	meta.scheme, meta.dataLen, meta.chunkLen = scheme, len(data), chunkLen(scheme, len(data), n)
 	var table [maxSlots][]byte
 	frags := table[:n]
@@ -401,7 +393,7 @@ func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ali
 			data = []byte{} // scatter skips nil fragments; an empty chunk is still a chunk
 		}
 		meta.scheme = policy.ReplicateAll()
-		meta.replicaDevs = alive
+		meta.replicaDevs = ring[:n:n]
 		for i := range frags {
 			frags[i] = data
 		}
@@ -414,10 +406,7 @@ func (m *Manager) writeStripe(w *writeOp, scheme policy.Scheme, data []byte, ali
 		if m.rotate {
 			start = int(uint64(id) % uint64(n))
 		}
-		for j := range rot {
-			rot[j] = alive[(start+j)%n]
-		}
-		meta.parityDevs, meta.dataDevs = rot[:k:k], rot[k:]
+		meta.parityDevs, meta.dataDevs = ring[start:start+k:start+k], ring[start+k:start+n:start+n]
 		// Stage every fragment in one leased buffer: the data chunks are
 		// consecutive slots, zero-padded past len(data) (leases come back
 		// dirty; the encode overwrites the parity slots that follow).
