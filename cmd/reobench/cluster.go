@@ -11,6 +11,7 @@ import (
 
 	"github.com/reo-cache/reo/internal/harness"
 	"github.com/reo-cache/reo/internal/transport"
+	"github.com/reo-cache/reo/internal/workload"
 )
 
 // clusterArgs carries the -cluster* flag values into runCluster.
@@ -22,6 +23,7 @@ type clusterArgs struct {
 	remote       bool
 	workers      int
 	conns        int
+	layout       string // the -flash-layout value, passed on to spawned reotargets
 }
 
 // runCluster replays the selected experiment's workload against an N-shard
@@ -49,7 +51,7 @@ func runCluster(experiment string, opts harness.Options, args clusterArgs) error
 	}
 
 	if args.reotargetBin != "" && len(spec.Addrs) == 0 {
-		addrs, stop, err := spawnTargets(args.reotargetBin, spec.Shards, opts)
+		addrs, stop, err := spawnTargets(args.reotargetBin, loc, spec.Shards, args.layout, opts)
 		if err != nil {
 			return err
 		}
@@ -78,8 +80,8 @@ func runCluster(experiment string, opts harness.Options, args clusterArgs) error
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("content digest: %016x (verified %d, mismatched %d, retries %d)\n",
-		res.Digest, res.Verified, res.Mismatched, res.Retries)
+	fmt.Printf("content digest: %016x (verified %d, mismatched %d)\n",
+		res.Digest, res.Verified, res.Mismatched)
 	w = table("-- per-shard routing --")
 	fmt.Fprintln(w, "shard\tobjects\tops\tbytes in\tbytes out")
 	for _, sc := range res.PerShard {
@@ -114,10 +116,11 @@ func runCluster(experiment string, opts harness.Options, args clusterArgs) error
 
 var servingLine = regexp.MustCompile(`serving .* on (\S+)`)
 
-// spawnTargets launches n reotarget processes on ephemeral ports and
-// returns their addresses once each reports it is serving. The returned
-// stop function terminates them all.
-func spawnTargets(bin string, n int, opts harness.Options) (addrs []string, stop func(), err error) {
+// spawnTargets launches n reotarget processes on ephemeral ports, each with
+// the flash layout, device capacity and chunk size of an in-process shard of
+// the same replay, and returns their addresses once each reports it is
+// serving. The returned stop function terminates them all.
+func spawnTargets(bin string, loc workload.Locality, n int, layout string, opts harness.Options) (addrs []string, stop func(), err error) {
 	var procs []*exec.Cmd
 	stop = func() {
 		for _, p := range procs {
@@ -132,14 +135,18 @@ func spawnTargets(bin string, n int, opts harness.Options) (addrs []string, stop
 			stop()
 		}
 	}()
-	chunk := opts.WireChunkBytes()
+	capacity, chunk, err := opts.ShardDevice(loc, n)
+	if err != nil {
+		return nil, stop, err
+	}
 	for i := 0; i < n; i++ {
 		cmd := exec.Command(bin,
 			"-listen", "127.0.0.1:0",
 			"-devices", "5",
-			"-capacity", "64MiB",
+			"-capacity", fmt.Sprintf("%d", capacity),
 			"-chunk", fmt.Sprintf("%d", chunk),
 			"-policy", "reo-40",
+			"-flash-layout", layout,
 		)
 		cmd.Stderr = os.Stderr
 		out, perr := cmd.StdoutPipe()

@@ -146,6 +146,7 @@ func run(args []string) error {
 			remote:       *remote,
 			workers:      *workers,
 			conns:        *conns,
+			layout:       *layoutStr,
 		})
 	}
 

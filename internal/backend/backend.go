@@ -80,18 +80,6 @@ func (s *Store) PutCtx(rc *reqctx.Ctx, id osd.ObjectID, data []byte) (time.Durat
 	return cost, err
 }
 
-// GetCtx is Get with a cancellation checkpoint and per-request attribution.
-func (s *Store) GetCtx(rc *reqctx.Ctx, id osd.ObjectID) ([]byte, time.Duration, error) {
-	if err := rc.Err(); err != nil {
-		return nil, 0, err
-	}
-	data, cost, err := s.Get(id)
-	if err == nil {
-		rc.CountBackendRead()
-	}
-	return data, cost, err
-}
-
 // Get returns a copy of the object and the virtual-time cost of the disk
 // read. The copy is the caller's to keep; the cache's own fetches lease
 // theirs (Fetch).

@@ -66,45 +66,32 @@ type BatchWrite struct {
 	Data []byte
 }
 
-// ReadBatch serves a batch of client reads (see ReadBatchCtx).
-func (m *Manager) ReadBatch(ids []osd.ObjectID) ([]Result, []error) {
-	return m.ReadBatchCtx(nil, ids)
-}
-
-// ReadBatchCtx serves len(ids) reads, returning parallel result and error
+// ReadBatch serves len(ids) reads, returning parallel result and error
 // slices in caller order. Each sub-read succeeds or fails independently
-// with exactly ReadCtx's semantics; successful results must be Released.
-// Cancellation drains cleanly: once rc expires, the remaining sub-reads fail
-// with the context error.
-func (m *Manager) ReadBatchCtx(rc *reqctx.Ctx, ids []osd.ObjectID) ([]Result, []error) {
+// with exactly Read's semantics; successful results must be Released.
+func (m *Manager) ReadBatch(ids []osd.ObjectID) ([]Result, []error) {
 	results := make([]Result, len(ids))
 	errs := make([]error, len(ids))
 	sc := scratchPool.Get().(*scratch)
 	sc.hit = resize(sc.hit, len(ids))
-	m.readN(rc, ids, sc.hit, sc, results, errs)
+	m.readN(nil, ids, sc.hit, sc, results, errs)
 	putScratch(sc)
 	return results, errs
 }
 
-// WriteBatch absorbs a batch of client writes (see WriteBatchCtx).
-func (m *Manager) WriteBatch(ops []BatchWrite) ([]Result, []error) {
-	return m.WriteBatchCtx(nil, ops)
-}
-
-// WriteBatchCtx absorbs len(ops) writes, returning parallel result and
-// error slices in caller order. Each sub-write succeeds or fails
-// independently with exactly WriteCtx's semantics: acknowledged writes are
-// durably placed (dirty in flash, or written through to the backend when
-// the cache cannot absorb them); cancelled sub-writes are not acknowledged.
-// A repeated ID is applied in caller order, last writer wins. The
-// dirty-fraction flush check runs once per request, so dirty bytes may
+// WriteBatch absorbs len(ops) writes, returning parallel result and error
+// slices in caller order. Each sub-write succeeds or fails independently
+// with exactly Write's semantics: acknowledged writes are durably placed
+// (dirty in flash, or written through to the backend when the cache cannot
+// absorb them). A repeated ID is applied in caller order, last writer wins.
+// The dirty-fraction flush check runs once per request, so dirty bytes may
 // overshoot the threshold by at most one batch before the flush kicks in.
-func (m *Manager) WriteBatchCtx(rc *reqctx.Ctx, ops []BatchWrite) ([]Result, []error) {
+func (m *Manager) WriteBatch(ops []BatchWrite) ([]Result, []error) {
 	results := make([]Result, len(ops))
 	errs := make([]error, len(ops))
 	sc := scratchPool.Get().(*scratch)
 	sc.subs = resize(sc.subs, len(ops))
-	m.writeN(rc, ops, sc.subs, sc, results, errs)
+	m.writeN(nil, ops, sc.subs, sc, results, errs)
 	putScratch(sc)
 	return results, errs
 }

@@ -5,9 +5,13 @@ import (
 
 	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/osd"
-	"github.com/reo-cache/reo/internal/reqctx"
 	"github.com/reo-cache/reo/internal/target"
 )
+
+// preloadChunk bounds how many objects one vectored store write carries
+// during a warm-up. Chunking keeps the manager lock holds short so client
+// requests interleave with the bulk load.
+const preloadChunk = 32
 
 // Preload bulk-admits objects from the backend into the cache without
 // client requests — the Bonfire-style proactive warm-up the paper's related
@@ -18,18 +22,6 @@ import (
 //
 // It returns the number of objects admitted and the total virtual-time
 // cost, which the caller should charge as background work.
-func (m *Manager) Preload(ids []osd.ObjectID) (admitted int, cost time.Duration, err error) {
-	return m.PreloadCtx(nil, ids)
-}
-
-// preloadChunk bounds how many objects one vectored store write carries
-// during a warm-up. Chunking keeps the manager lock holds short so client
-// requests interleave with the bulk load.
-const preloadChunk = 32
-
-// PreloadCtx is Preload under a request context, checked between chunks
-// and between backend fetches: a cancelled warm-up stops cleanly with
-// everything admitted so far intact.
 //
 // The warm-up rides the batch data path: each chunk is screened against the
 // cache in one lock pass, fetched from the backend without the lock, and
@@ -38,7 +30,7 @@ const preloadChunk = 32
 // evicts, skips objects missing from the backend, retries a refused hot
 // placement once as cold, and stops at the first object the cache cannot
 // absorb.
-func (m *Manager) PreloadCtx(rc *reqctx.Ctx, ids []osd.ObjectID) (admitted int, cost time.Duration, err error) {
+func (m *Manager) Preload(ids []osd.ObjectID) (admitted int, cost time.Duration, err error) {
 	for len(ids) > 0 {
 		n := len(ids)
 		if n > preloadChunk {
@@ -46,9 +38,6 @@ func (m *Manager) PreloadCtx(rc *reqctx.Ctx, ids []osd.ObjectID) (admitted int, 
 		}
 		chunk := ids[:n]
 		ids = ids[n:]
-		if cerr := rc.Err(); cerr != nil {
-			return admitted, cost, cerr
-		}
 
 		// Screen the chunk in one lock pass: drop ids already cached.
 		var want []osd.ObjectID
@@ -81,10 +70,6 @@ func (m *Manager) PreloadCtx(rc *reqctx.Ctx, ids []osd.ObjectID) (admitted int, 
 			}
 		}
 		for _, id := range want {
-			if cerr := rc.Err(); cerr != nil {
-				release()
-				return admitted, cost, cerr
-			}
 			buf, fetchCost, ferr := m.cfg.Backend.Fetch(id)
 			if ferr != nil {
 				continue

@@ -10,7 +10,6 @@ import (
 
 	"github.com/reo-cache/reo/internal/cache"
 	"github.com/reo-cache/reo/internal/cluster"
-	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/store"
@@ -87,8 +86,6 @@ type ClusterResult struct {
 	// healthy run).
 	Verified   int
 	Mismatched int
-	// Retries counts transient admission-race retries during the replay.
-	Retries int64
 	// MigratedObjects/MigratedBytes report rebalance traffic (Churn runs).
 	MigratedObjects int64
 	MigratedBytes   int64
@@ -115,22 +112,30 @@ func (r *ClusterResult) HitRatioPct() float64 {
 	return 100 * float64(r.Hits) / float64(r.Requests)
 }
 
-// clusterShardStore builds one shard-sized store: the cluster divides the
-// single-target cache budget evenly, so a 4-shard cluster holds the same
-// total flash as the 1-shard baseline.
-func clusterShardStore(cacheBytes int64, shards, chunk int, pol policy.Reo) (*store.Store, error) {
-	const devices = 5
-	perShard := (cacheBytes + int64(shards) - 1) / int64(shards)
+// shardConfig is one in-process shard of the cluster replay over tr, and
+// the initiator cache above the shards: the flagship Reo-40% policy over a
+// mid-range cache (8% of the data set) split evenly across the shards, so
+// a 4-shard cluster holds the same total flash as the 1-shard baseline.
+func (o Options) shardConfig(tr *workload.Trace, shards int) SystemConfig {
+	perShard := (int64(float64(tr.DatasetBytes)*0.08) + int64(shards) - 1) / int64(shards)
 	// Headroom above the even split lets a rebalance pack ~1/N extra
 	// objects onto survivors without tripping the raw-capacity wall.
 	perShard += perShard / 2
-	return store.New(store.Config{
-		Devices:          devices,
-		DeviceSpec:       flash.Intel540s((perShard + devices - 1) / devices),
-		ChunkSize:        chunk,
-		Policy:           pol,
-		RedundancyBudget: pol.ParityBudget,
-	})
+	return o.systemConfig(SystemConfig{Policy: policy.Reo{ParityBudget: 0.40}, Devices: 5, CacheBytes: perShard})
+}
+
+// ShardDevice is the per-device capacity and the stripe chunk size of every
+// in-process shard of a `shards`-shard cluster replay over loc. Exported so
+// callers spawning external reotarget shards (reobench -reotarget-bin)
+// configure them like the replay's own.
+func (o Options) ShardDevice(loc workload.Locality, shards int) (capacity int64, chunk int, err error) {
+	o.applyDefaults()
+	tr, err := o.traceFor(loc, remoteWriteRatio)
+	if err != nil {
+		return 0, 0, err
+	}
+	cfg := o.shardConfig(tr, shards)
+	return cfg.deviceBytes(), cfg.ChunkSize, nil
 }
 
 // ClusterThroughput replays a trace against an N-shard cluster behind a
@@ -160,12 +165,7 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 	if err != nil {
 		return nil, err
 	}
-
-	// Mid-range cache (8% of the data set), the flagship Reo-40% policy —
-	// split across N shards.
-	cacheBytes := int64(float64(tr.DatasetBytes) * 0.08)
-	pol := policy.Reo{ParityBudget: 0.40}
-	chunk := opts.chunk(64 << 10)
+	cfg := opts.shardConfig(tr, shards)
 
 	members := make([]cluster.Shard, 0, shards)
 	var closers []func()
@@ -174,42 +174,51 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 			c()
 		}
 	}()
-	switch {
-	case len(spec.Addrs) > 0:
-		for _, addr := range spec.Addrs {
+	// shard builds one in-process shard; a log-layout store finishes its
+	// background collection before the replay returns.
+	shard := func() (*store.Store, error) {
+		st, err := newStore(cfg)
+		if err == nil {
+			closers = append(closers, st.WaitGC)
+		}
+		return st, err
+	}
+	for i := 0; i < shards; i++ {
+		name, addr := fmt.Sprintf("shard-%d", i), ""
+		var tgt target.Target
+		if len(spec.Addrs) > 0 {
+			name, addr = spec.Addrs[i], spec.Addrs[i]
+		} else {
+			st, err := shard()
+			if err != nil {
+				return nil, err
+			}
+			tgt = st
+			if spec.Remote {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					return nil, err
+				}
+				srv := transport.NewServer(st, ln)
+				closers = append(closers, func() { srv.Close() })
+				addr = ln.Addr().String()
+			}
+		}
+		if addr != "" {
 			rt, err := transport.DialRemoteTargetPool(addr, spec.Conns)
 			if err != nil {
-				return nil, fmt.Errorf("harness: dialing shard %s: %w", addr, err)
+				return nil, fmt.Errorf("harness: dialing shard %s: %w", name, err)
 			}
 			closers = append(closers, func() { rt.Close() })
-			members = append(members, cluster.Shard{Name: addr, Target: rt})
+			tgt = rt
 		}
-	case spec.Remote:
-		for i := 0; i < shards; i++ {
-			st, err := clusterShardStore(cacheBytes, shards, chunk, pol)
-			if err != nil {
-				return nil, err
-			}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			srv := transport.NewServer(st, ln)
-			closers = append(closers, func() { srv.Close() })
-			rt, err := transport.DialRemoteTargetPool(ln.Addr().String(), spec.Conns)
-			if err != nil {
-				return nil, err
-			}
-			closers = append(closers, func() { rt.Close() })
-			members = append(members, cluster.Shard{Name: fmt.Sprintf("shard-%d", i), Target: rt})
-		}
-	default:
-		for i := 0; i < shards; i++ {
-			st, err := clusterShardStore(cacheBytes, shards, chunk, pol)
-			if err != nil {
-				return nil, err
-			}
-			members = append(members, cluster.Shard{Name: fmt.Sprintf("shard-%d", i), Target: st})
+		members = append(members, cluster.Shard{Name: name, Target: tgt})
+	}
+	// The shard a churn run adds mid-replay.
+	var joiner *store.Store
+	if spec.Churn {
+		if joiner, err = shard(); err != nil {
+			return nil, err
 		}
 	}
 
@@ -218,7 +227,7 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 		return nil, err
 	}
 
-	_, cm, err := newCacheOver(ini, tr, cache.Config{AsyncRefresh: opts.AsyncReclass, OpStats: opts.OpStats})
+	_, cm, err := newCacheOver(ini, tr, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +236,6 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 	var (
 		hits     int64
 		bytes    int64
-		retries  int64
 		progress atomic.Int64
 		mu       sync.Mutex
 		wg       sync.WaitGroup
@@ -242,63 +250,27 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var localHits, localBytes, localRetries int64
-			// issueOne replays a single request with the admission-race
-			// retry loop: races between workers surface as transient
-			// ErrCacheFull; retry so every write in the trace is
-			// acknowledged and the final content stays deterministic.
-			issueOne := func(req workload.Request) (cache.Result, error) {
-				id := objectID(req.Object)
-				var (
-					r   cache.Result
-					err error
-				)
-				for attempt := 0; ; attempt++ {
-					if req.Write {
-						r, err = cm.Write(id, Payload(tr, req.Object, req.Version))
-					} else {
-						r, err = cm.Read(id)
-					}
-					if errors.Is(err, store.ErrCacheFull) && attempt < 64 {
-						localRetries++
-						if attempt > 8 {
-							// Give racing evictions time to free space.
-							time.Sleep(time.Millisecond)
-						}
-						continue
-					}
-					break
-				}
-				return r, err
-			}
-			settle := func(req workload.Request, r cache.Result) {
-				if r.Hit {
-					localHits++
-				}
-				localBytes += r.Bytes
-				r.Release()
-				progress.Add(1)
-			}
+			var localHits, localBytes int64
 			// flush issues the worker's pending same-kind requests (one, unless
-			// -batch groups more) as one batched call; sub-ops refused under
-			// admission pressure rerun through the single-op retry loop.
+			// -batch groups more) as one batched call, each request once: the
+			// cache answers a refused admission itself (evicting, skipping or
+			// writing through), so any error fails the replay.
 			var pend []workload.Request
 			flush := func() error {
 				if len(pend) == 0 {
 					return nil
 				}
-				results, errsB := issueBatch(cm, tr, pend)
-				for k := range results {
-					req := pend[k]
-					r, err := results[k], errsB[k]
-					if errors.Is(err, store.ErrCacheFull) {
-						localRetries++
-						r, err = issueOne(req)
+				results, errs := issueBatch(cm, tr, pend)
+				for k, r := range results {
+					if errs[k] != nil {
+						return fmt.Errorf("cluster request (object %d): %w", pend[k].Object, errs[k])
 					}
-					if err != nil {
-						return fmt.Errorf("cluster request (object %d): %w", req.Object, err)
+					if r.Hit {
+						localHits++
 					}
-					settle(req, r)
+					localBytes += r.Bytes
+					r.Release()
+					progress.Add(1)
 				}
 				pend = pend[:0]
 				return nil
@@ -322,7 +294,6 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 			mu.Lock()
 			hits += localHits
 			bytes += localBytes
-			retries += localRetries
 			mu.Unlock()
 		}(w)
 	}
@@ -336,12 +307,7 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 			for progress.Load() < half {
 				time.Sleep(5 * time.Millisecond)
 			}
-			st, err := clusterShardStore(cacheBytes, shards, chunk, pol)
-			if err != nil {
-				churnCh <- err
-				return
-			}
-			if _, err := ini.AddTarget(fmt.Sprintf("shard-%d", shards), st); err != nil {
+			if _, err := ini.AddTarget(fmt.Sprintf("shard-%d", shards), joiner); err != nil {
 				churnCh <- fmt.Errorf("harness: churn add: %w", err)
 				return
 			}
@@ -366,7 +332,7 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 	if err := <-churnCh; err != nil {
 		return nil, err
 	}
-	res.Hits, res.Bytes, res.Retries = hits, bytes, retries
+	res.Hits, res.Bytes = hits, bytes
 
 	// The digest is identical across shard counts, worker counts, and
 	// transports — the byte-identical-to-single-target check.

@@ -3,6 +3,8 @@ package harness
 import (
 	"testing"
 
+	"github.com/reo-cache/reo/internal/cache"
+	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/metrics"
 	"github.com/reo-cache/reo/internal/transport"
 	"github.com/reo-cache/reo/internal/workload"
@@ -14,11 +16,14 @@ func clusterOpts() Options {
 
 // TestClusterMatchesSingleTarget is the byte-identical contract: the same
 // trace replayed at 1 shard, 4 in-process shards, 1 loopback-wire shard
-// (reobench -remote) and 4 loopback-wire shards must verify every object and
-// produce the same content digest. Each replay's wall-clock accounting must
-// be sane, and a wire replay must return every pooled frame buffer it leased.
-// Run with -race to exercise the concurrent cache manager and transport
-// together.
+// (reobench -remote), 4 loopback-wire shards, 3 log-structured shards and
+// behind the reuse admission gate must verify every object and produce the
+// same content digest. Each replay's wall-clock accounting must be sane, and
+// a wire replay must return every pooled frame buffer it leased. The shards
+// are built like every other harness store, so the gate must keep
+// one-hit misses out of them: fewer bytes reach the shards than under
+// admit-all. Run with -race to exercise the concurrent cache manager and
+// transport together.
 func TestClusterMatchesSingleTarget(t *testing.T) {
 	single, err := ClusterThroughput(workload.Medium, clusterOpts(), ClusterSpec{Shards: 1, Workers: 4})
 	if err != nil {
@@ -31,17 +36,22 @@ func TestClusterMatchesSingleTarget(t *testing.T) {
 		t.Fatalf("single-shard replay verified %d of 120 objects", single.Verified)
 	}
 
+	logged, reuse := clusterOpts(), clusterOpts()
+	logged.Layout = flash.LayoutLog
+	reuse.Admission = cache.AdmitOnReuse
 	for _, tc := range []struct {
 		name string
+		opts Options
 		spec ClusterSpec
 	}{
-		{"4-shard in-process", ClusterSpec{Shards: 4, Workers: 4}},
-		{"1-shard loopback wire", ClusterSpec{Shards: 1, Workers: 4, Remote: true, Conns: 2}},
-		{"4-shard loopback wire", ClusterSpec{Shards: 4, Workers: 4, Remote: true, Conns: 2}},
+		{"4-shard in-process", clusterOpts(), ClusterSpec{Shards: 4, Workers: 4}},
+		{"1-shard loopback wire", clusterOpts(), ClusterSpec{Shards: 1, Workers: 4, Remote: true, Conns: 2}},
+		{"4-shard loopback wire", clusterOpts(), ClusterSpec{Shards: 4, Workers: 4, Remote: true, Conns: 2}},
+		{"3-shard log layout", logged, ClusterSpec{Shards: 3, Workers: 4}},
+		{"1-shard reuse admission", reuse, ClusterSpec{Shards: 1, Workers: 4}},
 	} {
-		opts := clusterOpts()
-		opts.OpStats = metrics.NewOpHistogram()
-		res, err := ClusterThroughput(workload.Medium, opts, tc.spec)
+		tc.opts.OpStats = metrics.NewOpHistogram()
+		res, err := ClusterThroughput(workload.Medium, tc.opts, tc.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -77,7 +87,21 @@ func TestClusterMatchesSingleTarget(t *testing.T) {
 				t.Errorf("%s: wire leases %d != releases %d at quiesce", tc.name, ws.Leases, ws.Releases)
 			}
 		}
+		if tc.opts.Admission == cache.AdmitOnReuse {
+			if got, all := shardBytesIn(res), shardBytesIn(single); got >= all {
+				t.Errorf("%s: %d bytes into the shards, want fewer than admit-all's %d", tc.name, got, all)
+			}
+		}
 	}
+}
+
+// shardBytesIn sums the payload bytes a replay wrote into its shards.
+func shardBytesIn(res *ClusterResult) int64 {
+	var n int64
+	for _, sc := range res.PerShard {
+		n += sc.BytesIn
+	}
+	return n
 }
 
 // TestClusterChurnReplay checks the membership-change path end to end

@@ -108,15 +108,6 @@ func (o Options) chunk(paperBytes int) int {
 	return c
 }
 
-// WireChunkBytes is the scaled stripe chunk size (paper: 64KiB) the
-// harness configures its stores with. Exported so callers spawning
-// external reotarget shards (reobench -reotarget-bin) configure them
-// consistently with the initiator-side replay.
-func (o Options) WireChunkBytes() int {
-	o.applyDefaults()
-	return o.chunk(64 << 10)
-}
-
 // normalRunPolicies is the six-way comparison of Figs 5–7.
 func normalRunPolicies() []policy.Policy {
 	return []policy.Policy{

@@ -78,6 +78,27 @@ type System struct {
 // object population (preload cost is not charged: the backend is the
 // pre-existing data store).
 func BuildSystem(cfg SystemConfig, tr *workload.Trace) (*System, error) {
+	st, err := newStore(cfg)
+	if err != nil {
+		return nil, err
+	}
+	be, cm, err := newCacheOver(st, tr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &System{
+		Clock:   simclock.New(),
+		Store:   st,
+		Backend: be,
+		Cache:   cm,
+	}, nil
+}
+
+// newStore is the target half every harness store shares, whatever serves
+// it: CacheBytes split evenly across the devices, the redundancy budget of a
+// Reo policy (none for any other), and background segment collection iff
+// the layout is log-structured.
+func newStore(cfg SystemConfig) (*store.Store, error) {
 	if cfg.Devices <= 0 {
 		cfg.Devices = 5
 	}
@@ -91,9 +112,9 @@ func BuildSystem(cfg SystemConfig, tr *workload.Trace) (*System, error) {
 	if reo, ok := cfg.Policy.(policy.Reo); ok {
 		budget = reo.ParityBudget
 	}
-	st, err := store.New(store.Config{
+	return store.New(store.Config{
 		Devices:               cfg.Devices,
-		DeviceSpec:            flash.Intel540s((cfg.CacheBytes + int64(cfg.Devices) - 1) / int64(cfg.Devices)),
+		DeviceSpec:            flash.Intel540s(cfg.deviceBytes()),
 		ChunkSize:             cfg.ChunkSize,
 		Policy:                cfg.Policy,
 		RedundancyBudget:      budget,
@@ -104,44 +125,36 @@ func BuildSystem(cfg SystemConfig, tr *workload.Trace) (*System, error) {
 		Layout:                cfg.Layout,
 		BackgroundGC:          cfg.Layout == flash.LayoutLog,
 	})
-	if err != nil {
-		return nil, err
-	}
-	be, cm, err := newCacheOver(st, tr, cache.Config{
-		HotnessMetric: cfg.HotnessMetric,
-		AsyncRefresh:  cfg.AsyncReclass,
-		OpStats:       cfg.OpStats,
-		Admission:     cfg.Admission,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &System{
-		Clock:   simclock.New(),
-		Store:   st,
-		Backend: be,
-		Cache:   cm,
-	}, nil
+}
+
+// deviceBytes is each device's share of CacheBytes, rounded up.
+func (c SystemConfig) deviceBytes() int64 {
+	return (c.CacheBytes + int64(c.Devices) - 1) / int64(c.Devices)
 }
 
 // newCacheOver is the initiator half every harness system shares, whatever
 // target sits under it: a backend preloaded with the trace's object
 // population, and a cache manager over tgt with the harness's fixed network
-// model (10GbE, 100µs round trip) and refresh interval. cfg carries the
-// caller's remaining knobs.
-func newCacheOver(tgt target.Target, tr *workload.Trace, cfg cache.Config) (*backend.Store, *cache.Manager, error) {
+// model (10GbE, 100µs round trip) and refresh interval, and cfg's cache
+// knobs.
+func newCacheOver(tgt target.Target, tr *workload.Trace, cfg SystemConfig) (*backend.Store, *cache.Manager, error) {
 	be := backend.New(hdd.WD1TB(4 * tr.DatasetBytes))
 	for obj := range tr.Sizes {
 		if _, err := be.Put(objectID(obj), Payload(tr, obj, 0)); err != nil {
 			return nil, nil, err
 		}
 	}
-	cfg.Store = tgt
-	cfg.Backend = be
-	cfg.NetworkBandwidth = 1.25e9
-	cfg.NetworkRTT = 100 * time.Microsecond
-	cfg.RefreshInterval = 500
-	cm, err := cache.New(cfg)
+	cm, err := cache.New(cache.Config{
+		Store:            tgt,
+		Backend:          be,
+		NetworkBandwidth: 1.25e9,
+		NetworkRTT:       100 * time.Microsecond,
+		RefreshInterval:  500,
+		HotnessMetric:    cfg.HotnessMetric,
+		AsyncRefresh:     cfg.AsyncReclass,
+		OpStats:          cfg.OpStats,
+		Admission:        cfg.Admission,
+	})
 	return be, cm, err
 }
 
@@ -155,11 +168,11 @@ func serve(cm *cache.Manager, tr *workload.Trace, req workload.Request) (cache.R
 
 // sweep is the end-of-run audit the chaos soak and the cluster replay share:
 // it reads every object through cm in object order and compares it with the
-// trace's last write to it. Both replays retry every write until it is
-// acknowledged or fail the run, so the trace alone says what each object must
-// hold. The digest folds the bytes read, in object order, so two runs print
-// the same digest only if they end holding the same content. strict fails at
-// the first mismatch instead of counting it.
+// trace's last write to it. Both replays fail the run on any write the cache
+// does not acknowledge, so the trace alone says what each object must hold.
+// The digest folds the bytes read, in object order, so two runs print the
+// same digest only if they end holding the same content. strict fails at the
+// first mismatch instead of counting it.
 func sweep(cm *cache.Manager, tr *workload.Trace, strict bool) (verified, mismatched int, digest uint64, err error) {
 	last := make([]int, len(tr.Sizes))
 	for _, req := range tr.Requests {

@@ -9,11 +9,9 @@ import (
 	"time"
 
 	"github.com/reo-cache/reo/internal/faultinject"
-	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
 	"github.com/reo-cache/reo/internal/reqctx"
-	"github.com/reo-cache/reo/internal/store"
 )
 
 // HedgeConfig is a deterministic fail-slow scenario for the hedged
@@ -105,12 +103,13 @@ func HedgeRun(cfg HedgeConfig) (*HedgeResult, error) {
 
 	// Full replication, one chunk per object: each read touches exactly one
 	// rotation-selected primary device, so ~1/Devices of the reads form the
-	// slow cohort the tail measures.
-	st, err := store.New(store.Config{
-		Devices:    cfg.Devices,
-		DeviceSpec: flash.Intel540s(4 * int64(cfg.Objects) * int64(cfg.ObjectBytes)),
-		ChunkSize:  cfg.ObjectBytes,
+	// slow cohort the tail measures. Every device has room for four times
+	// the population; the metadata objects keep the store's unscaled 4KB.
+	st, err := newStore(SystemConfig{
 		Policy:     policy.FullReplication{},
+		Devices:    cfg.Devices,
+		CacheBytes: int64(cfg.Devices) * 4 * int64(cfg.Objects) * int64(cfg.ObjectBytes),
+		ChunkSize:  cfg.ObjectBytes,
 	})
 	if err != nil {
 		return nil, err

@@ -199,9 +199,6 @@ func NewManager(array *flash.Array, chunkSize int, opts ...Option) (*Manager, er
 // counters.
 func (m *Manager) Resilience() *policy.Resilience { return m.hedge }
 
-// ChunkSize returns the configured chunk size.
-func (m *Manager) ChunkSize() int { return m.chunkSize }
-
 // Array returns the underlying flash array.
 func (m *Manager) Array() *flash.Array { return m.array }
 
