@@ -151,8 +151,10 @@ type Response struct {
 	// Cost is the virtual-time cost the target charged (reported so the
 	// initiator can account it on its own clock).
 	Cost time.Duration
-	// Stats applies to OpStats; the device counts and the recovery queue
-	// length travel as 32-bit fields.
+	// Stats is the whole snapshot on OpStats. Every other dispatched
+	// response carries RawCapacity, AliveDevices and Devices alone (the
+	// server stamps them; see Server.stamp). The device counts and the
+	// recovery queue length travel as 32-bit fields.
 	Stats target.Stats
 }
 

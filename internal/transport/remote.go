@@ -23,11 +23,13 @@ import (
 // with a pool, operations round-robin across connections, spreading load
 // over independent sockets (and, on a real network, TCP windows).
 //
-// The policy and raw capacity are fetched once at construction (they are
-// immutable for a target's lifetime). Device health is polled lazily: it is
-// refreshed at most every statsRefreshOps operations, so failure detection
-// lags by a bounded number of requests — the same observability the paper's
-// initiator has through its query commands.
+// The policy is fetched once, by the handshake (it is immutable for a
+// target's lifetime). Raw capacity and device health ride every response:
+// the server stamps them into each response header, and send adopts them,
+// so the initiator sees a lost device on the first response after it —
+// as the paper's initiator learns target state from the sense data of the
+// commands it already issues. Overlapping responses apply in arrival order;
+// the snapshot lags by at most the responses in flight.
 type RemoteTarget struct {
 	ops // the typed operations, carried by send below
 
@@ -45,13 +47,12 @@ type RemoteTarget struct {
 	deadSkips atomic.Int64
 	redials   atomic.Int64
 
-	mu          sync.Mutex
-	clients     []*Client
-	redialing   []bool
-	rawCapacity int64
-	alive       int
-	devices     int
-	opsSince    int
+	// The target state the last response carried (see send).
+	rawCapacity, alive, devices atomic.Int64
+
+	mu        sync.Mutex
+	clients   []*Client
+	redialing []bool
 }
 
 var (
@@ -59,12 +60,9 @@ var (
 	_ target.BatchTarget = (*RemoteTarget)(nil)
 )
 
-// statsRefreshOps bounds how stale the cached device-health snapshot can
-// get, in operations.
-const statsRefreshOps = 32
-
-// NewRemoteTarget performs the initial handshake (policy + stats) and
-// returns the adapter over a single connection.
+// NewRemoteTarget performs the handshake (one OpPolicy round trip, whose
+// response also carries the target's health) and returns the adapter over a
+// single connection.
 func NewRemoteTarget(client *Client) (*RemoteTarget, error) {
 	return NewRemoteTargetPool([]*Client{client})
 }
@@ -75,20 +73,17 @@ func NewRemoteTargetPool(clients []*Client) (*RemoteTarget, error) {
 	if len(clients) == 0 {
 		return nil, errors.New("transport: remote target needs at least one client")
 	}
-	pol, err := clients[0].Policy()
-	if err != nil {
-		return nil, fmt.Errorf("transport: fetch policy: %w", err)
-	}
 	rt := &RemoteTarget{
 		clients:   clients,
 		redialing: make([]bool, len(clients)),
-		pol:       pol,
 		closed:    make(chan struct{}),
 	}
 	rt.ops.via = rt
-	if err := rt.refreshStats(); err != nil {
-		return nil, fmt.Errorf("transport: fetch stats: %w", err)
+	pol, err := rt.ops.Policy()
+	if err != nil {
+		return nil, fmt.Errorf("transport: fetch policy: %w", err)
 	}
+	rt.pol = pol
 	return rt, nil
 }
 
@@ -111,6 +106,9 @@ func DialRemoteTargetPool(addr string, conns int) (*RemoteTarget, error) {
 	}
 	rt, err := NewRemoteTargetPool(clients)
 	if err != nil {
+		for _, c := range clients {
+			_ = c.Close()
+		}
 		return nil, err
 	}
 	rt.addr = addr
@@ -223,39 +221,18 @@ func (rt *RemoteTarget) Close() error {
 	return first
 }
 
-func (rt *RemoteTarget) refreshStats() error {
-	// Asked of a connection directly: a refresh is not itself a counted op.
-	stats, err := rt.client().TargetStats()
-	if err != nil {
-		return err
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.rawCapacity = stats.RawCapacity
-	rt.alive = stats.AliveDevices
-	rt.devices = stats.Devices
-	rt.opsSince = 0
-	return nil
-}
-
-// tick counts an operation and refreshes the health snapshot when due.
-func (rt *RemoteTarget) tick() {
-	rt.mu.Lock()
-	rt.opsSince++
-	due := rt.opsSince >= statsRefreshOps
-	rt.mu.Unlock()
-	if due {
-		// Best effort; a failed refresh keeps the previous snapshot.
-		_ = rt.refreshStats()
-	}
-}
-
 // send implements carrier and is the pool's one dispatch point: every typed
-// op, single or batch, counts as one operation toward the next health
-// refresh and rides one live pooled connection.
+// op, single or batch, rides one live pooled connection, and its response
+// refreshes the target-state snapshot. A response with no devices carries
+// no state (the server stamps every response it dispatches).
 func (rt *RemoteTarget) send(rc *reqctx.Ctx, req Request) (Response, *bufpool.Buf, error) {
-	rt.tick()
-	return rt.client().send(rc, req)
+	resp, frame, err := rt.client().send(rc, req)
+	if err == nil && resp.Stats.Devices > 0 {
+		rt.rawCapacity.Store(resp.Stats.RawCapacity)
+		rt.alive.Store(int64(resp.Stats.AliveDevices))
+		rt.devices.Store(int64(resp.Stats.Devices))
+	}
+	return resp, frame, err
 }
 
 // GetCtx implements target.Target. The returned lease is the response frame
@@ -277,26 +254,10 @@ func (rt *RemoteTarget) MarkClean(id osd.ObjectID) error { return rt.MarkCleanCt
 func (rt *RemoteTarget) Policy() policy.Policy { return rt.pol }
 
 // RawCapacity implements target.Target.
-func (rt *RemoteTarget) RawCapacity() int64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.rawCapacity
-}
+func (rt *RemoteTarget) RawCapacity() int64 { return rt.rawCapacity.Load() }
 
 // AliveDevices implements target.Target.
-func (rt *RemoteTarget) AliveDevices() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.alive
-}
+func (rt *RemoteTarget) AliveDevices() int { return int(rt.alive.Load()) }
 
 // Devices implements target.Target.
-func (rt *RemoteTarget) Devices() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.devices
-}
-
-// Refresh forces an immediate device-health refresh (e.g. after the
-// operator injects a failure in a test).
-func (rt *RemoteTarget) Refresh() error { return rt.refreshStats() }
+func (rt *RemoteTarget) Devices() int { return int(rt.devices.Load()) }

@@ -2,9 +2,12 @@ package transport
 
 import (
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
+
+	"github.com/reo-cache/reo/internal/osd"
 )
 
 // poolServer starts a target server and returns its dial address.
@@ -44,7 +47,7 @@ func TestPoolSteersAroundDeadConnection(t *testing.T) {
 		t.Fatal("closed client still reports alive")
 	}
 	for i := 0; i < 8; i++ {
-		if err := rt.Refresh(); err != nil {
+		if _, err := rt.TargetStats(); err != nil {
 			t.Fatalf("op %d over half-dead pool: %v", i, err)
 		}
 	}
@@ -73,7 +76,7 @@ func TestPoolRedialsDeadConnection(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for rt.Redials() == 0 {
-		if err := rt.Refresh(); err != nil {
+		if _, err := rt.TargetStats(); err != nil {
 			t.Fatalf("op during redial window: %v", err)
 		}
 		if time.Now().After(deadline) {
@@ -92,7 +95,7 @@ func TestPoolRedialsDeadConnection(t *testing.T) {
 		}
 	}
 	rt.mu.Unlock()
-	if err := rt.Refresh(); err != nil {
+	if _, err := rt.TargetStats(); err != nil {
 		t.Fatalf("op after redial: %v", err)
 	}
 }
@@ -118,11 +121,63 @@ func TestPoolAllDeadSurfacesError(t *testing.T) {
 	for _, c := range clients {
 		_ = c.Close()
 	}
-	err = rt.Refresh()
+	_, err = rt.TargetStats()
 	if err == nil {
 		t.Fatal("all-dead pool served a request")
 	}
 	if !errors.Is(err, ErrClientClosed) && !errors.Is(err, ErrConnectionLost) {
 		t.Fatalf("err = %v, want terminal connection error", err)
+	}
+}
+
+// TestDialPoolClosesConnectionsOnFailedHandshake: when the target refuses the
+// handshake, DialRemoteTargetPool must close every connection it dialled, so
+// the target's read of each one ends in EOF rather than waiting forever.
+func TestDialPoolClosesConnectionsOnFailedHandshake(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const conns = 2
+	ended := make(chan error, conns)
+	go func() {
+		for i := 0; i < conns; i++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				ended <- err
+				continue
+			}
+			go func() {
+				defer conn.Close()
+				_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				for {
+					body, err := readFrame(conn)
+					if err != nil {
+						ended <- err
+						return
+					}
+					req, err := DecodeRequest(body)
+					if err != nil {
+						ended <- err
+						return
+					}
+					resp := Response{RequestID: req.RequestID, Sense: osd.SenseFailure, Message: "handshake refused"}
+					if err := writeFrame(conn, EncodeResponse(resp)); err != nil {
+						ended <- err
+						return
+					}
+				}
+			}()
+		}
+	}()
+	if rt, err := DialRemoteTargetPool(ln.Addr().String(), conns); err == nil {
+		_ = rt.Close()
+		t.Fatal("the target refused the handshake, yet the pool was built")
+	}
+	for i := 0; i < conns; i++ {
+		if err := <-ended; !errors.Is(err, io.EOF) {
+			t.Fatalf("client connection left open after failed handshake: %v", err)
+		}
 	}
 }

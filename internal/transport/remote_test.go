@@ -2,16 +2,21 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/reo-cache/reo/internal/backend"
+	"github.com/reo-cache/reo/internal/bufpool"
 	"github.com/reo-cache/reo/internal/cache"
 	"github.com/reo-cache/reo/internal/hdd"
 	"github.com/reo-cache/reo/internal/osd"
 	"github.com/reo-cache/reo/internal/policy"
+	"github.com/reo-cache/reo/internal/store"
+	"github.com/reo-cache/reo/internal/target"
 )
 
 // remoteFixture wires a full initiator/target split: the cache manager on
@@ -147,7 +152,7 @@ func TestRemoteFailureDetection(t *testing.T) {
 	if err := adminConn.FailDevice(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.target.Refresh(); err != nil {
+	if _, err := f.target.TargetStats(); err != nil {
 		t.Fatal(err)
 	}
 	if f.target.AliveDevices() != 4 {
@@ -166,6 +171,8 @@ func TestRemoteFailureDetection(t *testing.T) {
 	}
 }
 
+// TestRemoteTargetHealthAutoRefresh: the initiator learns of a device lost
+// behind its back from the very next response, with no poll in between.
 func TestRemoteTargetHealthAutoRefresh(t *testing.T) {
 	f := newRemoteFixture(t)
 	admin, err := Dial(f.target.client().conn.RemoteAddr().String())
@@ -176,18 +183,128 @@ func TestRemoteTargetHealthAutoRefresh(t *testing.T) {
 	if err := admin.FailDevice(4); err != nil {
 		t.Fatal(err)
 	}
-	// Drive enough operations to trigger the lazy refresh.
 	id := oid(4)
 	if _, err := f.backend.Put(id, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < statsRefreshOps+2; i++ {
-		if _, err := f.manager.Read(id); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := f.manager.Read(id); err != nil {
+		t.Fatal(err)
 	}
 	if f.target.AliveDevices() != 4 {
 		t.Fatalf("lazy refresh never observed the failure: alive = %d", f.target.AliveDevices())
+	}
+}
+
+// TestRemoteTargetRequestCount pins what the health snapshot costs on the
+// wire: nothing. The handshake is one OpPolicy request, and N operations
+// through a RemoteTarget dispatch exactly N requests, none of them OpStats.
+func TestRemoteTargetRequestCount(t *testing.T) {
+	var mu sync.Mutex
+	var seen []Op
+	client, _ := muxFixture(t, func(req Request) {
+		mu.Lock()
+		seen = append(seen, req.Op)
+		mu.Unlock()
+	})
+	dispatched := func() []Op {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]Op(nil), seen...)
+	}
+	rt, err := NewRemoteTarget(client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dispatched(); len(got) != 1 || got[0] != OpPolicy {
+		t.Fatalf("handshake dispatched %v, want [%v]", got, OpPolicy)
+	}
+	const n = 100 // well past any periodic poll
+	for i := 0; i < n; i++ {
+		id := oid(uint64(i % 10))
+		var err error
+		switch i % 5 {
+		case 0:
+			_, err = rt.PutCtx(nil, id, []byte("payload"), osd.ClassColdClean, false)
+		case 1:
+			var buf *bufpool.Buf
+			if buf, _, _, err = rt.GetCtx(nil, id); err == nil {
+				buf.Release()
+			}
+		case 2:
+			_, err = rt.StatusCtx(nil, id)
+		case 3:
+			res := rt.PutBatchCtx(nil, []target.BatchPut{{ID: id, Data: []byte("a"), Class: osd.ClassColdClean}, {ID: oid(50), Data: []byte("b"), Class: osd.ClassColdClean}})
+			err = errors.Join(res[0].Err, res[1].Err)
+		case 4:
+			res := rt.GetBatchCtx(nil, []osd.ObjectID{id, oid(50)})
+			err = errors.Join(res[0].Err, res[1].Err)
+			releaseResults(res)
+		}
+		if err != nil && !errors.Is(err, store.ErrNotFound) {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	got := dispatched()[1:]
+	if len(got) != n {
+		t.Fatalf("%d operations dispatched %d requests: %v", n, len(got), got)
+	}
+	for i, op := range got {
+		if op == OpStats {
+			t.Fatalf("request %d is %v: the health snapshot still polls", i, op)
+		}
+	}
+	if rt.AliveDevices() != 5 || rt.Devices() != 5 {
+		t.Fatalf("devices = %d/%d", rt.AliveDevices(), rt.Devices())
+	}
+}
+
+// TestServerStampsEveryResponse: every dispatched response carries the
+// store's raw capacity and device health in its header, whatever the op and
+// whatever its outcome.
+func TestServerStampsEveryResponse(t *testing.T) {
+	st := newTarget(t)
+	client, _ := pipePair(t, st)
+	// Hot objects carry parity, so oid(1) stays readable once a device is
+	// down; the failed device makes the alive and total counts differ.
+	if _, err := client.PutCtx(nil, oid(1), []byte("present"), osd.ClassHotClean, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.FailDevice(4); err != nil {
+		t.Fatal(err)
+	}
+	want := target.Stats{RawCapacity: st.RawCapacity(), AliveDevices: st.AliveDevices(), Devices: st.Devices()}
+	if want.AliveDevices != 4 || want.Devices != 5 {
+		t.Fatalf("store devices = %d/%d", want.AliveDevices, want.Devices)
+	}
+	cold := osd.ClassColdClean
+	cases := []struct {
+		name  string
+		req   Request
+		sense osd.SenseCode
+	}{
+		{"get", Request{Op: OpGet, Object: oid(1)}, osd.SenseOK},
+		{"put", Request{Op: OpPut, Object: oid(2), Class: cold, Payload: []byte("new")}, osd.SenseOK},
+		{"not found", Request{Op: OpGet, Object: oid(99)}, osd.SenseNotFound},
+		{"refused put", Request{Op: OpPut, Object: oid(3), Class: cold, Payload: make([]byte, 30<<20)}, osd.SenseCacheFull},
+		{"expired deadline", Request{Op: OpGet, Object: oid(1), Deadline: 1}, osd.SenseDeadline},
+		{"get batch", Request{Op: OpGetBatch, Payload: appendBatchIDs(nil, []osd.ObjectID{oid(1), oid(99)})}, osd.SenseOK},
+		{"put batch", Request{Op: OpPutBatch, Payload: appendPutBatch(nil, []target.BatchPut{{ID: oid(4), Data: []byte("a"), Class: cold}, {ID: oid(5), Data: []byte("b"), Class: cold}})}, osd.SenseOK},
+		{"control", Request{Op: OpControl, Payload: osd.SetIDCommand{Object: oid(1), Class: osd.ClassHotClean}.Encode()}, osd.SenseOK},
+		{"stats", Request{Op: OpStats}, osd.SenseOK},
+	}
+	for _, tc := range cases {
+		resp, frame, err := client.send(nil, tc.req)
+		releaseFrame(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if resp.Sense != tc.sense {
+			t.Errorf("%s: sense = %#x (%s), want %#x", tc.name, int(resp.Sense), resp.Message, int(tc.sense))
+		}
+		got := target.Stats{RawCapacity: resp.Stats.RawCapacity, AliveDevices: resp.Stats.AliveDevices, Devices: resp.Stats.Devices}
+		if got != want {
+			t.Errorf("%s: stamped %+v, want %+v", tc.name, got, want)
+		}
 	}
 }
 

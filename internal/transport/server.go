@@ -117,7 +117,7 @@ func (s *Server) acceptLoop() {
 }
 
 // HandleConn serves a single pre-established connection until it closes
-// (used with net.Pipe in tests and by in-process wiring).
+// (used with net.Pipe in tests).
 func (s *Server) HandleConn(conn net.Conn) {
 	s.mu.Lock()
 	if s.closed {
@@ -178,6 +178,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				}
 				resp, lease := s.dispatch(cr.req)
 				resp.RequestID = cr.req.RequestID
+				s.stamp(&resp)
 				// The store consumed the request payload synchronously;
 				// the frame can go back to the pool before the response
 				// is even queued.
@@ -379,6 +380,15 @@ func (s *Server) dispatch(req Request) (Response, *bufpool.Buf) {
 	default:
 		return Response{Sense: osd.SenseFailure, Message: fmt.Sprintf("unhandled op %v", req.Op)}, nil
 	}
+}
+
+// stamp writes the target state every response carries into its header:
+// raw capacity and device health, the fields a RemoteTarget keeps its
+// snapshot from.
+func (s *Server) stamp(resp *Response) {
+	resp.Stats.RawCapacity = s.st.RawCapacity()
+	resp.Stats.AliveDevices = s.st.AliveDevices()
+	resp.Stats.Devices = s.st.Devices()
 }
 
 // Policy kind identifiers carried by OpPolicy responses.
