@@ -24,6 +24,7 @@ type clusterArgs struct {
 	workers      int
 	conns        int
 	layout       string // the -flash-layout value, passed on to spawned reotargets
+	batch        int
 }
 
 // runCluster replays the selected experiment's workload against an N-shard
@@ -45,6 +46,7 @@ func runCluster(experiment string, opts harness.Options, args clusterArgs) error
 		Workers: args.workers,
 		Conns:   args.conns,
 		Churn:   args.churn,
+		Batch:   args.batch,
 	}
 	if args.addrs != "" {
 		spec.Addrs = strings.Split(args.addrs, ",")
@@ -98,7 +100,7 @@ func runCluster(experiment string, opts harness.Options, args clusterArgs) error
 	fmt.Printf("[cluster completed in %v]\n", time.Since(start).Round(time.Millisecond))
 	if opts.OpStats != nil {
 		fmt.Printf("-- per-op latency (cluster, wall clock) --\n%s", opts.OpStats)
-		if opts.Batch > 1 {
+		if spec.Batch > 1 {
 			fmt.Printf("batch routing: %+v fan-out width %.2f\n", res.Batch, res.Batch.FanoutWidth())
 		}
 		if mode != "in-process" {

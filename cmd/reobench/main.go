@@ -7,7 +7,7 @@
 //	reobench -experiment all
 //	reobench -experiment fig8 -scale 0.015625 -seed 42
 //
-// Experiments: space, fig5, fig6, fig7, fig8, fig9, headline,
+// Experiments: space, fig5, fig6, fig7, fig8, fig9,
 // ablate-recovery, ablate-hotness, ablate-chunk, ablate-wear, writeamp,
 // hedge, all.
 //
@@ -53,7 +53,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("reobench", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "all", "which experiment to run (space|fig5|fig6|fig7|fig8|fig9|headline|ablate-recovery|ablate-hotness|ablate-chunk|ablate-wear|writeamp|hedge|all)")
+		experiment = fs.String("experiment", "all", "which experiment to run (space|fig5|fig6|fig7|fig8|fig9|ablate-recovery|ablate-hotness|ablate-chunk|ablate-wear|writeamp|hedge|all)")
 		scale      = fs.Float64("scale", 1.0/64, "linear size scale vs the paper (1.0 = 4.4MB mean objects)")
 		seed       = fs.Int64("seed", 1, "trace synthesis seed")
 		parallel   = fs.Int("parallel", defaultParallelism(), "concurrent experiment runs")
@@ -88,7 +88,6 @@ func run(args []string) error {
 		Objects:      *objects,
 		Requests:     *requests,
 		AsyncReclass: *asyncRecl,
-		Batch:        *batchN,
 	}
 	switch *layoutStr {
 	case "inplace":
@@ -147,6 +146,7 @@ func run(args []string) error {
 			workers:      *workers,
 			conns:        *conns,
 			layout:       *layoutStr,
+			batch:        *batchN,
 		})
 	}
 
@@ -157,7 +157,6 @@ func run(args []string) error {
 		"fig7":            func(o harness.Options) error { return runNormal(workload.Strong, "Fig 7", o) },
 		"fig8":            runFig8,
 		"fig9":            runFig9,
-		"headline":        runHeadline,
 		"ablate-recovery": runAblateRecovery,
 		"ablate-hotness":  runAblateHotness,
 		"ablate-chunk":    runAblateChunk,
@@ -165,8 +164,6 @@ func run(args []string) error {
 		"writeamp":        runWriteAmp,
 		"hedge":           func(o harness.Options) error { return runHedge(o, *hedgeDelay) },
 	}
-	// "all" omits the standalone headline experiment: fig9 already prints
-	// the headline multipliers from its own rows.
 	order := []string{
 		"space", "fig5", "fig6", "fig7", "fig8", "fig9",
 		"ablate-recovery", "ablate-hotness", "ablate-chunk", "ablate-wear",
@@ -407,18 +404,6 @@ func runFig9(opts harness.Options) error {
 	h := harness.HeadlineClaims(rows)
 	fmt.Printf("headline: max hit-ratio gain %.2fx (paper: up to 3.1x), max bandwidth gain %.2fx (paper: up to 3.6x)\n",
 		h.MaxHitRatioGain, h.MaxBandwidthGain)
-	return nil
-}
-
-func runHeadline(opts harness.Options) error {
-	rows, err := harness.DirtyDataProtection(opts)
-	if err != nil {
-		return err
-	}
-	h := harness.HeadlineClaims(rows)
-	fmt.Println("== Headline claims (abstract) — paper: up to 3.1× hit ratio, 3.6× bandwidth vs full replication ==")
-	fmt.Printf("max hit-ratio gain: %.2fx\n", h.MaxHitRatioGain)
-	fmt.Printf("max bandwidth gain: %.2fx\n", h.MaxBandwidthGain)
 	return nil
 }
 

@@ -56,17 +56,9 @@ func TestSmokeFig9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 10 miniature systems with warmup")
 	}
-	if err := run(tiny("fig9")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSmokeHeadline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs fig9 under the hood")
-	}
-	if err := run(tiny("headline")); err != nil {
-		t.Fatal(err)
+	out := capture(t, tiny("fig9")...)
+	if !regexp.MustCompile(`(?m)^headline: max hit-ratio gain \d+\.\d+x .* max bandwidth gain \d+\.\d+x`).MatchString(out) {
+		t.Errorf("fig9 printed no headline line:\n%s", out)
 	}
 }
 

@@ -18,15 +18,14 @@ package cache
 // the only work done under the manager lock; ranking happens outside it. The
 // resulting class-change work-list is re-encoded by a bounded worker pool
 // that takes each object's entry latch (so evictions, flushes, and
-// overwrites of an in-flight object wait instead of racing) and defers to
-// on-demand traffic through the store's OnDemandInFlight gauge, mirroring
-// background recovery.
+// overwrites of an in-flight object wait instead of racing) and re-encodes
+// under a background-priority request, which an in-process store defers to
+// in-flight on-demand traffic, as it does background GC.
 
 import (
 	"cmp"
 	"errors"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -386,34 +385,11 @@ func (m *Manager) runReclassWorkers(work []osd.ObjectID) {
 	wg.Wait()
 }
 
-// onDemandYieldBudget caps how long a reclassifier defers to foreground
-// traffic per work item before proceeding anyway: background work yields at
-// every object boundary, but a continuously saturated foreground must not
-// starve it outright (the wait holds no latches, so it blocks nobody).
-const onDemandYieldBudget = 50 * time.Microsecond
-
-// yieldToOnDemand backs off while the target reports in-flight on-demand
-// requests, mirroring how background recovery yields between objects. Only
-// targets that expose the gauge (the in-process store) participate; remote
-// targets defer at the far end instead.
-func (m *Manager) yieldToOnDemand() {
-	g, ok := m.cfg.Store.(interface{ OnDemandInFlight() int64 })
-	if !ok || g.OnDemandInFlight() == 0 {
-		return
-	}
-	deadline := time.Now().Add(onDemandYieldBudget)
-	for g.OnDemandInFlight() > 0 && time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
-}
-
 // reclassOne applies one class change from the async work-list. The target
 // class is recomputed against the live entry and current threshold at latch
 // time, so stale work items (entry evicted, rewritten, re-ranked, or gone
 // dirty since the snapshot) are dropped rather than applied.
 func (m *Manager) reclassOne(rc *reqctx.Ctx, id osd.ObjectID) {
-	m.yieldToOnDemand()
-
 	m.mu.Lock()
 	e, ok := m.entries[id]
 	if !ok || e.dirty || e.latch != nil {

@@ -62,6 +62,11 @@ type ClusterSpec struct {
 	// Churn exercises a membership change mid-replay (in-process shards
 	// only): an extra shard joins, then one founding shard retires.
 	Churn bool
+	// Batch groups up to N consecutive same-kind trace requests into one
+	// ReadBatch/WriteBatch call (reobench -batch). 0 or 1 is a batch of
+	// one — the same calls, wire traffic and output as a plain Read or
+	// Write.
+	Batch int
 }
 
 // ClusterResult summarises one sharded replay.
@@ -240,10 +245,7 @@ func ClusterThroughput(loc workload.Locality, opts Options, spec ClusterSpec) (*
 		mu       sync.Mutex
 		wg       sync.WaitGroup
 	)
-	batchN := opts.Batch
-	if batchN < 1 {
-		batchN = 1
-	}
+	batchN := max(spec.Batch, 1)
 	errCh := make(chan error, spec.Workers)
 	start := time.Now()
 	for w := 0; w < spec.Workers; w++ {

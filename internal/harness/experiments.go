@@ -3,7 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,7 +31,8 @@ type Options struct {
 	Objects int
 	// Requests overrides trace length (0 = paper's per-locality counts).
 	Requests int
-	// Parallelism bounds concurrent system runs (0 = 4).
+	// Parallelism bounds how many of a driver's independent system runs
+	// (its grid cells) execute at once (0 = 4).
 	Parallelism int
 	// OpStats, when set, aggregates per-op request latencies across every
 	// measured run of the experiment (reobench -opstats).
@@ -48,11 +49,6 @@ type Options struct {
 	// Admission selects the clean-miss admission gate (reobench
 	// -admission).
 	Admission cache.AdmissionMode
-	// Batch groups up to N consecutive same-kind trace requests into one
-	// ReadBatch/WriteBatch call during the cluster replay (reobench
-	// -batch). 0 or 1 is a batch of one — the same calls, wire
-	// traffic and output as a plain Read or Write.
-	Batch int
 }
 
 // runConfig stamps the option-level instrumentation onto one run's
@@ -144,40 +140,29 @@ func NormalRun(loc workload.Locality, opts Options) ([]NormalRunRow, error) {
 	}
 	cachePcts := []int{4, 6, 8, 10, 12}
 	pols := normalRunPolicies()
-	rows := make([]NormalRunRow, len(cachePcts)*len(pols))
-	var tasks []func() error
-	for pi, pol := range pols {
-		for ci, pct := range cachePcts {
-			pi, ci, pol, pct := pi, ci, pol, pct
-			tasks = append(tasks, func() error {
-				sys, err := BuildSystem(opts.systemConfig(SystemConfig{
-					Policy:     pol,
-					CacheBytes: tr.DatasetBytes * int64(pct) / 100,
-				}), tr)
-				if err != nil {
-					return err
-				}
-				res, err := Run(sys, tr, opts.runConfig(RunConfig{}))
-				if err != nil {
-					return fmt.Errorf("%s @%d%%: %w", pol.Name(), pct, err)
-				}
-				rows[pi*len(cachePcts)+ci] = NormalRunRow{
-					Locality:           loc,
-					Policy:             pol.Name(),
-					CacheSizePct:       pct,
-					HitRatioPct:        res.TotalReads.HitRatio * 100,
-					BandwidthMBps:      res.TotalAll.BandwidthMBps,
-					LatencyMs:          ms(res.TotalAll.MeanLatency),
-					SpaceEfficiencyPct: res.SpaceEfficiency * 100,
-				}
-				return nil
-			})
+	return grid(opts, len(pols)*len(cachePcts), func(i int) (NormalRunRow, error) {
+		pol, pct := pols[i/len(cachePcts)], cachePcts[i%len(cachePcts)]
+		sys, err := BuildSystem(opts.systemConfig(SystemConfig{
+			Policy:     pol,
+			CacheBytes: tr.DatasetBytes * int64(pct) / 100,
+		}), tr)
+		if err != nil {
+			return NormalRunRow{}, err
 		}
-	}
-	if err := runParallel(opts.Parallelism, tasks); err != nil {
-		return nil, err
-	}
-	return rows, nil
+		res, err := Run(sys, tr, opts.runConfig(RunConfig{}))
+		if err != nil {
+			return NormalRunRow{}, fmt.Errorf("%s @%d%%: %w", pol.Name(), pct, err)
+		}
+		return NormalRunRow{
+			Locality:           loc,
+			Policy:             pol.Name(),
+			CacheSizePct:       pct,
+			HitRatioPct:        res.TotalReads.HitRatio * 100,
+			BandwidthMBps:      res.TotalAll.BandwidthMBps,
+			LatencyMs:          ms(res.TotalAll.MeanLatency),
+			SpaceEfficiencyPct: res.SpaceEfficiency * 100,
+		}, nil
+	})
 }
 
 // SpaceRow is one row of the §VI.B space-efficiency comparison.
@@ -192,48 +177,32 @@ type SpaceRow struct {
 // 10% cache with 64KB chunks, alongside the analytic uniform baselines.
 func SpaceEfficiency(opts Options) ([]SpaceRow, error) {
 	opts.applyDefaults()
-	var rows []SpaceRow
-	var mu sync.Mutex
-	var tasks []func() error
-	for _, loc := range []workload.Locality{workload.Weak, workload.Medium, workload.Strong} {
-		for _, budget := range []float64{0.10, 0.20, 0.40} {
-			loc, budget := loc, budget
-			tasks = append(tasks, func() error {
-				tr, err := opts.traceFor(loc, 0)
-				if err != nil {
-					return err
-				}
-				pol := policy.Reo{ParityBudget: budget}
-				sys, err := BuildSystem(opts.systemConfig(SystemConfig{
-					Policy:     pol,
-					CacheBytes: tr.DatasetBytes / 10,
-				}), tr)
-				if err != nil {
-					return err
-				}
-				res, err := Run(sys, tr, opts.runConfig(RunConfig{}))
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				rows = append(rows, SpaceRow{
-					Locality:           loc,
-					Policy:             pol.Name(),
-					SpaceEfficiencyPct: res.SpaceEfficiency * 100,
-				})
-				mu.Unlock()
-				return nil
-			})
+	locs := []workload.Locality{workload.Weak, workload.Medium, workload.Strong}
+	budgets := []float64{0.10, 0.20, 0.40}
+	return grid(opts, len(locs)*len(budgets), func(i int) (SpaceRow, error) {
+		loc := locs[i/len(budgets)]
+		tr, err := opts.traceFor(loc, 0)
+		if err != nil {
+			return SpaceRow{}, err
 		}
-	}
-	if err := runParallel(opts.Parallelism, tasks); err != nil {
-		return nil, err
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		return a.Locality < b.Locality || (a.Locality == b.Locality && a.Policy < b.Policy)
+		pol := policy.Reo{ParityBudget: budgets[i%len(budgets)]}
+		sys, err := BuildSystem(opts.systemConfig(SystemConfig{
+			Policy:     pol,
+			CacheBytes: tr.DatasetBytes / 10,
+		}), tr)
+		if err != nil {
+			return SpaceRow{}, err
+		}
+		res, err := Run(sys, tr, opts.runConfig(RunConfig{}))
+		if err != nil {
+			return SpaceRow{}, err
+		}
+		return SpaceRow{
+			Locality:           loc,
+			Policy:             pol.Name(),
+			SpaceEfficiencyPct: res.SpaceEfficiency * 100,
+		}, nil
 	})
-	return rows, nil
 }
 
 // FailureRow is one point of Fig 8: metrics for a given number of failed
@@ -257,48 +226,38 @@ func FailureResistance(opts Options) ([]FailureRow, error) {
 		return nil, err
 	}
 	failAt := failureSchedule(len(tr.Requests))
-	var (
-		mu   sync.Mutex
-		rows []FailureRow
-	)
-	var tasks []func() error
-	for _, pol := range normalRunPolicies() {
-		pol := pol
-		tasks = append(tasks, func() error {
-			sys, err := BuildSystem(opts.systemConfig(SystemConfig{
-				Policy:     pol,
-				CacheBytes: tr.DatasetBytes / 10,
-				ChunkSize:  opts.chunk(1 << 20),
-			}), tr)
-			if err != nil {
-				return err
+	pols := normalRunPolicies()
+	// Each cell is one policy's run; its phases arrive in failure order.
+	perPolicy, err := grid(opts, len(pols), func(i int) ([]FailureRow, error) {
+		pol := pols[i]
+		sys, err := BuildSystem(opts.systemConfig(SystemConfig{
+			Policy:     pol,
+			CacheBytes: tr.DatasetBytes / 10,
+			ChunkSize:  opts.chunk(1 << 20),
+		}), tr)
+		if err != nil {
+			return nil, err
+		}
+		res, err := Run(sys, tr, opts.runConfig(RunConfig{Warmup: true, FailAt: failAt}))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", pol.Name(), err)
+		}
+		rows := make([]FailureRow, len(res.Phases))
+		for j, ph := range res.Phases {
+			rows[j] = FailureRow{
+				Policy:        pol.Name(),
+				Failures:      ph.FailedDevices,
+				HitRatioPct:   ph.Reads.HitRatio * 100,
+				BandwidthMBps: ph.All.BandwidthMBps,
+				LatencyMs:     ms(ph.All.MeanLatency),
 			}
-			res, err := Run(sys, tr, opts.runConfig(RunConfig{Warmup: true, FailAt: failAt}))
-			if err != nil {
-				return fmt.Errorf("%s: %w", pol.Name(), err)
-			}
-			mu.Lock()
-			for _, ph := range res.Phases {
-				rows = append(rows, FailureRow{
-					Policy:        pol.Name(),
-					Failures:      ph.FailedDevices,
-					HitRatioPct:   ph.Reads.HitRatio * 100,
-					BandwidthMBps: ph.All.BandwidthMBps,
-					LatencyMs:     ms(ph.All.MeanLatency),
-				})
-			}
-			mu.Unlock()
-			return nil
-		})
-	}
-	if err := runParallel(opts.Parallelism, tasks); err != nil {
+		}
+		return rows, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		return a.Policy < b.Policy || (a.Policy == b.Policy && a.Failures < b.Failures)
-	})
-	return rows, nil
+	return slices.Concat(perPolicy...), nil
 }
 
 // failureSchedule places four failures at the paper's request indices,
@@ -333,42 +292,31 @@ func DirtyDataProtection(opts Options) ([]WriteRow, error) {
 	opts.applyDefaults()
 	pols := []policy.Policy{policy.FullReplication{}, policy.Reo{ParityBudget: 0.20}}
 	ratios := []int{10, 20, 30, 40, 50}
-	rows := make([]WriteRow, len(pols)*len(ratios))
-	var tasks []func() error
-	for pi, pol := range pols {
-		for ri, ratio := range ratios {
-			pi, ri, pol, ratio := pi, ri, pol, ratio
-			tasks = append(tasks, func() error {
-				tr, err := opts.traceFor(workload.Medium, float64(ratio)/100)
-				if err != nil {
-					return err
-				}
-				sys, err := BuildSystem(opts.systemConfig(SystemConfig{
-					Policy:     pol,
-					CacheBytes: tr.DatasetBytes / 10,
-				}), tr)
-				if err != nil {
-					return err
-				}
-				res, err := Run(sys, tr, opts.runConfig(RunConfig{Warmup: true}))
-				if err != nil {
-					return fmt.Errorf("%s @%d%% writes: %w", pol.Name(), ratio, err)
-				}
-				rows[pi*len(ratios)+ri] = WriteRow{
-					Policy:        pol.Name(),
-					WriteRatioPct: ratio,
-					HitRatioPct:   res.TotalReads.HitRatio * 100,
-					BandwidthMBps: res.TotalAll.BandwidthMBps,
-					LatencyMs:     ms(res.TotalAll.MeanLatency),
-				}
-				return nil
-			})
+	return grid(opts, len(pols)*len(ratios), func(i int) (WriteRow, error) {
+		pol, ratio := pols[i/len(ratios)], ratios[i%len(ratios)]
+		tr, err := opts.traceFor(workload.Medium, float64(ratio)/100)
+		if err != nil {
+			return WriteRow{}, err
 		}
-	}
-	if err := runParallel(opts.Parallelism, tasks); err != nil {
-		return nil, err
-	}
-	return rows, nil
+		sys, err := BuildSystem(opts.systemConfig(SystemConfig{
+			Policy:     pol,
+			CacheBytes: tr.DatasetBytes / 10,
+		}), tr)
+		if err != nil {
+			return WriteRow{}, err
+		}
+		res, err := Run(sys, tr, opts.runConfig(RunConfig{Warmup: true}))
+		if err != nil {
+			return WriteRow{}, fmt.Errorf("%s @%d%% writes: %w", pol.Name(), ratio, err)
+		}
+		return WriteRow{
+			Policy:        pol.Name(),
+			WriteRatioPct: ratio,
+			HitRatioPct:   res.TotalReads.HitRatio * 100,
+			BandwidthMBps: res.TotalAll.BandwidthMBps,
+			LatencyMs:     ms(res.TotalAll.MeanLatency),
+		}, nil
+	})
 }
 
 // Headline summarises the abstract's claims from the Fig 9 data: Reo's
@@ -430,15 +378,18 @@ func RecoveryAblation(opts Options) ([]RecoveryRow, error) {
 		return nil, err
 	}
 	failIdx := len(tr.Requests) / 5
-	var rows []RecoveryRow
-	for _, order := range []store.RecoveryOrder{store.RecoverByClass, store.RecoverByStripeID} {
+	orders := []struct {
+		label string
+		order store.RecoveryOrder
+	}{{"by-class", store.RecoverByClass}, {"by-stripe", store.RecoverByStripeID}}
+	return grid(opts, len(orders), func(i int) (RecoveryRow, error) {
 		sys, err := BuildSystem(opts.systemConfig(SystemConfig{
 			Policy:        policy.Reo{ParityBudget: 0.20},
 			CacheBytes:    tr.DatasetBytes / 10,
-			RecoveryOrder: order,
+			RecoveryOrder: orders[i].order,
 		}), tr)
 		if err != nil {
-			return nil, err
+			return RecoveryRow{}, err
 		}
 		// Snapshot the rebuild queue the moment the spare lands to
 		// measure how front-loaded the important classes are.
@@ -454,11 +405,7 @@ func RecoveryAblation(opts Options) ([]RecoveryRow, error) {
 			OnSpare:                   onSpare,
 		}))
 		if err != nil {
-			return nil, err
-		}
-		label := "by-class"
-		if order == store.RecoverByStripeID {
-			label = "by-stripe"
+			return RecoveryRow{}, err
 		}
 		var recoveryPhase metrics.Stats
 		for _, ph := range res.Phases {
@@ -466,15 +413,14 @@ func RecoveryAblation(opts Options) ([]RecoveryRow, error) {
 				recoveryPhase = ph.Reads
 			}
 		}
-		rows = append(rows, RecoveryRow{
-			Order:                      label,
+		return RecoveryRow{
+			Order:                      orders[i].label,
 			HitRatioPct:                recoveryPhase.HitRatio * 100,
 			ImportantRecoveredFirstPct: importantFirst,
 			RecoveryDoneRequest:        res.RecoveryDoneRequest,
 			Rebuilt:                    res.RecoveryCompleted,
-		})
-	}
-	return rows, nil
+		}, nil
+	})
 }
 
 // importantFirstPct returns the share of important (class ≤ 2) objects in
@@ -521,24 +467,24 @@ func HotnessAblation(opts Options) ([]HotnessRow, error) {
 		return nil, err
 	}
 	failIdx := len(tr.Requests) / 2
-	var rows []HotnessRow
-	for _, metric := range []struct {
+	rankings := []struct {
 		name string
 		m    cache.HotnessMetric
-	}{{"freq/size", cache.FreqOverSize}, {"freq-only", cache.FreqOnly}} {
+	}{{"freq/size", cache.FreqOverSize}, {"freq-only", cache.FreqOnly}}
+	return grid(opts, len(rankings), func(i int) (HotnessRow, error) {
 		sys, err := BuildSystem(opts.systemConfig(SystemConfig{
 			Policy:        policy.Reo{ParityBudget: 0.20},
 			CacheBytes:    tr.DatasetBytes / 10,
-			HotnessMetric: metric.m,
+			HotnessMetric: rankings[i].m,
 		}), tr)
 		if err != nil {
-			return nil, err
+			return HotnessRow{}, err
 		}
 		res, err := Run(sys, tr, opts.runConfig(RunConfig{Warmup: true, FailAt: map[int]int{failIdx: 0}}))
 		if err != nil {
-			return nil, err
+			return HotnessRow{}, err
 		}
-		row := HotnessRow{Metric: metric.name}
+		row := HotnessRow{Metric: rankings[i].name}
 		for _, ph := range res.Phases {
 			if ph.FailedDevices == 0 {
 				row.NormalHitPct = ph.Reads.HitRatio * 100
@@ -546,9 +492,8 @@ func HotnessAblation(opts Options) ([]HotnessRow, error) {
 				row.AfterFailureHitPct = ph.Reads.HitRatio * 100
 			}
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return row, nil
+	})
 }
 
 // ChunkRow compares chunk sizes (DESIGN.md ablation).
@@ -568,28 +513,28 @@ func ChunkAblation(opts Options) ([]ChunkRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []ChunkRow
-	for _, paperChunk := range []int{16 << 10, 64 << 10, 256 << 10, 1 << 20} {
+	paperChunks := []int{16 << 10, 64 << 10, 256 << 10, 1 << 20}
+	return grid(opts, len(paperChunks), func(i int) (ChunkRow, error) {
+		chunk := opts.chunk(paperChunks[i])
 		sys, err := BuildSystem(opts.systemConfig(SystemConfig{
 			Policy:     policy.Reo{ParityBudget: 0.20},
 			CacheBytes: tr.DatasetBytes / 10,
-			ChunkSize:  opts.chunk(paperChunk),
+			ChunkSize:  chunk,
 		}), tr)
 		if err != nil {
-			return nil, err
+			return ChunkRow{}, err
 		}
 		res, err := Run(sys, tr, opts.runConfig(RunConfig{}))
 		if err != nil {
-			return nil, err
+			return ChunkRow{}, err
 		}
-		rows = append(rows, ChunkRow{
-			ChunkBytes:    opts.chunk(paperChunk),
+		return ChunkRow{
+			ChunkBytes:    chunk,
 			HitRatioPct:   res.TotalReads.HitRatio * 100,
 			BandwidthMBps: res.TotalAll.BandwidthMBps,
 			LatencyMs:     ms(res.TotalAll.MeanLatency),
-		})
-	}
-	return rows, nil
+		}, nil
+	})
 }
 
 // WearRow compares parity-placement strategies (DESIGN.md ablation on the
@@ -614,24 +559,24 @@ func WearAblation(opts Options) ([]WearRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []WearRow
-	for _, variant := range []struct {
+	variants := []struct {
 		name    string
 		disable bool
-	}{{"rotated", false}, {"dedicated", true}} {
+	}{{"rotated", false}, {"dedicated", true}}
+	return grid(opts, len(variants), func(i int) (WearRow, error) {
 		sys, err := BuildSystem(opts.systemConfig(SystemConfig{
 			Policy:                policy.Reo{ParityBudget: 0.20},
 			CacheBytes:            tr.DatasetBytes / 10,
-			DisableParityRotation: variant.disable,
+			DisableParityRotation: variants[i].disable,
 		}), tr)
 		if err != nil {
-			return nil, err
+			return WearRow{}, err
 		}
 		if _, err := Run(sys, tr, opts.runConfig(RunConfig{})); err != nil {
-			return nil, err
+			return WearRow{}, err
 		}
 		arr := sys.Store.Array()
-		row := WearRow{Placement: variant.name, MinWearCycles: math.MaxFloat64}
+		row := WearRow{Placement: variants[i].name, MinWearCycles: math.MaxFloat64}
 		for i := 0; i < arr.N(); i++ {
 			w := arr.Device(i).WearCycles()
 			if w > row.MaxWearCycles {
@@ -644,37 +589,37 @@ func WearAblation(opts Options) ([]WearRow, error) {
 		if row.MinWearCycles > 0 {
 			row.Imbalance = row.MaxWearCycles / row.MinWearCycles
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return row, nil
+	})
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// runParallel executes tasks with bounded concurrency, returning the first
-// error.
-func runParallel(limit int, tasks []func() error) error {
-	if limit < 1 {
-		limit = 1
-	}
-	sem := make(chan struct{}, limit)
-	errCh := make(chan error, len(tasks))
+// grid runs a driver's n independent cells, at most o.Parallelism at a
+// time, and returns their rows in cell order whatever order they finish
+// in. If any cell fails it returns no rows and the error of the first
+// failing cell in cell order.
+func grid[R any](o Options, n int, cell func(i int) (R, error)) ([]R, error) {
+	rows := make([]R, n)
+	errs := make([]error, n)
+	sem := make(chan struct{}, max(o.Parallelism, 1))
 	var wg sync.WaitGroup
-	for _, task := range tasks {
-		task := task
+	for i := range n {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if err := task(); err != nil {
-				errCh <- err
-			}
+			rows[i], errs[i] = cell(i)
 		}()
 	}
 	wg.Wait()
-	close(errCh)
-	return <-errCh
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
 }
 
 // metadataSize scales the materialised metadata objects (4KB at paper
@@ -721,7 +666,11 @@ type WriteAmpRow struct {
 // reports write-amplification and hit-ratio for each — the before/after
 // table showing what the log layout and the admission gate each buy.
 // The cache is sized well below the trace's full footprint so admit-all
-// keeps churning one-hit objects through flash.
+// keeps churning one-hit objects through flash. The log rows' GC figures
+// (flash written, GC moved, erases, garbage) depend on when the background
+// collector is scheduled: log/admit-all varies between runs at any size,
+// and at small sizes (-objects 200 -requests 2000) log/admit-on-reuse does
+// too.
 func WriteAmplification(opts Options) ([]WriteAmpRow, error) {
 	opts.applyDefaults()
 	objects := opts.Objects
@@ -746,53 +695,44 @@ func WriteAmplification(opts Options) ([]WriteAmpRow, error) {
 		{flash.LayoutLog, cache.AdmitAll},
 		{flash.LayoutLog, cache.AdmitOnReuse},
 	}
-	rows := make([]WriteAmpRow, len(combos))
-	var tasks []func() error
-	for i, cb := range combos {
-		i, cb := i, cb
-		tasks = append(tasks, func() error {
-			cfg := opts.systemConfig(SystemConfig{
-				Policy:     policy.Reo{ParityBudget: 0.20},
-				CacheBytes: tr.DatasetBytes / 8,
-			})
-			cfg.Layout = cb.layout
-			cfg.Admission = cb.admission
-			sys, err := BuildSystem(cfg, tr)
-			if err != nil {
-				return err
-			}
-			res, err := Run(sys, tr, opts.runConfig(RunConfig{}))
-			if err != nil {
-				return fmt.Errorf("%v/%v: %w", cb.layout, cb.admission, err)
-			}
-			sys.Cache.WaitRefresh()
-			sys.Store.WaitGC()
-			cs := sys.Cache.Stats()
-			wa := sys.Store.WriteAmp()
-			row := WriteAmpRow{
-				Layout:            cb.layout,
-				Admission:         cb.admission,
-				HitRatioPct:       res.TotalReads.HitRatio * 100,
-				OfferedMB:         mb(cs.OfferedBytes),
-				FlashMB:           mb(wa.FlashBytesWritten),
-				GCMB:              mb(wa.GCBytesWritten),
-				DeviceWA:          wa.DeviceWriteAmp(),
-				GarbageRatioPct:   wa.GarbageRatio() * 100,
-				SegmentErases:     wa.SegmentErases,
-				WearCycles:        wa.WearCycles,
-				AdmissionBypasses: cs.AdmissionBypasses,
-			}
-			if cs.OfferedBytes > 0 {
-				row.SystemWA = float64(wa.FlashBytesWritten) / float64(cs.OfferedBytes)
-			}
-			rows[i] = row
-			return nil
+	return grid(opts, len(combos), func(i int) (WriteAmpRow, error) {
+		cb := combos[i]
+		cfg := opts.systemConfig(SystemConfig{
+			Policy:     policy.Reo{ParityBudget: 0.20},
+			CacheBytes: tr.DatasetBytes / 8,
 		})
-	}
-	if err := runParallel(opts.Parallelism, tasks); err != nil {
-		return nil, err
-	}
-	return rows, nil
+		cfg.Layout = cb.layout
+		cfg.Admission = cb.admission
+		sys, err := BuildSystem(cfg, tr)
+		if err != nil {
+			return WriteAmpRow{}, err
+		}
+		res, err := Run(sys, tr, opts.runConfig(RunConfig{}))
+		if err != nil {
+			return WriteAmpRow{}, fmt.Errorf("%v/%v: %w", cb.layout, cb.admission, err)
+		}
+		sys.Cache.WaitRefresh()
+		sys.Store.WaitGC()
+		cs := sys.Cache.Stats()
+		wa := sys.Store.WriteAmp()
+		row := WriteAmpRow{
+			Layout:            cb.layout,
+			Admission:         cb.admission,
+			HitRatioPct:       res.TotalReads.HitRatio * 100,
+			OfferedMB:         mb(cs.OfferedBytes),
+			FlashMB:           mb(wa.FlashBytesWritten),
+			GCMB:              mb(wa.GCBytesWritten),
+			DeviceWA:          wa.DeviceWriteAmp(),
+			GarbageRatioPct:   wa.GarbageRatio() * 100,
+			SegmentErases:     wa.SegmentErases,
+			WearCycles:        wa.WearCycles,
+			AdmissionBypasses: cs.AdmissionBypasses,
+		}
+		if cs.OfferedBytes > 0 {
+			row.SystemWA = float64(wa.FlashBytesWritten) / float64(cs.OfferedBytes)
+		}
+		return row, nil
+	})
 }
 
 func mb(b int64) float64 { return float64(b) / (1 << 20) }

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/reo-cache/reo/internal/workload"
@@ -311,22 +313,63 @@ func TestWearAblation(t *testing.T) {
 	}
 }
 
-func TestRunParallelPropagatesErrors(t *testing.T) {
-	err := runParallel(2, []func() error{
-		func() error { return nil },
-		func() error { return errTest },
-		func() error { return nil },
+func TestGridPropagatesErrors(t *testing.T) {
+	errCell1, errCell3 := errors.New("cell 1"), errors.New("cell 3")
+	cell3Failed := make(chan struct{})
+	rows, err := grid(Options{Parallelism: 4}, 4, func(i int) (int, error) {
+		switch i {
+		case 1:
+			<-cell3Failed // fail after cell 3 has: the error is chosen by cell order
+			return 0, errCell1
+		case 3:
+			defer close(cell3Failed)
+			return 0, errCell3
+		}
+		return i, nil
 	})
-	if err != errTest {
-		t.Fatalf("err = %v", err)
+	if err != errCell1 {
+		t.Fatalf("err = %v, want the first failing cell's %v", err, errCell1)
 	}
-	if err := runParallel(0, nil); err != nil {
-		t.Fatal("empty task list should succeed")
+	if rows != nil {
+		t.Fatalf("rows = %v on error, want nil", rows)
+	}
+
+	rows, err = grid(Options{Parallelism: 2}, 5, func(i int) (int, error) { return i * i, nil })
+	if err != nil || !reflect.DeepEqual(rows, []int{0, 1, 4, 9, 16}) {
+		t.Fatalf("rows = %v, err = %v; want squares in cell order", rows, err)
+	}
+	if rows, err := grid(Options{}, 0, func(int) (int, error) { return 0, errCell1 }); err != nil || len(rows) != 0 {
+		t.Fatalf("zero cells: rows = %v, err = %v", rows, err)
 	}
 }
 
-var errTest = errTestType{}
-
-type errTestType struct{}
-
-func (errTestType) Error() string { return "test error" }
+// TestGridRowsIndependentOfParallelism pins that a driver's rows — their
+// values and their order — do not depend on how many cells run at once.
+func TestGridRowsIndependentOfParallelism(t *testing.T) {
+	rows := func(parallelism int) []any {
+		o := Options{Scale: 1.0 / 512, Seed: 2, Objects: 100, Requests: 1000, Parallelism: parallelism}
+		space, err := SpaceEfficiency(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failure, err := FailureResistance(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovery, err := RecoveryAblation(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hotness, err := HotnessAblation(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []any{space, failure, recovery, hotness}
+	}
+	serial, parallel := rows(1), rows(4)
+	for i := range serial {
+		if !reflect.DeepEqual(serial[i], parallel[i]) {
+			t.Errorf("driver %d: rows differ with parallelism\n 1: %+v\n 4: %+v", i, serial[i], parallel[i])
+		}
+	}
+}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"runtime"
-	"time"
 
 	"github.com/reo-cache/reo/internal/flash"
 	"github.com/reo-cache/reo/internal/osd"
@@ -20,11 +19,6 @@ import (
 // space inline (collectOnceLocked under the write) when an append would
 // overflow physical capacity, so the episode is purely latency-hiding —
 // it keeps the inline path from ever being needed.
-
-// gcYieldBudget caps how long a GC step defers to on-demand traffic before
-// collecting anyway — deference, not starvation (same discipline and value
-// as reclassYieldBudget).
-const gcYieldBudget = 50 * time.Microsecond
 
 // gcCheck starts a background collection episode when any log-layout device
 // is short of erased space. Called unlocked at write-path operation
@@ -62,7 +56,7 @@ func (s *Store) runGC() {
 			if !dev.GCBacklog() {
 				continue
 			}
-			s.yieldToGC()
+			s.yieldToOnDemand()
 			if _, ok := dev.CollectOnce(); ok {
 				busy = true
 			}
@@ -70,19 +64,6 @@ func (s *Store) runGC() {
 		if !busy {
 			return
 		}
-	}
-}
-
-// yieldToGC backs off while on-demand requests are in flight, bounded by
-// gcYieldBudget. Unlike yieldToOnDemand it needs no request context: GC is
-// always background.
-func (s *Store) yieldToGC() {
-	if s.onDemand.Load() == 0 {
-		return
-	}
-	deadline := time.Now().Add(gcYieldBudget)
-	for s.onDemand.Load() > 0 && time.Now().Before(deadline) {
-		runtime.Gosched()
 	}
 }
 

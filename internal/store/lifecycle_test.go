@@ -33,8 +33,8 @@ func TestRecoveryDefersToOnDemand(t *testing.T) {
 	// does through trackOnDemand).
 	onDemand := reqctx.New(context.Background())
 	release := s.trackOnDemand(onDemand)
-	if s.OnDemandInFlight() != 1 {
-		t.Fatalf("OnDemandInFlight = %d, want 1", s.OnDemandInFlight())
+	if n := s.onDemand.Load(); n != 1 {
+		t.Fatalf("on-demand in flight = %d, want 1", n)
 	}
 
 	done := make(chan struct{})

@@ -235,9 +235,25 @@ func (s *Store) trackOnDemand(rc *reqctx.Ctx) func() {
 	return func() { s.onDemand.Add(-1) }
 }
 
-// OnDemandInFlight reports the number of registered in-flight on-demand
-// requests (exposed for tests of recovery deference).
-func (s *Store) OnDemandInFlight() int64 { return s.onDemand.Load() }
+// onDemandYieldBudget caps how long a step of background work (an async
+// reclassification, a GC victim) defers to on-demand traffic before going
+// ahead anyway — deference, not starvation.
+const onDemandYieldBudget = 50 * time.Microsecond
+
+// yieldToOnDemand backs off while on-demand requests are in flight, bounded
+// by onDemandYieldBudget. Clients bump the gauge before queueing on s.mu, so
+// a foreground backlog is visible here before background work contends for
+// the lock. Recovery does not use it: it drops the lock and waits for the
+// gauge to drain (§IV.D: on-demand requests always go first).
+func (s *Store) yieldToOnDemand() {
+	if s.onDemand.Load() == 0 {
+		return
+	}
+	deadline := time.Now().Add(onDemandYieldBudget)
+	for s.onDemand.Load() > 0 && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+}
 
 // ObjectStatus is the §IV.D three-way classification plus absence.
 type ObjectStatus int
@@ -526,28 +542,6 @@ func (s *Store) unlistLocked(id osd.ObjectID) {
 	delete(s.objects, id)
 }
 
-// reclassYieldBudget caps how long a background reclassification defers to
-// on-demand traffic before taking the store lock anyway — deference, not
-// starvation.
-const reclassYieldBudget = 50 * time.Microsecond
-
-// yieldToOnDemand makes explicitly-background requests (rc non-nil with
-// Background priority) back off while on-demand requests are in flight,
-// the same way the recovery engine yields between objects (§IV.D): clients
-// bump the gauge before queueing on s.mu, so a foreground backlog is
-// visible here before we contend for the lock. A nil rc — the legacy
-// synchronous refresh and flush paths, whose cost is charged to virtual
-// time — never yields, keeping those paths byte-identical.
-func (s *Store) yieldToOnDemand(rc *reqctx.Ctx) {
-	if rc == nil || rc.OnDemand() || s.onDemand.Load() == 0 {
-		return
-	}
-	deadline := time.Now().Add(reclassYieldBudget)
-	for s.onDemand.Load() > 0 && time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
-}
-
 // ReclassifyCtx changes the object's class and, when the policy maps the new
 // class to a different redundancy scheme, re-encodes the object (read +
 // rewrite). It returns the IO cost. As with PutCtx, a cancellable request
@@ -569,7 +563,13 @@ func (s *Store) reclassify(rc *reqctx.Ctx, id osd.ObjectID, class osd.Class, wri
 	if err := rc.Err(); err != nil {
 		return 0, err
 	}
-	s.yieldToOnDemand(rc)
+	// Only explicitly-background requests (the async reclassifier) yield. A
+	// nil rc — the synchronous refresh and flush paths, whose cost is
+	// charged to virtual time — never does, keeping those paths
+	// byte-identical.
+	if rc != nil && !rc.OnDemand() {
+		s.yieldToOnDemand()
+	}
 	defer s.trackOnDemand(rc)()
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -33,6 +33,11 @@ tables=(
 	"-chaos -fault-seed 42 -objects 300 -requests 6000 -flash-layout log -admission reuse"
 	"-chaos -fault-seed 42 -objects 300 -requests 6000 -hedge-delay 200us -fail-slow-factor 3"
 	"-experiment hedge -objects 120 -requests 1500"
+	"-experiment space -objects 300 -requests 3000 -seed 1"
+	"-experiment ablate-recovery -objects 300 -requests 3000 -seed 1"
+	"-experiment ablate-hotness -objects 300 -requests 3000 -seed 1"
+	"-experiment ablate-chunk -objects 300 -requests 3000 -seed 1"
+	"-experiment ablate-wear -objects 300 -requests 3000 -seed 1"
 )
 # Concurrent replays: only the content digest line is deterministic.
 digests=(
