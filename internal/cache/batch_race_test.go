@@ -42,7 +42,7 @@ func TestBatchConcurrentWithAsyncReclass(t *testing.T) {
 	go func() {
 		defer refreshes.Done()
 		for !stop.Load() {
-			f.cache.KickRefresh()
+			kickRefresh(f.cache)
 			f.cache.WaitRefresh()
 		}
 	}()

@@ -45,7 +45,7 @@ func TestConcurrentReclassChurn(t *testing.T) {
 	go func() {
 		defer refreshes.Done()
 		for !stop.Load() {
-			f.cache.KickRefresh()
+			kickRefresh(f.cache)
 			f.cache.WaitRefresh()
 		}
 	}()

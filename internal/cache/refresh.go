@@ -1,26 +1,26 @@
 package cache
 
 // This file implements the adaptive hot/cold classification refresh
-// (paper §IV.C.1) in two modes.
+// (paper §IV.C.1) as one pipeline, refreshLocked:
 //
-// Both snapshot every clean entry's classification inputs (id + size +
-// precomputed hotness) into a pooled slice under the manager lock and compute
-// Hhot from it by partial selection (budgetSelect) — only the side of each
-// pivot the parity-budget boundary falls in is examined, O(n) average instead
-// of a full O(n log n) sort.
+//  1. snapshot every clean entry's classification inputs (entry, id, size,
+//     precomputed hotness) into a pooled slice, under the manager lock;
+//  2. compute Hhot from it by partial selection (budgetSelect): only the side
+//     of each pivot the parity-budget boundary falls in is examined, O(n)
+//     average instead of a full O(n log n) sort;
+//  3. list the entries whose class the new Hhot changes, hottest first
+//     (changedLocked), re-encode them, and book each outcome
+//     (bookReclassLocked).
 //
-// Synchronous (default): the deterministic simulator path. The whole refresh
-// runs under the manager lock and re-encodes reclassified objects inline,
-// hottest first, charging the cost to virtual time — byte-identical to the
-// original stop-the-world refresh.
-//
-// Asynchronous (Config.AsyncRefresh): the production path. The snapshot is
-// the only work done under the manager lock; ranking happens outside it. The
-// resulting class-change work-list is re-encoded by a bounded worker pool
-// that takes each object's entry latch (so evictions, flushes, and
-// overwrites of an in-flight object wait instead of racing) and re-encodes
-// under a background-priority request, which an in-process store defers to
-// in-flight on-demand traffic, as it does background GC.
+// The two modes differ only in where steps 2 and 3 run. Synchronous (the
+// default, and the simulator's mode) runs them under the held lock and
+// charges the re-encodes to virtual time. Asynchronous (Config.AsyncRefresh)
+// holds the lock for the snapshot only: a background goroutine ranks, and a
+// bounded worker pool re-encodes. Each worker takes the object's entry latch
+// (so evictions, flushes and overwrites of an in-flight object wait instead
+// of racing) and re-encodes under a background-priority request, which an
+// in-process store defers to in-flight on-demand traffic, as it does
+// background GC.
 
 import (
 	"cmp"
@@ -42,9 +42,9 @@ import (
 // field comparison — the hot sort/selection path calls no methods and
 // allocates nothing per comparison.
 type snap struct {
-	// e is set only on the synchronous path, where class changes are
-	// applied in place under the continuously-held lock. Async snapshots
-	// carry ids only and re-resolve entries at apply time.
+	// e is read only under the manager lock. An asynchronous refresh takes
+	// the lock down between the snapshot and the re-encodes, so by then e
+	// may be evicted or replaced: it counts only while m.entries[id] == e.
 	e    *entry
 	id   osd.ObjectID
 	size int64
@@ -65,7 +65,10 @@ func rankSnap(a, b snap) int {
 // refresh does not allocate proportionally to the cache population.
 var snapPool = sync.Pool{New: func() any { s := make([]snap, 0, 1024); return &s }}
 
+// putSnaps pools a snapshot slice. It is cleared first, so a pooled slice
+// keeps no evicted entry alive.
 func putSnaps(sp *[]snap) {
+	clear(*sp)
 	*sp = (*sp)[:0]
 	snapPool.Put(sp)
 }
@@ -101,11 +104,10 @@ func (m *Manager) refreshParamsLocked() (refreshParams, bool) {
 }
 
 // snapshotCleanLocked copies every clean entry's classification inputs into
-// a pooled slice. withEntries additionally records the entry pointers for
-// the synchronous in-lock apply path. The walk follows the LRU list, not
-// the entries map, so the snapshot order — and with it the admitted set
-// under hotness ties — is deterministic across runs.
-func (m *Manager) snapshotCleanLocked(withEntries bool) *[]snap {
+// a pooled slice. The walk follows the LRU list, not the entries map, so the
+// snapshot order — and with it the admitted set under hotness ties — is
+// deterministic across runs.
+func (m *Manager) snapshotCleanLocked() *[]snap {
 	sp := snapPool.Get().(*[]snap)
 	snaps := (*sp)[:0]
 	for e := m.lru.front; e != nil; e = m.lru.next(e) {
@@ -114,11 +116,7 @@ func (m *Manager) snapshotCleanLocked(withEntries bool) *[]snap {
 			// the reserved budget covers only the hot clean set.
 			continue
 		}
-		s := snap{id: e.id, size: e.size, hot: m.hotness(e)}
-		if withEntries {
-			s.e = e
-		}
-		snaps = append(snaps, s)
+		snaps = append(snaps, snap{e: e, id: e.id, size: e.size, hot: m.hotness(e)})
 	}
 	*sp = snaps
 	return sp
@@ -251,116 +249,110 @@ func partitionHot(snaps []snap, lo, hi int, pivot float64) (gt, eq int) {
 	return i, j
 }
 
-// refreshLocked is the deterministic synchronous refresh (§IV.C.1): admit
-// clean objects to the hot set, hottest first, until the redundancy their
-// parity would occupy reaches the reserved budget, set Hhot to the H of the
-// last admitted object, and re-encode every class change inline, hottest
-// first — all under the manager lock, cost charged to virtual time.
-// Non-differentiated policies have nothing to differentiate: the threshold
-// stays infinite and no re-encoding happens.
-func (m *Manager) refreshLocked() time.Duration {
+// refreshLocked runs one classification refresh (§IV.C.1): admit clean
+// objects to the hot set, hottest first, until the redundancy their parity
+// would occupy reaches the reserved budget, set Hhot to the H of the last
+// admitted object, and re-encode every class change, hottest first.
+// Synchronous mode does all of it under the held lock and returns the
+// re-encodes' cost, charged to virtual time. Asynchronous mode takes only the
+// snapshot here and hands the ranking and the re-encodes to runRefresh, off
+// the lock; at most one runs at a time, and a trigger that lands while one is
+// active is dropped (the next interval retries). Non-differentiated policies
+// have nothing to differentiate: the threshold stays infinite and no
+// re-encoding happens.
+func (m *Manager) refreshLocked(async bool) time.Duration {
+	if async && m.refreshActive {
+		return 0
+	}
 	params, ok := m.refreshParamsLocked()
 	if !ok {
 		return 0
 	}
 	start := time.Now()
-	sp := m.snapshotCleanLocked(true)
-	m.hhot = budgetSelect(*sp, params)
-	// Only the entries whose class changes are ranked. One an async worker
-	// owns (manual sync refresh racing a background batch) is left to settle
-	// against the new Hhot on the next refresh.
-	changed := (*sp)[:0]
-	for _, s := range *sp {
-		if s.e.latch == nil && m.cleanClassLocked(s.hot) != s.e.class {
-			changed = append(changed, s)
-		}
+	sp := m.snapshotCleanLocked()
+	if async {
+		m.refreshActive = true
+		m.refreshDone = make(chan struct{})
+		m.noteRefreshPauseLocked(time.Since(start))
+		go m.runRefresh(sp, params)
+		return 0
 	}
-	slices.SortFunc(changed, rankSnap)
-
+	m.hhot = budgetSelect(*sp, params)
 	var total time.Duration
-	for _, s := range changed {
-		e, want := s.e, m.cleanClassLocked(s.hot)
-		cost, err := m.cfg.Store.ReclassifyCtx(nil, e.id, want)
-		if err != nil {
-			if errors.Is(err, store.ErrCorrupted) || errors.Is(err, store.ErrNotFound) {
-				m.dropEntryLocked(e)
-				m.stats.LostObjects++
-			}
-			// Budget/capacity pressure (ErrRedundancyFull, ErrCacheFull)
-			// and hard store errors: leave the label; a later refresh
-			// retries.
-			continue
+	for _, s := range m.changedLocked(*sp) {
+		want := m.cleanClassLocked(s.hot)
+		cost, err := m.cfg.Store.ReclassifyCtx(nil, s.id, want)
+		if m.bookReclassLocked(s.e, want, err) {
+			total += cost
 		}
-		e.class = want
-		m.stats.Reclassified++
-		total += cost
 	}
 	putSnaps(sp)
 	m.noteRefreshPauseLocked(time.Since(start))
 	return total
 }
 
-// startAsyncRefreshLocked begins an asynchronous refresh: the snapshot — the
-// only stop-the-world part — is taken under the held lock, then ranking and
-// re-encoding are handed to background goroutines. At most one async refresh
-// runs at a time; triggers that land while one is active are dropped (the
-// next interval retries).
-func (m *Manager) startAsyncRefreshLocked() {
-	if m.refreshActive {
-		return
-	}
-	params, ok := m.refreshParamsLocked()
-	if !ok {
-		return
-	}
-	start := time.Now()
-	sp := m.snapshotCleanLocked(false)
-	m.refreshActive = true
-	m.refreshDone = make(chan struct{})
-	m.noteRefreshPauseLocked(time.Since(start))
-	go m.runRefresh(sp, params)
-}
-
-// runRefresh is the async refresh coordinator: rank the snapshot outside
-// the lock, install the new threshold, build the class-change work-list,
-// and drive it through the bounded reclassifier pool.
+// runRefresh is the off-lock half of an asynchronous refresh: rank the
+// snapshot, take the lock only to install the new threshold and list the
+// changes, and drive them through the bounded reclassifier pool.
 func (m *Manager) runRefresh(sp *[]snap, params refreshParams) {
-	snaps := *sp
-	hhot := budgetSelect(snaps, params)
+	hhot := budgetSelect(*sp, params)
 
 	m.mu.Lock()
 	m.hhot = hhot
-	work := make([]osd.ObjectID, 0, len(snaps)/8+1)
-	for i := range snaps {
-		e, ok := m.entries[snaps[i].id]
-		if !ok || e.dirty || e.latch != nil {
-			continue
-		}
-		if m.cleanClassLocked(snaps[i].hot) != e.class {
-			work = append(work, snaps[i].id)
-		}
-	}
-	m.reclassPending = int64(len(work))
+	changed := m.changedLocked(*sp)
+	m.reclassPending = int64(len(changed))
 	m.mu.Unlock()
+
+	m.runReclassWorkers(changed)
 	putSnaps(sp)
 
-	if len(work) > 0 {
-		m.runReclassWorkers(work)
-	}
-
 	m.mu.Lock()
-	m.reclassPending = 0
 	m.refreshActive = false
 	close(m.refreshDone)
 	m.mu.Unlock()
 }
 
+// changedLocked filters snaps in place to the entries whose class the current
+// Hhot changes and that are still listed, clean and unlatched, and sorts them
+// hottest first (rankSnap). The classes are compared before the map lookup:
+// in synchronous mode every entry is still listed, and most keep their class.
+// An entry an async worker owns (a synchronous refresh racing a background
+// one) is left to settle against the new Hhot on the next refresh.
+func (m *Manager) changedLocked(snaps []snap) []snap {
+	changed := snaps[:0]
+	for _, s := range snaps {
+		if e := s.e; m.cleanClassLocked(s.hot) != e.class && !e.dirty && e.latch == nil && m.entries[s.id] == e {
+			changed = append(changed, s)
+		}
+	}
+	slices.SortFunc(changed, rankSnap)
+	return changed
+}
+
+// bookReclassLocked books the outcome of re-encoding e under want and
+// reports whether it was carried out. An object the store lost (corrupted or
+// gone) is dropped; under budget or capacity pressure (ErrRedundancyFull,
+// ErrCacheFull) or a hard store error the label stays, and a later refresh
+// retries.
+func (m *Manager) bookReclassLocked(e *entry, want osd.Class, err error) bool {
+	switch {
+	case err == nil:
+		e.class = want
+		m.stats.Reclassified++
+		return true
+	case errors.Is(err, store.ErrCorrupted), errors.Is(err, store.ErrNotFound):
+		m.dropEntryLocked(e)
+		m.stats.LostObjects++
+	}
+	return false
+}
+
 // reclassWorkers bounds the concurrency of the background reclassifier pool.
 const reclassWorkers = 2
 
-// runReclassWorkers drains the work-list with bounded concurrency and
+// runReclassWorkers drains the change list with bounded concurrency and
 // blocks until every item has been applied or skipped.
-func (m *Manager) runReclassWorkers(work []osd.ObjectID) {
+func (m *Manager) runReclassWorkers(work []snap) {
 	n := min(reclassWorkers, len(work))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -376,28 +368,24 @@ func (m *Manager) runReclassWorkers(work []osd.ObjectID) {
 					return
 				}
 				m.reclassOne(rc, work[i])
-				m.mu.Lock()
-				m.reclassPending--
-				m.mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// reclassOne applies one class change from the async work-list. The target
-// class is recomputed against the live entry and current threshold at latch
-// time, so stale work items (entry evicted, rewritten, re-ranked, or gone
-// dirty since the snapshot) are dropped rather than applied.
-func (m *Manager) reclassOne(rc *reqctx.Ctx, id osd.ObjectID) {
+// reclassOne applies one class change of an asynchronous refresh. The entry
+// is re-checked under the lock first, and the target class recomputed from
+// its live hotness against the current threshold, so a stale change (entry
+// evicted, rewritten, re-ranked or gone dirty since the snapshot) is dropped
+// rather than applied. Either way the item leaves the pending count.
+func (m *Manager) reclassOne(rc *reqctx.Ctx, s snap) {
+	e := s.e
 	m.mu.Lock()
-	e, ok := m.entries[id]
-	if !ok || e.dirty || e.latch != nil {
-		m.mu.Unlock()
-		return
-	}
+	stale := m.entries[s.id] != e || e.dirty || e.latch != nil
 	want := m.cleanClassLocked(m.hotness(e))
-	if want == e.class {
+	if stale || want == e.class {
+		m.reclassPending--
 		m.mu.Unlock()
 		return
 	}
@@ -407,74 +395,39 @@ func (m *Manager) reclassOne(rc *reqctx.Ctx, id osd.ObjectID) {
 	m.mu.Unlock()
 
 	start := time.Now()
-	_, err := m.cfg.Store.ReclassifyCtx(rc, id, want)
+	_, err := m.cfg.Store.ReclassifyCtx(rc, s.id, want)
 	dur := time.Since(start)
 
 	m.mu.Lock()
 	close(e.latch)
 	e.latch = nil
-	if m.entries[id] == e {
-		switch {
-		case err == nil:
-			e.class = want
-			m.stats.Reclassified++
-		case errors.Is(err, store.ErrCorrupted), errors.Is(err, store.ErrNotFound):
-			m.dropEntryLocked(e)
-			m.stats.LostObjects++
-		}
-		// Budget/capacity pressure: keep the old label, retry next refresh.
+	if m.entries[s.id] == e {
+		m.bookReclassLocked(e, want, err)
 	}
+	m.reclassPending--
 	m.mu.Unlock()
 	if m.cfg.OpStats != nil {
 		m.cfg.OpStats.Record("reclass.bg", dur)
 	}
 }
 
-// maybeRefreshLocked recomputes the adaptive hot threshold every
+// maybeRefreshLocked runs the refresh, in the configured mode, every
 // RefreshInterval reads.
 func (m *Manager) maybeRefreshLocked() time.Duration {
 	if m.readsSince < m.cfg.RefreshInterval {
 		return 0
 	}
 	m.readsSince = 0
-	return m.refreshNowLocked()
-}
-
-// refreshNowLocked runs the refresh in the configured mode: inline
-// (returning the reclassification cost) in synchronous mode, or by starting
-// the background pipeline in async mode.
-func (m *Manager) refreshNowLocked() time.Duration {
-	if m.cfg.AsyncRefresh {
-		m.startAsyncRefreshLocked()
-		return 0
-	}
-	return m.refreshLocked()
+	return m.refreshLocked(m.cfg.AsyncRefresh)
 }
 
 // RefreshClassification recomputes Hhot immediately and synchronously
 // (exposed for tests and tools) and returns the reclassification cost. It
-// uses the deterministic in-lock path even on async-configured managers.
+// runs the deterministic in-lock mode even on async-configured managers.
 func (m *Manager) RefreshClassification() time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.refreshLocked()
-}
-
-// KickRefresh forces the periodic refresh to run now using the configured
-// mode: synchronous managers refresh inline and return the cost (like
-// RefreshClassification); async managers start the background pipeline and
-// return immediately.
-func (m *Manager) KickRefresh() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.refreshNowLocked()
-}
-
-// RefreshActive reports whether an asynchronous refresh is in flight.
-func (m *Manager) RefreshActive() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.refreshActive
+	return m.refreshLocked(false)
 }
 
 // WaitRefresh blocks until no asynchronous refresh is in flight. It is the

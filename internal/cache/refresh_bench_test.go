@@ -108,7 +108,7 @@ func benchReadDuringRefresh(b *testing.B, async bool) {
 
 		done := make(chan struct{})
 		go func() {
-			m.KickRefresh()
+			kickRefresh(m)
 			m.WaitRefresh() // no-op in sync mode; drains the pipeline in async
 			close(done)
 		}()

@@ -29,6 +29,13 @@ func newAsyncFixture(t testing.TB, pol policy.Policy, budget float64, deviceCap 
 	})
 }
 
+// kickRefresh runs the refresh now, in m's configured mode.
+func kickRefresh(m *Manager) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.refreshLocked(m.cfg.AsyncRefresh)
+}
+
 // admitBudget is the oracle for budgetSelect, and what the synchronous refresh
 // ran before it shared the selection: sort the whole snapshot into the
 // refresh's total order (rankSnap: hotness, then PID, then OID), admit
@@ -250,7 +257,7 @@ func TestSyncRefreshOrderPinned(t *testing.T) {
 		// whose class the new threshold changes, in sorted order.
 		m.mu.Lock()
 		params, ok := m.refreshParamsLocked()
-		sp := m.snapshotCleanLocked(true)
+		sp := m.snapshotCleanLocked()
 		ranked := append([]snap(nil), *sp...)
 		putSnaps(sp)
 		m.mu.Unlock()
@@ -320,7 +327,7 @@ func TestAsyncRefreshConverges(t *testing.T) {
 			}
 		}
 	}
-	f.cache.KickRefresh()
+	kickRefresh(f.cache)
 	f.cache.WaitRefresh()
 
 	if math.IsInf(f.cache.Stats().Hhot, 1) {
@@ -357,6 +364,71 @@ func TestAsyncRefreshConverges(t *testing.T) {
 	}
 }
 
+// TestRefreshModesAgree runs the same population and read pattern through a
+// synchronous and an asynchronous manager. Only kicked refreshes run, and the
+// store's redundancy budget is far above the policy's, so no re-encode is
+// refused: after each refresh both modes must hold the same finite Hhot and
+// every object under the same store class. Two rounds with different hot
+// slices move objects both ways.
+func TestRefreshModesAgree(t *testing.T) {
+	const objects = 80
+	fixtures := [2]*fixture{}
+	for i, async := range []bool{false, true} {
+		fixtures[i] = newFixture(t, policy.Reo{ParityBudget: 0.005}, 0.5, 1<<20, func(c *Config) {
+			c.AsyncRefresh = async
+			c.RefreshInterval = 1 << 30 // refreshes run when the test says
+		})
+	}
+	rounds := []func(n uint64) int{
+		func(n uint64) int { return int(n % 6) },
+		func(n uint64) int { return int((objects - n) % 5 * 2) },
+	}
+	for _, f := range fixtures {
+		for n := uint64(0); n < objects; n++ {
+			f.seed(t, n, 900+700*int(n%3))
+		}
+	}
+	for round, extra := range rounds {
+		for _, f := range fixtures {
+			for n := uint64(0); n < objects; n++ {
+				for i := 0; i < 1+extra(n); i++ {
+					res, err := f.cache.Read(oid(n))
+					if err != nil {
+						t.Fatal(err)
+					}
+					res.Release()
+				}
+			}
+			kickRefresh(f.cache)
+			f.cache.WaitRefresh()
+		}
+		syncHhot, asyncHhot := fixtures[0].cache.Stats().Hhot, fixtures[1].cache.Stats().Hhot
+		if math.IsInf(syncHhot, 1) || syncHhot != asyncHhot {
+			t.Fatalf("round %d: Hhot sync %v, async %v; want equal and finite", round, syncHhot, asyncHhot)
+		}
+		var hot int
+		for n := uint64(0); n < objects; n++ {
+			var classes [2]osd.Class
+			for i, f := range fixtures {
+				info, err := f.store.Info(oid(n))
+				if err != nil {
+					t.Fatalf("round %d: object %d: %v", round, n, err)
+				}
+				classes[i] = info.Class
+			}
+			if classes[0] != classes[1] {
+				t.Errorf("round %d: object %d is %v in sync mode, %v in async mode", round, n, classes[0], classes[1])
+			}
+			if classes[0] == osd.ClassHotClean {
+				hot++
+			}
+		}
+		if hot == 0 || hot == objects {
+			t.Fatalf("round %d: %d of %d objects hot; the budget should split the population", round, hot, objects)
+		}
+	}
+}
+
 // TestRefreshClassificationSyncUnderAsync: the exported synchronous entry
 // point stays deterministic and inline even on an async-configured manager.
 func TestRefreshClassificationSyncUnderAsync(t *testing.T) {
@@ -371,9 +443,7 @@ func TestRefreshClassificationSyncUnderAsync(t *testing.T) {
 	if _, err := f.cache.Read(oid(2)); err != nil {
 		t.Fatal(err)
 	}
-	if f.cache.RefreshActive() {
-		f.cache.WaitRefresh()
-	}
+	f.cache.WaitRefresh()
 	if cost := f.cache.RefreshClassification(); cost <= 0 {
 		t.Fatal("synchronous refresh should re-encode inline and return its cost")
 	}

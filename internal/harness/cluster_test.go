@@ -20,10 +20,10 @@ func clusterOpts() Options {
 // behind the reuse admission gate must verify every object and produce the
 // same content digest. Each replay's wall-clock accounting must be sane, and
 // a wire replay must return every pooled frame buffer it leased. The shards
-// are built like every other harness store, so the gate must keep
-// one-hit misses out of them: fewer bytes reach the shards than under
-// admit-all. Run with -race to exercise the concurrent cache manager and
-// transport together.
+// are built like every other harness store, so the gate must keep one-hit
+// misses out of them: fewer bytes reach the shards than under admit-all,
+// compared on one-worker replays, whose interleaving is fixed. Run with -race
+// to exercise the concurrent cache manager and transport together.
 func TestClusterMatchesSingleTarget(t *testing.T) {
 	single, err := ClusterThroughput(workload.Medium, clusterOpts(), ClusterSpec{Shards: 1, Workers: 4})
 	if err != nil {
@@ -87,11 +87,23 @@ func TestClusterMatchesSingleTarget(t *testing.T) {
 				t.Errorf("%s: wire leases %d != releases %d at quiesce", tc.name, ws.Leases, ws.Releases)
 			}
 		}
-		if tc.opts.Admission == cache.AdmitOnReuse {
-			if got, all := shardBytesIn(res), shardBytesIn(single); got >= all {
-				t.Errorf("%s: %d bytes into the shards, want fewer than admit-all's %d", tc.name, got, all)
-			}
+	}
+
+	// Bytes in depend on how the workers interleave, so the gate is compared
+	// with admit-all on one-worker replays.
+	var bytesIn [2]int64
+	for i, opts := range []Options{clusterOpts(), reuse} {
+		res, err := ClusterThroughput(workload.Medium, opts, ClusterSpec{Shards: 1, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if res.Mismatched != 0 || res.Digest != single.Digest {
+			t.Errorf("one-worker replay %d: %d mismatched, digest %016x != single-target %016x", i, res.Mismatched, res.Digest, single.Digest)
+		}
+		bytesIn[i] = shardBytesIn(res)
+	}
+	if bytesIn[1] >= bytesIn[0] {
+		t.Errorf("reuse admission: %d bytes into the shard, want fewer than admit-all's %d", bytesIn[1], bytesIn[0])
 	}
 }
 

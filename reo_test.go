@@ -83,6 +83,31 @@ func TestAllOptionsAccepted(t *testing.T) {
 	}
 }
 
+// TestDeviceHealth reads the per-slot health view through a device failure
+// and a spare insertion: only the failed slot reports StateFailed, with a
+// reason, and the spare reads healthy again.
+func TestDeviceHealth(t *testing.T) {
+	c := newCache(t)
+	if err := c.InjectDeviceFailure(2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < c.Devices(); i++ {
+		h := c.DeviceHealth(i)
+		switch {
+		case i == 2 && (h.State != flash.StateFailed || h.FailReason == ""):
+			t.Errorf("slot 2 after failure: state %v, reason %q; want failed with a reason", h.State, h.FailReason)
+		case i != 2 && h.State != flash.StateHealthy:
+			t.Errorf("slot %d: state %v, want healthy", i, h.State)
+		}
+	}
+	if _, err := c.InsertSpare(2); err != nil {
+		t.Fatal(err)
+	}
+	if h := c.DeviceHealth(2); h.State != flash.StateHealthy {
+		t.Errorf("slot 2 after InsertSpare: state %v, want healthy", h.State)
+	}
+}
+
 func TestDefaultsMatchPaper(t *testing.T) {
 	c := newCache(t)
 	if c.Devices() != 5 {
